@@ -1,7 +1,7 @@
 package fqms
 
 import (
-	"io"
+	"strconv"
 	"testing"
 
 	"repro/internal/addrmap"
@@ -9,7 +9,6 @@ import (
 	"repro/internal/dram"
 	"repro/internal/exp"
 	"repro/internal/memctrl"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -199,7 +198,7 @@ func runVprArt(b *testing.B, factory sim.PolicyFactory, mem memctrl.Config) (flo
 // priority-inversion bound x (the paper fixes x = tRAS = 18).
 func BenchmarkAblationInversionBound(b *testing.B) {
 	for _, x := range []int64{0, 9, 18, 36, 72, 1 << 20} {
-		name := "x=" + itoa(x)
+		name := "x=" + strconv.FormatInt(x, 10)
 		if x == 1<<20 {
 			name = "x=inf(FR-VFTF-like)"
 		}
@@ -302,210 +301,6 @@ func BenchmarkSchedulers(b *testing.B) {
 	}
 }
 
-// BenchmarkSimThroughput is the perf-trajectory benchmark: raw simulator
-// throughput (simulated cycles/sec and completed memory requests/sec) on
-// 4-core FQ-VFTF configurations spanning the workload intensity range,
-// each swept across channel counts in serial and intra-run parallel
-// mode (results are bit-identical; only wall-clock differs).
-// cmd/benchjson runs the same configurations and emits JSON so future
-// PRs can compare against the recorded trajectory in BENCH_baseline.json.
-func BenchmarkSimThroughput(b *testing.B) {
-	for _, v := range []struct {
-		name    string
-		benches []string
-	}{
-		{"light-4xcrafty", []string{"crafty", "crafty", "crafty", "crafty"}},
-		{"mixed", trace.FourCoreWorkloads()[0]},
-		{"heavy-4xart", []string{"art", "art", "art", "art"}},
-	} {
-		for _, nch := range []int{1, 2, 4} {
-			for _, workers := range []int{0, 8} {
-				mode := "serial"
-				if workers > 1 {
-					mode = "par"
-				}
-				b.Run(v.name+"/ch="+itoa(int64(nch))+"/"+mode, func(b *testing.B) {
-					profiles := make([]trace.Profile, len(v.benches))
-					for i, n := range v.benches {
-						profiles[i], _ = trace.ByName(n)
-					}
-					cfg := sim.Config{Workload: profiles, Policy: sim.FQVFTF, Workers: workers}
-					cfg.Mem.Channels = nch
-					s, err := sim.New(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer s.Close()
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						s.Step(10_000)
-					}
-					elapsed := b.Elapsed().Seconds()
-					if elapsed == 0 {
-						elapsed = 1e-9
-					}
-					var reqs int64
-					for t := 0; t < len(profiles); t++ {
-						st := s.Controller().Stats(t)
-						reqs += st.ReadsDone + st.WritesDone
-					}
-					b.ReportMetric(float64(s.Cycle())/elapsed/1e6, "Msimcycles/s")
-					b.ReportMetric(float64(reqs)/elapsed/1e3, "kreqs/s")
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkSimThroughputMetrics reruns the perf-trajectory
-// configurations with the observability layer fully enabled (metrics
-// registry plus a Chrome trace streamed to a discarding writer), so the
-// instrumentation overhead can be read directly against
-// BenchmarkSimThroughput (the budget is <5%).
-func BenchmarkSimThroughputMetrics(b *testing.B) {
-	for _, v := range []struct {
-		name    string
-		benches []string
-	}{
-		{"light-4xcrafty", []string{"crafty", "crafty", "crafty", "crafty"}},
-		{"mixed", trace.FourCoreWorkloads()[0]},
-		{"heavy-4xart", []string{"art", "art", "art", "art"}},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			profiles := make([]trace.Profile, len(v.benches))
-			for i, n := range v.benches {
-				profiles[i], _ = trace.ByName(n)
-			}
-			tw := metrics.NewTraceWriter(io.Discard)
-			s, err := sim.New(sim.Config{
-				Workload: profiles,
-				Policy:   sim.FQVFTF,
-				Metrics:  metrics.New(),
-				Trace:    tw,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Step(10_000)
-			}
-			elapsed := b.Elapsed().Seconds()
-			if elapsed == 0 {
-				elapsed = 1e-9
-			}
-			b.StopTimer()
-			if err := tw.Close(); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(s.Cycle())/elapsed/1e6, "Msimcycles/s")
-		})
-	}
-}
-
-// BenchmarkSimThroughputSampled reruns the perf-trajectory
-// configurations with epoch sampling at the default interval (registry
-// snapshot plus fairness scoring every 10k cycles), so the time-series
-// telemetry's overhead can be read directly against
-// BenchmarkSimThroughput (the budget is <5%).
-func BenchmarkSimThroughputSampled(b *testing.B) {
-	for _, v := range []struct {
-		name    string
-		benches []string
-	}{
-		{"light-4xcrafty", []string{"crafty", "crafty", "crafty", "crafty"}},
-		{"mixed", trace.FourCoreWorkloads()[0]},
-		{"heavy-4xart", []string{"art", "art", "art", "art"}},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			profiles := make([]trace.Profile, len(v.benches))
-			for i, n := range v.benches {
-				profiles[i], _ = trace.ByName(n)
-			}
-			s, err := sim.New(sim.Config{
-				Workload:       profiles,
-				Policy:         sim.FQVFTF,
-				SampleInterval: metrics.DefaultSampleInterval,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Step(10_000)
-			}
-			elapsed := b.Elapsed().Seconds()
-			if elapsed == 0 {
-				elapsed = 1e-9
-			}
-			b.ReportMetric(float64(s.Cycle())/elapsed/1e6, "Msimcycles/s")
-			b.ReportMetric(float64(s.Sampler().Epochs()), "epochs")
-		})
-	}
-}
-
-// BenchmarkSimThroughputInterference reruns the perf-trajectory
-// configurations with per-request delay attribution on, so the
-// interference-accounting overhead can be read directly against
-// BenchmarkSimThroughput. Expected overhead: near-parity on light
-// workloads, ~1.15-1.3x under heavy contention — the per-cycle policy
-// attribution does O(ready requests) work per cycle, so its cost
-// scales with how many requests sit issuable-but-skipped each cycle
-// (see the protocol comment in internal/memctrl/interference.go).
-func BenchmarkSimThroughputInterference(b *testing.B) {
-	for _, v := range []struct {
-		name    string
-		benches []string
-	}{
-		{"light-4xcrafty", []string{"crafty", "crafty", "crafty", "crafty"}},
-		{"mixed", trace.FourCoreWorkloads()[0]},
-		{"heavy-4xart", []string{"art", "art", "art", "art"}},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			profiles := make([]trace.Profile, len(v.benches))
-			for i, n := range v.benches {
-				profiles[i], _ = trace.ByName(n)
-			}
-			s, err := sim.New(sim.Config{
-				Workload:     profiles,
-				Policy:       sim.FQVFTF,
-				Interference: true,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Step(10_000)
-			}
-			elapsed := b.Elapsed().Seconds()
-			if elapsed == 0 {
-				elapsed = 1e-9
-			}
-			b.ReportMetric(float64(s.Cycle())/elapsed/1e6, "Msimcycles/s")
-			if snap, ok := s.Controller().InterferenceSnapshot(false); ok {
-				b.ReportMetric(float64(snap.Cross)/float64(s.Cycle()), "cross-cycles/cycle")
-			}
-		})
-	}
-}
-
-func itoa(x int64) string {
-	if x == 0 {
-		return "0"
-	}
-	var buf [24]byte
-	i := len(buf)
-	for x > 0 {
-		i--
-		buf[i] = byte('0' + x%10)
-		x /= 10
-	}
-	return string(buf[i:])
-}
-
 // BenchmarkAblationSharedBuffers compares the paper's static per-thread
 // buffer partitioning against a pooled buffer (the paper defers
 // "more flexible partitioning" to future research): pooling lets the
@@ -566,7 +361,7 @@ func BenchmarkExtensionMultiChannel(b *testing.B) {
 		profiles[i], _ = trace.ByName(n)
 	}
 	for _, nch := range []int{1, 2, 4} {
-		b.Run("channels="+itoa(int64(nch)), func(b *testing.B) {
+		b.Run("channels="+strconv.Itoa(nch), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := sim.Config{Workload: profiles, Policy: sim.FQVFTF}
 				cfg.Mem.Channels = nch

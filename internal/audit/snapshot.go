@@ -1,8 +1,6 @@
 package audit
 
 import (
-	"sort"
-
 	"repro/internal/core"
 	"repro/internal/snapshot"
 )
@@ -11,296 +9,153 @@ import (
 // command mnemonics like "ACT" or "accept").
 const maxHistWhat = 64
 
-// SaveState serializes the auditor: the shadow device model, the
+// State visits the auditor: the shadow device model, the
 // conservation/starvation ledgers, the frozen-key map, and the command
 // history ring. The pending mirror is not written — it aliases the
-// controller's live request pointers and is rebuilt from the restored
-// queues on load. preBankR/preChanR are transient within a single
-// command issue and checkpoints land between cycles, so they are not
-// written either.
-func (a *Auditor) SaveState(w *snapshot.Writer) {
-	w.Section("audit.Auditor")
-	w.Int(len(a.banks))
+// controller's live request pointers and is rebuilt on load from
+// pending, the controller's restored per-bank queues; reqByID maps
+// every live request (pending or in flight) by ID so the outstanding
+// ledger can re-link its pointers. Both are consulted only when
+// loading. preBankR/preChanR are transient within a single command
+// issue and checkpoints land between cycles, so they are not written
+// either.
+func (a *Auditor) State(s *snapshot.Codec, reqByID map[uint64]*core.Request, pending [][]*core.Request) error {
+	s.Section("audit.Auditor")
+	snapshot.Verify(s, len(a.banks), "banks", s.Int)
 	for i := range a.banks {
 		b := &a.banks[i]
-		w.Bool(b.open)
-		w.Int(b.row)
-		w.I64(b.lastAct)
-		w.I64(b.lastRead)
-		w.I64(b.lastWrite)
-		w.I64(b.lastPre)
-		w.I64(b.writeEnd)
+		s.Bool(&b.open)
+		s.Int(&b.row)
+		s.I64(&b.lastAct)
+		s.I64(&b.lastRead)
+		s.I64(&b.lastWrite)
+		s.I64(&b.lastPre)
+		s.I64(&b.writeEnd)
 	}
-	w.Int(len(a.chans))
+	snapshot.Verify(s, len(a.chans), "channels", s.Int)
 	for i := range a.chans {
 		sc := &a.chans[i]
-		w.I64(sc.lastCAS)
-		w.I64(sc.lastWriteEnd)
-		w.I64(sc.busFreeAt)
-		w.I64(sc.refreshUntil)
-		w.I64(sc.lastRefresh)
-		w.I64(sc.lastCmd)
-		w.I64s(sc.rankLastAct)
-		w.Int(len(sc.rankActHist))
-		for _, h := range sc.rankActHist {
-			for _, t := range h {
-				w.I64(t)
+		s.I64(&sc.lastCAS)
+		s.I64(&sc.lastWriteEnd)
+		s.I64(&sc.busFreeAt)
+		s.I64(&sc.refreshUntil)
+		s.I64(&sc.lastRefresh)
+		s.I64(&sc.lastCmd)
+		s.I64s(sc.rankLastAct)
+		snapshot.Verify(s, len(sc.rankActHist), "ranks", s.Int)
+		for j := range sc.rankActHist {
+			for k := range sc.rankActHist[j] {
+				s.I64(&sc.rankActHist[j][k])
 			}
 		}
-		w.Ints(sc.rankActN)
+		s.Ints(sc.rankActN)
 	}
-	w.U64(a.lastID)
-	w.I64(a.lastArrival)
-	// Outstanding-request ledger, in FIFO order. Entries are (id, done);
+	s.U64(&a.lastID)
+	s.I64(&a.lastArrival)
+
+	// Outstanding-request ledger, in FIFO order, as (id, done) pairs;
 	// the request pointer of a live entry is re-linked by ID on load.
-	live := a.fifo[a.head:]
-	w.Len(len(live))
-	for _, id := range live {
-		e := a.out[id]
-		w.U64(id)
-		w.Bool(e == nil || e.done)
+	// Completed entries linger until the head reaches them, so the
+	// length is bounded by run history, not by buffer capacity — but
+	// every entry still outstanding must be one of the restored
+	// requests, which bounds those.
+	capacity := a.tgt.Threads * (a.tgt.ReadEntries + a.tgt.WriteEntries)
+	if s.Loading() {
+		a.out = make(map[uint64]*outReq)
 	}
-	w.Int(len(a.acc))
+	live := a.fifo[a.head:]
+	snapshot.Slice(s, &live, snapshot.MaxSlice, func(id *uint64) {
+		var done bool
+		if !s.Loading() {
+			e := a.out[*id]
+			done = e == nil || e.done
+		}
+		s.U64(id)
+		s.Bool(&done)
+		if !s.Loading() || s.Err() != nil {
+			return
+		}
+		req := reqByID[*id]
+		switch {
+		case a.out[*id] != nil:
+			s.Fail("duplicate outstanding id %d", *id)
+		case !done && req == nil:
+			s.Fail("outstanding request %d not in any restored queue", *id)
+		default:
+			a.out[*id] = &outReq{r: req, done: done}
+		}
+	})
+	if s.Loading() {
+		a.fifo, a.head = live, 0
+	}
+	snapshot.Verify(s, len(a.acc), "threads", s.Int)
 	for i := range a.acc {
 		t := &a.acc[i]
-		w.I64(t.readsAcc)
-		w.I64(t.readsDone)
-		w.I64(t.writesAcc)
-		w.I64(t.writesDone)
+		s.I64(&t.readsAcc)
+		s.I64(&t.readsDone)
+		s.I64(&t.writesAcc)
+		s.I64(&t.writesDone)
 	}
-	ids := make([]uint64, 0, len(a.frozen))
-	for id := range a.frozen {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	w.Len(len(ids))
-	for _, id := range ids {
-		w.U64(id)
-		w.I64(a.frozen[id])
-	}
+	// A key is frozen from a request's first command to its CAS, so the
+	// map never outgrows the controller's buffers.
+	snapshot.Map(s, &a.frozen, capacity, s.U64, s.I64)
+
 	// Command history, oldest-first so the restored ring re-serializes
 	// identically regardless of where the original wrap point was.
-	w.Int(len(a.hist))
-	w.Int(a.histLen)
-	for i := 0; i < a.histLen; i++ {
-		e := &a.hist[(a.histNext-a.histLen+i+2*len(a.hist))%len(a.hist)]
-		w.I64(e.cycle)
-		w.String(e.what)
-		w.Int(e.bank)
-		w.Int(e.row)
-		w.Int(e.thread)
-		w.U64(e.id)
-		w.I64(e.key)
+	snapshot.Verify(s, len(a.hist), "history capacity", s.Int)
+	s.Int(&a.histLen)
+	if s.Loading() && s.Err() == nil {
+		if a.histLen < 0 || a.histLen > len(a.hist) {
+			s.Fail("history length %d exceeds capacity %d", a.histLen, len(a.hist))
+			return s.End()
+		}
+		a.histNext = 0
+		if len(a.hist) > 0 {
+			a.histNext = a.histLen % len(a.hist)
+		}
 	}
-	w.I64(a.cmds)
-	w.I64(a.maxInvWindow)
+	for i := 0; i < a.histLen && s.Err() == nil; i++ {
+		e := &a.hist[(a.histNext-a.histLen+i+2*len(a.hist))%len(a.hist)]
+		s.I64(&e.cycle)
+		s.String(&e.what, maxHistWhat)
+		s.Int(&e.bank)
+		s.Int(&e.row)
+		s.Int(&e.thread)
+		s.U64(&e.id)
+		s.I64(&e.key)
+	}
+	s.I64(&a.cmds)
+	s.I64(&a.maxInvWindow)
 	// Interval-policy tracking. Present exactly when the audited policy
 	// provides the corresponding contract surface; the restore side
 	// derives presence from the same policy (the controller refuses
 	// cross-policy restores), so the layouts always agree.
 	if a.bliss != nil {
-		w.Bools(a.blShadow)
+		s.Bools(a.blShadow)
 	}
 	if a.slow != nil {
-		w.Int(a.boostShadow)
-	}
-	if a.budget != nil {
-		w.I64(a.winStart)
-		w.I64s(a.casCount)
-	}
-}
-
-// LoadState restores an auditor saved by SaveState. reqByID maps every
-// live request (pending or in flight) by ID so the outstanding ledger
-// can re-link its pointers; pending is the controller's restored
-// per-bank queues, which the auditor mirrors.
-func (a *Auditor) LoadState(r *snapshot.Reader, reqByID map[uint64]*core.Request, pending [][]*core.Request) error {
-	r.Section("audit.Auditor")
-	nb := r.Int()
-	if r.Err() == nil && nb != len(a.banks) {
-		r.Fail("audit.Auditor: %d banks, auditor has %d", nb, len(a.banks))
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	banks := make([]shBank, nb)
-	for i := range banks {
-		b := &banks[i]
-		b.open = r.Bool()
-		b.row = r.Int()
-		b.lastAct = r.I64()
-		b.lastRead = r.I64()
-		b.lastWrite = r.I64()
-		b.lastPre = r.I64()
-		b.writeEnd = r.I64()
-	}
-	nc := r.Int()
-	if r.Err() == nil && nc != len(a.chans) {
-		r.Fail("audit.Auditor: %d channels, auditor has %d", nc, len(a.chans))
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	chans := make([]shChan, nc)
-	for i := range chans {
-		sc := &chans[i]
-		ref := &a.chans[i]
-		sc.lastCAS = r.I64()
-		sc.lastWriteEnd = r.I64()
-		sc.busFreeAt = r.I64()
-		sc.refreshUntil = r.I64()
-		sc.lastRefresh = r.I64()
-		sc.lastCmd = r.I64()
-		sc.rankLastAct = r.I64s(len(ref.rankLastAct))
-		nr := r.Int()
-		if r.Err() == nil && (len(sc.rankLastAct) != len(ref.rankLastAct) || nr != len(ref.rankActHist)) {
-			r.Fail("audit.Auditor: channel %d rank state mismatch", i)
-		}
-		if err := r.Err(); err != nil {
-			return err
-		}
-		sc.rankActHist = make([][4]int64, nr)
-		for j := range sc.rankActHist {
-			for k := range sc.rankActHist[j] {
-				sc.rankActHist[j][k] = r.I64()
-			}
-		}
-		sc.rankActN = r.Ints(len(ref.rankActN))
-		if r.Err() == nil && len(sc.rankActN) != len(ref.rankActN) {
-			r.Fail("audit.Auditor: channel %d rankActN mismatch", i)
-		}
-		if err := r.Err(); err != nil {
-			return err
-		}
-	}
-	lastID := r.U64()
-	lastArrival := r.I64()
-	nOut := r.Len(snapshot.MaxSlice)
-	fifo := make([]uint64, nOut)
-	out := make(map[uint64]*outReq, nOut)
-	for i := 0; i < nOut; i++ {
-		id := r.U64()
-		done := r.Bool()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if _, dup := out[id]; dup {
-			r.Fail("audit.Auditor: duplicate outstanding id %d", id)
-			return r.Err()
-		}
-		req := reqByID[id]
-		if !done && req == nil {
-			r.Fail("audit.Auditor: outstanding request %d not in any restored queue", id)
-			return r.Err()
-		}
-		fifo[i] = id
-		out[id] = &outReq{r: req, done: done}
-	}
-	nAcc := r.Int()
-	if r.Err() == nil && nAcc != len(a.acc) {
-		r.Fail("audit.Auditor: %d threads, auditor has %d", nAcc, len(a.acc))
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	acc := make([]threadAcc, nAcc)
-	for i := range acc {
-		t := &acc[i]
-		t.readsAcc = r.I64()
-		t.readsDone = r.I64()
-		t.writesAcc = r.I64()
-		t.writesDone = r.I64()
-	}
-	nFrozen := r.Len(snapshot.MaxSlice)
-	frozen := make(map[uint64]int64, nFrozen)
-	for i := 0; i < nFrozen && r.Err() == nil; i++ {
-		id := r.U64()
-		frozen[id] = r.I64()
-	}
-	histCap := r.Int()
-	histLen := r.Int()
-	if r.Err() == nil && histCap != len(a.hist) {
-		r.Fail("audit.Auditor: history of %d entries, auditor has %d", histCap, len(a.hist))
-	}
-	if r.Err() == nil && (histLen < 0 || histLen > histCap) {
-		r.Fail("audit.Auditor: history length %d exceeds capacity %d", histLen, histCap)
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	hist := make([]histEntry, histCap)
-	for i := 0; i < histLen; i++ {
-		e := &hist[i]
-		e.cycle = r.I64()
-		e.what = r.String(maxHistWhat)
-		e.bank = r.Int()
-		e.row = r.Int()
-		e.thread = r.Int()
-		e.id = r.U64()
-		e.key = r.I64()
-	}
-	cmds := r.I64()
-	maxInvWindow := r.I64()
-	var blShadow []bool
-	boostShadow := a.boostShadow
-	var winStart int64
-	var casCount []int64
-	if a.bliss != nil {
-		blShadow = r.Bools(len(a.blShadow))
-		if r.Err() == nil && len(blShadow) != len(a.blShadow) {
-			r.Fail("audit.Auditor: blacklist shadow of %d threads, auditor has %d", len(blShadow), len(a.blShadow))
-		}
-	}
-	if a.slow != nil {
-		boostShadow = r.Int()
-		if r.Err() == nil && (boostShadow < -1 || boostShadow >= len(a.acc)) {
-			r.Fail("audit.Auditor: boost shadow %d out of range for %d threads", boostShadow, len(a.acc))
+		s.Int(&a.boostShadow)
+		if s.Loading() && s.Err() == nil && (a.boostShadow < -1 || a.boostShadow >= len(a.acc)) {
+			s.Fail("boost shadow %d out of range for %d threads", a.boostShadow, len(a.acc))
 		}
 	}
 	if a.budget != nil {
-		winStart = r.I64()
-		casCount = r.I64s(len(a.casCount))
-		if r.Err() == nil && len(casCount) != len(a.casCount) {
-			r.Fail("audit.Auditor: CAS ledger of %d slots, auditor has %d", len(casCount), len(a.casCount))
-		}
+		s.I64(&a.winStart)
+		s.I64s(a.casCount)
 	}
-	if err := r.Err(); err != nil {
-		return err
+	if !s.Loading() || s.Err() != nil {
+		return s.End()
 	}
-	copy(a.banks, banks)
-	copy(a.chans, chans)
-	a.lastID = lastID
-	a.lastArrival = lastArrival
-	a.out = out
-	a.fifo = fifo
-	a.head = 0
-	copy(a.acc, acc)
-	a.frozen = frozen
-	a.hist = hist
-	a.histLen = histLen
-	a.histNext = 0
-	if len(hist) > 0 {
-		a.histNext = histLen % len(hist)
-	}
-	a.cmds = cmds
-	a.maxInvWindow = maxInvWindow
-	copy(a.blShadow, blShadow)
-	a.boostShadow = boostShadow
-	a.winStart = winStart
-	copy(a.casCount, casCount)
 	a.preBankR, a.preChanR = 0, 0
 	// The pending mirror must alias the controller's live pointers:
 	// the auditor's minimum-key and membership checks compare by
 	// pointer identity.
-	for i := range a.pend {
-		a.pend[i] = a.pend[i][:0]
-		if i < len(pending) {
-			a.pend[i] = append(a.pend[i], pending[i]...)
-		}
-	}
 	if len(pending) != len(a.pend) {
-		r.Fail("audit.Auditor: %d pending banks, auditor has %d", len(pending), len(a.pend))
-		return r.Err()
+		s.Fail("%d pending banks, auditor has %d", len(pending), len(a.pend))
+		return s.End()
 	}
-	return nil
+	for i := range a.pend {
+		a.pend[i] = append(a.pend[i][:0], pending[i]...)
+	}
+	return s.End()
 }

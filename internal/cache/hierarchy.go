@@ -145,6 +145,10 @@ func (h *Hierarchy) L2() *Cache { return h.l2 }
 // OutstandingMisses returns the number of allocated MSHRs.
 func (h *Hierarchy) OutstandingMisses() int { return h.cfg.MSHRs - h.free }
 
+// MSHRs returns the size of the MSHR file, the exclusive upper bound
+// on miss tokens.
+func (h *Hierarchy) MSHRs() int { return len(h.mshrs) }
+
 // Access performs one load, store, or instruction fetch to the given
 // line address.
 func (h *Hierarchy) Access(class AccessClass, lineAddr uint64) Result {

@@ -2,155 +2,80 @@ package cache
 
 import "repro/internal/snapshot"
 
-// SaveState serializes one cache level: the LRU clock, hit/miss
-// counters, and every line's tag/valid/dirty/lastUse. Geometry (sets,
-// ways) is written for verification only — it comes from the
-// configuration, which the restored cache was constructed with.
-func (c *Cache) SaveState(w *snapshot.Writer) {
-	w.Section("cache.Cache")
-	w.I64(c.useTick)
-	w.I64(c.Hits)
-	w.I64(c.Misses)
-	w.Int(len(c.sets))
-	w.Int(c.cfg.Ways)
+// State visits one cache level: the LRU clock, hit/miss counters, and
+// every line's tag/valid/dirty/lastUse. Geometry (sets, ways) comes
+// from the configuration the cache was constructed with and is only
+// verified.
+func (c *Cache) State(s *snapshot.Codec) error {
+	s.Section("cache.Cache")
+	s.I64(&c.useTick)
+	s.I64(&c.Hits)
+	s.I64(&c.Misses)
+	snapshot.Verify(s, len(c.sets), "sets", s.Int)
+	snapshot.Verify(s, c.cfg.Ways, "ways", s.Int)
 	for _, set := range c.sets {
 		for i := range set {
 			l := &set[i]
-			w.U64(l.tag)
-			w.Bool(l.valid)
-			w.Bool(l.dirty)
-			w.I64(l.lastUse)
+			s.U64(&l.tag)
+			s.Bool(&l.valid)
+			s.Bool(&l.dirty)
+			s.I64(&l.lastUse)
 		}
 	}
+	return s.End()
 }
 
-// LoadState restores a cache level saved by SaveState.
-func (c *Cache) LoadState(r *snapshot.Reader) error {
-	r.Section("cache.Cache")
-	useTick := r.I64()
-	hits := r.I64()
-	misses := r.I64()
-	sets := r.Int()
-	ways := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if sets != len(c.sets) || ways != c.cfg.Ways {
-		r.Fail("cache.Cache: %dx%d geometry, cache is %dx%d", sets, ways, len(c.sets), c.cfg.Ways)
-		return r.Err()
-	}
-	for _, set := range c.sets {
-		for i := range set {
-			l := &set[i]
-			l.tag = r.U64()
-			l.valid = r.Bool()
-			l.dirty = r.Bool()
-			l.lastUse = r.I64()
-		}
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	c.useTick = useTick
-	c.Hits = hits
-	c.Misses = misses
-	return nil
-}
-
-// SaveState serializes the hierarchy: all three levels, the MSHR file,
-// the outgoing fetch/writeback queues, and the statistics. The
-// byAddr index is not written — it is a pure function of the valid
-// MSHR entries and is rebuilt on load.
-func (h *Hierarchy) SaveState(w *snapshot.Writer) {
-	w.Section("cache.Hierarchy")
-	h.l1i.SaveState(w)
-	h.l1d.SaveState(w)
-	h.l2.SaveState(w)
-	w.Int(len(h.mshrs))
+// State visits the hierarchy: all three levels, the MSHR file, the
+// outgoing fetch/writeback queues, and the statistics. The byAddr
+// index and the free count are pure functions of the valid MSHR
+// entries and are rebuilt on load rather than written.
+func (h *Hierarchy) State(s *snapshot.Codec) error {
+	s.Section("cache.Hierarchy")
+	h.l1i.State(s)
+	h.l1d.State(s)
+	h.l2.State(s)
+	snapshot.Verify(s, len(h.mshrs), "MSHRs", s.Int)
 	for i := range h.mshrs {
 		m := &h.mshrs[i]
-		w.U64(m.lineAddr)
-		w.Bool(m.valid)
-		w.Bool(m.sent)
-		w.Bool(m.store)
-		w.Bool(m.ifetch)
+		s.U64(&m.lineAddr)
+		s.Bool(&m.valid)
+		s.Bool(&m.sent)
+		s.Bool(&m.store)
+		s.Bool(&m.ifetch)
 	}
-	// Only the live (unconsumed) regions are written, so the head
+	// Only the live (unconsumed) regions are visited, so the head
 	// indices need not be serialized and checkpoint bytes are identical
 	// regardless of how far each queue has been consumed in place.
-	w.Ints(h.sendQ[h.sendHead:])
-	w.U64s(h.wbQ[h.wbHead:])
-	w.I64(h.L2MissCount)
-	w.I64(h.Writebacks)
-	w.I64(h.MSHRFullNACK)
-}
-
-// LoadState restores a hierarchy saved by SaveState, rebuilding the
-// byAddr index and the free count from the valid entries.
-func (h *Hierarchy) LoadState(r *snapshot.Reader) error {
-	r.Section("cache.Hierarchy")
-	if err := h.l1i.LoadState(r); err != nil {
-		return err
+	sendQ, wbQ := h.sendQ[h.sendHead:], h.wbQ[h.wbHead:]
+	snapshot.Slice(s, &sendQ, len(h.mshrs), s.Int)
+	snapshot.Slice(s, &wbQ, snapshot.MaxSlice, s.U64)
+	s.I64(&h.L2MissCount)
+	s.I64(&h.Writebacks)
+	s.I64(&h.MSHRFullNACK)
+	if !s.Loading() || s.Err() != nil {
+		return s.End()
 	}
-	if err := h.l1d.LoadState(r); err != nil {
-		return err
-	}
-	if err := h.l2.LoadState(r); err != nil {
-		return err
-	}
-	n := r.Int()
-	if r.Err() == nil && n != len(h.mshrs) {
-		r.Fail("cache.Hierarchy: %d MSHRs, hierarchy has %d", n, len(h.mshrs))
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	mshrs := make([]mshr, n)
-	for i := range mshrs {
-		m := &mshrs[i]
-		m.lineAddr = r.U64()
-		m.valid = r.Bool()
-		m.sent = r.Bool()
-		m.store = r.Bool()
-		m.ifetch = r.Bool()
-	}
-	sendQ := r.Ints(len(h.mshrs))
-	wbQ := r.U64s(snapshot.MaxSlice)
-	l2Miss := r.I64()
-	wbs := r.I64()
-	nacks := r.I64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	byAddr := make(map[uint64]int)
-	free := 0
-	for i := range mshrs {
-		m := &mshrs[i]
+	h.sendQ, h.sendHead = sendQ, 0
+	h.wbQ, h.wbHead = wbQ, 0
+	clear(h.byAddr)
+	h.free = 0
+	for i := range h.mshrs {
+		m := &h.mshrs[i]
 		if !m.valid {
-			free++
+			h.free++
 			continue
 		}
-		if _, dup := byAddr[m.lineAddr]; dup {
-			r.Fail("cache.Hierarchy: two valid MSHRs for line %#x", m.lineAddr)
-			return r.Err()
+		if _, dup := h.byAddr[m.lineAddr]; dup {
+			s.Fail("two valid MSHRs for line %#x", m.lineAddr)
+			break
 		}
-		byAddr[m.lineAddr] = i
+		h.byAddr[m.lineAddr] = i
 	}
-	for _, tok := range sendQ {
-		if tok < 0 || tok >= len(mshrs) || !mshrs[tok].valid {
-			r.Fail("cache.Hierarchy: sendQ token %d invalid", tok)
-			return r.Err()
+	for _, tok := range h.sendQ {
+		if tok < 0 || tok >= len(h.mshrs) || !h.mshrs[tok].valid {
+			s.Fail("sendQ token %d invalid", tok)
+			break
 		}
 	}
-	copy(h.mshrs, mshrs)
-	h.byAddr = byAddr
-	h.free = free
-	h.sendQ = sendQ
-	h.sendHead = 0
-	h.wbQ = wbQ
-	h.wbHead = 0
-	h.L2MissCount = l2Miss
-	h.Writebacks = wbs
-	h.MSHRFullNACK = nacks
-	return nil
+	return s.End()
 }

@@ -3,12 +3,11 @@ package core
 import "repro/internal/snapshot"
 
 // PolicyState is implemented by policies with mutable internal state
-// (the VTMS-register family). Checkpointing asserts the capability at
-// run time: stateless policies (FCFS, FR-FCFS) simply do not implement
-// it and have nothing to save.
+// (the VTMS-register family and the interval policies). Checkpointing
+// asserts the capability at run time: stateless policies (FCFS,
+// FR-FCFS) simply do not implement it and have nothing to visit.
 type PolicyState interface {
-	SaveState(w *snapshot.Writer)
-	LoadState(r *snapshot.Reader) error
+	State(s *snapshot.Codec) error
 }
 
 var (
@@ -20,215 +19,82 @@ var (
 	_ PolicyState = (*BankBW)(nil)
 )
 
-// SaveState serializes the thread's virtual-time registers and its
-// current share (shares can be reassigned at run time, so the
-// construction-time value is not enough).
-func (v *VTMS) SaveState(w *snapshot.Writer) {
-	w.Section("core.VTMS")
-	w.Int(v.share.Num)
-	w.Int(v.share.Den)
-	w.U32(uint32(len(v.bankR)))
-	for _, t := range v.bankR {
-		w.I64(int64(t))
-	}
-	w.U32(uint32(len(v.chanR)))
-	for _, t := range v.chanR {
-		w.I64(int64(t))
-	}
-}
-
-// LoadState restores registers saved by SaveState into a VTMS
-// constructed over the same bank/channel geometry. invPhi is
-// recomputed from the restored share rather than trusted from the
-// stream.
-func (v *VTMS) LoadState(r *snapshot.Reader) error {
-	r.Section("core.VTMS")
-	share := Share{Num: r.Int(), Den: r.Int()}
-	nb := r.Len(len(v.bankR))
-	bankR := make([]VTime, nb)
-	for i := range bankR {
-		bankR[i] = VTime(r.I64())
-	}
-	nc := r.Len(len(v.chanR))
-	chanR := make([]VTime, nc)
-	for i := range chanR {
-		chanR[i] = VTime(r.I64())
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nb != len(v.bankR) || nc != len(v.chanR) {
-		r.Fail("core.VTMS: %d banks / %d channels, VTMS has %d/%d", nb, nc, len(v.bankR), len(v.chanR))
-		return r.Err()
-	}
-	if !share.Valid() {
-		r.Fail("core.VTMS: invalid share %d/%d", share.Num, share.Den)
-		return r.Err()
-	}
-	v.share = share
-	v.invPhi = share.Reciprocal()
-	copy(v.bankR, bankR)
-	copy(v.chanR, chanR)
-	return nil
-}
-
-// saveTicker / loadTicker serialize the shared window bookkeeping of
-// the interval-based arena policies. The interval itself is
-// construction state and only cross-checked.
-func (tk *ticker) saveTicker(w *snapshot.Writer) {
-	w.I64(tk.interval)
-	w.I64(tk.lastTick)
-	w.I64(tk.nextTick)
-}
-
-func (tk *ticker) loadTicker(r *snapshot.Reader, section string) {
-	interval := r.I64()
-	last := r.I64()
-	next := r.I64()
-	if r.Err() != nil {
-		return
-	}
-	if interval != tk.interval {
-		r.Fail("%s: tick interval %d, policy has %d", section, interval, tk.interval)
-		return
-	}
-	if next <= last || next-last > interval {
-		r.Fail("%s: inconsistent tick window [%d, %d] for interval %d", section, last, next, interval)
-		return
-	}
-	tk.lastTick = last
-	tk.nextTick = next
-}
-
-// SaveState serializes the blacklist, the staged marks, and the streak
-// tracker. The thresholds are construction state.
-func (p *BLISS) SaveState(w *snapshot.Writer) {
-	w.Section("core.BLISS")
-	p.saveTicker(w)
-	w.I64(p.ticks)
-	w.Int(p.lastThread)
-	w.I64(p.streak)
-	w.Bools(p.blacklisted)
-	w.Bools(p.pendingMark)
-}
-
-// LoadState restores state saved by SaveState into a BLISS policy
-// constructed for the same thread count.
-func (p *BLISS) LoadState(r *snapshot.Reader) error {
-	r.Section("core.BLISS")
-	p.loadTicker(r, "core.BLISS")
-	ticks := r.I64()
-	lastThread := r.Int()
-	streak := r.I64()
-	black := r.Bools(snapshot.MaxSlice)
-	pending := r.Bools(snapshot.MaxSlice)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if len(black) != len(p.blacklisted) || len(pending) != len(p.pendingMark) {
-		r.Fail("core.BLISS: %d/%d threads, policy has %d", len(black), len(pending), len(p.blacklisted))
-		return r.Err()
-	}
-	p.ticks = ticks
-	p.lastThread = lastThread
-	p.streak = streak
-	copy(p.blacklisted, black)
-	copy(p.pendingMark, pending)
-	return nil
-}
-
-// SaveState serializes the boost target and the per-thread alone-time
-// accounts.
-func (p *SlowFair) SaveState(w *snapshot.Writer) {
-	w.Section("core.SlowFair")
-	p.saveTicker(w)
-	w.Int(p.boosted)
-	w.I64s(p.aloneServ)
-	w.I64s(p.prevAlone)
-}
-
-// LoadState restores state saved by SaveState into a SLOW-FAIR policy
-// constructed for the same thread count.
-func (p *SlowFair) LoadState(r *snapshot.Reader) error {
-	r.Section("core.SlowFair")
-	p.loadTicker(r, "core.SlowFair")
-	boosted := r.Int()
-	alone := r.I64s(snapshot.MaxSlice)
-	prev := r.I64s(snapshot.MaxSlice)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if len(alone) != len(p.aloneServ) || len(prev) != len(p.prevAlone) {
-		r.Fail("core.SlowFair: %d/%d threads, policy has %d", len(alone), len(prev), len(p.aloneServ))
-		return r.Err()
-	}
-	if boosted < -1 || boosted >= len(alone) {
-		r.Fail("core.SlowFair: boosted thread %d out of range", boosted)
-		return r.Err()
-	}
-	p.boosted = boosted
-	copy(p.aloneServ, alone)
-	copy(p.prevAlone, prev)
-	return nil
-}
-
-// SaveState serializes the per-(thread, bank) budgets. The quota and
-// geometry are construction state.
-func (p *BankBW) SaveState(w *snapshot.Writer) {
-	w.Section("core.BankBW")
-	p.saveTicker(w)
-	w.I64(p.quota)
-	w.I64s(p.budget)
-}
-
-// LoadState restores state saved by SaveState into a BANK-BW policy
-// constructed for the same thread count and bank geometry.
-func (p *BankBW) LoadState(r *snapshot.Reader) error {
-	r.Section("core.BankBW")
-	p.loadTicker(r, "core.BankBW")
-	quota := r.I64()
-	budget := r.I64s(snapshot.MaxSlice)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if quota != p.quota {
-		r.Fail("core.BankBW: quota %d, policy has %d", quota, p.quota)
-		return r.Err()
-	}
-	if len(budget) != len(p.budget) {
-		r.Fail("core.BankBW: %d budget slots, policy has %d", len(budget), len(p.budget))
-		return r.Err()
-	}
-	copy(p.budget, budget)
-	return nil
-}
-
-// SaveState serializes every thread's VTMS registers. The FQ inversion
-// bound x is construction state, not mutable state, so it is not
-// written.
-func (b *vftBase) SaveState(w *snapshot.Writer) {
-	w.Section("core.vftBase")
-	w.Int(len(b.vtms))
-	for _, v := range b.vtms {
-		v.SaveState(w)
-	}
-}
-
-// LoadState restores registers saved by SaveState into a policy
-// constructed for the same thread count.
-func (b *vftBase) LoadState(r *snapshot.Reader) error {
-	r.Section("core.vftBase")
-	n := r.Int()
-	if r.Err() == nil && n != len(b.vtms) {
-		r.Fail("core.vftBase: %d threads, policy has %d", n, len(b.vtms))
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for _, v := range b.vtms {
-		if err := v.LoadState(r); err != nil {
-			return err
+// State visits the thread's virtual-time registers and its current
+// share (shares can be reassigned at run time, so the construction-time
+// value is not enough). invPhi is recomputed from the restored share
+// rather than trusted from the stream.
+func (v *VTMS) State(s *snapshot.Codec) error {
+	s.Section("core.VTMS")
+	s.Int(&v.share.Num)
+	s.Int(&v.share.Den)
+	vtime := func(t *VTime) { s.I64((*int64)(t)) }
+	snapshot.Fixed(s, v.bankR, vtime)
+	snapshot.Fixed(s, v.chanR, vtime)
+	if s.Loading() && s.Err() == nil {
+		if v.share.Valid() {
+			v.invPhi = v.share.Reciprocal()
+		} else {
+			s.Fail("invalid share %d/%d", v.share.Num, v.share.Den)
 		}
 	}
-	return nil
+	return s.End()
+}
+
+// state visits the shared window bookkeeping of the interval-based
+// arena policies, inside the owning policy's section. The interval
+// itself is construction state.
+func (tk *ticker) state(s *snapshot.Codec) {
+	snapshot.Verify(s, tk.interval, "tick interval", s.I64)
+	s.I64(&tk.lastTick)
+	s.I64(&tk.nextTick)
+	if s.Loading() && s.Err() == nil && (tk.nextTick <= tk.lastTick || tk.nextTick-tk.lastTick > tk.interval) {
+		s.Fail("inconsistent tick window [%d, %d] for interval %d", tk.lastTick, tk.nextTick, tk.interval)
+	}
+}
+
+// State visits the blacklist, the staged marks, and the streak
+// tracker. The thresholds are construction state.
+func (p *BLISS) State(s *snapshot.Codec) error {
+	s.Section("core.BLISS")
+	p.ticker.state(s)
+	s.I64(&p.ticks)
+	s.Int(&p.lastThread)
+	s.I64(&p.streak)
+	s.Bools(p.blacklisted)
+	s.Bools(p.pendingMark)
+	return s.End()
+}
+
+// State visits the boost target and the per-thread alone-time accounts.
+func (p *SlowFair) State(s *snapshot.Codec) error {
+	s.Section("core.SlowFair")
+	p.ticker.state(s)
+	s.Int(&p.boosted)
+	s.I64s(p.aloneServ)
+	s.I64s(p.prevAlone)
+	if s.Loading() && s.Err() == nil && (p.boosted < -1 || p.boosted >= len(p.aloneServ)) {
+		s.Fail("boosted thread %d out of range", p.boosted)
+	}
+	return s.End()
+}
+
+// State visits the per-(thread, bank) budgets. The quota and geometry
+// are construction state.
+func (p *BankBW) State(s *snapshot.Codec) error {
+	s.Section("core.BankBW")
+	p.ticker.state(s)
+	snapshot.Verify(s, p.quota, "quota", s.I64)
+	s.I64s(p.budget)
+	return s.End()
+}
+
+// State visits every thread's VTMS registers. The FQ inversion bound x
+// is construction state, not mutable state, so it is not written.
+func (b *vftBase) State(s *snapshot.Codec) error {
+	s.Section("core.vftBase")
+	snapshot.Verify(s, len(b.vtms), "threads", s.Int)
+	for _, v := range b.vtms {
+		v.State(s)
+	}
+	return s.End()
 }

@@ -7,195 +7,84 @@ import (
 
 // Source type tags in the snapshot stream.
 const (
-	srcGenerator = 0
-	srcReader    = 1
+	srcGenerator uint8 = 0
+	srcReader    uint8 = 1
 )
 
-// SaveState serializes the core: cache hierarchy, ROB ring and wake
-// lists, load issue queue, store buffer, MSHR token waiters, I-fetch
-// latches, retirement counters, and the instruction source's cursor.
-// It fails for instruction sources other than the synthetic generator
-// and the trace-file reader — an arbitrary Source has no serializable
-// cursor.
-func (c *Core) SaveState(w *snapshot.Writer) {
-	w.Section("cpu.Core")
-	c.hier.SaveState(w)
+// State visits the core: cache hierarchy, the instruction source's
+// cursor, ROB ring and wake lists, load issue queue, store buffer, MSHR
+// token waiters, I-fetch latches, and retirement counters. It fails for
+// instruction sources other than the synthetic generator and the
+// trace-file reader — an arbitrary Source has no serializable cursor.
+// The core must have been constructed with the same configuration and
+// an instruction source of the same type over the same workload.
+func (c *Core) State(s *snapshot.Codec) error {
+	s.Section("cpu.Core")
+	c.hier.State(s)
 	switch g := c.gen.(type) {
 	case *trace.Generator:
-		w.U8(srcGenerator)
-		g.SaveState(w)
+		snapshot.Verify(s, srcGenerator, "instruction source tag", s.U8)
+		g.State(s)
 	case *trace.Reader:
-		w.U8(srcReader)
-		g.SaveState(w)
+		snapshot.Verify(s, srcReader, "instruction source tag", s.U8)
+		g.State(s)
 	default:
-		w.Fail("cpu.Core: unserializable instruction source %T", c.gen)
-		return
+		s.Fail("unserializable instruction source %T", c.gen)
 	}
-	w.Int(len(c.rob))
-	for i := range c.rob {
-		e := &c.rob[i]
-		w.U8(uint8(e.kind))
-		w.U64(e.addr)
-		w.I64(int64(e.lat))
-		w.I64(e.completeAt)
-		w.I64(int64(e.wakeHead))
-		w.I64(int64(e.wakeNext))
-		w.Bool(e.inIssueQ)
-	}
-	w.I64(int64(c.head))
-	w.I64(int64(c.count))
-	w.U32(uint32(len(c.issueQ)))
-	for i := range c.issueQ {
-		w.I64(int64(c.issueQ[i]))
-	}
-	w.I64s(c.issueRdy)
-	w.Bools(c.issueNACK)
-	w.Int(c.inFlight)
-	w.U64s(c.storeBuf)
-	w.Bool(c.storeNACK)
-	w.Len(len(c.tokenWaiters))
-	for _, ws := range c.tokenWaiters {
-		w.U32(uint32(len(ws)))
-		for _, s := range ws {
-			w.I64(int64(s))
-		}
-	}
-	w.Int(c.tokenStall)
-	w.Bool(c.ifetchNACK)
-	w.Bool(c.ifetchRetry)
-	w.U64(c.ifetchLine)
-	w.Int(c.sinceIFetch)
-	w.I64(c.Retired)
-	w.I64(c.LoadsRetired)
-	w.I64(c.StoresRetired)
-	w.I64(c.StallCycles)
-}
-
-// LoadState restores a core saved by SaveState. The core must have
-// been constructed with the same configuration and an instruction
-// source of the same type over the same workload.
-func (c *Core) LoadState(r *snapshot.Reader) error {
-	r.Section("cpu.Core")
-	if err := c.hier.LoadState(r); err != nil {
-		return err
-	}
-	switch tag := r.U8(); {
-	case r.Err() != nil:
-		return r.Err()
-	case tag == srcGenerator:
-		g, ok := c.gen.(*trace.Generator)
-		if !ok {
-			r.Fail("cpu.Core: snapshot has a generator source, core has %T", c.gen)
-			return r.Err()
-		}
-		if err := g.LoadState(r); err != nil {
-			return err
-		}
-	case tag == srcReader:
-		t, ok := c.gen.(*trace.Reader)
-		if !ok {
-			r.Fail("cpu.Core: snapshot has a trace-file source, core has %T", c.gen)
-			return r.Err()
-		}
-		if err := t.LoadState(r); err != nil {
-			return err
-		}
-	default:
-		r.Fail("cpu.Core: unknown source tag %d", tag)
-		return r.Err()
-	}
-	robN := r.Int()
-	if r.Err() == nil && robN != len(c.rob) {
-		r.Fail("cpu.Core: ROB of %d entries, core has %d", robN, len(c.rob))
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	slotOK := func(s int32) bool { return s == nilIdx || (s >= 0 && int(s) < robN) }
-	rob := make([]entry, robN)
-	for i := range rob {
-		e := &rob[i]
-		e.kind = trace.Kind(r.U8())
-		e.addr = r.U64()
-		e.lat = int32(r.I64())
-		e.completeAt = r.I64()
-		e.wakeHead = int32(r.I64())
-		e.wakeNext = int32(r.I64())
-		e.inIssueQ = r.Bool()
-		if r.Err() == nil && (!slotOK(e.wakeHead) || !slotOK(e.wakeNext)) {
-			r.Fail("cpu.Core: ROB entry %d has invalid wake links", i)
-		}
-	}
-	head := int32(r.I64())
-	count := int32(r.I64())
-	nIssue := r.Len(robN)
-	issueQ := make([]int32, nIssue)
-	for i := range issueQ {
-		issueQ[i] = int32(r.I64())
-		if r.Err() == nil && (issueQ[i] < 0 || int(issueQ[i]) >= robN) {
-			r.Fail("cpu.Core: issueQ slot %d out of range", issueQ[i])
-		}
-	}
-	issueRdy := r.I64s(robN)
-	issueNACK := r.Bools(robN)
-	inFlight := r.Int()
-	storeBuf := r.U64s(snapshot.MaxSlice)
-	storeNACK := r.Bool()
-	nTokens := r.Len(snapshot.MaxSlice)
-	tokenWaiters := make([][]int32, nTokens)
-	for i := range tokenWaiters {
-		nw := r.Len(robN)
-		ws := make([]int32, nw)
-		for j := range ws {
-			ws[j] = int32(r.I64())
-			if r.Err() == nil && (ws[j] < 0 || int(ws[j]) >= robN) {
-				r.Fail("cpu.Core: token waiter slot %d out of range", ws[j])
+	robN := len(c.rob)
+	snapshot.Verify(s, robN, "ROB entries", s.Int)
+	// robSlot visits a ROB index and rejects one a restored core would
+	// fault on; lo is -1 where nilIdx is a legal value.
+	robSlot := func(lo int32) func(*int32) {
+		return func(v *int32) {
+			s.I32(v)
+			if s.Loading() && s.Err() == nil && (*v < lo || int(*v) >= robN) {
+				s.Fail("ROB slot %d out of range", *v)
 			}
 		}
-		tokenWaiters[i] = ws
 	}
-	tokenStall := r.Int()
-	ifetchNACK := r.Bool()
-	ifetchRetry := r.Bool()
-	ifetchLine := r.U64()
-	sinceIFetch := r.Int()
-	retired := r.I64()
-	loadsRetired := r.I64()
-	storesRetired := r.I64()
-	stallCycles := r.I64()
-	if err := r.Err(); err != nil {
-		return err
+	link, slot := robSlot(nilIdx), robSlot(0)
+	for i := range c.rob {
+		e := &c.rob[i]
+		s.U8((*uint8)(&e.kind))
+		s.U64(&e.addr)
+		s.I32(&e.lat)
+		s.I64(&e.completeAt)
+		link(&e.wakeHead)
+		link(&e.wakeNext)
+		s.Bool(&e.inIssueQ)
 	}
-	if head < 0 || int(head) >= robN || count < 0 || int(count) > robN {
-		r.Fail("cpu.Core: head %d / count %d outside ROB of %d", head, count, robN)
-		return r.Err()
+	slot(&c.head)
+	s.I32(&c.count)
+	snapshot.Slice(s, &c.issueQ, robN, slot)
+	snapshot.Slice(s, &c.issueRdy, robN, s.I64)
+	snapshot.Slice(s, &c.issueNACK, robN, s.Bool)
+	s.Int(&c.inFlight)
+	snapshot.Slice(s, &c.storeBuf, c.cfg.StoreBuffer, s.U64)
+	s.Bool(&c.storeNACK)
+	// MSHR tokens index tokenWaiters, which starts at a fixed size and
+	// grows to the hierarchy's MSHR count on demand.
+	snapshot.Slice(s, &c.tokenWaiters, max(len(c.tokenWaiters), c.hier.MSHRs()), func(ws *[]int32) {
+		snapshot.Slice(s, ws, robN, slot)
+	})
+	s.Int(&c.tokenStall)
+	s.Bool(&c.ifetchNACK)
+	s.Bool(&c.ifetchRetry)
+	s.U64(&c.ifetchLine)
+	s.Int(&c.sinceIFetch)
+	s.I64(&c.Retired)
+	s.I64(&c.LoadsRetired)
+	s.I64(&c.StoresRetired)
+	s.I64(&c.StallCycles)
+	if s.Loading() && s.Err() == nil {
+		switch {
+		case c.count < 0 || int(c.count) > robN:
+			s.Fail("count %d outside ROB of %d", c.count, robN)
+		case len(c.issueRdy) != len(c.issueQ) || len(c.issueNACK) != len(c.issueQ):
+			s.Fail("issue queue arrays disagree (%d/%d/%d)", len(c.issueQ), len(c.issueRdy), len(c.issueNACK))
+		case c.tokenStall < -1 || c.tokenStall >= len(c.tokenWaiters):
+			s.Fail("tokenStall %d out of range", c.tokenStall)
+		}
 	}
-	if len(issueRdy) != nIssue || len(issueNACK) != nIssue {
-		r.Fail("cpu.Core: issue queue arrays disagree (%d/%d/%d)", nIssue, len(issueRdy), len(issueNACK))
-		return r.Err()
-	}
-	if tokenStall < -1 || tokenStall >= nTokens {
-		r.Fail("cpu.Core: tokenStall %d out of range", tokenStall)
-		return r.Err()
-	}
-	copy(c.rob, rob)
-	c.head = head
-	c.count = count
-	c.issueQ = issueQ
-	c.issueRdy = issueRdy
-	c.issueNACK = issueNACK
-	c.inFlight = inFlight
-	c.storeBuf = storeBuf
-	c.storeNACK = storeNACK
-	c.tokenWaiters = tokenWaiters
-	c.tokenStall = tokenStall
-	c.ifetchNACK = ifetchNACK
-	c.ifetchRetry = ifetchRetry
-	c.ifetchLine = ifetchLine
-	c.sinceIFetch = sinceIFetch
-	c.Retired = retired
-	c.LoadsRetired = loadsRetired
-	c.StoresRetired = storesRetired
-	c.StallCycles = stallCycles
-	return nil
+	return s.End()
 }

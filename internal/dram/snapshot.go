@@ -2,110 +2,44 @@ package dram
 
 import "repro/internal/snapshot"
 
-// SaveState serializes the channel's timing state: every bank's row
-// status, last-command timestamps, and command/busy counters, plus the
-// channel-global CAS/bus/refresh bookkeeping. Geometry is written for
-// verification only.
-func (c *Channel) SaveState(w *snapshot.Writer) {
-	w.Section("dram.Channel")
-	w.Int(len(c.banks))
+// State visits the channel's timing state: every bank's row status,
+// last-command timestamps, and command/busy counters, plus the
+// channel-global CAS/bus/refresh bookkeeping. Geometry is verified, not
+// loaded.
+func (c *Channel) State(s *snapshot.Codec) error {
+	s.Section("dram.Channel")
+	snapshot.Verify(s, len(c.banks), "banks", s.Int)
 	for i := range c.banks {
 		b := &c.banks[i]
-		w.Bool(b.open)
-		w.Int(b.row)
-		w.I64(b.lastActivate)
-		w.I64(b.lastRead)
-		w.I64(b.lastWrite)
-		w.I64(b.lastPrecharge)
-		w.I64(b.writeDataEnd)
-		w.I64(b.busyCycles)
-		w.I64(b.activates)
-		w.I64(b.precharges)
-		w.I64(b.reads)
-		w.I64(b.writes)
-		w.Int(b.actThread)
-		w.Int(b.readThread)
-		w.Int(b.writeThread)
-		w.Int(b.preThread)
+		s.Bool(&b.open)
+		s.Int(&b.row)
+		s.I64(&b.lastActivate)
+		s.I64(&b.lastRead)
+		s.I64(&b.lastWrite)
+		s.I64(&b.lastPrecharge)
+		s.I64(&b.writeDataEnd)
+		s.I64(&b.busyCycles)
+		s.I64(&b.activates)
+		s.I64(&b.precharges)
+		s.I64(&b.reads)
+		s.I64(&b.writes)
+		s.Int(&b.actThread)
+		s.Int(&b.readThread)
+		s.Int(&b.writeThread)
+		s.Int(&b.preThread)
 	}
-	w.I64s(c.rankLastActivate)
-	for _, th := range c.rankLastActThread {
-		w.Int(th)
+	s.I64s(c.rankLastActivate)
+	for i := range c.rankLastActThread {
+		s.Int(&c.rankLastActThread[i])
 	}
-	w.I64(c.lastCAS)
-	w.I64(c.lastWriteData)
-	w.I64(c.dataBusFreeAt)
-	w.I64(c.dataBusBusy)
-	w.I64(c.refreshUntil)
-	w.I64(c.refreshedCount)
-	w.Int(c.lastCASThread)
-	w.Int(c.lastWriteDataThread)
-	w.Int(c.dataBusThread)
-}
-
-// LoadState restores a channel saved by SaveState into a channel
-// constructed with the same configuration.
-func (c *Channel) LoadState(r *snapshot.Reader) error {
-	r.Section("dram.Channel")
-	n := r.Int()
-	if r.Err() == nil && n != len(c.banks) {
-		r.Fail("dram.Channel: %d banks, channel has %d", n, len(c.banks))
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	banks := make([]bank, n)
-	for i := range banks {
-		b := &banks[i]
-		b.open = r.Bool()
-		b.row = r.Int()
-		b.lastActivate = r.I64()
-		b.lastRead = r.I64()
-		b.lastWrite = r.I64()
-		b.lastPrecharge = r.I64()
-		b.writeDataEnd = r.I64()
-		b.busyCycles = r.I64()
-		b.activates = r.I64()
-		b.precharges = r.I64()
-		b.reads = r.I64()
-		b.writes = r.I64()
-		b.actThread = r.Int()
-		b.readThread = r.Int()
-		b.writeThread = r.Int()
-		b.preThread = r.Int()
-	}
-	rankLast := r.I64s(len(c.rankLastActivate))
-	rankLastTh := make([]int, len(c.rankLastActThread))
-	for i := range rankLastTh {
-		rankLastTh[i] = r.Int()
-	}
-	lastCAS := r.I64()
-	lastWriteData := r.I64()
-	dataBusFreeAt := r.I64()
-	dataBusBusy := r.I64()
-	refreshUntil := r.I64()
-	refreshedCount := r.I64()
-	lastCASThread := r.Int()
-	lastWriteDataThread := r.Int()
-	dataBusThread := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if len(rankLast) != len(c.rankLastActivate) {
-		r.Fail("dram.Channel: %d ranks, channel has %d", len(rankLast), len(c.rankLastActivate))
-		return r.Err()
-	}
-	copy(c.banks, banks)
-	copy(c.rankLastActivate, rankLast)
-	copy(c.rankLastActThread, rankLastTh)
-	c.lastCAS = lastCAS
-	c.lastWriteData = lastWriteData
-	c.dataBusFreeAt = dataBusFreeAt
-	c.dataBusBusy = dataBusBusy
-	c.refreshUntil = refreshUntil
-	c.refreshedCount = refreshedCount
-	c.lastCASThread = lastCASThread
-	c.lastWriteDataThread = lastWriteDataThread
-	c.dataBusThread = dataBusThread
-	return nil
+	s.I64(&c.lastCAS)
+	s.I64(&c.lastWriteData)
+	s.I64(&c.dataBusFreeAt)
+	s.I64(&c.dataBusBusy)
+	s.I64(&c.refreshUntil)
+	s.I64(&c.refreshedCount)
+	s.Int(&c.lastCASThread)
+	s.Int(&c.lastWriteDataThread)
+	s.Int(&c.dataBusThread)
+	return s.End()
 }

@@ -511,19 +511,20 @@ func (c *Controller) PublishedInterference() (InterferenceSnapshot, bool) {
 	return c.intf.published, c.intf.hasPub
 }
 
-// saveState serializes the tracker: the matrix, its baseline, and each
-// live request's accounting in the controller's request-serialization
-// order (pending queues bank by bank, then in-flight reads channel by
-// channel) — the same order LoadState reassigns arena slots in, so the
-// per-slot state rejoins its request bit-identically.
-func (t *intfTracker) saveState(w *snapshot.Writer, c *Controller) {
-	w.Section("memctrl.Interference")
-	w.I64s(t.cube)
-	w.I64s(t.baseline)
+// state visits the tracker: the matrix, its baseline, and each live
+// request's accounting in the controller's request-serialization order
+// (pending queues bank by bank, then in-flight reads channel by
+// channel). Controller.State rebuilds the arena in that same order
+// before calling here when loading, so the one walk rejoins the
+// per-slot state to its request bit-identically in both directions.
+func (t *intfTracker) state(s *snapshot.Codec, c *Controller) {
+	s.Section("memctrl.Interference")
+	s.I64s(t.cube)
+	s.I64s(t.baseline)
 	slotState := func(slot int32) {
-		w.I64(t.attr[slot].from)
-		w.I64(t.attr[slot].total)
-		w.I64s(t.attrBy[int(slot)*t.aggrs : (int(slot)+1)*t.aggrs])
+		s.I64(&t.attr[slot].from)
+		s.I64(&t.attr[slot].total)
+		s.I64s(t.attrBy[int(slot)*t.aggrs : (int(slot)+1)*t.aggrs])
 	}
 	for _, q := range c.pending {
 		for _, slot := range q {
@@ -535,45 +536,5 @@ func (t *intfTracker) saveState(w *snapshot.Writer, c *Controller) {
 			slotState(f.slot)
 		}
 	}
-}
-
-// loadState restores a tracker saved by saveState. Called after the
-// controller's arena has been rebuilt, so the pending/inflight slot
-// assignments it walks match the serialization order.
-func (t *intfTracker) loadState(r *snapshot.Reader, c *Controller) error {
-	r.Section("memctrl.Interference")
-	cube := r.I64s(len(t.cube))
-	baseline := r.I64s(len(t.baseline))
-	if r.Err() == nil && (len(cube) != len(t.cube) || len(baseline) != len(t.baseline)) {
-		r.Fail("memctrl.Interference: matrix sized %d/%d, tracker has %d", len(cube), len(baseline), len(t.cube))
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	slotState := func(slot int32) {
-		t.attr[slot].from = r.I64()
-		t.attr[slot].total = r.I64()
-		row := r.I64s(t.aggrs)
-		if r.Err() == nil && len(row) != t.aggrs {
-			r.Fail("memctrl.Interference: slot row sized %d, tracker has %d", len(row), t.aggrs)
-			return
-		}
-		copy(t.attrBy[int(slot)*t.aggrs:(int(slot)+1)*t.aggrs], row)
-	}
-	for _, q := range c.pending {
-		for _, slot := range q {
-			slotState(slot)
-		}
-	}
-	for ch := range c.inflight {
-		for _, f := range c.inflight[ch][c.inflightHead[ch]:] {
-			slotState(f.slot)
-		}
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	copy(t.cube, cube)
-	copy(t.baseline, baseline)
-	return nil
+	s.End()
 }

@@ -5,476 +5,212 @@ import (
 	"repro/internal/snapshot"
 )
 
-func saveRequest(w *snapshot.Writer, q *core.Request) {
-	w.U64(q.ID)
-	w.Int(q.Thread)
-	w.U64(q.Addr)
-	w.Bool(q.IsWrite)
-	w.I64(q.Arrival)
-	w.I64(q.ArrivalReal)
-	w.Int(q.Rank)
-	w.Int(q.Bank)
-	w.Int(q.Row)
-	w.Int(q.Col)
-	w.Int(q.Channel)
-	w.Int(q.GlobalBank)
-	w.I64(int64(q.Key))
-	w.Bool(q.KeyFrozen)
-	w.Int(q.Issued)
+func requestState(s *snapshot.Codec, q *core.Request) {
+	s.U64(&q.ID)
+	s.Int(&q.Thread)
+	s.U64(&q.Addr)
+	s.Bool(&q.IsWrite)
+	s.I64(&q.Arrival)
+	s.I64(&q.ArrivalReal)
+	s.Int(&q.Rank)
+	s.Int(&q.Bank)
+	s.Int(&q.Row)
+	s.Int(&q.Col)
+	s.Int(&q.Channel)
+	s.Int(&q.GlobalBank)
+	s.I64((*int64)(&q.Key))
+	s.Bool(&q.KeyFrozen)
+	s.Int(&q.Issued)
 }
 
-func loadRequest(r *snapshot.Reader) core.Request {
-	q := core.Request{
-		ID:          r.U64(),
-		Thread:      r.Int(),
-		Addr:        r.U64(),
-		IsWrite:     r.Bool(),
-		Arrival:     r.I64(),
-		ArrivalReal: r.I64(),
-		Rank:        r.Int(),
-		Bank:        r.Int(),
-		Row:         r.Int(),
-		Col:         r.Int(),
-		Channel:     r.Int(),
-		GlobalBank:  r.Int(),
-	}
-	q.Key = core.VTime(r.I64())
-	q.KeyFrozen = r.Bool()
-	q.Issued = r.Int()
-	return q
-}
-
-// SaveState serializes the controller: DRAM channel timing, the
-// per-bank transaction queues (with full request state, including
-// frozen policy keys), in-flight reads awaiting data-burst completion,
-// occupancy and refresh bookkeeping, per-thread statistics, the policy's
-// virtual-time registers when the policy carries state, the event-driven
-// wake lists, and the optional auditor. The wake lists are serialized
-// rather than invalidated on restore: rebuilding them conservatively
-// would be results-safe but would lose refresh-raised wake times and so
-// break process-state identity with the uninterrupted run.
-func (c *Controller) SaveState(w *snapshot.Writer) {
-	w.Section("memctrl.Controller")
-	w.Int(len(c.chans))
+// State visits the controller: DRAM channel timing, the per-bank
+// transaction queues (with full request state, including frozen policy
+// keys), in-flight reads awaiting data-burst completion, occupancy and
+// refresh bookkeeping, per-thread statistics, the policy's virtual-time
+// registers when the policy carries state, the event-driven wake lists,
+// and the optional auditor and interference tracker. The wake lists are
+// serialized rather than invalidated on restore: rebuilding them
+// conservatively would be results-safe but would lose refresh-raised
+// wake times and so break process-state identity with the uninterrupted
+// run.
+//
+// Loading rebuilds the arena from scratch: every decoded request gets a
+// fresh slot in decode order. Slot numbers are unobservable — queues
+// keep their serialized order, ties break on request IDs, and snapshots
+// are content-based — so the assignment need not match the saving
+// process's. Derived totals (pendingTotal, occupancy sums) are
+// recomputed, and the auditor's pending mirror is re-linked to the
+// restored live request pointers.
+func (c *Controller) State(s *snapshot.Codec) error {
+	s.Section("memctrl.Controller")
+	snapshot.Verify(s, len(c.chans), "channels", s.Int)
 	for _, ch := range c.chans {
-		ch.SaveState(w)
+		ch.State(s)
 	}
-	w.Int(len(c.pending))
-	for _, q := range c.pending {
-		w.Len(len(q))
-		for _, slot := range q {
-			saveRequest(w, &c.arena[slot])
+	snapshot.Verify(s, len(c.pending), "banks", s.Int)
+
+	// Load-side bookkeeping: every live request by ID (which doubles as
+	// the duplicate-ID check), and the per-bank pointers the auditor
+	// mirrors.
+	var reqByID map[uint64]*core.Request
+	var audPending [][]*core.Request
+	if s.Loading() {
+		c.freeSlots = c.freeSlots[:0]
+		for i := len(c.arena) - 1; i >= 0; i-- {
+			c.freeSlots = append(c.freeSlots, int32(i))
 		}
+		// keyEpoch 0 is never a valid channel epoch: this drops the key
+		// cache wholesale.
+		clear(c.keyEpoch)
+		reqByID = make(map[uint64]*core.Request)
+		audPending = make([][]*core.Request, len(c.pending))
 	}
-	w.Ints(c.readOcc)
-	w.Ints(c.writeOcc)
-	w.Int(len(c.inflight))
+	// request visits the request in a queue entry's arena slot — the
+	// slot the queue holds when saving, a freshly allocated one when
+	// loading — and returns it, or nil once the codec has failed.
+	request := func(slot *int32) *core.Request {
+		if s.Loading() {
+			if len(c.freeSlots) == 0 {
+				s.Fail("live requests exceed arena capacity %d", len(c.arena))
+				return nil
+			}
+			*slot = c.allocSlot()
+		}
+		q := &c.arena[*slot]
+		requestState(s, q)
+		if s.Loading() && s.Err() == nil {
+			switch {
+			case q.Thread < 0 || q.Thread >= len(c.stats):
+				s.Fail("request %d thread %d out of range [0,%d)", q.ID, q.Thread, len(c.stats))
+			case reqByID[q.ID] != nil:
+				s.Fail("duplicate request id %d", q.ID)
+			default:
+				reqByID[q.ID] = q
+			}
+		}
+		if s.Err() != nil {
+			return nil
+		}
+		return q
+	}
+	for b := range c.pending {
+		snapshot.Slice(s, &c.pending[b], len(c.arena), func(slot *int32) {
+			q := request(slot)
+			if q == nil || !s.Loading() {
+				return
+			}
+			switch {
+			case q.GlobalBank != b:
+				s.Fail("request %d queued on bank %d but maps to bank %d", q.ID, b, q.GlobalBank)
+			case q.Channel < 0 || q.Channel >= len(c.chans):
+				s.Fail("request %d channel %d out of range [0,%d)", q.ID, q.Channel, len(c.chans))
+			}
+			audPending[b] = append(audPending[b], q)
+		})
+	}
+	s.Ints(c.readOcc)
+	s.Ints(c.writeOcc)
+	snapshot.Verify(s, len(c.inflight), "inflight channels", s.Int)
 	for ch := range c.inflight {
+		// Only the live (unconsumed) region, as for the cache queues.
 		live := c.inflight[ch][c.inflightHead[ch]:]
-		w.Len(len(live))
-		for _, f := range live {
-			saveRequest(w, &c.arena[f.slot])
-			w.I64(f.doneAt)
+		snapshot.Slice(s, &live, len(c.arena), func(f *inflightRead) {
+			request(&f.slot)
+			s.I64(&f.doneAt)
+		})
+		if s.Loading() {
+			c.inflight[ch], c.inflightHead[ch] = live, 0
 		}
 	}
-	w.U64(c.nextID)
-	w.I64(c.vclock)
-	w.Bools(c.refreshWanted)
-	w.I64s(c.nextRefreshAt)
-	w.Int(len(c.stats))
+	s.U64(&c.nextID)
+	s.I64(&c.vclock)
+	s.Bools(c.refreshWanted)
+	s.I64s(c.nextRefreshAt)
+	snapshot.Verify(s, len(c.stats), "thread stats", s.Int)
 	for i := range c.stats {
 		st := &c.stats[i]
-		w.I64(st.ReadsAccepted)
-		w.I64(st.WritesAccepted)
-		w.I64(st.ReadsDone)
-		w.I64(st.WritesDone)
-		w.I64(st.ReadLatencySum)
-		w.I64(st.DataBusCycles)
-		w.I64(st.ReadNACKs)
-		w.I64(st.WriteNACKs)
-		w.I64(st.RowHits)
-		w.I64(st.RowConflicts)
-		w.I64(st.RowClosed)
-		st.LatHist.SaveState(w)
+		s.I64(&st.ReadsAccepted)
+		s.I64(&st.WritesAccepted)
+		s.I64(&st.ReadsDone)
+		s.I64(&st.WritesDone)
+		s.I64(&st.ReadLatencySum)
+		s.I64(&st.DataBusCycles)
+		s.I64(&st.ReadNACKs)
+		s.I64(&st.WriteNACKs)
+		s.I64(&st.RowHits)
+		s.I64(&st.RowConflicts)
+		s.I64(&st.RowClosed)
+		st.LatHist.State(s)
 	}
-	for _, n := range c.cmdCount {
-		w.I64(n)
+	for i := range c.cmdCount {
+		s.I64(&c.cmdCount[i])
 	}
-	w.I64s(c.bankWake)
-	w.I64(c.nextEvent)
+	s.I64s(c.bankWake)
+	s.I64(&c.nextEvent)
 	ps, hasPolicy := c.policy.(core.PolicyState)
-	w.Bool(hasPolicy)
+	snapshot.Verify(s, hasPolicy, "policy-state flag", s.Bool)
 	if hasPolicy {
 		// The policy name guards against cross-policy restores: two
 		// policies can share a state section with identical geometry
 		// (the vftBase family does), so the section marker alone cannot
 		// tell a FR-VFTF snapshot from a FR-VSTF one.
-		w.String(c.policy.Name())
-		ps.SaveState(w)
+		snapshot.Verify(s, c.policy.Name(), "policy state", s.Name)
+		ps.State(s)
 	}
-	w.Bool(c.aud != nil)
+	if s.Loading() {
+		c.pendingTotal, c.readOccTotal, c.writeOccTotal = 0, 0, 0
+		for _, q := range c.pending {
+			c.pendingTotal += len(q)
+		}
+		for t := range c.readOcc {
+			c.readOccTotal += c.readOcc[t]
+			c.writeOccTotal += c.writeOcc[t]
+		}
+	}
+	snapshot.Verify(s, c.aud != nil, "auditor flag", s.Bool)
 	if c.aud != nil {
-		c.aud.SaveState(w)
+		c.aud.State(s, reqByID, audPending)
 	}
-	w.Bool(c.intf != nil)
+	snapshot.Verify(s, c.intf != nil, "interference flag", s.Bool)
 	if c.intf != nil {
-		c.intf.saveState(w, c)
+		c.intf.state(s, c)
 	}
+	return s.End()
 }
 
-// LoadState restores a controller saved by SaveState into one
-// constructed with the same configuration and policy. Derived totals
-// (pendingTotal, occupancy sums) are recomputed; the auditor's pending
-// mirror is re-linked to the restored live request pointers.
-func (c *Controller) LoadState(r *snapshot.Reader) error {
-	r.Section("memctrl.Controller")
-	nch := r.Int()
-	if r.Err() == nil && nch != len(c.chans) {
-		r.Fail("memctrl.Controller: %d channels, controller has %d", nch, len(c.chans))
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for _, ch := range c.chans {
-		if err := ch.LoadState(r); err != nil {
-			return err
-		}
-	}
-	nb := r.Int()
-	if r.Err() == nil && nb != len(c.pending) {
-		r.Fail("memctrl.Controller: %d banks, controller has %d", nb, len(c.pending))
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	threads := len(c.stats)
-	idSeen := make(map[uint64]bool)
-	pending := make([][]core.Request, nb)
-	total := 0
-	for b := 0; b < nb; b++ {
-		n := r.Len(snapshot.MaxSlice)
-		q := make([]core.Request, 0, n)
-		for i := 0; i < n; i++ {
-			req := loadRequest(r)
-			if r.Err() != nil {
-				return r.Err()
-			}
-			if req.GlobalBank != b {
-				r.Fail("memctrl.Controller: request %d queued on bank %d but maps to bank %d", req.ID, b, req.GlobalBank)
-				return r.Err()
-			}
-			if req.Thread < 0 || req.Thread >= threads {
-				r.Fail("memctrl.Controller: request %d thread %d out of range [0,%d)", req.ID, req.Thread, threads)
-				return r.Err()
-			}
-			if req.Channel < 0 || req.Channel >= nch {
-				r.Fail("memctrl.Controller: request %d channel %d out of range [0,%d)", req.ID, req.Channel, nch)
-				return r.Err()
-			}
-			if idSeen[req.ID] {
-				r.Fail("memctrl.Controller: duplicate request id %d", req.ID)
-				return r.Err()
-			}
-			idSeen[req.ID] = true
-			q = append(q, req)
-		}
-		pending[b] = q
-		total += len(q)
-	}
-	live := total
-	readOcc := r.Ints(len(c.readOcc))
-	writeOcc := r.Ints(len(c.writeOcc))
-	if r.Err() == nil && (len(readOcc) != len(c.readOcc) || len(writeOcc) != len(c.writeOcc)) {
-		r.Fail("memctrl.Controller: occupancy arrays sized %d/%d, controller has %d/%d",
-			len(readOcc), len(writeOcc), len(c.readOcc), len(c.writeOcc))
-	}
-	nic := r.Int()
-	if r.Err() == nil && nic != len(c.inflight) {
-		r.Fail("memctrl.Controller: %d inflight channels, controller has %d", nic, len(c.inflight))
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	type stagedInflight struct {
-		req    core.Request
-		doneAt int64
-	}
-	inflight := make([][]stagedInflight, nic)
-	for ch := 0; ch < nic; ch++ {
-		n := r.Len(snapshot.MaxSlice)
-		q := make([]stagedInflight, 0, n)
-		for i := 0; i < n; i++ {
-			req := loadRequest(r)
-			doneAt := r.I64()
-			if r.Err() != nil {
-				return r.Err()
-			}
-			if req.Thread < 0 || req.Thread >= threads {
-				r.Fail("memctrl.Controller: inflight request %d thread %d out of range [0,%d)", req.ID, req.Thread, threads)
-				return r.Err()
-			}
-			if idSeen[req.ID] {
-				r.Fail("memctrl.Controller: duplicate request id %d", req.ID)
-				return r.Err()
-			}
-			idSeen[req.ID] = true
-			q = append(q, stagedInflight{req: req, doneAt: doneAt})
-		}
-		inflight[ch] = q
-		live += len(q)
-	}
-	if live > len(c.arena) {
-		r.Fail("memctrl.Controller: %d live requests exceed arena capacity %d", live, len(c.arena))
-		return r.Err()
-	}
-	nextID := r.U64()
-	vclock := r.I64()
-	refreshWanted := r.Bools(len(c.refreshWanted))
-	nextRefreshAt := r.I64s(len(c.nextRefreshAt))
-	if r.Err() == nil && (len(refreshWanted) != len(c.refreshWanted) || len(nextRefreshAt) != len(c.nextRefreshAt)) {
-		r.Fail("memctrl.Controller: refresh arrays sized %d/%d, controller has %d/%d",
-			len(refreshWanted), len(nextRefreshAt), len(c.refreshWanted), len(c.nextRefreshAt))
-	}
-	nst := r.Int()
-	if r.Err() == nil && nst != len(c.stats) {
-		r.Fail("memctrl.Controller: %d thread stats, controller has %d", nst, len(c.stats))
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	stats := make([]ThreadStats, nst)
-	for i := range stats {
-		st := &stats[i]
-		st.ReadsAccepted = r.I64()
-		st.WritesAccepted = r.I64()
-		st.ReadsDone = r.I64()
-		st.WritesDone = r.I64()
-		st.ReadLatencySum = r.I64()
-		st.DataBusCycles = r.I64()
-		st.ReadNACKs = r.I64()
-		st.WriteNACKs = r.I64()
-		st.RowHits = r.I64()
-		st.RowConflicts = r.I64()
-		st.RowClosed = r.I64()
-		st.LatHist = c.stats[i].LatHist
-		if err := st.LatHist.LoadState(r); err != nil {
-			return err
-		}
-	}
-	var cmdCount [6]int64
-	for i := range cmdCount {
-		cmdCount[i] = r.I64()
-	}
-	bankWake := r.I64s(len(c.bankWake))
-	nextEvent := r.I64()
-	if r.Err() == nil && len(bankWake) != len(c.bankWake) {
-		r.Fail("memctrl.Controller: %d bank wakes, controller has %d", len(bankWake), len(c.bankWake))
-	}
-	hasPolicy := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	ps, want := c.policy.(core.PolicyState)
-	if hasPolicy != want {
-		r.Fail("memctrl.Controller: snapshot policy-state flag %v, policy capability %v", hasPolicy, want)
-		return r.Err()
-	}
-	if hasPolicy {
-		name := r.String(snapshot.MaxString)
-		if r.Err() == nil && name != c.policy.Name() {
-			r.Fail("memctrl.Controller: snapshot carries %q policy state, controller runs %q", name, c.policy.Name())
-		}
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if err := ps.LoadState(r); err != nil {
-			return err
-		}
-	}
-	hasAud := r.Bool()
-	if r.Err() == nil && hasAud != (c.aud != nil) {
-		r.Fail("memctrl.Controller: snapshot auditor flag %v, controller auditor %v", hasAud, c.aud != nil)
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	// Commit. The arena is rebuilt from scratch: every decoded request
-	// gets a fresh slot in decode order. Slot numbers are unobservable —
-	// queues keep their serialized order, ties break on request IDs, and
-	// snapshots are content-based — so the assignment need not match the
-	// saving process's. The key cache is dropped wholesale (keyEpoch 0 is
-	// never a valid channel epoch).
-	c.freeSlots = c.freeSlots[:0]
-	for i := len(c.arena) - 1; i >= 0; i-- {
-		c.freeSlots = append(c.freeSlots, int32(i))
-	}
-	for i := range c.keyEpoch {
-		c.keyEpoch[i] = 0
-	}
-	reqByID := make(map[uint64]*core.Request, live)
-	audPending := make([][]*core.Request, len(pending))
-	for b, q := range pending {
-		c.pending[b] = c.pending[b][:0]
-		audPending[b] = make([]*core.Request, 0, len(q))
-		for i := range q {
-			slot := c.allocSlot()
-			c.arena[slot] = q[i]
-			c.pending[b] = append(c.pending[b], slot)
-			reqByID[q[i].ID] = &c.arena[slot]
-			audPending[b] = append(audPending[b], &c.arena[slot])
-		}
-	}
-	c.pendingTotal = total
-	copy(c.readOcc, readOcc)
-	copy(c.writeOcc, writeOcc)
-	c.readOccTotal, c.writeOccTotal = 0, 0
-	for _, n := range readOcc {
-		c.readOccTotal += n
-	}
-	for _, n := range writeOcc {
-		c.writeOccTotal += n
-	}
-	for ch, q := range inflight {
-		c.inflight[ch] = c.inflight[ch][:0]
-		for i := range q {
-			slot := c.allocSlot()
-			c.arena[slot] = q[i].req
-			c.inflight[ch] = append(c.inflight[ch], inflightRead{slot: slot, doneAt: q[i].doneAt})
-			reqByID[q[i].req.ID] = &c.arena[slot]
-		}
-	}
-	for ch := range c.inflightHead {
-		c.inflightHead[ch] = 0
-	}
-	c.nextID = nextID
-	c.vclock = vclock
-	copy(c.refreshWanted, refreshWanted)
-	copy(c.nextRefreshAt, nextRefreshAt)
-	copy(c.stats, stats)
-	c.cmdCount = cmdCount
-	copy(c.bankWake, bankWake)
-	c.nextEvent = nextEvent
-	if c.aud != nil {
-		if err := c.aud.LoadState(r, reqByID, audPending); err != nil {
-			return err
-		}
-	}
-	hasIntf := r.Bool()
-	if r.Err() == nil && hasIntf != (c.intf != nil) {
-		r.Fail("memctrl.Controller: snapshot interference flag %v, controller tracker %v", hasIntf, c.intf != nil)
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if c.intf != nil {
-		// The arena was rebuilt above in the serialization order the
-		// tracker's per-slot state was written in, so the walk matches.
-		if err := c.intf.loadState(r, c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SaveState serializes the fairness monitor: the previous-boundary
-// cumulative service the next epoch differences against, the running
-// shortfall aggregates, and the retained sample ring oldest-first.
-func (m *FairnessMonitor) SaveState(w *snapshot.Writer) {
-	w.Section("memctrl.FairnessMonitor")
-	w.I64(m.interval)
-	w.I64(m.nextAt)
-	w.I64s(m.prevService)
-	w.F64s(m.cumShort)
-	w.F64s(m.maxEpochShrt)
-	w.F64s(m.maxAbsExcess)
-	w.I64s(m.lastExcess)
-	w.I64s(m.prevMatrix)
+// State visits the fairness monitor: the previous-boundary cumulative
+// service the next epoch differences against, the running shortfall
+// aggregates, and the retained sample ring oldest-first. Interval and
+// capacity are construction state.
+func (m *FairnessMonitor) State(s *snapshot.Codec) error {
+	s.Section("memctrl.FairnessMonitor")
+	snapshot.Verify(s, m.interval, "interval", s.I64)
+	s.I64(&m.nextAt)
+	s.I64s(m.prevService)
+	s.F64s(m.cumShort)
+	s.F64s(m.maxEpochShrt)
+	s.F64s(m.maxAbsExcess)
+	s.I64s(m.lastExcess)
+	s.I64s(m.prevMatrix)
+	n := len(m.prevService)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	w.Int(cap(m.ring))
-	w.Len(m.count)
-	for i := 0; i < m.count; i++ {
-		sm := &m.ring[(m.start+i)%len(m.ring)]
-		w.I64(sm.Epoch)
-		w.I64(sm.Cycle)
-		w.I64s(sm.Service)
-		w.I64(sm.Total)
-		w.F64s(sm.Share)
-		w.F64s(sm.Phi)
-		w.F64s(sm.Excess)
-		w.Bools(sm.Backlogged)
-		w.F64s(sm.CumShortfall)
-		w.Ints(sm.TopAggressor)
-		w.I64s(sm.StolenCycles)
+	snapshot.Ring(s, &m.ring, &m.start, func(sm *FairnessSample) {
+		s.I64(&sm.Epoch)
+		s.I64(&sm.Cycle)
+		snapshot.Slice(s, &sm.Service, n, s.I64)
+		s.I64(&sm.Total)
+		snapshot.Slice(s, &sm.Share, n, s.F64)
+		snapshot.Slice(s, &sm.Phi, n, s.F64)
+		snapshot.Slice(s, &sm.Excess, n, s.F64)
+		snapshot.Slice(s, &sm.Backlogged, n, s.Bool)
+		snapshot.Slice(s, &sm.CumShortfall, n, s.F64)
+		snapshot.Slice(s, &sm.TopAggressor, n, s.Int)
+		snapshot.Slice(s, &sm.StolenCycles, n, s.I64)
+	})
+	if s.Loading() {
+		m.count = len(m.ring)
 	}
-	w.I64(m.epochs)
-}
-
-// LoadState restores a fairness monitor saved by SaveState into one
-// constructed over the same controller with the same interval and
-// capacity.
-func (m *FairnessMonitor) LoadState(r *snapshot.Reader) error {
-	r.Section("memctrl.FairnessMonitor")
-	interval := r.I64()
-	nextAt := r.I64()
-	n := len(m.prevService)
-	prevService := r.I64s(n)
-	cumShort := r.F64s(n)
-	maxEpochShrt := r.F64s(n)
-	maxAbsExcess := r.F64s(n)
-	lastExcess := r.I64s(n)
-	prevMatrix := r.I64s(n * (n + 1))
-	capacity := r.Int()
-	count := r.Len(snapshot.MaxSlice)
-	if r.Err() == nil && interval != m.interval {
-		r.Fail("memctrl.FairnessMonitor: interval %d, monitor has %d", interval, m.interval)
-	}
-	if r.Err() == nil && (len(prevService) != n || len(cumShort) != n || len(maxEpochShrt) != n ||
-		len(maxAbsExcess) != n || len(lastExcess) != n || len(prevMatrix) != n*(n+1)) {
-		r.Fail("memctrl.FairnessMonitor: per-thread arrays do not match %d threads", n)
-	}
-	if r.Err() == nil && capacity != cap(m.ring) {
-		r.Fail("memctrl.FairnessMonitor: ring capacity %d, monitor has %d", capacity, cap(m.ring))
-	}
-	if r.Err() == nil && count > capacity {
-		r.Fail("memctrl.FairnessMonitor: %d retained samples exceed capacity %d", count, capacity)
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	ring := make([]FairnessSample, 0, cap(m.ring))
-	for i := 0; i < count; i++ {
-		sm := FairnessSample{Epoch: r.I64(), Cycle: r.I64()}
-		sm.Service = r.I64s(n)
-		sm.Total = r.I64()
-		sm.Share = r.F64s(n)
-		sm.Phi = r.F64s(n)
-		sm.Excess = r.F64s(n)
-		sm.Backlogged = r.Bools(n)
-		sm.CumShortfall = r.F64s(n)
-		sm.TopAggressor = r.Ints(n)
-		sm.StolenCycles = r.I64s(n)
-		if r.Err() != nil {
-			return r.Err()
-		}
-		ring = append(ring, sm)
-	}
-	epochs := r.I64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	m.nextAt = nextAt
-	copy(m.prevService, prevService)
-	copy(m.cumShort, cumShort)
-	copy(m.maxEpochShrt, maxEpochShrt)
-	copy(m.maxAbsExcess, maxAbsExcess)
-	copy(m.lastExcess, lastExcess)
-	copy(m.prevMatrix, prevMatrix)
-	m.mu.Lock()
-	m.ring = ring
-	m.start = 0
-	m.count = len(ring)
-	m.epochs = epochs
-	m.mu.Unlock()
-	return nil
+	s.I64(&m.epochs)
+	return s.End()
 }

@@ -20,8 +20,8 @@ func saveCtrl(t *testing.T, c *Controller) []byte {
 		c.Tick(now)
 	}
 	var buf bytes.Buffer
-	w := snapshot.NewWriter(&buf)
-	c.SaveState(w)
+	w := snapshot.NewEncoder(&buf)
+	c.State(w)
 	if err := w.Flush(); err != nil {
 		t.Fatalf("save: %v", err)
 	}
@@ -30,11 +30,11 @@ func saveCtrl(t *testing.T, c *Controller) []byte {
 
 func loadCtrl(t *testing.T, c *Controller, snap []byte) error {
 	t.Helper()
-	r, err := snapshot.NewReader(bytes.NewReader(snap))
+	r, err := snapshot.NewDecoder(bytes.NewReader(snap))
 	if err != nil {
 		return err
 	}
-	return c.LoadState(r)
+	return c.State(r)
 }
 
 // TestSnapshotCrossPolicyRestoreFails pins the policy-name frame:
@@ -115,8 +115,8 @@ func TestSnapshotArenaPolicyRoundTrip(t *testing.T) {
 			t.Fatalf("%s: restore failed: %v", tc.name, err)
 		}
 		var buf bytes.Buffer
-		w := snapshot.NewWriter(&buf)
-		c2.SaveState(w)
+		w := snapshot.NewEncoder(&buf)
+		c2.State(w)
 		if err := w.Flush(); err != nil {
 			t.Fatalf("%s: re-save: %v", tc.name, err)
 		}

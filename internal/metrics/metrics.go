@@ -243,7 +243,7 @@ func histStats(h *Histogram) HistogramStats {
 }
 
 // Snapshot is a point-in-time export of every registered metric,
-// JSON-serializable for `fqsim -metrics` and cmd/benchjson.
+// JSON-serializable for `fqsim -metrics`.
 type Snapshot struct {
 	Counters   map[string]int64          `json:"counters,omitempty"`
 	Gauges     map[string]int64          `json:"gauges,omitempty"`

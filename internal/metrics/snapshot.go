@@ -1,299 +1,110 @@
 package metrics
 
-import (
-	"sort"
+import "repro/internal/snapshot"
 
-	"repro/internal/snapshot"
-)
-
-// SaveState serializes every registered metric's current value, in
+// State visits every registered metric's current value, in
 // registration order. Registration order is deterministic (components
-// register at construction time), so values are written positionally
-// with the name and kind alongside for verification. Func metrics
-// carry no state — they read the live components, which restore
-// separately — so only their identity is written.
-func (r *Registry) SaveState(w *snapshot.Writer) {
-	w.Section("metrics.Registry")
-	w.Int(len(r.items))
-	for _, it := range r.items {
-		w.String(it.name)
-		w.U8(uint8(it.kind))
-		switch it.kind {
-		case kindCounter:
-			w.I64(it.c.v)
-		case kindGauge:
-			w.I64(it.g.v)
-		case kindHistogram:
-			for _, c := range it.h.counts {
-				w.I64(c)
-			}
-			w.I64(it.h.n)
-			w.I64(it.h.sum)
-			w.I64(it.h.max)
-		}
-	}
-}
-
-// LoadState restores values saved by SaveState into a registry whose
-// components registered the same metrics in the same order.
-func (r *Registry) LoadState(rd *snapshot.Reader) error {
-	rd.Section("metrics.Registry")
-	n := rd.Int()
-	if rd.Err() == nil && n != len(r.items) {
-		rd.Fail("metrics.Registry: %d items, registry has %d", n, len(r.items))
-	}
-	if err := rd.Err(); err != nil {
-		return err
-	}
+// register at construction time), so values are positional, with the
+// name and kind alongside for verification. Func metrics carry no
+// state — they read the live components, which restore separately — so
+// only their identity is written.
+func (r *Registry) State(s *snapshot.Codec) error {
+	s.Section("metrics.Registry")
+	snapshot.Verify(s, len(r.items), "items", s.Int)
 	for i := range r.items {
 		it := &r.items[i]
-		name := rd.String(snapshot.MaxString)
-		k := kind(rd.U8())
-		if rd.Err() == nil && (name != it.name || k != it.kind) {
-			rd.Fail("metrics.Registry: item %d is %q kind %d, registry has %q kind %d",
-				i, name, k, it.name, it.kind)
-		}
-		if err := rd.Err(); err != nil {
-			return err
-		}
+		snapshot.Verify(s, it.name, "item name", s.Name)
+		snapshot.Verify(s, uint8(it.kind), "item kind", s.U8)
 		switch it.kind {
 		case kindCounter:
-			it.c.v = rd.I64()
+			s.I64(&it.c.v)
 		case kindGauge:
-			it.g.v = rd.I64()
+			s.I64(&it.g.v)
 		case kindHistogram:
 			for b := range it.h.counts {
-				it.h.counts[b] = rd.I64()
+				s.I64(&it.h.counts[b])
 			}
-			it.h.n = rd.I64()
-			it.h.sum = rd.I64()
-			it.h.max = rd.I64()
+			s.I64(&it.h.n)
+			s.I64(&it.h.sum)
+			s.I64(&it.h.max)
 		}
 	}
-	return rd.Err()
+	return s.End()
 }
 
 // maxMapEntries caps decoded sample-map sizes; real samples hold one
 // entry per registered metric.
 const maxMapEntries = 1 << 16
 
-func saveI64Map(w *snapshot.Writer, m map[string]int64) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	w.U32(uint32(len(keys)))
-	for _, k := range keys {
-		w.String(k)
-		w.I64(m[k])
-	}
+func i64Map(s *snapshot.Codec, m *map[string]int64) {
+	snapshot.Map(s, m, maxMapEntries, s.Name, s.I64)
 }
 
-func loadI64Map(r *snapshot.Reader) map[string]int64 {
-	n := r.Len(maxMapEntries)
-	m := make(map[string]int64, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		k := r.String(snapshot.MaxString)
-		m[k] = r.I64()
-	}
-	return m
+func buckets(s *snapshot.Codec, b *[][2]int64) {
+	snapshot.Slice(s, b, histBuckets, func(p *[2]int64) {
+		s.I64(&p[0])
+		s.I64(&p[1])
+	})
 }
 
-func saveBuckets(w *snapshot.Writer, b [][2]int64) {
-	w.U32(uint32(len(b)))
-	for _, p := range b {
-		w.I64(p[0])
-		w.I64(p[1])
-	}
+func sampleState(s *snapshot.Codec, sm *Sample) {
+	s.I64(&sm.Epoch)
+	s.I64(&sm.Cycle)
+	i64Map(s, &sm.Counters)
+	i64Map(s, &sm.Gauges)
+	snapshot.Map(s, &sm.Histograms, maxMapEntries, s.Name, func(d *HistogramDelta) {
+		s.I64(&d.Count)
+		s.I64(&d.Sum)
+		buckets(s, &d.Buckets)
+	})
 }
 
-func loadBuckets(r *snapshot.Reader) [][2]int64 {
-	n := r.Len(histBuckets)
-	if n == 0 {
-		return nil
-	}
-	b := make([][2]int64, n)
-	for i := range b {
-		b[i][0] = r.I64()
-		b[i][1] = r.I64()
-	}
-	return b
+func snapshotDocState(s *snapshot.Codec, d *Snapshot) {
+	i64Map(s, &d.Counters)
+	i64Map(s, &d.Gauges)
+	snapshot.Map(s, &d.Histograms, maxMapEntries, s.Name, func(h *HistogramStats) {
+		s.I64(&h.Count)
+		s.I64(&h.Sum)
+		s.F64(&h.Mean)
+		s.I64(&h.Max)
+		s.F64(&h.P50)
+		s.F64(&h.P95)
+		s.F64(&h.P99)
+		buckets(s, &h.Buckets)
+	})
 }
 
-func saveSample(w *snapshot.Writer, sm *Sample) {
-	w.I64(sm.Epoch)
-	w.I64(sm.Cycle)
-	saveI64Map(w, sm.Counters)
-	saveI64Map(w, sm.Gauges)
-	keys := make([]string, 0, len(sm.Histograms))
-	for k := range sm.Histograms {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	w.U32(uint32(len(keys)))
-	for _, k := range keys {
-		d := sm.Histograms[k]
-		w.String(k)
-		w.I64(d.Count)
-		w.I64(d.Sum)
-		saveBuckets(w, d.Buckets)
-	}
-}
-
-func loadSample(r *snapshot.Reader) Sample {
-	sm := Sample{Epoch: r.I64(), Cycle: r.I64()}
-	sm.Counters = loadI64Map(r)
-	sm.Gauges = loadI64Map(r)
-	n := r.Len(maxMapEntries)
-	sm.Histograms = make(map[string]HistogramDelta, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		k := r.String(snapshot.MaxString)
-		d := HistogramDelta{Count: r.I64(), Sum: r.I64()}
-		d.Buckets = loadBuckets(r)
-		sm.Histograms[k] = d
-	}
-	return sm
-}
-
-func saveSnapshotDoc(w *snapshot.Writer, s *Snapshot) {
-	saveI64Map(w, s.Counters)
-	saveI64Map(w, s.Gauges)
-	keys := make([]string, 0, len(s.Histograms))
-	for k := range s.Histograms {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	w.U32(uint32(len(keys)))
-	for _, k := range keys {
-		h := s.Histograms[k]
-		w.String(k)
-		w.I64(h.Count)
-		w.I64(h.Sum)
-		w.F64(h.Mean)
-		w.I64(h.Max)
-		w.F64(h.P50)
-		w.F64(h.P95)
-		w.F64(h.P99)
-		saveBuckets(w, h.Buckets)
-	}
-}
-
-func loadSnapshotDoc(r *snapshot.Reader) Snapshot {
-	var s Snapshot
-	s.Counters = loadI64Map(r)
-	s.Gauges = loadI64Map(r)
-	n := r.Len(maxMapEntries)
-	s.Histograms = make(map[string]HistogramStats, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		k := r.String(snapshot.MaxString)
-		h := HistogramStats{
-			Count: r.I64(),
-			Sum:   r.I64(),
-			Mean:  r.F64(),
-			Max:   r.I64(),
-			P50:   r.F64(),
-			P95:   r.F64(),
-			P99:   r.F64(),
-		}
-		h.Buckets = loadBuckets(r)
-		s.Histograms[k] = h
-	}
-	return s
-}
-
-// SaveState serializes the sampler: the previous-boundary cumulative
-// values the next delta will difference against, the retained sample
-// ring (in logical oldest-first order), and the published latest
-// snapshot. Restoring all of it makes post-resume series artifacts
-// byte-identical to an uninterrupted run's.
-func (s *Sampler) SaveState(w *snapshot.Writer) {
-	w.Section("metrics.Sampler")
-	w.I64(s.interval)
-	w.I64(s.nextAt)
-	w.I64s(s.prevCounter)
-	w.Len(len(s.prevHist))
-	for i := range s.prevHist {
-		p := &s.prevHist[i]
-		for _, c := range p.counts {
-			w.I64(c)
-		}
-		w.I64(p.n)
-		w.I64(p.sum)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	w.Int(cap(s.ring))
-	w.Len(s.count)
-	for i := 0; i < s.count; i++ {
-		sm := s.ring[(s.start+i)%len(s.ring)]
-		saveSample(w, &sm)
-	}
-	w.I64(s.epochs)
-	w.Bool(s.has)
-	if s.has {
-		saveSnapshotDoc(w, &s.latest)
-	}
-}
-
-// LoadState restores a sampler saved by SaveState into one constructed
-// with the same interval and capacity.
-func (s *Sampler) LoadState(r *snapshot.Reader) error {
-	r.Section("metrics.Sampler")
-	interval := r.I64()
-	nextAt := r.I64()
-	prevCounter := r.I64s(maxMapEntries)
-	nHist := r.Len(maxMapEntries)
-	prevHist := make([]histPrev, nHist)
-	for i := range prevHist {
-		p := &prevHist[i]
+// State visits the sampler: the previous-boundary cumulative values
+// the next delta will difference against, the retained sample ring (in
+// logical oldest-first order), and the published latest snapshot.
+// Restoring all of it makes post-resume series artifacts byte-identical
+// to an uninterrupted run's. Interval and capacity are construction
+// state.
+func (sp *Sampler) State(s *snapshot.Codec) error {
+	s.Section("metrics.Sampler")
+	snapshot.Verify(s, sp.interval, "interval", s.I64)
+	s.I64(&sp.nextAt)
+	snapshot.Slice(s, &sp.prevCounter, maxMapEntries, s.I64)
+	snapshot.Slice(s, &sp.prevHist, maxMapEntries, func(p *histPrev) {
 		for b := range p.counts {
-			p.counts[b] = r.I64()
+			s.I64(&p.counts[b])
 		}
-		p.n = r.I64()
-		p.sum = r.I64()
+		s.I64(&p.n)
+		s.I64(&p.sum)
+	})
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	snapshot.Ring(s, &sp.ring, &sp.start, func(sm *Sample) { sampleState(s, sm) })
+	if s.Loading() {
+		sp.count, sp.latest = len(sp.ring), Snapshot{}
 	}
-	capacity := r.Int()
-	count := r.Len(maxMapEntries)
-	if r.Err() == nil && interval != s.interval {
-		r.Fail("metrics.Sampler: interval %d, sampler has %d", interval, s.interval)
+	s.I64(&sp.epochs)
+	s.Bool(&sp.has)
+	if sp.has {
+		snapshotDocState(s, &sp.latest)
 	}
-	if r.Err() == nil && capacity != cap(s.ring) {
-		r.Fail("metrics.Sampler: ring capacity %d, sampler has %d", capacity, cap(s.ring))
+	if s.Loading() && s.Err() == nil && len(sp.prevCounter) != len(sp.prevHist) {
+		s.Fail("prev arrays disagree (%d/%d)", len(sp.prevCounter), len(sp.prevHist))
 	}
-	if r.Err() == nil && count > capacity {
-		r.Fail("metrics.Sampler: %d retained samples exceed capacity %d", count, capacity)
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	ring := make([]Sample, 0, cap(s.ring))
-	for i := 0; i < count; i++ {
-		ring = append(ring, loadSample(r))
-	}
-	epochs := r.I64()
-	has := r.Bool()
-	var latest Snapshot
-	if r.Err() == nil && has {
-		latest = loadSnapshotDoc(r)
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if len(prevCounter) != nHist {
-		r.Fail("metrics.Sampler: prev arrays disagree (%d/%d)", len(prevCounter), nHist)
-		return r.Err()
-	}
-	s.nextAt = nextAt
-	s.prevCounter = prevCounter
-	s.prevHist = prevHist
-	s.mu.Lock()
-	s.ring = ring
-	s.start = 0
-	s.count = len(ring)
-	s.epochs = epochs
-	s.latest = latest
-	s.has = has
-	s.mu.Unlock()
-	return nil
+	return s.End()
 }

@@ -750,12 +750,8 @@ type baseline struct {
 	rowHits, rowConf, rowClosed []int64
 }
 
-// BeginMeasurement marks the end of warmup: statistics reported by
-// Results cover everything after this call.
-func (s *System) BeginMeasurement() {
-	n := len(s.cores)
-	s.snap = baseline{
-		cycle:      s.cycle,
+func newBaseline(n int) baseline {
+	return baseline{
 		retired:    make([]int64, n),
 		stalls:     make([]int64, n),
 		readsDone:  make([]int64, n),
@@ -765,6 +761,13 @@ func (s *System) BeginMeasurement() {
 		rowConf:    make([]int64, n),
 		rowClosed:  make([]int64, n),
 	}
+}
+
+// BeginMeasurement marks the end of warmup: statistics reported by
+// Results cover everything after this call.
+func (s *System) BeginMeasurement() {
+	s.snap = newBaseline(len(s.cores))
+	s.snap.cycle = s.cycle
 	for i, c := range s.cores {
 		st := s.ctrl.Stats(i)
 		s.snap.retired[i] = c.Retired

@@ -15,111 +15,98 @@ import (
 // capacity); the cap only guards hostile snapshots.
 const maxTransitQueue = 1 << 16
 
-// saveFingerprint writes the configuration identity a snapshot belongs
-// to. Restore verifies it against the freshly constructed system before
-// reading any component state, so a snapshot restored under the wrong
-// policy, workload, geometry, or mode fails with a clear error instead
-// of a confusing component mismatch deep in the stream.
-func (s *System) saveFingerprint(w *snapshot.Writer) {
-	w.Section("sim.Config")
-	w.Int(len(s.cores))
-	for _, p := range s.cfg.Workload {
-		w.String(p.Name)
-	}
-	for _, sh := range s.cfg.Shares {
-		w.Int(sh.Num)
-		w.Int(sh.Den)
-	}
-	w.String(s.ctrl.Policy().Name())
-	w.U64(s.cfg.Seed)
-	w.Bool(s.cfg.Strict)
-	w.Bool(s.cfg.Audit)
-	w.Bool(s.cfg.Interference)
-	w.I64(s.cfg.SampleInterval)
-	w.Int(s.cfg.SampleCapacity)
-	w.Int(s.cfg.ReqTransit)
-	w.Int(s.cfg.RespTransit)
-	w.Int(s.ctrl.Channels())
-	w.Int(s.cfg.Mem.TotalBanks())
-}
-
-// checkFingerprint reads a fingerprint written by saveFingerprint and
-// verifies it against this system's configuration.
-func (s *System) checkFingerprint(r *snapshot.Reader) error {
-	r.Section("sim.Config")
-	n := r.Int()
-	if r.Err() == nil && n != len(s.cores) {
-		r.Fail("sim.Config: snapshot has %d cores, config has %d", n, len(s.cores))
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
+// fingerprint visits the configuration identity a snapshot belongs to,
+// every field verify-only: Checkpoint writes it, and Restore checks it
+// against the freshly constructed system before reading any component
+// state, so a snapshot restored under the wrong policy, workload,
+// geometry, or mode fails with a clear error instead of a confusing
+// component mismatch deep in the stream.
+func (s *System) fingerprint(c *snapshot.Codec) error {
+	c.Section("sim.Config")
+	snapshot.Verify(c, len(s.cores), "cores", c.Int)
 	for i, p := range s.cfg.Workload {
-		name := r.String(snapshot.MaxString)
-		if r.Err() == nil && name != p.Name {
-			r.Fail("sim.Config: core %d workload %q, config has %q", i, name, p.Name)
-		}
+		snapshot.Verify(c, p.Name, fmt.Sprintf("core %d workload", i), c.Name)
 	}
 	for i, sh := range s.cfg.Shares {
-		num, den := r.Int(), r.Int()
-		if r.Err() == nil && (num != sh.Num || den != sh.Den) {
-			r.Fail("sim.Config: core %d share %d/%d, config has %d/%d", i, num, den, sh.Num, sh.Den)
-		}
+		snapshot.Verify(c, sh.Num, fmt.Sprintf("core %d share numerator", i), c.Int)
+		snapshot.Verify(c, sh.Den, fmt.Sprintf("core %d share denominator", i), c.Int)
 	}
-	policy := r.String(snapshot.MaxString)
-	if r.Err() == nil && policy != s.ctrl.Policy().Name() {
-		r.Fail("sim.Config: snapshot policy %q, config has %q", policy, s.ctrl.Policy().Name())
-	}
-	seed := r.U64()
-	if r.Err() == nil && seed != s.cfg.Seed {
-		r.Fail("sim.Config: snapshot seed %d, config has %d", seed, s.cfg.Seed)
-	}
-	strict, auditOn, intf := r.Bool(), r.Bool(), r.Bool()
-	if r.Err() == nil && (strict != s.cfg.Strict || auditOn != s.cfg.Audit || intf != s.cfg.Interference) {
-		r.Fail("sim.Config: snapshot strict=%v audit=%v interference=%v, config has strict=%v audit=%v interference=%v",
-			strict, auditOn, intf, s.cfg.Strict, s.cfg.Audit, s.cfg.Interference)
-	}
-	si, sc := r.I64(), r.Int()
-	if r.Err() == nil && (si != s.cfg.SampleInterval || sc != s.cfg.SampleCapacity) {
-		r.Fail("sim.Config: snapshot sampling %d/%d, config has %d/%d",
-			si, sc, s.cfg.SampleInterval, s.cfg.SampleCapacity)
-	}
-	rq, rp := r.Int(), r.Int()
-	if r.Err() == nil && (rq != s.cfg.ReqTransit || rp != s.cfg.RespTransit) {
-		r.Fail("sim.Config: snapshot transits %d/%d, config has %d/%d",
-			rq, rp, s.cfg.ReqTransit, s.cfg.RespTransit)
-	}
-	nch, nbk := r.Int(), r.Int()
-	if r.Err() == nil && (nch != s.ctrl.Channels() || nbk != s.cfg.Mem.TotalBanks()) {
-		r.Fail("sim.Config: snapshot geometry %d channels x %d banks, config has %d x %d",
-			nch, nbk, s.ctrl.Channels(), s.cfg.Mem.TotalBanks())
-	}
-	return r.Err()
+	snapshot.Verify(c, s.ctrl.Policy().Name(), "policy", c.Name)
+	snapshot.Verify(c, s.cfg.Seed, "seed", c.U64)
+	snapshot.Verify(c, s.cfg.Strict, "strict", c.Bool)
+	snapshot.Verify(c, s.cfg.Audit, "audit", c.Bool)
+	snapshot.Verify(c, s.cfg.Interference, "interference", c.Bool)
+	snapshot.Verify(c, s.cfg.SampleInterval, "sample interval", c.I64)
+	snapshot.Verify(c, s.cfg.SampleCapacity, "sample capacity", c.Int)
+	snapshot.Verify(c, s.cfg.ReqTransit, "request transit", c.Int)
+	snapshot.Verify(c, s.cfg.RespTransit, "response transit", c.Int)
+	snapshot.Verify(c, s.ctrl.Channels(), "channels", c.Int)
+	snapshot.Verify(c, s.cfg.Mem.TotalBanks(), "banks", c.Int)
+	return c.End()
 }
 
-// saveTimedQueue writes the live (unconsumed) region only, so the
+// timedQueueState visits the live (unconsumed) region only, so the
 // serialized form is independent of the queue's internal head position
 // and identical to what an uninterrupted run would hold.
-func saveTimedQueue(w *snapshot.Writer, q *timedQueue) {
+func timedQueueState(c *snapshot.Codec, q *timedQueue) {
 	live := q.buf[q.head:]
-	w.Len(len(live))
-	for _, e := range live {
-		w.U64(e.addr)
-		w.I64(e.at)
+	snapshot.Slice(c, &live, maxTransitQueue, func(e *timedAddr) {
+		c.U64(&e.addr)
+		c.I64(&e.at)
+	})
+	if c.Loading() {
+		*q = timedQueue{buf: live}
 	}
 }
 
-func loadTimedQueue(r *snapshot.Reader) timedQueue {
-	n := r.Len(maxTransitQueue)
-	if n == 0 {
-		return timedQueue{}
+// state visits the complete simulator state: the configuration
+// fingerprint, cycle counters, the transit queues, the measurement
+// baseline, every core, the memory controller, the metrics registry,
+// and the epoch samplers.
+func (s *System) state(c *snapshot.Codec) error {
+	if err := s.fingerprint(c); err != nil {
+		return err
 	}
-	q := make([]timedAddr, n)
-	for i := range q {
-		q[i].addr = r.U64()
-		q[i].at = r.I64()
+	c.Section("sim.System")
+	c.I64(&s.cycle)
+	c.I64(&s.epochNext)
+	for i := range s.cores {
+		timedQueueState(c, &s.fetchQ[i])
+		timedQueueState(c, &s.wbQ[i])
+		timedQueueState(c, &s.respQ[i])
 	}
-	return timedQueue{buf: q}
+	measuring := s.MeasurementStarted()
+	c.Bool(&measuring)
+	if measuring {
+		if c.Loading() {
+			s.snap = newBaseline(len(s.cores))
+		}
+		c.I64(&s.snap.cycle)
+		c.I64s(s.snap.retired)
+		c.I64s(s.snap.stalls)
+		c.I64s(s.snap.readsDone)
+		c.I64s(s.snap.readLatSum)
+		c.I64s(s.snap.busCycles)
+		c.I64(&s.snap.dataBusBusy)
+		c.I64(&s.snap.bankBusy)
+		c.I64s(s.snap.rowHits)
+		c.I64s(s.snap.rowConf)
+		c.I64s(s.snap.rowClosed)
+	}
+	for _, cpu := range s.cores {
+		cpu.State(c)
+	}
+	s.ctrl.State(c)
+	snapshot.Verify(c, s.cfg.Metrics != nil, "metrics registry", c.Bool)
+	if s.cfg.Metrics != nil {
+		s.cfg.Metrics.State(c)
+	}
+	snapshot.Verify(c, s.sampler != nil, "epoch sampling", c.Bool)
+	if s.sampler != nil {
+		s.sampler.State(c)
+		s.fair.State(c)
+	}
+	return c.End()
 }
 
 // MeasurementStarted reports whether BeginMeasurement has been called —
@@ -143,51 +130,16 @@ func (s *System) Checkpoint(w io.Writer) error {
 	if s.cfg.Trace != nil {
 		return fmt.Errorf("sim: cannot checkpoint with a streaming trace sink attached")
 	}
-	sw := snapshot.NewWriter(w)
-	s.saveFingerprint(sw)
-	sw.Section("sim.System")
-	sw.I64(s.cycle)
-	sw.I64(s.epochNext)
-	for i := range s.cores {
-		saveTimedQueue(sw, &s.fetchQ[i])
-		saveTimedQueue(sw, &s.wbQ[i])
-		saveTimedQueue(sw, &s.respQ[i])
-	}
-	sw.Bool(s.snap.retired != nil)
-	if s.snap.retired != nil {
-		sw.I64(s.snap.cycle)
-		sw.I64s(s.snap.retired)
-		sw.I64s(s.snap.stalls)
-		sw.I64s(s.snap.readsDone)
-		sw.I64s(s.snap.readLatSum)
-		sw.I64s(s.snap.busCycles)
-		sw.I64(s.snap.dataBusBusy)
-		sw.I64(s.snap.bankBusy)
-		sw.I64s(s.snap.rowHits)
-		sw.I64s(s.snap.rowConf)
-		sw.I64s(s.snap.rowClosed)
-	}
-	for _, c := range s.cores {
-		c.SaveState(sw)
-	}
-	s.ctrl.SaveState(sw)
-	sw.Bool(s.cfg.Metrics != nil)
-	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.SaveState(sw)
-	}
-	sw.Bool(s.sampler != nil)
-	if s.sampler != nil {
-		s.sampler.SaveState(sw)
-		s.fair.SaveState(sw)
-	}
-	return sw.Flush()
+	c := snapshot.NewEncoder(w)
+	s.state(c)
+	return c.Flush()
 }
 
 // Restore constructs a fresh system from cfg and loads a snapshot
 // written by Checkpoint into it. The snapshot's configuration
 // fingerprint must match cfg; component geometry is additionally
-// verified section by section. On any error the returned system is
-// invalid and must be discarded.
+// verified section by section. Components decode in place, so on any
+// error the half-loaded system is released and nil is returned.
 //
 // Restore never panics on hostile or corrupted input: all lengths are
 // capped before allocation, all indices are validated before use, and a
@@ -195,104 +147,22 @@ func (s *System) Checkpoint(w io.Writer) error {
 func Restore(cfg Config, rd io.Reader) (s *System, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			s, err = nil, fmt.Errorf("sim: restore: corrupt snapshot: %v", p)
+			err = fmt.Errorf("sim: restore: corrupt snapshot: %v", p)
+		}
+		if err != nil && s != nil {
+			s.Close()
+			s = nil
 		}
 	}()
-	s, err = New(cfg)
-	if err != nil {
+	if s, err = New(cfg); err != nil {
 		return nil, err
 	}
-	r, err := snapshot.NewReader(bufio.NewReader(rd))
-	if err != nil {
-		return nil, err
+	c, err := snapshot.NewDecoder(rd)
+	if err == nil {
+		err = s.state(c)
 	}
-	if err := s.checkFingerprint(r); err != nil {
-		return nil, err
-	}
-	r.Section("sim.System")
-	cycle := r.I64()
-	epochNext := r.I64()
-	fetchQ := make([]timedQueue, len(s.cores))
-	wbQ := make([]timedQueue, len(s.cores))
-	respQ := make([]timedQueue, len(s.cores))
-	for i := range s.cores {
-		fetchQ[i] = loadTimedQueue(r)
-		wbQ[i] = loadTimedQueue(r)
-		respQ[i] = loadTimedQueue(r)
-	}
-	measuring := r.Bool()
-	var snap baselineState
-	if measuring {
-		n := len(s.cores)
-		snap.cycle = r.I64()
-		snap.retired = r.I64s(n)
-		snap.stalls = r.I64s(n)
-		snap.readsDone = r.I64s(n)
-		snap.readLatSum = r.I64s(n)
-		snap.busCycles = r.I64s(n)
-		snap.dataBusBusy = r.I64()
-		snap.bankBusy = r.I64()
-		snap.rowHits = r.I64s(n)
-		snap.rowConf = r.I64s(n)
-		snap.rowClosed = r.I64s(n)
-		if r.Err() == nil && (len(snap.retired) != n || len(snap.stalls) != n ||
-			len(snap.readsDone) != n || len(snap.readLatSum) != n || len(snap.busCycles) != n ||
-			len(snap.rowHits) != n || len(snap.rowConf) != n || len(snap.rowClosed) != n) {
-			r.Fail("sim.System: measurement baseline does not cover %d cores", n)
-		}
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	for _, c := range s.cores {
-		if err := c.LoadState(r); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.ctrl.LoadState(r); err != nil {
-		return nil, err
-	}
-	hasMetrics := r.Bool()
-	if r.Err() == nil && hasMetrics != (s.cfg.Metrics != nil) {
-		r.Fail("sim.System: snapshot metrics flag %v, config registry %v", hasMetrics, s.cfg.Metrics != nil)
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if hasMetrics {
-		if err := s.cfg.Metrics.LoadState(r); err != nil {
-			return nil, err
-		}
-	}
-	hasSampler := r.Bool()
-	if r.Err() == nil && hasSampler != (s.sampler != nil) {
-		r.Fail("sim.System: snapshot sampler flag %v, config sampling %v", hasSampler, s.sampler != nil)
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if hasSampler {
-		if err := s.sampler.LoadState(r); err != nil {
-			return nil, err
-		}
-		if err := s.fair.LoadState(r); err != nil {
-			return nil, err
-		}
-	}
-	s.cycle = cycle
-	s.epochNext = epochNext
-	copy(s.fetchQ, fetchQ)
-	copy(s.wbQ, wbQ)
-	copy(s.respQ, respQ)
-	if measuring {
-		s.snap = baseline(snap)
-	}
-	return s, nil
+	return s, err
 }
-
-// baselineState mirrors baseline so Restore can stage the decoded
-// measurement baseline before committing it.
-type baselineState baseline
 
 // CheckpointFile writes a checkpoint atomically: to a temporary file in
 // the same directory, then renamed over path, so a crash mid-write never

@@ -2,8 +2,16 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/cache"
+	"repro/internal/cpu"
+	"repro/internal/memctrl"
+	"repro/internal/snapshot"
 	"repro/internal/trace"
 )
 
@@ -30,7 +38,10 @@ func fuzzConfig(t testing.TB) Config {
 
 // validSnapshot produces a well-formed checkpoint for seeding.
 func validSnapshot(t testing.TB) []byte {
-	cfg := fuzzConfig(t)
+	return snapshotOf(t, fuzzConfig(t))
+}
+
+func snapshotOf(t testing.TB, cfg Config) []byte {
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -73,6 +84,11 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Restore(cfg, bytes.NewReader(data))
 		if err != nil {
+			// Components decode in place, so a failed restore must not
+			// hand back the half-loaded system.
+			if s != nil {
+				t.Fatalf("Restore returned a system alongside error %v", err)
+			}
 			return
 		}
 		if s == nil {
@@ -119,6 +135,9 @@ func TestRestoreHostileInputs(t *testing.T) {
 				}
 			}()
 			s, err := Restore(cfg, bytes.NewReader(data))
+			if err != nil && s != nil {
+				t.Fatalf("case %d: Restore returned a system alongside error %v", i, err)
+			}
 			if err == nil && s != nil {
 				// Stepping may trip the runtime auditor on corrupted
 				// counters — a deliberate diagnostic panic, tolerated
@@ -129,5 +148,96 @@ func TestRestoreHostileInputs(t *testing.T) {
 				}()
 			}
 		}()
+	}
+}
+
+// heapAllocBytes reads the cumulative bytes allocated on the heap.
+// ReadMemStats stops the world and flushes the per-P allocation caches,
+// so the difference of two readings is exact.
+func heapAllocBytes() uint64 {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.TotalAlloc
+}
+
+// TestRestoreHostileCounts writes a saturated element count over every
+// byte offset of a snapshot in turn, so every count header in the
+// format is hit exactly, whatever the layout. The count passes the
+// generic snapshot.MaxSlice cap; each component must refuse it against
+// what it was constructed to hold, or at worst grow with the bytes
+// actually present, so no case may cost more memory than a valid
+// restore plus a small margin. Caches are shrunk and sampling is off
+// to keep the snapshot small enough to sweep whole; the sampler's
+// sections are exercised by TestRestoreHostileInputs.
+func TestRestoreHostileCounts(t *testing.T) {
+	cfg := fuzzConfig(t)
+	cfg.SampleInterval = 0
+	cfg.Interference = true
+	tiny := cache.Config{SizeKB: 1, Ways: 2, LineBytes: 64, Latency: 2}
+	cfg.Cache = cache.DefaultHierarchyConfig()
+	cfg.Cache.L1I, cfg.Cache.L1D, cfg.Cache.L2 = tiny, tiny, tiny
+	valid := snapshotOf(t, cfg)
+
+	restore := func(data []byte) (alloc uint64, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				t.Fatalf("Restore panicked: %v", p)
+			}
+		}()
+		before := heapAllocBytes()
+		s, err := Restore(cfg, bytes.NewReader(data))
+		alloc = heapAllocBytes() - before
+		if err != nil && s != nil {
+			t.Fatalf("Restore returned a system alongside error %v", err)
+		}
+		if s != nil {
+			s.Close()
+		}
+		return alloc, err
+	}
+	budget, err := restore(valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget += 1 << 20
+
+	// The headers that once allocated from snapshot.MaxSlice, by the
+	// error each must now raise: the store buffer, the MSHR token
+	// table (which starts at 64 entries), and the auditor's frozen-key
+	// map (bounded by the controller's request buffers).
+	mem := memctrl.DefaultConfig(len(cfg.Workload))
+	refused := map[string]bool{}
+	for _, c := range []struct {
+		section string
+		limit   int
+	}{
+		{"cpu.Core", cpu.DefaultConfig().StoreBuffer},
+		{"cpu.Core", 64},
+		{"audit.Auditor", mem.Threads * (mem.ReadEntriesPerThread + mem.WriteEntriesPerThread)},
+	} {
+		refused[fmt.Sprintf("%s: length %d exceeds cap %d", c.section, snapshot.MaxSlice, c.limit)] = false
+	}
+
+	mut := make([]byte, len(valid))
+	for off := 0; off+4 <= len(valid); off++ {
+		copy(mut, valid)
+		binary.LittleEndian.PutUint32(mut[off:], snapshot.MaxSlice)
+		alloc, err := restore(mut)
+		if alloc > budget {
+			t.Fatalf("offset %d: hostile restore allocated %d bytes (valid restore plus margin is %d); err %v",
+				off, alloc, budget, err)
+		}
+		if err != nil {
+			for want := range refused {
+				if strings.Contains(err.Error(), want) {
+					refused[want] = true
+				}
+			}
+		}
+	}
+	for want, seen := range refused {
+		if !seen {
+			t.Errorf("no offset was refused with %q", want)
+		}
 	}
 }

@@ -5,7 +5,7 @@
 //	magic "FQMSSNAP" | u32 version | sections...
 //
 // Each section opens with its name as a length-prefixed string; every
-// component writes its own section marker, so a reader that drifts out
+// component writes its own section marker, so a decoder that drifts out
 // of alignment fails immediately with a section-name mismatch instead
 // of silently decoding garbage. The stream is self-describing down to
 // the section level, but field layout within a section is fixed per
@@ -13,23 +13,40 @@
 // and an equivalent configuration (sim.Restore verifies a full
 // configuration fingerprint before touching any component state).
 //
+// One Codec serves both directions. A component declares its
+// checkpointed state once, in a State(*Codec) method that visits every
+// field by pointer: the encoder writes the field, the decoder overwrites
+// it in place. Adding a checkpointed field is one visitor line in the
+// owning component's State method plus a Version bump. Steps that are
+// not the same in both directions (rebuilding an index, re-linking
+// pointers, normalising a ring) sit in the same method behind
+// Loading().
+//
+// Decoding in place is safe because the only decode target is a system
+// sim.Restore has just constructed and discards on any error: a
+// half-loaded component is never observable.
+//
 // Hostile input is a first-class concern — snapshots cross process and
-// machine boundaries. The Reader therefore never trusts a decoded
-// length: every slice/string read takes an explicit cap and fails when
-// the header exceeds it (the same defense trace.ReadTrace applies to
-// its instruction-count header), so a bit-flipped count costs a
-// bounded allocation, not an OOM. Both Writer and Reader carry a
-// sticky error: the first failure wins and every later call is a
-// cheap no-op, letting component serializers stay linear and check
-// Err once.
+// machine boundaries. The decoder therefore never trusts a length
+// header: fixed-length visitors demand the length the constructed
+// component already has, and every variable-length visitor takes an
+// explicit cap, fails when the header exceeds it, and grows its target
+// only as elements actually arrive (the same defense trace.ReadTrace
+// applies to its instruction-count header), so a bit-flipped count
+// costs memory proportional to the bytes supplied, not an OOM. The
+// Codec carries a sticky error: the first failure wins and every later
+// visit is a cheap no-op that leaves its target untouched, letting
+// State methods stay linear and check Err once.
 package snapshot
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Magic opens every snapshot stream.
@@ -45,369 +62,361 @@ const Magic = "FQMSSNAP"
 // fairness monitor's per-epoch top-aggressor columns, and the
 // Interference bit in the configuration fingerprint. v4 added the
 // trace generator's attack-pattern cursor (the antagonist workloads).
+// The move from hand-written SaveState/LoadState pairs to the
+// bidirectional Codec kept the v4 layout byte for byte.
 const Version = 4
 
-// MaxSlice is the default element cap for variable-length sections
-// whose natural bound is configuration-dependent but small (queues,
-// rings, histories). 1<<22 elements bounds a hostile length header to
-// tens of MB for the widest element types while being far above any
-// real configuration.
+// MaxSlice is the element cap for the few variable-length fields whose
+// bound depends on run history rather than on a configured capacity
+// (the writeback queue, the auditor's completion ledger). Their
+// elements are 8 bytes, so a full-length section is 32 MB of stream —
+// far above any real run, and the decoder allocates only as that
+// stream is actually read.
 const MaxSlice = 1 << 22
 
 // MaxString caps decoded string lengths (section names, metric names,
 // benchmark names are all short).
 const MaxString = 1 << 10
 
-// Writer serializes primitives to an io.Writer with a sticky error.
-type Writer struct {
-	w   *bufio.Writer
-	err error
-	buf [8]byte
+// Codec encodes to or decodes from one snapshot stream. Exactly one of
+// w and r is set.
+type Codec struct {
+	w        *bufio.Writer
+	r        *bufio.Reader
+	err      error
+	sections []string // open sections, innermost last; labels errors
+	buf      [8]byte
 }
 
-// NewWriter returns a Writer that has already emitted the stream
-// header (magic and version).
-func NewWriter(w io.Writer) *Writer {
-	sw := &Writer{w: bufio.NewWriter(w)}
-	sw.write([]byte(Magic))
-	sw.U32(Version)
-	return sw
+// NewEncoder returns a Codec that writes to w and has already emitted
+// the stream header (magic and version).
+func NewEncoder(w io.Writer) *Codec {
+	s := &Codec{w: bufio.NewWriter(w)}
+	s.header()
+	return s
 }
 
-func (w *Writer) write(p []byte) {
-	if w.err != nil {
-		return
+// NewDecoder returns a Codec that reads from r, after verifying the
+// stream header. A magic or version mismatch is an immediate error.
+func NewDecoder(r io.Reader) (*Codec, error) {
+	s := &Codec{r: bufio.NewReader(r)}
+	s.header()
+	if s.err != nil {
+		return nil, s.err
 	}
-	_, w.err = w.w.Write(p)
+	return s, nil
 }
 
-// Fail records err (the first failure sticks) — for component
-// serializers that detect an unserializable state mid-stream.
-func (w *Writer) Fail(format string, args ...any) {
-	if w.err == nil {
-		w.err = fmt.Errorf("snapshot: "+format, args...)
+func (s *Codec) header() {
+	magic := []byte(Magic)
+	s.raw(magic)
+	if s.err == nil && string(magic) != Magic {
+		s.Fail("bad magic %q", magic)
 	}
+	Verify(s, uint32(Version), "format version", s.u32)
 }
 
-// U8 writes one byte.
-func (w *Writer) U8(v uint8) {
-	w.buf[0] = v
-	w.write(w.buf[:1])
-}
-
-// U32 writes a little-endian uint32.
-func (w *Writer) U32(v uint32) {
-	binary.LittleEndian.PutUint32(w.buf[:4], v)
-	w.write(w.buf[:4])
-}
-
-// U64 writes a little-endian uint64.
-func (w *Writer) U64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:8], v)
-	w.write(w.buf[:8])
-}
-
-// I64 writes an int64 (two's complement).
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// Int writes an int as int64.
-func (w *Writer) Int(v int) { w.I64(int64(v)) }
-
-// Bool writes a bool as one byte.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-}
-
-// F64 writes a float64 by bit pattern (exact round trip, NaN included).
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
-
-// String writes a length-prefixed string.
-func (w *Writer) String(s string) {
-	if len(s) > math.MaxUint32 {
-		w.Fail("string of %d bytes", len(s))
-		return
-	}
-	w.U32(uint32(len(s)))
-	w.write([]byte(s))
-}
-
-// Section writes a section marker that Reader.Section verifies.
-func (w *Writer) Section(name string) { w.String(name) }
-
-// Len writes a u32 count header, the counterpart of Reader.Len. Use it
-// for every explicit element count a reader will consume via Len.
-func (w *Writer) Len(n int) {
-	if n < 0 {
-		w.Fail("negative length %d", n)
-		return
-	}
-	w.U32(uint32(n))
-}
-
-// I64s writes a length-prefixed []int64.
-func (w *Writer) I64s(v []int64) {
-	w.U32(uint32(len(v)))
-	for _, x := range v {
-		w.I64(x)
-	}
-}
-
-// U64s writes a length-prefixed []uint64.
-func (w *Writer) U64s(v []uint64) {
-	w.U32(uint32(len(v)))
-	for _, x := range v {
-		w.U64(x)
-	}
-}
-
-// Ints writes a length-prefixed []int (as int64s).
-func (w *Writer) Ints(v []int) {
-	w.U32(uint32(len(v)))
-	for _, x := range v {
-		w.Int(x)
-	}
-}
-
-// Bools writes a length-prefixed []bool.
-func (w *Writer) Bools(v []bool) {
-	w.U32(uint32(len(v)))
-	for _, x := range v {
-		w.Bool(x)
-	}
-}
-
-// F64s writes a length-prefixed []float64.
-func (w *Writer) F64s(v []float64) {
-	w.U32(uint32(len(v)))
-	for _, x := range v {
-		w.F64(x)
-	}
-}
+// Loading reports the direction: true when decoding into the visited
+// fields, false when encoding them.
+func (s *Codec) Loading() bool { return s.r != nil }
 
 // Err returns the first error encountered.
-func (w *Writer) Err() error { return w.err }
+func (s *Codec) Err() error { return s.err }
 
-// Flush drains the buffer and returns the first error encountered.
-func (w *Writer) Flush() error {
-	if w.err == nil {
-		w.err = w.w.Flush()
-	}
-	return w.err
-}
-
-// Reader decodes a stream produced by Writer, with a sticky error and
-// caller-supplied caps on every variable-length read.
-type Reader struct {
-	r   *bufio.Reader
-	err error
-	buf [8]byte
-}
-
-// NewReader verifies the stream header and returns a Reader. A magic
-// or version mismatch is an immediate error.
-func NewReader(r io.Reader) (*Reader, error) {
-	sr := &Reader{r: bufio.NewReader(r)}
-	var magic [len(Magic)]byte
-	if _, err := io.ReadFull(sr.r, magic[:]); err != nil {
-		return nil, fmt.Errorf("snapshot: reading magic: %w", err)
-	}
-	if string(magic[:]) != Magic {
-		return nil, fmt.Errorf("snapshot: bad magic %q", magic)
-	}
-	if v := sr.U32(); v != Version {
-		if sr.err != nil {
-			return nil, sr.err
-		}
-		return nil, fmt.Errorf("snapshot: version %d, this build reads %d", v, Version)
-	}
-	return sr, nil
-}
-
-func (r *Reader) read(p []byte) {
-	if r.err != nil {
+// Fail records an error, labelled with the innermost open section (the
+// first failure sticks) — for State methods that detect an
+// unserializable state or an invalid decoded value.
+func (s *Codec) Fail(format string, args ...any) {
+	if s.err != nil {
 		return
 	}
-	if _, err := io.ReadFull(r.r, p); err != nil {
-		r.err = fmt.Errorf("snapshot: truncated stream: %w", err)
+	where := ""
+	if n := len(s.sections); n > 0 {
+		where = s.sections[n-1] + ": "
+	}
+	s.err = fmt.Errorf("snapshot: "+where+format, args...)
+}
+
+// Flush drains an encoder's buffer and returns the first error
+// encountered.
+func (s *Codec) Flush() error {
+	if s.err == nil && s.w != nil {
+		s.err = s.w.Flush()
+	}
+	return s.err
+}
+
+// Section opens a named section: it visits the marker (encoders write
+// it, decoders fail unless the stream carries the same name) and labels
+// errors with the name until the matching End.
+func (s *Codec) Section(name string) {
+	s.sections = append(s.sections, name)
+	Verify(s, name, "section marker", s.Name)
+}
+
+// End closes the innermost section and returns Err, so a State method
+// ends with `return s.End()`.
+func (s *Codec) End() error {
+	if n := len(s.sections); n > 0 {
+		s.sections = s.sections[:n-1]
+	}
+	return s.err
+}
+
+// raw is the one primitive that touches the stream: encoders write p,
+// decoders fill it.
+func (s *Codec) raw(p []byte) {
+	if s.err != nil {
+		return
+	}
+	if s.r == nil {
+		_, s.err = s.w.Write(p)
+		return
+	}
+	// Fast path: the bytes are already buffered (Peek fails near EOF and
+	// for reads wider than the buffer; ReadFull handles those).
+	if b, err := s.r.Peek(len(p)); err == nil {
+		copy(p, b)
+		s.r.Discard(len(p))
+		return
+	}
+	if _, err := io.ReadFull(s.r, p); err != nil {
+		s.Fail("truncated stream: %w", err)
 	}
 }
 
-// Fail records err (the first failure sticks) — for component loaders
-// that detect an invalid decoded value.
-func (r *Reader) Fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("snapshot: "+format, args...)
+// U8 visits one byte.
+func (s *Codec) U8(v *uint8) {
+	s.buf[0] = *v
+	s.raw(s.buf[:1])
+	if s.r != nil && s.err == nil {
+		*v = s.buf[0]
 	}
 }
 
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	r.read(r.buf[:1])
-	if r.err != nil {
-		return 0
-	}
-	return r.buf[0]
-}
-
-// U32 reads a little-endian uint32.
-func (r *Reader) U32() uint32 {
-	r.read(r.buf[:4])
-	if r.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(r.buf[:4])
-}
-
-// U64 reads a little-endian uint64.
-func (r *Reader) U64() uint64 {
-	r.read(r.buf[:8])
-	if r.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(r.buf[:8])
-}
-
-// I64 reads an int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// Int reads an int64 into an int.
-func (r *Reader) Int() int { return int(r.I64()) }
-
-// Bool reads a bool; any byte other than 0 or 1 is an error.
-func (r *Reader) Bool() bool {
-	switch r.U8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		r.Fail("invalid bool byte")
-		return false
+// u32 visits a little-endian uint32 (the header and count fields).
+func (s *Codec) u32(v *uint32) {
+	binary.LittleEndian.PutUint32(s.buf[:4], *v)
+	s.raw(s.buf[:4])
+	if s.r != nil && s.err == nil {
+		*v = binary.LittleEndian.Uint32(s.buf[:4])
 	}
 }
 
-// F64 reads a float64 by bit pattern.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// Len reads a u32 length header and fails if it exceeds max — the cap
-// is enforced before any allocation.
-func (r *Reader) Len(max int) int {
-	n := r.U32()
-	if r.err != nil {
-		return 0
+// U64 visits a little-endian uint64.
+func (s *Codec) U64(v *uint64) {
+	binary.LittleEndian.PutUint64(s.buf[:8], *v)
+	s.raw(s.buf[:8])
+	if s.r != nil && s.err == nil {
+		*v = binary.LittleEndian.Uint64(s.buf[:8])
 	}
-	if int64(n) > int64(max) {
-		r.Fail("length %d exceeds cap %d", n, max)
-		return 0
-	}
-	return int(n)
 }
 
-// String reads a length-prefixed string of at most max bytes.
-func (r *Reader) String(max int) string {
-	n := r.Len(max)
-	if r.err != nil || n == 0 {
-		return ""
+// I64 visits an int64 (two's complement).
+func (s *Codec) I64(v *int64) {
+	u := uint64(*v)
+	s.U64(&u)
+	*v = int64(u)
+}
+
+// Int visits an int, as an int64.
+func (s *Codec) Int(v *int) {
+	u := uint64(*v)
+	s.U64(&u)
+	*v = int(u)
+}
+
+// I32 visits an int32, as an int64.
+func (s *Codec) I32(v *int32) {
+	u := uint64(*v)
+	s.U64(&u)
+	*v = int32(u)
+}
+
+// F64 visits a float64 by bit pattern (exact round trip, NaN included).
+func (s *Codec) F64(v *float64) {
+	u := math.Float64bits(*v)
+	s.U64(&u)
+	*v = math.Float64frombits(u)
+}
+
+// Bool visits a bool as one byte; decoding any byte other than 0 or 1
+// is an error.
+func (s *Codec) Bool(v *bool) {
+	var b uint8
+	if *v {
+		b = 1
+	}
+	s.U8(&b)
+	if b > 1 {
+		s.Fail("invalid bool byte %#x", b)
+		return
+	}
+	*v = b == 1
+}
+
+// length visits a u32 count header for a variable-length field. It fails
+// before anything is allocated when the count exceeds max — in either
+// direction, so a state that could not be restored is refused at
+// checkpoint time. A failed length leaves *n zero so loops over it do not
+// run.
+func (s *Codec) length(n *int, max int) {
+	if s.r == nil && (*n < 0 || *n > max) {
+		s.Fail("length %d outside [0, %d]", *n, max)
+	}
+	u := uint32(*n)
+	s.u32(&u)
+	if s.err == nil && int64(u) > int64(max) {
+		s.Fail("length %d exceeds cap %d", u, max)
+	}
+	*n = int(u)
+	if s.err != nil {
+		*n = 0
+	}
+}
+
+// String visits a length-prefixed string of at most max bytes.
+func (s *Codec) String(v *string, max int) {
+	n := len(*v)
+	s.length(&n, max)
+	if s.err != nil {
+		return
+	}
+	if s.r == nil {
+		_, s.err = s.w.WriteString(*v)
+		return
+	}
+	if b, err := s.r.Peek(n); err == nil { // buffered: one copy, not two
+		*v = string(b)
+		s.r.Discard(n)
+		return
 	}
 	b := make([]byte, n)
-	r.read(b)
-	if r.err != nil {
-		return ""
-	}
-	return string(b)
-}
-
-// Section reads a section marker and fails unless it matches name.
-func (r *Reader) Section(name string) {
-	got := r.String(MaxString)
-	if r.err == nil && got != name {
-		r.Fail("expected section %q, found %q", name, got)
+	s.raw(b)
+	if s.err == nil {
+		*v = string(b)
 	}
 }
 
-// I64s reads a length-prefixed []int64 of at most max elements.
-func (r *Reader) I64s(max int) []int64 {
-	n := r.Len(max)
-	if r.err != nil {
-		return nil
+// Name visits a short identifier string (at most MaxString bytes).
+func (s *Codec) Name(v *string) { s.String(v, MaxString) }
+
+// Verify visits construction state — geometry, intervals, names,
+// presence flags — that the decode target was already built with:
+// encoders write want, decoders read the value and fail on mismatch
+// without storing anything.
+func Verify[T comparable](s *Codec, want T, what string, visit func(*T)) {
+	got := want
+	visit(&got)
+	if s.err == nil && got != want {
+		s.Fail("%s: snapshot has %v, this system has %v", what, got, want)
 	}
-	v := make([]int64, n)
-	for i := range v {
-		v[i] = r.I64()
-	}
-	if r.err != nil {
-		return nil
-	}
-	return v
 }
 
-// U64s reads a length-prefixed []uint64 of at most max elements.
-func (r *Reader) U64s(max int) []uint64 {
-	n := r.Len(max)
-	if r.err != nil {
-		return nil
+// Fixed visits a slice whose length is construction state: the length
+// is written as a u32 header, and decoding fails unless the stream's
+// length equals len(v), then fills v in place.
+func Fixed[T any](s *Codec, v []T, elem func(*T)) {
+	Verify(s, uint32(len(v)), "slice length", s.u32)
+	for i := 0; i < len(v) && s.err == nil; i++ {
+		elem(&v[i])
 	}
-	v := make([]uint64, n)
-	for i := range v {
-		v[i] = r.U64()
-	}
-	if r.err != nil {
-		return nil
-	}
-	return v
 }
 
-// Ints reads a length-prefixed []int of at most max elements.
-func (r *Reader) Ints(max int) []int {
-	n := r.Len(max)
-	if r.err != nil {
-		return nil
+// I64s visits a fixed-length []int64 (see Fixed).
+func (s *Codec) I64s(v []int64) { Fixed(s, v, s.I64) }
+
+// U64s visits a fixed-length []uint64 (see Fixed).
+func (s *Codec) U64s(v []uint64) { Fixed(s, v, s.U64) }
+
+// Ints visits a fixed-length []int (see Fixed).
+func (s *Codec) Ints(v []int) { Fixed(s, v, s.Int) }
+
+// Bools visits a fixed-length []bool (see Fixed).
+func (s *Codec) Bools(v []bool) { Fixed(s, v, s.Bool) }
+
+// F64s visits a fixed-length []float64 (see Fixed).
+func (s *Codec) F64s(v []float64) { Fixed(s, v, s.F64) }
+
+// Slice visits a variable-length slice of at most max elements: a
+// capped count header, then each element. Decoding truncates *v and
+// appends one element at a time, reusing its capacity, so memory grows
+// only with the stream actually read; a nil *v decoded from a zero
+// count stays nil.
+func Slice[T any](s *Codec, v *[]T, max int, elem func(*T)) {
+	n := len(*v)
+	s.length(&n, max)
+	if s.err != nil {
+		return
 	}
-	v := make([]int, n)
-	for i := range v {
-		v[i] = r.Int()
+	if s.r != nil {
+		*v = (*v)[:0]
 	}
-	if r.err != nil {
-		return nil
+	for i := 0; i < n && s.err == nil; i++ {
+		if s.r != nil {
+			var zero T
+			*v = append(*v, zero)
+		}
+		elem(&(*v)[i])
 	}
-	return v
 }
 
-// Bools reads a length-prefixed []bool of at most max elements.
-func (r *Reader) Bools(max int) []bool {
-	n := r.Len(max)
-	if r.err != nil {
-		return nil
+// mapPresize bounds how far a decoded map is pre-sized: the count
+// header is untrusted, so it buys room for at most this many entries
+// (a few KB) and larger maps grow as their entries arrive.
+const mapPresize = 256
+
+// Map visits a map of at most max entries in ascending key order, so
+// equal maps encode to equal bytes. Decoding builds a fresh map one
+// entry at a time, pre-sized by the count only up to mapPresize.
+func Map[K cmp.Ordered, V any](s *Codec, m *map[K]V, max int, key func(*K), val func(*V)) {
+	n := len(*m)
+	s.length(&n, max)
+	if s.err != nil {
+		return
 	}
-	v := make([]bool, n)
-	for i := range v {
-		v[i] = r.Bool()
+	// One k and v for the whole walk: they escape through the visitor
+	// calls, so declaring them per entry would allocate per entry.
+	var k K
+	var v, zero V
+	if s.r != nil {
+		*m = make(map[K]V, min(n, mapPresize))
+		for i := 0; i < n; i++ {
+			v = zero // a decoded value must not reuse the last one's slices
+			key(&k)
+			val(&v)
+			if s.err != nil {
+				return
+			}
+			(*m)[k] = v
+		}
+		return
 	}
-	if r.err != nil {
-		return nil
+	keys := make([]K, 0, n)
+	for k := range *m {
+		keys = append(keys, k)
 	}
-	return v
+	slices.Sort(keys)
+	for _, k = range keys {
+		v = (*m)[k]
+		key(&k)
+		val(&v)
+	}
 }
 
-// F64s reads a length-prefixed []float64 of at most max elements.
-func (r *Reader) F64s(max int) []float64 {
-	n := r.Len(max)
-	if r.err != nil {
-		return nil
+// Ring visits a bounded ring buffer — *ring holds the retained
+// elements, cap(*ring) is the construction-time capacity, *start
+// indexes the oldest — as the capacity (verified), a count, and the
+// elements oldest-first, so the bytes do not depend on where the ring
+// has wrapped. Decoding rebuilds the ring with the oldest at index 0.
+func Ring[T any](s *Codec, ring *[]T, start *int, elem func(*T)) {
+	Verify(s, cap(*ring), "ring capacity", s.Int)
+	n := len(*ring)
+	s.length(&n, cap(*ring))
+	if s.r != nil {
+		*ring, *start = make([]T, n, cap(*ring)), 0
 	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = r.F64()
+	for i := 0; i < n && s.err == nil; i++ {
+		elem(&(*ring)[(*start+i)%n])
 	}
-	if r.err != nil {
-		return nil
-	}
-	return v
 }
-
-// Err returns the first error encountered.
-func (r *Reader) Err() error { return r.err }

@@ -2,38 +2,15 @@ package stats
 
 import "repro/internal/snapshot"
 
-// SaveState serializes the histogram's counts and moments. The bucket
-// width is written for verification: it is construction state, and a
-// mismatch means the snapshot belongs to a different configuration.
-func (h *Histogram) SaveState(w *snapshot.Writer) {
-	w.Section("stats.Histogram")
-	w.F64(h.BucketWidth)
-	w.I64s(h.Counts)
-	w.I64(h.Overflow)
-	w.I64(h.N)
-	w.F64(h.Sum)
-}
-
-// LoadState restores a histogram saved by SaveState into one
-// constructed with the same bucket width and count.
-func (h *Histogram) LoadState(r *snapshot.Reader) error {
-	r.Section("stats.Histogram")
-	width := r.F64()
-	counts := r.I64s(len(h.Counts))
-	overflow := r.I64()
-	n := r.I64()
-	sum := r.F64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if width != h.BucketWidth || len(counts) != len(h.Counts) {
-		r.Fail("stats.Histogram: %v x %d buckets, histogram has %v x %d",
-			width, len(counts), h.BucketWidth, len(h.Counts))
-		return r.Err()
-	}
-	copy(h.Counts, counts)
-	h.Overflow = overflow
-	h.N = n
-	h.Sum = sum
-	return nil
+// State visits the histogram's counts and moments. The bucket width
+// and count are construction state: a mismatch means the snapshot
+// belongs to a different configuration.
+func (h *Histogram) State(s *snapshot.Codec) error {
+	s.Section("stats.Histogram")
+	snapshot.Verify(s, h.BucketWidth, "bucket width", s.F64)
+	s.I64s(h.Counts)
+	s.I64(&h.Overflow)
+	s.I64(&h.N)
+	s.F64(&h.Sum)
+	return s.End()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -28,17 +29,22 @@ func TestCheckpointTriggerPoll(t *testing.T) {
 	for i := 0; i < n; i++ {
 		go func() { errs <- trig.Request(context.Background()) }()
 	}
-	// Poll until all requesters have registered; the loop mirrors the
-	// simulation loop calling Poll between step chunks.
+	// Wait until all three have registered, so the one Poll below is
+	// the one that must answer them all. Polling before that could
+	// serve a partial batch and leave the rest parked in Request.
 	deadline := time.After(5 * time.Second)
-	for calls.Load() == 0 {
+	for registered := 0; registered < n; {
 		select {
 		case <-deadline:
-			t.Fatal("Poll never saw the requests")
+			t.Fatalf("only %d of %d requesters registered", registered, n)
 		default:
+			runtime.Gosched()
 		}
-		trig.Poll(func() error { calls.Add(1); return nil })
+		trig.mu.Lock()
+		registered = len(trig.waiters)
+		trig.mu.Unlock()
 	}
+	trig.Poll(func() error { calls.Add(1); return nil })
 	for i := 0; i < n; i++ {
 		if err := <-errs; err != nil {
 			t.Fatalf("requester %d: %v", i, err)

@@ -255,8 +255,8 @@ func TestAntagonistSnapshotMidStream(t *testing.T) {
 				g.Next(&ins)
 			}
 			var buf bytes.Buffer
-			w := snapshot.NewWriter(&buf)
-			g.SaveState(w)
+			w := snapshot.NewEncoder(&buf)
+			g.State(w)
 			if err := w.Flush(); err != nil {
 				t.Fatal(err)
 			}
@@ -264,11 +264,11 @@ func TestAntagonistSnapshotMidStream(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := snapshot.NewReader(bytes.NewReader(buf.Bytes()))
+			r, err := snapshot.NewDecoder(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := h.LoadState(r); err != nil {
+			if err := h.State(r); err != nil {
 				t.Fatal(err)
 			}
 			var a, b Instr

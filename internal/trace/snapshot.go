@@ -2,91 +2,46 @@ package trace
 
 import "repro/internal/snapshot"
 
-// SaveState serializes the generator's mutable cursor: the rng state
-// and the stream/burst/code positions. Everything else (thresholds,
-// working-set geometry, the address base) is derived from the profile,
-// thread id, and seed at construction, so a restored generator only
-// needs the cursor to continue the identical instruction stream.
-func (g *Generator) SaveState(w *snapshot.Writer) {
-	w.Section("trace.Generator")
-	w.U64(g.r.s)
-	w.U64s(g.streamPos)
-	w.Ints(g.streamLeft)
-	w.Int(g.nextStream)
-	w.Int(g.lastLoadAgo)
-	w.Int(g.burstLeft)
-	w.Int(g.burstStream)
-	w.U64(g.codePos)
-	w.U64(g.count)
-	w.U64(g.attackStep)
+// State visits the generator's mutable cursor: the rng state and the
+// stream/burst/code positions. Everything else (thresholds, working-set
+// geometry, the address base) is derived from the profile, thread id,
+// and seed at construction, so a restored generator only needs the
+// cursor to continue the identical instruction stream.
+func (g *Generator) State(s *snapshot.Codec) error {
+	s.Section("trace.Generator")
+	s.U64(&g.r.s)
+	s.U64s(g.streamPos)
+	s.Ints(g.streamLeft)
+	s.Int(&g.nextStream)
+	s.Int(&g.lastLoadAgo)
+	s.Int(&g.burstLeft)
+	s.Int(&g.burstStream)
+	s.U64(&g.codePos)
+	s.U64(&g.count)
+	s.U64(&g.attackStep)
+	if s.Loading() && s.Err() == nil {
+		// nextStream and burstStream index streamPos on the dispatch
+		// path; reject out-of-range values rather than storing a latent
+		// panic.
+		if g.nextStream < 0 || g.nextStream >= len(g.streamPos) {
+			s.Fail("nextStream %d out of range", g.nextStream)
+		}
+		if g.burstStream < -1 || g.burstStream >= len(g.streamPos) {
+			s.Fail("burstStream %d out of range", g.burstStream)
+		}
+	}
+	return s.End()
 }
 
-// LoadState restores a cursor saved by SaveState into a generator
-// constructed with the same profile, thread, and seed.
-func (g *Generator) LoadState(r *snapshot.Reader) error {
-	r.Section("trace.Generator")
-	s := r.U64()
-	pos := r.U64s(len(g.streamPos))
-	left := r.Ints(len(g.streamLeft))
-	nextStream := r.Int()
-	lastLoadAgo := r.Int()
-	burstLeft := r.Int()
-	burstStream := r.Int()
-	codePos := r.U64()
-	count := r.U64()
-	attackStep := r.U64()
-	if err := r.Err(); err != nil {
-		return err
+// State visits the replay reader's cursor (the records themselves live
+// in the trace file, not the snapshot).
+func (t *Reader) State(s *snapshot.Codec) error {
+	s.Section("trace.Reader")
+	s.Int(&t.pos)
+	s.U64(&t.codePos)
+	if s.Loading() && s.Err() == nil &&
+		(t.pos < 0 || (len(t.records) > 0 && t.pos >= len(t.records)) || (len(t.records) == 0 && t.pos != 0)) {
+		s.Fail("position %d outside %d records", t.pos, len(t.records))
 	}
-	if len(pos) != len(g.streamPos) || len(left) != len(g.streamLeft) {
-		r.Fail("trace.Generator: %d/%d streams, generator has %d", len(pos), len(left), len(g.streamPos))
-		return r.Err()
-	}
-	// nextStream and burstStream index streamPos on the dispatch path;
-	// reject out-of-range values rather than storing a latent panic.
-	if nextStream < 0 || nextStream >= len(pos) {
-		r.Fail("trace.Generator: nextStream %d out of range", nextStream)
-		return r.Err()
-	}
-	if burstStream < -1 || burstStream >= len(pos) {
-		r.Fail("trace.Generator: burstStream %d out of range", burstStream)
-		return r.Err()
-	}
-	g.r.s = s
-	copy(g.streamPos, pos)
-	copy(g.streamLeft, left)
-	g.nextStream = nextStream
-	g.lastLoadAgo = lastLoadAgo
-	g.burstLeft = burstLeft
-	g.burstStream = burstStream
-	g.codePos = codePos
-	g.count = count
-	g.attackStep = attackStep
-	return nil
-}
-
-// SaveState serializes the replay reader's cursor (the records
-// themselves live in the trace file, not the snapshot).
-func (t *Reader) SaveState(w *snapshot.Writer) {
-	w.Section("trace.Reader")
-	w.Int(t.pos)
-	w.U64(t.codePos)
-}
-
-// LoadState restores a cursor saved by SaveState into a reader over
-// the same trace file.
-func (t *Reader) LoadState(r *snapshot.Reader) error {
-	r.Section("trace.Reader")
-	pos := r.Int()
-	codePos := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if pos < 0 || (len(t.records) > 0 && pos >= len(t.records)) || (len(t.records) == 0 && pos != 0) {
-		r.Fail("trace.Reader: position %d outside %d records", pos, len(t.records))
-		return r.Err()
-	}
-	t.pos = pos
-	t.codePos = codePos
-	return nil
+	return s.End()
 }
