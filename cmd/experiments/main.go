@@ -6,7 +6,7 @@
 // Usage:
 //
 //	experiments [-fig 1|4|5|6|7|8|9|sweep|arena|headline|all] [-warmup N] [-window N] [-seed N]
-//	            [-workers N] [-intra-workers N]
+//	            [-parallel N]
 //	            [-serve addr] [-series-dir dir] [-sample-interval N]
 //	            [-checkpoint-dir dir] [-checkpoint-every N] [-resume]
 //	            [-arena] [-arena-out dir]
@@ -27,10 +27,8 @@
 // the coordinator reports the sweep done. All figure flags are ignored
 // in worker mode; the coordinator's job spec governs every run.
 //
-// -workers caps the sweep's total worker goroutines; -intra-workers
-// parallelizes each simulation internally (bit-identical results), and
-// the run-level fan-out shrinks to workers/intra-workers so the two
-// never oversubscribe the machine together.
+// -parallel is the sweep's width: how many simulations run at once
+// (0, the default, uses every CPU the process may run on).
 //
 // -serve exposes sweep progress (figures done, simulated cycles per
 // second) and, once runs sample, the usual telemetry endpoints over
@@ -90,9 +88,7 @@ func main() {
 		warmup    = flag.Int64("warmup", 50_000, "warmup cycles per run")
 		window    = flag.Int64("window", 400_000, "measurement cycles per run")
 		seed      = flag.Uint64("seed", 0, "trace generator seed")
-		par       = flag.Int("parallel", 8, "concurrent simulations (superseded by -workers when set)")
-		workers   = flag.Int("workers", 0, "total worker-goroutine budget shared between concurrent runs and intra-run workers (0 = use -parallel)")
-		intra     = flag.Int("intra-workers", 0, "intra-run workers per simulation; results stay bit-identical (0 = serial runs)")
+		par       = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		serveAddr = flag.String("serve", "", "serve sweep progress over HTTP on this address (e.g. 127.0.0.1:9300)")
 		seriesDir = flag.String("series-dir", "", "write per-run time-series artifacts into this directory")
 		sampleInt = flag.Int64("sample-interval", 0, "epoch sampling interval in cycles (0 = auto: 10000 when -series-dir is set, else off)")
@@ -126,8 +122,7 @@ func main() {
 		return
 	}
 
-	cfg := exp.Config{Warmup: *warmup, Window: *window, Seed: *seed, Parallel: *par,
-		Workers: *workers, IntraWorkers: *intra, Interference: *intfOn}
+	cfg := exp.Config{Warmup: *warmup, Window: *window, Seed: *seed, Parallel: *par, Interference: *intfOn}
 	cfg.SampleInterval = *sampleInt
 	if cfg.SampleInterval == 0 && *seriesDir != "" {
 		cfg.SampleInterval = metrics.DefaultSampleInterval

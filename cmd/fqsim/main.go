@@ -39,8 +39,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dram"
-	"repro/internal/memctrl"
+	"repro/internal/exp"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -50,11 +49,11 @@ import (
 func main() {
 	var (
 		workload  = flag.String("workload", "art,vpr", "comma-separated benchmark names (one per core)")
-		policy    = flag.String("policy", "FQ-VFTF", "scheduler: FCFS, FR-FCFS, FR-VFTF, FQ-VFTF, FR-VSTF")
+		policy    = flag.String("policy", "FQ-VFTF", "scheduler: "+strings.Join(sim.PolicyNames(), ", "))
 		shares    = flag.String("shares", "", "comma-separated per-thread shares like 1/2,1/2 (default: equal)")
 		warmup    = flag.Int64("warmup", 50_000, "warmup cycles")
 		window    = flag.Int64("window", 400_000, "measurement cycles")
-		scale     = flag.Int("scale", 1, "time scale the DRAM (private virtual-time baseline)")
+		scale     = flag.Int("scale", 1, "time scale the DRAM (private virtual-time baseline; 0 or 1 = physical)")
 		seed      = flag.Uint64("seed", 0, "trace generator seed")
 		workers   = flag.Int("workers", 0, "intra-run worker goroutines (sharded channel scheduling + core stepping; 0/1 = serial, results bit-identical)")
 		list      = flag.Bool("list", false, "list available benchmarks and exit")
@@ -62,8 +61,7 @@ func main() {
 		auditOn   = flag.Bool("audit", false, "run the invariant auditor (panic on any violation)")
 		intfOn    = flag.Bool("interference", false, "attribute every wait cycle to a cause and aggressor thread (observation-only; adds the /interference endpoint under -serve)")
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event timeline to this file")
-		metaOut   = flag.String("metrics", "", "alias of -metrics-out (kept for compatibility)")
-		metaOut2  = flag.String("metrics-out", "", "write a JSON metrics dump to this file")
+		metaOut   = flag.String("metrics-out", "", "write a JSON metrics dump to this file")
 		sampleInt = flag.Int64("sample-interval", 0, "epoch sampling interval in cycles (0 = auto: 10000 when -serve or -series-out is used, else off)")
 		seriesOut = flag.String("series-out", "", "write the epoch time series (metrics + fairness) as JSON to this file")
 		serveAddr = flag.String("serve", "", "serve live status over HTTP on this address while the simulation runs (e.g. 127.0.0.1:9300)")
@@ -95,9 +93,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *metaOut != "" && *metaOut2 != "" && *metaOut != *metaOut2 {
-		fail(fmt.Errorf("-metrics and -metrics-out name different files"))
-	}
 	if (*ckptPath != "" || *restore != "") && *traceOut != "" {
 		// A Chrome trace is an append-only log of everything since cycle
 		// zero; a restored run cannot recreate the events it missed, so
@@ -107,45 +102,29 @@ func main() {
 	if *ckptEvery > 0 && *ckptPath == "" {
 		fail(fmt.Errorf("-checkpoint-every needs -checkpoint"))
 	}
-	if *metaOut2 != "" {
-		*metaOut = *metaOut2
-	}
 
 	names := strings.Split(*workload, ",")
-	profiles := make([]trace.Profile, len(names))
-	for i, n := range names {
-		p, err := trace.ByName(strings.TrimSpace(n))
-		if err != nil {
-			fail(err)
-		}
-		profiles[i] = p
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
 	}
-
-	factory, err := sim.PolicyByName(*policy)
-	if err != nil {
-		fail(err)
-	}
-
-	cfg := sim.Config{Workload: profiles, Policy: factory, Seed: *seed, Audit: *auditOn,
-		Interference: *intfOn, Workers: *workers}
-	if *scale != 1 {
-		cfg.Mem.DRAM = dram.DefaultConfig()
-		cfg.Mem.DRAM.Timing = dram.DDR2800().Scale(*scale)
-	}
+	var phis []core.Share
 	if *shares != "" {
-		parts := strings.Split(*shares, ",")
-		if len(parts) != len(names) {
-			fail(fmt.Errorf("%d shares for %d cores", len(parts), len(names)))
-		}
-		cfg.Shares = make([]core.Share, len(parts))
-		for i, p := range parts {
+		for _, p := range strings.Split(*shares, ",") {
 			s, err := parseShare(strings.TrimSpace(p))
 			if err != nil {
 				fail(err)
 			}
-			cfg.Shares[i] = s
+			phis = append(phis, s)
 		}
 	}
+	cfg, err := sim.NamedConfig(names, *policy, phis, 0, *scale)
+	if err != nil {
+		fail(err)
+	}
+	cfg.Seed = *seed
+	cfg.Audit = *auditOn
+	cfg.Interference = *intfOn
+	cfg.Workers = *workers
 
 	cfg.SampleInterval = *sampleInt
 	if cfg.SampleInterval == 0 && (*serveAddr != "" || *seriesOut != "") {
@@ -188,12 +167,11 @@ func main() {
 			fail(err)
 		}
 	}
-	var prog *telemetry.Progress
+	prog := telemetry.NewProgress(1)
+	prog.Start(*workload)
 	var srv *telemetry.Server
 	var trig *telemetry.CheckpointTrigger
 	if *serveAddr != "" {
-		prog = telemetry.NewProgress(1)
-		prog.Start(*workload)
 		if *ckptPath != "" {
 			trig = telemetry.NewCheckpointTrigger()
 		}
@@ -211,18 +189,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fqsim: status server on %s\n", srv.URL())
 	}
 
-	// The run is one chunked loop over absolute cycles so that a
-	// restored run (which starts mid-flight) and a fresh run share the
-	// same path. Chunking keeps the progress endpoint live and bounds
-	// how long an on-demand checkpoint request waits; it cannot change
-	// results (Step(n) twice is Step(2n)). Chunks are clamped to the
-	// measurement boundary so BeginMeasurement always lands exactly at
-	// the warmup cycle — and therefore at the same cycle in any run of
-	// this configuration, checkpointed or not.
-	total := *warmup + *window
+	// The run is chunked so the progress endpoint stays live and an
+	// on-demand checkpoint request waits at most one chunk; a periodic
+	// checkpoint lands every -checkpoint-every cycles after the cycle
+	// this process started from.
 	nextCkpt := int64(-1)
 	if *ckptPath != "" && *ckptEvery > 0 {
 		nextCkpt = s.Cycle() + *ckptEvery
+	}
+	chunk := func() int64 {
+		if n := nextCkpt - s.Cycle(); n > 0 && n < 100_000 {
+			return n
+		}
+		return 100_000
 	}
 	writeCkpt := func() error {
 		if err := s.CheckpointFile(*ckptPath); err != nil {
@@ -231,42 +210,30 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fqsim: checkpoint at cycle %d -> %s\n", s.Cycle(), *ckptPath)
 		return nil
 	}
-	for s.Cycle() < total {
-		const chunk = 100_000
-		next := s.Cycle() + chunk
-		if !s.MeasurementStarted() && next > *warmup {
-			next = *warmup
-		}
-		if nextCkpt > 0 && next > nextCkpt {
-			next = nextCkpt
-		}
-		if next > total {
-			next = total
-		}
-		if n := next - s.Cycle(); n > 0 {
-			s.Step(n)
-			if prog != nil {
-				prog.AddCycles(n)
-			}
-		}
-		if !s.MeasurementStarted() && s.Cycle() >= *warmup {
-			s.BeginMeasurement()
-		}
+	last := s.Cycle()
+	progress := func() {
+		prog.AddCycles(s.Cycle() - last)
+		last = s.Cycle()
+	}
+	err = s.RunTo(*warmup, *warmup+*window, chunk(), func() (int64, error) {
+		progress()
 		if nextCkpt > 0 && s.Cycle() >= nextCkpt {
 			if err := writeCkpt(); err != nil {
-				fail(fmt.Errorf("checkpoint: %w", err))
+				return 0, fmt.Errorf("checkpoint: %w", err)
 			}
-			nextCkpt = s.Cycle() + *ckptEvery
+			nextCkpt += *ckptEvery
 		}
 		if trig != nil {
 			trig.Poll(writeCkpt)
 		}
+		return chunk(), nil
+	})
+	if err != nil {
+		fail(err)
 	}
-	s.FinishAudit()
+	progress()
 	res := s.Results()
-	if prog != nil {
-		prog.Finish(*workload)
-	}
+	prog.Finish(*workload)
 
 	if tw != nil {
 		if err := tw.Close(); err != nil {
@@ -287,7 +254,7 @@ func main() {
 		}
 	}
 	if *seriesOut != "" {
-		if err := writeSeriesFile(*seriesOut, s); err != nil {
+		if err := exp.WriteSeriesJSON(*seriesOut, "", s); err != nil {
 			fail(fmt.Errorf("series: %w", err))
 		}
 	}
@@ -336,38 +303,6 @@ func main() {
 			fail(fmt.Errorf("server shutdown: %w", err))
 		}
 	}
-}
-
-// writeSeriesFile dumps the run's epoch time series — per-interval
-// metric deltas plus the fairness series — as one self-describing JSON
-// document.
-func writeSeriesFile(path string, s *sim.System) error {
-	var doc struct {
-		Interval int64            `json:"interval"`
-		Epochs   int64            `json:"epochs"`
-		Samples  []metrics.Sample `json:"samples"`
-		Fairness struct {
-			Summary memctrl.FairnessSummary  `json:"summary"`
-			Samples []memctrl.FairnessSample `json:"samples"`
-		} `json:"fairness"`
-	}
-	doc.Interval = s.Sampler().Interval()
-	doc.Epochs = s.Sampler().Epochs()
-	doc.Samples = s.Sampler().Samples(-1)
-	doc.Fairness.Summary = s.Fairness().Summary()
-	doc.Fairness.Samples = s.Fairness().Samples(-1)
-
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // parseShare parses "num/den" or a bare integer percentage like "25".

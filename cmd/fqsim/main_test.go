@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/exp"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -62,7 +63,7 @@ func TestWriteSeriesFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "out.series.json")
-	if err := writeSeriesFile(path, s); err != nil {
+	if err := exp.WriteSeriesJSON(path, "", s); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)

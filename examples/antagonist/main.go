@@ -47,9 +47,9 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			sys.Step(50_000)
-			sys.BeginMeasurement()
-			sys.Step(400_000)
+			if err := sys.RunTo(50_000, 450_000, 0, nil); err != nil {
+				log.Fatal(err)
+			}
 			slow[i] = baseIPC / sys.Results().Threads[0].IPC
 			if sched == fqms.FRFCFS {
 				snap, ok := sys.Interference()

@@ -21,8 +21,6 @@
 package fqms
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/exp"
@@ -104,16 +102,18 @@ type SystemConfig struct {
 	Scheduler Scheduler
 
 	// Shares allocates memory bandwidth per thread; nil means the
-	// paper's static equal allocation 1/N.
+	// paper's static equal allocation 1/N. The shares are fractions of
+	// one memory system, so they may sum to at most 1.
 	Shares []Share
 
 	// MemoryScale >= 2 time scales the DDR2 constraints, modeling the
-	// paper's private virtual-time baseline systems (0 or 1 = physical).
+	// paper's private virtual-time baseline systems (0 or 1 = physical;
+	// at most 549, where a scaled refresh fills its whole interval).
 	MemoryScale int
 
 	// Channels selects the number of line-interleaved memory channels
-	// (0 or 1 = the paper's single-channel system; more is this
-	// implementation's future-work extension).
+	// (0 or 1 = the paper's single-channel system; more, a power of two
+	// up to 16, is this implementation's future-work extension).
 	Channels int
 
 	// Warmup and Window are simulation lengths in cycles; zero selects
@@ -127,7 +127,6 @@ type SystemConfig struct {
 	// and completed request is re-validated against independently
 	// recomputed timing, conservation, VTMS, and FQ scheduling
 	// invariants; a violation panics. Results are identical either way.
-	// The FQMS_AUDIT environment variable also enables it globally.
 	Audit bool
 
 	// Interference enables per-request delay attribution: the live
@@ -140,38 +139,10 @@ type SystemConfig struct {
 // Run simulates the configured system and reports per-thread and
 // aggregate results.
 func Run(cfg SystemConfig) (Result, error) {
-	if len(cfg.Workload) == 0 {
-		return Result{}, fmt.Errorf("fqms: empty workload")
-	}
-	sched := cfg.Scheduler
-	if sched == "" {
-		sched = FRFCFS
-	}
-	factory, err := sim.PolicyByName(string(sched))
+	sys, err := NewSystem(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	profiles := make([]trace.Profile, len(cfg.Workload))
-	for i, n := range cfg.Workload {
-		p, err := trace.ByName(n)
-		if err != nil {
-			return Result{}, err
-		}
-		profiles[i] = p
-	}
-	scfg := sim.Config{
-		Workload:     profiles,
-		Shares:       cfg.Shares,
-		Policy:       factory,
-		Seed:         cfg.Seed,
-		Audit:        cfg.Audit,
-		Interference: cfg.Interference,
-	}
-	if cfg.MemoryScale > 1 {
-		scfg.Mem.DRAM = dram.DefaultConfig()
-		scfg.Mem.DRAM.Timing = dram.DDR2800().Scale(cfg.MemoryScale)
-	}
-	scfg.Mem.Channels = cfg.Channels
 	warmup, window := cfg.Warmup, cfg.Window
 	if warmup <= 0 {
 		warmup = 50_000
@@ -179,7 +150,10 @@ func Run(cfg SystemConfig) (Result, error) {
 	if window <= 0 {
 		window = 400_000
 	}
-	return sim.Run(scfg, warmup, window)
+	if err := sys.RunTo(warmup, warmup+window, 0, nil); err != nil {
+		return Result{}, err
+	}
+	return sys.Results(), nil
 }
 
 // System is a live simulation that can be stepped, measured, and
@@ -188,40 +162,17 @@ type System = sim.System
 
 // NewSystem constructs a system from the same configuration Run uses,
 // but leaves stepping to the caller: use Step, BeginMeasurement,
-// Results, and SetShare.
+// Results, and SetShare. A configuration that does not describe a
+// memory system -- an unknown name, shares summing past 1, a negative or
+// oversized channel count or memory scale -- is an error.
 func NewSystem(cfg SystemConfig) (*System, error) {
-	if len(cfg.Workload) == 0 {
-		return nil, fmt.Errorf("fqms: empty workload")
-	}
-	sched := cfg.Scheduler
-	if sched == "" {
-		sched = FRFCFS
-	}
-	factory, err := sim.PolicyByName(string(sched))
+	scfg, err := sim.NamedConfig(cfg.Workload, string(cfg.Scheduler), cfg.Shares, cfg.Channels, cfg.MemoryScale)
 	if err != nil {
 		return nil, err
 	}
-	profiles := make([]trace.Profile, len(cfg.Workload))
-	for i, n := range cfg.Workload {
-		p, err := trace.ByName(n)
-		if err != nil {
-			return nil, err
-		}
-		profiles[i] = p
-	}
-	scfg := sim.Config{
-		Workload:     profiles,
-		Shares:       cfg.Shares,
-		Policy:       factory,
-		Seed:         cfg.Seed,
-		Audit:        cfg.Audit,
-		Interference: cfg.Interference,
-	}
-	if cfg.MemoryScale > 1 {
-		scfg.Mem.DRAM = dram.DefaultConfig()
-		scfg.Mem.DRAM.Timing = dram.DDR2800().Scale(cfg.MemoryScale)
-	}
-	scfg.Mem.Channels = cfg.Channels
+	scfg.Seed = cfg.Seed
+	scfg.Audit = cfg.Audit
+	scfg.Interference = cfg.Interference
 	return sim.New(scfg)
 }
 

@@ -1,7 +1,11 @@
 package fqms
 
 import (
+	"reflect"
 	"testing"
+
+	"repro/internal/exp"
+	"repro/internal/sim"
 )
 
 func TestBenchmarksSuite(t *testing.T) {
@@ -51,6 +55,55 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(SystemConfig{Workload: []string{"vpr"}, Scheduler: "bogus"}); err == nil {
 		t.Error("accepted unknown scheduler")
+	}
+	// Hostile configurations are refused at construction: an error, not
+	// a result, a panic or a hang (the builder's own table is
+	// sim.TestNamedConfig).
+	for name, cfg := range map[string]SystemConfig{
+		"overcommitted shares": {Scheduler: FQVFTF, Shares: []Share{{Num: 3, Den: 4}, {Num: 3, Den: 4}}},
+		"negative channels":    {Channels: -2},
+		"a million channels":   {Channels: 1 << 20},
+		"negative scale":       {MemoryScale: -3},
+		"overflowing scale":    {MemoryScale: 1 << 40},
+	} {
+		cfg.Workload = []string{"vpr", "art"}
+		cfg.Warmup, cfg.Window = 2_000, 20_000
+		if res, err := Run(cfg); err == nil {
+			t.Errorf("%s: ran and reported %+v", name, res)
+		}
+	}
+}
+
+// TestFrontDoorsAgree: the library entry point, the experiment runner
+// and a sweep unit all describe vpr+art under FQ-VFTF through the one
+// builder and drive it through the one loop, so at equal seed and
+// windows they must report the same Result.
+func TestFrontDoorsAgree(t *testing.T) {
+	const warmup, window, seed = 5_000, 30_000, 7
+	mix := []string{"vpr", "art"}
+
+	viaRun, err := Run(SystemConfig{Workload: mix, Scheduler: FQVFTF, Warmup: warmup, Window: window, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaRunner, err := exp.NewRunner(exp.Config{Warmup: warmup, Window: window, Seed: seed}).CoRun(mix, "FQ-VFTF")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ucfg, err := exp.ArenaCellUnit(mix, "FQ-VFTF", Share{}, 1).SimConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ucfg.Seed = seed
+	viaUnit, err := sim.Run(ucfg, warmup, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(viaRun, viaRunner) {
+		t.Errorf("fqms.Run and exp.Runner.CoRun disagree:\n%+v\n%+v", viaRun, viaRunner)
+	}
+	if !reflect.DeepEqual(viaRun, viaUnit) {
+		t.Errorf("fqms.Run and the arena unit disagree:\n%+v\n%+v", viaRun, viaUnit)
 	}
 }
 

@@ -192,3 +192,33 @@ func TestArenaArtifacts(t *testing.T) {
 		t.Errorf("csv has %d lines, want %d", len(lines), want)
 	}
 }
+
+// TestUnitRefusesHostileDescription: a Unit arrives over the fabric's
+// wire, so one that does not describe a memory system must be an error
+// from SimConfig and RunUnit — never a simulation (the builder's own
+// table is sim.TestNamedConfig).
+func TestUnitRefusesHostileDescription(t *testing.T) {
+	mix := []string{"vpr", "art"}
+	r := NewRunner(Config{Warmup: 2_000, Window: 20_000})
+	for name, u := range map[string]Unit{
+		"overcommitted share":  ArenaCellUnit(mix, "FQ-VFTF", core.Share{Num: 3, Den: 2}, 1),
+		"negative channels":    ArenaCellUnit(mix, "FQ-VFTF", core.Share{}, -2),
+		"a million channels":   ArenaCellUnit(mix, "FQ-VFTF", core.Share{}, 1<<20),
+		"unknown policy":       ArenaCellUnit(mix, "nosuch", core.Share{}, 1),
+		"solo scale zero":      ArenaSoloUnit("vpr", 0, 1),
+		"solo scale negative":  ArenaSoloUnit("vpr", -3, 1),
+		"solo scale overflows": ArenaSoloUnit("vpr", 1<<40, 1),
+		"solo of two":          {Key: "x", Benches: mix, Scale: 2, Channels: 1},
+		"no benchmarks":        {Key: "x", Policy: "FQ-VFTF", Channels: 1},
+	} {
+		if _, err := u.SimConfig(); err == nil {
+			t.Errorf("%s: SimConfig accepted %+v", name, u)
+		}
+		if res, err := r.RunUnit(u); err == nil {
+			t.Errorf("%s: ran and reported %+v", name, res)
+		}
+	}
+	if n := r.SimulatedCycles(); n != 0 {
+		t.Errorf("refused units still simulated %d cycles", n)
+	}
+}

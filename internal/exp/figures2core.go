@@ -174,7 +174,7 @@ func (r *Runner) TwoCore() (TwoCoreResult, error) {
 			return err
 		}
 		for pi, pol := range policies {
-			res, err := r.CoRun([]string{sub, "art"}, pol.Name)
+			res, err := r.CoRun([]string{sub, "art"}, pol)
 			if err != nil {
 				return err
 			}
@@ -183,7 +183,7 @@ func (r *Runner) TwoCore() (TwoCoreResult, error) {
 			bgNorm := bg.IPC / bgBase.IPC
 			cells[i].rows[pi] = SubjectRow{
 				Subject:     sub,
-				Policy:      pol.Name,
+				Policy:      pol,
 				NormIPC:     norm,
 				ReadLat:     s.AvgReadLatency,
 				ReadLatP50:  s.ReadLatP50,

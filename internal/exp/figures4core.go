@@ -48,13 +48,13 @@ func (r *Runner) Figure8() (Figure8Result, error) {
 	err := r.parallelDo(len(wls)*len(policies), func(k int) error {
 		wi, pi := k/len(policies), k%len(policies)
 		wl, pol := wls[wi], policies[pi]
-		res, err := r.CoRun(wl, pol.Name)
+		res, err := r.CoRun(wl, pol)
 		if err != nil {
 			return err
 		}
 		o := WorkloadOutcome{
 			Workload:    wl,
-			Policy:      pol.Name,
+			Policy:      pol,
 			AggBusUtil:  res.DataBusUtil,
 			AggBankUtil: res.BankUtil,
 		}

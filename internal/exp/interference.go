@@ -67,13 +67,7 @@ func (r *Runner) saveInterference(key string, doc InterferenceDoc) error {
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	path := r.interferencePath(key)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return writeFileAtomic(r.interferencePath(key), append(b, '\n'))
 }
 
 // loadInterference recalls a persisted attribution snapshot, mirroring
@@ -98,10 +92,14 @@ func (r *Runner) loadInterference(key string) (InterferenceDoc, bool) {
 // reduces through.
 func (r *Runner) UnitInterference(u Unit) (int64, int64, bool) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	doc, ok := r.intfMemo[u.Key]
-	if !ok {
+	e := r.memo[u.Key]
+	r.mu.Unlock()
+	if e == nil {
 		return 0, 0, false
 	}
-	return doc.Interference.Cross, doc.Interference.Total, true
+	<-e.done
+	if e.intf == nil {
+		return 0, 0, false
+	}
+	return e.intf.Interference.Cross, e.intf.Interference.Total, true
 }

@@ -2,17 +2,32 @@ package exp
 
 import (
 	"errors"
-	"reflect"
+	"path/filepath"
 	"testing"
 )
 
 // TestQuick is the CI race-detector smoke test: it drives parallelDo
-// and the Runner's concurrent memoization (shared memo map, cycle
-// accounting, and the limit semaphore) with overlapping keys, which is
-// exactly the state `go test -race` needs to see under contention. It
-// is deliberately small enough to finish in seconds under -race.
+// and the Runner's concurrent memoization (shared memo map, in-flight
+// entries, cycle accounting) with overlapping keys, which is exactly
+// the state `go test -race` needs to see under contention. It is
+// deliberately small enough to finish in seconds under -race. The
+// audited input is CI's invariant-audit run of the experiment path; the
+// checkpointing input additionally has concurrent callers of one key
+// contend for that key's checkpoint and result files.
 func TestQuick(t *testing.T) {
-	r := NewRunner(Config{Warmup: 5_000, Window: 20_000, Parallel: 4})
+	for name, cfg := range map[string]Config{
+		"plain":      {},
+		"audit":      {Audit: true},
+		"checkpoint": {CheckpointDir: t.TempDir(), CheckpointEvery: 6_000},
+	} {
+		cfg := cfg
+		t.Run(name, func(t *testing.T) { testQuick(t, cfg) })
+	}
+}
+
+func testQuick(t *testing.T, cfg Config) {
+	cfg.Warmup, cfg.Window, cfg.Parallel = 5_000, 20_000, 4
+	r := NewRunner(cfg)
 	jobs := []func() error{
 		func() error { _, err := r.Solo("crafty", 1); return err },
 		func() error { _, err := r.Solo("crafty", 1); return err }, // memo collision
@@ -29,10 +44,15 @@ func TestQuick(t *testing.T) {
 	if len(keys) != 4 {
 		t.Errorf("memo keys = %v, want 4 distinct runs", keys)
 	}
-	// Duplicate keys may race past the memo double-check and simulate
-	// twice; the accounting must cover at least the distinct runs.
-	if got := r.SimulatedCycles(); got < 4*25_000 {
-		t.Errorf("SimulatedCycles = %d, want >= %d", got, 4*25_000)
+	// Each key simulates exactly once, however many callers collide.
+	if got := r.SimulatedCycles(); got != 4*25_000 {
+		t.Errorf("SimulatedCycles = %d, want %d", got, 4*25_000)
+	}
+	if cfg.CheckpointDir != "" {
+		left, err := filepath.Glob(filepath.Join(cfg.CheckpointDir, "*"))
+		if err != nil || len(left) != 4 {
+			t.Errorf("checkpoint dir holds %v (err %v), want the 4 result files only", left, err)
+		}
 	}
 
 	// Memoized recall returns identical results without re-simulating.
@@ -87,39 +107,5 @@ func TestParallelDoJoinsAllErrors(t *testing.T) {
 	}
 	if err := parallelDo(2, 4, func(int) error { return nil }); err != nil {
 		t.Errorf("all-success parallelDo = %v, want nil", err)
-	}
-}
-
-// TestWorkerBudget checks that the sweep-wide worker budget is divided
-// between run-level fan-out and intra-run parallelism — and that a
-// sweep run with intra-run workers reproduces a serial sweep exactly.
-func TestWorkerBudget(t *testing.T) {
-	for _, tc := range []struct {
-		workers, intra, want int
-	}{
-		{8, 4, 2},
-		{8, 0, 8},
-		{3, 8, 1},
-		{0, 4, 8}, // Workers unset: legacy Parallel default
-	} {
-		r := NewRunner(Config{Warmup: 1, Window: 1, Workers: tc.workers, IntraWorkers: tc.intra})
-		if r.runWorkers != tc.want {
-			t.Errorf("Workers=%d IntraWorkers=%d: runWorkers = %d, want %d",
-				tc.workers, tc.intra, r.runWorkers, tc.want)
-		}
-	}
-
-	serial := NewRunner(Config{Warmup: 5_000, Window: 20_000})
-	par := NewRunner(Config{Warmup: 5_000, Window: 20_000, Workers: 8, IntraWorkers: 4})
-	a, err := serial.CoRun([]string{"vpr", "art"}, "FQ-VFTF")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := par.CoRun([]string{"vpr", "art"}, "FQ-VFTF")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("intra-run parallel sweep diverges from serial:\n serial:   %+v\n parallel: %+v", a, b)
 	}
 }

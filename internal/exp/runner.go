@@ -12,12 +12,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/dram"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -31,27 +31,13 @@ type Config struct {
 	// Seed perturbs the trace generators.
 	Seed uint64
 
-	// Parallel bounds concurrent simulations (0 = GOMAXPROCS via
-	// unbounded goroutines; runs are independent and deterministic).
+	// Parallel is the sweep's width: the number of simulations in
+	// flight at once (0 = runtime.GOMAXPROCS(0); the runs are CPU-bound,
+	// independent and deterministic).
 	Parallel int
 
-	// Workers is the sweep's total worker-goroutine budget, shared
-	// between run-level fan-out and intra-run parallelism: with
-	// IntraWorkers > 1 the run-level concurrency becomes
-	// max(1, Workers/IntraWorkers) so the two dimensions multiply out
-	// to at most Workers busy goroutines instead of oversubscribing
-	// the machine. 0 leaves Parallel in charge.
-	Workers int
-
-	// IntraWorkers is passed to every simulation as sim.Config.Workers
-	// (sharded per-channel scheduling plus concurrent core stepping;
-	// results stay bit-identical to serial). 0 or 1 runs each
-	// simulation serially.
-	IntraWorkers int
-
 	// Audit runs every simulation under the runtime invariant auditor
-	// (see internal/audit); results are identical, violations panic. The
-	// FQMS_AUDIT environment variable also enables it globally.
+	// (see internal/audit); results are identical, violations panic.
 	Audit bool
 
 	// Interference runs every simulation with delay attribution on
@@ -128,18 +114,24 @@ type Runner struct {
 	cfg Config
 
 	mu        sync.Mutex
-	memo      map[string]sim.Result
-	intfMemo  map[string]InterferenceDoc
+	memo      map[string]*memoRun
 	simCycles int64
-	limit     chan struct{}
-	// runWorkers is the run-level concurrency implied by the worker
-	// budget; parallelDo spawns exactly this many worker goroutines.
-	runWorkers int
 
 	// stopAfterCheckpoints is a test hook: when > 0, the runner aborts
 	// with errStopped after writing that many checkpoint files,
 	// emulating a sweep killed mid-run.
 	stopAfterCheckpoints int
+}
+
+// memoRun is one key's run. The first caller of a key owns the entry,
+// simulates, and closes done; every other caller waits on done and
+// shares the outcome, so a key simulates (and writes its artifact
+// files) exactly once however many goroutines ask for it together.
+type memoRun struct {
+	done chan struct{}
+	res  sim.Result
+	intf *InterferenceDoc // nil unless the run attributed delays
+	err  error
 }
 
 // errStopped is returned when the stopAfterCheckpoints test hook fires.
@@ -156,86 +148,65 @@ func (r *Runner) SimulatedCycles() int64 {
 
 // NewRunner returns a Runner over the given configuration.
 func NewRunner(cfg Config) *Runner {
-	if cfg.Warmup <= 0 || cfg.Window <= 0 {
-		def := DefaultConfig()
-		if cfg.Warmup <= 0 {
-			cfg.Warmup = def.Warmup
-		}
-		if cfg.Window <= 0 {
-			cfg.Window = def.Window
-		}
+	def := DefaultConfig()
+	if cfg.Warmup <= 0 {
+		cfg.Warmup = def.Warmup
 	}
-	n := cfg.Parallel
-	if n <= 0 {
-		n = 8
+	if cfg.Window <= 0 {
+		cfg.Window = def.Window
 	}
-	if cfg.Workers > 0 {
-		// Divide the budget between run-level and intra-run fan-out.
-		intra := cfg.IntraWorkers
-		if intra < 1 {
-			intra = 1
-		}
-		n = cfg.Workers / intra
-		if n < 1 {
-			n = 1
-		}
+	if cfg.Parallel <= 0 {
+		cfg.Parallel = runtime.GOMAXPROCS(0)
 	}
-	return &Runner{
-		cfg:        cfg,
-		memo:       make(map[string]sim.Result),
-		intfMemo:   make(map[string]InterferenceDoc),
-		limit:      make(chan struct{}, n),
-		runWorkers: n,
-	}
+	return &Runner{cfg: cfg, memo: make(map[string]*memoRun)}
 }
 
 // policies are the schedulers the evaluation compares.
-var policies = []struct {
-	Name    string
-	Factory sim.PolicyFactory
-}{
-	{"FR-FCFS", sim.FRFCFS},
-	{"FR-VFTF", sim.FRVFTF},
-	{"FQ-VFTF", sim.FQVFTF},
-}
+var policies = []string{"FR-FCFS", "FR-VFTF", "FQ-VFTF"}
 
 // PolicyNames returns the evaluation's scheduler names in order.
-func PolicyNames() []string { return []string{"FR-FCFS", "FR-VFTF", "FQ-VFTF"} }
+func PolicyNames() []string { return append([]string(nil), policies...) }
 
 // run executes (or recalls) one simulation.
 func (r *Runner) run(key string, cfg sim.Config) (sim.Result, error) {
 	r.mu.Lock()
-	if res, ok := r.memo[key]; ok {
-		r.mu.Unlock()
-		return res, nil
+	e, recalled := r.memo[key]
+	if !recalled {
+		e = &memoRun{done: make(chan struct{})}
+		r.memo[key] = e
 	}
 	r.mu.Unlock()
-
-	r.limit <- struct{}{}
-	defer func() { <-r.limit }()
-
-	// Re-check after acquiring the slot (another goroutine may have
-	// computed it meanwhile).
-	r.mu.Lock()
-	if res, ok := r.memo[key]; ok {
-		r.mu.Unlock()
-		return res, nil
+	if recalled {
+		<-e.done
+		return e.res, e.err
 	}
-	r.mu.Unlock()
+	e.res, e.intf, e.err = r.simulate(key, cfg)
+	if e.err != nil {
+		// Failures are not memoized: the callers already waiting see
+		// this error, a later call retries.
+		e.err = fmt.Errorf("exp: run %s: %w", key, e.err)
+		r.mu.Lock()
+		delete(r.memo, key)
+		r.mu.Unlock()
+	}
+	close(e.done)
+	return e.res, e.err
+}
 
-	// A previous sweep may have finished this run already. With
-	// attribution on the recall also needs the interference artifact;
-	// a run whose result survived but whose matrix did not re-simulates.
+// simulate produces one key's outcome: recalled from a previous
+// sweep's artifacts when resuming, otherwise simulated (from the key's
+// checkpoint if one survives) with every configured artifact written.
+func (r *Runner) simulate(key string, cfg sim.Config) (sim.Result, *InterferenceDoc, error) {
+	// With attribution on the recall also needs the interference
+	// artifact; a run whose result survived but whose matrix did not
+	// re-simulates.
 	if res, ok := r.loadResult(key); ok {
 		doc, docOK := r.loadInterference(key)
-		if !r.cfg.Interference || docOK {
-			r.mu.Lock()
-			r.memo[key] = res
-			if docOK {
-				r.intfMemo[key] = doc
-			}
-			r.mu.Unlock()
-			return res, nil
+		if docOK {
+			return res, &doc, nil
+		}
+		if !r.cfg.Interference {
+			return res, nil, nil
 		}
 	}
 
@@ -243,104 +214,82 @@ func (r *Runner) run(key string, cfg sim.Config) (sim.Result, error) {
 	cfg.Audit = cfg.Audit || r.cfg.Audit
 	cfg.Interference = cfg.Interference || r.cfg.Interference
 	cfg.SampleInterval = r.cfg.SampleInterval
-	cfg.Workers = r.cfg.IntraWorkers
-	sys, res, stepped, err := r.runSim(key, cfg)
+	sys, stepped, err := r.runSim(key, cfg)
 	if err != nil {
-		return sim.Result{}, fmt.Errorf("exp: run %s: %w", key, err)
+		return sim.Result{}, nil, err
 	}
 	defer sys.Close()
+	res := sys.Results()
 	if r.cfg.SampleInterval > 0 && r.cfg.SeriesDir != "" {
 		if err := writeSeries(r.cfg.SeriesDir, key, sys); err != nil {
-			return sim.Result{}, fmt.Errorf("exp: series %s: %w", key, err)
+			return sim.Result{}, nil, fmt.Errorf("series: %w", err)
 		}
 	}
-	var doc InterferenceDoc
-	var hasDoc bool
+	var doc *InterferenceDoc
 	if snap, ok := sys.Interference(); ok {
-		doc = InterferenceDoc{Key: key, Policy: sys.Controller().Policy().Name(), Interference: snap}
-		hasDoc = true
-		if err := r.saveInterference(key, doc); err != nil {
-			return sim.Result{}, fmt.Errorf("exp: interference %s: %w", key, err)
+		doc = &InterferenceDoc{Key: key, Policy: res.PolicyName, Interference: snap}
+		if err := r.saveInterference(key, *doc); err != nil {
+			return sim.Result{}, nil, fmt.Errorf("interference: %w", err)
 		}
 	}
 	if err := r.saveResult(key, res); err != nil {
-		return sim.Result{}, fmt.Errorf("exp: persist %s: %w", key, err)
+		return sim.Result{}, nil, fmt.Errorf("persist: %w", err)
 	}
 	if r.cfg.Progress != nil {
 		r.cfg.Progress.AddCycles(stepped)
 	}
 	r.mu.Lock()
-	r.memo[key] = res
-	if hasDoc {
-		r.intfMemo[key] = doc
-	}
 	r.simCycles += stepped
 	r.mu.Unlock()
-	return res, nil
+	return res, doc, nil
 }
 
-// runSim executes one simulation to completion. With CheckpointDir set
-// it steps in CheckpointEvery chunks, checkpointing after each; with
-// Resume it first tries to restore from an existing checkpoint. It
+// runSim builds one simulation (restored from the key's checkpoint when
+// resuming and one exists) and drives it to completion, with
+// CheckpointDir set checkpointing every CheckpointEvery cycles. It
 // returns the cycles actually simulated in this process (less than
 // warmup+window for a resumed run).
-func (r *Runner) runSim(key string, cfg sim.Config) (*sim.System, sim.Result, int64, error) {
-	if r.cfg.CheckpointDir == "" {
-		sys, res, err := sim.RunSystem(cfg, r.cfg.Warmup, r.cfg.Window)
-		return sys, res, r.cfg.Warmup + r.cfg.Window, err
-	}
-	every := r.cfg.CheckpointEvery
-	if every <= 0 {
-		every = DefaultCheckpointEvery
-	}
-	if err := os.MkdirAll(r.cfg.CheckpointDir, 0o755); err != nil {
-		return nil, sim.Result{}, 0, err
-	}
-	ckpt := r.checkpointPath(key)
-	var sys *sim.System
-	if r.cfg.Resume {
-		if _, err := os.Stat(ckpt); err == nil {
-			restored, err := sim.RestoreFile(cfg, ckpt)
-			if err != nil {
-				return nil, sim.Result{}, 0, fmt.Errorf("restore %s: %w", ckpt, err)
+func (r *Runner) runSim(key string, cfg sim.Config) (*sim.System, int64, error) {
+	var (
+		sys     *sim.System
+		every   int64
+		atChunk func() (int64, error)
+	)
+	if r.cfg.CheckpointDir != "" {
+		if every = r.cfg.CheckpointEvery; every <= 0 {
+			every = DefaultCheckpointEvery
+		}
+		if err := os.MkdirAll(r.cfg.CheckpointDir, 0o755); err != nil {
+			return nil, 0, err
+		}
+		ckpt := r.checkpointPath(key)
+		if _, err := os.Stat(ckpt); r.cfg.Resume && err == nil {
+			if sys, err = sim.RestoreFile(cfg, ckpt); err != nil {
+				return nil, 0, fmt.Errorf("restore %s: %w", ckpt, err)
 			}
-			sys = restored
+		}
+		atChunk = func() (int64, error) {
+			if err := r.writeCheckpoint(key, ckpt, sys); err != nil {
+				return 0, fmt.Errorf("checkpoint %s: %w", ckpt, err)
+			}
+			if r.noteCheckpoint() {
+				return 0, errStopped
+			}
+			return every, nil
 		}
 	}
 	if sys == nil {
-		fresh, err := sim.New(cfg)
-		if err != nil {
-			return nil, sim.Result{}, 0, err
-		}
-		sys = fresh
-	}
-	start := sys.Cycle()
-	total := r.cfg.Warmup + r.cfg.Window
-	for sys.Cycle() < total {
-		next := sys.Cycle() + every
-		// Stop at the measurement boundary so BeginMeasurement lands on
-		// exactly the same cycle as an uninterrupted run.
-		if !sys.MeasurementStarted() && next > r.cfg.Warmup {
-			next = r.cfg.Warmup
-		}
-		if next > total {
-			next = total
-		}
-		sys.Step(next - sys.Cycle())
-		if !sys.MeasurementStarted() && sys.Cycle() >= r.cfg.Warmup {
-			sys.BeginMeasurement()
-		}
-		if sys.Cycle() < total {
-			if err := r.writeCheckpoint(key, ckpt, sys); err != nil {
-				return nil, sim.Result{}, 0, fmt.Errorf("checkpoint %s: %w", ckpt, err)
-			}
-			if stop := r.noteCheckpoint(); stop {
-				return nil, sim.Result{}, 0, errStopped
-			}
+		var err error
+		if sys, err = sim.New(cfg); err != nil {
+			return nil, 0, err
 		}
 	}
-	sys.FinishAudit()
-	return sys, sys.Results(), total - start, nil
+	start, total := sys.Cycle(), r.cfg.Warmup+r.cfg.Window
+	if err := sys.RunTo(r.cfg.Warmup, total, every, atChunk); err != nil {
+		sys.Close()
+		return nil, 0, err
+	}
+	return sys, total - start, nil
 }
 
 // writeCheckpoint persists one checkpoint. Without a sink it defers to
@@ -355,14 +304,22 @@ func (r *Runner) writeCheckpoint(key, path string, sys *sim.System) error {
 	if err := sys.Checkpoint(&buf); err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := writeFileAtomic(path, buf.Bytes()); err != nil {
 		return err
 	}
 	return r.cfg.CheckpointSink(key, sys.Cycle(), buf.Bytes())
+}
+
+// writeFileAtomic lands b at path by temp file + rename, so a sweep
+// killed mid-write never leaves a truncated artifact where a resumed
+// one expects a whole one. Each key is written by the one caller that
+// simulates it, so the temp name needs no uniquifier.
+func writeFileAtomic(path string, b []byte) error {
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
 }
 
 // noteCheckpoint implements the stopAfterCheckpoints test hook.
@@ -416,12 +373,7 @@ func (r *Runner) saveResult(key string, res sim.Result) error {
 	if err != nil {
 		return err
 	}
-	path := r.resultPath(key)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := writeFileAtomic(r.resultPath(key), b); err != nil {
 		return err
 	}
 	os.Remove(r.checkpointPath(key))
@@ -433,14 +385,9 @@ func (r *Runner) saveResult(key string, res sim.Result) error {
 // system (Figure 4); scale=N is the paper's private virtual-time
 // baseline for an N-processor CMP.
 func (r *Runner) Solo(bench string, scale int) (sim.ThreadResult, error) {
-	p, err := trace.ByName(bench)
+	cfg, err := sim.NamedConfig([]string{bench}, "", nil, 0, scale)
 	if err != nil {
 		return sim.ThreadResult{}, err
-	}
-	cfg := sim.Config{Workload: []trace.Profile{p}}
-	if scale != 1 {
-		cfg.Mem.DRAM = dram.DefaultConfig()
-		cfg.Mem.DRAM.Timing = dram.DDR2800().Scale(scale)
 	}
 	res, err := r.run(fmt.Sprintf("solo/%s/x%d", bench, scale), cfg)
 	if err != nil {
@@ -452,36 +399,26 @@ func (r *Runner) Solo(bench string, scale int) (sim.ThreadResult, error) {
 // CoRun runs the benchmarks together under the named policy on the
 // physical memory system with equal shares.
 func (r *Runner) CoRun(benches []string, policy string) (sim.Result, error) {
-	factory, err := sim.PolicyByName(policy)
+	cfg, err := sim.NamedConfig(benches, policy, nil, 0, 0)
 	if err != nil {
 		return sim.Result{}, err
 	}
-	ps := make([]trace.Profile, len(benches))
-	for i, b := range benches {
-		p, err := trace.ByName(b)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		ps[i] = p
-	}
-	key := fmt.Sprintf("co/%s/%s", strings.Join(benches, "+"), policy)
-	return r.run(key, sim.Config{Workload: ps, Policy: factory})
+	return r.run(fmt.Sprintf("co/%s/%s", strings.Join(benches, "+"), policy), cfg)
 }
 
-// parallelDo runs fn(i) for i in [0, n) on the runner's run-level
-// worker budget. All failures are reported, joined with errors.Join —
-// returning only the first would hide independent failures from the
-// other workers (distinct workloads can fail for distinct reasons, and
-// the caller sees them all at once).
+// parallelDo runs fn(i) for i in [0, n) at the runner's width. All
+// failures are reported, joined with errors.Join — returning only the
+// first would hide independent failures from the other workers
+// (distinct workloads can fail for distinct reasons, and the caller
+// sees them all at once).
 func (r *Runner) parallelDo(n int, fn func(i int) error) error {
-	return parallelDo(r.runWorkers, n, fn)
+	return parallelDo(r.cfg.Parallel, n, fn)
 }
 
 // parallelDo runs fn(i) for i in [0, n) on min(width, n) worker
-// goroutines pulling indices from a shared counter, so the goroutine
-// count — not just the in-flight simulation count — respects the
-// worker budget even when each fn fans out intra-run workers of its
-// own.
+// goroutines pulling indices from a shared counter. The goroutine
+// count is the only bound on simulations in flight: a worker either
+// simulates or waits for another worker's run of the same key.
 func parallelDo(width, n int, fn func(i int) error) error {
 	if width <= 0 || width > n {
 		width = n

@@ -26,10 +26,11 @@ import (
 //     different schedulers (e.g. an arena sweep) concatenate into one
 //     plottable file.
 
-// seriesDoc is the schema of a <key>.series.json artifact.
+// seriesDoc is the schema of a <key>.series.json artifact and of
+// fqsim's -series-out file (which names no key or policy).
 type seriesDoc struct {
-	Key      string           `json:"key"`
-	Policy   string           `json:"policy"`
+	Key      string           `json:"key,omitempty"`
+	Policy   string           `json:"policy,omitempty"`
 	Interval int64            `json:"interval"`
 	Epochs   int64            `json:"epochs"`
 	Samples  []metrics.Sample `json:"samples"`
@@ -57,21 +58,24 @@ func sanitizeKey(key string) string {
 	return string(out)
 }
 
-// writeSeries exports one finished run's time series into dir.
-func writeSeries(dir, key string, s *sim.System) error {
-	stem := filepath.Join(dir, sanitizeKey(key))
-
+// WriteSeriesJSON writes a sampled run's epoch time series — the
+// per-interval metric deltas plus the fairness series and its summary —
+// to path as one self-describing JSON document. key names the run
+// within a sweep; a standalone run passes "".
+func WriteSeriesJSON(path, key string, s *sim.System) error {
 	doc := seriesDoc{
 		Key:      key,
-		Policy:   s.Controller().Policy().Name(),
 		Interval: s.Sampler().Interval(),
 		Epochs:   s.Sampler().Epochs(),
 		Samples:  s.Sampler().Samples(-1),
 	}
+	if key != "" {
+		doc.Policy = s.Controller().Policy().Name()
+	}
 	doc.Fairness.Summary = s.Fairness().Summary()
 	doc.Fairness.Samples = s.Fairness().Samples(-1)
 
-	jf, err := os.Create(stem + ".series.json")
+	jf, err := os.Create(path)
 	if err != nil {
 		return err
 	}
@@ -81,19 +85,27 @@ func writeSeries(dir, key string, s *sim.System) error {
 		jf.Close()
 		return err
 	}
-	if err := jf.Close(); err != nil {
+	return jf.Close()
+}
+
+// writeSeries exports one finished run's time series into dir.
+func writeSeries(dir, key string, s *sim.System) error {
+	stem := filepath.Join(dir, sanitizeKey(key))
+	if err := WriteSeriesJSON(stem+".series.json", key, s); err != nil {
 		return err
 	}
+	policy := s.Controller().Policy().Name()
+	samples := s.Fairness().Samples(-1)
 
 	cf, err := os.Create(stem + ".fairness.csv")
 	if err != nil {
 		return err
 	}
-	rows := make([][]string, 0, len(doc.Fairness.Samples)*doc.Fairness.Summary.Threads)
-	for _, fs := range doc.Fairness.Samples {
+	var rows [][]string
+	for _, fs := range samples {
 		for t := range fs.Service {
 			rows = append(rows, []string{
-				doc.Policy,
+				policy,
 				strconv.FormatInt(fs.Epoch, 10), strconv.FormatInt(fs.Cycle, 10),
 				strconv.Itoa(t), strconv.FormatInt(fs.Service[t], 10),
 				f(fs.Share[t]), f(fs.Phi[t]), f(fs.Excess[t]),

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // ShareSweepRow is one allocation point of the share sweep.
@@ -38,25 +37,20 @@ func (r *Runner) ShareSweep(bench string) (ShareSweepResult, error) {
 	if bench == "" {
 		bench = "art"
 	}
-	p, err := trace.ByName(bench)
-	if err != nil {
-		return ShareSweepResult{}, err
-	}
 	out := ShareSweepResult{Benchmark: bench}
 	splits := []core.Share{
 		{Num: 1, Den: 8}, {Num: 1, Den: 4}, {Num: 3, Den: 8}, {Num: 1, Den: 2},
 		{Num: 5, Den: 8}, {Num: 3, Den: 4}, {Num: 7, Den: 8},
 	}
 	rows := make([]ShareSweepRow, len(splits))
-	err = r.parallelDo(len(splits), func(i int) error {
+	err := r.parallelDo(len(splits), func(i int) error {
 		s0 := splits[i]
 		s1 := core.Share{Num: s0.Den - s0.Num, Den: s0.Den}
-		key := fmt.Sprintf("sweep/%s/%v", bench, s0)
-		res, err := r.run(key, sim.Config{
-			Workload: []trace.Profile{p, p},
-			Shares:   []core.Share{s0, s1},
-			Policy:   sim.FQVFTF,
-		})
+		cfg, err := sim.NamedConfig([]string{bench, bench}, "FQ-VFTF", []core.Share{s0, s1}, 0, 0)
+		if err != nil {
+			return err
+		}
+		res, err := r.run(fmt.Sprintf("sweep/%s/%v", bench, s0), cfg)
 		if err != nil {
 			return err
 		}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/dram"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -111,9 +110,6 @@ func ArenaUnits(spec ArenaSpec) []Unit {
 // mapping is pure: equal Units yield equal configs in every process,
 // which is what makes sharded execution deterministic.
 func (u Unit) SimConfig() (sim.Config, error) {
-	if len(u.Benches) == 0 {
-		return sim.Config{}, fmt.Errorf("exp: unit %q has no benchmarks", u.Key)
-	}
 	if u.Solo() {
 		if len(u.Benches) != 1 {
 			return sim.Config{}, fmt.Errorf("exp: solo unit %q has %d benchmarks", u.Key, len(u.Benches))
@@ -121,31 +117,8 @@ func (u Unit) SimConfig() (sim.Config, error) {
 		if u.Scale < 1 {
 			return sim.Config{}, fmt.Errorf("exp: solo unit %q has scale %d", u.Key, u.Scale)
 		}
-		p, err := trace.ByName(u.Benches[0])
-		if err != nil {
-			return sim.Config{}, err
-		}
-		cfg := sim.Config{Workload: []trace.Profile{p}}
-		cfg.Mem.Channels = u.Channels
-		cfg.Mem.DRAM = dram.DefaultConfig()
-		cfg.Mem.DRAM.Timing = dram.DDR2800().Scale(u.Scale)
-		return cfg, nil
 	}
-	factory, err := sim.PolicyByName(u.Policy)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	ps := make([]trace.Profile, len(u.Benches))
-	for i, b := range u.Benches {
-		p, err := trace.ByName(b)
-		if err != nil {
-			return sim.Config{}, err
-		}
-		ps[i] = p
-	}
-	cfg := sim.Config{Workload: ps, Policy: factory, Shares: arenaShares(u.Share0, len(u.Benches))}
-	cfg.Mem.Channels = u.Channels
-	return cfg, nil
+	return sim.NamedConfig(u.Benches, u.Policy, arenaShares(u.Share0, len(u.Benches)), u.Channels, u.Scale)
 }
 
 // RunUnit executes (or recalls) one unit under the runner's

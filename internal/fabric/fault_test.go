@@ -47,7 +47,7 @@ func TestFaultInjectionKillWorker(t *testing.T) {
 	}
 
 	job := quickJob()
-	job.Window = 70_000        // 7 checkpoint epochs per chunk
+	job.Window = 70_000 // 7 checkpoint epochs per chunk
 	job.CheckpointEvery = 10_000
 	want := serialArtifacts(t, job)
 

@@ -49,10 +49,10 @@ func FuzzFabricRequest(f *testing.F) {
 	f.Add(byte(0), []byte(`{"worker":"w-fuzz"}`))
 	f.Add(byte(0), []byte(``))
 	f.Add(byte(1), []byte(`{"lease":"l2","cycle":20000,"checkpoint":"YWJj"}`)) // valid renewal
-	f.Add(byte(1), []byte(`{"lease":"l1","cycle":20000}`))                    // late heartbeat, dead lease
+	f.Add(byte(1), []byte(`{"lease":"l1","cycle":20000}`))                     // late heartbeat, dead lease
 	f.Add(byte(1), []byte(`{"lease":"l2","cycle":-7}`))
-	f.Add(byte(1), []byte(`{"lease":"l2","cycle":"many"}`)) // wrong-typed field
-	f.Add(byte(1), bytes.Repeat([]byte("A"), 1<<20))        // oversized garbage
+	f.Add(byte(1), []byte(`{"lease":"l2","cycle":"many"}`))  // wrong-typed field
+	f.Add(byte(1), bytes.Repeat([]byte("A"), 1<<20))         // oversized garbage
 	f.Add(byte(2), []byte(`{"lease":"l1","result":"e30="}`)) // replayed duplicate completion
 	f.Add(byte(2), []byte(`{"lease":"l2","result":"e30="}`)) // legitimate completion
 	f.Add(byte(2), []byte(`{"lease":"l2","result":"!!!"}`))  // result not base64

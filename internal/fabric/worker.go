@@ -114,7 +114,6 @@ func (w *Worker) runChunk(ctx context.Context, job JobSpec, lease leaseResponse)
 	}
 	cfg := job.ExpConfig(dir)
 	cfg.Resume = true
-	cfg.Parallel = 1
 	cfg.CheckpointSink = func(key string, cycle int64, data []byte) error {
 		if err := ctx.Err(); err != nil {
 			return err

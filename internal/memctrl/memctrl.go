@@ -125,6 +125,11 @@ func DefaultConfig(threads int) Config {
 	}
 }
 
+// MaxChannels is the largest supported channel count. Every channel is
+// a full DRAM model plus per-bank scheduler state, so the count is
+// refused above the largest geometry the roadmap considers.
+const MaxChannels = 16
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if err := c.DRAM.Validate(); err != nil {
@@ -133,6 +138,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.Channels < 0 || c.Channels&(c.Channels-1) != 0 && c.Channels != 0:
 		return fmt.Errorf("memctrl: channels must be a power of two, got %d", c.Channels)
+	case c.Channels > MaxChannels:
+		return fmt.Errorf("memctrl: %d channels, more than the supported maximum of %d", c.Channels, MaxChannels)
 	case c.Threads < 1:
 		return fmt.Errorf("memctrl: threads must be >= 1, got %d", c.Threads)
 	case c.ReadEntriesPerThread < 1:

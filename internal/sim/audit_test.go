@@ -15,29 +15,6 @@ import (
 // panics; the assertions below additionally prove the auditor actually
 // engaged and that FQ-VFTF's measured priority-inversion window stayed
 // under the Section 3.3 bound.
-// TestAuditEnvVar proves the FQMS_AUDIT environment variable — the
-// hook CI's audited job relies on — actually attaches the auditor.
-func TestAuditEnvVar(t *testing.T) {
-	art, err := trace.ByName("art")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Setenv("FQMS_AUDIT", "1")
-	s, err := New(Config{Workload: []trace.Profile{art}, Policy: FRFCFS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Step(2_000)
-	s.FinishAudit()
-	aud := s.Controller().Auditor()
-	if aud == nil {
-		t.Fatal("FQMS_AUDIT did not attach an auditor")
-	}
-	if aud.Commands() == 0 {
-		t.Fatal("auditor validated no commands")
-	}
-}
-
 func TestAuditAllPolicies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("audit sweep is slow")

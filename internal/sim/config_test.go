@@ -1,0 +1,129 @@
+package sim
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+)
+
+// namedConfigRows is the builder's input boundary as one table: every
+// hostile description must come back as an error — never a panic, a
+// hang or a Config — and the legal edges next to each must pass. The
+// same rows seed FuzzNamedConfig.
+var namedConfigRows = []struct {
+	name     string
+	benches  string // comma-separated
+	policy   string
+	shares   []core.Share
+	channels int
+	scale    int
+	wantErr  string // substring; "" = must succeed
+}{
+	{"paper pair", "vpr,art", "FQ-VFTF", nil, 0, 0, ""},
+	{"default policy", "vpr", "", nil, 1, 1, ""},
+	{"thirds fill the system exactly", "art,art,art", "FQ-VFTF", []core.Share{{Num: 1, Den: 3}, {Num: 1, Den: 3}, {Num: 1, Den: 3}}, 0, 0, ""},
+	{"largest geometry", "vpr,bankhammer", "BLISS", nil, 16, 0, ""},
+	{"slowest private baseline", "vpr", "", nil, 0, 549, ""},
+
+	{"no cores", "", "FQ-VFTF", nil, 0, 0, "unknown benchmark"},
+	{"unknown benchmark", "vpr,nosuch", "FQ-VFTF", nil, 0, 0, "nosuch"},
+	{"unknown policy", "vpr", "nosuch", nil, 0, 0, "FR-VSTF"}, // lists what exists
+	{"share count", "vpr,art", "FQ-VFTF", []core.Share{{Num: 1, Den: 2}}, 0, 0, "1 shares for 2 cores"},
+	{"improper share", "vpr", "FQ-VFTF", []core.Share{{Num: 3, Den: 2}}, 0, 0, "invalid share"},
+	{"zero denominator", "vpr", "FQ-VFTF", []core.Share{{Num: 1, Den: 0}}, 0, 0, "invalid share"},
+	{"overcommitted shares", "vpr,art", "FQ-VFTF", []core.Share{{Num: 3, Den: 4}, {Num: 3, Den: 4}}, 0, 0, "more than the whole"},
+	{"barely overcommitted", "vpr,art", "FQ-VFTF", []core.Share{{Num: 1, Den: 2}, {Num: 1_000_001, Den: 2_000_000}}, 0, 0, "more than the whole"},
+	{"no common denominator", "vpr,art", "FQ-VFTF", []core.Share{{Num: 1, Den: 1<<62 + 1}, {Num: 1, Den: 1<<62 - 1}}, 0, 0, "common denominator"},
+	{"negative channels", "vpr,art", "FQ-VFTF", nil, -2, 0, "power of two"},
+	{"three channels", "vpr,art", "FQ-VFTF", nil, 3, 0, "power of two"},
+	{"a million channels", "vpr,art", "FQ-VFTF", nil, 1 << 20, 0, "maximum of 16"},
+	{"negative scale", "vpr", "", nil, 0, -3, "outside [0, 549]"},
+	{"refresh never ends", "vpr", "", nil, 0, 550, "outside [0, 549]"},
+	{"overflowing scale", "vpr", "", nil, 0, 1 << 40, "outside [0, 549]"},
+}
+
+func TestNamedConfig(t *testing.T) {
+	for _, row := range namedConfigRows {
+		row := row
+		t.Run(row.name, func(t *testing.T) {
+			cfg, err := NamedConfig(strings.Split(row.benches, ","), row.policy, row.shares, row.channels, row.scale)
+			if row.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), row.wantErr) {
+					t.Fatalf("error = %v, want one mentioning %q", err, row.wantErr)
+				}
+				if cfg.Workload != nil {
+					t.Errorf("a refused description still returned a Config: %+v", cfg)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New refused what NamedConfig accepted: %v", err)
+			}
+			s.Close()
+		})
+	}
+
+	// Construction is where overcommitment is refused; a live system's
+	// share reassignments are one thread at a time and may pass through
+	// an overcommitted state on the way to a legal one.
+	cfg, err := NamedConfig([]string{"art", "art"}, "FQ-VFTF", nil, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if !s.SetShare(0, core.Share{Num: 3, Den: 4}) || !s.SetShare(1, core.Share{Num: 1, Den: 4}) {
+		t.Fatal("FQ-VFTF refused a share reassignment")
+	}
+	s.Step(2_000)
+}
+
+// FuzzNamedConfig holds the builder to its contract on arbitrary
+// descriptions: it returns an error or a Config that New accepts and
+// that steps — it never panics, and never spends memory on a
+// description it is about to refuse.
+func FuzzNamedConfig(f *testing.F) {
+	for _, row := range namedConfigRows {
+		var n0, d0, n1, d1 int
+		if len(row.shares) > 0 {
+			n0, d0 = row.shares[0].Num, row.shares[0].Den
+		}
+		if len(row.shares) > 1 {
+			n1, d1 = row.shares[1].Num, row.shares[1].Den
+		}
+		f.Add(row.benches, row.policy, n0, d0, n1, d1, row.channels, row.scale)
+	}
+	f.Fuzz(func(t *testing.T, benches, policy string, n0, d0, n1, d1, channels, scale int) {
+		names := strings.Split(benches, ",")
+		var shares []core.Share
+		if n0 != 0 || d0 != 0 {
+			shares = append(shares, core.Share{Num: n0, Den: d0})
+		}
+		if n1 != 0 || d1 != 0 {
+			shares = append(shares, core.Share{Num: n1, Den: d1})
+		}
+		// Pad to the core count so the fuzzer spends its time past the
+		// count check.
+		for len(shares) > 0 && len(shares) < len(names) && len(names) <= 8 {
+			shares = append(shares, core.Share{Num: 1, Den: 64})
+		}
+		cfg, err := NamedConfig(names, policy, shares, channels, scale)
+		if err != nil {
+			return
+		}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New refused what NamedConfig accepted: %v", err)
+		}
+		defer s.Close()
+		s.Step(300)
+	})
+}

@@ -8,8 +8,8 @@ package sim
 
 import (
 	"fmt"
-	"os"
-	"strconv"
+	"math/bits"
+	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -54,27 +54,84 @@ var (
 	}
 )
 
+// policies is the one list of schedulers: each entry's first name is
+// canonical (what Policy.Name reports), the rest are accepted aliases.
+var policies = []struct {
+	names   []string
+	factory PolicyFactory
+}{
+	{[]string{"FCFS", "fcfs"}, FCFS},
+	{[]string{"FR-FCFS", "frfcfs"}, FRFCFS},
+	{[]string{"FR-VFTF", "frvftf"}, FRVFTF},
+	{[]string{"FQ-VFTF", "fqvftf", "FQ"}, FQVFTF},
+	{[]string{"FR-VSTF", "frvstf"}, FRVSTF},
+	{[]string{"BLISS", "bliss"}, BLISS},
+	{[]string{"SLOW-FAIR", "slowfair"}, SLOWFAIR},
+	{[]string{"BANK-BW", "bankbw"}, BANKBW},
+}
+
+// PolicyNames returns the canonical name of every scheduler
+// PolicyByName resolves.
+func PolicyNames() []string {
+	out := make([]string, len(policies))
+	for i, p := range policies {
+		out[i] = p.names[0]
+	}
+	return out
+}
+
 // PolicyByName resolves a policy name to its factory.
 func PolicyByName(name string) (PolicyFactory, error) {
-	switch name {
-	case "FCFS", "fcfs":
-		return FCFS, nil
-	case "FR-FCFS", "frfcfs":
-		return FRFCFS, nil
-	case "FR-VFTF", "frvftf":
-		return FRVFTF, nil
-	case "FQ-VFTF", "fqvftf", "FQ":
-		return FQVFTF, nil
-	case "FR-VSTF", "frvstf":
-		return FRVSTF, nil
-	case "BLISS", "bliss":
-		return BLISS, nil
-	case "SLOW-FAIR", "slowfair":
-		return SLOWFAIR, nil
-	case "BANK-BW", "bankbw":
-		return BANKBW, nil
+	for _, p := range policies {
+		for _, n := range p.names {
+			if n == name {
+				return p.factory, nil
+			}
+		}
 	}
-	return nil, fmt.Errorf("sim: unknown policy %q", name)
+	return nil, fmt.Errorf("sim: unknown policy %q (have %s)", name, strings.Join(PolicyNames(), ", "))
+}
+
+// NamedConfig is the one place a run described by names becomes a
+// Config: one benchmark name per core, a scheduler name ("" = FR-FCFS),
+// per-thread shares (nil = the equal split), the channel count (0 = one)
+// and the uniform memory-timing scale of the paper's private baselines
+// (0 or 1 = the physical system). The result has passed every check New
+// applies, so a hostile description is an error here and never a
+// simulation; callers then set the run's remaining switches (Seed,
+// Audit, Interference, ...) as plain fields.
+func NamedConfig(benches []string, policy string, shares []core.Share, channels, memScale int) (Config, error) {
+	cfg := Config{Shares: shares, Workload: make([]trace.Profile, len(benches))}
+	for i, b := range benches {
+		p, err := trace.ByName(b)
+		if err != nil {
+			return Config{}, err
+		}
+		cfg.Workload[i] = p
+	}
+	if policy != "" {
+		f, err := PolicyByName(policy)
+		if err != nil {
+			return Config{}, err
+		}
+		cfg.Policy = f
+	}
+	cfg.Mem.Channels = channels
+	// A scaled refresh that no longer fits its (wall-clock) interval
+	// leaves no cycle for requests; the quotient also bounds every
+	// scaled field far below integer overflow.
+	t := dram.DDR2800()
+	if maxScale := (t.TREF - 1) / t.TRFC; memScale < 0 || memScale > maxScale {
+		return Config{}, fmt.Errorf("sim: memory scale %d outside [0, %d]", memScale, maxScale)
+	}
+	if memScale > 1 {
+		cfg.Mem.DRAM = dram.DefaultConfig()
+		cfg.Mem.DRAM.Timing = t.Scale(memScale)
+	}
+	if _, err := cfg.withDefaults(); err != nil {
+		return Config{}, err
+	}
+	return cfg, nil
 }
 
 // Config describes one simulated system.
@@ -110,8 +167,7 @@ type Config struct {
 	// Strict disables the event-driven fast path and runs the seed's
 	// exhaustive cycle-by-cycle loop. Simulated results are identical
 	// either way (the equivalence tests assert it); strict mode exists
-	// as a cross-check oracle and a debugging aid. The FQMS_STRICT
-	// environment variable (any non-empty value) forces it globally.
+	// as a cross-check oracle and a debugging aid.
 	Strict bool
 
 	// Audit attaches the runtime invariant auditor (package audit) to the
@@ -119,8 +175,7 @@ type Config struct {
 	// is re-validated against independently recomputed timing,
 	// conservation, VTMS, and FQ bank-scheduling invariants, and any
 	// violation panics with the recent command history. Results are
-	// identical with or without. The FQMS_AUDIT environment variable (any
-	// non-empty value) forces it globally.
+	// identical with or without.
 	Audit bool
 
 	// Interference enables the controller's per-request delay
@@ -130,8 +185,7 @@ type Config struct {
 	// the /interference telemetry endpoint, and the per-run
 	// .interference.json artifact). Observation-only: results, series,
 	// and checkpoint-restored continuations are bit-identical with or
-	// without. The FQMS_INTERFERENCE environment variable (any
-	// non-empty value) forces it globally.
+	// without.
 	Interference bool
 
 	// Metrics, when non-nil, registers the whole stack's observability
@@ -170,9 +224,7 @@ type Config struct {
 	// telemetry series, and checkpoint bytes are bit-identical to serial
 	// mode (the equivalence suite asserts it). 0 and 1 mean serial.
 	// Strict mode always runs serially. Systems with Workers > 1 own
-	// pool goroutines: call Close when done. The FQMS_WORKERS
-	// environment variable, when set to an integer, overrides this
-	// field globally.
+	// pool goroutines: call Close when done.
 	Workers int
 }
 
@@ -202,10 +254,31 @@ func (c Config) withDefaults() (Config, error) {
 	if len(c.Shares) != n {
 		return c, fmt.Errorf("sim: %d shares for %d cores", len(c.Shares), n)
 	}
+	// The shares are fractions of one memory system: each proper, and
+	// together at most the whole. Exactly: over the common denominator
+	// L, sum(Num/Den) <= 1 iff sum(Num*(L/Den)) <= L.
+	lcm := uint64(1)
 	for i, s := range c.Shares {
 		if !s.Valid() {
 			return c, fmt.Errorf("sim: invalid share %v for core %d", s, i)
 		}
+		gcd, r := lcm, uint64(s.Den)
+		for r != 0 {
+			gcd, r = r, gcd%r
+		}
+		hi, lo := bits.Mul64(lcm/gcd, uint64(s.Den))
+		if hi != 0 {
+			return c, fmt.Errorf("sim: shares %v have no common denominator below 2^64", c.Shares)
+		}
+		lcm = lo
+	}
+	room := lcm
+	for _, s := range c.Shares {
+		part := uint64(s.Num) * (lcm / uint64(s.Den)) // <= lcm, as Num <= Den
+		if part > room {
+			return c, fmt.Errorf("sim: shares %v sum to more than the whole memory system", c.Shares)
+		}
+		room -= part
 	}
 	if c.Policy == nil {
 		c.Policy = FRFCFS
@@ -222,7 +295,7 @@ func (c Config) withDefaults() (Config, error) {
 		if def.DRAM.Banks() == 0 {
 			def.DRAM = dram.DefaultConfig()
 		}
-		if c.Mem.Channels > 1 {
+		if c.Mem.Channels != 0 {
 			def.Channels = c.Mem.Channels
 		}
 		def.SharedBuffers = c.Mem.SharedBuffers
@@ -243,22 +316,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.RespTransit == 0 {
 		c.RespTransit = 10
 	}
-	if os.Getenv("FQMS_STRICT") != "" {
-		c.Strict = true
-	}
-	if v := os.Getenv("FQMS_WORKERS"); v != "" {
-		if w, err := strconv.Atoi(v); err == nil {
-			c.Workers = w
-		}
-	}
-	if os.Getenv("FQMS_AUDIT") != "" {
-		c.Audit = true
-	}
 	if c.Audit {
 		c.Mem.Audit = true
-	}
-	if os.Getenv("FQMS_INTERFERENCE") != "" {
-		c.Interference = true
 	}
 	if c.Interference {
 		c.Mem.Interference = true
@@ -268,7 +327,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	c.Mem.Metrics = c.Metrics
 	c.Mem.Trace = c.Trace
-	return c, nil
+	// Checked here, before New sizes the policy and the channel models
+	// from it: a hostile channel count must cost an error, not memory.
+	return c, c.Mem.Validate()
 }
 
 // timedAddr is an address in transit at a given delivery time.
@@ -377,14 +438,11 @@ func New(cfg Config) (*System, error) {
 	// Attack-pattern generators target the system's actual address
 	// geometry, so bank aim survives channel-count changes.
 	geom := trace.Geom{
-		Channels: cfg.Mem.Channels,
+		Channels: ctrl.Channels(),
 		Ranks:    cfg.Mem.DRAM.Ranks,
 		Banks:    cfg.Mem.DRAM.BanksPerRank,
 		Rows:     cfg.Mem.DRAM.RowsPerBank,
 		Cols:     cfg.Mem.DRAM.ColsPerRow,
-	}
-	if geom.Channels < 1 {
-		geom.Channels = 1
 	}
 	for i := 0; i < n; i++ {
 		cpuCfg, cacheCfg := cfg.CPU, cfg.Cache
@@ -891,6 +949,39 @@ func (s *System) BeginMeasurementAtZero() {
 	s.snap.bankBusy = 0
 }
 
+// RunTo is the one run loop: it advances the system to the absolute
+// cycle total in chunks, calls BeginMeasurement at exactly cycle warmup
+// unless measurement has already begun (a restored system may be past
+// it), and finishes with FinishAudit. A chunk is at most chunk cycles
+// (<= 0: unbounded) and is cut short at the warm-up boundary and at
+// total. After every chunk except the one that reaches total it calls
+// atChunk (when non-nil), which returns the next chunk's length; an
+// error from it aborts the run. Chunking cannot change results: Step(n)
+// twice is Step(2n).
+func (s *System) RunTo(warmup, total, chunk int64, atChunk func() (int64, error)) error {
+	for s.cycle < total {
+		next := total
+		if chunk > 0 && chunk < total-s.cycle {
+			next = s.cycle + chunk
+		}
+		if !s.MeasurementStarted() && next > warmup {
+			next = warmup
+		}
+		s.Step(next - s.cycle)
+		if !s.MeasurementStarted() && s.cycle >= warmup {
+			s.BeginMeasurement()
+		}
+		if atChunk != nil && s.cycle < total {
+			var err error
+			if chunk, err = atChunk(); err != nil {
+				return err
+			}
+		}
+	}
+	s.FinishAudit()
+	return nil
+}
+
 // Run is the convenience entry point: simulate warmup cycles, then
 // measure for window cycles and return the results.
 func Run(cfg Config, warmup, window int64) (Result, error) {
@@ -906,9 +997,8 @@ func RunSystem(cfg Config, warmup, window int64) (*System, Result, error) {
 	if err != nil {
 		return nil, Result{}, err
 	}
-	s.Step(warmup)
-	s.BeginMeasurement()
-	s.Step(window)
-	s.FinishAudit()
+	if err := s.RunTo(warmup, warmup+window, 0, nil); err != nil {
+		return nil, Result{}, err
+	}
 	return s, s.Results(), nil
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -430,5 +431,108 @@ func TestCheckpointRefusesTraceSink(t *testing.T) {
 	var buf bytes.Buffer
 	if err := s.Checkpoint(&buf); err == nil {
 		t.Fatal("checkpoint with a trace sink succeeded; want error")
+	}
+}
+
+// TestRunToChunks holds the one run loop to its contract for every way
+// a caller chunks it: whatever the chunk length, and whether the system
+// is fresh or was restored mid-warm-up or mid-window, the Result and the
+// complete final process state equal RunSystem's straight run; atChunk
+// fires at exactly the chunk ends (each chunk measured from the previous
+// end, cut at the warm-up boundary) and never at total; and
+// BeginMeasurement lands on the warm-up cycle.
+func TestRunToChunks(t *testing.T) {
+	const warmup, total = 2_000, 9_000
+	cfg := Config{
+		Workload:       []trace.Profile{profile(t, "art"), profile(t, "vpr")},
+		Policy:         FQVFTF,
+		Seed:           23,
+		Audit:          true,
+		SampleInterval: 1_000,
+	}
+	ref, _, err := RunSystem(cfg, warmup, total-warmup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := captureRun(t, ref)
+	if want.Result.Cycles != total-warmup {
+		t.Fatalf("straight run measured %d cycles, want %d", want.Result.Cycles, total-warmup)
+	}
+
+	for _, tc := range []struct {
+		name      string
+		restoreAt int64 // 0 = fresh system
+		every     int64
+		stops     []int64 // nil = check the chunking properties only
+	}{
+		{"every=1", 0, 1, nil},
+		{"every=7", 0, 7, nil},
+		{"every=warmup-1", 0, warmup - 1, []int64{1_999, 2_000, 3_999, 5_998, 7_997}},
+		{"every=warmup", 0, warmup, []int64{2_000, 4_000, 6_000, 8_000}},
+		{"every=warmup+1", 0, warmup + 1, []int64{2_000, 4_001, 6_002, 8_003}},
+		{"every=total+1", 0, total + 1, []int64{2_000}},
+		{"unchunked", 0, 0, []int64{2_000}},
+		{"restored mid-warm-up", 1_234, 3_000, []int64{2_000, 5_000, 8_000}},
+		{"restored mid-window", 4_321, 3_000, []int64{7_321}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.restoreAt > 0 {
+				// Interrupt a chunked run at restoreAt and continue in a
+				// fresh system, as a resumed process would.
+				if err := s.RunTo(warmup, tc.restoreAt, 500, nil); err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := s.Checkpoint(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if s, err = Restore(cfg, &buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			start := s.Cycle()
+			var stops []int64
+			err = s.RunTo(warmup, total, tc.every, func() (int64, error) {
+				if s.MeasurementStarted() != (s.Cycle() >= warmup) {
+					t.Errorf("at cycle %d MeasurementStarted = %v", s.Cycle(), s.MeasurementStarted())
+				}
+				stops = append(stops, s.Cycle())
+				return tc.every, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.stops != nil && !reflect.DeepEqual(stops, tc.stops) {
+				t.Errorf("atChunk fired at %v, want %v", stops, tc.stops)
+			}
+			prev, sawWarmup := start, start >= warmup
+			for _, c := range stops {
+				if c <= prev || c >= total || (tc.every > 0 && c-prev > tc.every) {
+					t.Fatalf("chunk end %d after %d breaks (prev, prev+%d] below %d", c, prev, tc.every, total)
+				}
+				sawWarmup = sawWarmup || c == warmup
+				prev = c
+			}
+			if !sawWarmup {
+				t.Errorf("no chunk ended on the warm-up boundary: %v", stops)
+			}
+			compareRuns(t, "runto-"+sanitize(tc.name), captureRun(t, s), want)
+		})
+	}
+
+	// An atChunk error stops the run where it is.
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	if err := s.RunTo(warmup, total, 700, func() (int64, error) { return 0, boom }); !errors.Is(err, boom) || s.Cycle() != 700 {
+		t.Errorf("RunTo = %v at cycle %d, want boom at 700", err, s.Cycle())
 	}
 }
