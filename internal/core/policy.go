@@ -48,14 +48,18 @@ const (
 // those two paths, and calling it must not change the value a later
 // call would return (the key caching on the request is write-only
 // observability, never read back before freezing). Additionally,
-// OnIssue for a request on channel c may only mutate state that feeds
-// Key for requests on the same channel c — the VTMS policies satisfy
-// this because their registers are per (thread, bank) and per (thread,
-// channel) — so the controller invalidates exactly the issuing
-// channel's cached decisions. A future policy that couples channels
-// through shared mutable state would need a controller-wide
-// invalidation (memctrl.Controller.InvalidateScheduling) instead.
-// Share reassignment already takes that path: sim.System.SetShare
+// OnIssue for a request of thread t on channel c may only mutate state
+// that feeds Key for requests of the same thread t on the same channel
+// c — the VTMS policies satisfy this because their registers are per
+// (thread, bank) and per (thread, channel) and Equations 8-9 update
+// only the issuing thread's, and the interval policies because OnIssue
+// only stages what Tick later applies — so the controller drops exactly
+// the issuing thread's cached keys on the issuing channel
+// (TestOnIssueMovesOnlyIssuingThreadKeys holds every shipped policy to
+// it). A future policy that couples threads or channels through shared
+// mutable state would need a controller-wide invalidation
+// (memctrl.Controller.InvalidateScheduling) after each such OnIssue
+// instead. Share reassignment already takes that path: sim.System.SetShare
 // invalidates all banks after SetThreadShare, and interval-based
 // policies (PolicyTicker) get the same treatment: the controller runs
 // their window-boundary work through Tick and invalidates everything

@@ -22,10 +22,11 @@ import (
 //
 // All three are interval-based: their Key-feeding state changes only on
 // window boundaries. Mutating that state from OnIssue would break the
-// key purity contract (OnIssue on channel c may only move keys on
-// channel c, and a frozen key may never move at all), so the periodic
-// work runs through an explicit tick entry point, PolicyTicker, that the
-// controller drives and follows with a full scheduling invalidation.
+// key purity contract (OnIssue for thread t on channel c may only move
+// thread t's keys on channel c, and a frozen key may never move at
+// all), so the periodic work runs through an explicit tick entry point,
+// PolicyTicker, that the controller drives and follows with a full
+// scheduling invalidation.
 
 // PolicyTicker is implemented by policies with interval-based state
 // (blacklists, budgets, boost targets). The controller calls Tick on
@@ -164,8 +165,8 @@ func (p *BLISS) Key(r *Request, _ BankState) int64 {
 
 // OnIssue implements Policy: freeze the key at first command, then
 // update the consecutive-service streak on column accesses. Streak
-// state and pending marks do not feed Key, so mutating them here is
-// channel-pure; the blacklist itself moves only in Tick.
+// state and pending marks do not feed Key, so mutating them here moves
+// no key; the blacklist itself moves only in Tick.
 func (p *BLISS) OnIssue(r *Request, kind CmdKind) {
 	k := r.Arrival
 	if p.blacklisted[r.Thread] {
@@ -280,7 +281,7 @@ func (p *SlowFair) Key(r *Request, _ BankState) int64 {
 // OnIssue implements Policy: freeze the key at first command, then
 // charge the command's private-system service time (Table 4 at phi = 1)
 // to the thread's alone-time account. The accounts do not feed Key, so
-// accumulating here is channel-pure; the boost target moves only in
+// accumulating here moves no key; the boost target moves only in
 // Tick.
 func (p *SlowFair) OnIssue(r *Request, kind CmdKind) {
 	k := r.Arrival
@@ -353,9 +354,10 @@ type BankBW struct {
 	quota  int64
 
 	// budget[t*nbanks+b] feeds Key for thread t's requests on flat bank
-	// b. OnIssue decrements it for the issuing request's own bank —
-	// which only carries requests of the issuing channel, keeping the
-	// mutation channel-pure — and Tick refills all of it.
+	// b. OnIssue decrements the issuing thread's budget for the issuing
+	// request's own bank — which only carries requests of the issuing
+	// channel, so only that thread's keys on that channel can move — and
+	// Tick refills all of it.
 	budget []int64
 }
 

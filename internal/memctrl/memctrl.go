@@ -258,16 +258,19 @@ type Controller struct {
 	freeSlots []int32
 
 	// keys/keyEpoch cache each slot's policy key; a cached key is valid
-	// while keyEpoch[slot] == chanEpoch[channel]. Key is pure in the
-	// request's immutable fields, same-channel policy state, and the
-	// bank state (see the core.Policy contract), all of which are
-	// constant between command issues on the channel, so chanEpoch is
-	// bumped on every command issue (and on InvalidateScheduling) and
-	// nowhere else. keyEpoch[slot] = 0 marks "never computed"; channel
+	// while keyEpoch[slot] == thrEpoch[channel][thread] + bankEpoch[bank]
+	// (both only ever grow, so the sum is unchanged exactly when both
+	// are). Key is pure in the request's immutable fields, policy state
+	// that OnIssue moves only for the issuing thread on the issuing
+	// channel (see the core.Policy contract), and the bank state, so
+	// issue bumps the issuing thread's epoch on its channel and, for an
+	// activate or precharge, the bank's; InvalidateScheduling bumps
+	// everything. keyEpoch[slot] = 0 marks "never computed"; thread
 	// epochs start at 1.
 	keys      []int64
 	keyEpoch  []uint64
-	chanEpoch []uint64
+	thrEpoch  []uint64 // per (channel, thread): chIdx*Threads + thread
+	bankEpoch []uint64 // per flat bank
 
 	pending      [][]int32 // per flat bank, arena slots in arrival order
 	pendingTotal int
@@ -310,9 +313,19 @@ type Controller struct {
 	// acceptance, a command issue on the same channel, a refresh state
 	// change, or a policy share change. Strict mode clears eventDriven
 	// and restores the seed's exhaustive per-cycle scan as an oracle.
+	//
+	// bankQuiet[b] is what a command on another bank of the channel
+	// lowers bankWake[b] to: a cycle before which re-examining b finds
+	// no ready request whoever the policy now ranks first (see
+	// bankSchedule), 0 when the last examination could promise none.
 	eventDriven bool
 	bankWake    []int64
+	bankQuiet   []int64
 	nextEvent   int64
+
+	// sched counts the scheduler's own work per channel (each channel's
+	// schedule phase writes only its entry); see SchedCounts.
+	sched []schedWork
 
 	// ticker is the policy's interval entry point (nil for policies
 	// without window-based state). TickBegin fires it on boundary
@@ -381,7 +394,8 @@ func New(cfg Config, policy core.Policy) (*Controller, error) {
 		freeSlots:     make([]int32, nslots),
 		keys:          make([]int64, nslots),
 		keyEpoch:      make([]uint64, nslots),
-		chanEpoch:     make([]uint64, nch),
+		thrEpoch:      make([]uint64, nch*cfg.Threads),
+		bankEpoch:     make([]uint64, nch*cfg.DRAM.Banks()),
 		pending:       make([][]int32, nch*cfg.DRAM.Banks()),
 		readOcc:       make([]int, cfg.Threads),
 		writeOcc:      make([]int, cfg.Threads),
@@ -394,13 +408,15 @@ func New(cfg Config, policy core.Policy) (*Controller, error) {
 		chanCands:     make([][]candidate, nch),
 		eventDriven:   true,
 		bankWake:      make([]int64, nch*cfg.DRAM.Banks()),
+		bankQuiet:     make([]int64, nch*cfg.DRAM.Banks()),
+		sched:         make([]schedWork, nch),
 	}
 	c.ticker, _ = policy.(core.PolicyTicker)
 	for i := range c.freeSlots {
 		c.freeSlots[i] = int32(i)
 	}
-	for i := range c.chanEpoch {
-		c.chanEpoch[i] = 1
+	for i := range c.thrEpoch {
+		c.thrEpoch[i] = 1
 	}
 	for i := range c.chanCands {
 		c.chanCands[i] = make([]candidate, 0, cfg.DRAM.Banks())
@@ -514,6 +530,40 @@ func (c *Controller) Occupancy(thread int) (reads, writes int) {
 // CommandCount returns how many commands of the given kind were issued.
 func (c *Controller) CommandCount(kind dram.Kind) int64 { return c.cmdCount[kind] }
 
+// schedWork is one channel's share of SchedCounts.
+type schedWork struct {
+	exams, slots, keyEvals int64
+}
+
+// SchedCounts is the scheduler's own work so far, the numbers that say
+// how precisely wakes and cached keys are invalidated: per issued
+// command, how many banks were examined, how many pending requests
+// those examinations walked, and how many of them needed Policy.Key
+// evaluated afresh. They are a function of the simulated run alone
+// (checkpoints carry them), so they repeat exactly for a given Config.
+type SchedCounts struct {
+	BankExams    int64 // bankSchedule calls
+	SlotsVisited int64 // pending requests those calls walked
+	KeyEvals     int64 // Policy.Key evaluations (key-cache misses)
+	CmdsIssued   int64 // SDRAM commands issued, refreshes excluded
+}
+
+// SchedCounts returns the scheduler-economy counters summed over
+// channels.
+func (c *Controller) SchedCounts() SchedCounts {
+	var n SchedCounts
+	for i := range c.sched {
+		w := &c.sched[i]
+		n.BankExams += w.exams
+		n.SlotsVisited += w.slots
+		n.KeyEvals += w.keyEvals
+	}
+	for k := dram.KindActivate; k < dram.KindRefresh; k++ {
+		n.CmdsIssued += c.cmdCount[k]
+	}
+	return n
+}
+
 // VClock returns the controller's virtual clock (real cycles excluding
 // refresh periods).
 func (c *Controller) VClock() int64 { return c.vclock }
@@ -541,14 +591,13 @@ func (c *Controller) NextEventAt() int64 { return c.nextEvent }
 // runtime share reassignment (core.ShareSetter), which rewrites policy
 // keys without a command issue.
 func (c *Controller) InvalidateScheduling() {
-	for i := range c.bankWake {
-		c.bankWake[i] = 0
-	}
+	clear(c.bankWake)
+	clear(c.bankQuiet)
 	c.nextEvent = 0
 	// Out-of-band changes (share reassignment) rewrite policy keys on
 	// every channel, so every cached key is stale too.
-	for i := range c.chanEpoch {
-		c.chanEpoch[i]++
+	for i := range c.thrEpoch {
+		c.thrEpoch[i]++
 	}
 }
 
@@ -665,6 +714,7 @@ func (c *Controller) Accept(thread int, lineAddr uint64, isWrite bool, now int64
 	if c.bankWake[gb] > now {
 		c.bankWake[gb] = now
 	}
+	c.bankQuiet[gb] = 0
 	if c.nextEvent > now {
 		c.nextEvent = now
 	}
@@ -859,6 +909,7 @@ func (c *Controller) ScheduleChannel(chIdx int, now int64) {
 			if c.bankWake[b] > now {
 				c.bankWake[b] = now
 			}
+			c.bankQuiet[b] = 0
 		}
 	}
 	inRefresh := ch.InRefresh(now)
@@ -880,13 +931,12 @@ func (c *Controller) ScheduleChannel(chIdx int, now int64) {
 		if c.eventDriven && c.bankWake[b] > now {
 			continue
 		}
-		cand, ok, wake := c.bankSchedule(chIdx, b, now)
+		cand, ok, wake, quiet := c.bankSchedule(chIdx, b, now)
 		if ok {
-			c.bankWake[b] = now
 			cands = append(cands, cand)
-		} else {
-			c.bankWake[b] = wake
 		}
+		c.bankWake[b] = wake
+		c.bankQuiet[b] = quiet
 	}
 	c.chanCands[chIdx] = cands
 	if len(cands) == 0 {
@@ -946,20 +996,6 @@ func (c *Controller) TickEnd(now int64) {
 	}
 }
 
-// wakeChannel forces every bank of a channel to be re-examined at cycle
-// at (lowering only — a bank already due stays due).
-func (c *Controller) wakeChannel(chIdx int, at int64) {
-	lo := chIdx * c.banksPerChan
-	for b := lo; b < lo+c.banksPerChan; b++ {
-		if c.bankWake[b] > at {
-			c.bankWake[b] = at
-		}
-	}
-	if c.nextEvent > at {
-		c.nextEvent = at
-	}
-}
-
 // computeNextEvent derives the controller's next interesting cycle from
 // the per-bank wake times, in-flight data bursts, and refresh state. It
 // is called at the end of every full Tick; the result is always at
@@ -1013,15 +1049,32 @@ func (c *Controller) computeNextEvent(now int64) int64 {
 }
 
 // bankSchedule runs one bank's scheduler and returns its ready command
-// offer, if any. When no command is ready it also returns a
-// conservative wake time: the earliest cycle at which it could offer
-// one, assuming no intervening readiness-changing event (those lower
-// the bank's wake through the invalidation hooks). Forever means "only
-// an invalidation can revive this bank".
-func (c *Controller) bankSchedule(chIdx, b int, now int64) (candidate, bool, int64) {
+// offer, if any, and the bank's wake time: now when it offers, otherwise
+// a conservative bound on the earliest cycle at which it could, assuming
+// no intervening readiness-changing event (those lower the bank's wake
+// through the invalidation hooks). Forever means "only an invalidation
+// can revive this bank".
+//
+// quiet is the bound a command on another bank of the channel lowers
+// the wake to in place of now. Such a command moves this bank's DDR2
+// constraint timestamps only later, so no pending request can become
+// ready before the smallest EarliestIssue among them, however the
+// command re-ranked them: while the bank selects first-ready, that
+// minimum is quiet, and the examinations skipped before it would have
+// offered nothing and shown the interference tracker nothing. Where
+// the bank holds for one request — a strict key rule, now or by the
+// time quiet comes, or activates held back for a pending refresh —
+// ready requests wait behind it and the tracker charges their wait by
+// the cycles it examines them on (DESIGN §15), which are the cycles
+// after each command; there quiet is 0 and every command wakes the
+// bank at once.
+func (c *Controller) bankSchedule(chIdx, b int, now int64) (cand candidate, ok bool, wake, quiet int64) {
 	ch := c.chans[chIdx]
 	lb := b % c.banksPerChan
 	slots := c.pending[b]
+	work := &c.sched[chIdx]
+	work.exams++
+	work.slots += int64(len(slots))
 	// Bank state is a function of (open, openRow, r.Row): hoist the
 	// channel query out of the per-request loop.
 	openRow, open := ch.BankOpen(lb)
@@ -1029,7 +1082,8 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (candidate, bool, int
 		// Closed-row policy: close an idle open row. While a refresh is
 		// pending this also drains the bank.
 		if open && (c.cfg.RowPolicy == ClosedRow || c.refreshWanted[chIdx]) {
-			if e := ch.EarliestIssue(dram.KindPrecharge, lb); e <= now {
+			e := ch.EarliestIssue(dram.KindPrecharge, lb)
+			if e <= now {
 				return candidate{
 					slot: noSlot,
 					kind: dram.KindPrecharge,
@@ -1037,27 +1091,30 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (candidate, bool, int
 					key:  int64(1) << 62, // lowest priority
 					arr:  int64(1) << 62,
 					id:   ^uint64(0),
-				}, true, now
-			} else {
-				return candidate{}, false, e
+				}, true, now, now
 			}
+			return candidate{}, false, e, e
 		}
 		// Idle and closed (or open-row policy): nothing to do until a
 		// request arrives or a refresh falls due.
-		return candidate{}, false, Forever
+		return candidate{}, false, Forever, Forever
 	}
 
-	rule, x := c.policy.BankRule()
-	strict := rule == core.RuleStrict
-	if rule == core.RuleFQ {
-		// Strict earliest-key selection once the bank has been active
-		// for x cycles; first-ready while closed or freshly activated.
-		if open && now-ch.LastActivate(lb) >= x {
-			strict = true
-		}
+	// strictFrom is the first cycle the bank selects by key alone:
+	// always under RuleStrict, and under RuleFQ once the bank has been
+	// active for x cycles (first-ready while closed or freshly
+	// activated).
+	strictFrom := Forever
+	switch rule, x := c.policy.BankRule(); {
+	case rule == core.RuleStrict:
+		strictFrom = 0
+	case rule == core.RuleFQ && open:
+		strictFrom = ch.LastActivate(lb) + x
 	}
+	strict := now >= strictFrom
 
-	epoch := c.chanEpoch[chIdx]
+	thrEpoch := c.thrEpoch[chIdx*c.cfg.Threads:]
+	bankEpoch := c.bankEpoch[b]
 	var (
 		bestSlot  = noSlot
 		bestReq   *core.Request
@@ -1087,16 +1144,18 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (candidate, bool, int
 			state = core.BankConflict
 		}
 		kind := nextCmdFor(r, state)
-		// Cached policy key: valid while the channel epoch is unchanged
-		// (no command issued on the channel, no share reassignment),
-		// because Key is pure in exactly the state those events mutate.
+		// Cached policy key: valid while neither epoch has moved (no
+		// command of this thread on the channel, no activate or
+		// precharge of this bank, no share reassignment), because Key is
+		// pure in exactly the state those events mutate.
 		var key int64
-		if c.keyEpoch[slot] == epoch {
+		if epoch := thrEpoch[r.Thread] + bankEpoch; c.keyEpoch[slot] == epoch {
 			key = c.keys[slot]
 		} else {
 			key = c.policy.Key(r, state)
 			c.keys[slot] = key
 			c.keyEpoch[slot] = epoch
+			work.keyEvals++
 		}
 		if key < minKey {
 			minKey = key
@@ -1163,6 +1222,7 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (candidate, bool, int
 		}
 		bestSlot, bestReq, bestKind, bestKey, bestReady, bestCAS = slot, r, kind, key, ready, isCAS
 	}
+	quiet = minEarly
 	if strict {
 		// The bank waits for the key-selected request alone, so its
 		// earliest legal issue is the bank's wake time. (The selection
@@ -1174,6 +1234,9 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (candidate, bool, int
 		bestReady = early <= now
 		bestCAS = bestKind == dram.KindRead || bestKind == dram.KindWrite
 	}
+	if quiet >= strictFrom {
+		quiet = 0
+	}
 	if c.intf != nil {
 		// Ready requests not issued this cycle may be charged to the
 		// thread the bank scheduler is holding for (see drain).
@@ -1184,10 +1247,10 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (candidate, bool, int
 	// case every pending request needs one, so the bank is dormant until
 	// the refresh completes (which resets the channel's wakes).
 	if c.refreshWanted[chIdx] && bestKind == dram.KindActivate {
-		return candidate{}, false, Forever
+		return candidate{}, false, Forever, 0
 	}
 	if !bestReady {
-		return candidate{}, false, minEarly
+		return candidate{}, false, minEarly, quiet
 	}
 	return candidate{
 		slot:     bestSlot,
@@ -1199,7 +1262,7 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (candidate, bool, int
 		id:       bestReq.ID,
 		isCAS:    bestCAS,
 		inverted: bestCAS && minKey < bestKey,
-	}, true, now
+	}, true, now, quiet
 }
 
 // issue applies the winning candidate to the DRAM and updates request
@@ -1226,12 +1289,24 @@ func (c *Controller) issue(cand *candidate, now int64) {
 		c.met.inversionWindow.Observe(now - ch.LastActivate(lb))
 	}
 	// Issuing any command moves the channel-global constraints (tCCD,
-	// tWTR, data-bus occupancy), and issuing a request command rewrites
-	// the policy's same-channel keys (see the core.Policy contract), so
-	// every bank wake on this channel is stale — and so is every cached
-	// key on the channel.
-	c.chanEpoch[chIdx]++
-	c.wakeChannel(chIdx, now)
+	// tWTR, data-bus occupancy), and issuing a request command moves the
+	// issuing thread's keys on the channel (see the core.Policy
+	// contract), so every bank wake on this channel is stale: the issued
+	// bank re-examines at once, every other bank no sooner than its
+	// quiet bound. nextEvent is not lowered here — TickEnd recomputes it
+	// from the wake lists after every decision.
+	c.bankQuiet[cand.bank] = 0
+	lo := chIdx * c.banksPerChan
+	for b := lo; b < lo+c.banksPerChan; b++ {
+		if w := max(now, c.bankQuiet[b]); c.bankWake[b] > w {
+			c.bankWake[b] = w
+		}
+	}
+	// An activate or precharge changes the BankState every Key on the
+	// bank is evaluated under.
+	if cand.kind == dram.KindActivate || cand.kind == dram.KindPrecharge {
+		c.bankEpoch[cand.bank]++
+	}
 	if cand.slot == noSlot {
 		// Idle-close precharge: device state only; no request, and no
 		// VTMS charge (no thread is waiting on it).
@@ -1271,6 +1346,7 @@ func (c *Controller) issue(cand *candidate, now int64) {
 		c.traceCmd(cand.kind, cand.bank, r.Thread, r.Row, now)
 	}
 	c.policy.OnIssue(r, core.CmdKind(cand.kind))
+	c.thrEpoch[chIdx*c.cfg.Threads+r.Thread]++
 	r.Issued++
 	writeDone := false
 	if cand.kind == dram.KindRead || cand.kind == dram.KindWrite {

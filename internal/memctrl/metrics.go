@@ -73,6 +73,10 @@ func newMemMetrics(reg *metrics.Registry, c *Controller) *memMetrics {
 		k := k
 		reg.Func("memctrl.cmd."+k.String(), func() int64 { return c.cmdCount[k] })
 	}
+	reg.Func("memctrl.sched.bank_exams", func() int64 { return c.SchedCounts().BankExams })
+	reg.Func("memctrl.sched.slots_visited", func() int64 { return c.SchedCounts().SlotsVisited })
+	reg.Func("memctrl.sched.key_evals", func() int64 { return c.SchedCounts().KeyEvals })
+	reg.Func("memctrl.sched.cmds_issued", func() int64 { return c.SchedCounts().CmdsIssued })
 	reg.Func("memctrl.vclock", func() int64 { return c.vclock })
 	reg.Func("memctrl.pending_requests", func() int64 { return int64(c.pendingTotal) })
 	for chIdx, ch := range c.chans {

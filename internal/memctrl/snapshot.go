@@ -25,14 +25,15 @@ func requestState(s *snapshot.Codec, q *core.Request) {
 
 // State visits the controller: DRAM channel timing, the per-bank
 // transaction queues (with full request state, including frozen policy
-// keys), in-flight reads awaiting data-burst completion, occupancy and
-// refresh bookkeeping, per-thread statistics, the policy's virtual-time
-// registers when the policy carries state, the event-driven wake lists,
-// and the optional auditor and interference tracker. The wake lists are
-// serialized rather than invalidated on restore: rebuilding them
-// conservatively would be results-safe but would lose refresh-raised
-// wake times and so break process-state identity with the uninterrupted
-// run.
+// keys and live cached ones), in-flight reads awaiting data-burst
+// completion, occupancy and refresh bookkeeping, per-thread statistics,
+// the policy's virtual-time registers when the policy carries state,
+// the event-driven wake and quiet-bound lists, the scheduler-economy
+// counters, and the optional auditor and interference tracker. The wake
+// lists are serialized rather than invalidated on restore: rebuilding
+// them conservatively would be results-safe but would lose
+// refresh-raised wake times and so break process-state identity with
+// the uninterrupted run.
 //
 // Loading rebuilds the arena from scratch: every decoded request gets a
 // fresh slot in decode order. Slot numbers are unobservable — queues
@@ -59,8 +60,8 @@ func (c *Controller) State(s *snapshot.Codec) error {
 		for i := len(c.arena) - 1; i >= 0; i-- {
 			c.freeSlots = append(c.freeSlots, int32(i))
 		}
-		// keyEpoch 0 is never a valid channel epoch: this drops the key
-		// cache wholesale.
+		// keyEpoch 0 is never a valid stamp: this drops the key cache,
+		// and the queue walk below re-enters the keys that were live.
 		clear(c.keyEpoch)
 		reqByID = make(map[uint64]*core.Request)
 		audPending = make([][]*core.Request, len(c.pending))
@@ -94,18 +95,32 @@ func (c *Controller) State(s *snapshot.Codec) error {
 		return q
 	}
 	for b := range c.pending {
+		thrEpoch := c.thrEpoch[b/c.banksPerChan*c.cfg.Threads:]
 		snapshot.Slice(s, &c.pending[b], len(c.arena), func(slot *int32) {
 			q := request(slot)
-			if q == nil || !s.Loading() {
+			if q == nil {
 				return
 			}
-			switch {
-			case q.GlobalBank != b:
-				s.Fail("request %d queued on bank %d but maps to bank %d", q.ID, b, q.GlobalBank)
-			case q.Channel < 0 || q.Channel >= len(c.chans):
-				s.Fail("request %d channel %d out of range [0,%d)", q.ID, q.Channel, len(c.chans))
+			if s.Loading() {
+				switch {
+				case q.GlobalBank != b:
+					s.Fail("request %d queued on bank %d but maps to bank %d", q.ID, b, q.GlobalBank)
+				case q.Channel < 0 || q.Channel >= len(c.chans):
+					s.Fail("request %d channel %d out of range [0,%d)", q.ID, q.Channel, len(c.chans))
+				}
+				audPending[b] = append(audPending[b], q)
 			}
-			audPending[b] = append(audPending[b], q)
+			// The request's cached policy key, if live. Restoring it
+			// changes no decision (a dropped key is recomputed to the same
+			// value); it keeps the KeyEvals count, which the sampler's
+			// series carry, identical to the uninterrupted run's.
+			stamp := thrEpoch[q.Thread] + c.bankEpoch[b]
+			cached := c.keyEpoch[*slot] == stamp
+			s.Bool(&cached)
+			if cached {
+				s.I64(&c.keys[*slot])
+				c.keyEpoch[*slot] = stamp
+			}
 		})
 	}
 	s.Ints(c.readOcc)
@@ -146,7 +161,14 @@ func (c *Controller) State(s *snapshot.Codec) error {
 		s.I64(&c.cmdCount[i])
 	}
 	s.I64s(c.bankWake)
+	s.I64s(c.bankQuiet)
 	s.I64(&c.nextEvent)
+	for i := range c.sched {
+		w := &c.sched[i]
+		s.I64(&w.exams)
+		s.I64(&w.slots)
+		s.I64(&w.keyEvals)
+	}
 	ps, hasPolicy := c.policy.(core.PolicyState)
 	snapshot.Verify(s, hasPolicy, "policy-state flag", s.Bool)
 	if hasPolicy {

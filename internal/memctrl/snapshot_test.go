@@ -19,6 +19,11 @@ func saveCtrl(t *testing.T, c *Controller) []byte {
 	for now := int64(0); now < 200; now++ {
 		c.Tick(now)
 	}
+	return encodeCtrl(t, c)
+}
+
+func encodeCtrl(t *testing.T, c *Controller) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	w := snapshot.NewEncoder(&buf)
 	c.State(w)
@@ -123,5 +128,24 @@ func TestSnapshotArenaPolicyRoundTrip(t *testing.T) {
 		if !bytes.Equal(snap, buf.Bytes()) {
 			t.Fatalf("%s: re-serialized state differs (%d vs %d bytes)", tc.name, len(snap), len(buf.Bytes()))
 		}
+	}
+}
+
+// TestRestoreHostileBankQuiet: the quiet-bound wake list is sized by
+// the bank count at construction, so a snapshot carrying one of any
+// other length is refused rather than left half-filled (a short list
+// would leave stale bounds that defer a bank past a ready request).
+func TestRestoreHostileBankQuiet(t *testing.T) {
+	mk := func() *Controller { return newCtrl(t, 2, core.NewFRFCFS()) }
+	if err := loadCtrl(t, mk(), saveCtrl(t, mk())); err != nil {
+		t.Fatalf("faithful snapshot refused: %v", err)
+	}
+	short := mk()
+	saveCtrl(t, short)
+	short.bankQuiet = short.bankQuiet[:len(short.bankQuiet)-1]
+	err := loadCtrl(t, mk(), encodeCtrl(t, short))
+	if err == nil || !strings.Contains(err.Error(), "slice length") {
+		t.Fatalf("snapshot with %d quiet bounds for %d banks: err = %v, want a slice-length refusal",
+			len(short.bankQuiet), len(short.bankWake), err)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -221,7 +222,10 @@ func TestEquivalenceSetShareInsideRefresh(t *testing.T) {
 // At 2 and 4 channels, through many short refresh windows and a mid-run
 // share reassignment, the skip-ahead path must still reproduce the
 // strict oracle exactly — the approximation may cost wake-ups, never
-// correctness. Both runs carry the invariant auditor.
+// correctness. All six arena policies run, so the quiet-bound wakes and
+// the per-thread key epochs are also held to the oracle across the
+// interval policies' Tick invalidations (for which the share
+// reassignment is a no-op). Both runs carry the invariant auditor.
 func TestEquivalenceMultiChannelBankWake(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence sweep is slow")
@@ -234,46 +238,61 @@ func TestEquivalenceMultiChannelBankWake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, channels := range []int{2, 4} {
-		channels := channels
-		run := func(strict bool) (Result, controllerFingerprint) {
-			cfg := Config{
-				Workload: []trace.Profile{art, vpr},
-				Policy:   FQVFTF,
-				Seed:     19,
-				Strict:   strict,
-				Audit:    true,
-			}
-			cfg.Mem.Channels = channels
-			cfg.Mem.DRAM = dram.DefaultConfig()
-			cfg.Mem.DRAM.Timing.TREF = 7_000
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.Step(30_000)
-			s.SetShare(0, core.Share{Num: 3, Den: 4})
-			s.SetShare(1, core.Share{Num: 1, Den: 4})
-			s.BeginMeasurement()
-			s.Step(100_000)
-			s.FinishAudit()
-			ctrl := s.Controller()
-			fp := controllerFingerprint{VClock: ctrl.VClock()}
-			for k := dram.KindActivate; k <= dram.KindRefresh; k++ {
-				fp.Commands[k] = ctrl.CommandCount(k)
-			}
-			return s.Results(), fp
-		}
-		fast, fastFP := run(false)
-		strict, strictFP := run(true)
-		if !reflect.DeepEqual(fast, strict) {
-			t.Errorf("channels=%d: Result diverges:\n fast:   %+v\n strict: %+v", channels, fast, strict)
-		}
-		if fastFP != strictFP {
-			t.Errorf("channels=%d: controller state diverges:\n fast:   %+v\n strict: %+v", channels, fastFP, strictFP)
-		}
-		if fastFP.Commands[dram.KindRefresh] == 0 {
-			t.Errorf("channels=%d: run crossed no refresh window", channels)
+	for _, p := range []struct {
+		name    string
+		factory PolicyFactory
+	}{
+		{"FR-FCFS", FRFCFS},
+		{"FR-VFTF", FRVFTF},
+		{"FQ-VFTF", FQVFTF},
+		{"BLISS", BLISS},
+		{"SLOW-FAIR", SLOWFAIR},
+		{"BANK-BW", BANKBW},
+	} {
+		for _, channels := range []int{2, 4} {
+			p, channels := p, channels
+			t.Run(fmt.Sprintf("%s/channels=%d", p.name, channels), func(t *testing.T) {
+				t.Parallel()
+				run := func(strict bool) (Result, controllerFingerprint) {
+					cfg := Config{
+						Workload: []trace.Profile{art, vpr},
+						Policy:   p.factory,
+						Seed:     19,
+						Strict:   strict,
+						Audit:    true,
+					}
+					cfg.Mem.Channels = channels
+					cfg.Mem.DRAM = dram.DefaultConfig()
+					cfg.Mem.DRAM.Timing.TREF = 7_000
+					s, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s.Step(30_000)
+					s.SetShare(0, core.Share{Num: 3, Den: 4})
+					s.SetShare(1, core.Share{Num: 1, Den: 4})
+					s.BeginMeasurement()
+					s.Step(100_000)
+					s.FinishAudit()
+					ctrl := s.Controller()
+					fp := controllerFingerprint{VClock: ctrl.VClock()}
+					for k := dram.KindActivate; k <= dram.KindRefresh; k++ {
+						fp.Commands[k] = ctrl.CommandCount(k)
+					}
+					return s.Results(), fp
+				}
+				fast, fastFP := run(false)
+				strict, strictFP := run(true)
+				if !reflect.DeepEqual(fast, strict) {
+					t.Errorf("Result diverges:\n fast:   %+v\n strict: %+v", fast, strict)
+				}
+				if fastFP != strictFP {
+					t.Errorf("controller state diverges:\n fast:   %+v\n strict: %+v", fastFP, strictFP)
+				}
+				if fastFP.Commands[dram.KindRefresh] == 0 {
+					t.Error("run crossed no refresh window")
+				}
+			})
 		}
 	}
 }

@@ -2,6 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -278,6 +281,86 @@ func TestStepZeroSteadyStateAllocsInterference(t *testing.T) {
 			})
 			if avg != 0 {
 				t.Errorf("Step allocates %.1f objects per 5k cycles with attribution on, want 0", avg)
+			}
+		})
+	}
+}
+
+// cubeHash digests every cell of the windowed attribution cube, in
+// (victim, aggressor, cause) order.
+func cubeHash(s memctrl.InterferenceSnapshot) string {
+	h := sha256.New()
+	var cell [8]byte
+	for _, byAggr := range s.Cube {
+		for _, byCause := range byAggr {
+			for _, n := range byCause {
+				binary.LittleEndian.PutUint64(cell[:], uint64(n))
+				h.Write(cell[:])
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestInterferenceCubeGolden pins the attribution cube cell by cell.
+// Which cycles a bank is examined on decides which cell a wait lands
+// in (a ready request is charged to the command that beat it only on
+// cycles its bank is examined), so a scheduler change that examines
+// less must skip only examinations that would have found nothing
+// ready. The row sums of TestInterferenceObservationOnly cannot see
+// that; these hashes, blessed before the per-thread key epochs and
+// quiet-bound wakes went in, can.
+func TestInterferenceCubeGolden(t *testing.T) {
+	art, err := trace.ByName("art")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vpr, err := trace.ByName("vpr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		workload []trace.Profile
+		policy   PolicyFactory
+		channels int
+		tref     int
+		want     string
+	}{
+		{"FQ-VFTF/2ch/4thr", []trace.Profile{art, vpr, art, vpr}, FQVFTF, 2, 0,
+			"cb0a1ded53c1b2f96b28eb2a0fca8f62d0c6a2454ae6aab3b16189ce87121277"},
+		{"FR-FCFS/1ch/refresh", []trace.Profile{art, vpr}, FRFCFS, 1, 7_000,
+			"c96a0d33c98824f7fe53c9e34e3c5031eb0573bcf88db0258c7ca53b6443cb57"},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := Config{
+				Workload:     tc.workload,
+				Policy:       tc.policy,
+				Seed:         41,
+				Audit:        true,
+				Interference: true,
+			}
+			cfg.Mem.Channels = tc.channels
+			if tc.tref > 0 {
+				cfg.Mem.DRAM = dram.DefaultConfig()
+				cfg.Mem.DRAM.Timing.TREF = tc.tref
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Step(20_000)
+			s.BeginMeasurement()
+			s.Step(80_000)
+			s.FinishAudit()
+			if tc.tref > 0 && s.Controller().CommandCount(dram.KindRefresh) < 10 {
+				t.Fatalf("run crossed only %d refresh windows", s.Controller().CommandCount(dram.KindRefresh))
+			}
+			snap, _ := s.Interference()
+			if got := cubeHash(snap); got != tc.want {
+				t.Errorf("attribution cube moved: hash %s, want %s\ncube: %v", got, tc.want, snap.Cube)
 			}
 		})
 	}

@@ -63,8 +63,10 @@ const Magic = "FQMSSNAP"
 // Interference bit in the configuration fingerprint. v4 added the
 // trace generator's attack-pattern cursor (the antagonist workloads).
 // The move from hand-written SaveState/LoadState pairs to the
-// bidirectional Codec kept the v4 layout byte for byte.
-const Version = 4
+// bidirectional Codec kept the v4 layout byte for byte. v5 added the
+// memory scheduler's quiet-bound wake list, its live cached policy keys
+// and its scheduler-economy counters.
+const Version = 5
 
 // MaxSlice is the element cap for the few variable-length fields whose
 // bound depends on run history rather than on a configured capacity
