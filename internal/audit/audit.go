@@ -132,14 +132,24 @@ func (v *Violation) Error() string {
 	return fmt.Sprintf("audit: cycle %d: %s\n%s", v.Cycle, v.Msg, v.Dump)
 }
 
-// Cmd describes one SDRAM command offered to the auditor. Req is nil for
-// idle-close precharges (which belong to no request).
+// Cmd is the controller's command event (memctrl.Observer): one SDRAM
+// command as the schedulers chose it. Req is nil for idle-close
+// precharges (which belong to no request). The auditor reads the first
+// five fields and re-derives the rest.
 type Cmd struct {
 	Kind     dram.Kind
 	FlatBank int
 	Row      int
 	Key      int64
 	Req      *core.Request
+
+	// Inverted: a CAS that won while a same-bank request with a strictly
+	// smaller key waited. First: the request's first command, State the
+	// bank state its service began in. DataEnd: the cycle a CAS's data
+	// burst ends, known from AfterIssue on.
+	Inverted, First bool
+	State           core.BankState
+	DataEnd         int64
 }
 
 // shBank is the auditor's shadow of one DRAM bank.

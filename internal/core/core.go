@@ -177,4 +177,9 @@ type Request struct {
 
 	// Issued counts SDRAM commands already issued for this request.
 	Issued int
+
+	// Slot is the request's index in the controller's arena, unique among
+	// live requests, for observers to key side tables by. Set by the
+	// controller at acceptance and on restore; not checkpointed.
+	Slot int32
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/audit"
+	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/metrics"
 	"repro/internal/snapshot"
@@ -50,6 +52,13 @@ import (
 // parallel per-channel schedule phase stays race-free; the global
 // matrix is folded in TickEnd's canonical serial channel order, which
 // keeps parallel runs bit-identical to serial ones.
+//
+// The tracker's serial half (OnAccept, the service-start conservation
+// check in BeforeIssue) listens on the event stream like any Observer.
+// Its examination half (readyBase, exam, patchFallback, drain) is not
+// an event and stays a direct call: it runs inside the concurrent
+// schedule phase, where nothing is emitted, and the cube depends on
+// which cycles banks are examined on.
 
 // Attribution causes. Exclusive: each waited cycle lands in exactly one.
 const (
@@ -118,8 +127,11 @@ type attrState struct {
 }
 
 // intfTracker is the per-controller attribution state. Nil when the
-// feature is off; every hot-path site guards on that single test.
+// feature is off; every schedule-phase site guards on that single test.
 type intfTracker struct {
+	nopObserver
+	aud *audit.Auditor // conservation is re-checked here when auditing
+
 	threads int
 	aggrs   int // threads + 1 ("none" bucket)
 
@@ -163,6 +175,7 @@ func newIntfTracker(c *Controller, reg *metrics.Registry) *intfTracker {
 	nslots := len(c.arena)
 	nch := len(c.chans)
 	t := &intfTracker{
+		aud:      c.aud,
 		threads:  threads,
 		aggrs:    aggrs,
 		attr:     make([]attrState, nslots),
@@ -205,13 +218,11 @@ func (t *intfTracker) cubeIdx(victim, aggr, cause int) int {
 	return (victim*t.aggrs+aggr)*numCauses + cause
 }
 
-// onAccept initializes a slot's accounting at its arrival cycle.
-func (t *intfTracker) onAccept(slot int32, now int64) {
+// OnAccept initializes a slot's accounting at its arrival cycle.
+func (t *intfTracker) OnAccept(r *core.Request, now int64) {
+	slot := int(r.Slot)
 	t.attr[slot] = attrState{from: now}
-	row := t.attrBy[int(slot)*t.aggrs : (int(slot)+1)*t.aggrs]
-	for i := range row {
-		row[i] = 0
-	}
+	clear(t.attrBy[slot*t.aggrs : (slot+1)*t.aggrs])
 }
 
 // classify maps a binding DDR2 constraint to an attribution cause and
@@ -385,13 +396,12 @@ func (t *intfTracker) drain(c *Controller, chIdx int, d *decision, now int64) {
 	t.touched[chIdx] = touched[:0]
 }
 
-// onServiceStart finalizes a request's attribution at its CAS issue:
-// by construction attrFrom == now and attrTotal covers [arrival, now)
+// BeforeIssue finalizes a request's attribution at its CAS issue: by
+// construction attrFrom == now and attrTotal covers [arrival, now)
 // exactly; the audit layer re-checks that conservation invariant.
-func (c *Controller) intfServiceStart(slot int32, now int64) {
-	t := c.intf
-	if c.aud != nil {
-		c.aud.OnAttributed(&c.arena[slot], t.attr[slot].total, now)
+func (t *intfTracker) BeforeIssue(cmd audit.Cmd, now int64) {
+	if t.aud != nil && core.CmdKind(cmd.Kind).IsCAS() {
+		t.aud.OnAttributed(cmd.Req, t.attr[cmd.Req.Slot].total, now)
 	}
 }
 

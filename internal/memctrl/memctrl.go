@@ -81,15 +81,16 @@ type Config struct {
 	// that need exact cycle counts).
 	DisableRefresh bool
 
+	// Audit, Metrics, Trace and Interference each switch on one Observer
+	// of the event stream; package sim overwrites all four from the
+	// sim.Config fields of the same names, which are the ones to set.
+	//
 	// Audit attaches the runtime invariant auditor (package audit): every
 	// issued SDRAM command and completed request is re-validated against
 	// independently recomputed DDR2 timing, conservation, VTMS, and FQ
 	// bank-scheduling invariants. A violation panics with the recent
 	// command history. Simulation results are identical with or without.
 	Audit bool
-
-	// AuditConfig tunes the auditor's thresholds when Audit is set.
-	AuditConfig audit.Config
 
 	// Metrics, when non-nil, registers the controller's observability
 	// metrics (per-bank command mix, per-thread occupancy, VTMS lag,
@@ -333,18 +334,15 @@ type Controller struct {
 	// event-driven path never skips one.
 	ticker core.PolicyTicker
 
-	// aud is the optional runtime invariant auditor (nil when off).
-	aud *audit.Auditor
+	// obs is the event stream's listeners in attach order (empty when
+	// every observer is off); see Observer and attachObservers.
+	obs []Observer
 
-	// met/tw are the optional observability sinks (nil when off); see
-	// Config.Metrics and Config.Trace. traceVals is the event arg
-	// scratch buffer.
-	met       *memMetrics
-	tw        *metrics.TraceWriter
-	traceVals [5]int64
-
-	// intf is the optional interference-attribution tracker (nil when
-	// off); see Config.Interference and interference.go.
+	// aud and intf are the optional auditor and interference tracker
+	// (nil when off), both also on obs: aud for Auditor, FinishAudit and
+	// checkpoints, intf for the schedule phase, which examines requests
+	// through direct calls and emits no events (see interference.go).
+	aud  *audit.Auditor
 	intf *intfTracker
 }
 
@@ -436,55 +434,8 @@ func New(cfg Config, policy core.Policy) (*Controller, error) {
 			c.nextRefreshAt[i] = 1 << 60
 		}
 	}
-	if cfg.Audit {
-		c.aud = audit.New(cfg.AuditConfig, audit.Target{
-			Timing:          cfg.DRAM.Timing,
-			Channels:        nch,
-			Ranks:           cfg.DRAM.Ranks,
-			BanksPerRank:    cfg.DRAM.BanksPerRank,
-			Threads:         cfg.Threads,
-			ReadEntries:     cfg.ReadEntriesPerThread,
-			WriteEntries:    cfg.WriteEntriesPerThread,
-			SharedBuffers:   cfg.SharedBuffers,
-			RefreshDisabled: cfg.DisableRefresh,
-			Policy:          policy,
-			Chans:           chans,
-			Totals: func(t int) audit.Totals {
-				st := &c.stats[t]
-				return audit.Totals{
-					ReadsAccepted:  st.ReadsAccepted,
-					ReadsDone:      st.ReadsDone,
-					WritesAccepted: st.WritesAccepted,
-					WritesDone:     st.WritesDone,
-					ReadOcc:        c.readOcc[t],
-					WriteOcc:       c.writeOcc[t],
-				}
-			},
-		})
-	}
-	if cfg.Metrics != nil {
-		c.met = newMemMetrics(cfg.Metrics, c)
-	}
-	if cfg.Trace != nil {
-		c.tw = cfg.Trace
-		c.initTrace()
-	}
-	if cfg.Interference {
-		c.intf = newIntfTracker(c, cfg.Metrics)
-	}
+	c.attachObservers()
 	return c, nil
-}
-
-// Auditor returns the runtime invariant auditor, or nil when auditing is
-// off.
-func (c *Controller) Auditor() *audit.Auditor { return c.aud }
-
-// FinishAudit runs the auditor's end-of-run conservation and starvation
-// checks (a no-op without Config.Audit).
-func (c *Controller) FinishAudit(now int64) {
-	if c.aud != nil {
-		c.aud.Finish(now)
-	}
 }
 
 // Policy returns the active scheduling policy.
@@ -662,27 +613,19 @@ func (c *Controller) SkipTo(from, to int64) {
 // applying back-pressure to that thread.
 func (c *Controller) Accept(thread int, lineAddr uint64, isWrite bool, now int64) bool {
 	st := &c.stats[thread]
-	if isWrite {
-		full := c.writeOcc[thread] >= c.cfg.WriteEntriesPerThread
-		if c.cfg.SharedBuffers {
-			full = c.writeOccTotal >= c.cfg.WriteEntriesPerThread*c.cfg.Threads
-		}
-		if full {
+	switch {
+	case !c.CanAccept(thread, isWrite):
+		if isWrite {
 			st.WriteNACKs++
-			return false
+		} else {
+			st.ReadNACKs++
 		}
+		return false
+	case isWrite:
 		c.writeOcc[thread]++
 		c.writeOccTotal++
 		st.WritesAccepted++
-	} else {
-		full := c.readOcc[thread] >= c.cfg.ReadEntriesPerThread
-		if c.cfg.SharedBuffers {
-			full = c.readOccTotal >= c.cfg.ReadEntriesPerThread*c.cfg.Threads
-		}
-		if full {
-			st.ReadNACKs++
-			return false
-		}
+	default:
 		c.readOcc[thread]++
 		c.readOccTotal++
 		st.ReadsAccepted++
@@ -704,6 +647,7 @@ func (c *Controller) Accept(thread int, lineAddr uint64, isWrite bool, now int64
 		Col:         coord.Col,
 		Channel:     coord.Channel,
 		GlobalBank:  gb,
+		Slot:        slot,
 	}
 	c.keyEpoch[slot] = 0 // recycled slots carry a stale cached key
 	c.pending[gb] = append(c.pending[gb], slot)
@@ -718,18 +662,8 @@ func (c *Controller) Accept(thread int, lineAddr uint64, isWrite bool, now int64
 	if c.nextEvent > now {
 		c.nextEvent = now
 	}
-	if c.aud != nil {
-		c.aud.OnAccept(&c.arena[slot], now)
-	}
-	if c.intf != nil {
-		c.intf.onAccept(slot, now)
-	}
-	if c.met != nil {
-		if isWrite {
-			c.met.writeOcc[thread].Observe(int64(c.writeOcc[thread]))
-		} else {
-			c.met.readOcc[thread].Observe(int64(c.readOcc[thread]))
-		}
+	for _, o := range c.obs {
+		o.OnAccept(&c.arena[slot], now)
 	}
 	return true
 }
@@ -737,21 +671,6 @@ func (c *Controller) Accept(thread int, lineAddr uint64, isWrite bool, now int64
 // chanOf returns the dram channel owning a flat bank.
 func (c *Controller) chanOf(flatBank int) (*dram.Channel, int) {
 	return c.chans[flatBank/c.banksPerChan], flatBank % c.banksPerChan
-}
-
-// bankStateFor returns the Table 3 bank state a request would see if it
-// began service now.
-func (c *Controller) bankStateFor(r *core.Request) core.BankState {
-	ch, lb := c.chanOf(r.GlobalBank)
-	row, open := ch.BankOpen(lb)
-	switch {
-	case !open:
-		return core.BankClosed
-	case row == r.Row:
-		return core.BankHit
-	default:
-		return core.BankConflict
-	}
 }
 
 // nextCmdFor returns the next SDRAM command required to service r.
@@ -832,11 +751,8 @@ func (c *Controller) TickBegin(now int64) bool {
 			if c.OnReadDone != nil {
 				c.OnReadDone(r, now)
 			}
-			if c.aud != nil {
-				c.aud.OnReadDone(r, f.doneAt, now)
-			}
-			if c.tw != nil {
-				c.traceLifetime("read", f.slot, r.Thread, r.GlobalBank, r.Row, r.ArrivalReal, f.doneAt)
+			for _, o := range c.obs {
+				o.OnReadDone(r, f.doneAt, now)
 			}
 			// Every completion hook has run; the slot can be recycled.
 			c.freeSlot(f.slot)
@@ -861,11 +777,6 @@ func (c *Controller) TickBegin(now int64) bool {
 	if !c.chans[0].InRefresh(now) {
 		c.vclock++
 	}
-	if c.met != nil {
-		// Cycles [0, now] minus vclock = cycles the virtual clock has
-		// paused for refresh so far.
-		c.met.vclockLag.Set(now + 1 - c.vclock)
-	}
 
 	// 3. Interval-based policies run their window-boundary work. The
 	// next-event bound is clamped to NextTickAt, so boundary cycles are
@@ -878,8 +789,8 @@ func (c *Controller) TickBegin(now int64) bool {
 		}
 	}
 
-	if c.aud != nil {
-		c.aud.OnTick(now)
+	for _, o := range c.obs {
+		o.OnTick(now)
 	}
 	return true
 }
@@ -963,17 +874,11 @@ func (c *Controller) TickEnd(now int64) {
 		d := &c.dec[chIdx]
 		switch d.kind {
 		case decRefresh:
-			if c.aud != nil {
-				c.aud.OnRefresh(chIdx, now)
+			for _, o := range c.obs {
+				o.OnRefresh(chIdx, now)
 			}
 			ch.Issue(dram.KindRefresh, 0, 0, now)
 			c.cmdCount[dram.KindRefresh]++
-			if c.met != nil {
-				c.met.refreshLag.Observe(now + 1 - c.vclock)
-			}
-			if c.tw != nil {
-				c.tw.Complete("REF", tracePidChannel+chIdx, c.banksPerChan, now, c.cmdDuration(dram.KindRefresh))
-			}
 			c.refreshWanted[chIdx] = false
 			c.nextRefreshAt[chIdx] += int64(c.cfg.DRAM.Timing.TREF)
 			// The channel sleeps until the refresh completes. Raising
@@ -1266,27 +1171,36 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (cand candidate, ok b
 }
 
 // issue applies the winning candidate to the DRAM and updates request
-// and policy state.
+// and policy state, announcing the command on either side.
 func (c *Controller) issue(cand *candidate, now int64) {
 	c.cmdCount[cand.kind]++
 	ch, lb := c.chanOf(cand.bank)
 	chIdx := cand.bank / c.banksPerChan
-	var acmd audit.Cmd
-	if c.aud != nil {
-		var areq *core.Request
-		if cand.slot != noSlot {
-			areq = &c.arena[cand.slot]
+	cmd := audit.Cmd{Kind: cand.kind, FlatBank: cand.bank, Row: cand.row, Key: cand.key, Inverted: cand.inverted}
+	var r *core.Request // nil for an idle-close precharge
+	if cand.slot != noSlot {
+		r = &c.arena[cand.slot]
+		cmd.Req = r
+		if r.Issued == 0 {
+			// Record the bank state the request began service in: its
+			// first command names it (the inverse of nextCmdFor).
+			cmd.First = true
+			st := &c.stats[r.Thread]
+			switch cand.kind {
+			case dram.KindPrecharge:
+				cmd.State = core.BankConflict
+				st.RowConflicts++
+			case dram.KindActivate:
+				cmd.State = core.BankClosed
+				st.RowClosed++
+			default:
+				cmd.State = core.BankHit
+				st.RowHits++
+			}
 		}
-		acmd = audit.Cmd{Kind: cand.kind, FlatBank: cand.bank, Row: cand.row, Key: cand.key, Req: areq}
-		c.aud.BeforeIssue(acmd, now)
 	}
-	if c.met != nil && cand.inverted {
-		// FQ priority-inversion accounting: this CAS wins while a
-		// same-bank request with a strictly smaller policy key waits
-		// (the first-ready window of RuleFQ). The window length is how
-		// long the bank's current row has been favored.
-		c.met.inversions.Inc()
-		c.met.inversionWindow.Observe(now - ch.LastActivate(lb))
+	for _, o := range c.obs {
+		o.BeforeIssue(cmd, now)
 	}
 	// Issuing any command moves the channel-global constraints (tCCD,
 	// tWTR, data-bus occupancy), and issuing a request command moves the
@@ -1307,72 +1221,33 @@ func (c *Controller) issue(cand *candidate, now int64) {
 	if cand.kind == dram.KindActivate || cand.kind == dram.KindPrecharge {
 		c.bankEpoch[cand.bank]++
 	}
-	if cand.slot == noSlot {
-		// Idle-close precharge: device state only; no request, and no
-		// VTMS charge (no thread is waiting on it).
+	if r == nil {
+		// Device state only: no request, and no VTMS charge (no thread
+		// is waiting on it).
 		ch.Issue(dram.KindPrecharge, lb, 0, now)
-		if c.tw != nil {
-			c.traceCmd(dram.KindPrecharge, cand.bank, -1, 0, now)
-		}
-		if c.aud != nil {
-			c.aud.AfterIssue(acmd, now)
-		}
-		return
-	}
-	r := &c.arena[cand.slot]
-	if r.Issued == 0 {
-		// Record the bank state the request began service in.
-		st := &c.stats[r.Thread]
-		switch c.bankStateFor(r) {
-		case core.BankHit:
-			st.RowHits++
-			if c.met != nil {
-				c.met.bankRowHit[cand.bank].Inc()
-			}
-		case core.BankConflict:
-			st.RowConflicts++
-			if c.met != nil {
-				c.met.bankRowConf[cand.bank].Inc()
-			}
-		default:
-			st.RowClosed++
-			if c.met != nil {
-				c.met.bankRowClosed[cand.bank].Inc()
+	} else {
+		cmd.DataEnd = ch.IssueFrom(cand.kind, lb, r.Row, now, r.Thread)
+		c.policy.OnIssue(r, core.CmdKind(cand.kind))
+		c.thrEpoch[chIdx*c.cfg.Threads+r.Thread]++
+		r.Issued++
+		if cand.isCAS {
+			c.removePending(cand.bank, cand.slot)
+			st := &c.stats[r.Thread]
+			st.DataBusCycles += int64(c.cfg.DRAM.Timing.BL2)
+			if cand.kind == dram.KindRead {
+				c.inflight[r.Channel] = append(c.inflight[r.Channel], inflightRead{slot: cand.slot, doneAt: cmd.DataEnd})
+			} else {
+				st.WritesDone++
+				c.writeOcc[r.Thread]--
+				c.writeOccTotal--
 			}
 		}
 	}
-	dataEnd := ch.IssueFrom(cand.kind, lb, r.Row, now, r.Thread)
-	if c.tw != nil {
-		c.traceCmd(cand.kind, cand.bank, r.Thread, r.Row, now)
+	for _, o := range c.obs {
+		o.AfterIssue(cmd, now)
 	}
-	c.policy.OnIssue(r, core.CmdKind(cand.kind))
-	c.thrEpoch[chIdx*c.cfg.Threads+r.Thread]++
-	r.Issued++
-	writeDone := false
-	if cand.kind == dram.KindRead || cand.kind == dram.KindWrite {
-		if c.intf != nil {
-			c.intfServiceStart(cand.slot, now)
-		}
-		c.removePending(cand.bank, cand.slot)
-		st := &c.stats[r.Thread]
-		st.DataBusCycles += int64(c.cfg.DRAM.Timing.BL2)
-		if cand.kind == dram.KindRead {
-			c.inflight[r.Channel] = append(c.inflight[r.Channel], inflightRead{slot: cand.slot, doneAt: dataEnd})
-		} else {
-			st.WritesDone++
-			c.writeOcc[r.Thread]--
-			c.writeOccTotal--
-			if c.tw != nil {
-				c.traceLifetime("write", cand.slot, r.Thread, cand.bank, r.Row, r.ArrivalReal, dataEnd)
-			}
-			writeDone = true
-		}
-	}
-	if c.aud != nil {
-		c.aud.AfterIssue(acmd, now)
-	}
-	if writeDone {
-		// A write retires at its CAS; every hook above has seen the
+	if cand.kind == dram.KindWrite {
+		// A write retires at its CAS; every observer has seen the
 		// request, so the slot can be recycled.
 		c.freeSlot(cand.slot)
 	}

@@ -3,21 +3,22 @@ package memctrl
 import (
 	"fmt"
 
+	"repro/internal/audit"
+	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/metrics"
 )
 
-// memMetrics holds the controller's metric handles. A nil *memMetrics
-// means the observability layer is off; every hot-path update site
-// guards on that single pointer test, so a disabled run costs one
-// predicted branch per site and is bit-identical to an uninstrumented
-// controller (no metric ever feeds back into scheduling).
+// memMetrics is the observer holding the controller's metric handles
+// (attached when Config.Metrics is set). No metric ever feeds back into
+// scheduling, so an instrumented run is bit-identical to a bare one.
 type memMetrics struct {
-	// Service-start classification per flat bank (the per-bank
-	// counterpart of ThreadStats.RowHits/RowConflicts/RowClosed).
-	bankRowHit    []*metrics.Counter
-	bankRowConf   []*metrics.Counter
-	bankRowClosed []*metrics.Counter
+	nopObserver
+	c *Controller
+
+	// Service-start classification per core.BankState and flat bank (the
+	// per-bank counterpart of ThreadStats.RowHits/RowConflicts/RowClosed).
+	bankRow [3][]*metrics.Counter
 
 	// Transaction/write buffer occupancy per thread, sampled at every
 	// successful Accept (after the entry is taken).
@@ -44,9 +45,7 @@ type memMetrics struct {
 // hot-path handles.
 func newMemMetrics(reg *metrics.Registry, c *Controller) *memMetrics {
 	m := &memMetrics{
-		bankRowHit:      make([]*metrics.Counter, len(c.pending)),
-		bankRowConf:     make([]*metrics.Counter, len(c.pending)),
-		bankRowClosed:   make([]*metrics.Counter, len(c.pending)),
+		c:               c,
 		readOcc:         make([]*metrics.Histogram, c.cfg.Threads),
 		writeOcc:        make([]*metrics.Histogram, c.cfg.Threads),
 		vclockLag:       reg.Gauge("memctrl.vclock_lag"),
@@ -54,10 +53,11 @@ func newMemMetrics(reg *metrics.Registry, c *Controller) *memMetrics {
 		inversions:      reg.Counter("memctrl.fq.inversions"),
 		inversionWindow: reg.Histogram("memctrl.fq.inversion_window"),
 	}
+	rowNames := [3]string{core.BankHit: "hits", core.BankConflict: "conflicts", core.BankClosed: "closed"}
 	for b := range c.pending {
-		m.bankRowHit[b] = reg.Counter(fmt.Sprintf("memctrl.bank%d.row_hits", b))
-		m.bankRowConf[b] = reg.Counter(fmt.Sprintf("memctrl.bank%d.row_conflicts", b))
-		m.bankRowClosed[b] = reg.Counter(fmt.Sprintf("memctrl.bank%d.row_closed", b))
+		for _, st := range [3]core.BankState{core.BankHit, core.BankConflict, core.BankClosed} {
+			m.bankRow[st] = append(m.bankRow[st], reg.Counter(fmt.Sprintf("memctrl.bank%d.row_%s", b, rowNames[st])))
+		}
 	}
 	for t := 0; t < c.cfg.Threads; t++ {
 		m.readOcc[t] = reg.Histogram(fmt.Sprintf("memctrl.thread%d.read_occupancy", t))
@@ -96,6 +96,35 @@ func newMemMetrics(reg *metrics.Registry, c *Controller) *memMetrics {
 	return m
 }
 
+func (m *memMetrics) OnAccept(r *core.Request, _ int64) {
+	if r.IsWrite {
+		m.writeOcc[r.Thread].Observe(int64(m.c.writeOcc[r.Thread]))
+	} else {
+		m.readOcc[r.Thread].Observe(int64(m.c.readOcc[r.Thread]))
+	}
+}
+
+// OnTick: cycles [0, now] minus vclock = cycles the virtual clock has
+// paused for refresh so far.
+func (m *memMetrics) OnTick(now int64) { m.vclockLag.Set(now + 1 - m.c.vclock) }
+
+func (m *memMetrics) OnRefresh(_ int, now int64) { m.refreshLag.Observe(now + 1 - m.c.vclock) }
+
+func (m *memMetrics) BeforeIssue(cmd audit.Cmd, now int64) {
+	if cmd.Inverted {
+		// FQ priority-inversion accounting: this CAS wins while a
+		// same-bank request with a strictly smaller policy key waits
+		// (the first-ready window of RuleFQ). The window length is how
+		// long the bank's current row has been favored.
+		ch, lb := m.c.chanOf(cmd.FlatBank)
+		m.inversions.Inc()
+		m.inversionWindow.Observe(now - ch.LastActivate(lb))
+	}
+	if cmd.First {
+		m.bankRow[cmd.State][cmd.FlatBank].Inc()
+	}
+}
+
 // Trace-event process ids: one process row per channel (banks are its
 // thread rows, plus one refresh row), one per hardware thread (request
 // lifetimes).
@@ -104,9 +133,19 @@ const (
 	tracePidThread  = 100 // + thread index
 )
 
-// initTrace emits the metadata events naming the trace's rows.
-func (c *Controller) initTrace() {
-	tw := c.tw
+// tracer is the observer streaming the Chrome trace-event timeline
+// (attached when Config.Trace is set): one event per SDRAM command on
+// the owning bank's row and one per request lifetime on the owning
+// thread's row.
+type tracer struct {
+	nopObserver
+	tw   *metrics.TraceWriter
+	c    *Controller
+	vals [5]int64 // event arg scratch, so emission does not allocate
+}
+
+// newTracer emits the metadata events naming the trace's rows.
+func newTracer(tw *metrics.TraceWriter, c *Controller) *tracer {
 	for chIdx := range c.chans {
 		pid := tracePidChannel + chIdx
 		tw.ProcessName(pid, fmt.Sprintf("SDRAM channel %d", chIdx))
@@ -121,6 +160,7 @@ func (c *Controller) initTrace() {
 		tw.ThreadName(pid, 0, "reads")
 		tw.ThreadName(pid, 1, "writes")
 	}
+	return &tracer{tw: tw, c: c}
 }
 
 // cmdDuration returns the display duration of an SDRAM command: the
@@ -144,8 +184,8 @@ func (c *Controller) cmdDuration(kind dram.Kind) int64 {
 	return 1
 }
 
-// Static key sets for trace events, kept package-level (and the value
-// scratch on the Controller) so event emission does not allocate.
+// Static key sets for trace events, kept package-level so event
+// emission does not allocate.
 var (
 	traceCmdKeys  = []string{"thread", "row"}
 	traceLifeKeys = []string{"bank", "row", "latency"}
@@ -155,40 +195,44 @@ var (
 	traceLifeIntfKeys = []string{"bank", "row", "latency", "top_aggressor", "stolen_cycles"}
 )
 
-// traceCmd emits one SDRAM command event on the owning bank's row.
-// thread < 0 marks a request-less command (idle-close precharge).
-func (c *Controller) traceCmd(kind dram.Kind, flatBank, thread, row int, now int64) {
-	pid := tracePidChannel + flatBank/c.banksPerChan
-	tid := flatBank % c.banksPerChan
-	if thread < 0 {
-		c.tw.Complete(kind.String(), pid, tid, now, c.cmdDuration(kind))
-		return
-	}
-	c.traceVals[0] = int64(thread)
-	c.traceVals[1] = int64(row)
-	c.tw.CompleteArgs(kind.String(), pid, tid, now, c.cmdDuration(kind),
-		traceCmdKeys, c.traceVals[:2])
+func (t *tracer) OnRefresh(chIdx int, now int64) {
+	t.tw.Complete("REF", tracePidChannel+chIdx, t.c.banksPerChan, now, t.c.cmdDuration(dram.KindRefresh))
 }
 
-// traceLifetime emits one request-lifetime event on the owning thread's
-// row (tid 0 = reads, 1 = writes), spanning arrival to data burst end.
-// slot is the request's arena slot, used to pull its interference
-// attribution when the tracker is on.
-func (c *Controller) traceLifetime(name string, slot int32, thread, flatBank, row int, arrival, done int64) {
-	c.traceVals[0] = int64(flatBank)
-	c.traceVals[1] = int64(row)
-	c.traceVals[2] = done - arrival
-	tid := 0
-	if name == "write" {
-		tid = 1
+// AfterIssue emits the command and, for a write (which retires at its
+// CAS), the request's lifetime.
+func (t *tracer) AfterIssue(cmd audit.Cmd, now int64) {
+	pid := tracePidChannel + cmd.FlatBank/t.c.banksPerChan
+	tid := cmd.FlatBank % t.c.banksPerChan
+	r := cmd.Req
+	if r == nil {
+		t.tw.Complete(cmd.Kind.String(), pid, tid, now, t.c.cmdDuration(cmd.Kind))
+		return
 	}
-	keys, vals := traceLifeKeys, c.traceVals[:3]
-	if c.intf != nil {
-		top, stolen := c.intf.topAggressor(slot, thread)
-		c.traceVals[3] = int64(top)
-		c.traceVals[4] = stolen
-		keys, vals = traceLifeIntfKeys, c.traceVals[:5]
+	t.vals[0] = int64(r.Thread)
+	t.vals[1] = int64(r.Row)
+	t.tw.CompleteArgs(cmd.Kind.String(), pid, tid, now, t.c.cmdDuration(cmd.Kind),
+		traceCmdKeys, t.vals[:2])
+	if cmd.Kind == dram.KindWrite {
+		t.lifetime("write", 1, r, cmd.DataEnd)
 	}
-	c.tw.CompleteArgs(name, tracePidThread+thread, tid, arrival, done-arrival,
+}
+
+func (t *tracer) OnReadDone(r *core.Request, doneAt, _ int64) { t.lifetime("read", 0, r, doneAt) }
+
+// lifetime emits one request-lifetime event on the owning thread's row
+// (tid 0 = reads, 1 = writes), spanning arrival to data burst end.
+func (t *tracer) lifetime(name string, tid int, r *core.Request, done int64) {
+	t.vals[0] = int64(r.GlobalBank)
+	t.vals[1] = int64(r.Row)
+	t.vals[2] = done - r.ArrivalReal
+	keys, vals := traceLifeKeys, t.vals[:3]
+	if intf := t.c.intf; intf != nil {
+		top, stolen := intf.topAggressor(r.Slot, r.Thread)
+		t.vals[3] = int64(top)
+		t.vals[4] = stolen
+		keys, vals = traceLifeIntfKeys, t.vals[:5]
+	}
+	t.tw.CompleteArgs(name, tracePidThread+r.Thread, tid, r.ArrivalReal, done-r.ArrivalReal,
 		keys, vals)
 }

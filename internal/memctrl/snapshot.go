@@ -79,6 +79,7 @@ func (c *Controller) State(s *snapshot.Codec) error {
 		}
 		q := &c.arena[*slot]
 		requestState(s, q)
+		q.Slot = *slot
 		if s.Loading() && s.Err() == nil {
 			switch {
 			case q.Thread < 0 || q.Thread >= len(c.stats):

@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/memctrl"
+	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 // namedConfigRows is the builder's input boundary as one table: every
@@ -84,6 +87,59 @@ func TestNamedConfig(t *testing.T) {
 		t.Fatal("FQ-VFTF refused a share reassignment")
 	}
 	s.Step(2_000)
+}
+
+// TestHostileConfigValues: values NamedConfig never sets, handed
+// straight to New, are errors and never a panic or a run.
+func TestHostileConfigValues(t *testing.T) {
+	for _, row := range []struct {
+		name    string
+		mutate  func(*Config)
+		wantErr string
+	}{
+		{"nil source beside a workload", func(c *Config) { c.Sources = []trace.Source{nil, nil} }, "source 0 is nil"},
+		{"nil source", func(c *Config) { c.Sources = []trace.Source{nil, nil}; c.Workload = nil }, "source 0 is nil"},
+		{"negative request transit", func(c *Config) { c.ReqTransit = -1 }, "request -1, response 10"},
+		{"negative response transit", func(c *Config) { c.RespTransit = -5 }, "response -5"},
+		{"negative sample interval", func(c *Config) { c.SampleInterval = -1000 }, "interval -1000"},
+		{"negative sample capacity", func(c *Config) { c.SampleInterval = 1000; c.SampleCapacity = -1 }, "capacity -1 must not be negative"},
+	} {
+		row := row
+		t.Run(row.name, func(t *testing.T) {
+			cfg, err := NamedConfig([]string{"art", "vpr"}, "FQ-VFTF", nil, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row.mutate(&cfg)
+			s, err := New(cfg)
+			if err == nil || !strings.Contains(err.Error(), row.wantErr) {
+				t.Fatalf("error = %v, want one mentioning %q", err, row.wantErr)
+			}
+			if s != nil {
+				t.Error("a refused Config still returned a System")
+			}
+		})
+	}
+}
+
+// TestObserverSwitchesAreSimConfigFields: the controller's copies of the
+// four observer switches are assigned from sim.Config, so what listens
+// is what the checkpoint fingerprint records.
+func TestObserverSwitchesAreSimConfigFields(t *testing.T) {
+	cfg, err := NamedConfig([]string{"art", "vpr"}, "FQ-VFTF", nil, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Mem = memctrl.DefaultConfig(2) // a spelled-out Mem is kept, not rebuilt
+	cfg.Mem.Audit, cfg.Mem.Interference, cfg.Mem.Metrics = true, true, metrics.New()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Controller().Auditor() != nil || s.Controller().InterferenceEnabled() || s.cfg.Mem.Metrics != nil {
+		t.Error("an observer set only on Config.Mem is listening")
+	}
 }
 
 // FuzzNamedConfig holds the builder to its contract on arbitrary

@@ -151,7 +151,8 @@ type Config struct {
 	Policy PolicyFactory
 
 	// CPU, Cache, and Mem configure the substrates; zero values select
-	// the paper's Table 5 configuration.
+	// the paper's Table 5 configuration. Mem's Audit, Interference,
+	// Metrics and Trace are overwritten from the fields below: set those.
 	CPU   cpu.Config
 	Cache cache.HierarchyConfig
 	Mem   memctrl.Config
@@ -230,6 +231,11 @@ type Config struct {
 
 // withDefaults fills zero-valued fields with Table 5 defaults.
 func (c Config) withDefaults() (Config, error) {
+	for i, s := range c.Sources {
+		if s == nil {
+			return c, fmt.Errorf("sim: source %d is nil", i)
+		}
+	}
 	if len(c.Sources) > 0 && len(c.Workload) == 0 {
 		// Replay mode: synthesize placeholder profiles so the rest of
 		// the configuration sees a consistent core count.
@@ -316,17 +322,20 @@ func (c Config) withDefaults() (Config, error) {
 	if c.RespTransit == 0 {
 		c.RespTransit = 10
 	}
-	if c.Audit {
-		c.Mem.Audit = true
-	}
-	if c.Interference {
-		c.Mem.Interference = true
+	// A negative transit would deliver a fill before its data burst ends
+	// (and Step's parallel phases need a response never due the cycle it
+	// is queued); a negative interval or capacity sizes nothing.
+	if c.ReqTransit < 0 || c.RespTransit < 0 || c.SampleInterval < 0 || c.SampleCapacity < 0 {
+		return c, fmt.Errorf("sim: transits (request %d, response %d), sample interval %d and capacity %d must not be negative",
+			c.ReqTransit, c.RespTransit, c.SampleInterval, c.SampleCapacity)
 	}
 	if c.SampleInterval > 0 && c.Metrics == nil {
 		c.Metrics = metrics.New()
 	}
-	c.Mem.Metrics = c.Metrics
-	c.Mem.Trace = c.Trace
+	// Assigned, not merged: what listens is what the checkpoint
+	// fingerprint (which reads this Config's fields) records.
+	c.Mem.Audit, c.Mem.Interference = c.Audit, c.Interference
+	c.Mem.Metrics, c.Mem.Trace = c.Metrics, c.Trace
 	// Checked here, before New sizes the policy and the channel models
 	// from it: a hostile channel count must cost an error, not memory.
 	return c, c.Mem.Validate()
@@ -875,35 +884,35 @@ type Result struct {
 	PolicyName  string
 }
 
-// Results reports the statistics accumulated since BeginMeasurement.
+// Results reports the statistics accumulated since BeginMeasurement, or
+// since cycle zero when it was never called. It stores nothing: a peek
+// during warm-up does not start the measurement window.
 func (s *System) Results() Result {
-	if s.snap.retired == nil {
-		s.BeginMeasurementAtZero()
+	snap := s.snap
+	if !s.MeasurementStarted() {
+		snap = newBaseline(len(s.cores))
 	}
-	window := s.cycle - s.snap.cycle
+	window := s.cycle - snap.cycle
 	res := Result{
 		Cycles:     window,
 		Threads:    make([]ThreadResult, len(s.cores)),
 		PolicyName: s.ctrl.Policy().Name(),
 	}
-	// The fixed latency between a core's L2 miss and the controller,
-	// plus the return path: L1 + L2 lookup and both transits.
-	fixedLat := float64(s.cfg.Cache.L1D.Latency + s.cfg.Cache.L2.Latency +
-		s.cfg.ReqTransit + s.cfg.RespTransit)
+	fixedLat := float64(s.fixedReadLatency())
 	for i, c := range s.cores {
 		st := s.ctrl.Stats(i)
 		tr := &res.Threads[i]
 		tr.Benchmark = s.cfg.Workload[i].Name
-		tr.Instructions = c.Retired - s.snap.retired[i]
+		tr.Instructions = c.Retired - snap.retired[i]
 		if window > 0 {
 			tr.IPC = float64(tr.Instructions) / float64(window)
-			tr.BusUtil = float64(st.DataBusCycles-s.snap.busCycles[i]) /
+			tr.BusUtil = float64(st.DataBusCycles-snap.busCycles[i]) /
 				float64(window*int64(s.ctrl.Channels()))
 		}
-		tr.ReadsDone = st.ReadsDone - s.snap.readsDone[i]
-		tr.StallCycles = c.StallCycles - s.snap.stalls[i]
+		tr.ReadsDone = st.ReadsDone - snap.readsDone[i]
+		tr.StallCycles = c.StallCycles - snap.stalls[i]
 		if tr.ReadsDone > 0 {
-			tr.AvgReadLatency = float64(st.ReadLatencySum-s.snap.readLatSum[i])/float64(tr.ReadsDone) + fixedLat
+			tr.AvgReadLatency = float64(st.ReadLatencySum-snap.readLatSum[i])/float64(tr.ReadsDone) + fixedLat
 			// The histogram is cumulative (not windowed); with standard
 			// warmup/window proportions the tail estimate is dominated
 			// by the window.
@@ -911,42 +920,19 @@ func (s *System) Results() Result {
 			tr.ReadLatP95 = st.ReadLatencyQuantile(0.95) + fixedLat
 			tr.ReadLatP99 = st.ReadLatencyQuantile(0.99) + fixedLat
 		}
-		hits := st.RowHits - s.snap.rowHits[i]
-		tot := hits + (st.RowConflicts - s.snap.rowConf[i]) + (st.RowClosed - s.snap.rowClosed[i])
+		hits := st.RowHits - snap.rowHits[i]
+		tot := hits + (st.RowConflicts - snap.rowConf[i]) + (st.RowClosed - snap.rowClosed[i])
 		if tot > 0 {
 			tr.RowHitRate = float64(hits) / float64(tot)
 		}
 	}
 	if window > 0 {
 		nch := int64(s.ctrl.Channels())
-		res.DataBusUtil = float64(s.ctrl.DataBusBusyCycles()-s.snap.dataBusBusy) / float64(window*nch)
-		res.BankUtil = float64(s.ctrl.BankBusyCycles(s.cycle)-s.snap.bankBusy) /
+		res.DataBusUtil = float64(s.ctrl.DataBusBusyCycles()-snap.dataBusBusy) / float64(window*nch)
+		res.BankUtil = float64(s.ctrl.BankBusyCycles(s.cycle)-snap.bankBusy) /
 			float64(window*nch*int64(s.cfg.Mem.DRAM.Banks()))
 	}
 	return res
-}
-
-// BeginMeasurementAtZero initializes an empty snapshot (measure from
-// cycle zero); Results calls it implicitly when BeginMeasurement was
-// never invoked.
-func (s *System) BeginMeasurementAtZero() {
-	saved := s.cycle
-	s.cycle = 0
-	s.BeginMeasurement()
-	s.cycle = saved
-	s.snap.cycle = 0
-	for i := range s.snap.retired {
-		s.snap.retired[i] = 0
-		s.snap.stalls[i] = 0
-		s.snap.readsDone[i] = 0
-		s.snap.readLatSum[i] = 0
-		s.snap.busCycles[i] = 0
-		s.snap.rowHits[i] = 0
-		s.snap.rowConf[i] = 0
-		s.snap.rowClosed[i] = 0
-	}
-	s.snap.dataBusBusy = 0
-	s.snap.bankBusy = 0
 }
 
 // RunTo is the one run loop: it advances the system to the absolute

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -234,6 +235,32 @@ func TestResultsWithoutBeginMeasurement(t *testing.T) {
 	}
 	if res.Threads[0].Instructions != s.Core(0).Retired {
 		t.Error("zero-snapshot results should cover everything")
+	}
+}
+
+// TestResultsBeforeBeginMeasurementStoresNothing: reporting from cycle
+// zero must not mark a baseline — the interference window stays the
+// whole run and the system is still on the warm-up side of the boundary.
+func TestResultsBeforeBeginMeasurementStoresNothing(t *testing.T) {
+	s, err := New(Config{
+		Workload:     []trace.Profile{profile(t, "art"), profile(t, "vpr")},
+		Policy:       FQVFTF,
+		Interference: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Step(50_000)
+	if res := s.Results(); res.Cycles != 50_000 {
+		t.Errorf("cycles = %d, want full 50000", res.Cycles)
+	}
+	if s.MeasurementStarted() {
+		t.Error("Results started the measurement window")
+	}
+	got, _ := s.Interference()
+	want, _ := s.Controller().InterferenceSnapshot(false)
+	if got.Total == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("windowed attribution total %d, cumulative %d; want equal and non-zero", got.Total, want.Total)
 	}
 }
 

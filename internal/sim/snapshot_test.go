@@ -440,7 +440,8 @@ func TestCheckpointRefusesTraceSink(t *testing.T) {
 // complete final process state equal RunSystem's straight run; atChunk
 // fires at exactly the chunk ends (each chunk measured from the previous
 // end, cut at the warm-up boundary) and never at total; and
-// BeginMeasurement lands on the warm-up cycle.
+// BeginMeasurement lands on the warm-up cycle — also when the callback
+// peeks at Results during warm-up, which must not start the window.
 func TestRunToChunks(t *testing.T) {
 	const warmup, total = 2_000, 9_000
 	cfg := Config{
@@ -464,16 +465,18 @@ func TestRunToChunks(t *testing.T) {
 		restoreAt int64 // 0 = fresh system
 		every     int64
 		stops     []int64 // nil = check the chunking properties only
+		peek      bool    // atChunk calls Results
 	}{
-		{"every=1", 0, 1, nil},
-		{"every=7", 0, 7, nil},
-		{"every=warmup-1", 0, warmup - 1, []int64{1_999, 2_000, 3_999, 5_998, 7_997}},
-		{"every=warmup", 0, warmup, []int64{2_000, 4_000, 6_000, 8_000}},
-		{"every=warmup+1", 0, warmup + 1, []int64{2_000, 4_001, 6_002, 8_003}},
-		{"every=total+1", 0, total + 1, []int64{2_000}},
-		{"unchunked", 0, 0, []int64{2_000}},
-		{"restored mid-warm-up", 1_234, 3_000, []int64{2_000, 5_000, 8_000}},
-		{"restored mid-window", 4_321, 3_000, []int64{7_321}},
+		{"every=1", 0, 1, nil, false},
+		{"every=7", 0, 7, nil, false},
+		{"every=warmup-1", 0, warmup - 1, []int64{1_999, 2_000, 3_999, 5_998, 7_997}, false},
+		{"every=warmup", 0, warmup, []int64{2_000, 4_000, 6_000, 8_000}, false},
+		{"every=warmup+1", 0, warmup + 1, []int64{2_000, 4_001, 6_002, 8_003}, false},
+		{"every=total+1", 0, total + 1, []int64{2_000}, false},
+		{"unchunked", 0, 0, []int64{2_000}, false},
+		{"restored mid-warm-up", 1_234, 3_000, []int64{2_000, 5_000, 8_000}, false},
+		{"restored mid-window", 4_321, 3_000, []int64{7_321}, false},
+		{"results peeked mid-warm-up", 0, 700, []int64{700, 1_400, 2_000, 2_700, 3_400, 4_100, 4_800, 5_500, 6_200, 6_900, 7_600, 8_300}, true},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -499,6 +502,11 @@ func TestRunToChunks(t *testing.T) {
 			start := s.Cycle()
 			var stops []int64
 			err = s.RunTo(warmup, total, tc.every, func() (int64, error) {
+				if tc.peek {
+					if res := s.Results(); s.Cycle() < warmup && res.Cycles != s.Cycle() {
+						t.Errorf("warm-up peek at cycle %d covers %d cycles", s.Cycle(), res.Cycles)
+					}
+				}
 				if s.MeasurementStarted() != (s.Cycle() >= warmup) {
 					t.Errorf("at cycle %d MeasurementStarted = %v", s.Cycle(), s.MeasurementStarted())
 				}
