@@ -99,6 +99,7 @@ type Core struct {
 	issueQ    []int32 // rob slots of loads awaiting cache access
 	issueRdy  []int64 // readyAt per issueQ entry
 	issueNACK []bool  // entry NACKed (MSHR full); retry only after a fill
+	parked    int     // entries of issueNACK that are set
 	inFlight  int     // loads issued, not completed
 
 	storeBuf  []uint64 // retired store line addresses awaiting cache write
@@ -279,6 +280,11 @@ func (c *Core) drainStores() {
 }
 
 func (c *Core) issueLoads(now int64) {
+	// With every queued load parked, or the load queue full, each
+	// iteration below would skip its entry: the memory-bound steady state.
+	if c.parked == len(c.issueQ) || c.inFlight >= c.cfg.LoadQueue {
+		return
+	}
 	issued := 0
 	for i := 0; i < len(c.issueQ) && issued < c.cfg.LoadsPerCycle; i++ {
 		if c.issueNACK[i] || c.issueRdy[i] > now || c.inFlight >= c.cfg.LoadQueue {
@@ -291,6 +297,7 @@ func (c *Core) issueLoads(now int64) {
 			// MSHR full: the outcome cannot change until a fill frees
 			// one, so park the entry instead of re-probing every cycle.
 			c.issueNACK[i] = true
+			c.parked++
 			continue
 		}
 		issued++
@@ -329,8 +336,9 @@ func (c *Core) OnFill(token int, now int64) {
 	// every parked MSHR-full NACK may now succeed.
 	c.storeNACK = false
 	c.ifetchNACK = false
-	for i := range c.issueNACK {
-		c.issueNACK[i] = false
+	if c.parked > 0 {
+		clear(c.issueNACK)
+		c.parked = 0
 	}
 	if token < len(c.tokenWaiters) {
 		ws := c.tokenWaiters[token]
@@ -459,7 +467,7 @@ func (c *Core) NextWork(from int64) int64 {
 	}
 	// Loads: queued entries become issuable at known ready times; parked
 	// NACKs and a full load queue clear only on a fill.
-	if c.inFlight < c.cfg.LoadQueue {
+	if c.inFlight < c.cfg.LoadQueue && c.parked < len(c.issueQ) {
 		for i, r := range c.issueRdy {
 			if c.issueNACK[i] {
 				continue

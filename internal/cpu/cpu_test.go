@@ -1,9 +1,11 @@
 package cpu
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/snapshot"
 	"repro/internal/trace"
 )
 
@@ -313,5 +315,137 @@ func TestMixedDependences(t *testing.T) {
 	}
 	if c.Retired < 15000 {
 		t.Fatalf("mixed-dependence stream wedged: retired %d", c.Retired)
+	}
+}
+
+// refIssueLoads is issueLoads as it was before the parked count: every
+// queued load is visited every cycle, and the count is never touched.
+func refIssueLoads(c *Core, now int64) {
+	issued := 0
+	for i := 0; i < len(c.issueQ) && issued < c.cfg.LoadsPerCycle; i++ {
+		if c.issueNACK[i] || c.issueRdy[i] > now || c.inFlight >= c.cfg.LoadQueue {
+			continue
+		}
+		idx := c.issueQ[i]
+		e := &c.rob[idx]
+		res := c.hier.Access(cache.ClassLoad, e.addr)
+		if res.NACK {
+			c.issueNACK[i] = true
+			continue
+		}
+		issued++
+		e.inIssueQ = false
+		c.inFlight++
+		c.issueQ = append(c.issueQ[:i], c.issueQ[i+1:]...)
+		c.issueRdy = append(c.issueRdy[:i], c.issueRdy[i+1:]...)
+		c.issueNACK = append(c.issueNACK[:i], c.issueNACK[i+1:]...)
+		i--
+		if res.Hit {
+			c.resolve(idx, now+int64(res.Latency))
+			c.inFlight--
+			continue
+		}
+		c.addTokenWaiter(res.Token, idx)
+	}
+}
+
+// TestParkedIssueQueueEarlyOut: once the MSHRs are full every queued
+// load is parked until a fill, and issueLoads and NextWork return
+// without walking the queue. A core driven through no-fill, slow-fill
+// and no-fill phases must match, cycle for cycle, a reference core that
+// scans every entry every cycle (its parked count stays zero, which
+// also keeps NextWork's scan and OnFill's clearing unconditional).
+func TestParkedIssueQueueEarlyOut(t *testing.T) {
+	p := trace.Profile{
+		Name: "parky", MemFrac: 0.6, StoreFrac: 0.2,
+		SeqFrac: 0.5, Streams: 4, WorkingSetKB: 65536,
+		FpFrac: 0.2, DepFrac: 0.3,
+	}
+	c, ref := newCore(t, p), newCore(t, p)
+	type fill struct {
+		tok int
+		at  int64
+	}
+	var fills, refFills []fill
+	// collect queues the hierarchy's new fetches as fills due lat cycles on.
+	collect := func(h *cache.Hierarchy, q []fill, at int64) []fill {
+		for {
+			_, tok, ok := h.NextFetch()
+			if !ok {
+				return q
+			}
+			h.FetchAccepted()
+			q = append(q, fill{tok, at})
+		}
+	}
+	sawParked, sawForever := false, false
+	for now := int64(0); now < 12_000; now++ {
+		c.Tick(now)
+
+		stalled, r0 := ref.count > 0, ref.Retired
+		ref.retire(now)
+		if stalled && ref.Retired == r0 {
+			ref.StallCycles++
+		}
+		ref.drainStores()
+		refIssueLoads(ref, now)
+		ref.dispatch(now)
+
+		fills = collect(c.hier, fills, now+50)
+		refFills = collect(ref.hier, refFills, now+50)
+		if now >= 4_000 && now < 8_000 { // memory answers in the middle phase only
+			for len(fills) > 0 && fills[0].at <= now {
+				c.hier.Fill(fills[0].tok)
+				c.OnFill(fills[0].tok, now)
+				fills = fills[1:]
+			}
+			for len(refFills) > 0 && refFills[0].at <= now {
+				ref.hier.Fill(refFills[0].tok)
+				for i := range ref.issueNACK {
+					ref.issueNACK[i] = false
+				}
+				ref.OnFill(refFills[0].tok, now)
+				refFills = refFills[1:]
+			}
+		}
+		if ref.parked != 0 {
+			t.Fatalf("cycle %d: the reference core counted %d parked entries", now, ref.parked)
+		}
+		got, want := c.NextWork(now+1), ref.NextWork(now+1)
+		if c.Retired != ref.Retired || c.StallCycles != ref.StallCycles || got != want ||
+			len(c.issueQ) != len(ref.issueQ) || c.inFlight != ref.inFlight {
+			t.Fatalf("cycle %d: retired %d/%d, stall cycles %d/%d, next work %d/%d, queued %d/%d, in flight %d/%d (core/reference)",
+				now, c.Retired, ref.Retired, c.StallCycles, ref.StallCycles, got, want,
+				len(c.issueQ), len(ref.issueQ), c.inFlight, ref.inFlight)
+		}
+		sawParked = sawParked || c.parked > 0 && c.parked == len(c.issueQ)
+		sawForever = sawForever || got == Forever
+	}
+	if !sawParked || !sawForever {
+		t.Fatalf("workload never parked the whole issue queue (%v) or blocked on a fill (%v)", sawParked, sawForever)
+	}
+	if c.Retired == 0 || c.StallCycles == 0 {
+		t.Fatalf("degenerate run: retired %d, stall cycles %d", c.Retired, c.StallCycles)
+	}
+
+	// The count is not in the checkpoint: a restored core recounts it.
+	var buf bytes.Buffer
+	enc := snapshot.NewEncoder(&buf)
+	if err := c.State(enc); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := snapshot.NewDecoder(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := newCore(t, p)
+	if err := back.State(dec); err != nil {
+		t.Fatal(err)
+	}
+	if c.parked == 0 || back.parked != c.parked {
+		t.Fatalf("restored core counts %d parked entries, want %d (> 0)", back.parked, c.parked)
 	}
 }

@@ -85,6 +85,12 @@ func (c *Core) State(s *snapshot.Codec) error {
 		case c.tokenStall < -1 || c.tokenStall >= len(c.tokenWaiters):
 			s.Fail("tokenStall %d out of range", c.tokenStall)
 		}
+		c.parked = 0
+		for _, nack := range c.issueNACK {
+			if nack {
+				c.parked++
+			}
+		}
 	}
 	return s.End()
 }

@@ -93,6 +93,21 @@ func (t Timing) Validate() error {
 	case t.TRFC <= 0 || t.TREF <= 0:
 		return fmt.Errorf("dram: non-positive refresh timing in %+v", t)
 	}
+	// The spacing constraints only ever delay a command. A negative one
+	// would let it issue before its cause, and a negative tRP makes the
+	// precharge share of a request's bank service negative too, which
+	// moves a VTMS bank register backwards (Eq. 8).
+	for _, c := range []struct {
+		name     string
+		val, min int
+	}{
+		{"tRP", t.TRP, 1}, {"tRRD", t.TRRD, 1}, {"tCCD", t.TCCD, 1},
+		{"tWTR", t.TWTR, 0}, {"tWR", t.TWR, 0}, {"tRTP", t.TRTP, 0},
+	} {
+		if c.val < c.min {
+			return fmt.Errorf("dram: %s (%d) must be at least %d", c.name, c.val, c.min)
+		}
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -62,6 +63,32 @@ func TestTimingValidateRejectsBadConstants(t *testing.T) {
 		if err := tt.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted invalid timing %+v", i, tt)
 		}
+	}
+	// Spacing constraints: the error names the field.
+	for _, tc := range []struct {
+		field  string
+		mutate func(*Timing)
+	}{
+		{"tRP", func(tt *Timing) { tt.TRP = -5 }},
+		{"tRP", func(tt *Timing) { tt.TRP = 0 }},
+		{"tRRD", func(tt *Timing) { tt.TRRD = -3 }},
+		{"tCCD", func(tt *Timing) { tt.TCCD = -2 }},
+		{"tCCD", func(tt *Timing) { tt.TCCD = 0 }},
+		{"tWTR", func(tt *Timing) { tt.TWTR = -1 }},
+		{"tWR", func(tt *Timing) { tt.TWR = -1 }},
+		{"tRTP", func(tt *Timing) { tt.TRTP = -1 }},
+	} {
+		tt := DDR2800()
+		tc.mutate(&tt)
+		if err := tt.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("Validate(%+v) = %v, want an error naming %s", tt, err, tc.field)
+		}
+	}
+	// Zero turnaround and recovery times are a legal, if idealised, part.
+	tt := DDR2800()
+	tt.TWTR, tt.TWR, tt.TRTP = 0, 0, 0
+	if err := tt.Validate(); err != nil {
+		t.Errorf("Validate refused zero tWTR/tWR/tRTP: %v", err)
 	}
 }
 

@@ -536,8 +536,10 @@ func (t *intfTracker) state(s *snapshot.Codec, c *Controller) {
 		s.I64(&t.attr[slot].total)
 		s.I64s(t.attrBy[int(slot)*t.aggrs : (int(slot)+1)*t.aggrs])
 	}
-	for _, q := range c.pending {
-		for _, slot := range q {
+	var order []int32
+	for b := range c.bankWake {
+		order = c.bankOrder(b, order)
+		for _, slot := range order {
 			slotState(slot)
 		}
 	}

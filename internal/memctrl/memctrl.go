@@ -227,6 +227,36 @@ type candidate struct {
 	inverted bool
 }
 
+// The command classes a bank can offer. Which class a request is in, the
+// command the class needs, whether it is ready and whether it is a CAS
+// are all functions of the bank's state alone, so the bank scheduler
+// ranks classes, not requests.
+const (
+	classMiss  = iota // activate (closed bank) or precharge (another row open)
+	classRead         // read of the open row
+	classWrite        // write to the open row
+	numClasses
+)
+
+// pick is the request that ranks first by (key, arrival, ID) in one
+// command class; slot is noSlot when the class is empty.
+type pick struct {
+	slot int32
+	key  int64
+}
+
+// threadPicks caches one (bank, thread) queue's pick per class. Like a
+// cached key it is valid while stamp == thrEpoch[channel][thread] +
+// bankEpoch[bank], and while it is, every key in the queue is cached
+// under the same stamp; Accept and removePending drop it (stamp 0, never
+// a valid sum) because they change the queue it was built from.
+type threadPicks struct {
+	stamp uint64
+	best  [numClasses]pick
+}
+
+var noPicks = [numClasses]pick{{slot: noSlot}, {slot: noSlot}, {slot: noSlot}}
+
 // Channel decision kinds for the schedule/apply split of Tick.
 const (
 	decNone uint8 = iota
@@ -273,7 +303,13 @@ type Controller struct {
 	thrEpoch  []uint64 // per (channel, thread): chIdx*Threads + thread
 	bankEpoch []uint64 // per flat bank
 
-	pending      [][]int32 // per flat bank, arena slots in arrival order
+	// pending is the paper's Figure 2 structure: one transaction queue
+	// per (flat bank, thread), index bank*Threads+thread, arena slots in
+	// arrival order, each a fixed window of one backing array. picks
+	// caches, per queue, the request each command class would offer; see
+	// threadPicks.
+	pending      [][]int32
+	picks        []threadPicks
 	pendingTotal int
 
 	readOcc                     []int
@@ -298,9 +334,9 @@ type Controller struct {
 
 	// Per-channel scheduling scratch and decisions. ScheduleChannel for
 	// channel c writes only dec[c], chanCands[c], and c's partition of
-	// the wake lists / key cache / refresh flags, so distinct channels
-	// can be scheduled concurrently; TickEnd applies the decisions
-	// serially in canonical channel order.
+	// the wake lists / key and pick caches / refresh flags, so distinct
+	// channels can be scheduled concurrently; TickEnd applies the
+	// decisions serially in canonical channel order.
 	dec       []decision
 	chanCands [][]candidate
 
@@ -394,7 +430,8 @@ func New(cfg Config, policy core.Policy) (*Controller, error) {
 		keyEpoch:      make([]uint64, nslots),
 		thrEpoch:      make([]uint64, nch*cfg.Threads),
 		bankEpoch:     make([]uint64, nch*cfg.DRAM.Banks()),
-		pending:       make([][]int32, nch*cfg.DRAM.Banks()),
+		pending:       make([][]int32, nch*cfg.DRAM.Banks()*cfg.Threads),
+		picks:         make([]threadPicks, nch*cfg.DRAM.Banks()*cfg.Threads),
 		readOcc:       make([]int, cfg.Threads),
 		writeOcc:      make([]int, cfg.Threads),
 		inflight:      make([][]inflightRead, nch),
@@ -422,8 +459,15 @@ func New(cfg Config, policy core.Policy) (*Controller, error) {
 	for i := range c.inflight {
 		c.inflight[i] = make([]inflightRead, 0, nslots)
 	}
+	// A queue can hold every request its thread can have accepted: its
+	// own partitions, or with SharedBuffers the whole pool.
+	per := cfg.ReadEntriesPerThread + cfg.WriteEntriesPerThread
+	if cfg.SharedBuffers {
+		per = nslots
+	}
+	backing := make([]int32, len(c.pending)*per)
 	for i := range c.pending {
-		c.pending[i] = make([]int32, 0, 16)
+		c.pending[i] = backing[i*per : i*per : (i+1)*per]
 	}
 	for i := range c.stats {
 		c.stats[i].LatHist = stats.NewHistogram(8, 512) // up to 4096 cycles
@@ -650,7 +694,9 @@ func (c *Controller) Accept(thread int, lineAddr uint64, isWrite bool, now int64
 		Slot:        slot,
 	}
 	c.keyEpoch[slot] = 0 // recycled slots carry a stale cached key
-	c.pending[gb] = append(c.pending[gb], slot)
+	q := gb*c.cfg.Threads + thread
+	c.pending[q] = append(c.pending[q], slot)
+	c.picks[q].stamp = 0
 	c.pendingTotal++
 	// A new request can make its bank schedulable immediately. Wake the
 	// bank at now (not now+1): callers may Accept before Tick within the
@@ -673,18 +719,39 @@ func (c *Controller) chanOf(flatBank int) (*dram.Channel, int) {
 	return c.chans[flatBank/c.banksPerChan], flatBank % c.banksPerChan
 }
 
-// nextCmdFor returns the next SDRAM command required to service r.
-func nextCmdFor(r *core.Request, state core.BankState) dram.Kind {
-	switch state {
-	case core.BankConflict:
-		return dram.KindPrecharge
-	case core.BankClosed:
-		return dram.KindActivate
+// classOf returns the command class of r on a bank in the given state
+// and the BankState its policy key is evaluated under.
+func classOf(r *core.Request, open bool, openRow int) (int, core.BankState) {
+	switch {
+	case !open:
+		return classMiss, core.BankClosed
+	case openRow != r.Row:
+		return classMiss, core.BankConflict
+	case r.IsWrite:
+		return classWrite, core.BankHit
 	default:
-		if r.IsWrite {
-			return dram.KindWrite
-		}
-		return dram.KindRead
+		return classRead, core.BankHit
+	}
+}
+
+// precedes reports whether pick a ranks before pick b: smaller policy
+// key, then earlier arrival, then smaller ID.
+func (c *Controller) precedes(a, b pick) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	ra, rb := &c.arena[a.slot], &c.arena[b.slot]
+	if ra.Arrival != rb.Arrival {
+		return ra.Arrival < rb.Arrival
+	}
+	return ra.ID < rb.ID
+}
+
+// offer makes p the class's pick if the class is empty or p precedes
+// the pick it holds.
+func (c *Controller) offer(best *pick, p pick) {
+	if best.slot == noSlot || c.precedes(p, *best) {
+		*best = p
 	}
 }
 
@@ -799,12 +866,13 @@ func (c *Controller) TickBegin(now int64) bool {
 // schedulers for cycle now and records the outcome in the channel's
 // decision without applying it. It writes only channel-partitioned
 // state — the channel's decision, candidate scratch, bank wake times,
-// refresh-wanted flag, and its requests' cached keys — and reads only
-// state no other channel's schedule phase writes, so distinct channels
-// may be scheduled concurrently. The policy's Key purity contract
-// (core.Policy) is what makes the candidate ranking safe here: Key
-// depends only on request-immutable fields and same-channel policy
-// state, both constant until TickEnd applies the decisions.
+// refresh-wanted flag, and its requests' cached keys and picks — and
+// reads only state no other channel's schedule phase writes, so
+// distinct channels may be scheduled concurrently. The policy's Key
+// purity contract (core.Policy) is what makes the candidate ranking
+// safe here: Key depends only on request-immutable fields and
+// same-channel policy state, both constant until TickEnd applies the
+// decisions.
 func (c *Controller) ScheduleChannel(chIdx int, now int64) {
 	ch := c.chans[chIdx]
 	d := &c.dec[chIdx]
@@ -976,14 +1044,125 @@ func (c *Controller) computeNextEvent(now int64) int64 {
 func (c *Controller) bankSchedule(chIdx, b int, now int64) (cand candidate, ok bool, wake, quiet int64) {
 	ch := c.chans[chIdx]
 	lb := b % c.banksPerChan
-	slots := c.pending[b]
 	work := &c.sched[chIdx]
 	work.exams++
-	work.slots += int64(len(slots))
-	// Bank state is a function of (open, openRow, r.Row): hoist the
-	// channel query out of the per-request loop.
+	// The command each class needs and, filled on first use (-1 = not
+	// yet), its EarliestIssue: both depend only on the bank.
 	openRow, open := ch.BankOpen(lb)
-	if len(slots) == 0 {
+	kinds := [numClasses]dram.Kind{dram.KindActivate, dram.KindRead, dram.KindWrite}
+	if open {
+		kinds[classMiss] = dram.KindPrecharge
+	}
+	early := [numClasses]int64{-1, -1, -1}
+
+	// Re-rank the queues of the threads whose keys may have moved since
+	// their picks were built, and take each class's first request over
+	// all threads. The interference tracker must see every ready request
+	// on every examination, so with it attached every queue is walked;
+	// its charges are sums, so the visit order is free (DESIGN §15).
+	nt := c.cfg.Threads
+	thrEpoch := c.thrEpoch[chIdx*nt:]
+	bankEpoch := c.bankEpoch[b]
+	top := noPicks
+	var intfBase int // tracker's ready-staging mark for this bank
+	if c.intf != nil {
+		intfBase = c.intf.readyBase(chIdx)
+	}
+	for t, q := range c.pending[b*nt : (b+1)*nt] {
+		if len(q) == 0 {
+			continue
+		}
+		p := &c.picks[b*nt+t]
+		if epoch := thrEpoch[t] + bankEpoch; p.stamp != epoch || c.intf != nil {
+			work.slots += int64(len(q))
+			p.stamp, p.best = epoch, noPicks
+			for _, slot := range q {
+				r := &c.arena[slot]
+				cls, state := classOf(r, open, openRow)
+				// Cached policy key: valid while neither epoch has moved
+				// (no command of this thread on the channel, no activate or
+				// precharge of this bank, no share reassignment), because
+				// Key is pure in exactly the state those events mutate.
+				if c.keyEpoch[slot] != epoch {
+					c.keys[slot] = c.policy.Key(r, state)
+					c.keyEpoch[slot] = epoch
+					work.keyEvals++
+				}
+				c.offer(&p.best[cls], pick{slot, c.keys[slot]})
+				if c.intf != nil {
+					if early[cls] < 0 {
+						early[cls] = ch.EarliestIssue(kinds[cls], lb)
+					}
+					if early[cls] <= now {
+						c.intf.exam(ch, chIdx, slot, t, kinds[cls], lb, early[cls], now)
+					}
+				}
+			}
+		}
+		for cls, s := range p.best {
+			if s.slot != noSlot {
+				c.offer(&top[cls], s)
+			}
+		}
+	}
+	// strictFrom is the first cycle the bank selects by key alone:
+	// always under RuleStrict, and under RuleFQ once the bank has been
+	// active for x cycles (first-ready while closed or freshly
+	// activated).
+	strictFrom := Forever
+	switch rule, x := c.policy.BankRule(); {
+	case rule == core.RuleStrict:
+		strictFrom = 0
+	case rule == core.RuleFQ && open:
+		strictFrom = ch.LastActivate(lb) + x
+	}
+	strict := now >= strictFrom
+
+	// Select among the classes' first requests: every request of a class
+	// is as ready and as much a CAS as its first, so the bank's choice,
+	// the minima and the bounds below are those of a walk over all of
+	// them.
+	var (
+		best      = -1               // selected class
+		bestReady bool               // of the selected class; strict selection sets it below
+		minEarly  = Forever          // non-strict: min EarliestIssue over requests
+		minKey    = int64(1)<<62 - 1 // min key over all requests (metrics only)
+	)
+	for cls, s := range top {
+		if s.slot == noSlot {
+			continue
+		}
+		minKey = min(minKey, s.key)
+		if strict {
+			// Select purely by key order; readiness is not a priority
+			// level. (The bank waits for the selected request.)
+			if best < 0 || c.precedes(s, top[best]) {
+				best = cls
+			}
+			continue
+		}
+		if early[cls] < 0 {
+			early[cls] = ch.EarliestIssue(kinds[cls], lb)
+		}
+		minEarly = min(minEarly, early[cls])
+		// (ready, CAS, key, arrival, id) ordering.
+		ready := early[cls] <= now
+		switch {
+		case best < 0:
+		case ready != bestReady:
+			if !ready {
+				continue
+			}
+		case best != classMiss:
+			// Both are CAS classes (classMiss, the one RAS class, comes
+			// first in the loop).
+			if !c.precedes(s, top[best]) {
+				continue
+			}
+		}
+		best, bestReady = cls, ready
+	}
+	if best < 0 {
 		// Closed-row policy: close an idle open row. While a refresh is
 		// pending this also drains the bank.
 		if open && (c.cfg.RowPolicy == ClosedRow || c.refreshWanted[chIdx]) {
@@ -1004,129 +1183,9 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (cand candidate, ok b
 		// request arrives or a refresh falls due.
 		return candidate{}, false, Forever, Forever
 	}
-
-	// strictFrom is the first cycle the bank selects by key alone:
-	// always under RuleStrict, and under RuleFQ once the bank has been
-	// active for x cycles (first-ready while closed or freshly
-	// activated).
-	strictFrom := Forever
-	switch rule, x := c.policy.BankRule(); {
-	case rule == core.RuleStrict:
-		strictFrom = 0
-	case rule == core.RuleFQ && open:
-		strictFrom = ch.LastActivate(lb) + x
-	}
-	strict := now >= strictFrom
-
-	thrEpoch := c.thrEpoch[chIdx*c.cfg.Threads:]
-	bankEpoch := c.bankEpoch[b]
-	var (
-		bestSlot  = noSlot
-		bestReq   *core.Request
-		bestKind  dram.Kind
-		bestKey   int64
-		bestReady bool
-		bestCAS   bool
-		minEarly  = Forever          // non-strict: min EarliestIssue over requests
-		minKey    = int64(1)<<62 - 1 // min key over all requests (metrics only)
-		// EarliestIssue depends only on (kind, bank): memoize per kind
-		// across the request loop. -1 = not yet computed.
-		earlyMemo = [6]int64{-1, -1, -1, -1, -1, -1}
-		intfBase  int // tracker's ready-staging mark for this bank
-	)
-	if c.intf != nil {
-		intfBase = c.intf.readyBase(chIdx)
-	}
-	for _, slot := range slots {
-		r := &c.arena[slot]
-		var state core.BankState
-		switch {
-		case !open:
-			state = core.BankClosed
-		case openRow == r.Row:
-			state = core.BankHit
-		default:
-			state = core.BankConflict
-		}
-		kind := nextCmdFor(r, state)
-		// Cached policy key: valid while neither epoch has moved (no
-		// command of this thread on the channel, no activate or
-		// precharge of this bank, no share reassignment), because Key is
-		// pure in exactly the state those events mutate.
-		var key int64
-		if epoch := thrEpoch[r.Thread] + bankEpoch; c.keyEpoch[slot] == epoch {
-			key = c.keys[slot]
-		} else {
-			key = c.policy.Key(r, state)
-			c.keys[slot] = key
-			c.keyEpoch[slot] = epoch
-			work.keyEvals++
-		}
-		if key < minKey {
-			minKey = key
-		}
-		if strict {
-			// Select purely by key order; readiness is not a priority
-			// level. (The bank waits for the selected request.)
-			if bestReq == nil || key < bestKey ||
-				(key == bestKey && (r.Arrival < bestReq.Arrival ||
-					(r.Arrival == bestReq.Arrival && r.ID < bestReq.ID))) {
-				bestSlot, bestReq, bestKind, bestKey = slot, r, kind, key
-			}
-			if c.intf != nil {
-				early := earlyMemo[kind]
-				if early < 0 {
-					early = ch.EarliestIssue(kind, lb)
-					earlyMemo[kind] = early
-				}
-				if early <= now {
-					c.intf.exam(ch, chIdx, slot, r.Thread, kind, lb, early, now)
-				}
-			}
-			continue
-		}
-		early := earlyMemo[kind]
-		if early < 0 {
-			early = ch.EarliestIssue(kind, lb)
-			earlyMemo[kind] = early
-		}
-		if early < minEarly {
-			minEarly = early
-		}
-		if c.intf != nil && early <= now {
-			c.intf.exam(ch, chIdx, slot, r.Thread, kind, lb, early, now)
-		}
-		ready := early <= now
-		isCAS := kind == dram.KindRead || kind == dram.KindWrite
-		if bestReq == nil {
-			bestSlot, bestReq, bestKind, bestKey, bestReady, bestCAS = slot, r, kind, key, ready, isCAS
-			continue
-		}
-		// (ready, CAS, key, arrival, id) ordering.
-		switch {
-		case ready != bestReady:
-			if !ready {
-				continue
-			}
-		case isCAS != bestCAS:
-			if !isCAS {
-				continue
-			}
-		case key != bestKey:
-			if key > bestKey {
-				continue
-			}
-		case r.Arrival != bestReq.Arrival:
-			if r.Arrival > bestReq.Arrival {
-				continue
-			}
-		default:
-			if r.ID > bestReq.ID {
-				continue
-			}
-		}
-		bestSlot, bestReq, bestKind, bestKey, bestReady, bestCAS = slot, r, kind, key, ready, isCAS
-	}
+	bestSlot, bestKey, bestKind := top[best].slot, top[best].key, kinds[best]
+	bestReq := &c.arena[bestSlot]
+	bestCAS := best != classMiss
 	quiet = minEarly
 	if strict {
 		// The bank waits for the key-selected request alone, so its
@@ -1134,10 +1193,8 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (cand candidate, ok b
 		// itself only changes on invalidation events: keys move on
 		// command issue or SetShare, the request set on accept, and the
 		// FQ strict/first-ready flip on this bank's own activates.)
-		early := ch.EarliestIssue(bestKind, lb)
-		minEarly = early
-		bestReady = early <= now
-		bestCAS = bestKind == dram.KindRead || bestKind == dram.KindWrite
+		minEarly = ch.EarliestIssue(bestKind, lb)
+		bestReady = minEarly <= now
 	}
 	if quiet >= strictFrom {
 		quiet = 0
@@ -1183,7 +1240,7 @@ func (c *Controller) issue(cand *candidate, now int64) {
 		cmd.Req = r
 		if r.Issued == 0 {
 			// Record the bank state the request began service in: its
-			// first command names it (the inverse of nextCmdFor).
+			// first command names it (the inverse of classOf).
 			cmd.First = true
 			st := &c.stats[r.Thread]
 			switch cand.kind {
@@ -1253,13 +1310,16 @@ func (c *Controller) issue(cand *candidate, now int64) {
 	}
 }
 
-// removePending deletes a request from its bank queue, preserving order.
+// removePending deletes a request from its (bank, thread) queue,
+// preserving order.
 func (c *Controller) removePending(bank int, slot int32) {
-	q := c.pending[bank]
+	qi := bank*c.cfg.Threads + c.arena[slot].Thread
+	q := c.pending[qi]
 	for i, x := range q {
 		if x == slot {
 			copy(q[i:], q[i+1:])
-			c.pending[bank] = q[:len(q)-1]
+			c.pending[qi] = q[:len(q)-1]
+			c.picks[qi].stamp = 0
 			c.pendingTotal--
 			return
 		}

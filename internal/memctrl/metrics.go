@@ -54,7 +54,7 @@ func newMemMetrics(reg *metrics.Registry, c *Controller) *memMetrics {
 		inversionWindow: reg.Histogram("memctrl.fq.inversion_window"),
 	}
 	rowNames := [3]string{core.BankHit: "hits", core.BankConflict: "conflicts", core.BankClosed: "closed"}
-	for b := range c.pending {
+	for b := range c.bankWake {
 		for _, st := range [3]core.BankState{core.BankHit, core.BankConflict, core.BankClosed} {
 			m.bankRow[st] = append(m.bankRow[st], reg.Counter(fmt.Sprintf("memctrl.bank%d.row_%s", b, rowNames[st])))
 		}

@@ -1,6 +1,9 @@
 package memctrl
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/snapshot"
 )
@@ -23,9 +26,21 @@ func requestState(s *snapshot.Codec, q *core.Request) {
 	s.Int(&q.Issued)
 }
 
-// State visits the controller: DRAM channel timing, the per-bank
-// transaction queues (with full request state, including frozen policy
-// keys and live cached ones), in-flight reads awaiting data-burst
+// bankOrder returns bank b's pending requests in arrival order, the
+// merge by ID of its thread queues, built in buf's storage.
+func (c *Controller) bankOrder(b int, buf []int32) []int32 {
+	buf = buf[:0]
+	for _, q := range c.pending[b*c.cfg.Threads : (b+1)*c.cfg.Threads] {
+		buf = append(buf, q...)
+	}
+	slices.SortFunc(buf, func(x, y int32) int { return cmp.Compare(c.arena[x].ID, c.arena[y].ID) })
+	return buf
+}
+
+// State visits the controller: DRAM channel timing, each bank's
+// transaction queues as one list in arrival order (with full request
+// state, including frozen policy keys and live cached ones) and which of
+// its threads' picks are live, in-flight reads awaiting data-burst
 // completion, occupancy and refresh bookkeeping, per-thread statistics,
 // the policy's virtual-time registers when the policy carries state,
 // the event-driven wake and quiet-bound lists, the scheduler-economy
@@ -48,7 +63,7 @@ func (c *Controller) State(s *snapshot.Codec) error {
 	for _, ch := range c.chans {
 		ch.State(s)
 	}
-	snapshot.Verify(s, len(c.pending), "banks", s.Int)
+	snapshot.Verify(s, len(c.bankWake), "banks", s.Int)
 
 	// Load-side bookkeeping: every live request by ID (which doubles as
 	// the duplicate-ID check), and the per-bank pointers the auditor
@@ -63,8 +78,12 @@ func (c *Controller) State(s *snapshot.Codec) error {
 		// keyEpoch 0 is never a valid stamp: this drops the key cache,
 		// and the queue walk below re-enters the keys that were live.
 		clear(c.keyEpoch)
+		clear(c.picks)
+		for i := range c.pending {
+			c.pending[i] = c.pending[i][:0]
+		}
 		reqByID = make(map[uint64]*core.Request)
-		audPending = make([][]*core.Request, len(c.pending))
+		audPending = make([][]*core.Request, len(c.bankWake))
 	}
 	// request visits the request in a queue entry's arena slot — the
 	// slot the queue holds when saving, a freshly allocated one when
@@ -95,9 +114,12 @@ func (c *Controller) State(s *snapshot.Codec) error {
 		}
 		return q
 	}
-	for b := range c.pending {
-		thrEpoch := c.thrEpoch[b/c.banksPerChan*c.cfg.Threads:]
-		snapshot.Slice(s, &c.pending[b], len(c.arena), func(slot *int32) {
+	nt := c.cfg.Threads
+	var order []int32 // one bank's requests in arrival order, the wire form
+	for b := range c.bankWake {
+		thrEpoch := c.thrEpoch[b/c.banksPerChan*nt:]
+		order = c.bankOrder(b, order)
+		snapshot.Slice(s, &order, len(c.arena), func(slot *int32) {
 			q := request(slot)
 			if q == nil {
 				return
@@ -110,6 +132,7 @@ func (c *Controller) State(s *snapshot.Codec) error {
 					s.Fail("request %d channel %d out of range [0,%d)", q.ID, q.Channel, len(c.chans))
 				}
 				audPending[b] = append(audPending[b], q)
+				c.pending[b*nt+q.Thread] = append(c.pending[b*nt+q.Thread], *slot)
 			}
 			// The request's cached policy key, if live. Restoring it
 			// changes no decision (a dropped key is recomputed to the same
@@ -123,6 +146,32 @@ func (c *Controller) State(s *snapshot.Codec) error {
 				c.keyEpoch[*slot] = stamp
 			}
 		})
+		// Whether each thread's picks are live, for the same reason (the
+		// SlotsVisited count). The picks themselves are rebuilt from the
+		// restored keys: live picks imply a live key under every request
+		// they were chosen from.
+		ch, lb := c.chanOf(b)
+		openRow, open := ch.BankOpen(lb)
+		for t := 0; t < nt; t++ {
+			p, q := &c.picks[b*nt+t], c.pending[b*nt+t]
+			stamp := thrEpoch[t] + c.bankEpoch[b]
+			live := p.stamp == stamp
+			s.Bool(&live)
+			if !live || !s.Loading() {
+				continue
+			}
+			if len(q) == 0 {
+				s.Fail("bank %d thread %d: picks live over an empty queue", b, t)
+			}
+			p.stamp, p.best = stamp, noPicks
+			for _, slot := range q {
+				if c.keyEpoch[slot] != stamp {
+					s.Fail("bank %d thread %d: picks live over request %d's dropped key", b, t, c.arena[slot].ID)
+				}
+				cls, _ := classOf(&c.arena[slot], open, openRow)
+				c.offer(&p.best[cls], pick{slot, c.keys[slot]})
+			}
+		}
 	}
 	s.Ints(c.readOcc)
 	s.Ints(c.writeOcc)

@@ -383,27 +383,30 @@ func TestSourcesLengthMismatch(t *testing.T) {
 // TestSchedulingEconomy guards the precision of the memory scheduler's
 // invalidation as counts, which repeat exactly for a seed, rather than
 // as wall-clock: per issued SDRAM command, how many banks the
-// controller examined and how many policy keys it evaluated afresh, on
-// 4×art under FQ-VFTF (every bank backlogged; the benchmark's
-// heavy-art4 and chan4-art4 at test size). The bounds sit about a
-// tenth above what the code measures (5.89 and 18.78 at one channel,
-// 4.62 and 4.87 at four). A command used to wake every bank of its
-// channel and drop every cached key on it, which on these runs measured
-// 10.28 examinations and 67.90 key evaluations per command at one
-// channel, 9.33 and 16.13 at four; so waking banks that cannot have
-// become ready, or dropping keys the command cannot have moved, fails
-// here as a count long before it shows in a timing.
+// controller examined, how many policy keys it evaluated afresh and how
+// many pending requests it walked to do so, on 4×art under FQ-VFTF
+// (every bank backlogged; the benchmark's heavy-art4 and chan4-art4 at
+// test size). The bounds sit about a tenth above what the code measures
+// (5.89, 18.78 and 24.9 at one channel, 4.62, 4.87 and 5.7 at four).
+// A command used to wake every bank of its channel and drop every
+// cached key on it, which on these runs measured 10.28 examinations and
+// 67.90 key evaluations per command at one channel, 9.33 and 16.13 at
+// four, and every examination used to walk its bank's whole queue,
+// 100.6 slots per command at one channel and 19.1 at four; so waking
+// banks that cannot have become ready, dropping keys the command cannot
+// have moved, or re-ranking threads whose keys did not move, fails here
+// as a count long before it shows in a timing.
 func TestSchedulingEconomy(t *testing.T) {
 	art, err := trace.ByName("art")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		channels          int
-		maxExams, maxKeys float64 // per issued command
+		channels                    int
+		maxExams, maxKeys, maxSlots float64 // per issued command
 	}{
-		{1, 6.5, 20.7},
-		{4, 5.1, 5.4},
+		{1, 6.5, 20.7, 27.5},
+		{4, 5.1, 5.4, 6.3},
 	} {
 		cfg := Config{Workload: []trace.Profile{art, art, art, art}, Policy: FQVFTF, Seed: 1}
 		cfg.Mem.Channels = tc.channels
@@ -418,13 +421,17 @@ func TestSchedulingEconomy(t *testing.T) {
 		cmds := float64(to.CmdsIssued - from.CmdsIssued)
 		exams := float64(to.BankExams-from.BankExams) / cmds
 		keys := float64(to.KeyEvals-from.KeyEvals) / cmds
+		slots := float64(to.SlotsVisited-from.SlotsVisited) / cmds
 		t.Logf("channels=%d: %.0f commands, %.2f bank examinations, %.1f slots and %.2f key evaluations per command",
-			tc.channels, cmds, exams, float64(to.SlotsVisited-from.SlotsVisited)/cmds, keys)
+			tc.channels, cmds, exams, slots, keys)
 		if exams > tc.maxExams {
 			t.Errorf("channels=%d: %.2f bank examinations per issued command, want at most %.2f", tc.channels, exams, tc.maxExams)
 		}
 		if keys > tc.maxKeys {
 			t.Errorf("channels=%d: %.2f key evaluations per issued command, want at most %.2f", tc.channels, keys, tc.maxKeys)
+		}
+		if slots > tc.maxSlots {
+			t.Errorf("channels=%d: %.1f pending slots walked per issued command, want at most %.1f", tc.channels, slots, tc.maxSlots)
 		}
 	}
 }

@@ -65,8 +65,9 @@ const Magic = "FQMSSNAP"
 // The move from hand-written SaveState/LoadState pairs to the
 // bidirectional Codec kept the v4 layout byte for byte. v5 added the
 // memory scheduler's quiet-bound wake list, its live cached policy keys
-// and its scheduler-economy counters.
-const Version = 5
+// and its scheduler-economy counters. v6 added one "picks live" bit per
+// (bank, thread) transaction queue after each bank's requests.
+const Version = 6
 
 // MaxSlice is the element cap for the few variable-length fields whose
 // bound depends on run history rather than on a configured capacity
