@@ -7,9 +7,9 @@
 //
 //	experiments [-fig 1|4|5|6|7|8|9|sweep|arena|headline|all] [-warmup N] [-window N] [-seed N]
 //	            [-parallel N]
-//	            [-serve addr] [-series-dir dir] [-sample-interval N]
-//	            [-checkpoint-dir dir] [-checkpoint-every N] [-resume]
-//	            [-arena] [-arena-out dir]
+//	            [-serve addr] [-sample-interval N] [-interference]
+//	            [-out dir] [-checkpoint-every N] [-resume]
+//	            [-arena]
 //	            [-arena-mixes M] [-arena-shares S] [-arena-channels C]
 //	            [-worker url] [-worker-dir dir] [-worker-poll D]
 //
@@ -17,7 +17,7 @@
 // FR-FCFS, FR-VFTF, FQ-VFTF, BLISS, SLOW-FAIR, BANK-BW — across
 // workload mixes, share splits, and channel counts and prints the
 // fairness-vs-throughput table with each cell's Pareto frontier
-// starred; -arena-out additionally writes arena.csv and arena.json.
+// starred; with -out it additionally writes arena.csv and arena.json.
 // -arena-mixes/-arena-shares/-arena-channels narrow the swept matrix
 // (e.g. -arena-mixes vpr+art -arena-shares eq,3-4 -arena-channels 1).
 //
@@ -32,14 +32,15 @@
 //
 // -serve exposes sweep progress (figures done, simulated cycles per
 // second) and, once runs sample, the usual telemetry endpoints over
-// HTTP while the sweep executes. -series-dir makes every simulation
-// leave a .series.json and .fairness.csv time-series artifact.
+// HTTP while the sweep executes.
 //
-// -checkpoint-dir makes every simulation periodically checkpoint its
-// full state (and persist its result on completion) into the named
-// directory; if the sweep is killed, rerunning it with -resume picks
-// each run up from its last checkpoint — or recalls it outright if it
-// had finished — and produces bit-identical tables and artifacts.
+// -out names the one directory a sweep writes into: every simulation
+// leaves its artifact set there (its result; its time series with
+// -sample-interval; its delay matrix with -interference), and with
+// -checkpoint-every it periodically checkpoints its full state there
+// too. If the sweep is killed, rerunning it with -resume picks each run
+// up from its last checkpoint — or recalls it outright if its artifact
+// set is complete — and produces bit-identical tables and artifacts.
 package main
 
 import (
@@ -48,13 +49,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
 	"repro/internal/exp"
 	"repro/internal/fabric"
-	"repro/internal/metrics"
 	"repro/internal/telemetry"
 )
 
@@ -90,17 +89,15 @@ func main() {
 		seed      = flag.Uint64("seed", 0, "trace generator seed")
 		par       = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		serveAddr = flag.String("serve", "", "serve sweep progress over HTTP on this address (e.g. 127.0.0.1:9300)")
-		seriesDir = flag.String("series-dir", "", "write per-run time-series artifacts into this directory")
-		sampleInt = flag.Int64("sample-interval", 0, "epoch sampling interval in cycles (0 = auto: 10000 when -series-dir is set, else off)")
-		ckptDir   = flag.String("checkpoint-dir", "", "checkpoint every run's state into this directory")
-		ckptEvery = flag.Int64("checkpoint-every", 0, "cycles between checkpoints (0 = default when -checkpoint-dir is set)")
-		resume    = flag.Bool("resume", false, "resume each run from its checkpoint (or recall its persisted result) in -checkpoint-dir")
+		sampleInt = flag.Int64("sample-interval", 0, "epoch sampling interval in cycles (0 = off); adds each run's time series to its artifact set")
+		out       = flag.String("out", "", "directory receiving every run's artifact set, its checkpoints, and the arena's arena.csv and arena.json")
+		ckptEvery = flag.Int64("checkpoint-every", 0, "cycles between checkpoints of every run's state into -out (0 = off)")
+		resume    = flag.Bool("resume", false, "resume each run from its checkpoint (or recall its complete artifact set) in -out")
 		arena     = flag.Bool("arena", false, "run the policy arena (shorthand for -fig arena)")
-		arenaOut  = flag.String("arena-out", "", "directory receiving the arena's arena.csv and arena.json artifacts")
 		arenaMix  = flag.String("arena-mixes", "", "arena workload mixes, e.g. \"vpr+art,swim+mcf+vpr+art\" (empty = default)")
 		arenaShr  = flag.String("arena-shares", "", "arena thread-0 share splits, e.g. \"eq,3-4\" (empty = default)")
 		arenaCh   = flag.String("arena-channels", "", "arena channel counts, e.g. \"1,2\" (empty = default)")
-		intfOn    = flag.Bool("interference", false, "run every simulation with delay attribution on (adds .interference.json artifacts and the arena interference_index column; results stay bit-identical)")
+		intfOn    = flag.Bool("interference", false, "run every simulation with delay attribution on (adds each run's delay matrix to its artifact set and the arena interference_index column; results stay bit-identical)")
 		workerURL = flag.String("worker", "", "run as a sweep-fabric worker against this coordinator URL")
 		workerDir = flag.String("worker-dir", "", "worker scratch directory (empty = a fresh temp dir)")
 		workerPol = flag.Duration("worker-poll", 100*time.Millisecond, "worker idle re-lease interval")
@@ -122,26 +119,14 @@ func main() {
 		return
 	}
 
-	cfg := exp.Config{Warmup: *warmup, Window: *window, Seed: *seed, Parallel: *par, Interference: *intfOn}
-	cfg.SampleInterval = *sampleInt
-	if cfg.SampleInterval == 0 && *seriesDir != "" {
-		cfg.SampleInterval = metrics.DefaultSampleInterval
+	if (*resume || *ckptEvery != 0) && *out == "" {
+		fail(fmt.Errorf("-resume and -checkpoint-every need -out"))
 	}
-	if *seriesDir != "" {
-		if err := os.MkdirAll(*seriesDir, 0o755); err != nil {
-			fail(err)
-		}
-		cfg.SeriesDir = *seriesDir
+	cfg := exp.Config{
+		Warmup: *warmup, Window: *window, Seed: *seed, Parallel: *par,
+		Interference: *intfOn, SampleInterval: *sampleInt,
+		Dir: *out, CheckpointEvery: *ckptEvery, Resume: *resume,
 	}
-	if *resume && *ckptDir == "" {
-		fail(fmt.Errorf("-resume needs -checkpoint-dir"))
-	}
-	if *ckptEvery != 0 && *ckptDir == "" {
-		fail(fmt.Errorf("-checkpoint-every needs -checkpoint-dir"))
-	}
-	cfg.CheckpointDir = *ckptDir
-	cfg.CheckpointEvery = *ckptEvery
-	cfg.Resume = *resume
 	var prog *telemetry.Progress
 	if *serveAddr != "" {
 		prog = telemetry.NewProgress(1)
@@ -255,27 +240,14 @@ func main() {
 				return err
 			}
 			res.Render(w)
-			if *arenaOut == "" {
+			if *out == "" {
 				return nil
 			}
-			if err := os.MkdirAll(*arenaOut, 0o755); err != nil {
-				return err
-			}
-			// The fabric merge writes arena artifacts through the same
-			// encoders, so a sharded sweep's files can be cmp'd against
-			// this path's byte for byte.
-			csvB, err := res.ArtifactCSV()
+			set, err := res.Artifacts()
 			if err != nil {
 				return err
 			}
-			if err := os.WriteFile(filepath.Join(*arenaOut, "arena.csv"), csvB, 0o644); err != nil {
-				return err
-			}
-			jsonB, err := res.ArtifactJSON()
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(filepath.Join(*arenaOut, "arena.json"), jsonB, 0o644)
+			return exp.WriteArtifacts(*out, set)
 		})
 	case "sweep":
 		timed("share sweep", func() error {

@@ -254,7 +254,7 @@ func main() {
 		}
 	}
 	if *seriesOut != "" {
-		if err := exp.WriteSeriesJSON(*seriesOut, "", s); err != nil {
+		if err := exp.WriteSeriesJSON(*seriesOut, s); err != nil {
 			fail(fmt.Errorf("series: %w", err))
 		}
 	}

@@ -63,7 +63,7 @@ func TestWriteSeriesFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "out.series.json")
-	if err := exp.WriteSeriesJSON(path, "", s); err != nil {
+	if err := exp.WriteSeriesJSON(path, s); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)

@@ -17,8 +17,7 @@
 // number may join or die at any time. The merged output directory is
 // byte-identical to
 //
-//	experiments -fig arena -arena-mixes ... -checkpoint-dir out \
-//	            -series-dir out -arena-out out
+//	experiments -fig arena -arena-mixes ... -out out
 //
 // on the same spec — the determinism the fabric test battery pins.
 package main
@@ -47,7 +46,7 @@ func main() {
 		window    = flag.Int64("window", 400_000, "measurement cycles per run")
 		seed      = flag.Uint64("seed", 0, "trace generator seed")
 		sampleInt = flag.Int64("sample-interval", 0, "epoch sampling interval in cycles (0 = no series artifacts)")
-		intfOn    = flag.Bool("interference", false, "run every chunk with delay attribution on (adds .interference.json artifacts and the arena interference_index column)")
+		intfOn    = flag.Bool("interference", false, "run every chunk with delay attribution on (adds each chunk's delay matrix to its artifact set and the arena interference_index column)")
 		ckptEvery = flag.Int64("checkpoint-every", 0, "chunk epoch: cycles between worker checkpoints/heartbeats (0 = default)")
 		expiry    = flag.Duration("lease-expiry", fabric.DefaultLeaseExpiry, "heartbeat deadline before a chunk is reassigned")
 		retries   = flag.Int("retries", fabric.DefaultRetryBudget, "lease grants per chunk before the job fails")

@@ -73,7 +73,7 @@ func issueCmd(a *audit.Auditor, ch *dram.Channel, pol core.Policy, kind dram.Kin
 	}
 	a.BeforeIssue(cmd, now)
 	end := ch.Issue(kind, r.GlobalBank, r.Row, now)
-	pol.OnIssue(r, core.CmdKind(kind))
+	pol.OnIssue(r, kind)
 	r.Issued++
 	a.AfterIssue(cmd, now)
 	return end

@@ -18,7 +18,11 @@
 // is deterministic across platforms.
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/dram"
+)
 
 // VTShift is the number of fractional bits in a VTime.
 const VTShift = 16
@@ -64,39 +68,18 @@ func (s Share) Float() float64 { return float64(s.Num) / float64(s.Den) }
 
 func (s Share) String() string { return fmt.Sprintf("%d/%d", s.Num, s.Den) }
 
-// CmdKind identifies an SDRAM command. The paper calls activate and
-// precharge "RAS commands" and read and write "CAS commands".
-type CmdKind uint8
+// CmdKind identifies an SDRAM command: the device's own enumeration
+// (dram.Kind), so the controller hands a policy the kind it issued.
+type CmdKind = dram.Kind
 
 const (
-	CmdNone CmdKind = iota
-	CmdActivate
-	CmdRead
-	CmdWrite
-	CmdPrecharge
-	CmdRefresh
+	CmdNone      = dram.KindNone
+	CmdActivate  = dram.KindActivate
+	CmdRead      = dram.KindRead
+	CmdWrite     = dram.KindWrite
+	CmdPrecharge = dram.KindPrecharge
+	CmdRefresh   = dram.KindRefresh
 )
-
-// IsCAS reports whether the command is a column access (read or write).
-func (k CmdKind) IsCAS() bool { return k == CmdRead || k == CmdWrite }
-
-func (k CmdKind) String() string {
-	switch k {
-	case CmdNone:
-		return "none"
-	case CmdActivate:
-		return "activate"
-	case CmdRead:
-		return "read"
-	case CmdWrite:
-		return "write"
-	case CmdPrecharge:
-		return "precharge"
-	case CmdRefresh:
-		return "refresh"
-	}
-	return fmt.Sprintf("cmd(%d)", uint8(k))
-}
 
 // BankState describes the state of a DRAM bank relative to one request,
 // which determines the request's bank service requirement (Table 3).

@@ -49,8 +49,8 @@ func TestCmdKind(t *testing.T) {
 		t.Error("activate/precharge are RAS commands")
 	}
 	for k, want := range map[CmdKind]string{
-		CmdActivate: "activate", CmdRead: "read", CmdWrite: "write",
-		CmdPrecharge: "precharge", CmdRefresh: "refresh", CmdNone: "none",
+		CmdActivate: "ACT", CmdRead: "RD", CmdWrite: "WR",
+		CmdPrecharge: "PRE", CmdRefresh: "REF", CmdNone: "NOP",
 	} {
 		if k.String() != want {
 			t.Errorf("%d.String() = %q, want %q", k, k.String(), want)

@@ -5,8 +5,8 @@ import (
 	"math"
 )
 
-// Kind identifies an SDRAM command at the device level. The values match
-// core.CmdKind so the controller can convert freely.
+// Kind identifies an SDRAM command. The paper calls activate and
+// precharge "RAS commands" and read and write "CAS commands".
 type Kind uint8
 
 const (
@@ -17,6 +17,9 @@ const (
 	KindPrecharge
 	KindRefresh
 )
+
+// IsCAS reports whether the command is a column access (read or write).
+func (k Kind) IsCAS() bool { return k == KindRead || k == KindWrite }
 
 func (k Kind) String() string {
 	switch k {

@@ -214,17 +214,6 @@ func (a ArenaResult) WriteCSV(w io.Writer) error {
 	}, rows)
 }
 
-// ArtifactCSV renders the arena.csv artifact bytes. cmd/experiments
-// and the fabric merge both emit through here, so the two paths'
-// artifacts can only agree or both be wrong.
-func (a ArenaResult) ArtifactCSV() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := a.WriteCSV(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // ArtifactJSON renders the arena.json artifact bytes.
 func (a ArenaResult) ArtifactJSON() ([]byte, error) {
 	buf, err := json.MarshalIndent(a, "", "  ")
@@ -232,4 +221,20 @@ func (a ArenaResult) ArtifactJSON() ([]byte, error) {
 		return nil, err
 	}
 	return append(buf, '\n'), nil
+}
+
+// Artifacts renders the two files a sweep leaves beside its runs'
+// artifact sets, arena.csv and arena.json. cmd/experiments and the
+// fabric merge both emit through here, so the two paths' files can
+// only agree or both be wrong.
+func (a ArenaResult) Artifacts() ([]Artifact, error) {
+	var csv bytes.Buffer
+	if err := a.WriteCSV(&csv); err != nil {
+		return nil, err
+	}
+	js, err := a.ArtifactJSON()
+	if err != nil {
+		return nil, err
+	}
+	return []Artifact{{Name: "arena.csv", Data: csv.Bytes()}, {Name: "arena.json", Data: js}}, nil
 }

@@ -2,13 +2,12 @@ package exp
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 )
 
-// CSV export: every figure can emit its data as plot-ready CSV, one row
-// per plotted point, matching the paper's axes.
+// CSV encoding shared by the arena table and the fairness series: one
+// row per plotted point.
 
 func writeCSV(w io.Writer, header []string, rows [][]string) error {
 	cw := csv.NewWriter(w)
@@ -23,80 +22,3 @@ func writeCSV(w io.Writer, header []string, rows [][]string) error {
 }
 
 func f(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
-
-// WriteCSV emits the Figure 1 bars.
-func (fig Figure1Result) WriteCSV(w io.Writer) error {
-	rows := make([][]string, 0, len(fig.Rows))
-	for _, r := range fig.Rows {
-		rows = append(rows, []string{r.Scenario, f(r.IPC), f(r.RelIPC), f(r.ReadLat), f(r.BusUtil)})
-	}
-	return writeCSV(w, []string{"scenario", "ipc", "rel_ipc", "read_latency", "bus_util"}, rows)
-}
-
-// WriteCSV emits the Figure 4 spectrum.
-func (fig Figure4Result) WriteCSV(w io.Writer) error {
-	rows := make([][]string, 0, len(fig.Rows))
-	for _, r := range fig.Rows {
-		rows = append(rows, []string{
-			r.Benchmark, f(r.BusUtil), f(r.IPC), f(r.ReadLat),
-			f(r.ReadLatP50), f(r.ReadLatP95), f(r.ReadLatP99),
-		})
-	}
-	return writeCSV(w, []string{
-		"benchmark", "bus_util", "ipc", "read_latency",
-		"read_latency_p50", "read_latency_p95", "read_latency_p99",
-	}, rows)
-}
-
-// WriteCSV emits the Figure 5/6/7 rows (one per subject x policy).
-func (t TwoCoreResult) WriteCSV(w io.Writer) error {
-	rows := make([][]string, 0, len(t.Rows))
-	for _, r := range t.Rows {
-		rows = append(rows, []string{
-			r.Subject, r.Policy, f(r.NormIPC), f(r.ReadLat),
-			f(r.ReadLatP50), f(r.ReadLatP95), f(r.ReadLatP99), f(r.BusUtil),
-			f(r.BgNormIPC), f(r.HMNormIPC), f(r.AggBusUtil), f(r.AggBankUtil),
-		})
-	}
-	return writeCSV(w, []string{
-		"subject", "policy", "norm_ipc", "read_latency",
-		"read_latency_p50", "read_latency_p95", "read_latency_p99", "bus_util",
-		"bg_norm_ipc", "hm_norm_ipc", "agg_bus_util", "agg_bank_util",
-	}, rows)
-}
-
-// WriteCSV emits the Figure 8 threads (one per workload x policy x thread).
-func (fig Figure8Result) WriteCSV(w io.Writer) error {
-	var rows [][]string
-	for wi, o := range fig.Outcomes {
-		for _, th := range o.Threads {
-			rows = append(rows, []string{
-				fmt.Sprintf("wl%d", wi/len(policies)+1), o.Policy, th.Benchmark,
-				f(th.NormIPC), f(th.BusUtil), f(th.ReadLat),
-			})
-		}
-	}
-	return writeCSV(w, []string{"workload", "policy", "benchmark", "norm_ipc", "bus_util", "read_latency"}, rows)
-}
-
-// WriteCSV emits the Figure 9 scatter points.
-func (fig Figure9Result) WriteCSV(w io.Writer) error {
-	rows := make([][]string, 0, len(fig.Points))
-	for _, p := range fig.Points {
-		rows = append(rows, []string{
-			p.Benchmark, p.Policy, f(p.NormLatency), f(p.NormBusUtil), f(p.TargetUtil),
-		})
-	}
-	return writeCSV(w, []string{"benchmark", "policy", "norm_latency", "norm_bus_util", "target_util"}, rows)
-}
-
-// WriteCSV emits the share sweep points.
-func (s ShareSweepResult) WriteCSV(w io.Writer) error {
-	rows := make([][]string, 0, len(s.Rows))
-	for _, r := range s.Rows {
-		rows = append(rows, []string{
-			r.Share0.String(), f(r.Util0), f(r.Util1), f(r.AllocRatio), f(r.UtilRatio),
-		})
-	}
-	return writeCSV(w, []string{"share0", "util0", "util1", "alloc_ratio", "util_ratio"}, rows)
-}

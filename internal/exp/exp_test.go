@@ -377,61 +377,3 @@ func TestFigure8And9Shape(t *testing.T) {
 		t.Errorf("variance did not collapse: FR-FCFS %.4f vs FQ-VFTF %.4f", vFR, vFQ)
 	}
 }
-
-func TestCSVExports(t *testing.T) {
-	var buf bytes.Buffer
-	f1 := Figure1Result{Rows: []Figure1Row{{Scenario: "alone", IPC: 2, RelIPC: 1, ReadLat: 51, BusUtil: 0.18}}}
-	if err := f1.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "scenario,ipc") || !strings.Contains(buf.String(), "alone,2,1,51,0.18") {
-		t.Errorf("figure1 csv:\n%s", buf.String())
-	}
-
-	buf.Reset()
-	f4 := Figure4Result{Rows: []Figure4Row{{Benchmark: "art", BusUtil: 0.93, IPC: 0.5, ReadLat: 111}}}
-	if err := f4.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "art,0.93,0.5,111") {
-		t.Errorf("figure4 csv:\n%s", buf.String())
-	}
-
-	buf.Reset()
-	if err := makeTwoCore().WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "a,FR-FCFS,0.5") {
-		t.Errorf("twocore csv:\n%s", buf.String())
-	}
-
-	buf.Reset()
-	f8 := Figure8Result{Outcomes: []WorkloadOutcome{{
-		Workload: []string{"x"}, Policy: "FR-FCFS",
-		Threads: []ThreadOutcome{{Benchmark: "x", NormIPC: 1.5, BusUtil: 0.4, ReadLat: 100}},
-	}}}
-	if err := f8.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "wl1,FR-FCFS,x,1.5,0.4,100") {
-		t.Errorf("figure8 csv:\n%s", buf.String())
-	}
-
-	buf.Reset()
-	f9 := Figure9Result{Points: []ScatterPoint{{Benchmark: "x", Policy: "FQ-VFTF", NormLatency: 2, NormBusUtil: 0.9, TargetUtil: 0.25}}}
-	if err := f9.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "x,FQ-VFTF,2,0.9,0.25") {
-		t.Errorf("figure9 csv:\n%s", buf.String())
-	}
-
-	buf.Reset()
-	sw := ShareSweepResult{Benchmark: "art", Rows: []ShareSweepRow{{Share0: makeShare(1, 2), Util0: 0.5, Util1: 0.5, AllocRatio: 1, UtilRatio: 1}}}
-	if err := sw.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "1/2,0.5,0.5,1,1") {
-		t.Errorf("sweep csv:\n%s", buf.String())
-	}
-}

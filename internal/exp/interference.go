@@ -1,27 +1,30 @@
 package exp
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
+import "repro/internal/memctrl"
 
-	"repro/internal/memctrl"
-)
-
-// Interference artifacts: with Config.Interference every run leaves a
-// <key>.interference.json snapshot of its who-delayed-whom matrix over
-// the measurement window, and the arena reduction folds each cell's
+// Interference artifacts: with Config.Interference every run's artifact
+// set carries a snapshot of its who-delayed-whom matrix over the
+// measurement window, and the arena reduction folds each cell's
 // matrix into a single interference_index column — the fraction of all
 // attributed wait cycles charged to a *different* thread. The snapshot
 // is integers end to end; the index is computed by one float division
 // in the shared reducer, so a sweepd-merged arena is byte-identical to
 // a serial one.
 
-// InterferenceDoc is the schema of a <key>.interference.json artifact.
+// InterferenceDoc is the schema of a run's interference artifact.
 type InterferenceDoc struct {
 	Key          string                       `json:"key"`
 	Policy       string                       `json:"policy"`
 	Interference memctrl.InterferenceSnapshot `json:"interference"`
+}
+
+// Counts returns the document's attributed (cross, total) cycle counts;
+// ok=false on a nil document (attribution off).
+func (d *InterferenceDoc) Counts() (cross, total int64, ok bool) {
+	if d == nil {
+		return 0, 0, false
+	}
+	return d.Interference.Cross, d.Interference.Total, true
 }
 
 // InterferenceGetter resolves an arena cell unit to its attributed
@@ -38,55 +41,6 @@ func interferenceIndex(cross, total int64, ok bool) float64 {
 	return float64(cross) / float64(total)
 }
 
-// interferenceDir is where the runner persists interference artifacts:
-// next to the result artifacts when checkpointing (so resumed sweeps
-// recall the matrix with the result), else with the series artifacts.
-func (r *Runner) interferenceDir() string {
-	if r.cfg.CheckpointDir != "" {
-		return r.cfg.CheckpointDir
-	}
-	return r.cfg.SeriesDir
-}
-
-func (r *Runner) interferencePath(key string) string {
-	return filepath.Join(r.interferenceDir(), sanitizeKey(key)+".interference.json")
-}
-
-// saveInterference persists one run's attribution snapshot (a no-op
-// without an artifact directory; the in-memory memo still feeds the
-// arena reduction).
-func (r *Runner) saveInterference(key string, doc InterferenceDoc) error {
-	dir := r.interferenceDir()
-	if dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(r.interferencePath(key), append(b, '\n'))
-}
-
-// loadInterference recalls a persisted attribution snapshot, mirroring
-// loadResult's resume contract.
-func (r *Runner) loadInterference(key string) (InterferenceDoc, bool) {
-	if r.cfg.CheckpointDir == "" || !r.cfg.Resume {
-		return InterferenceDoc{}, false
-	}
-	b, err := os.ReadFile(r.interferencePath(key))
-	if err != nil {
-		return InterferenceDoc{}, false
-	}
-	var doc InterferenceDoc
-	if err := json.Unmarshal(b, &doc); err != nil {
-		return InterferenceDoc{}, false
-	}
-	return doc, true
-}
-
 // UnitInterference resolves a unit's attributed (cross, total) counts
 // from the runner's memo — the InterferenceGetter a serial arena sweep
 // reduces through.
@@ -98,8 +52,5 @@ func (r *Runner) UnitInterference(u Unit) (int64, int64, bool) {
 		return 0, 0, false
 	}
 	<-e.done
-	if e.intf == nil {
-		return 0, 0, false
-	}
-	return e.intf.Interference.Cross, e.intf.Interference.Total, true
+	return e.intf.Counts()
 }

@@ -18,7 +18,7 @@ func TestQuick(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"plain":      {},
 		"audit":      {Audit: true},
-		"checkpoint": {CheckpointDir: t.TempDir(), CheckpointEvery: 6_000},
+		"checkpoint": {Dir: t.TempDir(), CheckpointEvery: 6_000},
 	} {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) { testQuick(t, cfg) })
@@ -48,8 +48,8 @@ func testQuick(t *testing.T, cfg Config) {
 	if got := r.SimulatedCycles(); got != 4*25_000 {
 		t.Errorf("SimulatedCycles = %d, want %d", got, 4*25_000)
 	}
-	if cfg.CheckpointDir != "" {
-		left, err := filepath.Glob(filepath.Join(cfg.CheckpointDir, "*"))
+	if cfg.Dir != "" {
+		left, err := filepath.Glob(filepath.Join(cfg.Dir, "*"))
 		if err != nil || len(left) != 4 {
 			t.Errorf("checkpoint dir holds %v (err %v), want the 4 result files only", left, err)
 		}

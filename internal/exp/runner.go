@@ -7,7 +7,6 @@ package exp
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -41,48 +40,42 @@ type Config struct {
 	Audit bool
 
 	// Interference runs every simulation with delay attribution on
-	// (sim.Config.Interference): results stay bit-identical, each run
-	// additionally leaves a <key>.interference.json artifact (in
-	// CheckpointDir when set, else SeriesDir), and arena rows carry an
+	// (sim.Config.Interference): results stay bit-identical, each run's
+	// artifact set gains an interference member, and arena rows carry an
 	// interference_index column.
 	Interference bool
 
 	// SampleInterval > 0 samples every run's metrics on epoch
-	// boundaries (cycles); results stay bit-identical. Required for
-	// SeriesDir.
+	// boundaries (cycles); results stay bit-identical and each run's
+	// artifact set gains the series and fairness members.
 	SampleInterval int64
-
-	// SeriesDir, when non-empty and sampling is on, receives a
-	// .series.json and .fairness.csv per run, named by memo key.
-	SeriesDir string
 
 	// Progress, when non-nil, is credited with each run's simulated
 	// cycles (memoized recalls are not re-counted) so a status server
 	// can report sweep throughput.
 	Progress *telemetry.Progress
 
-	// CheckpointDir, when non-empty, makes every run crash-resilient:
-	// the simulator checkpoints its complete state to
-	// <dir>/<key>.ckpt every CheckpointEvery cycles (atomically, via
-	// temp file + rename), and each completed run's Result is persisted
-	// to <dir>/<key>.result.json.
-	CheckpointDir string
+	// Dir, when non-empty, receives every completed run's artifact set
+	// (artifacts.go), named by memo key, and the run's checkpoint while
+	// it executes.
+	Dir string
 
-	// CheckpointEvery is the auto-checkpoint interval in cycles
-	// (0 selects DefaultCheckpointEvery). Only meaningful with
-	// CheckpointDir.
+	// CheckpointEvery > 0, with Dir, makes every run crash-resilient:
+	// the simulator checkpoints its complete state into Dir every that
+	// many cycles (atomically, via temp file + rename); completing the
+	// run retires the checkpoint.
 	CheckpointEvery int64
 
-	// Resume, with CheckpointDir, picks every run up where a previous
-	// (killed) sweep left it: completed runs are recalled from their
-	// persisted Results without re-simulating, and interrupted runs
-	// restore from their checkpoint and simulate only the remaining
-	// cycles. Resumed runs are bit-identical to uninterrupted ones —
-	// same Results, same series artifacts, byte for byte.
+	// Resume, with Dir, picks every run up where a previous (killed)
+	// sweep left it: a run whose whole artifact set is present is
+	// recalled without re-simulating, and an interrupted run restores
+	// from its checkpoint and simulates only the remaining cycles.
+	// Resumed runs are bit-identical to uninterrupted ones — same
+	// Results, same artifacts, byte for byte.
 	Resume bool
 
 	// CheckpointSink, when non-nil, observes every checkpoint the
-	// runner writes: right after <key>.ckpt lands on disk the sink
+	// runner writes: right after the checkpoint lands on disk the sink
 	// receives the run's memo key, the checkpointed cycle, and the raw
 	// snapshot bytes. A sink error aborts the run with that error. The
 	// fabric worker (internal/fabric) uses this to upload each
@@ -92,9 +85,9 @@ type Config struct {
 	CheckpointSink func(key string, cycle int64, data []byte) error
 }
 
-// DefaultCheckpointEvery is the auto-checkpoint interval when
-// Config.CheckpointEvery is zero: frequent enough that a killed sweep
-// loses at most a second or two of simulation per run.
+// DefaultCheckpointEvery is the fabric's chunk epoch when a job names
+// none: frequent enough that a killed worker loses at most a second or
+// two of simulation.
 const DefaultCheckpointEvery int64 = 100_000
 
 // DefaultConfig returns measurement windows long enough for stable
@@ -158,6 +151,10 @@ func NewRunner(cfg Config) *Runner {
 	if cfg.Parallel <= 0 {
 		cfg.Parallel = runtime.GOMAXPROCS(0)
 	}
+	if cfg.Dir == "" {
+		// Both act on Dir; without one they are off.
+		cfg.Resume, cfg.CheckpointEvery = false, 0
+	}
 	return &Runner{cfg: cfg, memo: make(map[string]*memoRun)}
 }
 
@@ -194,19 +191,15 @@ func (r *Runner) run(key string, cfg sim.Config) (sim.Result, error) {
 }
 
 // simulate produces one key's outcome: recalled from a previous
-// sweep's artifacts when resuming, otherwise simulated (from the key's
-// checkpoint if one survives) with every configured artifact written.
+// sweep's artifact set when resuming and every member the configuration
+// calls for is there, otherwise simulated (from the key's checkpoint if
+// one survives) with the set written.
 func (r *Runner) simulate(key string, cfg sim.Config) (sim.Result, *InterferenceDoc, error) {
-	// With attribution on the recall also needs the interference
-	// artifact; a run whose result survived but whose matrix did not
-	// re-simulates.
-	if res, ok := r.loadResult(key); ok {
-		doc, docOK := r.loadInterference(key)
-		if docOK {
-			return res, &doc, nil
-		}
-		if !r.cfg.Interference {
-			return res, nil, nil
+	if r.cfg.Resume {
+		if set, err := ReadArtifacts(r.cfg.Dir, r.cfg.ArtifactNames(key)); err == nil {
+			if res, doc, err := DecodeArtifacts(set); err == nil {
+				return res, doc, nil
+			}
 		}
 	}
 
@@ -219,21 +212,19 @@ func (r *Runner) simulate(key string, cfg sim.Config) (sim.Result, *Interference
 		return sim.Result{}, nil, err
 	}
 	defer sys.Close()
-	res := sys.Results()
-	if r.cfg.SampleInterval > 0 && r.cfg.SeriesDir != "" {
-		if err := writeSeries(r.cfg.SeriesDir, key, sys); err != nil {
-			return sim.Result{}, nil, fmt.Errorf("series: %w", err)
-		}
-	}
-	var doc *InterferenceDoc
+	fin := finished{key: key, sys: sys, res: sys.Results()}
 	if snap, ok := sys.Interference(); ok {
-		doc = &InterferenceDoc{Key: key, Policy: res.PolicyName, Interference: snap}
-		if err := r.saveInterference(key, *doc); err != nil {
-			return sim.Result{}, nil, fmt.Errorf("interference: %w", err)
-		}
+		fin.intf = &InterferenceDoc{Key: key, Policy: fin.res.PolicyName, Interference: snap}
 	}
-	if err := r.saveResult(key, res); err != nil {
-		return sim.Result{}, nil, fmt.Errorf("persist: %w", err)
+	if r.cfg.Dir != "" {
+		set, err := r.cfg.renderArtifacts(fin)
+		if err != nil {
+			return sim.Result{}, nil, err
+		}
+		if err := WriteArtifacts(r.cfg.Dir, set); err != nil {
+			return sim.Result{}, nil, fmt.Errorf("persist: %w", err)
+		}
+		os.Remove(r.checkpointPath(key))
 	}
 	if r.cfg.Progress != nil {
 		r.cfg.Progress.AddCycles(stepped)
@@ -241,32 +232,30 @@ func (r *Runner) simulate(key string, cfg sim.Config) (sim.Result, *Interference
 	r.mu.Lock()
 	r.simCycles += stepped
 	r.mu.Unlock()
-	return res, doc, nil
+	return fin.res, fin.intf, nil
 }
 
 // runSim builds one simulation (restored from the key's checkpoint when
-// resuming and one exists) and drives it to completion, with
-// CheckpointDir set checkpointing every CheckpointEvery cycles. It
+// resuming and one exists) and drives it to completion, checkpointing
+// into Dir every CheckpointEvery cycles when both are set. It
 // returns the cycles actually simulated in this process (less than
 // warmup+window for a resumed run).
 func (r *Runner) runSim(key string, cfg sim.Config) (*sim.System, int64, error) {
 	var (
 		sys     *sim.System
-		every   int64
 		atChunk func() (int64, error)
 	)
-	if r.cfg.CheckpointDir != "" {
-		if every = r.cfg.CheckpointEvery; every <= 0 {
-			every = DefaultCheckpointEvery
-		}
-		if err := os.MkdirAll(r.cfg.CheckpointDir, 0o755); err != nil {
-			return nil, 0, err
-		}
-		ckpt := r.checkpointPath(key)
-		if _, err := os.Stat(ckpt); r.cfg.Resume && err == nil {
+	ckpt := r.checkpointPath(key)
+	if r.cfg.Resume {
+		if _, err := os.Stat(ckpt); err == nil {
 			if sys, err = sim.RestoreFile(cfg, ckpt); err != nil {
 				return nil, 0, fmt.Errorf("restore %s: %w", ckpt, err)
 			}
+		}
+	}
+	if r.cfg.CheckpointEvery > 0 {
+		if err := os.MkdirAll(r.cfg.Dir, 0o755); err != nil {
+			return nil, 0, err
 		}
 		atChunk = func() (int64, error) {
 			if err := r.writeCheckpoint(key, ckpt, sys); err != nil {
@@ -275,7 +264,7 @@ func (r *Runner) runSim(key string, cfg sim.Config) (*sim.System, int64, error) 
 			if r.noteCheckpoint() {
 				return 0, errStopped
 			}
-			return every, nil
+			return r.cfg.CheckpointEvery, nil
 		}
 	}
 	if sys == nil {
@@ -285,7 +274,7 @@ func (r *Runner) runSim(key string, cfg sim.Config) (*sim.System, int64, error) 
 		}
 	}
 	start, total := sys.Cycle(), r.cfg.Warmup+r.cfg.Window
-	if err := sys.RunTo(r.cfg.Warmup, total, every, atChunk); err != nil {
+	if err := sys.RunTo(r.cfg.Warmup, total, r.cfg.CheckpointEvery, atChunk); err != nil {
 		sys.Close()
 		return nil, 0, err
 	}
@@ -310,18 +299,6 @@ func (r *Runner) writeCheckpoint(key, path string, sys *sim.System) error {
 	return r.cfg.CheckpointSink(key, sys.Cycle(), buf.Bytes())
 }
 
-// writeFileAtomic lands b at path by temp file + rename, so a sweep
-// killed mid-write never leaves a truncated artifact where a resumed
-// one expects a whole one. Each key is written by the one caller that
-// simulates it, so the temp name needs no uniquifier.
-func writeFileAtomic(path string, b []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
 // noteCheckpoint implements the stopAfterCheckpoints test hook.
 func (r *Runner) noteCheckpoint() bool {
 	r.mu.Lock()
@@ -333,51 +310,8 @@ func (r *Runner) noteCheckpoint() bool {
 	return r.stopAfterCheckpoints == 0
 }
 
-// Checkpoint and result artifacts share writeSeries's sanitizeKey
-// naming, so one run's checkpoint, result, and series files all carry
-// the same stem.
 func (r *Runner) checkpointPath(key string) string {
-	return filepath.Join(r.cfg.CheckpointDir, sanitizeKey(key)+".ckpt")
-}
-
-func (r *Runner) resultPath(key string) string {
-	return filepath.Join(r.cfg.CheckpointDir, sanitizeKey(key)+".result.json")
-}
-
-// loadResult recalls a completed run persisted by a previous sweep.
-func (r *Runner) loadResult(key string) (sim.Result, bool) {
-	if r.cfg.CheckpointDir == "" || !r.cfg.Resume {
-		return sim.Result{}, false
-	}
-	b, err := os.ReadFile(r.resultPath(key))
-	if err != nil {
-		return sim.Result{}, false
-	}
-	var res sim.Result
-	if err := json.Unmarshal(b, &res); err != nil {
-		return sim.Result{}, false
-	}
-	return res, true
-}
-
-// saveResult persists a completed run's Result and retires its
-// checkpoint: the result now supersedes it.
-func (r *Runner) saveResult(key string, res sim.Result) error {
-	if r.cfg.CheckpointDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(r.cfg.CheckpointDir, 0o755); err != nil {
-		return err
-	}
-	b, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := writeFileAtomic(r.resultPath(key), b); err != nil {
-		return err
-	}
-	os.Remove(r.checkpointPath(key))
-	return nil
+	return filepath.Join(r.cfg.Dir, CheckpointName(key))
 }
 
 // Solo runs one benchmark alone on a system whose memory timing is

@@ -1,10 +1,8 @@
 package exp
 
 import (
+	"bytes"
 	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
 	"strconv"
 
 	"repro/internal/memctrl"
@@ -13,21 +11,11 @@ import (
 )
 
 // Time-series export: when Config.SampleInterval is set the runner
-// samples every simulation's metrics on epoch boundaries, and when
-// Config.SeriesDir is also set each run leaves two artifacts named
-// after its memo key:
-//
-//   - <key>.series.json — the full epoch series (per-interval counter
-//     deltas, gauge values, histogram-bucket deltas) plus the fairness
-//     series and its summary, self-describing for plotting tools;
-//   - <key>.fairness.csv — the fairness series flattened to one row
-//     per (epoch, thread), plot-ready like the figure CSVs. Every row
-//     leads with the run's policy name so fairness series from
-//     different schedulers (e.g. an arena sweep) concatenate into one
-//     plottable file.
+// samples every simulation's metrics on epoch boundaries, and each
+// run's artifact set (artifacts.go) gains the two encodings below.
 
-// seriesDoc is the schema of a <key>.series.json artifact and of
-// fqsim's -series-out file (which names no key or policy).
+// seriesDoc is the schema of a run's series artifact and of fqsim's
+// -series-out file (which names no key or policy).
 type seriesDoc struct {
 	Key      string           `json:"key,omitempty"`
 	Policy   string           `json:"policy,omitempty"`
@@ -41,8 +29,9 @@ type seriesDoc struct {
 	} `json:"fairness"`
 }
 
-// sanitizeKey maps a memo key like "co/art+vpr/FQ-VFTF" to a filename
-// stem, replacing path separators and anything else unfriendly.
+// sanitizeKey maps a memo key like "co/art+vpr/FQ-VFTF" to the filename
+// stem its artifacts share, replacing path separators and anything else
+// unfriendly.
 func sanitizeKey(key string) string {
 	out := make([]byte, len(key))
 	for i := 0; i < len(key); i++ {
@@ -58,11 +47,11 @@ func sanitizeKey(key string) string {
 	return string(out)
 }
 
-// WriteSeriesJSON writes a sampled run's epoch time series — the
+// seriesJSON encodes a sampled run's epoch time series — the
 // per-interval metric deltas plus the fairness series and its summary —
-// to path as one self-describing JSON document. key names the run
-// within a sweep; a standalone run passes "".
-func WriteSeriesJSON(path, key string, s *sim.System) error {
+// as one self-describing JSON document. key names the run within a
+// sweep; a standalone run passes "".
+func seriesJSON(key string, s *sim.System) ([]byte, error) {
 	doc := seriesDoc{
 		Key:      key,
 		Interval: s.Sampler().Interval(),
@@ -75,34 +64,30 @@ func WriteSeriesJSON(path, key string, s *sim.System) error {
 	doc.Fairness.Summary = s.Fairness().Summary()
 	doc.Fairness.Samples = s.Fairness().Samples(-1)
 
-	jf, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(jf)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		jf.Close()
-		return err
-	}
-	return jf.Close()
+	err := enc.Encode(doc)
+	return buf.Bytes(), err
 }
 
-// writeSeries exports one finished run's time series into dir.
-func writeSeries(dir, key string, s *sim.System) error {
-	stem := filepath.Join(dir, sanitizeKey(key))
-	if err := WriteSeriesJSON(stem+".series.json", key, s); err != nil {
-		return err
-	}
-	policy := s.Controller().Policy().Name()
-	samples := s.Fairness().Samples(-1)
-
-	cf, err := os.Create(stem + ".fairness.csv")
+// WriteSeriesJSON writes a standalone run's seriesJSON document to path.
+func WriteSeriesJSON(path string, s *sim.System) error {
+	b, err := seriesJSON("", s)
 	if err != nil {
 		return err
 	}
+	return writeFileAtomic(path, b)
+}
+
+// fairnessCSV flattens a sampled run's fairness series to one row per
+// (epoch, thread). Every row leads with the run's policy name so
+// fairness series from different schedulers (e.g. an arena sweep)
+// concatenate into one plottable file.
+func fairnessCSV(s *sim.System) ([]byte, error) {
+	policy := s.Controller().Policy().Name()
 	var rows [][]string
-	for _, fs := range samples {
+	for _, fs := range s.Fairness().Samples(-1) {
 		for t := range fs.Service {
 			rows = append(rows, []string{
 				policy,
@@ -114,15 +99,10 @@ func writeSeries(dir, key string, s *sim.System) error {
 			})
 		}
 	}
-	err = writeCSV(cf, []string{
+	var buf bytes.Buffer
+	err := writeCSV(&buf, []string{
 		"policy", "epoch", "cycle", "thread", "service", "share", "phi", "excess", "backlogged", "cum_shortfall",
 		"top_aggressor", "stolen_cycles",
 	}, rows)
-	if cerr := cf.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("exp: fairness csv %s: %w", key, err)
-	}
-	return nil
+	return buf.Bytes(), err
 }

@@ -24,7 +24,7 @@ func TestSeriesExport(t *testing.T) {
 
 	cfg := QuickConfig()
 	cfg.SampleInterval = 10_000
-	cfg.SeriesDir = dir
+	cfg.Dir = dir
 	sampled := NewRunner(cfg)
 	got, err := sampled.CoRun([]string{"art", "vpr"}, "FQ-VFTF")
 	if err != nil {

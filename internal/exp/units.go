@@ -26,8 +26,8 @@ import (
 // Policy is empty for a private solo baseline (one benchmark on a
 // timing-scaled system); otherwise the unit is a co-run cell.
 type Unit struct {
-	// Key is the runner memo key; artifacts derive their filenames
-	// from it via ArtifactStem.
+	// Key is the runner memo key; the run's artifact set is named
+	// after it.
 	Key string `json:"key"`
 
 	// Benches names the workload, one benchmark per core (exactly one
@@ -123,7 +123,7 @@ func (u Unit) SimConfig() (sim.Config, error) {
 
 // RunUnit executes (or recalls) one unit under the runner's
 // configuration — the same memoized path every figure driver uses, so
-// checkpointing, resume, series artifacts, and progress accounting all
+// checkpointing, resume, the artifact set, and progress accounting all
 // apply.
 func (r *Runner) RunUnit(u Unit) (sim.Result, error) {
 	cfg, err := u.SimConfig()
@@ -220,12 +220,6 @@ func markParetoFrontiers(rows []ArenaRow) {
 		}
 	}
 }
-
-// ArtifactStem maps a memo key to the filename stem its artifacts
-// (<stem>.result.json, <stem>.series.json, <stem>.fairness.csv,
-// <stem>.ckpt) share, in the runner's directories and in a fabric
-// merge alike.
-func ArtifactStem(key string) string { return sanitizeKey(key) }
 
 // ParseArenaSpec builds an ArenaSpec from comma-separated flag values:
 // mixes like "vpr+art,swim+mcf+vpr+art" ("+" joins the benchmarks of

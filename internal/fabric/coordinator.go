@@ -8,8 +8,6 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -90,7 +88,11 @@ type chunk struct {
 	resumedFrom int64 // cycle the latest attempt restored from
 	credited    int64 // cycles already credited to progress
 
-	artifacts map[string]string // artifact kind -> blob hash
+	// names is the artifact set a completion must carry (the job's
+	// exp.Config.ArtifactNames for the unit); blobs holds the store
+	// hashes of the accepted set, parallel to names, nil until done.
+	names []string
+	blobs []string
 }
 
 // Coordinator owns the work queue, the lease table, and the artifact
@@ -148,8 +150,9 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.LeaseSeed != 0 {
 		c.rng = rand.New(rand.NewSource(int64(cfg.LeaseSeed)))
 	}
+	expCfg := job.ExpConfig("")
 	for _, u := range units {
-		c.chunks = append(c.chunks, &chunk{unit: u, artifacts: make(map[string]string)})
+		c.chunks = append(c.chunks, &chunk{unit: u, names: expCfg.ArtifactNames(u.Key)})
 	}
 	return c, nil
 }
@@ -256,7 +259,7 @@ func (c *Coordinator) Handler() http.Handler {
 			"/job          GET: the job spec every chunk shares\n"+
 			"/lease        POST {worker}: lease the next chunk\n"+
 			"/heartbeat    POST {lease,cycle,checkpoint}: renew + upload checkpoint\n"+
-			"/complete     POST {lease,cycle,result,series,fairness}: finish a chunk\n"+
+			"/complete     POST {lease,cycle,artifacts}: finish a chunk\n"+
 			"/blob/<hash>  GET: fetch a stored blob (e.g. a resume checkpoint)\n"+
 			"/progress     GET: aggregated sweep progress\n"+
 			"/status       GET: per-chunk queue state\n"+
@@ -423,31 +426,20 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		writeStatus(w, http.StatusConflict, statusReply{Status: "expired", Error: "unknown or expired lease"})
 		return
 	}
-	var res sim.Result
-	if err := json.Unmarshal(req.Result, &res); err != nil {
-		writeStatus(w, http.StatusBadRequest, statusReply{Status: "error", Error: "result is not a sim.Result: " + err.Error()})
+	// The names become file names in WriteMerged: accept exactly the
+	// set the job defines, so unknown, duplicate, missing and
+	// path-bearing names all fail here with the lease left live.
+	if err := checkArtifacts(req.Artifacts, ch.names); err != nil {
+		writeStatus(w, http.StatusBadRequest, statusReply{Status: "error", Error: err.Error()})
 		return
 	}
-	if c.job.SampleInterval > 0 && (len(req.Series) == 0 || len(req.Fairness) == 0) {
-		writeStatus(w, http.StatusBadRequest, statusReply{Status: "error", Error: "sampled job completion missing series artifacts"})
+	if _, _, err := exp.DecodeArtifacts(req.Artifacts); err != nil {
+		writeStatus(w, http.StatusBadRequest, statusReply{Status: "error", Error: err.Error()})
 		return
 	}
-	if c.job.Interference {
-		var doc exp.InterferenceDoc
-		if err := json.Unmarshal(req.Interference, &doc); err != nil {
-			writeStatus(w, http.StatusBadRequest, statusReply{Status: "error", Error: "interference artifact is not an exp.InterferenceDoc: " + err.Error()})
-			return
-		}
-	}
-	ch.artifacts["result"] = c.store.Put(req.Result)
-	if len(req.Series) > 0 {
-		ch.artifacts["series"] = c.store.Put(req.Series)
-	}
-	if len(req.Fairness) > 0 {
-		ch.artifacts["fairness"] = c.store.Put(req.Fairness)
-	}
-	if len(req.Interference) > 0 {
-		ch.artifacts["interference"] = c.store.Put(req.Interference)
+	ch.blobs = make([]string, len(req.Artifacts))
+	for i, a := range req.Artifacts {
+		ch.blobs[i] = c.store.Put(a.Data)
 	}
 	delete(c.leases, req.Lease)
 	ch.lease = ""
@@ -456,6 +448,23 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	c.creditLocked(ch, c.job.TotalCycles())
 	c.prog.Finish(ch.unit.Key)
 	writeStatus(w, http.StatusOK, statusReply{Status: statusOK})
+}
+
+// checkArtifacts holds an uploaded set to the expected names, in order,
+// each with content.
+func checkArtifacts(set []exp.Artifact, names []string) error {
+	if len(set) != len(names) {
+		return fmt.Errorf("completion carries %d artifacts, the job defines %d", len(set), len(names))
+	}
+	for i, a := range set {
+		if a.Name != names[i] {
+			return fmt.Errorf("completion artifact %d is named %q, the job defines %q", i, a.Name, names[i])
+		}
+		if len(a.Data) == 0 {
+			return fmt.Errorf("completion artifact %s is empty", a.Name)
+		}
+	}
+	return nil
 }
 
 func (c *Coordinator) handleBlob(w http.ResponseWriter, r *http.Request) {
@@ -566,134 +575,89 @@ func (c *Coordinator) Status() StatusReport {
 	return rep
 }
 
-// results rebuilds the per-unit Result map from uploaded artifacts.
-func (c *Coordinator) results() (map[string]sim.Result, error) {
+// sets rebuilds the completed job's artifact sets from the store, one
+// per chunk in chunk order.
+func (c *Coordinator) sets() ([][]exp.Artifact, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.done != len(c.chunks) {
 		return nil, fmt.Errorf("fabric: job incomplete (%d/%d chunks)", c.done, len(c.chunks))
 	}
-	out := make(map[string]sim.Result, len(c.chunks))
-	for _, ch := range c.chunks {
-		b, ok := c.store.Get(ch.artifacts["result"])
-		if !ok {
-			return nil, fmt.Errorf("fabric: chunk %s lost its result blob", ch.unit.Key)
+	sets := make([][]exp.Artifact, len(c.chunks))
+	for i, ch := range c.chunks {
+		for j, hash := range ch.blobs {
+			b, ok := c.store.Get(hash)
+			if !ok {
+				return nil, fmt.Errorf("fabric: chunk %s lost its %s blob", ch.unit.Key, ch.names[j])
+			}
+			sets[i] = append(sets[i], exp.Artifact{Name: ch.names[j], Data: b})
 		}
-		var res sim.Result
-		if err := json.Unmarshal(b, &res); err != nil {
-			return nil, fmt.Errorf("fabric: chunk %s result: %w", ch.unit.Key, err)
-		}
-		out[ch.unit.Key] = res
 	}
-	return out, nil
+	return sets, nil
 }
 
-// Arena reduces the completed job's uploaded results into the same
-// ArenaResult a single-process sweep computes — identical float
+// Arena reduces the completed job's uploaded artifact sets into the
+// same ArenaResult a single-process sweep computes — identical float
 // arithmetic via exp.ReduceArena, so identical rows.
 func (c *Coordinator) Arena() (exp.ArenaResult, error) {
-	results, err := c.results()
+	sets, err := c.sets()
 	if err != nil {
 		return exp.ArenaResult{}, err
 	}
+	return c.reduce(sets)
+}
+
+// reduce folds the per-chunk sets (as sets returned them) into the
+// arena table.
+func (c *Coordinator) reduce(sets [][]exp.Artifact) (exp.ArenaResult, error) {
+	type run struct {
+		res  sim.Result
+		intf *exp.InterferenceDoc
+	}
+	runs := make(map[string]run, len(sets))
+	for i, set := range sets {
+		key := c.chunks[i].unit.Key
+		res, doc, err := exp.DecodeArtifacts(set)
+		if err != nil {
+			return exp.ArenaResult{}, fmt.Errorf("fabric: chunk %s: %w", key, err)
+		}
+		runs[key] = run{res, doc}
+	}
 	var intf exp.InterferenceGetter
 	if c.job.Interference {
-		docs, err := c.interferenceDocs()
-		if err != nil {
-			return exp.ArenaResult{}, err
-		}
-		intf = func(u exp.Unit) (int64, int64, bool) {
-			doc, ok := docs[u.Key]
-			if !ok {
-				return 0, 0, false
-			}
-			return doc.Interference.Cross, doc.Interference.Total, true
-		}
+		intf = func(u exp.Unit) (int64, int64, bool) { return runs[u.Key].intf.Counts() }
 	}
 	return exp.ReduceArena(c.job.Spec, func(u exp.Unit) (sim.Result, error) {
-		res, ok := results[u.Key]
+		r, ok := runs[u.Key]
 		if !ok {
 			return sim.Result{}, fmt.Errorf("fabric: no result for unit %s", u.Key)
 		}
-		return res, nil
+		return r.res, nil
 	}, intf)
 }
 
-// interferenceDocs rebuilds the per-unit attribution snapshots from
-// uploaded artifacts, the merged reduction's InterferenceGetter source.
-func (c *Coordinator) interferenceDocs() (map[string]exp.InterferenceDoc, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]exp.InterferenceDoc, len(c.chunks))
-	for _, ch := range c.chunks {
-		b, ok := c.store.Get(ch.artifacts["interference"])
-		if !ok {
-			return nil, fmt.Errorf("fabric: chunk %s lost its interference blob", ch.unit.Key)
-		}
-		var doc exp.InterferenceDoc
-		if err := json.Unmarshal(b, &doc); err != nil {
-			return nil, fmt.Errorf("fabric: chunk %s interference: %w", ch.unit.Key, err)
-		}
-		out[ch.unit.Key] = doc
-	}
-	return out, nil
-}
-
 // WriteMerged materializes the completed job into dir: every chunk's
-// .result.json / .series.json / .fairness.csv verbatim as uploaded,
-// plus arena.csv and arena.json from the deterministic reduction — the
-// same file set, names, and bytes a single-process sweep with
-// CheckpointDir/SeriesDir/arena-out all pointed at one directory
-// leaves behind.
+// artifact set verbatim as uploaded, then arena.csv and arena.json from
+// the deterministic reduction — the same file set, names, and bytes a
+// single-process sweep with exp.Config.Dir pointed there leaves behind.
 func (c *Coordinator) WriteMerged(dir string) error {
-	arena, err := c.Arena()
+	sets, err := c.sets()
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	type file struct {
-		name string
-		hash string
-	}
-	var files []file
-	for _, ch := range c.chunks {
-		stem := exp.ArtifactStem(ch.unit.Key)
-		files = append(files, file{stem + ".result.json", ch.artifacts["result"]})
-		if h, ok := ch.artifacts["series"]; ok {
-			files = append(files, file{stem + ".series.json", h})
-		}
-		if h, ok := ch.artifacts["fairness"]; ok {
-			files = append(files, file{stem + ".fairness.csv", h})
-		}
-		if h, ok := ch.artifacts["interference"]; ok {
-			files = append(files, file{stem + ".interference.json", h})
-		}
-	}
-	c.mu.Unlock()
-	for _, f := range files {
-		b, ok := c.store.Get(f.hash)
-		if !ok {
-			return fmt.Errorf("fabric: merge lost blob for %s", f.name)
-		}
-		if err := os.WriteFile(filepath.Join(dir, f.name), b, 0o644); err != nil {
-			return err
-		}
-	}
-	csvB, err := arena.ArtifactCSV()
+	arena, err := c.reduce(sets)
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, "arena.csv"), csvB, 0o644); err != nil {
-		return err
-	}
-	jsonB, err := arena.ArtifactJSON()
+	sweep, err := arena.Artifacts()
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, "arena.json"), jsonB, 0o644)
+	var all []exp.Artifact
+	for _, set := range sets {
+		all = append(all, set...)
+	}
+	return exp.WriteArtifacts(dir, append(all, sweep...))
 }
 
 // checkInvariants audits the queue's concurrency contract; the fuzz
@@ -703,8 +667,8 @@ func (c *Coordinator) WriteMerged(dir string) error {
 //   - chunk states partition the queue and agree with the done count;
 //   - every live lease token maps to exactly one leased chunk and
 //     every leased chunk holds exactly one live token;
-//   - a done chunk has a result artifact and no lease — once done it
-//     can never be leased (assigned) again;
+//   - a done chunk has its whole artifact set and no lease — once done
+//     it can never be leased (assigned) again;
 //   - attempts never exceed the retry budget without failing the job.
 func (c *Coordinator) checkInvariants() error {
 	c.mu.Lock()
@@ -718,11 +682,8 @@ func (c *Coordinator) checkInvariants() error {
 			if ch.lease != "" {
 				return fmt.Errorf("chunk %d done but holds lease %s", i, ch.lease)
 			}
-			if ch.artifacts["result"] == "" {
-				return fmt.Errorf("chunk %d done without a result artifact", i)
-			}
-			if c.job.Interference && ch.artifacts["interference"] == "" {
-				return fmt.Errorf("chunk %d done without an interference artifact", i)
+			if len(ch.blobs) != len(ch.names) {
+				return fmt.Errorf("chunk %d done with %d of %d artifacts", i, len(ch.blobs), len(ch.names))
 			}
 		case chunkLeased:
 			if ch.lease == "" {

@@ -3,8 +3,8 @@
 // policy x workload x share x channels cell, plus the shared solo
 // baselines), workers lease chunks, step them in checkpoint-bounded
 // epochs through the exp runner, heartbeat progress with each epoch's
-// checkpoint attached, and upload the finished .result.json /
-// .series.json / .fairness.csv artifacts into the coordinator's
+// checkpoint attached, and upload the finished run's artifact set
+// (exp.Artifact, carried opaquely) into the coordinator's
 // content-addressed store. A lease that stops heartbeating expires and
 // its chunk is reassigned — resuming from the last uploaded checkpoint,
 // not from scratch — within a bounded retry budget. When every chunk
@@ -44,14 +44,14 @@ type JobSpec struct {
 	// Seed perturbs the trace generators.
 	Seed uint64 `json:"seed"`
 
-	// SampleInterval > 0 makes every chunk emit .series.json and
-	// .fairness.csv time-series artifacts alongside its result.
+	// SampleInterval > 0 makes every chunk's artifact set carry its
+	// time series alongside its result.
 	SampleInterval int64 `json:"sample_interval"`
 
 	// Interference runs every chunk with delay attribution on: each
-	// chunk additionally uploads a .interference.json artifact and the
-	// merged arena carries an interference_index column. Simulated
-	// results are bit-identical either way.
+	// chunk's artifact set carries its interference matrix and the
+	// merged arena an interference_index column. Simulated results are
+	// bit-identical either way.
 	Interference bool `json:"interference,omitempty"`
 
 	// CheckpointEvery is the chunk epoch in cycles: workers checkpoint,
@@ -80,22 +80,19 @@ func (j JobSpec) withDefaults() JobSpec {
 // this job's runs uses, with every artifact rooted at dir. The serial
 // reference sweep and each worker's chunk execution both build their
 // runner from here, which is what makes their artifact bytes
-// comparable in the first place.
+// comparable in the first place; the coordinator reads the artifact
+// names a completion must carry off the same value.
 func (j JobSpec) ExpConfig(dir string) exp.Config {
 	j = j.withDefaults()
-	cfg := exp.Config{
+	return exp.Config{
 		Warmup:          j.Warmup,
 		Window:          j.Window,
 		Seed:            j.Seed,
 		SampleInterval:  j.SampleInterval,
 		Interference:    j.Interference,
-		CheckpointDir:   dir,
+		Dir:             dir,
 		CheckpointEvery: j.CheckpointEvery,
 	}
-	if j.SampleInterval > 0 {
-		cfg.SeriesDir = dir
-	}
-	return cfg
 }
 
 // TotalCycles is one chunk's full simulation length.
@@ -144,14 +141,12 @@ type heartbeatRequest struct {
 	Checkpoint []byte `json:"checkpoint,omitempty"`
 }
 
-// completeRequest delivers a finished chunk's artifacts.
+// completeRequest delivers a finished chunk's artifact set: exactly the
+// names exp.Config.ArtifactNames lists for the chunk's unit, in order.
 type completeRequest struct {
-	Lease        string `json:"lease"`
-	Cycle        int64  `json:"cycle"`
-	Result       []byte `json:"result"`
-	Series       []byte `json:"series,omitempty"`
-	Fairness     []byte `json:"fairness,omitempty"`
-	Interference []byte `json:"interference,omitempty"`
+	Lease     string         `json:"lease"`
+	Cycle     int64          `json:"cycle"`
+	Artifacts []exp.Artifact `json:"artifacts"`
 }
 
 // statusReply is the ack for heartbeats and completions.

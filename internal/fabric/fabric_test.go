@@ -38,8 +38,8 @@ func quickJob() JobSpec {
 
 // serialArtifacts runs the job in one process — the exp.Runner path a
 // non-distributed sweep uses — and returns every artifact it leaves
-// behind (per-run .result.json/.series.json/.fairness.csv plus the
-// arena.csv/arena.json a -arena-out sweep writes), keyed by filename.
+// behind (every run's artifact set plus the arena.csv/arena.json an
+// `experiments -out` sweep writes), keyed by filename.
 func serialArtifacts(t *testing.T, job JobSpec) map[string][]byte {
 	t.Helper()
 	dir := t.TempDir()
@@ -60,11 +60,12 @@ func serialArtifacts(t *testing.T, job JobSpec) map[string][]byte {
 		}
 		out[e.Name()] = b
 	}
-	if out["arena.csv"], err = arena.ArtifactCSV(); err != nil {
+	sweep, err := arena.Artifacts()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if out["arena.json"], err = arena.ArtifactJSON(); err != nil {
-		t.Fatal(err)
+	for _, a := range sweep {
+		out[a.Name] = a.Data
 	}
 	return out
 }
@@ -203,6 +204,17 @@ func request(t *testing.T, h http.Handler, method, path, body string) *httptest.
 	return rec
 }
 
+// completion is the /complete body for a lease: the artifact set the
+// job defines for the leased unit, every member holding data.
+func completion(job JobSpec, l leaseResponse, data string) string {
+	req := completeRequest{Lease: l.Lease, Cycle: job.TotalCycles()}
+	for _, name := range job.ExpConfig("").ArtifactNames(l.Unit.Key) {
+		req.Artifacts = append(req.Artifacts, exp.Artifact{Name: name, Data: []byte(data)})
+	}
+	b, _ := json.Marshal(req)
+	return string(b)
+}
+
 func decodeLease(t *testing.T, rec *httptest.ResponseRecorder) leaseResponse {
 	t.Helper()
 	var l leaseResponse
@@ -215,8 +227,10 @@ func decodeLease(t *testing.T, rec *httptest.ResponseRecorder) leaseResponse {
 // TestLeaseProtocolInvariants walks the lease lifecycle with a fake
 // clock: expiry reassigns a chunk to a new lease resuming from the
 // last uploaded checkpoint, late heartbeats and duplicate/replayed
-// completions 409 without disturbing state, and an exhausted retry
-// budget fails the job instead of looping forever.
+// completions 409 without disturbing state, a completion whose artifact
+// names are not exactly the job's is a 400 that leaves the lease live
+// and the store untouched, and an exhausted retry budget fails the job
+// instead of looping forever.
 func TestLeaseProtocolInvariants(t *testing.T) {
 	job := quickJob()
 	job.SampleInterval = 0 // protocol-only test: completions carry just results
@@ -288,19 +302,18 @@ func TestLeaseProtocolInvariants(t *testing.T) {
 	if rec := request(t, h, http.MethodPost, "/heartbeat", hb); rec.Code != http.StatusConflict {
 		t.Errorf("late heartbeat: code %d, want 409", rec.Code)
 	}
-	comp, _ := json.Marshal(completeRequest{Lease: l1.Lease, Cycle: 50_000, Result: []byte("{}")})
-	if rec := request(t, h, http.MethodPost, "/complete", string(comp)); rec.Code != http.StatusConflict {
+	if rec := request(t, h, http.MethodPost, "/complete", completion(job, l1, "{}")); rec.Code != http.StatusConflict {
 		t.Errorf("late completion: code %d, want 409", rec.Code)
 	}
 	check("late messages")
 
 	// Legitimate completion; then a replay of the same body must 409
 	// and must not double-count or reassign.
-	comp2, _ := json.Marshal(completeRequest{Lease: l2.Lease, Cycle: 50_000, Result: []byte("{}")})
-	if rec := request(t, h, http.MethodPost, "/complete", string(comp2)); rec.Code != http.StatusOK {
+	comp2 := completion(job, l2, "{}")
+	if rec := request(t, h, http.MethodPost, "/complete", comp2); rec.Code != http.StatusOK {
 		t.Fatalf("completion: code %d body %s", rec.Code, rec.Body)
 	}
-	if rec := request(t, h, http.MethodPost, "/complete", string(comp2)); rec.Code != http.StatusConflict {
+	if rec := request(t, h, http.MethodPost, "/complete", comp2); rec.Code != http.StatusConflict {
 		t.Errorf("duplicate completion: code %d, want 409", rec.Code)
 	}
 	st := c.Status()
@@ -312,11 +325,37 @@ func TestLeaseProtocolInvariants(t *testing.T) {
 	if l3.Chunk == l2.Chunk {
 		t.Fatalf("done chunk %d was reassigned", l2.Chunk)
 	}
-	badComp, _ := json.Marshal(completeRequest{Lease: l3.Lease, Cycle: 50_000, Result: []byte(`["not","a","result"]`)})
-	if rec := request(t, h, http.MethodPost, "/complete", string(badComp)); rec.Code != http.StatusBadRequest {
+	if rec := request(t, h, http.MethodPost, "/complete", completion(job, l3, `["not","a","result"]`)); rec.Code != http.StatusBadRequest {
 		t.Errorf("garbage result: code %d, want 400", rec.Code)
 	}
 	check("completion")
+
+	// Artifact names become file names in the merge: anything but the
+	// job's own list is a 400 that stores nothing and keeps the lease.
+	good := exp.Artifact{Name: job.ExpConfig("").ArtifactNames(l3.Unit.Key)[0], Data: []byte("{}")}
+	blobsBefore, _, _ := c.Store().Stats()
+	for name, set := range map[string][]exp.Artifact{
+		"unknown name":  {{Name: "evil.result.json", Data: good.Data}},
+		"parent path":   {{Name: "../" + good.Name, Data: good.Data}},
+		"nested path":   {{Name: "a/" + good.Name, Data: good.Data}},
+		"absolute path": {{Name: "/tmp/" + good.Name, Data: good.Data}},
+		"duplicate":     {good, good},
+		"extra member":  {good, {Name: "extra.bin", Data: good.Data}},
+		"missing":       {},
+		"empty member":  {{Name: good.Name}},
+	} {
+		body, _ := json.Marshal(completeRequest{Lease: l3.Lease, Cycle: 50_000, Artifacts: set})
+		if rec := request(t, h, http.MethodPost, "/complete", string(body)); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: code %d body %s, want 400", name, rec.Code, rec.Body)
+		}
+		check(name)
+	}
+	if blobs, _, _ := c.Store().Stats(); blobs != blobsBefore {
+		t.Errorf("hostile completions stored %d blobs", blobs-blobsBefore)
+	}
+	if rec := request(t, h, http.MethodPost, "/heartbeat", `{"lease":"`+l3.Lease+`","cycle":1}`); rec.Code != http.StatusOK {
+		t.Errorf("lease after hostile completions: code %d, want it still live", rec.Code)
+	}
 
 	// Retry budget: expire l3's chunk twice more; the third expiry
 	// exhausts the budget and fails the job for everyone.
@@ -381,8 +420,8 @@ func TestConcurrentWorkersAndHostileReplays(t *testing.T) {
 				}
 				resp.Body.Close()
 			}
-			comp, _ := json.Marshal(completeRequest{Lease: token, Result: []byte("{}")})
-			resp, err = client.Post(srv.URL+"/complete", "application/json", bytes.NewReader(comp))
+			comp := completion(job, leaseResponse{Lease: token}, "{}")
+			resp, err = client.Post(srv.URL+"/complete", "application/json", strings.NewReader(comp))
 			if err == nil {
 				if resp.StatusCode != http.StatusConflict {
 					t.Errorf("hostile completion %s: code %d, want 409", token, resp.StatusCode)
@@ -422,8 +461,8 @@ func TestConcurrentWorkersAndHostileReplays(t *testing.T) {
 				}
 				resp.Body.Close()
 			}
-			comp, _ := json.Marshal(completeRequest{Lease: token, Result: []byte("{}")})
-			if resp, err := client.Post(srv.URL+"/complete", "application/json", bytes.NewReader(comp)); err == nil {
+			comp := completion(job, leaseResponse{Lease: token}, "{}")
+			if resp, err := client.Post(srv.URL+"/complete", "application/json", strings.NewReader(comp)); err == nil {
 				if resp.StatusCode != http.StatusConflict {
 					t.Errorf("duplicate completion %s: code %d, want 409", token, resp.StatusCode)
 				}

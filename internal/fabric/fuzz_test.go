@@ -27,7 +27,7 @@ func fuzzCoordinator(t *testing.T) (*Coordinator, http.Handler) {
 	if rec := request(t, h, http.MethodPost, "/heartbeat", `{"lease":"l1","cycle":10000,"checkpoint":"Y2twdA=="}`); rec.Code != http.StatusOK {
 		t.Fatalf("prelude heartbeat: %d %s", rec.Code, rec.Body)
 	}
-	if rec := request(t, h, http.MethodPost, "/complete", `{"lease":"l1","result":"e30="}`); rec.Code != http.StatusOK {
+	if rec := request(t, h, http.MethodPost, "/complete", completion(job, l1, "{}")); rec.Code != http.StatusOK {
 		t.Fatalf("prelude complete: %d %s", rec.Code, rec.Body)
 	}
 	l2 := decodeLease(t, request(t, h, http.MethodPost, "/lease", `{"worker":"w2"}`))
@@ -64,6 +64,18 @@ func FuzzFabricRequest(f *testing.F) {
 	f.Add(byte(5), []byte{0xff, 0xfe})
 	f.Add(byte(6), []byte(`{}`))
 	f.Add(byte(7), []byte(`GET me`))
+	// Completions that carry an artifact set (l2 holds the second solo
+	// baseline); the result-field bodies above predate the set and now
+	// replay as clean 400s.
+	const l2Result = "arena_solo_art_x2_ch1.result.json"
+	f.Add(byte(2), []byte(`{"lease":"l2","artifacts":[{"name":"`+l2Result+`","data":"e30="}]}`)) // legitimate completion
+	f.Add(byte(2), []byte(`{"lease":"l1","artifacts":[{"name":"`+l2Result+`","data":"e30="}]}`)) // replayed on a spent lease
+	f.Add(byte(2), []byte(`{"lease":"l2","artifacts":[{"name":"../`+l2Result+`","data":"e30="}]}`))
+	f.Add(byte(2), []byte(`{"lease":"l2","artifacts":[{"name":"a/b","data":"e30="}]}`))
+	f.Add(byte(2), []byte(`{"lease":"l2","artifacts":[{"name":"`+l2Result+`","data":"e30="},{"name":"`+l2Result+`","data":"e30="}]}`))
+	f.Add(byte(2), []byte(`{"lease":"l2","artifacts":[]}`))
+	f.Add(byte(2), []byte(`{"lease":"l2","artifacts":[{"name":"`+l2Result+`","data":"WyJub3QiLCJhIiwicmVzdWx0Il0="}]}`)) // named right, not a sim.Result
+	f.Add(byte(2), []byte(`{"lease":"l2","artifacts":{"name":7}}`))
 
 	f.Fuzz(func(t *testing.T, ep byte, body []byte) {
 		c, h := fuzzCoordinator(t)

@@ -9,7 +9,7 @@ import (
 )
 
 // TestShardedSweepInterference runs the determinism battery with delay
-// attribution on: workers must upload each chunk's .interference.json,
+// attribution on: workers must upload each chunk's interference artifact,
 // the merge must place it beside the other artifacts byte-identical to
 // the serial sweep, and the reduced arena.csv/arena.json must carry
 // the interference_index column computed through the same shared

@@ -7,7 +7,7 @@ import (
 )
 
 // Store is the coordinator's content-addressed artifact store: blobs
-// (checkpoints, results, series files) are keyed by their SHA-256, so
+// (checkpoints and the members of artifact sets) are keyed by their SHA-256, so
 // identical uploads — a worker retrying a heartbeat, or two chunks of
 // the same memoized solo baseline — deduplicate to one copy, and a
 // blob reference in the lease protocol is self-verifying.

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -96,19 +95,16 @@ func (w *Worker) Run(ctx context.Context) error {
 // runChunk executes one leased chunk to completion: seed the resume
 // checkpoint if the coordinator holds one, run the unit through the
 // exp runner (heartbeating + uploading at every checkpoint epoch via
-// CheckpointSink), then upload the finished artifacts.
+// CheckpointSink), then upload the finished artifact set.
 func (w *Worker) runChunk(ctx context.Context, job JobSpec, lease leaseResponse) error {
 	dir := filepath.Join(w.Dir, fmt.Sprintf("chunk%03d-try%d", lease.Chunk, lease.Attempt))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	stem := exp.ArtifactStem(lease.Unit.Key)
 	if lease.Checkpoint != "" {
 		ckpt, err := w.getBlob(ctx, lease.Checkpoint)
 		if err != nil {
 			return fmt.Errorf("fetch resume checkpoint: %w", err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, stem+".ckpt"), ckpt, 0o644); err != nil {
+		seed := []exp.Artifact{{Name: exp.CheckpointName(lease.Unit.Key), Data: ckpt}}
+		if err := exp.WriteArtifacts(dir, seed); err != nil {
 			return err
 		}
 	}
@@ -123,31 +119,15 @@ func (w *Worker) runChunk(ctx context.Context, job JobSpec, lease leaseResponse)
 		}
 		return w.heartbeat(ctx, lease.Lease, cycle, data)
 	}
-	res, err := exp.NewRunner(cfg).RunUnit(lease.Unit)
-	if err != nil {
+	if _, err := exp.NewRunner(cfg).RunUnit(lease.Unit); err != nil {
 		return err
 	}
-	_ = res // the persisted artifact below is the Result's canonical form
-
-	read := func(name string) ([]byte, error) { return os.ReadFile(filepath.Join(dir, name)) }
-	result, err := read(stem + ".result.json")
+	// The persisted set is the run's canonical form: post it as read.
+	set, err := exp.ReadArtifacts(dir, cfg.ArtifactNames(lease.Unit.Key))
 	if err != nil {
-		return fmt.Errorf("chunk finished without a result artifact: %w", err)
+		return fmt.Errorf("chunk finished with an incomplete artifact set: %w", err)
 	}
-	req := completeRequest{Lease: lease.Lease, Cycle: job.TotalCycles(), Result: result}
-	if job.SampleInterval > 0 {
-		if req.Series, err = read(stem + ".series.json"); err != nil {
-			return fmt.Errorf("chunk finished without a series artifact: %w", err)
-		}
-		if req.Fairness, err = read(stem + ".fairness.csv"); err != nil {
-			return fmt.Errorf("chunk finished without a fairness artifact: %w", err)
-		}
-	}
-	if job.Interference {
-		if req.Interference, err = read(stem + ".interference.json"); err != nil {
-			return fmt.Errorf("chunk finished without an interference artifact: %w", err)
-		}
-	}
+	req := completeRequest{Lease: lease.Lease, Cycle: job.TotalCycles(), Artifacts: set}
 	var reply statusReply
 	code, err := w.postJSON(ctx, "/complete", req, &reply)
 	if code == http.StatusConflict {

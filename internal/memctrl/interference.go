@@ -400,7 +400,7 @@ func (t *intfTracker) drain(c *Controller, chIdx int, d *decision, now int64) {
 // construction attrFrom == now and attrTotal covers [arrival, now)
 // exactly; the audit layer re-checks that conservation invariant.
 func (t *intfTracker) BeforeIssue(cmd audit.Cmd, now int64) {
-	if t.aud != nil && core.CmdKind(cmd.Kind).IsCAS() {
+	if t.aud != nil && cmd.Kind.IsCAS() {
 		t.aud.OnAttributed(cmd.Req, t.attr[cmd.Req.Slot].total, now)
 	}
 }

@@ -1284,7 +1284,7 @@ func (c *Controller) issue(cand *candidate, now int64) {
 		ch.Issue(dram.KindPrecharge, lb, 0, now)
 	} else {
 		cmd.DataEnd = ch.IssueFrom(cand.kind, lb, r.Row, now, r.Thread)
-		c.policy.OnIssue(r, core.CmdKind(cand.kind))
+		c.policy.OnIssue(r, cand.kind)
 		c.thrEpoch[chIdx*c.cfg.Threads+r.Thread]++
 		r.Issued++
 		if cand.isCAS {

@@ -183,8 +183,8 @@ type Config struct {
 	// attribution: every cycle a request waits is charged to an
 	// exclusive cause and aggressor thread, exposed as a
 	// cycles[victim][aggressor] matrix (memctrl.InterferenceSnapshot,
-	// the /interference telemetry endpoint, and the per-run
-	// .interference.json artifact). Observation-only: results, series,
+	// the /interference telemetry endpoint, and a member of each sweep
+	// run's artifact set). Observation-only: results, series,
 	// and checkpoint-restored continuations are bit-identical with or
 	// without.
 	Interference bool
