@@ -203,6 +203,47 @@ func TestHierarchyMSHRFullNACK(t *testing.T) {
 	}
 }
 
+// TestHierarchyRefusedProbeIsNotAMiss: a probe refused for want of an
+// MSHR is retried by its caller, so it counts as a refusal and not as a
+// demand miss at either level; per level, Hits + Misses stays the number
+// of accesses the hierarchy served.
+func TestHierarchyRefusedProbeIsNotAMiss(t *testing.T) {
+	cfg := DefaultHierarchyConfig()
+	cfg.MSHRs = 2
+	h, _ := NewHierarchy(cfg)
+	h.Access(ClassLoad, 1)
+	h.Access(ClassStore, 2)
+	if !h.Full() {
+		t.Fatal("two misses did not fill a two-entry MSHR file")
+	}
+	type counts struct{ l1iH, l1iM, l1dH, l1dM, l2H, l2M, l2Miss int64 }
+	read := func() counts {
+		return counts{h.L1I().Hits, h.L1I().Misses, h.L1D().Hits, h.L1D().Misses,
+			h.L2().Hits, h.L2().Misses, h.L2MissCount}
+	}
+	before := read()
+	const n = 9
+	for i := 0; i < n; i++ {
+		class := []AccessClass{ClassLoad, ClassStore, ClassIFetch}[i%3]
+		if res := h.Access(class, uint64(100+i)); !res.NACK {
+			t.Fatalf("probe %d of a full MSHR file was not refused: %+v", i, res)
+		}
+	}
+	if after := read(); after != before {
+		t.Errorf("refused probes moved the demand counters: %+v -> %+v", before, after)
+	}
+	if h.MSHRFullNACK != n {
+		t.Errorf("MSHRFullNACK = %d, want %d", h.MSHRFullNACK, n)
+	}
+	// A merge is served, not refused: it is still a miss at both levels.
+	if res := h.Access(ClassLoad, 1); !res.Merged {
+		t.Fatalf("load to an outstanding line did not merge: %+v", res)
+	}
+	if got := read(); got.l1dM != before.l1dM+1 || got.l2M != before.l2M+1 {
+		t.Errorf("merged miss not counted: %+v -> %+v", before, got)
+	}
+}
+
 func TestHierarchyStoreMissFillsDirty(t *testing.T) {
 	h, _ := NewHierarchy(DefaultHierarchyConfig())
 	res := h.Access(ClassStore, 42)

@@ -145,6 +145,10 @@ func (h *Hierarchy) L2() *Cache { return h.l2 }
 // OutstandingMisses returns the number of allocated MSHRs.
 func (h *Hierarchy) OutstandingMisses() int { return h.cfg.MSHRs - h.free }
 
+// Full reports whether every MSHR is allocated: a miss to a line with
+// no outstanding fetch would be refused.
+func (h *Hierarchy) Full() bool { return h.free == 0 }
+
 // MSHRs returns the size of the MSHR file, the exclusive upper bound
 // on miss tokens.
 func (h *Hierarchy) MSHRs() int { return len(h.mshrs) }
@@ -178,6 +182,10 @@ func (h *Hierarchy) Access(class AccessClass, lineAddr uint64) Result {
 		return Result{Token: idx, Merged: true}
 	}
 	if h.free == 0 {
+		// A refused probe is retried, so it is not a demand miss: per
+		// level, Hits + Misses counts the accesses the hierarchy served.
+		l1.Misses--
+		h.l2.Misses--
 		h.MSHRFullNACK++
 		return Result{NACK: true}
 	}

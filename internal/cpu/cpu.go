@@ -98,7 +98,7 @@ type Core struct {
 
 	issueQ    []int32 // rob slots of loads awaiting cache access
 	issueRdy  []int64 // readyAt per issueQ entry
-	issueNACK []bool  // entry NACKed (MSHR full); retry only after a fill
+	issueNACK []bool  // entry NACKed (MSHR full); see the parked-load invariant at issueLoads
 	parked    int     // entries of issueNACK that are set
 	inFlight  int     // loads issued, not completed
 
@@ -264,41 +264,79 @@ func (c *Core) retire(now int64) {
 // wakes nothing; MSHR-full NACKs retry. A NACK can only clear when a
 // fill frees an MSHR (the private hierarchy changes in no other way), so
 // the retry is deferred until OnFill instead of re-probing the caches
-// every cycle.
+// every cycle. A store that allocates is one of the three sites that
+// un-park queued loads to its line (see issueLoads).
 func (c *Core) drainStores() {
 	if c.storeNACK {
 		return
 	}
 	for n := 0; n < c.cfg.StoresPerCycle && len(c.storeBuf) > 0; n++ {
-		res := c.hier.Access(cache.ClassStore, c.storeBuf[0])
+		addr := c.storeBuf[0]
+		res := c.hier.Access(cache.ClassStore, addr)
 		if res.NACK {
 			c.storeNACK = true
 			return
+		}
+		if !res.Hit && !res.Merged {
+			c.unparkLine(addr)
 		}
 		c.storeBuf = c.storeBuf[:copy(c.storeBuf, c.storeBuf[1:])]
 	}
 }
 
+// unparkLine clears the parked mark of every queued load to lineAddr, so
+// its next probe merges into the MSHR the caller just allocated for that
+// line (an access that neither hit, merged, nor was refused).
+func (c *Core) unparkLine(lineAddr uint64) {
+	if c.parked == 0 {
+		return
+	}
+	for i, nack := range c.issueNACK {
+		if nack && c.rob[c.issueQ[i]].addr == lineAddr {
+			c.issueNACK[i] = false
+			c.parked--
+		}
+	}
+}
+
+// issueLoads probes the hierarchy for ready queued loads, oldest first,
+// until LoadsPerCycle have issued. A load refused for want of an MSHR is
+// parked (issueNACK), and stays parked under one invariant: a parked
+// entry names a line that is in neither L1D nor L2 nor the MSHR file.
+// It holds when Access returns NACK, and only an MSHR allocation for
+// that line can break it (a line enters the caches only through the
+// fill of an MSHR), so the three sites where this core's access
+// allocates — here, drainStores, and the ifetch in dispatch — un-park
+// the loads to the allocated line. While the MSHR file is full a parked
+// entry's probe is therefore a NACK by construction and is not made;
+// once an MSHR is free the entry is probed in its turn like any other.
+// A fill alone un-parks nothing.
 func (c *Core) issueLoads(now int64) {
-	// With every queued load parked, or the load queue full, each
-	// iteration below would skip its entry: the memory-bound steady state.
-	if c.parked == len(c.issueQ) || c.inFlight >= c.cfg.LoadQueue {
+	// With the load queue full, or every queued load parked behind a full
+	// MSHR file, each iteration below would skip its entry: the
+	// memory-bound steady state. The cheap tests come first; a
+	// compute-bound core never reaches the hierarchy's.
+	if len(c.issueQ) == 0 || c.inFlight >= c.cfg.LoadQueue ||
+		(c.parked == len(c.issueQ) && c.hier.Full()) {
 		return
 	}
 	issued := 0
 	for i := 0; i < len(c.issueQ) && issued < c.cfg.LoadsPerCycle; i++ {
-		if c.issueNACK[i] || c.issueRdy[i] > now || c.inFlight >= c.cfg.LoadQueue {
+		if c.issueRdy[i] > now || c.inFlight >= c.cfg.LoadQueue ||
+			(c.issueNACK[i] && c.hier.Full()) {
 			continue
 		}
 		idx := c.issueQ[i]
 		e := &c.rob[idx]
 		res := c.hier.Access(cache.ClassLoad, e.addr)
 		if res.NACK {
-			// MSHR full: the outcome cannot change until a fill frees
-			// one, so park the entry instead of re-probing every cycle.
+			// MSHR full: park the entry instead of re-probing every cycle.
 			c.issueNACK[i] = true
 			c.parked++
 			continue
+		}
+		if c.issueNACK[i] {
+			c.parked--
 		}
 		issued++
 		e.inIssueQ = false
@@ -313,6 +351,9 @@ func (c *Core) issueLoads(now int64) {
 			c.resolve(idx, now+int64(res.Latency))
 			c.inFlight--
 			continue
+		}
+		if !res.Merged {
+			c.unparkLine(e.addr)
 		}
 		c.addTokenWaiter(res.Token, idx)
 	}
@@ -332,14 +373,10 @@ func (c *Core) OnFill(token int, now int64) {
 	if c.tokenStall == token {
 		c.tokenStall = -1
 	}
-	// The hierarchy changed (an MSHR freed and a line was installed):
-	// every parked MSHR-full NACK may now succeed.
+	// An MSHR freed: the parked store and ifetch may now succeed. Parked
+	// loads stay marked; issueLoads probes them while an MSHR is free.
 	c.storeNACK = false
 	c.ifetchNACK = false
-	if c.parked > 0 {
-		clear(c.issueNACK)
-		c.parked = 0
-	}
 	if token < len(c.tokenWaiters) {
 		ws := c.tokenWaiters[token]
 		c.tokenWaiters[token] = ws[:0]
@@ -375,6 +412,9 @@ func (c *Core) dispatch(now int64) {
 					c.ifetchNACK = true
 					return
 				case !res.Hit:
+					if !res.Merged {
+						c.unparkLine(line)
+					}
 					c.ifetchRetry = false
 					c.sinceIFetch = 0
 					c.tokenStall = res.Token
@@ -440,13 +480,20 @@ const Forever = int64(1) << 62
 // later cycle when every pipeline stage is waiting on a known time, and
 // Forever when all stages are blocked on a memory fill. The bound is
 // safe to cache until the next OnFill: between fills the core's inputs
-// change only with its own ticks.
+// (the MSHR file's occupancy among them) change only with its own ticks.
+// The head is kept small enough to inline, so a busy core pays a compare
+// and not a call.
 func (c *Core) NextWork(from int64) int64 {
 	// Dispatch: runs every cycle unless stalled on an ifetch fill, an
 	// MSHR-full ifetch NACK, or a full ROB.
 	if c.tokenStall < 0 && !c.ifetchNACK && int(c.count) < c.cfg.ROB {
 		return from
 	}
+	return c.nextWorkBlocked(from)
+}
+
+// nextWorkBlocked is NextWork for a core whose dispatch cannot run.
+func (c *Core) nextWorkBlocked(from int64) int64 {
 	// Stores: the drain probes the cache every cycle while unparked.
 	if len(c.storeBuf) > 0 && !c.storeNACK {
 		return from
@@ -465,11 +512,17 @@ func (c *Core) NextWork(from int64) int64 {
 			next = e.completeAt
 		}
 	}
-	// Loads: queued entries become issuable at known ready times; parked
-	// NACKs and a full load queue clear only on a fill.
-	if c.inFlight < c.cfg.LoadQueue && c.parked < len(c.issueQ) {
+	// Loads: queued entries become issuable at known ready times. A full
+	// load queue clears only on a fill; a parked entry is issuable exactly
+	// while an MSHR is free (several fills can land in one cycle and
+	// LoadsPerCycle bounds how many of them the next tick hands out).
+	if c.inFlight < c.cfg.LoadQueue {
+		full := c.hier.Full()
+		if full && c.parked == len(c.issueQ) {
+			return next
+		}
 		for i, r := range c.issueRdy {
-			if c.issueNACK[i] {
+			if full && c.issueNACK[i] {
 				continue
 			}
 			if r <= from {

@@ -86,9 +86,22 @@ func (c *Core) State(s *snapshot.Codec) error {
 			s.Fail("tokenStall %d out of range", c.tokenStall)
 		}
 		c.parked = 0
-		for _, nack := range c.issueNACK {
-			if nack {
-				c.parked++
+		for i, nack := range c.issueNACK {
+			if s.Err() != nil {
+				break
+			}
+			if !nack {
+				continue
+			}
+			c.parked++
+			// The parked-load invariant (issueLoads): a parked load whose
+			// line is reachable would sleep through its own fill.
+			idx := c.issueQ[i]
+			addr := c.rob[idx].addr
+			if _, out := c.hier.TokenFor(addr); out {
+				s.Fail("ROB slot %d parked on line %#x, which has an MSHR outstanding", idx, addr)
+			} else if c.hier.L1D().Lookup(addr) || c.hier.L2().Lookup(addr) {
+				s.Fail("ROB slot %d parked on line %#x, which is cached", idx, addr)
 			}
 		}
 	}

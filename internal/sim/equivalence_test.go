@@ -18,6 +18,12 @@ type controllerFingerprint struct {
 	Commands [6]int64
 }
 
+// cacheFingerprint is each core's hit and miss counts per cache level
+// (L1I, L1D, L2). They are checkpoint bytes rather than results, but
+// the fast path must still make exactly the strict path's probes: a
+// dormant core's skipped tick is one that would have probed nothing.
+type cacheFingerprint [2][6]int64
+
 // TestEventDrivenEquivalence is the tentpole's oracle: the event-driven
 // skip-ahead path must reproduce the strict per-cycle path bit for bit.
 // A 2-core art+vpr mix (one bandwidth hog, one latency-sensitive
@@ -56,7 +62,7 @@ func TestEventDrivenEquivalence(t *testing.T) {
 		p := p
 		t.Run(p.name, func(t *testing.T) {
 			t.Parallel()
-			run := func(strict bool) (Result, controllerFingerprint) {
+			run := func(strict bool) (Result, controllerFingerprint, cacheFingerprint) {
 				s, err := New(Config{
 					Workload: []trace.Profile{art, vpr},
 					Policy:   p.factory,
@@ -74,15 +80,23 @@ func TestEventDrivenEquivalence(t *testing.T) {
 				for k := dram.KindActivate; k <= dram.KindRefresh; k++ {
 					fp.Commands[k] = ctrl.CommandCount(k)
 				}
-				return s.Results(), fp
+				var caches cacheFingerprint
+				for i := range caches {
+					h := s.Core(i).Hierarchy()
+					caches[i] = [6]int64{h.L1I().Hits, h.L1I().Misses, h.L1D().Hits, h.L1D().Misses, h.L2().Hits, h.L2().Misses}
+				}
+				return s.Results(), fp, caches
 			}
-			fast, fastFP := run(false)
-			strict, strictFP := run(true)
+			fast, fastFP, fastCaches := run(false)
+			strict, strictFP, strictCaches := run(true)
 			if !reflect.DeepEqual(fast, strict) {
 				t.Errorf("Result diverges:\n fast:   %+v\n strict: %+v", fast, strict)
 			}
 			if fastFP != strictFP {
 				t.Errorf("controller state diverges:\n fast:   %+v\n strict: %+v", fastFP, strictFP)
+			}
+			if fastCaches != strictCaches {
+				t.Errorf("cache hit/miss counts diverge:\n fast:   %v\n strict: %v", fastCaches, strictCaches)
 			}
 		})
 	}

@@ -389,6 +389,16 @@ type System struct {
 	wbQ    []timedQueue // per core, toward the controller (writes)
 	respQ  []timedQueue // per core, fills returning
 
+	// coreWake[i] is core i's NextWork bound as of its last tick: until
+	// that cycle, or a fill due sooner, coreStep leaves the core dormant.
+	// Not serialized: zero after New and Restore, which only costs each
+	// core one tick it may not have needed. coreTicks counts the ticks
+	// run, per core because cores may step concurrently; stepped counts
+	// the cycles simulated rather than skipped (see StepCounts).
+	coreWake  []int64
+	coreTicks []int64
+	stepped   int64
+
 	// latHist holds the per-thread end-to-end read-latency histograms
 	// (nil when Config.Metrics is unset).
 	latHist []*metrics.Histogram
@@ -443,6 +453,9 @@ func New(cfg Config) (*System, error) {
 		fetchQ: make([]timedQueue, n),
 		wbQ:    make([]timedQueue, n),
 		respQ:  make([]timedQueue, n),
+
+		coreWake:  make([]int64, n),
+		coreTicks: make([]int64, n),
 	}
 	// Attack-pattern generators target the system's actual address
 	// geometry, so bank aim survives channel-count changes.
@@ -620,17 +633,39 @@ func (s *System) SetShare(thread int, share core.Share) bool {
 // Cycle returns the current cycle.
 func (s *System) Cycle() int64 { return s.cycle }
 
+// StepCounts are cumulative counts of the work Step did, deterministic
+// for a configuration and seed: how many cycles it simulated rather than
+// skipped, and how many core ticks it ran on them (a dormant core is not
+// ticked). They are host-side economy figures like
+// memctrl.Controller.SchedCounts, not simulated state: they restart at
+// zero in a restored system, so they are kept out of the checkpoint and
+// the metrics registry.
+type StepCounts struct {
+	Stepped, CoreTicks int64
+}
+
+// StepCounts returns the counts so far.
+func (s *System) StepCounts() StepCounts {
+	n := StepCounts{Stepped: s.stepped}
+	for _, t := range s.coreTicks {
+		n.CoreTicks += t
+	}
+	return n
+}
+
 // Step advances the system by n cycles. Unless Config.Strict is set it
 // uses an event-driven fast path: after fully simulating a cycle, it
 // computes the earliest future cycle at which any component can act —
 // a transit-queue delivery, a core with issuable work (cpu.NextWork),
 // or a controller event (memctrl.NextEventAt) — and jumps the clock
-// there, batch-crediting the skipped cycles to the virtual clock.
+// there, batch-crediting the skipped cycles to the virtual clock. The
+// same bound applies per core on the cycles it does simulate (coreStep).
 // Simulated results are bit-identical to the strict per-cycle loop.
 func (s *System) Step(n int64) {
 	end := s.cycle + n
 	for s.cycle < end {
 		now := s.cycle
+		s.stepped++
 		if s.pool != nil {
 			// Parallel cycle. Phase 1 (serial): read completions and the
 			// virtual clock (TickBegin), which append response fills —
@@ -708,8 +743,22 @@ func (s *System) Step(n int64) {
 // core's three queues), so distinct cores may step concurrently; the
 // acceptance attempts, which do mutate the controller, stay in Step's
 // serial tail.
+//
+// Per-core dormancy: a core whose last tick left NextWork in the future
+// is not ticked again before that cycle unless a fill is due — the
+// skip-ahead argument applied to one core instead of all at once. Such
+// a tick would retire, drain, issue and dispatch nothing and leave both
+// outgoing queues empty; all it changes is StallCycles, which
+// CreditStall(1) adds. Strict ticks every core on every cycle.
 func (s *System) coreStep(i int, now int64) {
 	c := s.cores[i]
+	if !s.cfg.Strict && now < s.coreWake[i] {
+		if e, ok := s.respQ[i].peek(); !ok || e.at > now {
+			c.CreditStall(1)
+			return
+		}
+	}
+	s.coreTicks[i]++
 	// Deliver due fills.
 	for {
 		e, ok := s.respQ[i].peek()
@@ -743,6 +792,7 @@ func (s *System) coreStep(i int, now int64) {
 		h.WritebackAccepted()
 		s.wbQ[i].push(timedAddr{addr: addr, at: now + int64(s.cfg.ReqTransit)})
 	}
+	s.coreWake[i] = c.NextWork(now + 1)
 }
 
 // nextWake returns the earliest cycle in (now, end] at which any core or
@@ -751,7 +801,7 @@ func (s *System) coreStep(i int, now int64) {
 // skip), and any later value must be provably dormant in between.
 func (s *System) nextWake(now, end int64) int64 {
 	wake := end
-	for i, c := range s.cores {
+	for i := range s.cores {
 		// Pending fills: delivery times are monotone, so the head bounds
 		// the queue.
 		if e, ok := s.respQ[i].peek(); ok {
@@ -781,8 +831,9 @@ func (s *System) nextWake(now, end int64) int64 {
 				wake = e.at
 			}
 		}
-		// The core itself: retirement, load issue, store drain, dispatch.
-		if w := c.NextWork(now + 1); w <= now+1 {
+		// The core itself: retirement, load issue, store drain, dispatch
+		// (its NextWork bound, cached by coreStep).
+		if w := s.coreWake[i]; w <= now+1 {
 			return now + 1
 		} else if w < wake {
 			wake = w

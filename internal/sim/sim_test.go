@@ -396,6 +396,17 @@ func TestSourcesLengthMismatch(t *testing.T) {
 // banks that cannot have become ready, dropping keys the command cannot
 // have moved, or re-ranking threads whose keys did not move, fails here
 // as a count long before it shows in a timing.
+//
+// The core side of the same runs is held the same way: every probe of
+// the data caches, served or refused, per line fetched from memory, and
+// core ticks run per stepped cycle (System.StepCounts). A parked load
+// is probed when it parks and again when an MSHR is free for it, and a
+// core blocked on a fill is not ticked: 1.96 probes per miss and 0.51
+// ticks per stepped cycle at one channel, 1.91 and 1.15 at four. When
+// every fill un-parked every queued load and every stepped cycle ticked
+// every core these were about 29 and exactly 4. On 4×crafty the cores
+// always have work once their caches are warm (3.98), and the count
+// must show the gate bypassed, not merely harmless.
 func TestSchedulingEconomy(t *testing.T) {
 	art, err := trace.ByName("art")
 	if err != nil {
@@ -404,9 +415,11 @@ func TestSchedulingEconomy(t *testing.T) {
 	for _, tc := range []struct {
 		channels                    int
 		maxExams, maxKeys, maxSlots float64 // per issued command
+		maxProbes                   float64 // per L2 miss
+		maxTicks                    float64 // per stepped cycle
 	}{
-		{1, 6.5, 20.7, 27.5},
-		{4, 5.1, 5.4, 6.3},
+		{1, 6.5, 20.7, 27.5, 2.5, 0.6},
+		{4, 5.1, 5.4, 6.3, 2.5, 1.4},
 	} {
 		cfg := Config{Workload: []trace.Profile{art, art, art, art}, Policy: FQVFTF, Seed: 1}
 		cfg.Mem.Channels = tc.channels
@@ -415,9 +428,9 @@ func TestSchedulingEconomy(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Step(50_000)
-		from := s.Controller().SchedCounts()
+		from, stepFrom := s.Controller().SchedCounts(), s.StepCounts()
 		s.Step(150_000)
-		to := s.Controller().SchedCounts()
+		to, stepTo := s.Controller().SchedCounts(), s.StepCounts()
 		cmds := float64(to.CmdsIssued - from.CmdsIssued)
 		exams := float64(to.BankExams-from.BankExams) / cmds
 		keys := float64(to.KeyEvals-from.KeyEvals) / cmds
@@ -433,5 +446,42 @@ func TestSchedulingEconomy(t *testing.T) {
 		if slots > tc.maxSlots {
 			t.Errorf("channels=%d: %.1f pending slots walked per issued command, want at most %.1f", tc.channels, slots, tc.maxSlots)
 		}
+
+		var probes, misses int64 // cumulative, like the hierarchy's counters
+		for i := range s.cores {
+			h := s.Core(i).Hierarchy()
+			probes += h.L1D().Hits + h.L1D().Misses + h.MSHRFullNACK
+			misses += h.L2MissCount
+		}
+		perMiss := float64(probes) / float64(misses)
+		stepped := stepTo.Stepped - stepFrom.Stepped
+		ticks := float64(stepTo.CoreTicks-stepFrom.CoreTicks) / float64(stepped)
+		t.Logf("channels=%d: %.2f hierarchy probes per L2 miss, %d stepped cycles, %.2f core ticks per stepped cycle",
+			tc.channels, perMiss, stepped, ticks)
+		if perMiss > tc.maxProbes {
+			t.Errorf("channels=%d: %.2f hierarchy probes per L2 miss, want at most %.2f", tc.channels, perMiss, tc.maxProbes)
+		}
+		if ticks > tc.maxTicks {
+			t.Errorf("channels=%d: %.2f core ticks per stepped cycle, want at most %.2f", tc.channels, ticks, tc.maxTicks)
+		}
+	}
+
+	crafty, err := trace.ByName("crafty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Workload: []trace.Profile{crafty, crafty, crafty, crafty}, Policy: FQVFTF, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Step(200_000) // past the cold caches, the one time these cores wait on memory
+	from := s.StepCounts()
+	s.Step(150_000)
+	to := s.StepCounts()
+	stepped := to.Stepped - from.Stepped
+	ticks := float64(to.CoreTicks-from.CoreTicks) / float64(stepped)
+	t.Logf("4×crafty: %d stepped cycles, %.2f core ticks per stepped cycle", stepped, ticks)
+	if ticks < 3.8 {
+		t.Errorf("4×crafty: %.2f core ticks per stepped cycle, want at least 3.8", ticks)
 	}
 }
