@@ -45,6 +45,15 @@ const (
 	FQVFTF Scheduler = "FQ-VFTF"
 	// FRVSTF is the earliest virtual start-time ablation.
 	FRVSTF Scheduler = "FR-VSTF"
+	// BLISS blacklists threads that stream consecutive requests
+	// (Subramanian et al.); shareless.
+	BLISS Scheduler = "BLISS"
+	// SlowFair boosts the thread with the largest estimated slowdown
+	// each window; shareless.
+	SlowFair Scheduler = "SLOW-FAIR"
+	// BankBW regulates each thread to a per-bank bandwidth budget per
+	// window; shareless.
+	BankBW Scheduler = "BANK-BW"
 )
 
 // Share is a thread's allocated fraction of memory system bandwidth,

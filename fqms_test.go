@@ -161,3 +161,16 @@ func TestNewExperimentRunner(t *testing.T) {
 		t.Errorf("solo crafty IPC = %v", tr.IPC)
 	}
 }
+
+// TestSchedulerConstantsCoverEveryPolicy: the Scheduler constants are
+// the simulator's policy table, name for name and in its order, so a
+// scheduler added to sim.policies without a constant here fails.
+func TestSchedulerConstantsCoverEveryPolicy(t *testing.T) {
+	var got []string
+	for _, s := range []Scheduler{FCFS, FRFCFS, FRVFTF, FQVFTF, FRVSTF, BLISS, SlowFair, BankBW} {
+		got = append(got, string(s))
+	}
+	if want := sim.PolicyNames(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Scheduler constants %v, sim.PolicyNames() %v", got, want)
+	}
+}

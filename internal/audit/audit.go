@@ -755,15 +755,13 @@ func (a *Auditor) checkRequestCmd(cmd Cmd, now int64) {
 
 	// The candidate key the channel scheduler ranked must match a fresh
 	// evaluation — a mismatch means a cached decision went stale.
-	if k := a.tgt.Policy.Key(r, state); k != cmd.Key {
+	if k := core.KeyOf(a.tgt.Policy, r, state); k != cmd.Key {
 		a.fail(now, "stale candidate key for request %d: scheduler used %d, fresh Key is %d", r.ID, cmd.Key, k)
 	}
 
 	// Frozen-key contract: after the first command, the key is immutable.
-	if fk, ok := a.frozen[r.ID]; ok {
-		if k := a.tgt.Policy.Key(r, state); k != fk {
-			a.fail(now, "frozen key of request %d changed: %d -> %d", r.ID, fk, k)
-		}
+	if fk, ok := a.frozen[r.ID]; ok && (!r.KeyFrozen || int64(r.Key) != fk) {
+		a.fail(now, "frozen key of request %d changed: %d -> %d (frozen %v)", r.ID, fk, int64(r.Key), r.KeyFrozen)
 	}
 
 	// Bank-scheduler selection rule.
@@ -784,7 +782,7 @@ func (a *Auditor) checkRequestCmd(cmd Cmd, now int64) {
 		if strict {
 			if min != r {
 				a.fail(now, "rule %d bank %d: issued request %d (key %d) but minimum-key pending is %d (key %d); bank open %v for %d cycles, bound x=%d",
-					rule, cmd.FlatBank, r.ID, cmd.Key, min.ID, a.tgt.Policy.Key(min, a.stateFor(min)), b.open, openAge, x)
+					rule, cmd.FlatBank, r.ID, cmd.Key, min.ID, core.KeyOf(a.tgt.Policy, min, a.stateFor(min)), b.open, openAge, x)
 			}
 		} else if min != r {
 			// A legal FQ bypass: record the measured inversion window.
@@ -811,7 +809,7 @@ func (a *Auditor) minKeyReq(bank int) *core.Request {
 	var best *core.Request
 	var bestKey int64
 	for _, r := range a.pend[bank] {
-		k := a.tgt.Policy.Key(r, a.stateFor(r))
+		k := core.KeyOf(a.tgt.Policy, r, a.stateFor(r))
 		if best == nil || k < bestKey ||
 			(k == bestKey && (r.Arrival < best.Arrival ||
 				(r.Arrival == best.Arrival && r.ID < best.ID))) {
@@ -841,13 +839,12 @@ func (a *Auditor) removePending(bank int, r *core.Request, now int64) {
 func (a *Auditor) AfterIssue(cmd Cmd, now int64) {
 	r := cmd.Req
 	if r != nil {
-		// The first command freezes the key; record and spot-check it.
+		// The controller freezes the key the first command issued under.
 		if _, ok := a.frozen[r.ID]; !ok {
-			k := a.tgt.Policy.Key(r, core.BankClosed) // frozen keys ignore state
-			a.frozen[r.ID] = k
-			if r.KeyFrozen && int64(r.Key) != k {
-				a.fail(now, "request %d observability key %d disagrees with frozen policy key %d", r.ID, int64(r.Key), k)
+			if !r.KeyFrozen || int64(r.Key) != cmd.Key {
+				a.fail(now, "request %d: first command issued under key %d, request holds %d (frozen %v)", r.ID, cmd.Key, int64(r.Key), r.KeyFrozen)
 			}
+			a.frozen[r.ID] = cmd.Key
 		}
 		if cmd.Kind == dram.KindRead || cmd.Kind == dram.KindWrite {
 			delete(a.frozen, r.ID)

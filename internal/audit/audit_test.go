@@ -64,15 +64,18 @@ func bankState(ch *dram.Channel, r *core.Request) core.BankState {
 }
 
 // issueCmd emulates the controller's issue sequence: audit BeforeIssue,
-// device issue, policy update, audit AfterIssue. It returns the read's
-// data-burst end for KindRead.
+// device issue, key freeze on the first command, policy update, audit
+// AfterIssue. It returns the read's data-burst end for KindRead.
 func issueCmd(a *audit.Auditor, ch *dram.Channel, pol core.Policy, kind dram.Kind, r *core.Request, now int64) int64 {
 	cmd := audit.Cmd{
 		Kind: kind, FlatBank: r.GlobalBank, Row: r.Row,
-		Key: pol.Key(r, bankState(ch, r)), Req: r,
+		Key: core.KeyOf(pol, r, bankState(ch, r)), Req: r, First: r.Issued == 0,
 	}
 	a.BeforeIssue(cmd, now)
 	end := ch.Issue(kind, r.GlobalBank, r.Row, now)
+	if cmd.First {
+		r.Key, r.KeyFrozen = core.VTime(cmd.Key), true
+	}
 	pol.OnIssue(r, kind)
 	r.Issued++
 	a.AfterIssue(cmd, now)
@@ -170,14 +173,30 @@ func TestAuditCatchesFrozenKeyChange(t *testing.T) {
 	a, ch := newAuditor(t, pol, audit.Config{}, nil)
 	r := accept(a, 1, 0, 0, 3, 0)
 	issueCmd(a, ch, pol, dram.KindActivate, r, 0)
-	if !r.KeyFrozen {
-		t.Fatal("first command did not freeze the key")
-	}
-	// Simulate a corrupted frozen key: the stored value drifts after the
-	// first command issued.
+	// Simulate a corrupted frozen key: the value the controller froze at
+	// the first command drifts afterwards.
 	r.Key += 12345
 	expectViolation(t, "frozen key", func() {
 		issueCmd(a, ch, pol, dram.KindRead, r, 5)
+	})
+}
+
+// TestAuditCatchesMissingFreeze: a controller that issues a request's
+// first command without freezing the key it ranked is reported.
+func TestAuditCatchesMissingFreeze(t *testing.T) {
+	pol := core.NewFRVFTF(twoShares(), 8, dram.DDR2800())
+	a, ch := newAuditor(t, pol, audit.Config{}, nil)
+	r := accept(a, 1, 0, 0, 3, 0)
+	cmd := audit.Cmd{
+		Kind: dram.KindActivate, FlatBank: r.GlobalBank, Row: r.Row,
+		Key: core.KeyOf(pol, r, bankState(ch, r)), Req: r, First: true,
+	}
+	a.BeforeIssue(cmd, 0)
+	ch.Issue(cmd.Kind, r.GlobalBank, r.Row, 0)
+	pol.OnIssue(r, cmd.Kind)
+	r.Issued++
+	expectViolation(t, "first command issued under key", func() {
+		a.AfterIssue(cmd, 0)
 	})
 }
 

@@ -268,12 +268,6 @@ func (h *Hierarchy) WritebackAccepted() {
 	}
 }
 
-// WritebackQueueFull reports whether the writeback queue is at capacity;
-// fills must stall until it drains.
-func (h *Hierarchy) WritebackQueueFull() bool {
-	return h.cfg.WBQueueCap > 0 && len(h.wbQ)-h.wbHead >= h.cfg.WBQueueCap
-}
-
 // Fill delivers the memory response for the MSHR token: the line is
 // installed in L2 and the requesting L1, dirty victims are queued for
 // writeback, and the token is freed. The caller wakes any instructions

@@ -147,14 +147,14 @@ type Request struct {
 	// (channel*ranks + rank)*banksPerRank + bank.
 	GlobalBank int
 
-	// Key is the request's policy priority key in virtual-time fixed
-	// point: the virtual finish-time under the VFTF-family policies
-	// (FR-VFTF, FQ-VFTF, FR-VFTF-arrival) and the virtual *start*-time
-	// under FR-VSTF. Before service begins it is recomputed on demand
-	// from the thread's VTMS registers and the current bank state (the
-	// stored value is write-only observability); once the first SDRAM
-	// command for the request issues, it is frozen (KeyFrozen) and must
-	// never change again — the audit layer enforces this contract.
+	// Key is the request's policy priority key, valid when KeyFrozen: the
+	// key its first SDRAM command issued under (virtual finish-time under
+	// the VFTF family, virtual start-time under FR-VSTF, in virtual-time
+	// fixed point). The memory controller sets both fields at that first
+	// command — the paper's deferred finish-time decision, Section 3.2 —
+	// and nothing changes them afterwards; the audit layer enforces it.
+	// Until then the key is Policy.Key evaluated on demand. Read through
+	// KeyOf.
 	Key       VTime
 	KeyFrozen bool
 
@@ -165,4 +165,17 @@ type Request struct {
 	// live requests, for observers to key side tables by. Set by the
 	// controller at acceptance and on restore; not checkpointed.
 	Slot int32
+}
+
+// KeyOf is the one statement of the freeze rule: the request's frozen
+// key once its first command has issued, otherwise p.Key under the state
+// its bank would present now. Everything that ranks requests (the bank
+// scheduler, the auditor, the reference selectors in tests) reads keys
+// through it, so a policy states its key formula once and never looks at
+// Request.Key.
+func KeyOf(p Policy, r *Request, state BankState) int64 {
+	if r.KeyFrozen {
+		return int64(r.Key)
+	}
+	return p.Key(r, state)
 }

@@ -39,15 +39,18 @@ const (
 // happens. For that to be sound, Key must be a pure function of
 //
 //   - the request's own immutable fields (thread, address, arrival,
-//     bank coordinates, frozen key), and
+//     bank coordinates) and the BankState argument, and
 //   - policy state that changes only inside OnIssue or through an
 //     explicit reassignment entry point (core.ShareSetter /
 //     core.ChannelSetter).
 //
 // Key must not read clocks, counters, or any state mutated outside
-// those two paths, and calling it must not change the value a later
-// call would return (the key caching on the request is write-only
-// observability, never read back before freezing). Additionally,
+// those two paths, and Key must not write the request; the controller
+// freezes: it stores the key a request's first command issued under in
+// Request.Key, and every reader goes through KeyOf, so neither Key nor
+// OnIssue touches Request.Key or its frozen flag (FR-VFTF-arrival, which
+// freezes at first evaluation by design, is the one declared
+// exception; TestKeyIsPureAndOnIssueLeavesTheRequest). Additionally,
 // OnIssue for a request of thread t on channel c may only mutate state
 // that feeds Key for requests of the same thread t on the same channel
 // c — the VTMS policies satisfy this because their registers are per
@@ -69,7 +72,8 @@ type Policy interface {
 	Name() string
 
 	// Key returns the request's priority key given the state its bank
-	// would present if the request began service now.
+	// would present if the request began service now. The controller
+	// asks only while the request's key is not frozen (KeyOf).
 	Key(r *Request, state BankState) int64
 
 	// OnIssue informs the policy that one SDRAM command of request r was
@@ -79,20 +83,6 @@ type Policy interface {
 	// BankRule returns the bank scheduler selection rule and, for
 	// RuleFQ, the priority-inversion bound x in cycles.
 	BankRule() (rule BankRule, x int64)
-}
-
-// stateFromFirstCmd infers the bank state a request saw when its first
-// command issued: a precharge means the bank held a different row
-// (conflict), an activate means it was closed, a CAS means a row hit.
-func stateFromFirstCmd(kind CmdKind) BankState {
-	switch kind {
-	case CmdPrecharge:
-		return BankConflict
-	case CmdActivate:
-		return BankClosed
-	default:
-		return BankHit
-	}
 }
 
 // ---------------------------------------------------------------------
@@ -196,30 +186,15 @@ type ShareGetter interface {
 	ThreadShare(thread int) Share
 }
 
-// Key returns the request's virtual finish-time: the frozen value once
-// service has begun, otherwise Equation 7 evaluated against the current
-// registers and bank state. The provisional value is cached on the
-// request purely for observability.
+// Key returns the request's virtual finish-time: Equation 7 evaluated
+// against the current registers and bank state.
 func (b *vftBase) Key(r *Request, state BankState) int64 {
-	if r.KeyFrozen {
-		return int64(r.Key)
-	}
-	vft := b.vtms[r.Thread].FinishTime(r.Arrival, r.GlobalBank, r.Channel, r.IsWrite, state)
-	r.Key = vft
-	return int64(vft)
+	return int64(b.vtms[r.Thread].FinishTime(r.Arrival, r.GlobalBank, r.Channel, r.IsWrite, state))
 }
 
-// OnIssue freezes the request's virtual finish-time when its first
-// command issues (computed against the pre-update registers, with the
-// bank state implied by the command), then applies the Table 4 /
-// Equations 8-9 register updates.
+// OnIssue applies the Table 4 / Equations 8-9 register updates.
 func (b *vftBase) OnIssue(r *Request, kind CmdKind) {
-	v := b.vtms[r.Thread]
-	if !r.KeyFrozen {
-		r.Key = v.FinishTime(r.Arrival, r.GlobalBank, r.Channel, r.IsWrite, stateFromFirstCmd(kind))
-		r.KeyFrozen = true
-	}
-	v.OnCommandIssue(kind, r.Arrival, r.GlobalBank, r.Channel, r.IsWrite)
+	b.vtms[r.Thread].OnCommandIssue(kind, r.Arrival, r.GlobalBank, r.Channel, r.IsWrite)
 }
 
 // FRVFTF prioritizes requests earliest-virtual-finish-time first with
@@ -292,24 +267,7 @@ func (*FRVSTF) Name() string { return "FR-VSTF" }
 // Key implements Policy: the bank service virtual start-time
 // max{a, B_j.R} (Equation 3 in register form).
 func (p *FRVSTF) Key(r *Request, _ BankState) int64 {
-	if r.KeyFrozen {
-		return int64(r.Key)
-	}
-	v := p.vtms[r.Thread]
-	st := maxVT(FromCycles(r.Arrival), v.BankR(r.GlobalBank))
-	r.Key = st
-	return int64(st)
-}
-
-// OnIssue implements Policy: freeze the start-time key, then apply the
-// standard register updates.
-func (p *FRVSTF) OnIssue(r *Request, kind CmdKind) {
-	v := p.vtms[r.Thread]
-	if !r.KeyFrozen {
-		r.Key = maxVT(FromCycles(r.Arrival), v.BankR(r.GlobalBank))
-		r.KeyFrozen = true
-	}
-	v.OnCommandIssue(kind, r.Arrival, r.GlobalBank, r.Channel, r.IsWrite)
+	return int64(maxVT(FromCycles(r.Arrival), p.vtms[r.Thread].BankR(r.GlobalBank)))
 }
 
 // BankRule implements Policy.

@@ -23,10 +23,9 @@ import (
 // All three are interval-based: their Key-feeding state changes only on
 // window boundaries. Mutating that state from OnIssue would break the
 // key purity contract (OnIssue for thread t on channel c may only move
-// thread t's keys on channel c, and a frozen key may never move at
-// all), so the periodic work runs through an explicit tick entry point,
-// PolicyTicker, that the controller drives and follows with a full
-// scheduling invalidation.
+// thread t's keys on channel c), so the periodic work runs through an
+// explicit tick entry point, PolicyTicker, that the controller drives
+// and follows with a full scheduling invalidation.
 
 // PolicyTicker is implemented by policies with interval-based state
 // (blacklists, budgets, boost targets). The controller calls Tick on
@@ -89,16 +88,6 @@ func (tk *ticker) TickInterval() int64 { return tk.interval }
 // headroom for arrival + penalty arithmetic.
 const arenaPenalty = int64(1) << 40
 
-// freezeKey caches k on the request at first-command issue; afterwards
-// Key returns the frozen value unconditionally, satisfying the frozen
-// keys-never-move contract the audit layer enforces.
-func freezeKey(r *Request, k int64) {
-	if !r.KeyFrozen {
-		r.Key = VTime(k)
-		r.KeyFrozen = true
-	}
-}
-
 // ---------------------------------------------------------------------
 // BLISS: blacklisting of streak-y threads
 // ---------------------------------------------------------------------
@@ -153,9 +142,6 @@ func (*BLISS) Name() string { return "BLISS" }
 // Key implements Policy: arrival order, pushed back by the blacklist
 // penalty for marked threads.
 func (p *BLISS) Key(r *Request, _ BankState) int64 {
-	if r.KeyFrozen {
-		return int64(r.Key)
-	}
 	k := r.Arrival
 	if p.blacklisted[r.Thread] {
 		k += arenaPenalty
@@ -163,16 +149,11 @@ func (p *BLISS) Key(r *Request, _ BankState) int64 {
 	return k
 }
 
-// OnIssue implements Policy: freeze the key at first command, then
-// update the consecutive-service streak on column accesses. Streak
-// state and pending marks do not feed Key, so mutating them here moves
-// no key; the blacklist itself moves only in Tick.
+// OnIssue implements Policy: update the consecutive-service streak on
+// column accesses. Streak state and pending marks do not feed Key, so
+// mutating them here moves no key; the blacklist itself moves only in
+// Tick.
 func (p *BLISS) OnIssue(r *Request, kind CmdKind) {
-	k := r.Arrival
-	if p.blacklisted[r.Thread] {
-		k += arenaPenalty
-	}
-	freezeKey(r, k)
 	if !kind.IsCAS() {
 		return
 	}
@@ -268,9 +249,6 @@ func (*SlowFair) Name() string { return "SLOW-FAIR" }
 // Key implements Policy: arrival order, pulled forward by the boost
 // bonus for the max-slowdown thread.
 func (p *SlowFair) Key(r *Request, _ BankState) int64 {
-	if r.KeyFrozen {
-		return int64(r.Key)
-	}
 	k := r.Arrival
 	if r.Thread == p.boosted {
 		k -= arenaPenalty
@@ -278,17 +256,11 @@ func (p *SlowFair) Key(r *Request, _ BankState) int64 {
 	return k
 }
 
-// OnIssue implements Policy: freeze the key at first command, then
-// charge the command's private-system service time (Table 4 at phi = 1)
-// to the thread's alone-time account. The accounts do not feed Key, so
-// accumulating here moves no key; the boost target moves only in
-// Tick.
+// OnIssue implements Policy: charge the command's private-system
+// service time (Table 4 at phi = 1) to the thread's alone-time account.
+// The accounts do not feed Key, so accumulating here moves no key; the
+// boost target moves only in Tick.
 func (p *SlowFair) OnIssue(r *Request, kind CmdKind) {
-	k := r.Arrival
-	if r.Thread == p.boosted {
-		k -= arenaPenalty
-	}
-	freezeKey(r, k)
 	pre, act, cas := p.timing.CmdBankService(r.IsWrite)
 	switch kind {
 	case CmdPrecharge:
@@ -389,9 +361,6 @@ func (*BankBW) Name() string { return "BANK-BW" }
 // Key implements Policy: arrival order, pushed back by the overdraft
 // penalty when the thread's budget for the request's bank is spent.
 func (p *BankBW) Key(r *Request, _ BankState) int64 {
-	if r.KeyFrozen {
-		return int64(r.Key)
-	}
 	k := r.Arrival
 	if p.budget[r.Thread*p.nbanks+r.GlobalBank] <= 0 {
 		k += arenaPenalty
@@ -399,18 +368,10 @@ func (p *BankBW) Key(r *Request, _ BankState) int64 {
 	return k
 }
 
-// OnIssue implements Policy: freeze the key at first command (before
-// the decrement, matching what the scheduler just compared), then spend
-// budget on column accesses.
+// OnIssue implements Policy: spend budget on column accesses.
 func (p *BankBW) OnIssue(r *Request, kind CmdKind) {
-	slot := r.Thread*p.nbanks + r.GlobalBank
-	k := r.Arrival
-	if p.budget[slot] <= 0 {
-		k += arenaPenalty
-	}
-	freezeKey(r, k)
 	if kind.IsCAS() {
-		p.budget[slot]--
+		p.budget[r.Thread*p.nbanks+r.GlobalBank]--
 	}
 }
 

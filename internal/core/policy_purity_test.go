@@ -43,50 +43,83 @@ func purityPolicies() []Policy {
 	}
 }
 
-// checkIssueLocality drives p with a random command stream over a
-// random pending set and returns the first locality violation. Each
-// request is serviced as the controller would service it — from a
-// conflict (precharge, activate, column access), a closed bank or a row
-// hit — interleaved at random with the others, and a fresh request
-// replaces it when its column access issues. Interval policies tick on
-// their boundaries, so blacklists, boosts and budget refills are live
-// while the property is probed.
-func checkIssueLocality(p Policy, seed int64, steps int) error {
-	rng := rand.New(rand.NewSource(seed))
+// purityTraffic drives a policy with a random command stream over a
+// random pending set. Each request is serviced as the controller would
+// service it — from a conflict (precharge, activate, column access), a
+// closed bank or a row hit — interleaved at random with the others, and
+// a fresh request replaces it when its column access issues. Interval
+// policies tick on their boundaries, so blacklists, boosts and budget
+// refills are live while a property is probed.
+type purityTraffic struct {
+	rng     *rand.Rand
+	ticker  PolicyTicker
+	now     int64
+	nextID  uint64
+	pending []purityEntry
+}
+
+type purityEntry struct {
+	req  *Request
+	todo []CmdKind // commands still to issue, in order
+}
+
+func newPurityTraffic(p Policy, seed int64) *purityTraffic {
+	tr := &purityTraffic{rng: rand.New(rand.NewSource(seed)), pending: make([]purityEntry, 48)}
 	if cs, ok := p.(ChannelSetter); ok {
 		cs.SetChannels(purityChannels)
 	}
-	ticker, _ := p.(PolicyTicker)
-	type entry struct {
-		req  *Request
-		todo []CmdKind // commands still to issue, in order
+	tr.ticker, _ = p.(PolicyTicker)
+	for i := range tr.pending {
+		tr.pending[i] = tr.fresh()
 	}
-	var nextID uint64
-	now := int64(0)
-	fresh := func() entry {
-		nextID++
-		ch, bank := rng.Intn(purityChannels), rng.Intn(purityBanks)
-		r := &Request{
-			ID:         nextID,
-			Thread:     rng.Intn(purityThreads),
-			IsWrite:    rng.Intn(4) == 0,
-			Arrival:    now - int64(rng.Intn(200)),
-			Channel:    ch,
-			Bank:       bank,
-			Row:        rng.Intn(4),
-			GlobalBank: ch*purityBanks + bank,
-		}
-		cas := CmdRead
-		if r.IsWrite {
-			cas = CmdWrite
-		}
-		todo := []CmdKind{CmdPrecharge, CmdActivate, cas}
-		return entry{r, todo[rng.Intn(3):]}
+	return tr
+}
+
+func (tr *purityTraffic) fresh() purityEntry {
+	rng := tr.rng
+	tr.nextID++
+	ch, bank := rng.Intn(purityChannels), rng.Intn(purityBanks)
+	r := &Request{
+		ID:         tr.nextID,
+		Thread:     rng.Intn(purityThreads),
+		IsWrite:    rng.Intn(4) == 0,
+		Arrival:    tr.now - int64(rng.Intn(200)),
+		Channel:    ch,
+		Bank:       bank,
+		Row:        rng.Intn(4),
+		GlobalBank: ch*purityBanks + bank,
 	}
-	pending := make([]entry, 48)
-	for i := range pending {
-		pending[i] = fresh()
+	cas := CmdRead
+	if r.IsWrite {
+		cas = CmdWrite
 	}
+	todo := []CmdKind{CmdPrecharge, CmdActivate, cas}
+	return purityEntry{r, todo[rng.Intn(3):]}
+}
+
+// next advances the clock, ticks an interval policy over its boundary
+// and picks the entry whose next command issues.
+func (tr *purityTraffic) next() *purityEntry {
+	tr.now += int64(1 + tr.rng.Intn(40))
+	if tr.ticker != nil && tr.now >= tr.ticker.NextTickAt() {
+		tr.ticker.Tick(tr.now)
+	}
+	return &tr.pending[tr.rng.Intn(len(tr.pending))]
+}
+
+// issued records that e's next command went to the policy, and retires
+// e after its column access.
+func (tr *purityTraffic) issued(e *purityEntry) {
+	e.req.Issued++
+	if e.todo = e.todo[1:]; len(e.todo) == 0 {
+		*e = tr.fresh()
+	}
+}
+
+// checkIssueLocality returns the first locality violation of p under
+// purityTraffic.
+func checkIssueLocality(p Policy, seed int64, steps int) error {
+	tr := newPurityTraffic(p, seed)
 	type keys [len(allBankStates)]int64
 	keysOf := func(r *Request) (k keys) {
 		for i, st := range allBankStates {
@@ -94,22 +127,16 @@ func checkIssueLocality(p Policy, seed int64, steps int) error {
 		}
 		return k
 	}
-	before := make([]keys, len(pending))
+	before := make([]keys, len(tr.pending))
 	for step := 0; step < steps; step++ {
-		now += int64(1 + rng.Intn(40))
-		if ticker != nil && now >= ticker.NextTickAt() {
-			ticker.Tick(now)
+		e := tr.next()
+		for j := range tr.pending {
+			before[j] = keysOf(tr.pending[j].req)
 		}
-		for j := range pending {
-			before[j] = keysOf(pending[j].req)
-		}
-		e := &pending[rng.Intn(len(pending))]
 		r, kind := e.req, e.todo[0]
 		p.OnIssue(r, kind)
-		r.Issued++
-		e.todo = e.todo[1:]
-		for j := range pending {
-			q := pending[j].req
+		for j := range tr.pending {
+			q := tr.pending[j].req
 			if q.Thread == r.Thread && q.Channel == r.Channel {
 				continue
 			}
@@ -118,9 +145,7 @@ func checkIssueLocality(p Policy, seed int64, steps int) error {
 					p.Name(), step, kind, r.Thread, r.Channel, q.ID, q.Thread, q.Channel, q.GlobalBank, before[j], after)
 			}
 		}
-		if len(e.todo) == 0 {
-			*e = fresh()
-		}
+		tr.issued(e)
 	}
 	return nil
 }
@@ -162,5 +187,114 @@ func TestIssueLocalityCheckCatchesCoupling(t *testing.T) {
 	err := checkIssueLocality(&coupledPolicy{}, 1, 200)
 	if err == nil || !strings.Contains(err.Error(), "moved the key") {
 		t.Fatalf("coupled policy passed the locality check: %v", err)
+	}
+}
+
+// The controller owns the freeze rule (KeyOf, memctrl.Controller.issue):
+// it stores the key a request's first command issued under and reads it
+// back itself. So a policy's Key is a function and nothing else — two
+// calls agree and the request is left byte for byte as it was — and
+// OnIssue never writes the request either. checkKeyPurity returns the
+// first violation of p under purityTraffic.
+func checkKeyPurity(p Policy, seed int64, steps int) error {
+	tr := newPurityTraffic(p, seed)
+	for step := 0; step < steps; step++ {
+		e := tr.next()
+		for j := range tr.pending {
+			q := tr.pending[j].req
+			for _, st := range allBankStates {
+				was := *q
+				k1 := p.Key(q, st)
+				k2 := p.Key(q, st)
+				if k1 != k2 {
+					return fmt.Errorf("%s step %d: Key(request %d, %v) returned %d, then %d", p.Name(), step, q.ID, st, k1, k2)
+				}
+				if *q != was {
+					return fmt.Errorf("%s step %d: Key(request %d, %v) wrote the request: %+v -> %+v", p.Name(), step, q.ID, st, was, *q)
+				}
+			}
+		}
+		r, kind := e.req, e.todo[0]
+		was := *r
+		p.OnIssue(r, kind)
+		if *r != was {
+			return fmt.Errorf("%s step %d: OnIssue(request %d, %v) wrote the request: %+v -> %+v", p.Name(), step, r.ID, kind, was, *r)
+		}
+		tr.issued(e)
+	}
+	return nil
+}
+
+// freezesAtFirstEvaluation names the one declared exception:
+// FR-VFTF-arrival is the paper's rejected option, a finish time fixed
+// the first time the request is looked at, so its Key writes the request
+// by design (KeyOf honours a key frozen early).
+const freezesAtFirstEvaluation = "FR-VFTF-arrival"
+
+func TestKeyIsPureAndOnIssueLeavesTheRequest(t *testing.T) {
+	for _, p := range purityPolicies() {
+		p := p
+		t.Run(p.Name(), func(t *testing.T) {
+			t.Parallel()
+			err := checkKeyPurity(p, 1, 1_000)
+			if p.Name() == freezesAtFirstEvaluation {
+				if err == nil || !strings.Contains(err.Error(), "wrote the request") {
+					t.Fatalf("the arrival ablation no longer freezes at first evaluation: %v", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// selfFreezingPolicy is the shape every stateful policy had before the
+// controller owned the freeze: Key caches on the request, OnIssue
+// freezes.
+type selfFreezingPolicy struct{ FRFCFS }
+
+func (*selfFreezingPolicy) Name() string { return "self-freezing" }
+
+func (*selfFreezingPolicy) Key(r *Request, _ BankState) int64 {
+	r.Key = VTime(r.Arrival)
+	return r.Arrival
+}
+
+type freezeOnIssuePolicy struct{ FRFCFS }
+
+func (*freezeOnIssuePolicy) Name() string { return "freeze-on-issue" }
+
+func (*freezeOnIssuePolicy) OnIssue(r *Request, _ CmdKind) {
+	r.Key, r.KeyFrozen = VTime(r.Arrival), true
+}
+
+// TestKeyPurityCheckCatchesRequestWrites proves checkKeyPurity has
+// teeth on both halves.
+func TestKeyPurityCheckCatchesRequestWrites(t *testing.T) {
+	if err := checkKeyPurity(&selfFreezingPolicy{}, 1, 50); err == nil || !strings.Contains(err.Error(), "Key(request") {
+		t.Fatalf("a Key that writes the request passed: %v", err)
+	}
+	if err := checkKeyPurity(&freezeOnIssuePolicy{}, 1, 50); err == nil || !strings.Contains(err.Error(), "OnIssue(request") {
+		t.Fatalf("an OnIssue that freezes the key passed: %v", err)
+	}
+}
+
+// TestKeyOf: the frozen key if frozen, else the policy's, whatever the
+// state argument.
+func TestKeyOf(t *testing.T) {
+	p := NewFRVFTF([]Share{{1, 2}, {1, 2}}, 8, dram.DDR2800())
+	r := &Request{ID: 1, Arrival: 10, GlobalBank: 3}
+	for _, st := range allBankStates {
+		if got, want := KeyOf(p, r, st), p.Key(r, st); got != want {
+			t.Fatalf("unfrozen KeyOf(%v) = %d, want Key = %d", st, got, want)
+		}
+	}
+	r.Key, r.KeyFrozen = 777, true
+	for _, st := range allBankStates {
+		if got := KeyOf(p, r, st); got != 777 {
+			t.Fatalf("frozen KeyOf(%v) = %d, want 777", st, got)
+		}
 	}
 }

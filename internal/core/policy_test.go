@@ -58,29 +58,6 @@ func TestFRVFTFKeyUsesVTMS(t *testing.T) {
 	}
 }
 
-func TestVFTFreezeOnFirstCommand(t *testing.T) {
-	tt := dram.DDR2800()
-	p := NewFRVFTF(twoShares(), 8, tt)
-	r := req(1, 0, 10, 3)
-	k1 := p.Key(r, BankClosed)
-	if r.KeyFrozen {
-		t.Fatal("key computation must not freeze the VFT")
-	}
-	p.OnIssue(r, CmdActivate)
-	if !r.KeyFrozen {
-		t.Fatal("first command issue must freeze the VFT")
-	}
-	frozen := int64(r.Key)
-	if frozen != k1 {
-		t.Fatalf("frozen VFT %d != provisional closed-bank key %d", frozen, k1)
-	}
-	// Subsequent keys return the frozen value even as registers move.
-	p.OnIssue(req(9, 0, 11, 3), CmdRead)
-	if got := p.Key(r, BankConflict); got != frozen {
-		t.Fatalf("frozen key changed: %d != %d", got, frozen)
-	}
-}
-
 func TestFQVFTFBankRule(t *testing.T) {
 	tt := dram.DDR2800()
 	p := NewFQVFTF(twoShares(), 8, tt)
@@ -120,22 +97,6 @@ func TestFRVSTFKeyIsStartTime(t *testing.T) {
 	// Bank state must not affect a start-time key.
 	if p.Key(r, BankConflict) != p.Key(r, BankHit) {
 		t.Error("start-time key depends on bank state")
-	}
-	p.OnIssue(r, CmdActivate)
-	if !r.KeyFrozen {
-		t.Error("VSTF must freeze its key on first command")
-	}
-}
-
-func TestStateFromFirstCmd(t *testing.T) {
-	if stateFromFirstCmd(CmdPrecharge) != BankConflict {
-		t.Error("precharge implies conflict")
-	}
-	if stateFromFirstCmd(CmdActivate) != BankClosed {
-		t.Error("activate implies closed")
-	}
-	if stateFromFirstCmd(CmdRead) != BankHit || stateFromFirstCmd(CmdWrite) != BankHit {
-		t.Error("CAS implies hit")
 	}
 }
 

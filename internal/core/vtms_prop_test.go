@@ -102,43 +102,36 @@ func TestVTMSFinishTimeBounds(t *testing.T) {
 	}
 }
 
-// TestFrozenKeyNeverMutates: once a request's first command issues, its
-// key is frozen and nothing — later commands of the same request, other
-// requests' service, register churn, even share reassignment — may
-// change it. This is the scheduling-stability contract the audit layer
-// enforces at run time; here it is exercised directly against the
-// policy, with the bank state pinned per request so the pre-freeze
-// provisional key is evaluated consistently.
+// TestFrozenKeyNeverMutates: once the controller has frozen a request's
+// key at its first command, no policy entry point — later commands of
+// the same request, other requests' service, register churn, window
+// ticks, share reassignment — writes it, and KeyOf reads it back under
+// every bank state. The controller's half of the rule (freeze the key
+// the scheduler compared) is held in memctrl; the audit layer enforces
+// both at run time.
 func TestFrozenKeyNeverMutates(t *testing.T) {
-	const nbanks, threads, rounds = 8, 4, 5_000
-	timing := dram.DefaultConfig().Timing
-	shares := make([]Share, threads)
-	for i := range shares {
-		shares[i] = EqualShare(threads)
-	}
-	for _, pol := range []interface {
-		Policy
-		ShareSetter
-	}{
-		NewFRVFTF(shares, nbanks, timing),
-		NewFQVFTF(shares, nbanks, timing),
-		NewFRVSTF(shares, nbanks, timing),
-	} {
+	const rounds = 5_000
+	for _, pol := range purityPolicies() {
 		rng := &propRng{s: 7}
+		ticker, _ := pol.(PolicyTicker)
+		shares, _ := pol.(ShareSetter)
 		frozen := map[*Request]int64{}
 		var live []*Request
 		var nextID uint64
 		var clock int64
 		for i := 0; i < rounds; i++ {
 			clock += int64(rng.intn(50))
+			if ticker != nil && clock >= ticker.NextTickAt() {
+				ticker.Tick(clock)
+			}
 			switch rng.intn(3) {
 			case 0: // new request
 				nextID++
 				live = append(live, &Request{
 					ID:         nextID,
-					Thread:     rng.intn(threads),
+					Thread:     rng.intn(purityThreads),
 					Arrival:    clock,
-					GlobalBank: rng.intn(nbanks),
+					GlobalBank: rng.intn(purityBanks),
 					IsWrite:    rng.intn(4) == 0,
 				})
 			case 1: // issue a command for a random live request
@@ -146,35 +139,32 @@ func TestFrozenKeyNeverMutates(t *testing.T) {
 					continue
 				}
 				r := live[rng.intn(len(live))]
-				var kind CmdKind
-				if _, isFrozen := frozen[r]; !isFrozen {
+				kind := CmdRead
+				if r.IsWrite {
+					kind = CmdWrite
+				}
+				if !r.KeyFrozen {
+					// The controller's first-command step.
 					kind = propKinds[rng.intn(len(propKinds))]
 					if r.IsWrite && kind == CmdRead {
 						kind = CmdWrite
 					}
-					pol.OnIssue(r, kind)
-					if !r.KeyFrozen {
-						t.Fatalf("%s: first issue did not freeze the key", pol.Name())
-					}
-					frozen[r] = int64(r.Key)
-				} else {
-					kind = CmdRead
-					if r.IsWrite {
-						kind = CmdWrite
-					}
-					pol.OnIssue(r, kind)
+					k := KeyOf(pol, r, BankState(rng.intn(3)))
+					r.Key, r.KeyFrozen = VTime(k), true
+					frozen[r] = k
 				}
+				pol.OnIssue(r, kind)
 			case 2: // share reassignment: rewrites future keys only
-				pol.SetThreadShare(rng.intn(threads), Share{1 + rng.intn(3), 4})
-			}
-			// Every frozen key must still read back unchanged, both on
-			// the request and through the policy.
-			for r, want := range frozen {
-				if int64(r.Key) != want {
-					t.Fatalf("%s: frozen key of request %d mutated %d -> %d", pol.Name(), r.ID, want, r.Key)
+				if shares != nil {
+					shares.SetThreadShare(rng.intn(purityThreads), Share{1 + rng.intn(3), 4})
 				}
-				if got := pol.Key(r, BankState(rng.intn(3))); got != want {
-					t.Fatalf("%s: policy re-keyed frozen request %d: %d -> %d", pol.Name(), r.ID, want, got)
+			}
+			for r, want := range frozen {
+				if !r.KeyFrozen || int64(r.Key) != want {
+					t.Fatalf("%s: frozen key of request %d mutated %d -> %d (frozen %v)", pol.Name(), r.ID, want, r.Key, r.KeyFrozen)
+				}
+				if got := KeyOf(pol, r, BankState(rng.intn(3))); got != want {
+					t.Fatalf("%s: frozen request %d re-keyed: %d -> %d", pol.Name(), r.ID, want, got)
 				}
 			}
 		}

@@ -26,9 +26,6 @@ import (
 // counts and their golden files and must not grow.
 var arenaPolicies = []string{"FR-FCFS", "FR-VFTF", "FQ-VFTF", "BLISS", "SLOW-FAIR", "BANK-BW"}
 
-// ArenaPolicyNames returns the arena contenders in table order.
-func ArenaPolicyNames() []string { return append([]string(nil), arenaPolicies...) }
-
 // ArenaSpec describes the sweep axes: every policy runs on every
 // (mix, share split, channel count) cell.
 type ArenaSpec struct {

@@ -97,6 +97,3 @@ func (s ShareSweepResult) Monotone() bool {
 	}
 	return true
 }
-
-// makeShare is a test convenience constructor.
-func makeShare(num, den int) core.Share { return core.Share{Num: num, Den: den} }

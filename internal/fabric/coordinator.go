@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -716,39 +715,8 @@ func (c *Coordinator) checkInvariants() error {
 	return nil
 }
 
-// Server is a running coordinator endpoint, telemetry.Server-shaped:
-// synchronous bind, background serve, graceful Shutdown.
-type Server struct {
-	ln   net.Listener
-	srv  *http.Server
-	done chan struct{}
-}
-
 // Serve binds addr synchronously and serves the coordinator's handler
-// until Shutdown.
-func (c *Coordinator) Serve(addr string) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: listen %s: %w", addr, err)
-	}
-	s := &Server{
-		ln:   ln,
-		srv:  &http.Server{Handler: c.Handler()},
-		done: make(chan struct{}),
-	}
-	go func() {
-		defer close(s.done)
-		_ = s.srv.Serve(ln)
-	}()
-	return s, nil
-}
-
-// URL returns the server's base URL.
-func (s *Server) URL() string { return "http://" + s.ln.Addr().String() }
-
-// Shutdown gracefully stops the server.
-func (s *Server) Shutdown(ctx context.Context) error {
-	err := s.srv.Shutdown(ctx)
-	<-s.done
-	return err
+// until the returned server's Shutdown.
+func (c *Coordinator) Serve(addr string) (*telemetry.Server, error) {
+	return telemetry.Serve(addr, c.Handler())
 }

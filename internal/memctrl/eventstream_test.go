@@ -83,8 +83,8 @@ const (
 
 // recordStress runs TestStressInvariants' random traffic (refresh every
 // 3,000 cycles) to quiescence and returns the controller and everything
-// a recorder appended to c.obs saw.
-func recordStress(t *testing.T, policy core.Policy, channels, drive int) (*Controller, *streamRecorder) {
+// a recorder appended to c.obs saw; more observers listen after it.
+func recordStress(t *testing.T, policy core.Policy, channels, drive int, more ...Observer) (*Controller, *streamRecorder) {
 	t.Helper()
 	cfg := DefaultConfig(3)
 	cfg.Channels = channels
@@ -96,7 +96,7 @@ func recordStress(t *testing.T, policy core.Policy, channels, drive int) (*Contr
 	c.OnReadDone = func(*core.Request, int64) {}
 	c.SetEventDriven(drive != driveStrict)
 	rec := &streamRecorder{}
-	c.obs = append(c.obs, rec)
+	c.obs = append(append(c.obs, rec), more...)
 
 	tick := c.Tick
 	if drive == driveParallel {
@@ -254,10 +254,9 @@ func checkStreamGrammar(t *testing.T, c *Controller, events []streamEvent) {
 // per-cycle oracle and when ScheduleChannel runs concurrently, a
 // stronger equivalence than equal Results.
 func TestEventStream(t *testing.T) {
-	shares := []core.Share{{Num: 1, Den: 4}, {Num: 1, Den: 4}, {Num: 1, Den: 2}}
 	policies := map[string]func(banks int) core.Policy{
 		"FR-FCFS": func(int) core.Policy { return core.NewFRFCFS() },
-		"FQ-VFTF": func(banks int) core.Policy { return core.NewFQVFTF(shares, banks, dram.DDR2800()) },
+		"FQ-VFTF": func(banks int) core.Policy { return core.NewFQVFTF(stressShares, banks, dram.DDR2800()) },
 		"BLISS":   func(int) core.Policy { return core.NewBLISS(3) },
 	}
 	for name, mk := range policies {

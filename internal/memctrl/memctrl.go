@@ -1084,7 +1084,7 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (cand candidate, ok b
 				// precharge of this bank, no share reassignment), because
 				// Key is pure in exactly the state those events mutate.
 				if c.keyEpoch[slot] != epoch {
-					c.keys[slot] = c.policy.Key(r, state)
+					c.keys[slot] = core.KeyOf(c.policy, r, state)
 					c.keyEpoch[slot] = epoch
 					work.keyEvals++
 				}
@@ -1284,6 +1284,11 @@ func (c *Controller) issue(cand *candidate, now int64) {
 		ch.Issue(dram.KindPrecharge, lb, 0, now)
 	} else {
 		cmd.DataEnd = ch.IssueFrom(cand.kind, lb, r.Row, now, r.Thread)
+		if cmd.First {
+			// The paper's deferred decision (Section 3.2): the key the
+			// scheduler just compared is the request's key from here on.
+			r.Key, r.KeyFrozen = core.VTime(cand.key), true
+		}
 		c.policy.OnIssue(r, cand.kind)
 		c.thrEpoch[chIdx*c.cfg.Threads+r.Thread]++
 		r.Issued++

@@ -114,7 +114,7 @@ func naiveBank(c *Controller, waiting []*core.Request, chIdx, b int, now int64) 
 			state = core.BankConflict
 		}
 		kind := nextCmdFor(r, state)
-		es[i] = entry{r, kind, c.policy.Key(r, state), ch.EarliestIssue(kind, lb)}
+		es[i] = entry{r, kind, core.KeyOf(c.policy, r, state), ch.EarliestIssue(kind, lb)}
 		firstEarly = min(firstEarly, es[i].early)
 	}
 	byKey := func(x, y *entry) bool {

@@ -7,6 +7,26 @@ import (
 	"repro/internal/dram"
 )
 
+// stressShares are the three threads' shares in the stress traffic.
+var stressShares = []core.Share{{Num: 1, Den: 4}, {Num: 1, Den: 4}, {Num: 1, Den: 2}}
+
+// stressPolicies constructs every policy for three threads over
+// totalBanks flat banks.
+func stressPolicies(totalBanks int) map[string]core.Policy {
+	tt := dram.DDR2800()
+	return map[string]core.Policy{
+		"FCFS":            core.NewFCFS(),
+		"FR-FCFS":         core.NewFRFCFS(),
+		"FR-VFTF":         core.NewFRVFTF(stressShares, totalBanks, tt),
+		"FQ-VFTF":         core.NewFQVFTF(stressShares, totalBanks, tt),
+		"FR-VSTF":         core.NewFRVSTF(stressShares, totalBanks, tt),
+		"FR-VFTF-arrival": core.NewFRVFTFArrival(stressShares, totalBanks, tt),
+		"BLISS":           core.NewBLISS(3),
+		"SLOW-FAIR":       core.NewSlowFair(3, tt),
+		"BANK-BW":         core.NewBankBW(3, totalBanks),
+	}
+}
+
 // TestStressInvariants drives the controller with random traffic under
 // every policy and checks conservation invariants after draining:
 //
@@ -15,24 +35,13 @@ import (
 //   - every DDR2 timing rule held (the dram model panics otherwise),
 //   - data-bus accounting equals BL/2 per CAS.
 func TestStressInvariants(t *testing.T) {
-	shares := []core.Share{{Num: 1, Den: 4}, {Num: 1, Den: 4}, {Num: 1, Den: 2}}
 	tt := dram.DDR2800()
-	mkPolicies := func(totalBanks int) map[string]core.Policy {
-		return map[string]core.Policy{
-			"FCFS":            core.NewFCFS(),
-			"FR-FCFS":         core.NewFRFCFS(),
-			"FR-VFTF":         core.NewFRVFTF(shares, totalBanks, tt),
-			"FQ-VFTF":         core.NewFQVFTF(shares, totalBanks, tt),
-			"FR-VSTF":         core.NewFRVSTF(shares, totalBanks, tt),
-			"FR-VFTF-arrival": core.NewFRVFTFArrival(shares, totalBanks, tt),
-		}
-	}
 	for _, channels := range []int{1, 2} {
 		cfg := DefaultConfig(3)
 		cfg.Channels = channels
 		cfg.DisableRefresh = false
 		cfg.DRAM.Timing.TREF = 3000 // exercise refresh frequently
-		for name, policy := range mkPolicies(cfg.TotalBanks()) {
+		for name, policy := range stressPolicies(cfg.TotalBanks()) {
 			c, err := New(cfg, policy)
 			if err != nil {
 				t.Fatal(err)

@@ -111,13 +111,6 @@ func (t *TraceWriter) CompleteArgs(name string, pid, tid int, start, dur int64, 
 	t.flush()
 }
 
-// Instant emits an instant ("i") event.
-func (t *TraceWriter) Instant(name string, pid, tid int, ts int64) {
-	t.head('i', name, pid, tid, ts)
-	t.buf = append(t.buf, `,"s":"t"}`...)
-	t.flush()
-}
-
 // meta emits a metadata event naming a process or thread row.
 func (t *TraceWriter) meta(kind string, pid, tid int, name string) {
 	t.sep()

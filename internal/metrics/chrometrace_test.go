@@ -39,7 +39,6 @@ func TestTraceWriterProducesValidChromeJSON(t *testing.T) {
 	tw.ThreadName(1, 3, "bank 3")
 	tw.Complete("ACT", 1, 3, 100, 4)
 	tw.CompleteArgs("RD", 1, 3, 104, 6, []string{"row", "addr"}, []int64{17, 0x1234})
-	tw.Instant("refresh", 1, 3, 200)
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +46,11 @@ func TestTraceWriterProducesValidChromeJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
 	}
-	if len(doc.TraceEvents) != 5 {
-		t.Fatalf("got %d events, want 5:\n%s", len(doc.TraceEvents), buf.String())
+	if len(doc.TraceEvents) != 4 {
+		t.Fatalf("got %d events, want 4:\n%s", len(doc.TraceEvents), buf.String())
 	}
-	if tw.Events() != 5 {
-		t.Errorf("Events() = %d, want 5", tw.Events())
+	if tw.Events() != 4 {
+		t.Errorf("Events() = %d, want 4", tw.Events())
 	}
 	meta := doc.TraceEvents[0]
 	if meta.Ph != "M" || meta.Name != "process_name" {
@@ -64,10 +63,6 @@ func TestTraceWriterProducesValidChromeJSON(t *testing.T) {
 	rd := intArgs(t, doc.TraceEvents[3])
 	if rd["row"] != 17 || rd["addr"] != 0x1234 {
 		t.Errorf("RD args = %+v", rd)
-	}
-	inst := doc.TraceEvents[4]
-	if inst.Ph != "i" || inst.TS != 200 {
-		t.Errorf("instant event = %+v", inst)
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/addrmap"
 	"repro/internal/core"
+	"repro/internal/dram"
 	"repro/internal/memctrl"
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -106,6 +108,11 @@ func TestHostileConfigValues(t *testing.T) {
 		{"negative tRP", func(c *Config) { c.Mem = memctrl.DefaultConfig(2); c.Mem.DRAM.Timing.TRP = -5 }, "tRP (-5)"},
 		{"zero tCCD", func(c *Config) { c.Mem = memctrl.DefaultConfig(2); c.Mem.DRAM.Timing.TCCD = 0 }, "tCCD (0)"},
 		{"negative tWTR", func(c *Config) { c.Mem = memctrl.DefaultConfig(2); c.Mem.DRAM.Timing.TWTR = -1 }, "tWTR (-1)"},
+		// Set on an otherwise default Mem (Threads zero): kept, not
+		// rebuilt from the defaults, so Validate sees them.
+		{"negative read entries", func(c *Config) { c.Mem.ReadEntriesPerThread = -4 }, "read entries per thread must be >= 1, got -4"},
+		{"negative write entries", func(c *Config) { c.Mem.WriteEntriesPerThread = -1 }, "write entries per thread must be >= 1, got -1"},
+		{"zero ranks beside a set timing", func(c *Config) { c.Mem.DRAM = dram.DefaultConfig(); c.Mem.DRAM.Ranks = 0 }, "ranks must be >= 1, got 0"},
 	} {
 		row := row
 		t.Run(row.name, func(t *testing.T) {
@@ -122,6 +129,58 @@ func TestHostileConfigValues(t *testing.T) {
 				t.Error("a refused Config still returned a System")
 			}
 		})
+	}
+}
+
+// countingMapper counts the addresses the controller asks it to decode.
+type countingMapper struct {
+	addrmap.Mapper
+	decoded *int
+}
+
+func (m countingMapper) Decode(a uint64) addrmap.Coord {
+	*m.decoded++
+	return m.Mapper.Decode(a)
+}
+
+// TestSetMemFieldsReachTheController: buffer partitions and a mapper set
+// on a Config.Mem that leaves Threads zero are what the controller runs
+// with (they used to be dropped for the Table 5 defaults, silently).
+func TestSetMemFieldsReachTheController(t *testing.T) {
+	cfg, err := NamedConfig([]string{"art", "vpr"}, "FQ-VFTF", nil, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Mem.Threads != 0 {
+		t.Fatal("NamedConfig now spells out Mem.Threads; this test needs a Config that does not")
+	}
+	xor, err := addrmap.NewXOR(addrmap.Geometry{Ranks: 1, BanksPerRank: 8, RowsPerBank: 16384, ColsPerRow: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded int
+	cfg.Mem.ReadEntriesPerThread, cfg.Mem.WriteEntriesPerThread = 3, 2
+	cfg.Mem.Mapper = countingMapper{xor, &decoded}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctrl := s.Controller()
+	for _, want := range []struct {
+		isWrite bool
+		n       int
+	}{{false, 3}, {true, 2}} {
+		accepted := 0
+		for a := uint64(0); a < 8 && ctrl.Accept(0, a<<20, want.isWrite, 0); a++ {
+			accepted++
+		}
+		if accepted != want.n {
+			t.Errorf("write=%v: thread 0's partition took %d requests, want the %d asked for", want.isWrite, accepted, want.n)
+		}
+	}
+	if decoded == 0 {
+		t.Error("the controller never asked the configured mapper")
 	}
 }
 

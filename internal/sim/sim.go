@@ -295,19 +295,20 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Cache == (cache.HierarchyConfig{}) {
 		c.Cache = cache.DefaultHierarchyConfig()
 	}
-	if c.Mem.Threads == 0 {
-		def := memctrl.DefaultConfig(n)
-		def.DRAM = c.Mem.DRAM
-		if def.DRAM.Banks() == 0 {
-			def.DRAM = dram.DefaultConfig()
-		}
-		if c.Mem.Channels != 0 {
-			def.Channels = c.Mem.Channels
-		}
-		def.SharedBuffers = c.Mem.SharedBuffers
-		def.RowPolicy = c.Mem.RowPolicy
-		def.DisableRefresh = c.Mem.DisableRefresh
-		c.Mem = def
+	// A zero Mem field takes its Table 5 value; a set one is kept as
+	// given, so a bad one reaches Validate below.
+	def := memctrl.DefaultConfig(n)
+	if c.Mem.DRAM == (dram.Config{}) {
+		c.Mem.DRAM = def.DRAM
+	}
+	if c.Mem.Channels == 0 {
+		c.Mem.Channels = def.Channels
+	}
+	if c.Mem.ReadEntriesPerThread == 0 {
+		c.Mem.ReadEntriesPerThread = def.ReadEntriesPerThread
+	}
+	if c.Mem.WriteEntriesPerThread == 0 {
+		c.Mem.WriteEntriesPerThread = def.WriteEntriesPerThread
 	}
 	c.Mem.Threads = n
 	// The transit defaults are a calibration choice: with a short

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
@@ -76,43 +75,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// GeoMean returns the geometric mean of xs (0 if any entry is
-// non-positive).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
-// Percentile returns the p-quantile (0 <= p <= 1) of xs using nearest-
-// rank on a sorted copy.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	if p <= 0 {
-		return c[0]
-	}
-	if p >= 1 {
-		return c[len(c)-1]
-	}
-	i := int(math.Ceil(p*float64(len(c)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return c[i]
 }
 
 // Histogram is a fixed-bucket histogram over [0, BucketWidth*len(Counts)).

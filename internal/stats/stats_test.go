@@ -59,28 +59,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if !almost(GeoMean([]float64{2, 8}), 4) {
-		t.Errorf("GM(2,8) = %v", GeoMean([]float64{2, 8}))
-	}
-	if GeoMean([]float64{1, 0}) != 0 {
-		t.Error("GM with zero")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	if Percentile(xs, 0) != 1 || Percentile(xs, 1) != 5 {
-		t.Error("extremes")
-	}
-	if Percentile(xs, 0.5) != 3 {
-		t.Errorf("median = %v", Percentile(xs, 0.5))
-	}
-	if Percentile(nil, 0.5) != 0 {
-		t.Error("empty percentile")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(10, 5)
 	for _, x := range []float64{5, 15, 15, 95} {
@@ -109,7 +87,7 @@ func TestHistogramPanicsOnBadConfig(t *testing.T) {
 	NewHistogram(0, 5)
 }
 
-// Properties: HM <= GM <= AM for positive inputs; variance >= 0.
+// Properties: HM <= AM for positive inputs; variance >= 0.
 func TestMeanInequalities(t *testing.T) {
 	f := func(raw []uint16) bool {
 		if len(raw) == 0 {
@@ -119,8 +97,7 @@ func TestMeanInequalities(t *testing.T) {
 		for i, r := range raw {
 			xs[i] = float64(r%1000) + 1
 		}
-		hm, gm, am := HarmonicMean(xs), GeoMean(xs), Mean(xs)
-		return hm <= gm+1e-9 && gm <= am+1e-9 && Variance(xs) >= 0
+		return HarmonicMean(xs) <= Mean(xs)+1e-9 && Variance(xs) >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

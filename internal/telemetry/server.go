@@ -44,27 +44,26 @@ type Config struct {
 	Checkpoint *CheckpointTrigger
 }
 
-// Server is a running status server. Start it with Start, stop it with
-// Shutdown.
+// Server is a running HTTP endpoint: the status server Start returns,
+// or any handler given to Serve. Stop it with Shutdown.
 type Server struct {
 	ln   net.Listener
 	srv  *http.Server
 	done chan struct{}
 }
 
-// Start binds cfg.Addr synchronously — the returned server's URL is
-// immediately scrapeable — and serves on a background goroutine until
+// Start serves the status endpoints of cfg on cfg.Addr.
+func Start(cfg Config) (*Server, error) { return Serve(cfg.Addr, newMux(cfg)) }
+
+// Serve binds addr synchronously — the returned server's URL is
+// immediately reachable — and serves h on a background goroutine until
 // Shutdown.
-func Start(cfg Config) (*Server, error) {
-	ln, err := net.Listen("tcp", cfg.Addr)
+func Serve(addr string, h http.Handler) (*Server, error) {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("telemetry: listen %s: %w", cfg.Addr, err)
+		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
-	s := &Server{
-		ln:   ln,
-		srv:  &http.Server{Handler: newMux(cfg)},
-		done: make(chan struct{}),
-	}
+	s := &Server{ln: ln, srv: &http.Server{Handler: h}, done: make(chan struct{})}
 	go func() {
 		defer close(s.done)
 		// Serve returns ErrServerClosed after Shutdown; anything else

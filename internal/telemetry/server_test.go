@@ -282,3 +282,26 @@ func TestServerBindFailure(t *testing.T) {
 		t.Fatal("expected bind error")
 	}
 }
+
+// TestServeAnyHandler: Serve is the scaffold alone — bind, serve what it
+// is given (the sweep coordinator's handler in production), shut down —
+// and knows none of the status endpoints.
+func TestServeAnyHandler(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "handler saw "+r.URL.Path)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Timeout: 2 * time.Second}
+	if code, body := get(t, client, srv.URL()+"/metrics"); code != http.StatusOK || body != "handler saw /metrics" {
+		t.Fatalf("status %d body %q", code, body)
+	}
+	client.CloseIdleConnections()
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if _, err := Serve("256.0.0.1:bogus", http.NotFoundHandler()); err == nil {
+		t.Fatal("expected bind error")
+	}
+}
