@@ -9,11 +9,10 @@
 //	            [-parallel N]
 //	            [-serve addr] [-sample-interval N] [-interference]
 //	            [-out dir] [-checkpoint-every N] [-resume]
-//	            [-arena]
 //	            [-arena-mixes M] [-arena-shares S] [-arena-channels C]
 //	            [-worker url] [-worker-dir dir] [-worker-poll D]
 //
-// -arena (or -fig arena) races the post-2006 scheduler lineage —
+// -fig arena races the post-2006 scheduler lineage —
 // FR-FCFS, FR-VFTF, FQ-VFTF, BLISS, SLOW-FAIR, BANK-BW — across
 // workload mixes, share splits, and channel counts and prints the
 // fairness-vs-throughput table with each cell's Pareto frontier
@@ -47,6 +46,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -81,9 +81,22 @@ func runWorker(url, dir string, poll time.Duration) error {
 	return nil
 }
 
+// fig adapts one figure driver and the method that prints its result to
+// the shape main's table dispatches on.
+func fig[T any](run func() (T, error), render func(T, io.Writer)) func(io.Writer) error {
+	return func(w io.Writer) error {
+		res, err := run()
+		if err != nil {
+			return err
+		}
+		render(res, w)
+		return nil
+	}
+}
+
 func main() {
 	var (
-		fig       = flag.String("fig", "all", "figure to regenerate: 1, 4, 5, 6, 7, 8, 9, sweep, arena, headline, or all")
+		figName   = flag.String("fig", "all", "figure to regenerate: 1, 4, 5, 6, 7, 8, 9, sweep, arena, headline, or all")
 		warmup    = flag.Int64("warmup", 50_000, "warmup cycles per run")
 		window    = flag.Int64("window", 400_000, "measurement cycles per run")
 		seed      = flag.Uint64("seed", 0, "trace generator seed")
@@ -93,7 +106,6 @@ func main() {
 		out       = flag.String("out", "", "directory receiving every run's artifact set, its checkpoints, and the arena's arena.csv and arena.json")
 		ckptEvery = flag.Int64("checkpoint-every", 0, "cycles between checkpoints of every run's state into -out (0 = off)")
 		resume    = flag.Bool("resume", false, "resume each run from its checkpoint (or recall its complete artifact set) in -out")
-		arena     = flag.Bool("arena", false, "run the policy arena (shorthand for -fig arena)")
 		arenaMix  = flag.String("arena-mixes", "", "arena workload mixes, e.g. \"vpr+art,swim+mcf+vpr+art\" (empty = default)")
 		arenaShr  = flag.String("arena-shares", "", "arena thread-0 share splits, e.g. \"eq,3-4\" (empty = default)")
 		arenaCh   = flag.String("arena-channels", "", "arena channel counts, e.g. \"1,2\" (empty = default)")
@@ -103,9 +115,6 @@ func main() {
 		workerPol = flag.Duration("worker-poll", 100*time.Millisecond, "worker idle re-lease interval")
 	)
 	flag.Parse()
-	if *arena {
-		*fig = "arena"
-	}
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -146,91 +155,24 @@ func main() {
 	r := exp.NewRunner(cfg)
 	w := os.Stdout
 
-	// timed runs one figure's driver and appends a wall-clock /
-	// simulated-throughput line. Memoized runs shared between figures are
-	// only counted (and only cost time) once, under whichever figure
-	// simulated them first.
-	timed := func(name string, fn func() error) {
-		start := time.Now()
-		before := r.SimulatedCycles()
-		if prog != nil {
-			prog.Start(name)
-		}
-		if err := fn(); err != nil {
-			fail(err)
-		}
-		if prog != nil {
-			prog.Finish(name)
-		}
-		elapsed := time.Since(start)
-		cycles := r.SimulatedCycles() - before
-		secs := elapsed.Seconds()
-		if secs <= 0 {
-			secs = 1e-9
-		}
-		fmt.Fprintf(w, "[%s] wall %.2fs, %d simulated cycles, %.2f Msimcycles/s\n\n",
-			name, elapsed.Seconds(), cycles, float64(cycles)/secs/1e6)
-	}
-
-	switch *fig {
-	case "1":
-		timed("figure 1", func() error {
-			res, err := r.Figure1()
-			if err != nil {
-				return err
-			}
-			res.Render(w)
-			return nil
-		})
-	case "4":
-		timed("figure 4", func() error {
-			res, err := r.Figure4()
-			if err != nil {
-				return err
-			}
-			res.Render(w)
-			return nil
-		})
-	case "5", "6", "7":
-		timed("figure "+*fig, func() error {
-			res, err := r.TwoCore()
-			if err != nil {
-				return err
-			}
-			switch *fig {
-			case "5":
-				res.RenderFigure5(w)
-			case "6":
-				res.RenderFigure6(w)
-			default:
-				res.RenderFigure7(w)
-			}
-			return nil
-		})
-	case "8":
-		timed("figure 8", func() error {
-			res, err := r.Figure8()
-			if err != nil {
-				return err
-			}
-			res.Render(w)
-			return nil
-		})
-	case "9":
-		timed("figure 9", func() error {
+	figures := map[string]struct {
+		name string
+		run  func(io.Writer) error
+	}{
+		"1": {"figure 1", fig(r.Figure1, exp.Figure1Result.Render)},
+		"4": {"figure 4", fig(r.Figure4, exp.Figure4Result.Render)},
+		"5": {"figure 5", fig(r.TwoCore, exp.TwoCoreResult.RenderFigure5)},
+		"6": {"figure 6", fig(r.TwoCore, exp.TwoCoreResult.RenderFigure6)},
+		"7": {"figure 7", fig(r.TwoCore, exp.TwoCoreResult.RenderFigure7)},
+		"8": {"figure 8", fig(r.Figure8, exp.Figure8Result.Render)},
+		"9": {"figure 9", fig(func() (exp.Figure9Result, error) {
 			f8, err := r.Figure8()
 			if err != nil {
-				return err
+				return exp.Figure9Result{}, err
 			}
-			res, err := r.Figure9(f8)
-			if err != nil {
-				return err
-			}
-			res.Render(w)
-			return nil
-		})
-	case "arena":
-		timed("policy arena", func() error {
+			return r.Figure9(f8)
+		}, exp.Figure9Result.Render)},
+		"arena": {"policy arena", func(w io.Writer) error {
 			spec, err := exp.ParseArenaSpec(*arenaMix, *arenaShr, *arenaCh)
 			if err != nil {
 				return err
@@ -248,35 +190,36 @@ func main() {
 				return err
 			}
 			return exp.WriteArtifacts(*out, set)
-		})
-	case "sweep":
-		timed("share sweep", func() error {
-			res, err := r.ShareSweep("")
-			if err != nil {
-				return err
-			}
-			res.Render(w)
-			return nil
-		})
-	case "headline":
-		timed("headline", func() error {
-			rep, err := r.All()
-			if err != nil {
-				return err
-			}
-			rep.Headline().Render(w)
-			return nil
-		})
-	case "all":
-		timed("all figures", func() error {
-			rep, err := r.All()
-			if err != nil {
-				return err
-			}
-			rep.Render(w)
-			return nil
-		})
-	default:
-		fail(fmt.Errorf("unknown figure %q", *fig))
+		}},
+		"sweep":    {"share sweep", fig(func() (exp.ShareSweepResult, error) { return r.ShareSweep("") }, exp.ShareSweepResult.Render)},
+		"headline": {"headline", fig(r.All, func(rep exp.Report, w io.Writer) { rep.Headline().Render(w) })},
+		"all":      {"all figures", fig(r.All, exp.Report.Render)},
 	}
+	f, ok := figures[*figName]
+	if !ok {
+		fail(fmt.Errorf("unknown figure %q", *figName))
+	}
+
+	// A figure's driver is followed by a wall-clock / simulated-throughput
+	// line. Memoized runs shared between figures are only counted (and
+	// only cost time) once, under whichever figure simulated them first.
+	start := time.Now()
+	before := r.SimulatedCycles()
+	if prog != nil {
+		prog.Start(f.name)
+	}
+	if err := f.run(w); err != nil {
+		fail(err)
+	}
+	if prog != nil {
+		prog.Finish(f.name)
+	}
+	elapsed := time.Since(start)
+	cycles := r.SimulatedCycles() - before
+	secs := elapsed.Seconds()
+	if secs <= 0 {
+		secs = 1e-9
+	}
+	fmt.Fprintf(w, "[%s] wall %.2fs, %d simulated cycles, %.2f Msimcycles/s\n\n",
+		f.name, elapsed.Seconds(), cycles, float64(cycles)/secs/1e6)
 }

@@ -2,6 +2,8 @@ package addrmap
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -14,15 +16,78 @@ func TestGeometryValidate(t *testing.T) {
 	if err := testGeometry().Validate(); err != nil {
 		t.Fatalf("default geometry invalid: %v", err)
 	}
-	bad := []Geometry{
-		{Ranks: 0, BanksPerRank: 8, RowsPerBank: 16, ColsPerRow: 16},
-		{Ranks: 1, BanksPerRank: 6, RowsPerBank: 16, ColsPerRow: 16}, // not power of two
-		{Ranks: 1, BanksPerRank: 8, RowsPerBank: 0, ColsPerRow: 16},
-		{Ranks: 3, BanksPerRank: 8, RowsPerBank: 16, ColsPerRow: 16},
+	if err := Table5().Validate(); err != nil {
+		t.Fatalf("Table 5 geometry invalid: %v", err)
 	}
-	for i, g := range bad {
-		if err := g.Validate(); err == nil {
-			t.Errorf("case %d: accepted invalid geometry %+v", i, g)
+	// The largest address space: 63 line-address bits.
+	if err := (Geometry{Channels: 16, Ranks: 2, BanksPerRank: 8, RowsPerBank: 1 << 48, ColsPerRow: 128}).Validate(); err != nil {
+		t.Errorf("63-bit geometry refused: %v", err)
+	}
+	bad := []struct {
+		g    Geometry
+		want string // the dimension the error must name
+	}{
+		{Geometry{Ranks: 0, BanksPerRank: 8, RowsPerBank: 16, ColsPerRow: 16}, "ranks"},
+		{Geometry{Ranks: 1, BanksPerRank: 6, RowsPerBank: 16, ColsPerRow: 16}, "banks per rank"}, // not power of two
+		{Geometry{Ranks: 1, BanksPerRank: 8, RowsPerBank: 0, ColsPerRow: 16}, "rows per bank"},
+		{Geometry{Ranks: 3, BanksPerRank: 8, RowsPerBank: 16, ColsPerRow: 16}, "ranks"},
+		{Geometry{Ranks: 1, BanksPerRank: 8, RowsPerBank: 16, ColsPerRow: -16}, "cols per row"},
+		// Moved here from trace.TestAttackGeometryErrors with the rule.
+		{Geometry{Channels: 3, Ranks: 1, BanksPerRank: 8, RowsPerBank: 16384, ColsPerRow: 128}, "channels"},
+		{Geometry{Channels: -2, Ranks: 1, BanksPerRank: 8, RowsPerBank: 16, ColsPerRow: 16}, "channels"},
+		// Lines() would be 2^64 and wrap to zero.
+		{Geometry{Channels: 16, Ranks: 2, BanksPerRank: 8, RowsPerBank: 1 << 49, ColsPerRow: 128}, "line-address bits"},
+	}
+	for i, c := range bad {
+		if err := c.g.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %d: %+v: error = %v, want one naming %q", i, c.g, err, c.want)
+		}
+		if _, err := NewXOR(c.g); err == nil {
+			t.Errorf("case %d: NewXOR built a mapper over %+v", i, c.g)
+		}
+	}
+}
+
+// TestEncodeDecodeRoundTrip holds both mappers to the Mapper contract
+// over random power-of-two geometries: Encode and Decode are inverses,
+// on in-range coordinates and on line addresses below Lines().
+func TestEncodeDecodeRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for i := 0; i < 200; i++ {
+		g := Geometry{
+			Channels:     1 << rng.Intn(5),
+			Ranks:        1 << rng.Intn(3),
+			BanksPerRank: 1 << rng.Intn(5),
+			RowsPerBank:  1 << rng.Intn(18),
+			ColsPerRow:   1 << rng.Intn(9),
+		}
+		lin, err := NewLinear(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xor, err := NewXOR(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lim := g.Bounds()
+		for _, m := range []Mapper{lin, xor} {
+			if m.Geometry() != g {
+				t.Fatalf("%s: Geometry() = %+v, built over %+v", m.Name(), m.Geometry(), g)
+			}
+			for j := 0; j < 200; j++ {
+				c := Coord{
+					Channel: rng.Intn(lim.Channel), Rank: rng.Intn(lim.Rank), Bank: rng.Intn(lim.Bank),
+					Row: rng.Intn(lim.Row), Col: rng.Intn(lim.Col),
+				}
+				a := m.Encode(c)
+				if a >= g.Lines() || m.Decode(a) != c {
+					t.Fatalf("%s over %+v: Encode(%+v) = %#x decodes to %+v", m.Name(), g, c, a, m.Decode(a))
+				}
+				a = rng.Uint64() % g.Lines()
+				if got := m.Encode(m.Decode(a)); got != a {
+					t.Fatalf("%s over %+v: Encode(Decode(%#x)) = %#x", m.Name(), g, a, got)
+				}
+			}
 		}
 	}
 }
@@ -131,8 +196,8 @@ func TestMapperNames(t *testing.T) {
 	if lin.Name() != "linear" || xor.Name() != "xor" {
 		t.Errorf("names = %q, %q", lin.Name(), xor.Name())
 	}
-	if lin.Banks() != 8 || xor.Banks() != 8 {
-		t.Errorf("banks = %d, %d, want 8", lin.Banks(), xor.Banks())
+	if lin.Geometry().Banks() != 8 || xor.Geometry() != lin.Geometry() {
+		t.Errorf("geometries = %+v, %+v, want 8 banks each", lin.Geometry(), xor.Geometry())
 	}
 }
 

@@ -3,6 +3,8 @@ package dram
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/addrmap"
 )
 
 // Kind identifies an SDRAM command. The paper calls activate and
@@ -49,36 +51,41 @@ type Config struct {
 	ColsPerRow   int // cache lines per row
 }
 
-// DefaultConfig is the paper's Table 5 memory system: one channel, one
-// rank, eight banks. Rows hold 8KB (128 64-byte lines), a typical DDR2
-// page size.
+// DefaultConfig is the paper's Table 5 memory system (addrmap.Table5)
+// at DDR2-800 timing.
 func DefaultConfig() Config {
+	g := addrmap.Table5()
 	return Config{
 		Timing:       DDR2800(),
-		Ranks:        1,
-		BanksPerRank: 8,
-		RowsPerBank:  16384,
-		ColsPerRow:   128,
+		Ranks:        g.Ranks,
+		BanksPerRank: g.BanksPerRank,
+		RowsPerBank:  g.RowsPerBank,
+		ColsPerRow:   g.ColsPerRow,
 	}
 }
 
 // Banks returns the total number of banks on the channel.
 func (c Config) Banks() int { return c.Ranks * c.BanksPerRank }
 
+// Geometry returns the shape of a memory system of the given number of
+// these channels: the one conversion from the device's four dimensions
+// to what the address mappers and their validator speak.
+func (c Config) Geometry(channels int) addrmap.Geometry {
+	return addrmap.Geometry{
+		Channels:     channels,
+		Ranks:        c.Ranks,
+		BanksPerRank: c.BanksPerRank,
+		RowsPerBank:  c.RowsPerBank,
+		ColsPerRow:   c.ColsPerRow,
+	}
+}
+
 // Validate checks the configuration for consistency.
 func (c Config) Validate() error {
 	if err := c.Timing.Validate(); err != nil {
 		return err
 	}
-	switch {
-	case c.Ranks < 1:
-		return fmt.Errorf("dram: ranks must be >= 1, got %d", c.Ranks)
-	case c.BanksPerRank < 1:
-		return fmt.Errorf("dram: banks per rank must be >= 1, got %d", c.BanksPerRank)
-	case c.RowsPerBank < 1 || c.ColsPerRow < 1:
-		return fmt.Errorf("dram: rows/cols must be >= 1, got %d/%d", c.RowsPerBank, c.ColsPerRow)
-	}
-	return nil
+	return c.Geometry(1).Validate()
 }
 
 // bank is the state machine for one DRAM bank.

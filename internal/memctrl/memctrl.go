@@ -136,9 +136,12 @@ func (c Config) Validate() error {
 	if err := c.DRAM.Validate(); err != nil {
 		return err
 	}
+	if err := c.Geometry().Validate(); err != nil {
+		return err
+	}
 	switch {
-	case c.Channels < 0 || c.Channels&(c.Channels-1) != 0 && c.Channels != 0:
-		return fmt.Errorf("memctrl: channels must be a power of two, got %d", c.Channels)
+	case c.Mapper != nil && c.Mapper.Geometry() != c.Geometry():
+		return fmt.Errorf("memctrl: mapper %s addresses %+v, the DRAM is %+v", c.Mapper.Name(), c.Mapper.Geometry(), c.Geometry())
 	case c.Channels > MaxChannels:
 		return fmt.Errorf("memctrl: %d channels, more than the supported maximum of %d", c.Channels, MaxChannels)
 	case c.Threads < 1:
@@ -151,13 +154,18 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// channels returns the effective channel count.
+// channels returns the effective channel count: zero means one (and a
+// negative count is Validate's to refuse).
 func (c Config) channels() int {
-	if c.Channels < 1 {
+	if c.Channels == 0 {
 		return 1
 	}
 	return c.Channels
 }
+
+// Geometry returns the shape of the whole memory system, the one every
+// mapper over it must address.
+func (c Config) Geometry() addrmap.Geometry { return c.DRAM.Geometry(c.channels()) }
 
 // TotalBanks returns the flat bank count across all channels.
 func (c Config) TotalBanks() int { return c.channels() * c.DRAM.Banks() }
@@ -404,14 +412,7 @@ func New(cfg Config, policy core.Policy) (*Controller, error) {
 	}
 	mapper := cfg.Mapper
 	if mapper == nil {
-		g := addrmap.Geometry{
-			Channels:     nch,
-			Ranks:        cfg.DRAM.Ranks,
-			BanksPerRank: cfg.DRAM.BanksPerRank,
-			RowsPerBank:  cfg.DRAM.RowsPerBank,
-			ColsPerRow:   cfg.DRAM.ColsPerRow,
-		}
-		m, err := addrmap.NewXOR(g)
+		m, err := addrmap.NewXOR(cfg.Geometry())
 		if err != nil {
 			return nil, err
 		}
@@ -490,6 +491,10 @@ func (c *Controller) Channel() *dram.Channel { return c.chans[0] }
 
 // Channels returns the channel count.
 func (c *Controller) Channels() int { return len(c.chans) }
+
+// Mapper returns the address mapper the controller decodes with, so a
+// generator that aims at a bank encodes with the same one.
+func (c *Controller) Mapper() addrmap.Mapper { return c.mapper }
 
 // DataBusBusyCycles returns the data-bus occupancy summed over channels.
 func (c *Controller) DataBusBusyCycles() int64 {

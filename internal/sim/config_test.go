@@ -94,6 +94,10 @@ func TestNamedConfig(t *testing.T) {
 // TestHostileConfigValues: values NamedConfig never sets, handed
 // straight to New, are errors and never a panic or a run.
 func TestHostileConfigValues(t *testing.T) {
+	// shape sets one dimension of an otherwise Table 5 DRAM.
+	shape := func(set func(*dram.Config)) func(*Config) {
+		return func(c *Config) { c.Mem.DRAM = dram.DefaultConfig(); set(&c.Mem.DRAM) }
+	}
 	for _, row := range []struct {
 		name    string
 		mutate  func(*Config)
@@ -112,7 +116,30 @@ func TestHostileConfigValues(t *testing.T) {
 		// rebuilt from the defaults, so Validate sees them.
 		{"negative read entries", func(c *Config) { c.Mem.ReadEntriesPerThread = -4 }, "read entries per thread must be >= 1, got -4"},
 		{"negative write entries", func(c *Config) { c.Mem.WriteEntriesPerThread = -1 }, "write entries per thread must be >= 1, got -1"},
-		{"zero ranks beside a set timing", func(c *Config) { c.Mem.DRAM = dram.DefaultConfig(); c.Mem.DRAM.Ranks = 0 }, "ranks must be >= 1, got 0"},
+		// Hostile shapes: one validator (addrmap.Geometry.Validate) names
+		// the dimension, before anything is sized from it.
+		{"zero ranks beside a set timing", shape(func(d *dram.Config) { d.Ranks = 0 }), "ranks must be a positive power of two, got 0"},
+		{"negative ranks", shape(func(d *dram.Config) { d.Ranks = -1 }), "ranks must be a positive power of two, got -1"},
+		{"three ranks", shape(func(d *dram.Config) { d.Ranks = 3 }), "ranks must be a positive power of two, got 3"},
+		{"zero banks", shape(func(d *dram.Config) { d.BanksPerRank = 0 }), "banks per rank must be a positive power of two, got 0"},
+		{"negative banks", shape(func(d *dram.Config) { d.BanksPerRank = -8 }), "banks per rank must be a positive power of two, got -8"},
+		{"six banks", shape(func(d *dram.Config) { d.BanksPerRank = 6 }), "banks per rank must be a positive power of two, got 6"},
+		{"zero rows", shape(func(d *dram.Config) { d.RowsPerBank = 0 }), "rows per bank must be a positive power of two, got 0"},
+		{"negative rows", shape(func(d *dram.Config) { d.RowsPerBank = -16384 }), "rows per bank must be a positive power of two, got -16384"},
+		{"a thousand rows", shape(func(d *dram.Config) { d.RowsPerBank = 1000 }), "rows per bank must be a positive power of two, got 1000"},
+		{"zero cols", shape(func(d *dram.Config) { d.ColsPerRow = 0 }), "cols per row must be a positive power of two, got 0"},
+		{"negative cols", shape(func(d *dram.Config) { d.ColsPerRow = -128 }), "cols per row must be a positive power of two, got -128"},
+		{"a hundred cols", shape(func(d *dram.Config) { d.ColsPerRow = 100 }), "cols per row must be a positive power of two, got 100"},
+		{"more lines than addresses", shape(func(d *dram.Config) { d.RowsPerBank = 1 << 54 }), "RowsPerBank:18014398509481984 ColsPerRow:128} needs 64 line-address bits"},
+		// A mapper over another shape used to pass New and index out of
+		// range on the first Accept.
+		{"mapper over another shape", func(c *Config) {
+			c.Mem.Mapper, _ = addrmap.NewXOR(addrmap.Geometry{Ranks: 2, BanksPerRank: 16, RowsPerBank: 16384, ColsPerRow: 128})
+		}, "mapper xor addresses {Channels:1 Ranks:2 BanksPerRank:16 RowsPerBank:16384 ColsPerRow:128}, the DRAM is {Channels:1 Ranks:1 BanksPerRank:8 RowsPerBank:16384 ColsPerRow:128}"},
+		{"one-channel mapper on two channels", func(c *Config) {
+			c.Mem.Channels = 2
+			c.Mem.Mapper, _ = addrmap.NewLinear(addrmap.Table5())
+		}, "mapper linear addresses {Channels:1 "},
 	} {
 		row := row
 		t.Run(row.name, func(t *testing.T) {

@@ -458,15 +458,6 @@ func New(cfg Config) (*System, error) {
 		coreWake:  make([]int64, n),
 		coreTicks: make([]int64, n),
 	}
-	// Attack-pattern generators target the system's actual address
-	// geometry, so bank aim survives channel-count changes.
-	geom := trace.Geom{
-		Channels: ctrl.Channels(),
-		Ranks:    cfg.Mem.DRAM.Ranks,
-		Banks:    cfg.Mem.DRAM.BanksPerRank,
-		Rows:     cfg.Mem.DRAM.RowsPerBank,
-		Cols:     cfg.Mem.DRAM.ColsPerRow,
-	}
 	for i := 0; i < n; i++ {
 		cpuCfg, cacheCfg := cfg.CPU, cfg.Cache
 		if cfg.Workload[i].Agent == trace.AgentStream {
@@ -485,7 +476,8 @@ func New(cfg Config) (*System, error) {
 		if cfg.Sources != nil {
 			src = cfg.Sources[i]
 		} else {
-			gen, err := trace.NewGeneratorGeom(cfg.Workload[i], i, cfg.Seed+1, geom)
+			// Attack patterns aim through the controller's own mapper.
+			gen, err := trace.NewGeneratorOn(cfg.Workload[i], i, cfg.Seed+1, ctrl.Mapper())
 			if err != nil {
 				return nil, err
 			}

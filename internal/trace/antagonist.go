@@ -1,6 +1,10 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/addrmap"
+)
 
 // Adversarial and heterogeneous agents. The paper's QoS claim — a
 // thread with share phi performs at least as well as on a private
@@ -76,37 +80,6 @@ func (k AttackKind) String() string {
 	return fmt.Sprintf("attack(%d)", uint8(k))
 }
 
-// Geom mirrors the DRAM address geometry (addrmap.Geometry) so attack
-// generators can construct line addresses with known coordinates
-// without importing the mapper. All dimensions must be powers of two.
-type Geom struct {
-	Channels, Ranks, Banks, Rows, Cols int
-}
-
-// DefaultGeom is the paper's Table 5 memory system shape: one channel,
-// one rank, eight banks, 16384 rows of 128 cache lines.
-func DefaultGeom() Geom {
-	return Geom{Channels: 1, Ranks: 1, Banks: 8, Rows: 16384, Cols: 128}
-}
-
-func (g Geom) validate() error {
-	for _, d := range [...]struct {
-		name string
-		v    int
-	}{
-		{"channels", g.Channels},
-		{"ranks", g.Ranks},
-		{"banks", g.Banks},
-		{"rows", g.Rows},
-		{"cols", g.Cols},
-	} {
-		if d.v < 1 || d.v&(d.v-1) != 0 {
-			return fmt.Errorf("trace: geometry %s must be a positive power of two, got %d", d.name, d.v)
-		}
-	}
-	return nil
-}
-
 // Antagonists returns the adversarial and heterogeneous agent
 // profiles. They resolve through ByName like the SPEC suite but are
 // deliberately kept out of Suite(), Names(), and the Figure 4
@@ -171,75 +144,52 @@ func AntagonistNames() []string {
 	return out
 }
 
-// initAttack precomputes the attack encoder for the generator's thread
-// region under the geometry. The encoder builds linear line addresses
-// bit-compatible with addrmap.Linear (row | rank | bank | col |
-// channel) and pre-compensates the controller's default XOR bank
-// permutation (bank ^= row & bankMask), so the decoded physical bank is
-// exactly the profile's TargetBank. A non-default linear mapper
-// scrambles the targeting (the pattern degrades into a multi-bank
-// conflict stream) but never breaks determinism.
-func (g *Generator) initAttack(geom Geom) error {
-	if err := geom.validate(); err != nil {
-		return err
-	}
+// initAttack aims the profile's attack pattern through the mapper the
+// memory controller decodes with: TargetBank is a flat bank within a
+// channel (rank*banks per rank + bank), and every address the pattern
+// emits is m.Encode of a coordinate in that bank, so the aim is exact
+// under any mapping.
+func (g *Generator) initAttack(m addrmap.Mapper) error {
 	p := g.p
 	if p.Attack == AttackNone {
 		return nil
 	}
-	if p.TargetBank < 0 || p.TargetBank >= geom.Ranks*geom.Banks {
-		return fmt.Errorf("trace: %s: target bank %d outside %d banks", p.Name, p.TargetBank, geom.Ranks*geom.Banks)
+	geom := m.Geometry()
+	lim := geom.Bounds()
+	if p.TargetBank < 0 || p.TargetBank >= geom.Banks() {
+		return fmt.Errorf("trace: %s: target bank %d outside %d banks", p.Name, p.TargetBank, geom.Banks())
 	}
-	g.atkChanBits = log2u(geom.Channels)
-	g.atkColBits = log2u(geom.Cols)
-	g.atkBankBits = log2u(geom.Banks)
-	g.atkRankBits = log2u(geom.Ranks)
-	g.atkBankMask = uint64(geom.Banks - 1)
-	g.atkChans = uint64(geom.Channels)
-	g.atkCols = uint64(geom.Cols)
-	g.atkBank = uint64(p.TargetBank) & g.atkBankMask
+	g.atkMap = m
+	g.atkAim = addrmap.Coord{Rank: p.TargetBank / lim.Bank, Bank: p.TargetBank % lim.Bank}
+	g.atkChans = uint64(lim.Channel)
+	g.atkCols = uint64(lim.Col)
 
-	// The thread's private row stripe: regionLines line addresses span
-	// regionLines / (channels*ranks*banks*cols) consecutive rows.
-	stripe := uint64(geom.Channels) * uint64(geom.Ranks) * uint64(geom.Banks) * uint64(geom.Cols)
+	// The thread's private rows: its region of line addresses starts in
+	// the row its base decodes to and spans one row per stripe (the
+	// lines that share a row index across every channel and bank).
+	stripe := geom.Lines() / uint64(lim.Row)
 	rowsPerThread := uint64(regionLines) / stripe
-	if rowsPerThread < 2 {
-		rowsPerThread = 2
-	}
 	rows := uint64(p.AttackRows)
 	if rows == 0 || rows > rowsPerThread {
 		rows = rowsPerThread
 	}
-	if rows > uint64(geom.Rows) {
-		rows = uint64(geom.Rows)
+	if rows > uint64(lim.Row) {
+		rows = uint64(lim.Row)
 	}
 	if rows < 2 {
 		rows = 2
 	}
 	g.atkRows = rows
-	g.atkRowBase = (g.base / stripe) % uint64(geom.Rows)
+	g.atkRowBase = uint64(m.Decode(g.base).Row)
 	return nil
 }
 
-func log2u(v int) uint {
-	var n uint
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
-}
-
-// atkEncode builds the linear line address for (row, col, channel) in
-// the target bank, pre-compensating the XOR bank permutation.
+// atkEncode asks the mapper for the line address of (row, col, channel)
+// in the target bank.
 func (g *Generator) atkEncode(row, col, ch uint64) uint64 {
-	bank := (g.atkBank ^ (row & g.atkBankMask)) & g.atkBankMask
-	a := row
-	a = a << g.atkRankBits // rank 0
-	a = a<<g.atkBankBits | bank
-	a = a<<g.atkColBits | col
-	a = a<<g.atkChanBits | ch&(g.atkChans-1)
-	return a
+	c := g.atkAim
+	c.Row, c.Col, c.Channel = int(row), int(col), int(ch)
+	return g.atkMap.Encode(c)
 }
 
 // attackAddr emits the next line address of the profile's attack

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/addrmap"
@@ -50,22 +51,16 @@ func TestAntagonistProfilesValidate(t *testing.T) {
 	}
 }
 
-// TestAttackBankTargeting decodes attack addresses with the
-// controller's actual XOR mapper and demands exact bank aim: every
-// access lands in TargetBank, rowthrash alternates rows on every
-// access, bankhammer changes row on every access, and neither pattern
-// revisits a line within a cache-sized window.
+// TestAttackBankTargeting aims both bank-targeted patterns through each
+// mapper over 1 and 2 ranks and 1, 2 and 4 channels, and decodes what
+// they emit with that same mapper (checkAim).
 func TestAttackBankTargeting(t *testing.T) {
-	geom := DefaultGeom()
-	mapper, err := addrmap.NewXOR(addrmap.Geometry{
-		Channels:     geom.Channels,
-		Ranks:        geom.Ranks,
-		BanksPerRank: geom.Banks,
-		RowsPerBank:  geom.Rows,
-		ColsPerRow:   geom.Cols,
-	})
-	if err != nil {
-		t.Fatal(err)
+	mappers := []struct {
+		name string
+		make func(addrmap.Geometry) (addrmap.Mapper, error)
+	}{
+		{"xor", func(g addrmap.Geometry) (addrmap.Mapper, error) { return addrmap.NewXOR(g) }},
+		{"linear", func(g addrmap.Geometry) (addrmap.Mapper, error) { return addrmap.NewLinear(g) }},
 	}
 	for _, name := range []string{"rowthrash", "bankhammer"} {
 		t.Run(name, func(t *testing.T) {
@@ -73,77 +68,68 @@ func TestAttackBankTargeting(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p.TargetBank = 3 // aim away from the default to prove targeting
-			g, err := NewGenerator(p, 1, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			addrs := memAddrs(t, g, 4096)
-			seen := map[uint64]bool{}
-			lastRow := -1
-			rowSwitches := 0
-			for i, a := range addrs {
-				c := mapper.Decode(a)
-				if c.Bank != p.TargetBank {
-					t.Fatalf("access %d: bank %d, want %d (addr %#x row %d)", i, c.Bank, p.TargetBank, a, c.Row)
+			for _, mk := range mappers {
+				for _, ranks := range []int{1, 2} {
+					for _, channels := range []int{1, 2, 4} {
+						geom := addrmap.Table5()
+						geom.Ranks, geom.Channels = ranks, channels
+						m, err := mk.make(geom)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, target := range []int{0, 3, geom.Banks() - 1} {
+							p.TargetBank = target
+							t.Run(fmt.Sprintf("%s-r%d-c%d-b%d", mk.name, ranks, channels, target), func(t *testing.T) {
+								checkAim(t, p, m)
+							})
+						}
+					}
 				}
-				if c.Row != lastRow {
-					rowSwitches++
-				}
-				lastRow = c.Row
-				if seen[a] {
-					t.Fatalf("access %d: line %#x reused within a cache-sized window", i, a)
-				}
-				seen[a] = true
-			}
-			// Both patterns must conflict constantly: rowthrash flips
-			// row on every access by construction; bankhammer never
-			// repeats a row back to back.
-			if rowSwitches < len(addrs)-1 {
-				t.Errorf("%d row switches in %d accesses; attack is not thrashing", rowSwitches, len(addrs))
 			}
 		})
 	}
 }
 
-// TestAttackMultiChannelTargeting re-aims the encoders at a two-channel
-// geometry and checks both that the bank aim survives and that the
-// pressure rotates across both channels.
-func TestAttackMultiChannelTargeting(t *testing.T) {
-	geom := DefaultGeom()
-	geom.Channels = 2
-	mapper, err := addrmap.NewXOR(addrmap.Geometry{
-		Channels:     geom.Channels,
-		Ranks:        geom.Ranks,
-		BanksPerRank: geom.Banks,
-		RowsPerBank:  geom.Rows,
-		ColsPerRow:   geom.Cols,
-	})
+// checkAim demands exact aim of 4096 accesses: each lands on the (rank,
+// bank) p.TargetBank names as a flat bank within a channel, the channels
+// take equal turns, the row changes on every access a channel sees
+// (rowthrash alternates by construction, bankhammer never repeats a row
+// back to back), and no line is revisited within that cache-sized
+// window.
+func checkAim(t *testing.T, p Profile, m addrmap.Mapper) {
+	lim := m.Geometry().Bounds()
+	g, err := NewGeneratorOn(p, 1, 7, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := ByName("bankhammer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := NewGeneratorGeom(p, 2, 5, geom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	channels := map[int]int{}
-	for i, a := range memAddrs(t, g, 2048) {
-		c := mapper.Decode(a)
-		if c.Bank != p.TargetBank {
-			t.Fatalf("access %d: bank %d, want %d", i, c.Bank, p.TargetBank)
+	seen := map[uint64]bool{}
+	lastRow := make([]int, lim.Channel)
+	touched := make([]int, lim.Channel)
+	for i, a := range memAddrs(t, g, 4096) {
+		c := m.Decode(a)
+		if flat := c.Rank*lim.Bank + c.Bank; flat != p.TargetBank {
+			t.Fatalf("access %d: rank %d bank %d, want flat bank %d (addr %#x row %d)", i, c.Rank, c.Bank, p.TargetBank, a, c.Row)
 		}
-		channels[c.Channel]++
+		if touched[c.Channel] > 0 && c.Row == lastRow[c.Channel] {
+			t.Fatalf("access %d: channel %d sees row %d twice running; attack is not thrashing", i, c.Channel, c.Row)
+		}
+		lastRow[c.Channel] = c.Row
+		touched[c.Channel]++
+		if seen[a] {
+			t.Fatalf("access %d: line %#x reused within a cache-sized window", i, a)
+		}
+		seen[a] = true
 	}
-	if len(channels) != 2 {
-		t.Fatalf("attack touched channels %v, want both", channels)
+	for ch, n := range touched {
+		if n != 4096/lim.Channel {
+			t.Errorf("channel %d saw %d of 4096 accesses; the pressure does not rotate evenly: %v", ch, n, touched)
+		}
 	}
 }
 
-// TestAttackGeometryErrors pins the construction-time validation.
+// TestAttackGeometryErrors pins the construction-time validation: a
+// TargetBank beyond ranks x banks per rank is refused. (Illegal shapes
+// are refused where the rule lives, addrmap.TestGeometryValidate.)
 func TestAttackGeometryErrors(t *testing.T) {
 	p, err := ByName("bankhammer")
 	if err != nil {
@@ -153,9 +139,18 @@ func TestAttackGeometryErrors(t *testing.T) {
 	if _, err := NewGenerator(p, 0, 1); err == nil {
 		t.Error("out-of-range TargetBank accepted")
 	}
-	p.TargetBank = 0
-	if _, err := NewGeneratorGeom(p, 0, 1, Geom{Channels: 3, Ranks: 1, Banks: 8, Rows: 16384, Cols: 128}); err == nil {
-		t.Error("non-power-of-two channel count accepted")
+	geom := addrmap.Table5()
+	geom.Ranks = 2
+	m, err := addrmap.NewLinear(geom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewGeneratorOn(p, 0, 1, m); err != nil {
+		t.Errorf("bank 8 of a 2-rank system refused: %v", err)
+	}
+	p.TargetBank = 16
+	if _, err := NewGeneratorOn(p, 0, 1, m); err == nil {
+		t.Error("out-of-range TargetBank accepted on two ranks")
 	}
 }
 

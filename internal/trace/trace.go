@@ -10,7 +10,11 @@
 // chasing with little memory parallelism, crafty = compute bound).
 package trace
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/addrmap"
+)
 
 // Kind is an instruction class.
 type Kind uint8
@@ -253,20 +257,16 @@ type Generator struct {
 	phaseHigh     uint64
 	burstProbLowT uint64
 
-	// Attack encoder state (Attack != AttackNone only): a monotone
-	// cursor plus the precomputed address-geometry bit layout
-	// (see antagonist.go).
-	attackStep  uint64
-	atkChanBits uint
-	atkColBits  uint
-	atkBankBits uint
-	atkRankBits uint
-	atkBankMask uint64
-	atkChans    uint64
-	atkCols     uint64
-	atkRows     uint64
-	atkBank     uint64
-	atkRowBase  uint64
+	// Attack pattern state (Attack != AttackNone only): a monotone
+	// cursor, the mapper the pattern aims through, the target (rank,
+	// bank) and the walk's extent (see antagonist.go).
+	attackStep uint64
+	atkMap     addrmap.Mapper
+	atkAim     addrmap.Coord
+	atkChans   uint64
+	atkCols    uint64
+	atkRows    uint64
+	atkRowBase uint64
 
 	count uint64
 }
@@ -284,17 +284,20 @@ const regionLines = 1 << 22
 
 // NewGenerator returns a generator for the profile, seeded
 // deterministically from the profile name, thread id, and seed, with
-// attack patterns (if any) targeting the paper's default Table 5
-// geometry.
+// attack patterns (if any) aimed through the paper's default mapping:
+// XOR over the Table 5 shape.
 func NewGenerator(p Profile, thread int, seed uint64) (*Generator, error) {
-	return NewGeneratorGeom(p, thread, seed, DefaultGeom())
+	m, err := addrmap.NewXOR(addrmap.Table5())
+	if err != nil {
+		return nil, err
+	}
+	return NewGeneratorOn(p, thread, seed, m)
 }
 
-// NewGeneratorGeom is NewGenerator with an explicit DRAM address
-// geometry for the attack encoders. Profiles without an attack pattern
-// produce streams independent of the geometry, so NewGenerator remains
-// bit-identical to every earlier release for the SPEC suite.
-func NewGeneratorGeom(p Profile, thread int, seed uint64, geom Geom) (*Generator, error) {
+// NewGeneratorOn is NewGenerator with the mapper its attack pattern
+// aims through: the one the memory controller decodes with. Profiles
+// without an attack pattern produce streams independent of the mapper.
+func NewGeneratorOn(p Profile, thread int, seed uint64, m addrmap.Mapper) (*Generator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -345,7 +348,7 @@ func NewGeneratorGeom(p Profile, thread int, seed uint64, geom Geom) (*Generator
 		lo := p.PhaseLowMemFrac
 		g.burstProbLowT = thresh(lo / (float64(bl)*(1-lo) + lo))
 	}
-	if err := g.initAttack(geom); err != nil {
+	if err := g.initAttack(m); err != nil {
 		return nil, err
 	}
 	return g, nil
