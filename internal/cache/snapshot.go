@@ -1,6 +1,10 @@
 package cache
 
-import "repro/internal/snapshot"
+import (
+	"encoding/binary"
+
+	"repro/internal/snapshot"
+)
 
 // State visits one cache level: the LRU clock, hit/miss counters, and
 // every line's tag/valid/dirty/lastUse. Geometry (sets, ways) comes
@@ -13,16 +17,61 @@ func (c *Cache) State(s *snapshot.Codec) error {
 	s.I64(&c.Misses)
 	snapshot.Verify(s, len(c.sets), "sets", s.Int)
 	snapshot.Verify(s, c.cfg.Ways, "ways", s.Int)
+	// One Codec call per set, not four per line: a checkpoint is mostly
+	// cache lines. The block is the per-line layout field for field —
+	// u64 tag, bool valid, bool dirty, i64 lastUse, little-endian — so
+	// the stream is the same bytes.
+	block := make([]byte, c.cfg.Ways*lineBytes)
 	for _, set := range c.sets {
+		if !s.Loading() {
+			for i := range set {
+				set[i].pack(block[i*lineBytes:])
+			}
+		}
+		s.Block(block)
+		if s.Err() != nil {
+			break
+		}
+		if !s.Loading() {
+			continue
+		}
 		for i := range set {
-			l := &set[i]
-			s.U64(&l.tag)
-			s.Bool(&l.valid)
-			s.Bool(&l.dirty)
-			s.I64(&l.lastUse)
+			if b := set[i].unpack(block[i*lineBytes:]); b > 1 {
+				s.Fail("invalid bool byte %#x", b)
+				break
+			}
 		}
 	}
 	return s.End()
+}
+
+// lineBytes is one line's encoded size: tag, valid, dirty, lastUse.
+const lineBytes = 8 + 1 + 1 + 8
+
+func (l *line) pack(p []byte) {
+	binary.LittleEndian.PutUint64(p, l.tag)
+	p[8], p[9] = 0, 0
+	if l.valid {
+		p[8] = 1
+	}
+	if l.dirty {
+		p[9] = 1
+	}
+	binary.LittleEndian.PutUint64(p[10:], uint64(l.lastUse))
+}
+
+// unpack loads the line from p unless one of its bool bytes is not 0 or
+// 1, in which case it returns that byte and leaves the line as it was.
+func (l *line) unpack(p []byte) byte {
+	for _, b := range p[8:10] {
+		if b > 1 {
+			return b
+		}
+	}
+	l.tag = binary.LittleEndian.Uint64(p)
+	l.valid, l.dirty = p[8] == 1, p[9] == 1
+	l.lastUse = int64(binary.LittleEndian.Uint64(p[10:]))
+	return 0
 }
 
 // State visits the hierarchy: all three levels, the MSHR file, the

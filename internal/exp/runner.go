@@ -62,8 +62,9 @@ type Config struct {
 
 	// CheckpointEvery > 0, with Dir, makes every run crash-resilient:
 	// the simulator checkpoints its complete state into Dir every that
-	// many cycles (atomically, via temp file + rename); completing the
-	// run retires the checkpoint.
+	// many cycles (atomically, via temp file + rename), or to
+	// CheckpointSink when one is set; completing the run retires the
+	// checkpoint.
 	CheckpointEvery int64
 
 	// Resume, with Dir, picks every run up where a previous (killed)
@@ -74,14 +75,15 @@ type Config struct {
 	// Results, same artifacts, byte for byte.
 	Resume bool
 
-	// CheckpointSink, when non-nil, observes every checkpoint the
-	// runner writes: right after the checkpoint lands on disk the sink
-	// receives the run's memo key, the checkpointed cycle, and the raw
-	// snapshot bytes. A sink error aborts the run with that error. The
-	// fabric worker (internal/fabric) uses this to upload each
-	// checkpoint to its coordinator inside the same lease heartbeat,
-	// so a kill -9'd worker's chunk resumes elsewhere from the last
-	// uploaded state.
+	// CheckpointSink, when non-nil, is where every checkpoint goes in
+	// place of the file in Dir: the sink receives the run's memo key,
+	// the checkpointed cycle, and the raw snapshot bytes, and is the
+	// persistence. data is valid only during the call — the runner
+	// encodes the run's next checkpoint over it. A sink error aborts the
+	// run with that error. The fabric worker (internal/fabric) uses this
+	// to upload each checkpoint to its coordinator inside the same lease
+	// heartbeat, so a kill -9'd worker's chunk resumes elsewhere from
+	// the last uploaded state.
 	CheckpointSink func(key string, cycle int64, data []byte) error
 }
 
@@ -246,6 +248,7 @@ func (r *Runner) runSim(key string, cfg sim.Config) (*sim.System, int64, error) 
 		atChunk func() (int64, error)
 	)
 	ckpt := r.checkpointPath(key)
+	var buf bytes.Buffer // the run's one encode buffer, reused every epoch
 	if r.cfg.Resume {
 		if _, err := os.Stat(ckpt); err == nil {
 			if sys, err = sim.RestoreFile(cfg, ckpt); err != nil {
@@ -258,7 +261,7 @@ func (r *Runner) runSim(key string, cfg sim.Config) (*sim.System, int64, error) 
 			return nil, 0, err
 		}
 		atChunk = func() (int64, error) {
-			if err := r.writeCheckpoint(key, ckpt, sys); err != nil {
+			if err := r.writeCheckpoint(key, ckpt, sys, &buf); err != nil {
 				return 0, fmt.Errorf("checkpoint %s: %w", ckpt, err)
 			}
 			if r.noteCheckpoint() {
@@ -281,19 +284,16 @@ func (r *Runner) runSim(key string, cfg sim.Config) (*sim.System, int64, error) 
 	return sys, total - start, nil
 }
 
-// writeCheckpoint persists one checkpoint. Without a sink it defers to
-// the simulator's atomic CheckpointFile; with one it snapshots through
-// a buffer so the sink sees exactly the bytes on disk, then writes the
-// file with the same temp+rename atomicity.
-func (r *Runner) writeCheckpoint(key, path string, sys *sim.System) error {
+// writeCheckpoint persists one checkpoint: to the sink when one is set,
+// encoded into buf (the bytes are the sink's only for the call; the next
+// epoch overwrites them), otherwise to path by the simulator's atomic
+// CheckpointFile.
+func (r *Runner) writeCheckpoint(key, path string, sys *sim.System, buf *bytes.Buffer) error {
 	if r.cfg.CheckpointSink == nil {
 		return sys.CheckpointFile(path)
 	}
-	var buf bytes.Buffer
-	if err := sys.Checkpoint(&buf); err != nil {
-		return err
-	}
-	if err := writeFileAtomic(path, buf.Bytes()); err != nil {
+	buf.Reset()
+	if err := sys.Checkpoint(buf); err != nil {
 		return err
 	}
 	return r.cfg.CheckpointSink(key, sys.Cycle(), buf.Bytes())

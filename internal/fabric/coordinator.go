@@ -1,12 +1,14 @@
 package fabric
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -25,7 +27,7 @@ const DefaultLeaseExpiry = 30 * time.Second
 // job fails: the first assignment plus two retries.
 const DefaultRetryBudget = 3
 
-// maxRequestBody bounds every request body the coordinator decodes,
+// maxRequestBody bounds every request body the coordinator reads,
 // checkpoint uploads included; anything larger errors cleanly instead
 // of ballooning memory.
 const maxRequestBody = 64 << 20
@@ -82,8 +84,12 @@ type chunk struct {
 	worker   string
 	expiry   time.Time
 
-	ckpt        string // blob hash of the latest uploaded checkpoint
-	ckptCycle   int64
+	// ckpt is the chunk's one live checkpoint, the newest uploaded, and
+	// ckptHash its /blob address; a newer heartbeat replaces both and
+	// completion drops them. The bytes are never written after upload.
+	ckpt        []byte
+	ckptHash    string
+	ckptCycle   int64 // cycle of the newest checkpoint ever uploaded
 	resumedFrom int64 // cycle the latest attempt restored from
 	credited    int64 // cycles already credited to progress
 
@@ -257,9 +263,9 @@ func (c *Coordinator) Handler() http.Handler {
 		fmt.Fprint(w, "fqms sweep coordinator\n\n"+
 			"/job          GET: the job spec every chunk shares\n"+
 			"/lease        POST {worker}: lease the next chunk\n"+
-			"/heartbeat    POST {lease,cycle,checkpoint}: renew + upload checkpoint\n"+
+			"/heartbeat    POST ?lease=&cycle=, body = raw snapshot: renew + replace the chunk's checkpoint\n"+
 			"/complete     POST {lease,cycle,artifacts}: finish a chunk\n"+
-			"/blob/<hash>  GET: fetch a stored blob (e.g. a resume checkpoint)\n"+
+			"/blob/<hash>  GET: fetch an artifact blob or a chunk's live checkpoint\n"+
 			"/progress     GET: aggregated sweep progress\n"+
 			"/status       GET: per-chunk queue state\n"+
 			"/metrics      GET: coordinator queue gauges, Prometheus text\n")
@@ -288,6 +294,24 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
+}
+
+// readBody reads a raw request body whole, at most maxRequestBody bytes,
+// into a buffer sized from Content-Length up front — one copy off the
+// wire, which the caller then owns. Too large or cut short is a clean
+// 400.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	if r.ContentLength > maxRequestBody {
+		writeStatus(w, http.StatusBadRequest, statusReply{Status: "error", Error: "request body too large"})
+		return nil, false
+	}
+	// bytes.MinRead of slack lets ReadFrom see EOF without growing.
+	buf := bytes.NewBuffer(make([]byte, 0, max(r.ContentLength, 0)+bytes.MinRead))
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBody)); err != nil {
+		writeStatus(w, http.StatusBadRequest, statusReply{Status: "error", Error: "bad request body: " + err.Error()})
+		return nil, false
+	}
+	return buf.Bytes(), true
 }
 
 func writeStatus(w http.ResponseWriter, code int, v any) {
@@ -350,7 +374,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		Attempt:         ch.attempts,
 		Lease:           ch.lease,
 		Unit:            ch.unit,
-		Checkpoint:      ch.ckpt,
+		Checkpoint:      ch.ckptHash,
 		CheckpointCycle: ch.ckptCycle,
 	})
 }
@@ -371,28 +395,37 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if !requirePost(w, r) {
 		return
 	}
-	var req heartbeatRequest
-	if !decodeBody(w, r, &req) {
+	q := r.URL.Query()
+	cycle, err := strconv.ParseInt(q.Get("cycle"), 10, 64)
+	if err != nil {
+		writeStatus(w, http.StatusBadRequest, statusReply{Status: "error", Error: "bad cycle: " + err.Error()})
 		return
+	}
+	ckpt, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	var hash string
+	if len(ckpt) > 0 {
+		hash = blobHash(ckpt) // outside the lock: it is the one slow step
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked()
-	ch, ok := c.resolveLeaseLocked(req.Lease)
+	ch, ok := c.resolveLeaseLocked(q.Get("lease"))
 	if !ok {
 		writeStatus(w, http.StatusConflict, statusReply{Status: "expired", Error: "unknown or expired lease"})
 		return
 	}
-	if req.Cycle < 0 || req.Cycle > c.job.TotalCycles() {
+	if cycle < 0 || cycle > c.job.TotalCycles() {
 		writeStatus(w, http.StatusBadRequest, statusReply{Status: "error", Error: "cycle out of range"})
 		return
 	}
 	ch.expiry = c.now().Add(c.cfg.LeaseExpiry)
-	if len(req.Checkpoint) > 0 {
-		ch.ckpt = c.store.Put(req.Checkpoint)
-		ch.ckptCycle = req.Cycle
+	if len(ckpt) > 0 {
+		ch.ckpt, ch.ckptHash, ch.ckptCycle = ckpt, hash, cycle
 	}
-	c.creditLocked(ch, req.Cycle)
+	c.creditLocked(ch, cycle)
 	writeStatus(w, http.StatusOK, statusReply{Status: statusOK})
 }
 
@@ -442,6 +475,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	delete(c.leases, req.Lease)
 	ch.lease = ""
+	ch.ckpt, ch.ckptHash = nil, "" // nothing resumes a done chunk
 	ch.state = chunkDone
 	c.done++
 	c.creditLocked(ch, c.job.TotalCycles())
@@ -466,15 +500,35 @@ func checkArtifacts(set []exp.Artifact, names []string) error {
 	return nil
 }
 
+// handleBlob serves an artifact blob from the store or, failing that, a
+// chunk's live checkpoint. A checkpoint that was superseded or whose
+// chunk completed is gone: 404, which tells a worker resuming from it
+// that its lease is gone too.
 func (c *Coordinator) handleBlob(w http.ResponseWriter, r *http.Request) {
 	hash := strings.TrimPrefix(r.URL.Path, "/blob/")
 	b, ok := c.store.Get(hash)
+	if !ok {
+		b, ok = c.checkpoint(hash)
+	}
 	if !ok {
 		http.NotFound(w, r)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	_, _ = w.Write(b)
+}
+
+// checkpoint returns the live checkpoint stored under hash, if a chunk
+// holds one.
+func (c *Coordinator) checkpoint(hash string) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, ch := range c.chunks {
+		if ch.ckpt != nil && ch.ckptHash == hash {
+			return ch.ckpt, true
+		}
+	}
+	return nil, false
 }
 
 func (c *Coordinator) handleProgress(w http.ResponseWriter, r *http.Request) {
@@ -666,15 +720,23 @@ func (c *Coordinator) WriteMerged(dir string) error {
 //   - chunk states partition the queue and agree with the done count;
 //   - every live lease token maps to exactly one leased chunk and
 //     every leased chunk holds exactly one live token;
-//   - a done chunk has its whole artifact set and no lease — once done
-//     it can never be leased (assigned) again;
+//   - a done chunk has its whole artifact set, every blob of it in
+//     the store, no lease and no checkpoint — once done it can never be
+//     leased (assigned) again;
+//   - a chunk that is not done holds at most its one newest checkpoint,
+//     under the address its bytes hash to, and the store holds the done
+//     chunks' artifact blobs and nothing else;
 //   - attempts never exceed the retry budget without failing the job.
 func (c *Coordinator) checkInvariants() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	done := 0
 	leased := make(map[string]int)
+	stored := make(map[string]bool) // distinct artifact blobs of done chunks
 	for i, ch := range c.chunks {
+		if (ch.ckpt != nil || ch.ckptHash != "") && blobHash(ch.ckpt) != ch.ckptHash {
+			return fmt.Errorf("chunk %d checkpoint (%d bytes) does not hash to its address %q", i, len(ch.ckpt), ch.ckptHash)
+		}
 		switch ch.state {
 		case chunkDone:
 			done++
@@ -683,6 +745,15 @@ func (c *Coordinator) checkInvariants() error {
 			}
 			if len(ch.blobs) != len(ch.names) {
 				return fmt.Errorf("chunk %d done with %d of %d artifacts", i, len(ch.blobs), len(ch.names))
+			}
+			if ch.ckpt != nil {
+				return fmt.Errorf("chunk %d done but still holds a %d-byte checkpoint", i, len(ch.ckpt))
+			}
+			for j, hash := range ch.blobs {
+				if _, ok := c.store.Get(hash); !ok {
+					return fmt.Errorf("chunk %d done but its %s blob is not in the store", i, ch.names[j])
+				}
+				stored[hash] = true
 			}
 		case chunkLeased:
 			if ch.lease == "" {
@@ -711,6 +782,9 @@ func (c *Coordinator) checkInvariants() error {
 	}
 	if len(leased) != len(c.leases) {
 		return fmt.Errorf("lease table has %d entries, chunks hold %d", len(c.leases), len(leased))
+	}
+	if blobs, _, _ := c.store.Stats(); blobs != len(stored) {
+		return fmt.Errorf("store holds %d blobs, done chunks name %d", blobs, len(stored))
 	}
 	return nil
 }

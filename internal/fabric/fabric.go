@@ -5,7 +5,8 @@
 // epochs through the exp runner, heartbeat progress with each epoch's
 // checkpoint attached, and upload the finished run's artifact set
 // (exp.Artifact, carried opaquely) into the coordinator's
-// content-addressed store. A lease that stops heartbeating expires and
+// content-addressed store. A chunk holds one checkpoint, its newest,
+// until it completes. A lease that stops heartbeating expires and
 // its chunk is reassigned — resuming from the last uploaded checkpoint,
 // not from scratch — within a bounded retry budget. When every chunk
 // completes, the coordinator merges the per-chunk artifacts into
@@ -101,7 +102,12 @@ func (j JobSpec) TotalCycles() int64 {
 	return j.Warmup + j.Window
 }
 
-// Wire protocol bodies. []byte fields ride as base64 inside JSON.
+// Wire protocol bodies. /lease, /complete and /job are JSON — small
+// bodies, an artifact's bytes riding as base64. A heartbeat is not: POST
+// /heartbeat?lease=<token>&cycle=<n> carries the snapshot verbatim as
+// its application/octet-stream body (empty = renew only), so a
+// checkpoint crosses the wire and lands in the coordinator as the bytes
+// the encoder wrote, copied once.
 
 // leaseRequest asks for a chunk to work on.
 type leaseRequest struct {
@@ -131,14 +137,6 @@ type leaseResponse struct {
 	// uploaded checkpoint; empty means start from scratch.
 	Checkpoint      string `json:"checkpoint,omitempty"`
 	CheckpointCycle int64  `json:"checkpoint_cycle,omitempty"`
-}
-
-// heartbeatRequest renews a lease and, when the worker just
-// checkpointed, uploads the snapshot so a successor can resume.
-type heartbeatRequest struct {
-	Lease      string `json:"lease"`
-	Cycle      int64  `json:"cycle"`
-	Checkpoint []byte `json:"checkpoint,omitempty"`
 }
 
 // completeRequest delivers a finished chunk's artifact set: exactly the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -165,6 +166,22 @@ func TestShardedSweepDeterminism(t *testing.T) {
 	}
 	compareDirs(t, want, merged)
 
+	// Every checkpoint was released with its chunk: what the store still
+	// holds is the artifact sets (less whatever deduplicated).
+	sets, err := c.sets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var artifactBytes int64
+	for _, set := range sets {
+		for _, a := range set {
+			artifactBytes += int64(len(a.Data))
+		}
+	}
+	if st := c.Status(); st.StoreBytes > artifactBytes {
+		t.Errorf("store holds %d bytes after the sweep, the artifact sets total %d", st.StoreBytes, artifactBytes)
+	}
+
 	// Progress aggregated the whole matrix: every chunk's full cycle
 	// count was credited exactly once across heartbeats + completions.
 	snap := c.Progress().Snapshot()
@@ -204,6 +221,12 @@ func request(t *testing.T, h http.Handler, method, path, body string) *httptest.
 	return rec
 }
 
+// hbPath is the /heartbeat target for a lease and cycle; the snapshot,
+// if any, is the request's raw body.
+func hbPath(lease string, cycle any) string {
+	return fmt.Sprintf("/heartbeat?lease=%s&cycle=%v", lease, cycle)
+}
+
 // completion is the /complete body for a lease: the artifact set the
 // job defines for the leased unit, every member holding data.
 func completion(job JobSpec, l leaseResponse, data string) string {
@@ -229,8 +252,10 @@ func decodeLease(t *testing.T, rec *httptest.ResponseRecorder) leaseResponse {
 // last uploaded checkpoint, late heartbeats and duplicate/replayed
 // completions 409 without disturbing state, a completion whose artifact
 // names are not exactly the job's is a 400 that leaves the lease live
-// and the store untouched, and an exhausted retry budget fails the job
-// instead of looping forever.
+// and the store untouched, a chunk serves only its newest checkpoint and
+// none once done (a worker sent to fetch a vanished one drops the chunk
+// as a lost lease), and an exhausted retry budget fails the job instead
+// of looping forever.
 func TestLeaseProtocolInvariants(t *testing.T) {
 	job := quickJob()
 	job.SampleInterval = 0 // protocol-only test: completions carry just results
@@ -251,6 +276,11 @@ func TestLeaseProtocolInvariants(t *testing.T) {
 			t.Fatalf("%s: invariants violated: %v", step, err)
 		}
 	}
+	blob := func(hash string) (int, string) {
+		t.Helper()
+		rec := request(t, h, http.MethodGet, "/blob/"+hash, "")
+		return rec.Code, rec.Body.String()
+	}
 
 	// Method and body hygiene.
 	if rec := request(t, h, http.MethodGet, "/lease", ""); rec.Code != http.StatusMethodNotAllowed {
@@ -269,16 +299,23 @@ func TestLeaseProtocolInvariants(t *testing.T) {
 	if l1.Status != statusLease || l1.Lease != "l1" || l1.Attempt != 1 || l1.Checkpoint != "" {
 		t.Fatalf("first lease: %+v", l1)
 	}
-	hbJSON, _ := json.Marshal(heartbeatRequest{Lease: "l1", Cycle: 20_000, Checkpoint: []byte("snapshot-epoch-2")})
-	hb := string(hbJSON)
-	if rec := request(t, h, http.MethodPost, "/heartbeat", hb); rec.Code != http.StatusOK {
+	if code, _ := blob(""); code != http.StatusNotFound {
+		t.Errorf("empty blob address with checkpoint-less chunks about: code %d, want 404", code)
+	}
+	hb := hbPath("l1", 20_000)
+	if rec := request(t, h, http.MethodPost, hb, "snapshot-epoch-2"); rec.Code != http.StatusOK {
 		t.Fatalf("heartbeat: code %d body %s", rec.Code, rec.Body)
 	}
-	if rec := request(t, h, http.MethodPost, "/heartbeat", `{"lease":"l1","cycle":-4}`); rec.Code != http.StatusBadRequest {
+	if rec := request(t, h, http.MethodPost, hbPath("l1", -4), ""); rec.Code != http.StatusBadRequest {
 		t.Errorf("negative cycle: code %d, want 400", rec.Code)
 	}
-	if rec := request(t, h, http.MethodPost, "/heartbeat", `{"lease":"l1","cycle":"many"}`); rec.Code != http.StatusBadRequest {
-		t.Errorf("wrong-typed cycle: code %d, want 400", rec.Code)
+	for _, cycle := range []string{"many", "", "2e4", "99999999999999999999"} {
+		if rec := request(t, h, http.MethodPost, hbPath("l1", cycle), ""); rec.Code != http.StatusBadRequest {
+			t.Errorf("wrong-typed cycle %q: code %d, want 400", cycle, rec.Code)
+		}
+	}
+	if rec := request(t, h, http.MethodPost, "/heartbeat", `{"lease":"l1","cycle":20000}`); rec.Code != http.StatusBadRequest {
+		t.Errorf("heartbeat with no query: code %d, want 400", rec.Code)
 	}
 	check("heartbeat")
 
@@ -293,14 +330,17 @@ func TestLeaseProtocolInvariants(t *testing.T) {
 	if l2.Checkpoint == "" || l2.CheckpointCycle != 20_000 {
 		t.Fatalf("reassignment lost the uploaded checkpoint: %+v", l2)
 	}
-	if rec := request(t, h, http.MethodGet, "/blob/"+l2.Checkpoint, ""); rec.Body.String() != "snapshot-epoch-2" {
-		t.Errorf("resume blob = %q", rec.Body.String())
+	if code, body := blob(l2.Checkpoint); code != http.StatusOK || body != "snapshot-epoch-2" {
+		t.Errorf("resume blob: code %d body %q", code, body)
 	}
 	check("reassign")
 
 	// The dead lease is dead: late heartbeat and late completion 409.
-	if rec := request(t, h, http.MethodPost, "/heartbeat", hb); rec.Code != http.StatusConflict {
+	if rec := request(t, h, http.MethodPost, hb, "snapshot-from-the-dead"); rec.Code != http.StatusConflict {
 		t.Errorf("late heartbeat: code %d, want 409", rec.Code)
+	}
+	if code, body := blob(l2.Checkpoint); code != http.StatusOK || body != "snapshot-epoch-2" {
+		t.Errorf("late heartbeat disturbed the resume blob: code %d body %q", code, body)
 	}
 	if rec := request(t, h, http.MethodPost, "/complete", completion(job, l1, "{}")); rec.Code != http.StatusConflict {
 		t.Errorf("late completion: code %d, want 409", rec.Code)
@@ -319,6 +359,9 @@ func TestLeaseProtocolInvariants(t *testing.T) {
 	st := c.Status()
 	if st.Done != 1 || st.Chunks[l2.Chunk].State != "done" {
 		t.Fatalf("after duplicate completion: %+v", st)
+	}
+	if code, _ := blob(l2.Checkpoint); code != http.StatusNotFound {
+		t.Errorf("a done chunk's checkpoint: code %d, want 404", code)
 	}
 	// Hostile completion with a non-Result body is a clean 400.
 	l3 := decodeLease(t, request(t, h, http.MethodPost, "/lease", `{"worker":"w3"}`))
@@ -353,21 +396,44 @@ func TestLeaseProtocolInvariants(t *testing.T) {
 	if blobs, _, _ := c.Store().Stats(); blobs != blobsBefore {
 		t.Errorf("hostile completions stored %d blobs", blobs-blobsBefore)
 	}
-	if rec := request(t, h, http.MethodPost, "/heartbeat", `{"lease":"`+l3.Lease+`","cycle":1}`); rec.Code != http.StatusOK {
+	if rec := request(t, h, http.MethodPost, hbPath(l3.Lease, 1), ""); rec.Code != http.StatusOK {
 		t.Errorf("lease after hostile completions: code %d, want it still live", rec.Code)
 	}
 
 	// Retry budget: expire l3's chunk twice more; the third expiry
-	// exhausts the budget and fails the job for everyone.
+	// exhausts the budget and fails the job for everyone. On the way, one
+	// live checkpoint per chunk: w4 is granted the chunk with checkpoint
+	// X to resume from and loses its lease before fetching it; w5 takes
+	// over and uploads Y; X is gone, and w4 drops the chunk as a lost
+	// lease rather than dying on a 404.
+	if rec := request(t, h, http.MethodPost, hbPath(l3.Lease, 20_000), "checkpoint-X"); rec.Code != http.StatusOK {
+		t.Fatalf("heartbeat X: code %d body %s", rec.Code, rec.Body)
+	}
 	clock.Advance(11 * time.Second)
 	l4 := decodeLease(t, request(t, h, http.MethodPost, "/lease", `{"worker":"w4"}`))
-	if l4.Chunk != l3.Chunk || l4.Attempt != 2 {
-		t.Fatalf("expected chunk %d attempt 2, got %+v", l3.Chunk, l4)
+	if l4.Chunk != l3.Chunk || l4.Attempt != 2 || l4.Checkpoint != blobHash([]byte("checkpoint-X")) {
+		t.Fatalf("expected chunk %d attempt 2 resuming from X, got %+v", l3.Chunk, l4)
 	}
 	clock.Advance(11 * time.Second)
 	l5 := decodeLease(t, request(t, h, http.MethodPost, "/lease", `{"worker":"w5"}`))
-	if l5.Chunk != l3.Chunk || l5.Attempt != 3 {
-		t.Fatalf("expected chunk %d attempt 3, got %+v", l3.Chunk, l5)
+	if l5.Chunk != l3.Chunk || l5.Attempt != 3 || l5.Checkpoint != l4.Checkpoint {
+		t.Fatalf("expected chunk %d attempt 3 resuming from X, got %+v", l3.Chunk, l5)
+	}
+	if rec := request(t, h, http.MethodPost, hbPath(l5.Lease, 40_000), "checkpoint-Y"); rec.Code != http.StatusOK {
+		t.Fatalf("heartbeat Y: code %d body %s", rec.Code, rec.Body)
+	}
+	check("superseded checkpoint")
+	if code, _ := blob(l4.Checkpoint); code != http.StatusNotFound {
+		t.Errorf("superseded checkpoint X: code %d, want 404", code)
+	}
+	if code, body := blob(blobHash([]byte("checkpoint-Y"))); code != http.StatusOK || body != "checkpoint-Y" {
+		t.Errorf("live checkpoint Y: code %d body %q", code, body)
+	}
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	w4 := &Worker{Coordinator: srv.URL, Dir: t.TempDir(), Name: "w4"}
+	if err := w4.runChunk(context.Background(), job, l4); !errors.Is(err, errLeaseLost) {
+		t.Errorf("worker resuming from a vanished checkpoint: %v, want errLeaseLost", err)
 	}
 	clock.Advance(11 * time.Second)
 	lFail := decodeLease(t, request(t, h, http.MethodPost, "/lease", `{"worker":"w6"}`))
@@ -412,8 +478,7 @@ func TestConcurrentWorkersAndHostileReplays(t *testing.T) {
 			default:
 			}
 			token := fmt.Sprintf("l9%03d", i%50) // far beyond any granted token
-			hb, _ := json.Marshal(heartbeatRequest{Lease: token, Cycle: 1})
-			resp, err := client.Post(srv.URL+"/heartbeat", "application/json", bytes.NewReader(hb))
+			resp, err := client.Post(srv.URL+hbPath(token, 1), "application/octet-stream", strings.NewReader("hostile-snapshot"))
 			if err == nil {
 				if resp.StatusCode != http.StatusConflict {
 					t.Errorf("hostile heartbeat %s: code %d, want 409", token, resp.StatusCode)
@@ -454,8 +519,7 @@ func TestConcurrentWorkersAndHostileReplays(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			token := fmt.Sprintf("l%d", i)
-			hb, _ := json.Marshal(heartbeatRequest{Lease: token, Cycle: 1})
-			if resp, err := client.Post(srv.URL+"/heartbeat", "application/json", bytes.NewReader(hb)); err == nil {
+			if resp, err := client.Post(srv.URL+hbPath(token, 1), "application/octet-stream", strings.NewReader("late-snapshot")); err == nil {
 				if resp.StatusCode != http.StatusConflict {
 					t.Errorf("late heartbeat %s: code %d, want 409", token, resp.StatusCode)
 				}
@@ -479,6 +543,36 @@ func TestConcurrentWorkersAndHostileReplays(t *testing.T) {
 	}
 	if err := c.WriteMerged(t.TempDir()); err != nil {
 		t.Errorf("merge after replay storm: %v", err)
+	}
+}
+
+// TestResumeBlobVerified pins the worker's half of content addressing:
+// a blob that does not hash to the address the lease named — one flipped
+// byte here — is refused with an error naming both hashes, before
+// anything is seeded for the runner to restore from, and is not mistaken
+// for a lost lease.
+func TestResumeBlobVerified(t *testing.T) {
+	good := []byte("a resume checkpoint")
+	bad := append([]byte(nil), good...)
+	bad[3] ^= 0x40
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write(bad)
+	}))
+	defer srv.Close()
+
+	job := quickJob()
+	lease := leaseResponse{Lease: "l1", Attempt: 2, Unit: exp.ArenaUnits(job.Spec)[0], Checkpoint: blobHash(good)}
+	w := &Worker{Coordinator: srv.URL, Dir: t.TempDir()}
+	err := w.runChunk(context.Background(), job, lease)
+	if err == nil || errors.Is(err, errLeaseLost) ||
+		!strings.Contains(err.Error(), blobHash(good)) || !strings.Contains(err.Error(), blobHash(bad)) {
+		t.Fatalf("corrupted resume blob: %v, want an error naming %s and %s", err, blobHash(good), blobHash(bad))
+	}
+	if entries, _ := os.ReadDir(w.Dir); len(entries) != 0 {
+		t.Errorf("corrupted resume blob was seeded: %v", entries)
+	}
+	if b, err := w.getBlob(context.Background(), blobHash(bad)); err != nil || !bytes.Equal(b, bad) {
+		t.Errorf("blob that hashes to its address: %q, %v", b, err)
 	}
 }
 

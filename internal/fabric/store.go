@@ -7,10 +7,10 @@ import (
 )
 
 // Store is the coordinator's content-addressed artifact store: blobs
-// (checkpoints and the members of artifact sets) are keyed by their SHA-256, so
-// identical uploads — a worker retrying a heartbeat, or two chunks of
-// the same memoized solo baseline — deduplicate to one copy, and a
-// blob reference in the lease protocol is self-verifying.
+// (the members of completed chunks' artifact sets; a chunk's live
+// checkpoint is a field of the chunk, not a blob here) are keyed by
+// their SHA-256, so identical uploads deduplicate to one copy. The store
+// is append-only: nothing in it is ever superseded.
 type Store struct {
 	mu    sync.Mutex
 	blobs map[string][]byte
@@ -23,17 +23,23 @@ func NewStore() *Store {
 	return &Store{blobs: make(map[string][]byte)}
 }
 
-// Put stores b (copied) and returns its hex SHA-256 address.
-func (s *Store) Put(b []byte) string {
+// blobHash is a blob's address: the hex SHA-256 of its bytes.
+func blobHash(b []byte) string {
 	sum := sha256.Sum256(b)
-	hash := hex.EncodeToString(sum[:])
+	return hex.EncodeToString(sum[:])
+}
+
+// Put stores b, which the store owns from here on, and returns its
+// address.
+func (s *Store) Put(b []byte) string {
+	hash := blobHash(b)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.blobs[hash]; ok {
 		s.dedup++
 		return hash
 	}
-	s.blobs[hash] = append([]byte(nil), b...)
+	s.blobs[hash] = b
 	s.size += int64(len(b))
 	return hash
 }

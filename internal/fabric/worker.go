@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"path/filepath"
+	"strconv"
 	"time"
 
 	"repro/internal/exp"
@@ -99,6 +101,7 @@ func (w *Worker) Run(ctx context.Context) error {
 func (w *Worker) runChunk(ctx context.Context, job JobSpec, lease leaseResponse) error {
 	dir := filepath.Join(w.Dir, fmt.Sprintf("chunk%03d-try%d", lease.Chunk, lease.Attempt))
 	if lease.Checkpoint != "" {
+		// A 404 here is errLeaseLost: the chunk moved on while we asked.
 		ckpt, err := w.getBlob(ctx, lease.Checkpoint)
 		if err != nil {
 			return fmt.Errorf("fetch resume checkpoint: %w", err)
@@ -139,13 +142,16 @@ func (w *Worker) runChunk(ctx context.Context, job JobSpec, lease leaseResponse)
 	return nil
 }
 
-// heartbeat renews the lease and uploads the freshest checkpoint. A
+// heartbeat renews the lease and uploads the freshest checkpoint, raw. A
 // 409 means the lease expired underneath us: surface errLeaseLost so
 // the runner aborts the chunk instead of wasting cycles a successor is
-// already re-simulating.
+// already re-simulating. ckpt is the runner's reused encode buffer: the
+// coordinator answers 200 only after reading the whole body, so when a
+// reply that lets the run go on arrives the transport is done with it.
 func (w *Worker) heartbeat(ctx context.Context, lease string, cycle int64, ckpt []byte) error {
+	q := url.Values{"lease": {lease}, "cycle": {strconv.FormatInt(cycle, 10)}}
 	var reply statusReply
-	code, err := w.postJSON(ctx, "/heartbeat", heartbeatRequest{Lease: lease, Cycle: cycle, Checkpoint: ckpt}, &reply)
+	code, err := w.post(ctx, "/heartbeat?"+q.Encode(), "application/octet-stream", ckpt, &reply)
 	if code == http.StatusConflict {
 		return errLeaseLost
 	}
@@ -159,18 +165,23 @@ func (w *Worker) client() *http.Client {
 	return &http.Client{}
 }
 
-// postJSON posts body and decodes the JSON reply, returning the HTTP
-// status code so callers can branch on protocol-level conflicts.
+// postJSON posts body as JSON; see post.
 func (w *Worker) postJSON(ctx context.Context, path string, body, reply any) (int, error) {
 	b, err := json.Marshal(body)
 	if err != nil {
 		return 0, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Coordinator+path, bytes.NewReader(b))
+	return w.post(ctx, path, "application/json", b, reply)
+}
+
+// post posts body and decodes the JSON reply, returning the HTTP
+// status code so callers can branch on protocol-level conflicts.
+func (w *Worker) post(ctx context.Context, path, contentType string, body []byte, reply any) (int, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Coordinator+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
 	resp, err := w.client().Do(req)
 	if err != nil {
 		return 0, err
@@ -207,7 +218,11 @@ func (w *Worker) getJSON(ctx context.Context, path string, reply any) (int, erro
 	return resp.StatusCode, nil
 }
 
-// getBlob fetches a raw blob from the coordinator's store.
+// getBlob fetches the blob the coordinator serves under hash and holds it
+// to that address: the reference is only self-verifying if the fetcher
+// hashes what it got. A blob the coordinator no longer has is
+// errLeaseLost — a checkpoint disappears only when its chunk took a newer
+// one or completed, either way under a lease that is not ours.
 func (w *Worker) getBlob(ctx context.Context, hash string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.Coordinator+"/blob/"+hash, nil)
 	if err != nil {
@@ -218,8 +233,22 @@ func (w *Worker) getBlob(ctx context.Context, hash string) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotFound {
+		return nil, fmt.Errorf("blob %s is gone: %w", hash, errLeaseLost)
+	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("blob %s: %s", hash, resp.Status)
 	}
-	return io.ReadAll(io.LimitReader(resp.Body, maxRequestBody))
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxRequestBody))
+	if err != nil {
+		return nil, fmt.Errorf("blob %s: %w", hash, err)
+	}
+	if got := blobHash(b); got != hash {
+		cut := ""
+		if len(b) == maxRequestBody {
+			cut = ", cut at the body cap"
+		}
+		return nil, fmt.Errorf("blob %s: the %d bytes fetched%s hash to %s", hash, len(b), cut, got)
+	}
+	return b, nil
 }

@@ -188,6 +188,13 @@ func (s *Codec) raw(p []byte) {
 	}
 }
 
+// Block visits len(p) bytes whose layout the caller owns: encoders write
+// p, decoders fill it. A component with many small fixed-size records
+// packs them into one block per visit instead of paying a Codec call
+// per field; the length is construction state and is not written, and
+// what the bytes mean (bool bytes included) is the caller's to check.
+func (s *Codec) Block(p []byte) { s.raw(p) }
+
 // U8 visits one byte.
 func (s *Codec) U8(v *uint8) {
 	s.buf[0] = *v

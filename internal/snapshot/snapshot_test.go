@@ -324,6 +324,31 @@ func TestInvalidBool(t *testing.T) {
 	}
 }
 
+// TestBlock: a block is its bytes and nothing else on the stream — no
+// length header — fills in place on decode, and a short stream is the
+// ordinary truncation error.
+func TestBlock(t *testing.T) {
+	want := []byte{1, 2, 3, 4, 5, 6, 7}
+	a, z := uint8(0xaa), uint8(0x55)
+	b := encode(t, func(s *Codec) { s.U8(&a); s.Block(want); s.U8(&z) })
+	if header := len(Magic) + 4; !bytes.Equal(b[header:], append(append([]byte{a}, want...), z)) {
+		t.Fatalf("stream after the header = %x", b[header:])
+	}
+	got := make([]byte, len(want))
+	s := decoder(t, b)
+	var a2, z2 uint8
+	s.U8(&a2)
+	s.Block(got)
+	s.U8(&z2)
+	if s.Err() != nil || !bytes.Equal(got, want) || a2 != a || z2 != z {
+		t.Fatalf("decoded %x between %#x and %#x: %v", got, a2, z2, s.Err())
+	}
+	s = decoder(t, b[:len(b)-3])
+	s.U8(&a2)
+	s.Block(got)
+	wantErr(t, s, "truncated stream")
+}
+
 func TestTruncation(t *testing.T) {
 	want := sample()
 	full := encode(t, func(s *Codec) { want.state(s) })
