@@ -5,7 +5,7 @@
 // Usage:
 //
 //	fqsim -workload art,vpr -policy FQ-VFTF [-shares 3/4,1/4]
-//	      [-warmup N] [-window N] [-scale K] [-seed N] [-workers N] [-list]
+//	      [-warmup N] [-window N] [-scale K] [-seed N] [-list]
 //	      [-interference] [-trace out.json] [-metrics-out out.json]
 //	      [-sample-interval N] [-series-out out.json]
 //	      [-serve addr] [-serve-for dur]
@@ -55,7 +55,6 @@ func main() {
 		window    = flag.Int64("window", 400_000, "measurement cycles")
 		scale     = flag.Int("scale", 1, "time scale the DRAM (private virtual-time baseline; 0 or 1 = physical)")
 		seed      = flag.Uint64("seed", 0, "trace generator seed")
-		workers   = flag.Int("workers", 0, "intra-run worker goroutines (sharded channel scheduling + core stepping; 0/1 = serial, results bit-identical)")
 		list      = flag.Bool("list", false, "list available benchmarks and exit")
 		asJSON    = flag.Bool("json", false, "emit results as JSON")
 		auditOn   = flag.Bool("audit", false, "run the invariant auditor (panic on any violation)")
@@ -124,7 +123,6 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Audit = *auditOn
 	cfg.Interference = *intfOn
-	cfg.Workers = *workers
 
 	cfg.SampleInterval = *sampleInt
 	if cfg.SampleInterval == 0 && (*serveAddr != "" || *seriesOut != "") {

@@ -13,7 +13,7 @@
 //	       [-warmup N] [-window N] [-seed N] [-sample-interval N]
 //	       [-checkpoint-every N] [-lease-expiry D] [-retries N]
 //
-// Workers are `experiments -worker http://host:port` processes; any
+// A worker is an `experiments -worker http://host:port` process; any
 // number may join or die at any time. The merged output directory is
 // byte-identical to
 //

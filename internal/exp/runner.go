@@ -213,7 +213,6 @@ func (r *Runner) simulate(key string, cfg sim.Config) (sim.Result, *Interference
 	if err != nil {
 		return sim.Result{}, nil, err
 	}
-	defer sys.Close()
 	fin := finished{key: key, sys: sys, res: sys.Results()}
 	if snap, ok := sys.Interference(); ok {
 		fin.intf = &InterferenceDoc{Key: key, Policy: fin.res.PolicyName, Interference: snap}
@@ -278,7 +277,6 @@ func (r *Runner) runSim(key string, cfg sim.Config) (*sim.System, int64, error) 
 	}
 	start, total := sys.Cycle(), r.cfg.Warmup+r.cfg.Window
 	if err := sys.RunTo(r.cfg.Warmup, total, r.cfg.CheckpointEvery, atChunk); err != nil {
-		sys.Close()
 		return nil, 0, err
 	}
 	return sys, total - start, nil

@@ -3,7 +3,6 @@ package memctrl
 import (
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/audit"
@@ -74,17 +73,11 @@ func (s *streamRecorder) withoutTicks() []streamEvent {
 	return out
 }
 
-// Ways to drive one controller cycle.
-const (
-	driveFast     = iota // Tick, event-driven
-	driveStrict          // Tick, SetEventDriven(false)
-	driveParallel        // ScheduleChannel on one goroutine per channel
-)
-
 // recordStress runs TestStressInvariants' random traffic (refresh every
-// 3,000 cycles) to quiescence and returns the controller and everything
-// a recorder appended to c.obs saw; more observers listen after it.
-func recordStress(t *testing.T, policy core.Policy, channels, drive int, more ...Observer) (*Controller, *streamRecorder) {
+// 3,000 cycles) to quiescence, event-driven or under the per-cycle
+// oracle, and returns the controller and everything a recorder appended
+// to c.obs saw; more observers listen after it.
+func recordStress(t *testing.T, policy core.Policy, channels int, strict bool, more ...Observer) (*Controller, *streamRecorder) {
 	t.Helper()
 	cfg := DefaultConfig(3)
 	cfg.Channels = channels
@@ -94,28 +87,10 @@ func recordStress(t *testing.T, policy core.Policy, channels, drive int, more ..
 		t.Fatal(err)
 	}
 	c.OnReadDone = func(*core.Request, int64) {}
-	c.SetEventDriven(drive != driveStrict)
+	c.SetEventDriven(!strict)
 	rec := &streamRecorder{}
 	c.obs = append(append(c.obs, rec), more...)
 
-	tick := c.Tick
-	if drive == driveParallel {
-		tick = func(now int64) {
-			if !c.TickBegin(now) {
-				return
-			}
-			var wg sync.WaitGroup
-			for ch := 0; ch < channels; ch++ {
-				wg.Add(1)
-				go func(ch int) {
-					defer wg.Done()
-					c.ScheduleChannel(ch, now)
-				}(ch)
-			}
-			wg.Wait()
-			c.TickEnd(now)
-		}
-	}
 	seed := uint64(42)
 	now := int64(0)
 	for ; now < 30_000; now++ {
@@ -123,10 +98,10 @@ func recordStress(t *testing.T, policy core.Policy, channels, drive int, more ..
 		if x := seed; x%3 != 0 {
 			c.Accept(int(x>>20%3), (x>>8)%500_000, x%5 == 0, now)
 		}
-		tick(now)
+		c.Tick(now)
 	}
 	for quiet := 0; quiet < 2_000 && now < 230_000; now++ {
-		tick(now)
+		c.Tick(now)
 		if quiet++; c.PendingRequests() != 0 {
 			quiet = 0
 		}
@@ -251,8 +226,8 @@ func checkStreamGrammar(t *testing.T, c *Controller, events []streamEvent) {
 // activates can repeat — with First on exactly the first, and retires
 // once, reads at the cycle their CAS announced; no two live requests
 // share a Slot. (b) The stream minus OnTick is identical under the
-// per-cycle oracle and when ScheduleChannel runs concurrently, a
-// stronger equivalence than equal Results.
+// event-driven path and the per-cycle oracle, a stronger equivalence
+// than equal Results.
 func TestEventStream(t *testing.T) {
 	policies := map[string]func(banks int) core.Policy{
 		"FR-FCFS": func(int) core.Policy { return core.NewFRFCFS() },
@@ -265,18 +240,16 @@ func TestEventStream(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%dch", name, channels), func(t *testing.T) {
 				t.Parallel()
 				banks := channels * dram.DefaultConfig().Banks()
-				c, fast := recordStress(t, mk(banks), channels, driveFast)
+				c, fast := recordStress(t, mk(banks), channels, false)
 				checkStreamGrammar(t, c, fast.events)
 				want := fast.withoutTicks()
-				for drive, label := range map[int]string{driveStrict: "strict", driveParallel: "parallel"} {
-					_, rec := recordStress(t, mk(banks), channels, drive)
-					if got := rec.withoutTicks(); !reflect.DeepEqual(got, want) {
-						i := 0
-						for i < len(got) && i < len(want) && got[i] == want[i] {
-							i++
-						}
-						t.Errorf("%s stream diverges from the fast path's at event %d of %d/%d", label, i, len(got), len(want))
+				_, strict := recordStress(t, mk(banks), channels, true)
+				if got := strict.withoutTicks(); !reflect.DeepEqual(got, want) {
+					i := 0
+					for i < len(got) && i < len(want) && got[i] == want[i] {
+						i++
 					}
+					t.Errorf("strict stream diverges from the fast path's at event %d of %d/%d", i, len(got), len(want))
 				}
 			})
 		}

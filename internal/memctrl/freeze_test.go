@@ -102,7 +102,7 @@ func TestControllerFreezesKeyAtFirstCommand(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%dch", name, channels), func(t *testing.T) {
 				t.Parallel()
 				w := &freezeWatch{keys: map[uint64]int64{}}
-				c, _ := recordStress(t, guardPolicy(t, p, channels), channels, driveFast, w)
+				c, _ := recordStress(t, guardPolicy(t, p, channels), channels, false, w)
 				for _, e := range w.errs {
 					t.Error(e)
 				}
@@ -120,7 +120,7 @@ func TestControllerFreezesKeyAtFirstCommand(t *testing.T) {
 func TestFreezeWatchCatchesMissingFreeze(t *testing.T) {
 	w := &freezeWatch{keys: map[uint64]int64{}}
 	p := core.NewFQVFTF(stressShares, dram.DefaultConfig().Banks(), dram.DDR2800())
-	recordStress(t, p, 1, driveFast, unfreezer{}, w)
+	recordStress(t, p, 1, false, unfreezer{}, w)
 	if len(w.errs) == 0 || !strings.Contains(w.errs[0], "first command of request") {
 		t.Fatalf("a controller that does not freeze passed the watch: %v", w.errs)
 	}
@@ -182,7 +182,7 @@ func (w *vftWatch) AfterIssue(cmd audit.Cmd, now int64) {
 func TestVFTFreezeOnFirstCommand(t *testing.T) {
 	p := core.NewFRVFTF(stressShares, dram.DefaultConfig().Banks(), dram.DDR2800())
 	w := &vftWatch{t: t, p: p, want: map[uint64]core.VTime{}}
-	recordStress(t, p, 1, driveFast, w)
+	recordStress(t, p, 1, false, w)
 	if w.firsts == 0 || w.moved == 0 {
 		t.Fatalf("degenerate run: %d first commands, %d later commands with moved registers", w.firsts, w.moved)
 	}

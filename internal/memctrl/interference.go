@@ -48,17 +48,15 @@ import (
 //     cycle, so attrFrom == now and the charges already cover
 //     [arrival, now) exactly: conservation is structural, not tuned.
 //
-// Examination writes touch only per-slot and per-channel state, so the
-// parallel per-channel schedule phase stays race-free; the global
-// matrix is folded in TickEnd's canonical serial channel order, which
-// keeps parallel runs bit-identical to serial ones.
+// Charges made during a tick are staged and folded into the matrix at
+// tick end; every charge is a sum, so the fold's order cannot matter.
 //
-// The tracker's serial half (OnAccept, the service-start conservation
-// check in BeforeIssue) listens on the event stream like any Observer.
-// Its examination half (readyBase, exam, patchFallback, drain) is not
-// an event and stays a direct call: it runs inside the concurrent
-// schedule phase, where nothing is emitted, and the cube depends on
-// which cycles banks are examined on.
+// Half of the tracker (OnAccept, the service-start conservation check
+// in BeforeIssue) listens on the event stream like any Observer. Its
+// examination half (readyBase, exam, patchFallback, drain) is not an
+// event and stays a direct call: it runs inside ScheduleChannel, which
+// emits nothing, and the cube depends on which cycles banks are
+// examined on.
 
 // Attribution causes. Exclusive: each waited cycle lands in exactly one.
 const (
@@ -97,10 +95,10 @@ type InterferenceSnapshot struct {
 	Cross int64 `json:"cross"`
 }
 
-// Per-channel charges are staged in a channel-local copy of the cube
-// plus the list of touched cells, so a tick's many one-cycle charges to
-// the same (victim, aggressor, cause) coalesce into one fold and one
-// registry-counter bump at tick end.
+// A tick's charges are staged in a copy of the cube plus the list of
+// touched cells, so its many one-cycle charges to the same (victim,
+// aggressor, cause) coalesce into one fold and one registry-counter
+// bump at tick end.
 
 // intfReady is a request that was ready at the current cycle; whether
 // and to whom its current cycle is charged depends on the channel's
@@ -141,17 +139,18 @@ type intfTracker struct {
 	attr   []attrState
 	attrBy []int64 // nslots x aggrs
 
-	// cube[victim][aggressor][cause], flattened. Mutated only in the
-	// serial TickEnd fold; baseline is the copy taken when measurement
-	// begins, so windowed results exclude warmup.
+	// cube[victim][aggressor][cause], flattened. Mutated only by the
+	// fold in drain; baseline is the copy taken when measurement begins,
+	// so windowed results exclude warmup.
 	cube     []int64
 	baseline []int64
 
-	// Per-channel staging, written only by that channel's schedule
-	// phase. stage[ch] is cube-shaped; touched[ch] lists its nonzero
-	// cells. polCnt is drain's per-victim scratch.
-	stage   [][]int64
-	touched [][]int32
+	// Staging: stage is cube-shaped and touched lists its nonzero cells.
+	// ready[ch] and holds[ch] are per channel because drain resolves
+	// them against that channel's decision. polCnt is drain's per-victim
+	// scratch.
+	stage   []int64
+	touched []int32
 	ready   [][]intfReady
 	holds   [][]intfHold
 	polCnt  []int64
@@ -174,25 +173,23 @@ func newIntfTracker(c *Controller, reg *metrics.Registry) *intfTracker {
 	aggrs := threads + 1
 	nslots := len(c.arena)
 	nch := len(c.chans)
+	cells := threads * aggrs * numCauses
+	// Sized to the worst case so the steady state is allocation-free.
 	t := &intfTracker{
 		aud:      c.aud,
 		threads:  threads,
 		aggrs:    aggrs,
 		attr:     make([]attrState, nslots),
 		attrBy:   make([]int64, nslots*aggrs),
-		cube:     make([]int64, threads*aggrs*numCauses),
-		baseline: make([]int64, threads*aggrs*numCauses),
-		stage:    make([][]int64, nch),
-		touched:  make([][]int32, nch),
+		cube:     make([]int64, cells),
+		baseline: make([]int64, cells),
+		stage:    make([]int64, cells),
+		touched:  make([]int32, 0, cells),
 		ready:    make([][]intfReady, nch),
 		holds:    make([][]intfHold, nch),
 		polCnt:   make([]int64, threads),
 	}
-	cells := threads * aggrs * numCauses
-	for i := range t.stage {
-		// Sized to the worst case so the steady state is allocation-free.
-		t.stage[i] = make([]int64, cells)
-		t.touched[i] = make([]int32, 0, cells)
+	for i := range t.ready {
 		t.ready[i] = make([]intfReady, 0, nslots+4)
 		t.holds[i] = make([]intfHold, 0, c.cfg.DRAM.Ranks*c.cfg.DRAM.BanksPerRank+1)
 	}
@@ -252,22 +249,20 @@ func (t *intfTracker) classify(victim int, bc dram.BlockCause, th int) (cause, a
 }
 
 // charge attributes cycles to (victim, aggr, cause) for a slot: the
-// per-slot totals are updated immediately (slots belong to exactly one
-// channel, so this is safe from the parallel schedule phase); the
-// global matrix contribution is staged in the channel-local cube.
-func (t *intfTracker) charge(chIdx int, slot int32, victim, aggr, cause int, cycles int64) {
+// per-slot totals are updated immediately, the matrix contribution is
+// staged until the tick's fold.
+func (t *intfTracker) charge(slot int32, victim, aggr, cause int, cycles int64) {
 	t.attr[slot].total += cycles
 	t.attrBy[int(slot)*t.aggrs+aggr] += cycles
-	t.stageAdd(chIdx, (victim*t.aggrs+aggr)*numCauses+cause, cycles)
+	t.stageAdd((victim*t.aggrs+aggr)*numCauses+cause, cycles)
 }
 
 // stageAdd adds cycles to one staged-cube cell, tracking first touches.
-func (t *intfTracker) stageAdd(chIdx, idx int, cycles int64) {
-	st := t.stage[chIdx]
-	if st[idx] == 0 {
-		t.touched[chIdx] = append(t.touched[chIdx], int32(idx))
+func (t *intfTracker) stageAdd(idx int, cycles int64) {
+	if t.stage[idx] == 0 {
+		t.touched = append(t.touched, int32(idx))
 	}
-	st[idx] += cycles
+	t.stage[idx] += cycles
 }
 
 // exam attributes a request's wait and stages the request for the
@@ -286,14 +281,14 @@ func (t *intfTracker) exam(ch *dram.Channel, chIdx int, slot int32, victim int, 
 		if blockedEnd > f {
 			_, bc, th := ch.BlockingCause(kind, lb)
 			cause, aggr := t.classify(victim, bc, th)
-			t.charge(chIdx, slot, victim, aggr, cause, blockedEnd-f)
+			t.charge(slot, victim, aggr, cause, blockedEnd-f)
 		}
 		if now > blockedEnd {
 			// Ready cycles no examination charged (the span since the
 			// command became issuable, plus any invalidation gap).
 			// Structural conservation: charge them to the policy with no
 			// aggressor rather than lose them.
-			t.charge(chIdx, slot, victim, t.threads, causePolicy, now-blockedEnd)
+			t.charge(slot, victim, t.threads, causePolicy, now-blockedEnd)
 		}
 		t.attr[slot].from = now
 	}
@@ -317,10 +312,10 @@ func (t *intfTracker) patchFallback(chIdx, base, thread int) {
 func (t *intfTracker) readyBase(chIdx int) int { return len(t.ready[chIdx]) }
 
 // drain resolves the current-cycle charge for a channel's ready
-// requests against the channel's decision and folds the channel's
-// staged cube into the global matrix and its registry mirrors. Called
-// from TickEnd in canonical channel order, after the decision is
-// applied and before it is cleared.
+// requests against the channel's decision and folds everything staged
+// so far into the matrix and its registry mirrors, so once TickEnd has
+// drained the last channel nothing stays staged. Called from TickEnd for
+// each channel, after the decision is applied and before it is cleared.
 func (t *intfTracker) drain(c *Controller, chIdx int, d *decision, now int64) {
 	ready := t.ready[chIdx]
 	if len(ready) > 0 {
@@ -349,13 +344,13 @@ func (t *intfTracker) drain(c *Controller, chIdx int, d *decision, now int64) {
 			for v, n := range t.polCnt {
 				if n != 0 {
 					t.polCnt[v] = 0
-					t.stageAdd(chIdx, (v*t.aggrs+winner)*numCauses+causePolicy, n)
+					t.stageAdd((v*t.aggrs+winner)*numCauses+causePolicy, n)
 				}
 			}
 		case d.kind == decRefresh || c.refreshWanted[chIdx]:
 			for i := range ready {
 				e := &ready[i]
-				t.charge(chIdx, e.slot, int(e.victim), t.threads, causeRefresh, 1)
+				t.charge(e.slot, int(e.victim), t.threads, causeRefresh, 1)
 				t.attr[e.slot].from = now + 1
 			}
 		default:
@@ -371,7 +366,7 @@ func (t *intfTracker) drain(c *Controller, chIdx int, d *decision, now int64) {
 					h++
 				}
 				e := &ready[i]
-				t.charge(chIdx, e.slot, int(e.victim), aggr, causePolicy, 1)
+				t.charge(e.slot, int(e.victim), aggr, causePolicy, 1)
 				t.attr[e.slot].from = now + 1
 			}
 		}
@@ -379,21 +374,16 @@ func (t *intfTracker) drain(c *Controller, chIdx int, d *decision, now int64) {
 	}
 	t.holds[chIdx] = t.holds[chIdx][:0]
 
-	touched := t.touched[chIdx]
-	if len(touched) == 0 {
-		return
-	}
-	st := t.stage[chIdx]
-	for _, idx := range touched {
-		cycles := st[idx]
-		st[idx] = 0
+	for _, idx := range t.touched {
+		cycles := t.stage[idx]
+		t.stage[idx] = 0
 		t.cube[idx] += cycles
 		if t.pairCtr != nil {
 			t.pairCtr[int(idx)/numCauses].Add(cycles)
 			t.causeCtr[int(idx)%numCauses].Add(cycles)
 		}
 	}
-	t.touched[chIdx] = touched[:0]
+	t.touched = t.touched[:0]
 }
 
 // BeforeIssue finalizes a request's attribution at its CAS issue: by

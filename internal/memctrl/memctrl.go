@@ -126,10 +126,28 @@ func DefaultConfig(threads int) Config {
 	}
 }
 
-// MaxChannels is the largest supported channel count. Every channel is
-// a full DRAM model plus per-bank scheduler state, so the count is
-// refused above the largest geometry the roadmap considers.
-const MaxChannels = 16
+// The counts the controller, the DRAM model and the policies size their
+// state from are bounded, so a legal but enormous configuration costs
+// an error, not the memory it asks for.
+const (
+	// MaxChannels bounds the channel count: every channel is a full
+	// DRAM model plus per-bank scheduler state. 16 is the largest
+	// geometry the roadmap considers.
+	MaxChannels = 16
+
+	// MaxBanksPerChannel bounds ranks x banks per rank: every bank is a
+	// DRAM state machine, scheduler wake state, per-bank policy state
+	// and one transaction queue per thread. The largest channel any
+	// simulated system here uses has 16 banks (two ranks of eight); 64,
+	// four times that, also holds a four-rank DDR4 channel.
+	MaxBanksPerChannel = 64
+
+	// MaxEntriesPerThread bounds each thread's read and write buffer
+	// partitions, from which the request arena and every (bank, thread)
+	// queue are sized. The deepest partition used here is 32 (Table 5:
+	// 16); the bound is four times that.
+	MaxEntriesPerThread = 128
+)
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
@@ -144,12 +162,18 @@ func (c Config) Validate() error {
 		return fmt.Errorf("memctrl: mapper %s addresses %+v, the DRAM is %+v", c.Mapper.Name(), c.Mapper.Geometry(), c.Geometry())
 	case c.Channels > MaxChannels:
 		return fmt.Errorf("memctrl: %d channels, more than the supported maximum of %d", c.Channels, MaxChannels)
+	case c.DRAM.Banks() > MaxBanksPerChannel:
+		return fmt.Errorf("memctrl: %d banks per channel (%d ranks of %d), more than the supported maximum of %d",
+			c.DRAM.Banks(), c.DRAM.Ranks, c.DRAM.BanksPerRank, MaxBanksPerChannel)
 	case c.Threads < 1:
 		return fmt.Errorf("memctrl: threads must be >= 1, got %d", c.Threads)
 	case c.ReadEntriesPerThread < 1:
 		return fmt.Errorf("memctrl: read entries per thread must be >= 1, got %d", c.ReadEntriesPerThread)
 	case c.WriteEntriesPerThread < 1:
 		return fmt.Errorf("memctrl: write entries per thread must be >= 1, got %d", c.WriteEntriesPerThread)
+	case c.ReadEntriesPerThread > MaxEntriesPerThread || c.WriteEntriesPerThread > MaxEntriesPerThread:
+		return fmt.Errorf("memctrl: %d read and %d write entries per thread, more than the supported maximum of %d",
+			c.ReadEntriesPerThread, c.WriteEntriesPerThread, MaxEntriesPerThread)
 	}
 	return nil
 }
@@ -340,13 +364,13 @@ type Controller struct {
 	stats    []ThreadStats
 	cmdCount [6]int64 // by dram.Kind
 
-	// Per-channel scheduling scratch and decisions. ScheduleChannel for
-	// channel c writes only dec[c], chanCands[c], and c's partition of
-	// the wake lists / key and pick caches / refresh flags, so distinct
-	// channels can be scheduled concurrently; TickEnd applies the
-	// decisions serially in canonical channel order.
-	dec       []decision
-	chanCands [][]candidate
+	// dec[c] is channel c's scheduling outcome for the current cycle:
+	// ScheduleChannel records it and TickEnd applies it, in channel
+	// order, so decisions are carried across the split of Tick (see
+	// Tick for why the split stays). cands is ScheduleChannel's
+	// candidate scratch, reused channel after channel.
+	dec   []decision
+	cands []candidate
 
 	// Event-driven scheduling state. bankWake[b] is a conservative lower
 	// bound on the next cycle bankSchedule(b) could offer a candidate;
@@ -368,8 +392,8 @@ type Controller struct {
 	bankQuiet   []int64
 	nextEvent   int64
 
-	// sched counts the scheduler's own work per channel (each channel's
-	// schedule phase writes only its entry); see SchedCounts.
+	// sched counts the scheduler's own work per channel, the layout the
+	// checkpoint serializes; see SchedCounts.
 	sched []schedWork
 
 	// ticker is the policy's interval entry point (nil for policies
@@ -441,7 +465,7 @@ func New(cfg Config, policy core.Policy) (*Controller, error) {
 		nextRefreshAt: make([]int64, nch),
 		stats:         make([]ThreadStats, cfg.Threads),
 		dec:           make([]decision, nch),
-		chanCands:     make([][]candidate, nch),
+		cands:         make([]candidate, 0, cfg.DRAM.Banks()),
 		eventDriven:   true,
 		bankWake:      make([]int64, nch*cfg.DRAM.Banks()),
 		bankQuiet:     make([]int64, nch*cfg.DRAM.Banks()),
@@ -453,9 +477,6 @@ func New(cfg Config, policy core.Policy) (*Controller, error) {
 	}
 	for i := range c.thrEpoch {
 		c.thrEpoch[i] = 1
-	}
-	for i := range c.chanCands {
-		c.chanCands[i] = make([]candidate, 0, cfg.DRAM.Banks())
 	}
 	for i := range c.inflight {
 		c.inflight[i] = make([]inflightRead, 0, nslots)
@@ -778,10 +799,13 @@ func better(a, b *candidate) bool {
 
 // Tick advances the controller one cycle: completes finished reads,
 // manages refresh, and issues at most one SDRAM command per channel,
-// chosen by the bank and channel schedulers. It is the serial
-// composition of the three phases below; a parallel driver may instead
-// call TickBegin, then ScheduleChannel for every channel (concurrently
-// across channels), then TickEnd, with bit-identical results.
+// chosen by the bank and channel schedulers. It is the composition of
+// the three phases below, which stay separate methods for two reasons:
+// the observer seam is defined against them (ScheduleChannel decides and
+// emits nothing, TickEnd applies the decisions and emits in channel
+// order; DESIGN §18), and a caller that times the phases (the
+// benchmark's traced loop) can call TickBegin, ScheduleChannel for each
+// channel in order, then TickEnd, with results identical to Tick.
 func (c *Controller) Tick(now int64) {
 	if !c.TickBegin(now) {
 		return
@@ -792,8 +816,8 @@ func (c *Controller) Tick(now int64) {
 	c.TickEnd(now)
 }
 
-// TickBegin runs the serial head of a tick: the event-driven fast
-// path, read-completion delivery, and the virtual-clock update. It
+// TickBegin runs the head of a tick: the event-driven fast path,
+// read-completion delivery, and the virtual-clock update. It
 // reports whether the scheduling phases (ScheduleChannel + TickEnd)
 // must run; false means the tick is already complete.
 func (c *Controller) TickBegin(now int64) bool {
@@ -869,15 +893,14 @@ func (c *Controller) TickBegin(now int64) bool {
 
 // ScheduleChannel runs one channel's refresh management and bank
 // schedulers for cycle now and records the outcome in the channel's
-// decision without applying it. It writes only channel-partitioned
-// state — the channel's decision, candidate scratch, bank wake times,
-// refresh-wanted flag, and its requests' cached keys and picks — and
-// reads only state no other channel's schedule phase writes, so
-// distinct channels may be scheduled concurrently. The policy's Key
-// purity contract (core.Policy) is what makes the candidate ranking
-// safe here: Key depends only on request-immutable fields and
-// same-channel policy state, both constant until TickEnd applies the
-// decisions.
+// decision without applying it; it emits no event. It writes the
+// channel's decision, bank wake times, refresh-wanted flag and its
+// requests' cached keys and picks, and nothing another channel's
+// ranking reads, so the order channels are scheduled in within a cycle
+// does not matter. The policy's Key purity contract (core.Policy) is
+// what makes the ranking sound: Key depends only on request-immutable
+// fields and same-channel policy state, both constant until TickEnd
+// applies the decisions.
 func (c *Controller) ScheduleChannel(chIdx int, now int64) {
 	ch := c.chans[chIdx]
 	d := &c.dec[chIdx]
@@ -909,7 +932,7 @@ func (c *Controller) ScheduleChannel(chIdx int, now int64) {
 	// Dormant banks (wake time in the future) are skipped: nothing
 	// that changes their readiness has happened since the wake was
 	// computed, or the wake would have been invalidated.
-	cands := c.chanCands[chIdx][:0]
+	cands := c.cands[:0]
 	lo := chIdx * c.banksPerChan
 	for b := lo; b < lo+c.banksPerChan; b++ {
 		if c.eventDriven && c.bankWake[b] > now {
@@ -922,7 +945,7 @@ func (c *Controller) ScheduleChannel(chIdx int, now int64) {
 		c.bankWake[b] = wake
 		c.bankQuiet[b] = quiet
 	}
-	c.chanCands[chIdx] = cands
+	c.cands = cands
 	if len(cands) == 0 {
 		return
 	}
@@ -938,10 +961,9 @@ func (c *Controller) ScheduleChannel(chIdx int, now int64) {
 	d.cand = *best
 }
 
-// TickEnd applies every channel's decision in canonical channel order
-// — the single-threaded merge that keeps parallel scheduling
-// bit-identical to the serial loop — and recomputes the next-event
-// bound.
+// TickEnd applies every channel's decision in channel order, emitting
+// OnRefresh or the command events as it goes, resolves the interference
+// tracker's charges for the cycle, and recomputes the next-event bound.
 func (c *Controller) TickEnd(now int64) {
 	for chIdx, ch := range c.chans {
 		d := &c.dec[chIdx]

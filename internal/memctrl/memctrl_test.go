@@ -344,6 +344,14 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(bad, core.NewFRFCFS()); err == nil {
 		t.Error("accepted invalid DRAM timing")
 	}
+	// The size bounds are inclusive.
+	edge := DefaultConfig(1)
+	edge.Channels = MaxChannels
+	edge.DRAM.Ranks, edge.DRAM.BanksPerRank = 4, MaxBanksPerChannel/4
+	edge.ReadEntriesPerThread, edge.WriteEntriesPerThread = MaxEntriesPerThread, MaxEntriesPerThread
+	if err := edge.Validate(); err != nil {
+		t.Errorf("refused a configuration at every size bound: %v", err)
+	}
 }
 
 func TestRowPolicyString(t *testing.T) {

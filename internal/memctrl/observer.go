@@ -7,12 +7,13 @@ import (
 
 // Observer is the controller's one event stream (DESIGN §18): what a
 // consumer may learn about a run, in the order it happened. Events are
-// emitted only from the serial phases — Accept, TickBegin and TickEnd —
-// never from the concurrent ScheduleChannel, so an observer needs no
-// synchronisation and sees the same stream however channels are
-// scheduled. Observers must not change simulated state. *audit.Auditor
-// re-derives every timing, conservation and VTMS invariant from these
-// six calls alone, which is the evidence that the stream is sufficient.
+// emitted only from Accept, TickBegin and TickEnd, never from
+// ScheduleChannel, so an observer hears a decision when it is applied
+// and the stream is the same under the per-cycle oracle and the
+// event-driven path. Observers must not change simulated state.
+// *audit.Auditor re-derives every timing, conservation and VTMS
+// invariant from these six calls alone, which is the evidence that the
+// stream is sufficient.
 type Observer interface {
 	// OnAccept follows a successful Accept, the request queued.
 	OnAccept(r *core.Request, now int64)

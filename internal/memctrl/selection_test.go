@@ -256,7 +256,7 @@ func selectionRun(t *testing.T, cfg Config, policy core.Policy, plant int) (chec
 				if !want.ok {
 					want.slot = noSlot
 				}
-				for _, cand := range c.chanCands[chIdx] {
+				for _, cand := range c.cands {
 					if cand.bank == b {
 						got.ok, got.slot, got.kind, got.key, got.inverted = true, cand.slot, cand.kind, cand.key, cand.inverted
 					}

@@ -6,12 +6,10 @@ import (
 	"repro/internal/trace"
 )
 
-// TestStepZeroSteadyStateAllocs asserts the arena/ring refactor's
-// contract: once warmed past its peak occupancy, Step allocates
-// nothing — request slots recycle through the controller's free list,
-// transit queues reuse their backing arrays, and the parallel
-// dispatch path reuses one persistent closure. Both serial and
-// parallel modes are held to the same bar.
+// TestStepZeroSteadyStateAllocs asserts the arena/ring contract: once
+// warmed past its peak occupancy, Step allocates nothing — request slots
+// recycle through the controller's free list and transit queues reuse
+// their backing arrays.
 func TestStepZeroSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement is slow")
@@ -25,33 +23,26 @@ func TestStepZeroSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name    string
-		policy  PolicyFactory
-		workers int
+		name   string
+		policy PolicyFactory
 	}{
-		{"serial", FQVFTF, 0},
-		{"parallel", FQVFTF, 4},
+		{"fqvftf", FQVFTF},
 		// The interval policies' Tick paths (blacklist promotion, boost
 		// retarget, budget refill) are held to the same zero-alloc bar.
-		{"bliss", BLISS, 0},
-		{"slowfair", SLOWFAIR, 0},
-		{"bankbw", BANKBW, 4},
+		{"bliss", BLISS},
+		{"slowfair", SLOWFAIR},
+		{"bankbw", BANKBW},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{
 				Workload: []trace.Profile{art, vpr, art, vpr},
 				Policy:   tc.policy,
 				Seed:     37,
-				Workers:  tc.workers,
 			}
 			cfg.Mem.Channels = 2
 			s, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
-			}
-			defer s.Close()
-			if tc.workers > 1 && s.pool == nil {
-				t.Fatal("parallel path not engaged: pool degraded to serial")
 			}
 			// Warm far past peak queue/arena occupancy so every buffer
 			// has reached its high-water capacity.

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"bytes"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -65,11 +68,9 @@ func TestNamedConfig(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := New(cfg)
-			if err != nil {
+			if _, err := New(cfg); err != nil {
 				t.Fatalf("New refused what NamedConfig accepted: %v", err)
 			}
-			s.Close()
 		})
 	}
 
@@ -84,7 +85,6 @@ func TestNamedConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	if !s.SetShare(0, core.Share{Num: 3, Den: 4}) || !s.SetShare(1, core.Share{Num: 1, Den: 4}) {
 		t.Fatal("FQ-VFTF refused a share reassignment")
 	}
@@ -131,6 +131,14 @@ func TestHostileConfigValues(t *testing.T) {
 		{"negative cols", shape(func(d *dram.Config) { d.ColsPerRow = -128 }), "cols per row must be a positive power of two, got -128"},
 		{"a hundred cols", shape(func(d *dram.Config) { d.ColsPerRow = 100 }), "cols per row must be a positive power of two, got 100"},
 		{"more lines than addresses", shape(func(d *dram.Config) { d.RowsPerBank = 1 << 54 }), "RowsPerBank:18014398509481984 ColsPerRow:128} needs 64 line-address bits"},
+		// Legal shapes and depths that used to be sized as asked: four
+		// billion banks or a trillion entries died with a fatal
+		// out-of-memory no recover can catch, the rest were accepted.
+		{"four billion banks per channel", shape(func(d *dram.Config) { d.Ranks, d.BanksPerRank = 1<<16, 1<<16 }), "4294967296 banks per channel (65536 ranks of 65536), more than the supported maximum of 64"},
+		{"a million banks per channel", shape(func(d *dram.Config) { d.Ranks, d.BanksPerRank = 1<<10, 1<<10 }), "1048576 banks per channel"},
+		{"twice the bank bound", shape(func(d *dram.Config) { d.Ranks, d.BanksPerRank = 8, 16 }), "128 banks per channel (8 ranks of 16)"},
+		{"a trillion read entries", func(c *Config) { c.Mem.ReadEntriesPerThread = 1 << 40 }, "1099511627776 read and 8 write entries per thread, more than the supported maximum of 128"},
+		{"write entries past the bound", func(c *Config) { c.Mem.WriteEntriesPerThread = memctrl.MaxEntriesPerThread + 1 }, "16 read and 129 write entries per thread"},
 		// A mapper over another shape used to pass New and index out of
 		// range on the first Accept.
 		{"mapper over another shape", func(c *Config) {
@@ -192,7 +200,6 @@ func TestSetMemFieldsReachTheController(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	ctrl := s.Controller()
 	for _, want := range []struct {
 		isWrite bool
@@ -225,9 +232,143 @@ func TestObserverSwitchesAreSimConfigFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	if s.Controller().Auditor() != nil || s.Controller().InterferenceEnabled() || s.cfg.Mem.Metrics != nil {
 		t.Error("an observer set only on Config.Mem is listening")
+	}
+}
+
+// TestWorkersFieldIsInert holds the deprecated Config.Workers and
+// System.Close to doing nothing: a run with Workers set is the run
+// without it, to the last checkpoint byte, and neither New, Step nor
+// Close starts or stops a goroutine.
+func TestWorkersFieldIsInert(t *testing.T) {
+	base := Config{
+		Workload:       []trace.Profile{profile(t, "art"), profile(t, "vpr")},
+		Policy:         FQVFTF,
+		Seed:           23,
+		Audit:          true,
+		SampleInterval: 1_000,
+	}
+	base.Mem.Channels = 2
+	run := func(workers int) (Result, []byte) {
+		cfg := base
+		cfg.Workers = workers
+		before := runtime.NumGoroutine()
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Step(2_000)
+		s.BeginMeasurement()
+		s.Step(8_000)
+		s.FinishAudit()
+		if n := runtime.NumGoroutine(); n != before {
+			t.Errorf("Workers %d: %d goroutines after New and Step, %d before", workers, n, before)
+		}
+		var ck bytes.Buffer
+		if err := s.Checkpoint(&ck); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		if n := runtime.NumGoroutine(); n != before {
+			t.Errorf("Workers %d: %d goroutines after Close, %d before New", workers, n, before)
+		}
+		return s.Results(), ck.Bytes()
+	}
+	wantRes, wantCk := run(0)
+	gotRes, gotCk := run(4)
+	if !reflect.DeepEqual(gotRes, wantRes) {
+		t.Errorf("Workers 4 changed the Result:\n got: %+v\nwant: %+v", gotRes, wantRes)
+	}
+	if !bytes.Equal(gotCk, wantCk) {
+		t.Errorf("Workers 4 changed the checkpoint (%d vs %d bytes)", len(gotCk), len(wantCk))
+	}
+}
+
+// TestParallelEquivalence holds every policy to what the benchmark's
+// parallel layer checks when it sets Workers: serial's bytes. Each
+// policy runs a 2-channel art+vpr mix with the invariant auditor and
+// epoch sampling enabled, through dozens of short refresh windows,
+// checkpointing once mid-refresh and once at the end, with Workers 0
+// and Workers 4: Results, controller fingerprints and both checkpoints'
+// raw bytes must match exactly.
+func TestParallelEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("equivalence sweep is slow")
+	}
+	for _, name := range PolicyNames() {
+		factory, err := PolicyByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			run := func(workers int) (Result, controllerFingerprint, []byte, []byte) {
+				cfg := Config{
+					Workload:       []trace.Profile{profile(t, "art"), profile(t, "vpr")},
+					Policy:         factory,
+					Seed:           23,
+					Audit:          true,
+					SampleInterval: 5_000,
+					Workers:        workers,
+				}
+				cfg.Mem.Channels = 2
+				cfg.Mem.DRAM = dram.DefaultConfig()
+				cfg.Mem.DRAM.Timing.TREF = 7_000
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.Step(20_000)
+				// Hunt for a cycle with a refresh actually in progress so
+				// the mid-run checkpoint covers paused-vclock state.
+				inRefresh := false
+				for i := 0; i < 30_000; i++ {
+					s.Step(1)
+					if s.Controller().Channel().InRefresh(s.Cycle()) {
+						inRefresh = true
+						break
+					}
+				}
+				if !inRefresh {
+					t.Fatal("no refresh window reached")
+				}
+				var mid bytes.Buffer
+				if err := s.Checkpoint(&mid); err != nil {
+					t.Fatal(err)
+				}
+				s.BeginMeasurement()
+				s.Step(80_000)
+				s.FinishAudit()
+				var end bytes.Buffer
+				if err := s.Checkpoint(&end); err != nil {
+					t.Fatal(err)
+				}
+				ctrl := s.Controller()
+				fp := controllerFingerprint{VClock: ctrl.VClock()}
+				for k := dram.KindActivate; k <= dram.KindRefresh; k++ {
+					fp.Commands[k] = ctrl.CommandCount(k)
+				}
+				return s.Results(), fp, mid.Bytes(), end.Bytes()
+			}
+			serRes, serFP, serMid, serEnd := run(0)
+			wRes, wFP, wMid, wEnd := run(4)
+			if !reflect.DeepEqual(serRes, wRes) {
+				t.Errorf("Result diverges:\n Workers 0: %+v\n Workers 4: %+v", serRes, wRes)
+			}
+			if serFP != wFP {
+				t.Errorf("controller state diverges:\n Workers 0: %+v\n Workers 4: %+v", serFP, wFP)
+			}
+			if !bytes.Equal(serMid, wMid) {
+				t.Errorf("mid-refresh checkpoint bytes diverge (%d vs %d bytes)", len(serMid), len(wMid))
+			}
+			if !bytes.Equal(serEnd, wEnd) {
+				t.Errorf("final checkpoint bytes diverge (%d vs %d bytes)", len(serEnd), len(wEnd))
+			}
+			if serFP.Commands[dram.KindRefresh] < 10 {
+				t.Errorf("run crossed only %d refresh windows, want many", serFP.Commands[dram.KindRefresh])
+			}
+		})
 	}
 }
 
@@ -268,7 +409,6 @@ func FuzzNamedConfig(f *testing.F) {
 		if err != nil {
 			t.Fatalf("New refused what NamedConfig accepted: %v", err)
 		}
-		defer s.Close()
 		s.Step(300)
 	})
 }

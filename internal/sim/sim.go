@@ -17,7 +17,6 @@ import (
 	"repro/internal/dram"
 	"repro/internal/memctrl"
 	"repro/internal/metrics"
-	"repro/internal/par"
 	"repro/internal/trace"
 )
 
@@ -217,15 +216,12 @@ type Config struct {
 	// metrics.DefaultSampleCapacity).
 	SampleCapacity int
 
-	// Workers > 1 enables intra-run parallelism: each cycle, per-channel
-	// bank scheduling and per-core work fan out across a fork/join pool
-	// of that total size (capped at GOMAXPROCS and at the useful width
-	// channels+cores), and a single-threaded merge then applies the
-	// cross-channel decisions in canonical channel order. Results,
-	// telemetry series, and checkpoint bytes are bit-identical to serial
-	// mode (the equivalence suite asserts it). 0 and 1 mean serial.
-	// Strict mode always runs serially. Systems with Workers > 1 own
-	// pool goroutines: call Close when done.
+	// Workers is ignored: a System always steps on the calling
+	// goroutine.
+	//
+	// Deprecated: it remains only because the benchmark harness's par.*
+	// probe (bench/layers.go) assigns it, and goes with that probe in the
+	// next change to the harness.
 	Workers int
 }
 
@@ -323,9 +319,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.RespTransit == 0 {
 		c.RespTransit = 10
 	}
-	// A negative transit would deliver a fill before its data burst ends
-	// (and Step's parallel phases need a response never due the cycle it
-	// is queued); a negative interval or capacity sizes nothing.
+	// A negative transit would deliver a fill before its data burst ends;
+	// a negative interval or capacity sizes nothing.
 	if c.ReqTransit < 0 || c.RespTransit < 0 || c.SampleInterval < 0 || c.SampleCapacity < 0 {
 		return c, fmt.Errorf("sim: transits (request %d, response %d), sample interval %d and capacity %d must not be negative",
 			c.ReqTransit, c.RespTransit, c.SampleInterval, c.SampleCapacity)
@@ -393,11 +388,11 @@ type System struct {
 	// coreWake[i] is core i's NextWork bound as of its last tick: until
 	// that cycle, or a fill due sooner, coreStep leaves the core dormant.
 	// Not serialized: zero after New and Restore, which only costs each
-	// core one tick it may not have needed. coreTicks counts the ticks
-	// run, per core because cores may step concurrently; stepped counts
-	// the cycles simulated rather than skipped (see StepCounts).
+	// core one tick it may not have needed. coreTicks counts the core
+	// ticks run and stepped the cycles simulated rather than skipped (see
+	// StepCounts).
 	coreWake  []int64
-	coreTicks []int64
+	coreTicks int64
 	stepped   int64
 
 	// latHist holds the per-thread end-to-end read-latency histograms
@@ -411,17 +406,6 @@ type System struct {
 	sampler   *metrics.Sampler
 	fair      *memctrl.FairnessMonitor
 	epochNext int64
-
-	// Intra-run parallelism (nil pool = serial). parTask is a persistent
-	// closure over the par* fields so the hot loop dispatches work with
-	// zero allocations: task indices [0, parNch) schedule one channel
-	// each (skipped when parSched is false), the rest advance one core
-	// each. See Step for the phase layout and why it is race-free.
-	pool     *par.Pool
-	parTask  func(int)
-	parNow   int64
-	parNch   int
-	parSched bool
 
 	snap baseline
 }
@@ -455,8 +439,7 @@ func New(cfg Config) (*System, error) {
 		wbQ:    make([]timedQueue, n),
 		respQ:  make([]timedQueue, n),
 
-		coreWake:  make([]int64, n),
-		coreTicks: make([]int64, n),
+		coreWake: make([]int64, n),
 	}
 	for i := 0; i < n; i++ {
 		cpuCfg, cacheCfg := cfg.CPU, cfg.Cache
@@ -512,31 +495,15 @@ func New(cfg Config) (*System, error) {
 		s.epochNext = cfg.SampleInterval
 	}
 	ctrl.SetEventDriven(!cfg.Strict)
-	if !cfg.Strict && cfg.Workers > 1 {
-		s.parNch = ctrl.Channels()
-		width := s.parNch + n
-		w := cfg.Workers
-		if w > width {
-			w = width
-		}
-		s.pool = par.New(w)
-		s.parTask = func(i int) {
-			if s.parSched {
-				if i < s.parNch {
-					s.ctrl.ScheduleChannel(i, s.parNow)
-					return
-				}
-				i -= s.parNch
-			}
-			s.coreStep(i, s.parNow)
-		}
-	}
 	return s, nil
 }
 
-// Close releases the intra-run worker pool's goroutines; a no-op for
-// serial systems. The System must not be stepped afterwards.
-func (s *System) Close() { s.pool.Close() }
+// Close does nothing: a System holds no goroutines or other resources.
+//
+// Deprecated: it remains only because the benchmark harness
+// (bench/layers.go, bench/workloads.go) calls it, and goes with the
+// harness's par.* probe in the next change to the harness.
+func (s *System) Close() {}
 
 // Sampler returns the epoch sampler (nil unless Config.SampleInterval
 // is set).
@@ -639,11 +606,7 @@ type StepCounts struct {
 
 // StepCounts returns the counts so far.
 func (s *System) StepCounts() StepCounts {
-	n := StepCounts{Stepped: s.stepped}
-	for _, t := range s.coreTicks {
-		n.CoreTicks += t
-	}
-	return n
+	return StepCounts{Stepped: s.stepped, CoreTicks: s.coreTicks}
 }
 
 // Step advances the system by n cycles. Unless Config.Strict is set it
@@ -659,36 +622,9 @@ func (s *System) Step(n int64) {
 	for s.cycle < end {
 		now := s.cycle
 		s.stepped++
-		if s.pool != nil {
-			// Parallel cycle. Phase 1 (serial): read completions and the
-			// virtual clock (TickBegin), which append response fills —
-			// never due this cycle, RespTransit >= 1. Phase 2 (one
-			// fork/join): every channel's bank scheduling and every
-			// core's cycle, concurrently — channels write only
-			// channel-partitioned controller state, cores only their own
-			// state, and neither reads what the other writes. Phase 3
-			// (serial): TickEnd applies the channel decisions in
-			// canonical channel order, then the acceptance attempts run
-			// in core order. The serial path below interleaves these
-			// phases per core/channel; the phases commute (cores never
-			// read controller state, accepts are the cores' only
-			// controller writes and stay in core order), so both paths
-			// are bit-identical.
-			s.parNow = now
-			s.parSched = s.ctrl.TickBegin(now)
-			ntasks := len(s.cores)
-			if s.parSched {
-				ntasks += s.parNch
-			}
-			s.pool.Run(ntasks, s.parTask)
-			if s.parSched {
-				s.ctrl.TickEnd(now)
-			}
-		} else {
-			s.ctrl.Tick(now)
-			for i := range s.cores {
-				s.coreStep(i, now)
-			}
+		s.ctrl.Tick(now)
+		for i := range s.cores {
+			s.coreStep(i, now)
 		}
 		for i := range s.cores {
 			// Offer due requests to the controller (one read and one
@@ -733,9 +669,8 @@ func (s *System) Step(n int64) {
 // coreStep advances core i through cycle now: deliver due fills, tick
 // the pipeline, and drain new misses and writebacks into the transit
 // queues. It touches only core i's state (core, hierarchy, and the
-// core's three queues), so distinct cores may step concurrently; the
-// acceptance attempts, which do mutate the controller, stay in Step's
-// serial tail.
+// core's three queues); the acceptance attempts, which mutate the
+// controller, run after every core has stepped, in core order.
 //
 // Per-core dormancy: a core whose last tick left NextWork in the future
 // is not ticked again before that cycle unless a fill is due — the
@@ -751,7 +686,7 @@ func (s *System) coreStep(i int, now int64) {
 			return
 		}
 	}
-	s.coreTicks[i]++
+	s.coreTicks++
 	// Deliver due fills.
 	for {
 		e, ok := s.respQ[i].peek()

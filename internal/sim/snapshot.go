@@ -139,7 +139,7 @@ func (s *System) Checkpoint(w io.Writer) error {
 // written by Checkpoint into it. The snapshot's configuration
 // fingerprint must match cfg; component geometry is additionally
 // verified section by section. Components decode in place, so on any
-// error the half-loaded system is released and nil is returned.
+// error the half-loaded system is dropped and nil is returned.
 //
 // Restore never panics on hostile or corrupted input: all lengths are
 // capped before allocation, all indices are validated before use, and a
@@ -149,8 +149,7 @@ func Restore(cfg Config, rd io.Reader) (s *System, err error) {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("sim: restore: corrupt snapshot: %v", p)
 		}
-		if err != nil && s != nil {
-			s.Close()
+		if err != nil {
 			s = nil
 		}
 	}()

@@ -190,9 +190,6 @@ func TestRestoreHostileCounts(t *testing.T) {
 		if err != nil && s != nil {
 			t.Fatalf("Restore returned a system alongside error %v", err)
 		}
-		if s != nil {
-			s.Close()
-		}
 		return alloc, err
 	}
 	budget, err := restore(valid)

@@ -244,27 +244,24 @@ func sanitize(s string) string {
 // TestCheckpointInsideRefreshWindow checkpoints while channel 0 is mid
 // refresh — the one span where the virtual clock is paused and the
 // controller's wake state points at the refresh end — and requires the
-// resumed run to remain bit-identical.
+// resumed run to remain bit-identical through several more refresh
+// windows, audited and sampled. Every policy runs on two channels, and
+// FQ-VFTF on one as well.
 func TestCheckpointInsideRefreshWindow(t *testing.T) {
-	art, err := trace.ByName("art")
-	if err != nil {
-		t.Fatal(err)
+	type row struct {
+		name     string
+		factory  PolicyFactory
+		channels int
 	}
-	vpr, err := trace.ByName("vpr")
-	if err != nil {
-		t.Fatal(err)
+	rows := []row{{"FQ-VFTF/1ch", FQVFTF, 1}}
+	for _, name := range PolicyNames() {
+		factory, err := PolicyByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row{name + "/2ch", factory, 2})
 	}
-	cfg := Config{
-		Workload:       []trace.Profile{art, vpr},
-		Policy:         FQVFTF,
-		Seed:           17,
-		Audit:          true,
-		SampleInterval: 1_000,
-	}
-	cfg.Mem.DRAM = dram.DefaultConfig()
-	cfg.Mem.DRAM.Timing.TREF = 7_000
-
-	stepIntoRefresh := func(s *System) {
+	stepIntoRefresh := func(t *testing.T, s *System) {
 		t.Helper()
 		for i := 0; i < 30_000; i++ {
 			s.Step(1)
@@ -274,49 +271,64 @@ func TestCheckpointInsideRefreshWindow(t *testing.T) {
 		}
 		t.Fatal("no refresh window reached")
 	}
+	const tail = 30_000
+	for _, r := range rows {
+		r := r
+		t.Run(r.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := Config{
+				Workload:       []trace.Profile{profile(t, "art"), profile(t, "vpr")},
+				Policy:         r.factory,
+				Seed:           17,
+				Audit:          true,
+				SampleInterval: 1_000,
+			}
+			cfg.Mem.Channels = r.channels
+			cfg.Mem.DRAM = dram.DefaultConfig()
+			cfg.Mem.DRAM.Timing.TREF = 7_000
 
-	const tail = 9_000
+			ref, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.Step(2_000)
+			ref.BeginMeasurement()
+			stepIntoRefresh(t, ref)
+			ckCycle := ref.Cycle()
+			ref.Step(tail)
+			ref.FinishAudit()
+			want := captureRun(t, ref)
+			if want.Ctrl.Commands[dram.KindRefresh] < 3*int64(r.channels) {
+				t.Errorf("run issued only %d refreshes", want.Ctrl.Commands[dram.KindRefresh])
+			}
 
-	ref, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+			first, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first.Step(2_000)
+			first.BeginMeasurement()
+			stepIntoRefresh(t, first)
+			if first.Cycle() != ckCycle {
+				t.Fatalf("refresh reached at cycle %d, reference at %d", first.Cycle(), ckCycle)
+			}
+			var buf bytes.Buffer
+			if err := first.Checkpoint(&buf); err != nil {
+				t.Fatal(err)
+			}
+			resumed, err := Restore(cfg, bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resumed.Controller().Channel().InRefresh(resumed.Cycle()) {
+				t.Fatal("restored system is not mid-refresh")
+			}
+			resumed.Step(tail)
+			resumed.FinishAudit()
+			got := captureRun(t, resumed)
+			compareRuns(t, "snapshot-refresh-window-"+sanitize(r.name), got, want)
+		})
 	}
-	ref.Step(2_000)
-	ref.BeginMeasurement()
-	stepIntoRefresh(ref)
-	ckCycle := ref.Cycle()
-	ref.Step(tail)
-	ref.FinishAudit()
-	want := captureRun(t, ref)
-
-	first, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first.Step(2_000)
-	first.BeginMeasurement()
-	stepIntoRefresh(first)
-	if first.Cycle() != ckCycle {
-		t.Fatalf("refresh reached at cycle %d, reference at %d", first.Cycle(), ckCycle)
-	}
-	if !first.Controller().Channel().InRefresh(first.Cycle()) {
-		t.Fatal("not in refresh at checkpoint cycle")
-	}
-	var buf bytes.Buffer
-	if err := first.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := Restore(cfg, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resumed.Controller().Channel().InRefresh(resumed.Cycle()) {
-		t.Fatal("restored system is not mid-refresh")
-	}
-	resumed.Step(tail)
-	resumed.FinishAudit()
-	got := captureRun(t, resumed)
-	compareRuns(t, "snapshot-refresh-window", got, want)
 }
 
 // TestCheckpointFileRoundTrip exercises the atomic file helpers.
