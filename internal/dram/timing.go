@@ -83,8 +83,11 @@ func (t Timing) Validate() error {
 	switch {
 	case t.TRCD <= 0 || t.TCL <= 0 || t.TWL <= 0 || t.BL2 <= 0:
 		return fmt.Errorf("dram: non-positive core latency in %+v", t)
-	case t.TRAS < t.TRCD:
-		return fmt.Errorf("dram: tRAS (%d) < tRCD (%d)", t.TRAS, t.TRCD)
+	// Table 4's precharge share tRP + tRAS - tRCD - tCL (CmdBankService)
+	// must be at least tRP, or a precharge would move a VTMS bank
+	// register backwards (Eq. 8).
+	case t.TRAS < t.TRCD+t.TCL:
+		return fmt.Errorf("dram: tRAS (%d) < tRCD + tCL (%d + %d)", t.TRAS, t.TRCD, t.TCL)
 	// Note: the paper's Table 6 itself has tRC (22) < tRAS+tRP (23), so
 	// only the weaker tRC >= tRAS is enforced; the per-command checks
 	// still respect both constraints independently.

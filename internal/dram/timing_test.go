@@ -77,6 +77,9 @@ func TestTimingValidateRejectsBadConstants(t *testing.T) {
 		{"tWTR", func(tt *Timing) { tt.TWTR = -1 }},
 		{"tWR", func(tt *Timing) { tt.TWR = -1 }},
 		{"tRTP", func(tt *Timing) { tt.TRTP = -1 }},
+		// tRAS = tRCD clears tRAS >= tRCD but, at tCL 10, leaves Table 4's
+		// precharge share at 5 + 0 - 10 = -5.
+		{"tRAS", func(tt *Timing) { tt.TCL, tt.TRAS = 10, tt.TRCD }},
 	} {
 		tt := DDR2800()
 		tc.mutate(&tt)

@@ -202,8 +202,6 @@ type ThreadStats struct {
 	WritesDone     int64
 	ReadLatencySum int64 // real cycles, arrival to data burst end
 	DataBusCycles  int64 // data bus cycles consumed by this thread
-	ReadNACKs      int64
-	WriteNACKs     int64
 	RowHits        int64 // requests that began service as row hits
 	RowConflicts   int64 // requests whose service began with a precharge
 	RowClosed      int64 // requests that began service on a closed bank
@@ -392,9 +390,9 @@ type Controller struct {
 	bankQuiet   []int64
 	nextEvent   int64
 
-	// sched counts the scheduler's own work per channel, the layout the
-	// checkpoint serializes; see SchedCounts.
-	sched []schedWork
+	// sched counts the scheduler's own work since New or a restore; see
+	// SchedCounts.
+	sched SchedCounts
 
 	// ticker is the policy's interval entry point (nil for policies
 	// without window-based state). TickBegin fires it on boundary
@@ -469,7 +467,6 @@ func New(cfg Config, policy core.Policy) (*Controller, error) {
 		eventDriven:   true,
 		bankWake:      make([]int64, nch*cfg.DRAM.Banks()),
 		bankQuiet:     make([]int64, nch*cfg.DRAM.Banks()),
-		sched:         make([]schedWork, nch),
 	}
 	c.ticker, _ = policy.(core.PolicyTicker)
 	for i := range c.freeSlots {
@@ -551,17 +548,14 @@ func (c *Controller) Occupancy(thread int) (reads, writes int) {
 // CommandCount returns how many commands of the given kind were issued.
 func (c *Controller) CommandCount(kind dram.Kind) int64 { return c.cmdCount[kind] }
 
-// schedWork is one channel's share of SchedCounts.
-type schedWork struct {
-	exams, slots, keyEvals int64
-}
-
-// SchedCounts is the scheduler's own work so far, the numbers that say
-// how precisely wakes and cached keys are invalidated: per issued
-// command, how many banks were examined, how many pending requests
-// those examinations walked, and how many of them needed Policy.Key
-// evaluated afresh. They are a function of the simulated run alone
-// (checkpoints carry them), so they repeat exactly for a given Config.
+// SchedCounts is the scheduler's own work since New or a restore, the
+// numbers that say how precisely wakes and cached keys are invalidated:
+// per issued command, how many banks were examined, how many pending
+// requests those examinations walked, and how many of them needed
+// Policy.Key evaluated afresh. Like sim.StepCounts they count simulator
+// work, not simulated state: they repeat exactly for a given Config and
+// stepping, restart at zero in a restored controller, and are kept out
+// of the checkpoint and the metrics registry.
 type SchedCounts struct {
 	BankExams    int64 // bankSchedule calls
 	SlotsVisited int64 // pending requests those calls walked
@@ -569,20 +563,17 @@ type SchedCounts struct {
 	CmdsIssued   int64 // SDRAM commands issued, refreshes excluded
 }
 
-// SchedCounts returns the scheduler-economy counters summed over
-// channels.
-func (c *Controller) SchedCounts() SchedCounts {
-	var n SchedCounts
-	for i := range c.sched {
-		w := &c.sched[i]
-		n.BankExams += w.exams
-		n.SlotsVisited += w.slots
-		n.KeyEvals += w.keyEvals
-	}
-	for k := dram.KindActivate; k < dram.KindRefresh; k++ {
-		n.CmdsIssued += c.cmdCount[k]
-	}
-	return n
+// SchedCounts returns the scheduler-economy counters.
+func (c *Controller) SchedCounts() SchedCounts { return c.sched }
+
+// dropDerived forgets what the scheduler derived rather than simulated —
+// cached keys and per-queue picks, which the next examination rebuilds
+// to the same values — and restarts its work counts. A restore calls it:
+// none of them is on the wire.
+func (c *Controller) dropDerived() {
+	clear(c.keyEpoch) // keyEpoch 0 is never a valid stamp
+	clear(c.picks)
+	c.sched = SchedCounts{}
 }
 
 // VClock returns the controller's virtual clock (real cycles excluding
@@ -643,7 +634,7 @@ func (c *Controller) freeSlot(s int32) {
 }
 
 // CanAccept reports whether Accept would succeed for the thread right
-// now (buffer occupancy only; it never NACK-counts). Occupancy changes
+// now (buffer occupancy only). Occupancy changes
 // only at controller event cycles — reads free their entry when the
 // data burst completes, writes when the write command issues — so a
 // false result stays false until NextEventAt.
@@ -685,11 +676,6 @@ func (c *Controller) Accept(thread int, lineAddr uint64, isWrite bool, now int64
 	st := &c.stats[thread]
 	switch {
 	case !c.CanAccept(thread, isWrite):
-		if isWrite {
-			st.WriteNACKs++
-		} else {
-			st.ReadNACKs++
-		}
 		return false
 	case isWrite:
 		c.writeOcc[thread]++
@@ -1071,8 +1057,7 @@ func (c *Controller) computeNextEvent(now int64) int64 {
 func (c *Controller) bankSchedule(chIdx, b int, now int64) (cand candidate, ok bool, wake, quiet int64) {
 	ch := c.chans[chIdx]
 	lb := b % c.banksPerChan
-	work := &c.sched[chIdx]
-	work.exams++
+	c.sched.BankExams++
 	// The command each class needs and, filled on first use (-1 = not
 	// yet), its EarliestIssue: both depend only on the bank.
 	openRow, open := ch.BankOpen(lb)
@@ -1101,7 +1086,7 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (cand candidate, ok b
 		}
 		p := &c.picks[b*nt+t]
 		if epoch := thrEpoch[t] + bankEpoch; p.stamp != epoch || c.intf != nil {
-			work.slots += int64(len(q))
+			c.sched.SlotsVisited += int64(len(q))
 			p.stamp, p.best = epoch, noPicks
 			for _, slot := range q {
 				r := &c.arena[slot]
@@ -1113,7 +1098,7 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (cand candidate, ok b
 				if c.keyEpoch[slot] != epoch {
 					c.keys[slot] = core.KeyOf(c.policy, r, state)
 					c.keyEpoch[slot] = epoch
-					work.keyEvals++
+					c.sched.KeyEvals++
 				}
 				c.offer(&p.best[cls], pick{slot, c.keys[slot]})
 				if c.intf != nil {
@@ -1258,6 +1243,7 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (cand candidate, ok b
 // and policy state, announcing the command on either side.
 func (c *Controller) issue(cand *candidate, now int64) {
 	c.cmdCount[cand.kind]++
+	c.sched.CmdsIssued++
 	ch, lb := c.chanOf(cand.bank)
 	chIdx := cand.bank / c.banksPerChan
 	cmd := audit.Cmd{Kind: cand.kind, FlatBank: cand.bank, Row: cand.row, Key: cand.key, Inverted: cand.inverted}

@@ -42,7 +42,9 @@ type memMetrics struct {
 // controller already tracks for its simulation results (ThreadStats,
 // command counts, DRAM device counters) is exported through Func views
 // that read only at snapshot time; only genuinely new measurements get
-// hot-path handles.
+// hot-path handles. Counts of the simulator's own work (SchedCounts, a
+// refused Accept per stepped cycle) are not simulated state and stay
+// out, so a series does not depend on how the run was stepped.
 func newMemMetrics(reg *metrics.Registry, c *Controller) *memMetrics {
 	m := &memMetrics{
 		c:               c,
@@ -65,18 +67,12 @@ func newMemMetrics(reg *metrics.Registry, c *Controller) *memMetrics {
 		st := &c.stats[t]
 		reg.Func(fmt.Sprintf("memctrl.thread%d.reads_done", t), func() int64 { return st.ReadsDone })
 		reg.Func(fmt.Sprintf("memctrl.thread%d.writes_done", t), func() int64 { return st.WritesDone })
-		reg.Func(fmt.Sprintf("memctrl.thread%d.read_nacks", t), func() int64 { return st.ReadNACKs })
-		reg.Func(fmt.Sprintf("memctrl.thread%d.write_nacks", t), func() int64 { return st.WriteNACKs })
 		reg.Func(fmt.Sprintf("memctrl.thread%d.data_bus_cycles", t), func() int64 { return st.DataBusCycles })
 	}
 	for k := dram.KindActivate; k <= dram.KindRefresh; k++ {
 		k := k
 		reg.Func("memctrl.cmd."+k.String(), func() int64 { return c.cmdCount[k] })
 	}
-	reg.Func("memctrl.sched.bank_exams", func() int64 { return c.SchedCounts().BankExams })
-	reg.Func("memctrl.sched.slots_visited", func() int64 { return c.SchedCounts().SlotsVisited })
-	reg.Func("memctrl.sched.key_evals", func() int64 { return c.SchedCounts().KeyEvals })
-	reg.Func("memctrl.sched.cmds_issued", func() int64 { return c.SchedCounts().CmdsIssued })
 	reg.Func("memctrl.vclock", func() int64 { return c.vclock })
 	reg.Func("memctrl.pending_requests", func() int64 { return int64(c.pendingTotal) })
 	for chIdx, ch := range c.chans {

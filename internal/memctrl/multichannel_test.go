@@ -141,9 +141,6 @@ func TestSharedBuffersPooling(t *testing.T) {
 	if c.Accept(1, addr(0, 500, 0), false, 0) {
 		t.Fatal("thread 1 accepted with pool exhausted by thread 0")
 	}
-	if c.Stats(1).ReadNACKs != 1 {
-		t.Errorf("thread 1 NACKs = %d", c.Stats(1).ReadNACKs)
-	}
 }
 
 func TestChannelsValidation(t *testing.T) {

@@ -37,18 +37,23 @@ func (c *Controller) bankOrder(b int, buf []int32) []int32 {
 	return buf
 }
 
-// State visits the controller: DRAM channel timing, each bank's
-// transaction queues as one list in arrival order (with full request
-// state, including frozen policy keys and live cached ones) and which of
-// its threads' picks are live, in-flight reads awaiting data-burst
-// completion, occupancy and refresh bookkeeping, per-thread statistics,
-// the policy's virtual-time registers when the policy carries state,
-// the event-driven wake and quiet-bound lists, the scheduler-economy
-// counters, and the optional auditor and interference tracker. The wake
-// lists are serialized rather than invalidated on restore: rebuilding
-// them conservatively would be results-safe but would lose
-// refresh-raised wake times and so break process-state identity with
-// the uninterrupted run.
+// State visits the controller's machine state: DRAM channel timing,
+// each bank's transaction queues as one list in arrival order (with full
+// request state, including frozen policy keys), in-flight reads awaiting
+// data-burst completion, occupancy and refresh bookkeeping, per-thread
+// statistics, the policy's virtual-time registers when the policy
+// carries state, the event-driven wake and quiet-bound lists, and the
+// optional auditor and interference tracker. Nothing that counts or
+// caches the simulator's own work is on the wire: a restore drops the
+// key and pick caches, which the next examination rebuilds to the same
+// values, and restarts SchedCounts.
+//
+// The wake lists are the one derived state serialized, because which
+// cycles a bank is examined on is observable: the interference tracker
+// charges a wait behind a held bank by the cycles it examines the bank
+// on (DESIGN §15). Waking every bank at the restore cycle would be
+// results-safe but would move those charges, and refresh-raised wake
+// times would be lost.
 //
 // Loading rebuilds the arena from scratch: every decoded request gets a
 // fresh slot in decode order. Slot numbers are unobservable — queues
@@ -75,10 +80,7 @@ func (c *Controller) State(s *snapshot.Codec) error {
 		for i := len(c.arena) - 1; i >= 0; i-- {
 			c.freeSlots = append(c.freeSlots, int32(i))
 		}
-		// keyEpoch 0 is never a valid stamp: this drops the key cache,
-		// and the queue walk below re-enters the keys that were live.
-		clear(c.keyEpoch)
-		clear(c.picks)
+		c.dropDerived()
 		for i := range c.pending {
 			c.pending[i] = c.pending[i][:0]
 		}
@@ -117,61 +119,21 @@ func (c *Controller) State(s *snapshot.Codec) error {
 	nt := c.cfg.Threads
 	var order []int32 // one bank's requests in arrival order, the wire form
 	for b := range c.bankWake {
-		thrEpoch := c.thrEpoch[b/c.banksPerChan*nt:]
 		order = c.bankOrder(b, order)
 		snapshot.Slice(s, &order, len(c.arena), func(slot *int32) {
 			q := request(slot)
-			if q == nil {
+			if q == nil || !s.Loading() {
 				return
 			}
-			if s.Loading() {
-				switch {
-				case q.GlobalBank != b:
-					s.Fail("request %d queued on bank %d but maps to bank %d", q.ID, b, q.GlobalBank)
-				case q.Channel < 0 || q.Channel >= len(c.chans):
-					s.Fail("request %d channel %d out of range [0,%d)", q.ID, q.Channel, len(c.chans))
-				}
-				audPending[b] = append(audPending[b], q)
-				c.pending[b*nt+q.Thread] = append(c.pending[b*nt+q.Thread], *slot)
+			switch {
+			case q.GlobalBank != b:
+				s.Fail("request %d queued on bank %d but maps to bank %d", q.ID, b, q.GlobalBank)
+			case q.Channel < 0 || q.Channel >= len(c.chans):
+				s.Fail("request %d channel %d out of range [0,%d)", q.ID, q.Channel, len(c.chans))
 			}
-			// The request's cached policy key, if live. Restoring it
-			// changes no decision (a dropped key is recomputed to the same
-			// value); it keeps the KeyEvals count, which the sampler's
-			// series carry, identical to the uninterrupted run's.
-			stamp := thrEpoch[q.Thread] + c.bankEpoch[b]
-			cached := c.keyEpoch[*slot] == stamp
-			s.Bool(&cached)
-			if cached {
-				s.I64(&c.keys[*slot])
-				c.keyEpoch[*slot] = stamp
-			}
+			audPending[b] = append(audPending[b], q)
+			c.pending[b*nt+q.Thread] = append(c.pending[b*nt+q.Thread], *slot)
 		})
-		// Whether each thread's picks are live, for the same reason (the
-		// SlotsVisited count). The picks themselves are rebuilt from the
-		// restored keys: live picks imply a live key under every request
-		// they were chosen from.
-		ch, lb := c.chanOf(b)
-		openRow, open := ch.BankOpen(lb)
-		for t := 0; t < nt; t++ {
-			p, q := &c.picks[b*nt+t], c.pending[b*nt+t]
-			stamp := thrEpoch[t] + c.bankEpoch[b]
-			live := p.stamp == stamp
-			s.Bool(&live)
-			if !live || !s.Loading() {
-				continue
-			}
-			if len(q) == 0 {
-				s.Fail("bank %d thread %d: picks live over an empty queue", b, t)
-			}
-			p.stamp, p.best = stamp, noPicks
-			for _, slot := range q {
-				if c.keyEpoch[slot] != stamp {
-					s.Fail("bank %d thread %d: picks live over request %d's dropped key", b, t, c.arena[slot].ID)
-				}
-				cls, _ := classOf(&c.arena[slot], open, openRow)
-				c.offer(&p.best[cls], pick{slot, c.keys[slot]})
-			}
-		}
 	}
 	s.Ints(c.readOcc)
 	s.Ints(c.writeOcc)
@@ -200,8 +162,6 @@ func (c *Controller) State(s *snapshot.Codec) error {
 		s.I64(&st.WritesDone)
 		s.I64(&st.ReadLatencySum)
 		s.I64(&st.DataBusCycles)
-		s.I64(&st.ReadNACKs)
-		s.I64(&st.WriteNACKs)
 		s.I64(&st.RowHits)
 		s.I64(&st.RowConflicts)
 		s.I64(&st.RowClosed)
@@ -213,12 +173,6 @@ func (c *Controller) State(s *snapshot.Codec) error {
 	s.I64s(c.bankWake)
 	s.I64s(c.bankQuiet)
 	s.I64(&c.nextEvent)
-	for i := range c.sched {
-		w := &c.sched[i]
-		s.I64(&w.exams)
-		s.I64(&w.slots)
-		s.I64(&w.keyEvals)
-	}
 	ps, hasPolicy := c.policy.(core.PolicyState)
 	snapshot.Verify(s, hasPolicy, "policy-state flag", s.Bool)
 	if hasPolicy {

@@ -150,63 +150,35 @@ func TestRestoreHostileBankQuiet(t *testing.T) {
 	}
 }
 
-// TestRestoreHostilePicks: the per-(bank, thread) "picks live" bit lets a
-// restored controller skip re-ranking a queue, so it is believed only
-// when every key it would rank by came with it. A v6 stream whose bit is
-// set over a request with no cached key, or over an empty queue, is a
-// clean error; so is a stream of the previous format, by its version.
+// TestRestoreHostilePicks: v6 carried the scheduler's key and pick
+// caches and its work counts; v7 carries none of them, so a v6 stream is
+// refused by its version before anything is read. A faithful stream
+// restores into a controller whose caches are empty and whose
+// SchedCounts restart at zero.
 func TestRestoreHostilePicks(t *testing.T) {
 	// Two threads with a request each on one bank, examined at cycle 0 so
 	// both queues carry live picks and keys, neither yet issued.
-	mk := func() *Controller {
-		c := newCtrl(t, 2, core.NewFRFCFS())
-		c.Accept(0, addr(2, 5, 0), false, 0)
-		c.Accept(1, addr(2, 9, 0), false, 0)
-		c.TickBegin(0)
-		c.ScheduleChannel(0, 0)
-		return c
+	c := newCtrl(t, 2, core.NewFRFCFS())
+	c.Accept(0, addr(2, 5, 0), false, 0)
+	c.Accept(1, addr(2, 9, 0), false, 0)
+	c.TickBegin(0)
+	c.ScheduleChannel(0, 0)
+	if c.SchedCounts() == (SchedCounts{}) {
+		t.Fatal("the examination at cycle 0 counted no work")
 	}
-	// epoch is the stamp live picks of queue q carry (two threads, one
-	// channel).
-	epoch := func(c *Controller, q int) uint64 { return c.thrEpoch[q%2] + c.bankEpoch[q/2] }
-	faithful := encodeCtrl(t, mk())
-	if err := loadCtrl(t, newCtrl(t, 2, core.NewFRFCFS()), faithful); err != nil {
+	faithful := encodeCtrl(t, c)
+	restored := newCtrl(t, 2, core.NewFRFCFS())
+	restored.ScheduleChannel(0, 0) // counts an examination the restore must forget
+	if err := loadCtrl(t, restored, faithful); err != nil {
 		t.Fatalf("faithful snapshot refused: %v", err)
 	}
-
-	for _, tc := range []struct {
-		name    string
-		corrupt func(c *Controller)
-		want    string
-	}{
-		{"live bit over a dropped key", func(c *Controller) {
-			for q, p := range c.picks {
-				if p.stamp == epoch(c, q) {
-					c.keyEpoch[c.pending[q][0]] = 0
-					return
-				}
-			}
-			t.Fatal("no queue with live picks to corrupt")
-		}, "dropped key"},
-		{"live bit over an empty queue", func(c *Controller) {
-			q := len(c.pending) - 1
-			if len(c.pending[q]) != 0 {
-				t.Fatal("last queue not empty")
-			}
-			c.picks[q].stamp = epoch(c, q)
-		}, "empty queue"},
-	} {
-		c := mk()
-		tc.corrupt(c)
-		err := loadCtrl(t, newCtrl(t, 2, core.NewFRFCFS()), encodeCtrl(t, c))
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want a refusal naming the %s", tc.name, err, tc.want)
-		}
+	if got := restored.SchedCounts(); got != (SchedCounts{}) {
+		t.Errorf("restored controller's SchedCounts = %+v, want zero", got)
 	}
 
-	v5 := append([]byte(nil), faithful...)
-	v5[len(snapshot.Magic)] = 5
-	if err := loadCtrl(t, newCtrl(t, 2, core.NewFRFCFS()), v5); err == nil || !strings.Contains(err.Error(), "format version") {
-		t.Errorf("v5 stream: err = %v, want a format-version refusal", err)
+	v6 := append([]byte(nil), faithful...)
+	v6[len(snapshot.Magic)] = 6
+	if err := loadCtrl(t, newCtrl(t, 2, core.NewFRFCFS()), v6); err == nil || !strings.Contains(err.Error(), "format version") {
+		t.Errorf("v6 stream: err = %v, want a format-version refusal", err)
 	}
 }

@@ -112,6 +112,12 @@ func TestHostileConfigValues(t *testing.T) {
 		{"negative tRP", func(c *Config) { c.Mem = memctrl.DefaultConfig(2); c.Mem.DRAM.Timing.TRP = -5 }, "tRP (-5)"},
 		{"zero tCCD", func(c *Config) { c.Mem = memctrl.DefaultConfig(2); c.Mem.DRAM.Timing.TCCD = 0 }, "tCCD (0)"},
 		{"negative tWTR", func(c *Config) { c.Mem = memctrl.DefaultConfig(2); c.Mem.DRAM.Timing.TWTR = -1 }, "tWTR (-1)"},
+		// A negative Table 4 precharge share, which the VTMS registers
+		// would be moved backwards by.
+		{"tRAS below tRCD plus tCL", func(c *Config) {
+			c.Mem = memctrl.DefaultConfig(2)
+			c.Mem.DRAM.Timing.TCL, c.Mem.DRAM.Timing.TRAS = 10, c.Mem.DRAM.Timing.TRCD
+		}, "tRAS (5) < tRCD + tCL (5 + 10)"},
 		// Set on an otherwise default Mem (Threads zero): kept, not
 		// rebuilt from the defaults, so Validate sees them.
 		{"negative read entries", func(c *Config) { c.Mem.ReadEntriesPerThread = -4 }, "read entries per thread must be >= 1, got -4"},

@@ -15,8 +15,9 @@ import (
 // enabling the metrics registry and the Chrome trace writer must leave
 // the simulation bit-identical — same Result, same virtual clock, same
 // per-kind command counts — in both the event-driven and strict modes,
-// and the instrumented run's artifacts must be internally consistent
-// with the simulation's own statistics.
+// the strict sampled run's epoch and fairness series must equal the fast
+// one's, and the instrumented run's artifacts must be internally
+// consistent with the simulation's own statistics.
 func TestMetricsEquivalence(t *testing.T) {
 	art, err := trace.ByName("art")
 	if err != nil {
@@ -78,7 +79,7 @@ func TestMetricsEquivalence(t *testing.T) {
 
 	base, _, _, _, _ := run(false, false, false)
 	inst, reg, buf, readsDone, _ := run(false, true, false)
-	strictInst, _, _, _, _ := run(true, true, false)
+	strictInst, _, _, _, strictSys := run(true, true, true)
 	sampledOut, _, _, _, sampledSys := run(false, true, true)
 
 	if !reflect.DeepEqual(base.res, inst.res) {
@@ -94,6 +95,15 @@ func TestMetricsEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(base.res, sampledOut.res) || base.fp != sampledOut.fp {
 		t.Errorf("epoch-sampled run diverges:\n off:     %+v %+v\n sampled: %+v %+v",
 			base.res, base.fp, sampledOut.res, sampledOut.fp)
+	}
+	// The series record the machine, not how it was stepped: the strict
+	// run examines every bank on every cycle and retries every refused
+	// Accept per cycle, and none of that may show in an epoch.
+	if !reflect.DeepEqual(strictSys.Sampler().Samples(-1), sampledSys.Sampler().Samples(-1)) {
+		t.Error("strict and fast runs sampled different epoch series")
+	}
+	if !reflect.DeepEqual(strictSys.Fairness().Samples(-1), sampledSys.Fairness().Samples(-1)) {
+		t.Error("strict and fast runs sampled different fairness series")
 	}
 
 	// The sampled run's time series must be internally consistent:

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/memctrl"
 	"repro/internal/metrics"
@@ -144,7 +145,6 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 		{"SLOW-FAIR", SLOWFAIR},
 		{"BANK-BW", BANKBW},
 	}
-	const warmup, preCk, postCk = 2_000, 3_001, 4_999
 	for _, p := range policies {
 		for _, strict := range []bool{false, true} {
 			for _, auditOn := range []bool{false, true} {
@@ -156,78 +156,107 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 						if testing.Short() && (strict || !auditOn || sample == 0) {
 							t.Skip("full matrix is slow; -short runs fast+audit+sampler cells only")
 						}
-						cfg := Config{
+						restoreMidWindow(t, "snapshot-"+p.name+sanitize(name), Config{
 							Workload:       []trace.Profile{art, vpr},
 							Policy:         p.factory,
 							Seed:           23,
 							Strict:         strict,
 							Audit:          auditOn,
 							SampleInterval: sample,
-						}
-
-						// Uninterrupted reference run.
-						ref, err := New(cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						ref.Step(warmup)
-						ref.BeginMeasurement()
-						ref.Step(preCk + postCk)
-						ref.FinishAudit()
-						want := captureRun(t, ref)
-
-						// Interrupted run: checkpoint mid-window, restore
-						// into a fresh system, finish there.
-						first, err := New(cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						first.Step(warmup)
-						first.BeginMeasurement()
-						first.Step(preCk)
-						var buf bytes.Buffer
-						if err := first.Checkpoint(&buf); err != nil {
-							t.Fatalf("checkpoint: %v", err)
-						}
-						saved := buf.Bytes()
-
-						resumed, err := Restore(cfg, bytes.NewReader(saved))
-						if err != nil {
-							t.Fatalf("restore: %v", err)
-						}
-						if !resumed.MeasurementStarted() {
-							t.Fatal("restored system lost its measurement baseline")
-						}
-						if resumed.Cycle() != warmup+preCk {
-							t.Fatalf("restored at cycle %d, want %d", resumed.Cycle(), warmup+preCk)
-						}
-
-						// Re-checkpointing the restored system must
-						// reproduce the snapshot byte for byte: restore
-						// loses nothing.
-						var buf2 bytes.Buffer
-						if err := resumed.Checkpoint(&buf2); err != nil {
-							t.Fatalf("re-checkpoint: %v", err)
-						}
-						if !bytes.Equal(saved, buf2.Bytes()) {
-							i := 0
-							b2 := buf2.Bytes()
-							for i < len(saved) && i < len(b2) && saved[i] == b2[i] {
-								i++
-							}
-							t.Fatalf("re-checkpoint of restored system differs at offset %d (%d vs %d bytes)",
-								i, len(saved), len(b2))
-						}
-
-						resumed.Step(postCk)
-						resumed.FinishAudit()
-						got := captureRun(t, resumed)
-						compareRuns(t, "snapshot-"+p.name+sanitize(name), got, want)
+						})
 					})
 				}
 			}
 		}
 	}
+}
+
+// TestCheckpointFRVFTFArrival: the arrival-time ablation's Key freezes
+// the request it ranks the first time it examines it, so a restore keeps
+// its keys only through the request's own Key and KeyFrozen fields, with
+// no key cache on the wire. One cell, fast with every observer on; a
+// full matrix row would cost more than the race job has left.
+func TestCheckpointFRVFTFArrival(t *testing.T) {
+	restoreMidWindow(t, "snapshot-FR-VFTF-arrival", Config{
+		Workload: []trace.Profile{profile(t, "art"), profile(t, "vpr")},
+		Policy: func(s []core.Share, n int, tt dram.Timing) core.Policy {
+			return core.NewFRVFTFArrival(s, n, tt)
+		},
+		Seed:           23,
+		Audit:          true,
+		Interference:   true,
+		SampleInterval: 1_000,
+	})
+}
+
+// restoreMidWindow runs cfg straight through a measurement window and
+// again checkpointed at an odd cycle inside it, restored into a fresh
+// system (standing in for a fresh process) and finished there. The
+// restored system re-checkpoints to the same bytes and has done no
+// scheduler work yet (SchedCounts is simulator work, not state), and
+// the two runs must be equal in every observable.
+func restoreMidWindow(t *testing.T, name string, cfg Config) {
+	t.Helper()
+	const warmup, preCk, postCk = 2_000, 3_001, 4_999
+
+	// Uninterrupted reference run.
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Step(warmup)
+	ref.BeginMeasurement()
+	ref.Step(preCk + postCk)
+	ref.FinishAudit()
+	want := captureRun(t, ref)
+
+	// Interrupted run: checkpoint mid-window, restore into a fresh
+	// system, finish there.
+	first, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Step(warmup)
+	first.BeginMeasurement()
+	first.Step(preCk)
+	var buf bytes.Buffer
+	if err := first.Checkpoint(&buf); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	saved := buf.Bytes()
+
+	resumed, err := Restore(cfg, bytes.NewReader(saved))
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if !resumed.MeasurementStarted() {
+		t.Fatal("restored system lost its measurement baseline")
+	}
+	if resumed.Cycle() != warmup+preCk {
+		t.Fatalf("restored at cycle %d, want %d", resumed.Cycle(), warmup+preCk)
+	}
+	if got := resumed.Controller().SchedCounts(); got != (memctrl.SchedCounts{}) {
+		t.Errorf("restored system's SchedCounts = %+v, want zero", got)
+	}
+
+	// Re-checkpointing the restored system must reproduce the snapshot
+	// byte for byte: restore loses nothing.
+	var buf2 bytes.Buffer
+	if err := resumed.Checkpoint(&buf2); err != nil {
+		t.Fatalf("re-checkpoint: %v", err)
+	}
+	if b2 := buf2.Bytes(); !bytes.Equal(saved, b2) {
+		i := 0
+		for i < len(saved) && i < len(b2) && saved[i] == b2[i] {
+			i++
+		}
+		t.Fatalf("re-checkpoint of restored system differs at offset %d (%d vs %d bytes)",
+			i, len(saved), len(b2))
+	}
+
+	resumed.Step(postCk)
+	resumed.FinishAudit()
+	compareRuns(t, name, captureRun(t, resumed), want)
 }
 
 func sanitize(s string) string {
@@ -454,72 +483,94 @@ func TestCheckpointRefusesTraceSink(t *testing.T) {
 // end, cut at the warm-up boundary) and never at total; and
 // BeginMeasurement lands on the warm-up cycle — also when the callback
 // peeks at Results during warm-up, which must not start the window.
+//
+// The second run, FCFS over a 60k-cycle window sampled every 700 cycles,
+// is long enough that counts of the simulator's own work — refused
+// Accepts retried per stepped cycle, bank examinations — differ between
+// chunkings: its series and final checkpoint hold only if neither
+// carries them.
 func TestRunToChunks(t *testing.T) {
-	const warmup, total = 2_000, 9_000
-	cfg := Config{
+	type run struct {
+		cfg           Config
+		warmup, total int64
+		want          runState
+	}
+	short := &run{cfg: Config{
 		Workload:       []trace.Profile{profile(t, "art"), profile(t, "vpr")},
 		Policy:         FQVFTF,
 		Seed:           23,
 		Audit:          true,
 		SampleInterval: 1_000,
+	}, warmup: 2_000, total: 9_000}
+	long := &run{cfg: Config{
+		Workload:       []trace.Profile{profile(t, "art"), profile(t, "vpr")},
+		Policy:         FCFS,
+		Seed:           31,
+		SampleInterval: 700,
+	}, warmup: 1_000, total: 61_000}
+	for _, r := range []*run{short, long} {
+		ref, _, err := RunSystem(r.cfg, r.warmup, r.total-r.warmup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.want = captureRun(t, ref)
+		if r.want.Result.Cycles != r.total-r.warmup {
+			t.Fatalf("straight run measured %d cycles, want %d", r.want.Result.Cycles, r.total-r.warmup)
+		}
 	}
-	ref, _, err := RunSystem(cfg, warmup, total-warmup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := captureRun(t, ref)
-	if want.Result.Cycles != total-warmup {
-		t.Fatalf("straight run measured %d cycles, want %d", want.Result.Cycles, total-warmup)
-	}
-
 	for _, tc := range []struct {
 		name      string
+		run       *run
 		restoreAt int64 // 0 = fresh system
 		every     int64
 		stops     []int64 // nil = check the chunking properties only
 		peek      bool    // atChunk calls Results
 	}{
-		{"every=1", 0, 1, nil, false},
-		{"every=7", 0, 7, nil, false},
-		{"every=warmup-1", 0, warmup - 1, []int64{1_999, 2_000, 3_999, 5_998, 7_997}, false},
-		{"every=warmup", 0, warmup, []int64{2_000, 4_000, 6_000, 8_000}, false},
-		{"every=warmup+1", 0, warmup + 1, []int64{2_000, 4_001, 6_002, 8_003}, false},
-		{"every=total+1", 0, total + 1, []int64{2_000}, false},
-		{"unchunked", 0, 0, []int64{2_000}, false},
-		{"restored mid-warm-up", 1_234, 3_000, []int64{2_000, 5_000, 8_000}, false},
-		{"restored mid-window", 4_321, 3_000, []int64{7_321}, false},
-		{"results peeked mid-warm-up", 0, 700, []int64{700, 1_400, 2_000, 2_700, 3_400, 4_100, 4_800, 5_500, 6_200, 6_900, 7_600, 8_300}, true},
+		{"every=1", short, 0, 1, nil, false},
+		{"every=7", short, 0, 7, nil, false},
+		{"every=warmup-1", short, 0, short.warmup - 1, []int64{1_999, 2_000, 3_999, 5_998, 7_997}, false},
+		{"every=warmup", short, 0, short.warmup, []int64{2_000, 4_000, 6_000, 8_000}, false},
+		{"every=warmup+1", short, 0, short.warmup + 1, []int64{2_000, 4_001, 6_002, 8_003}, false},
+		{"every=total+1", short, 0, short.total + 1, []int64{2_000}, false},
+		{"unchunked", short, 0, 0, []int64{2_000}, false},
+		{"restored mid-warm-up", short, 1_234, 3_000, []int64{2_000, 5_000, 8_000}, false},
+		{"restored mid-window", short, 4_321, 3_000, []int64{7_321}, false},
+		{"results peeked mid-warm-up", short, 0, 700, []int64{700, 1_400, 2_000, 2_700, 3_400, 4_100, 4_800, 5_500, 6_200, 6_900, 7_600, 8_300}, true},
+		{"FCFS/every=7", long, 0, 7, nil, false},
+		{"FCFS/every=997", long, 0, 997, nil, false},
+		{"FCFS/every=1777", long, 0, 1_777, nil, false},
+		{"FCFS/restored mid-window", long, 30_001, 1_777, nil, false},
 	} {
-		tc := tc
+		tc, r := tc, tc.run
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			s, err := New(cfg)
+			s, err := New(r.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if tc.restoreAt > 0 {
 				// Interrupt a chunked run at restoreAt and continue in a
 				// fresh system, as a resumed process would.
-				if err := s.RunTo(warmup, tc.restoreAt, 500, nil); err != nil {
+				if err := s.RunTo(r.warmup, tc.restoreAt, 500, nil); err != nil {
 					t.Fatal(err)
 				}
 				var buf bytes.Buffer
 				if err := s.Checkpoint(&buf); err != nil {
 					t.Fatal(err)
 				}
-				if s, err = Restore(cfg, &buf); err != nil {
+				if s, err = Restore(r.cfg, &buf); err != nil {
 					t.Fatal(err)
 				}
 			}
 			start := s.Cycle()
 			var stops []int64
-			err = s.RunTo(warmup, total, tc.every, func() (int64, error) {
+			err = s.RunTo(r.warmup, r.total, tc.every, func() (int64, error) {
 				if tc.peek {
-					if res := s.Results(); s.Cycle() < warmup && res.Cycles != s.Cycle() {
+					if res := s.Results(); s.Cycle() < r.warmup && res.Cycles != s.Cycle() {
 						t.Errorf("warm-up peek at cycle %d covers %d cycles", s.Cycle(), res.Cycles)
 					}
 				}
-				if s.MeasurementStarted() != (s.Cycle() >= warmup) {
+				if s.MeasurementStarted() != (s.Cycle() >= r.warmup) {
 					t.Errorf("at cycle %d MeasurementStarted = %v", s.Cycle(), s.MeasurementStarted())
 				}
 				stops = append(stops, s.Cycle())
@@ -531,28 +582,28 @@ func TestRunToChunks(t *testing.T) {
 			if tc.stops != nil && !reflect.DeepEqual(stops, tc.stops) {
 				t.Errorf("atChunk fired at %v, want %v", stops, tc.stops)
 			}
-			prev, sawWarmup := start, start >= warmup
+			prev, sawWarmup := start, start >= r.warmup
 			for _, c := range stops {
-				if c <= prev || c >= total || (tc.every > 0 && c-prev > tc.every) {
-					t.Fatalf("chunk end %d after %d breaks (prev, prev+%d] below %d", c, prev, tc.every, total)
+				if c <= prev || c >= r.total || (tc.every > 0 && c-prev > tc.every) {
+					t.Fatalf("chunk end %d after %d breaks (prev, prev+%d] below %d", c, prev, tc.every, r.total)
 				}
-				sawWarmup = sawWarmup || c == warmup
+				sawWarmup = sawWarmup || c == r.warmup
 				prev = c
 			}
 			if !sawWarmup {
 				t.Errorf("no chunk ended on the warm-up boundary: %v", stops)
 			}
-			compareRuns(t, "runto-"+sanitize(tc.name), captureRun(t, s), want)
+			compareRuns(t, "runto-"+sanitize(tc.name), captureRun(t, s), r.want)
 		})
 	}
 
 	// An atChunk error stops the run where it is.
-	s, err := New(cfg)
+	s, err := New(short.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
-	if err := s.RunTo(warmup, total, 700, func() (int64, error) { return 0, boom }); !errors.Is(err, boom) || s.Cycle() != 700 {
+	if err := s.RunTo(short.warmup, short.total, 700, func() (int64, error) { return 0, boom }); !errors.Is(err, boom) || s.Cycle() != 700 {
 		t.Errorf("RunTo = %v at cycle %d, want boom at 700", err, s.Cycle())
 	}
 }

@@ -66,8 +66,12 @@ const Magic = "FQMSSNAP"
 // bidirectional Codec kept the v4 layout byte for byte. v5 added the
 // memory scheduler's quiet-bound wake list, its live cached policy keys
 // and its scheduler-economy counters. v6 added one "picks live" bit per
-// (bank, thread) transaction queue after each bank's requests.
-const Version = 6
+// (bank, thread) transaction queue after each bank's requests. v7
+// removed what counts or caches the simulator's own work: the cached
+// keys, the "picks live" bits, the scheduler-economy counters and the
+// per-thread NACK counts (a checkpoint records the machine, not how it
+// was stepped).
+const Version = 7
 
 // MaxSlice is the element cap for the few variable-length fields whose
 // bound depends on run history rather than on a configured capacity
