@@ -45,3 +45,10 @@ func (p *FRVFTFArrival) OnIssue(r *Request, kind CmdKind) {
 
 // BankRule implements Policy.
 func (*FRVFTFArrival) BankRule() (BankRule, int64) { return RuleFirstReady, 0 }
+
+// KeysFollowArrival implements ArrivalMonotone, overriding vftBase: the
+// key is fixed at the request's first evaluation, so when a request is
+// first evaluated is part of its key. Ranking only a queue's heads would
+// move keys, and a share change between two first evaluations can leave
+// a younger request ranked before an older one.
+func (*FRVFTFArrival) KeysFollowArrival() bool { return false }

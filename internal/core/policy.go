@@ -67,6 +67,21 @@ const (
 // policies (PolicyTicker) get the same treatment: the controller runs
 // their window-boundary work through Tick and invalidates everything
 // when it reports a Key-feeding change.
+//
+// # Keys that follow arrival
+//
+// A policy may also declare, through ArrivalMonotone, that its keys
+// follow arrival: for any two unfrozen requests of one (thread, bank,
+// IsWrite, BankState) with arrivals a1 <= a2, Key(r1) <= Key(r2), in
+// every policy state OnIssue, Tick and the reassignment entry points can
+// reach. Equation 7 has this shape — max{a, B_j.R} never decreases as a
+// grows — and so does every arrival-plus-penalty key. The controller's
+// transaction queues are in arrival order, so for such a policy it
+// evaluates only the first unfrozen request of each (command class,
+// read/write) group of a queue, since no later one can rank before it,
+// and reads every frozen key (TestKeysFollowArrival). FR-VFTF-arrival,
+// whose key is fixed at its first evaluation, declares false and has
+// every waiting request evaluated.
 type Policy interface {
 	// Name identifies the policy in reports ("FR-FCFS", "FQ-VFTF", ...).
 	Name() string
@@ -83,6 +98,13 @@ type Policy interface {
 	// BankRule returns the bank scheduler selection rule and, for
 	// RuleFQ, the priority-inversion bound x in cycles.
 	BankRule() (rule BankRule, x int64)
+}
+
+// ArrivalMonotone is implemented by policies that declare whether their
+// keys follow arrival (see the Policy contract). The controller asks
+// once, at construction.
+type ArrivalMonotone interface {
+	KeysFollowArrival() bool
 }
 
 // ---------------------------------------------------------------------
@@ -108,6 +130,9 @@ func (*FRFCFS) OnIssue(_ *Request, _ CmdKind) {}
 // BankRule implements Policy.
 func (*FRFCFS) BankRule() (BankRule, int64) { return RuleFirstReady, 0 }
 
+// KeysFollowArrival implements ArrivalMonotone: the key is the arrival.
+func (*FRFCFS) KeysFollowArrival() bool { return true }
+
 // FCFS services requests strictly in arrival order with no first-ready
 // reordering; it is the in-order lower bound occasionally used as a
 // sanity reference.
@@ -127,6 +152,9 @@ func (*FCFS) OnIssue(_ *Request, _ CmdKind) {}
 
 // BankRule implements Policy.
 func (*FCFS) BankRule() (BankRule, int64) { return RuleStrict, 0 }
+
+// KeysFollowArrival implements ArrivalMonotone: the key is the arrival.
+func (*FCFS) KeysFollowArrival() bool { return true }
 
 // ---------------------------------------------------------------------
 // Virtual finish-time policies
@@ -196,6 +224,10 @@ func (b *vftBase) Key(r *Request, state BankState) int64 {
 func (b *vftBase) OnIssue(r *Request, kind CmdKind) {
 	b.vtms[r.Thread].OnCommandIssue(kind, r.Arrival, r.GlobalBank, r.Channel, r.IsWrite)
 }
+
+// KeysFollowArrival implements ArrivalMonotone: Equation 7, and the
+// start time max{a, B_j.R} of FR-VSTF, never decrease as a grows.
+func (*vftBase) KeysFollowArrival() bool { return true }
 
 // FRVFTF prioritizes requests earliest-virtual-finish-time first with
 // plain first-ready bank scheduling (no protection against bank priority

@@ -171,6 +171,10 @@ func (p *BLISS) OnIssue(r *Request, kind CmdKind) {
 // BankRule implements Policy.
 func (*BLISS) BankRule() (BankRule, int64) { return RuleFirstReady, 0 }
 
+// KeysFollowArrival implements ArrivalMonotone: one thread's requests
+// share its penalty.
+func (*BLISS) KeysFollowArrival() bool { return true }
+
 // Tick implements PolicyTicker: promote pending marks to the
 // blacklist, and wipe everything on each clearEvery-th boundary.
 func (p *BLISS) Tick(now int64) bool {
@@ -275,6 +279,10 @@ func (p *SlowFair) OnIssue(r *Request, kind CmdKind) {
 // BankRule implements Policy.
 func (*SlowFair) BankRule() (BankRule, int64) { return RuleFirstReady, 0 }
 
+// KeysFollowArrival implements ArrivalMonotone: one thread's requests
+// share its boost.
+func (*SlowFair) KeysFollowArrival() bool { return true }
+
 // Tick implements PolicyTicker: snapshot the window's per-thread
 // alone-service deltas and retarget the boost. Ties break to the lowest
 // thread index, deterministically.
@@ -377,6 +385,10 @@ func (p *BankBW) OnIssue(r *Request, kind CmdKind) {
 
 // BankRule implements Policy.
 func (*BankBW) BankRule() (BankRule, int64) { return RuleFirstReady, 0 }
+
+// KeysFollowArrival implements ArrivalMonotone: one thread's requests to
+// one bank share its budget.
+func (*BankBW) KeysFollowArrival() bool { return true }
 
 // Tick implements PolicyTicker: refill every budget to the quota. Key
 // only reads the budget through the <= 0 threshold, so the refill moved

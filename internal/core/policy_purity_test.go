@@ -281,6 +281,86 @@ func TestKeyPurityCheckCatchesRequestWrites(t *testing.T) {
 	}
 }
 
+// The controller ranks only the first unfrozen request of each (class,
+// read/write) group of a (bank, thread) queue when the policy declares
+// that its keys follow arrival (ArrivalMonotone). checkKeysFollowArrival
+// returns the first pair of unfrozen requests of one (thread, bank,
+// IsWrite, BankState) under purityTraffic whose keys fall as arrival
+// grows, with OnIssue, interval Ticks and, for a share-aware policy,
+// SetThreadShare interleaved.
+func checkKeysFollowArrival(p Policy, seed int64, steps int) error {
+	tr := newPurityTraffic(p, seed)
+	ss, _ := p.(ShareSetter)
+	for step := 0; step < steps; step++ {
+		e := tr.next()
+		if ss != nil && tr.rng.Intn(50) == 0 {
+			ss.SetThreadShare(tr.rng.Intn(purityThreads), Share{1 + tr.rng.Intn(8), 8})
+		}
+		for _, a := range tr.pending {
+			for _, b := range tr.pending {
+				r1, r2 := a.req, b.req
+				if r1 == r2 || r1.KeyFrozen || r2.KeyFrozen || r1.Arrival > r2.Arrival ||
+					r1.Thread != r2.Thread || r1.GlobalBank != r2.GlobalBank || r1.IsWrite != r2.IsWrite {
+					continue
+				}
+				for _, st := range allBankStates {
+					if k1, k2 := p.Key(r1, st), p.Key(r2, st); k1 > k2 {
+						return fmt.Errorf("%s step %d: request %d arrived at %d and request %d of the same thread, bank and kind at %d, but under %v their keys are %d > %d",
+							p.Name(), step, r1.ID, r1.Arrival, r2.ID, r2.Arrival, st, k1, k2)
+					}
+				}
+			}
+		}
+		p.OnIssue(e.req, e.todo[0])
+		tr.issued(e)
+	}
+	return nil
+}
+
+// TestKeysFollowArrival holds every policy but FR-VFTF-arrival to the
+// ArrivalMonotone declaration it makes, and FR-VFTF-arrival, whose key is
+// fixed at its first evaluation, to not making it.
+func TestKeysFollowArrival(t *testing.T) {
+	for _, p := range purityPolicies() {
+		p := p
+		t.Run(p.Name(), func(t *testing.T) {
+			t.Parallel()
+			am, ok := p.(ArrivalMonotone)
+			declared := ok && am.KeysFollowArrival()
+			if p.Name() == freezesAtFirstEvaluation {
+				if declared {
+					t.Fatal("declares that its keys follow arrival, but a key fixed at its first evaluation does not")
+				}
+				return
+			}
+			if !declared {
+				t.Fatal("does not declare that its keys follow arrival")
+			}
+			for seed := int64(1); seed <= 3; seed++ {
+				if err := checkKeysFollowArrival(p, seed, 1_500); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// fallingKeysPolicy declares, through FRFCFS, that its keys follow
+// arrival, and ranks the youngest request first.
+type fallingKeysPolicy struct{ FRFCFS }
+
+func (*fallingKeysPolicy) Name() string { return "falling-keys" }
+
+func (*fallingKeysPolicy) Key(r *Request, _ BankState) int64 { return -r.Arrival }
+
+// TestArrivalCheckCatchesFallingKeys proves checkKeysFollowArrival has
+// teeth.
+func TestArrivalCheckCatchesFallingKeys(t *testing.T) {
+	if err := checkKeysFollowArrival(&fallingKeysPolicy{}, 1, 200); err == nil || !strings.Contains(err.Error(), "their keys are") {
+		t.Fatalf("a policy whose keys fall with arrival passed: %v", err)
+	}
+}
+
 // TestKeyOf: the frozen key if frozen, else the policy's, whatever the
 // state argument.
 func TestKeyOf(t *testing.T) {

@@ -277,9 +277,9 @@ type pick struct {
 
 // threadPicks caches one (bank, thread) queue's pick per class. Like a
 // cached key it is valid while stamp == thrEpoch[channel][thread] +
-// bankEpoch[bank], and while it is, every key in the queue is cached
-// under the same stamp; Accept and removePending drop it (stamp 0, never
-// a valid sum) because they change the queue it was built from.
+// bankEpoch[bank], and while it is, every key it was ranked from is
+// cached under the same stamp; Accept and removePending drop it (stamp
+// 0, never a valid sum) because they change the queue it was built from.
 type threadPicks struct {
 	stamp uint64
 	best  [numClasses]pick
@@ -400,6 +400,11 @@ type Controller struct {
 	// event-driven path never skips one.
 	ticker core.PolicyTicker
 
+	// keysFollowArrival is the policy's core.ArrivalMonotone declaration,
+	// read once in New: bankSchedule then ranks only the first unfrozen
+	// request of each (class, read/write) group of a queue.
+	keysFollowArrival bool
+
 	// obs is the event stream's listeners in attach order (empty when
 	// every observer is off); see Observer and attachObservers.
 	obs []Observer
@@ -469,6 +474,9 @@ func New(cfg Config, policy core.Policy) (*Controller, error) {
 		bankQuiet:     make([]int64, nch*cfg.DRAM.Banks()),
 	}
 	c.ticker, _ = policy.(core.PolicyTicker)
+	if am, ok := policy.(core.ArrivalMonotone); ok {
+		c.keysFollowArrival = am.KeysFollowArrival()
+	}
 	for i := range c.freeSlots {
 		c.freeSlots[i] = int32(i)
 	}
@@ -1075,6 +1083,7 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (cand candidate, ok b
 	nt := c.cfg.Threads
 	thrEpoch := c.thrEpoch[chIdx*nt:]
 	bankEpoch := c.bankEpoch[b]
+	follow := c.keysFollowArrival
 	top := noPicks
 	var intfBase int // tracker's ready-staging mark for this bank
 	if c.intf != nil {
@@ -1088,19 +1097,36 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (cand candidate, ok b
 		if epoch := thrEpoch[t] + bankEpoch; p.stamp != epoch || c.intf != nil {
 			c.sched.SlotsVisited += int64(len(q))
 			p.stamp, p.best = epoch, noPicks
+			var heads uint8 // the groups whose first unfrozen request is ranked
 			for _, slot := range q {
 				r := &c.arena[slot]
 				cls, state := classOf(r, open, openRow)
-				// Cached policy key: valid while neither epoch has moved
-				// (no command of this thread on the channel, no activate or
-				// precharge of this bank, no share reassignment), because
-				// Key is pure in exactly the state those events mutate.
-				if c.keyEpoch[slot] != epoch {
-					c.keys[slot] = core.KeyOf(c.policy, r, state)
-					c.keyEpoch[slot] = epoch
-					c.sched.KeyEvals++
+				// Head-of-group rule: when the policy's keys follow arrival
+				// (core.ArrivalMonotone), no unfrozen request of this
+				// arrival-ordered queue ranks before the first unfrozen one
+				// of its (class, read/write) group, so only that one and the
+				// frozen keys are ranked. Otherwise heads stays empty and
+				// every request is.
+				g := uint8(1) << cls
+				if r.IsWrite && cls == classMiss {
+					g = 1 << numClasses
 				}
-				c.offer(&p.best[cls], pick{slot, c.keys[slot]})
+				if r.KeyFrozen || heads&g == 0 {
+					if !r.KeyFrozen && follow {
+						heads |= g
+					}
+					// Cached policy key: valid while neither epoch has moved
+					// (no command of this thread on the channel, no activate
+					// or precharge of this bank, no share reassignment),
+					// because Key is pure in exactly the state those events
+					// mutate.
+					if c.keyEpoch[slot] != epoch {
+						c.keys[slot] = core.KeyOf(c.policy, r, state)
+						c.keyEpoch[slot] = epoch
+						c.sched.KeyEvals++
+					}
+					c.offer(&p.best[cls], pick{slot, c.keys[slot]})
+				}
 				if c.intf != nil {
 					if early[cls] < 0 {
 						early[cls] = ch.EarliestIssue(kinds[cls], lb)

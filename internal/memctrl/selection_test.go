@@ -185,11 +185,12 @@ const (
 	plantRemove
 )
 
-// selectionRun drives the controller with TestStressInvariants' traffic
-// and compares every bank examination against naiveBank. It returns the
-// number of examinations checked and the first disagreement ("" if
-// none), at which it stops.
-func selectionRun(t *testing.T, cfg Config, policy core.Policy, plant int) (checked int, diff string) {
+// selectionRun drives the controller for the given number of cycles
+// with TestStressInvariants' traffic, drawn from seed, and compares
+// every bank examination against naiveBank. It returns the number of
+// examinations checked and the first disagreement ("" if none), at
+// which it stops.
+func selectionRun(t *testing.T, cfg Config, policy core.Policy, plant int, seed uint64, cycles int64) (checked int, diff string) {
 	t.Helper()
 	c, err := New(cfg, policy)
 	if err != nil {
@@ -220,21 +221,20 @@ func selectionRun(t *testing.T, cfg Config, policy core.Policy, plant int) (chec
 		}
 	}
 
-	seed := uint64(42)
 	next := func() uint64 {
 		seed = seed*6364136223846793005 + 1442695040888963407
 		return seed
 	}
 	wakeBefore := make([]int64, len(c.bankWake))
-	for now := int64(0); now < 30_000; now++ {
+	for now := int64(0); now < cycles; now++ {
 		if x := next(); x%3 != 0 {
 			was := live()
-			if c.Accept(int(x>>20%3), (x>>8)%500_000, x%5 == 0, now) && plant == plantAccept {
+			if c.Accept(int(x>>20%uint64(nt)), (x>>8)%500_000, x%5 == 0, now) && plant == plantAccept {
 				restamp(was, m.lastAcc)
 			}
 		}
 		if ss, ok := policy.(core.ShareSetter); ok && now%10_000 == 7_000 {
-			ss.SetThreadShare(int(now/10_000), core.Share{Num: 1, Den: 3})
+			ss.SetThreadShare(int(now/10_000)%nt, core.Share{Num: 1, Den: 3})
 			c.InvalidateScheduling()
 		}
 		if !c.TickBegin(now) {
@@ -279,25 +279,51 @@ func selectionRun(t *testing.T, cfg Config, policy core.Policy, plant int) (chec
 	return checked, ""
 }
 
+// selectionPolicies are the nine policy constructors, in a fixed order
+// so that a fuzz input can name one by index.
+var selectionPolicies = []struct {
+	name string
+	mk   func(shares []core.Share, banks int) core.Policy
+}{
+	{"FCFS", func([]core.Share, int) core.Policy { return core.NewFCFS() }},
+	{"FR-FCFS", func([]core.Share, int) core.Policy { return core.NewFRFCFS() }},
+	{"FR-VFTF", func(s []core.Share, n int) core.Policy { return core.NewFRVFTF(s, n, dram.DDR2800()) }},
+	{"FQ-VFTF", func(s []core.Share, n int) core.Policy { return core.NewFQVFTF(s, n, dram.DDR2800()) }},
+	{"FR-VSTF", func(s []core.Share, n int) core.Policy { return core.NewFRVSTF(s, n, dram.DDR2800()) }},
+	{"FR-VFTF-arrival", func(s []core.Share, n int) core.Policy { return core.NewFRVFTFArrival(s, n, dram.DDR2800()) }},
+	{"BLISS", func(s []core.Share, _ int) core.Policy { return core.NewBLISS(len(s)) }},
+	{"SLOW-FAIR", func(s []core.Share, _ int) core.Policy { return core.NewSlowFair(len(s), dram.DDR2800()) }},
+	{"BANK-BW", func(s []core.Share, n int) core.Policy { return core.NewBankBW(len(s), n) }},
+}
+
+// selectionShares gives the last of n threads half the memory system and
+// the others a quarter each (stressShares for three).
+func selectionShares(n int) []core.Share {
+	s := make([]core.Share, n)
+	for i := range s {
+		s[i] = core.Share{Num: 1, Den: 4}
+	}
+	s[n-1] = core.Share{Num: 1, Den: 2}
+	return s
+}
+
+// fallingKeys declares, through core.FRFCFS, that its keys follow
+// arrival, and ranks the youngest request first: the head-of-group walk
+// looks only where the answer is not.
+type fallingKeys struct{ core.FRFCFS }
+
+func (*fallingKeys) Name() string { return "falling-keys" }
+
+func (*fallingKeys) Key(r *core.Request, _ core.BankState) int64 { return -r.Arrival }
+
 // TestBankSelectionMatchesFullWalk: on every bank examination of a
 // random run the controller's offer, wake and quiet bound equal the
 // naive model's, for every policy, both row policies, one and two
 // channels, frequent refresh, mid-run share changes and pooled buffers;
-// and the comparison notices when either pick invalidation is lost.
+// and the comparison notices when either pick invalidation is lost or a
+// policy falsely declares that its keys follow arrival.
 func TestBankSelectionMatchesFullWalk(t *testing.T) {
-	shares := []core.Share{{Num: 1, Den: 4}, {Num: 1, Den: 4}, {Num: 1, Den: 2}}
-	tt := dram.DDR2800()
-	policies := map[string]func(banks int) core.Policy{
-		"FCFS":            func(int) core.Policy { return core.NewFCFS() },
-		"FR-FCFS":         func(int) core.Policy { return core.NewFRFCFS() },
-		"FR-VFTF":         func(n int) core.Policy { return core.NewFRVFTF(shares, n, tt) },
-		"FQ-VFTF":         func(n int) core.Policy { return core.NewFQVFTF(shares, n, tt) },
-		"FR-VSTF":         func(n int) core.Policy { return core.NewFRVSTF(shares, n, tt) },
-		"FR-VFTF-arrival": func(n int) core.Policy { return core.NewFRVFTFArrival(shares, n, tt) },
-		"BLISS":           func(int) core.Policy { return core.NewBLISS(3) },
-		"SLOW-FAIR":       func(int) core.Policy { return core.NewSlowFair(3, tt) },
-		"BANK-BW":         func(n int) core.Policy { return core.NewBankBW(3, n) },
-	}
+	shares := selectionShares(3)
 	config := func(channels int, row RowPolicy, shared bool) Config {
 		cfg := DefaultConfig(3)
 		cfg.Channels = channels
@@ -306,28 +332,58 @@ func TestBankSelectionMatchesFullWalk(t *testing.T) {
 		cfg.DRAM.Timing.TREF = 3000 // exercise refresh frequently
 		return cfg
 	}
-	for name, mk := range policies {
+	for _, sp := range selectionPolicies {
 		for _, channels := range []int{1, 2} {
 			for _, row := range []RowPolicy{ClosedRow, OpenRow} {
 				// Pooled buffers on one row of the matrix: where a thread's
 				// queue on a bank can outgrow its own partition.
 				shared := channels == 1 && row == ClosedRow
 				cfg := config(channels, row, shared)
-				checked, diff := selectionRun(t, cfg, mk(cfg.TotalBanks()), plantNone)
+				checked, diff := selectionRun(t, cfg, sp.mk(shares, cfg.TotalBanks()), plantNone, 42, 30_000)
 				if diff != "" {
-					t.Errorf("%s/%dch/%v/shared=%v: %s", name, channels, row, shared, diff)
+					t.Errorf("%s/%dch/%v/shared=%v: %s", sp.name, channels, row, shared, diff)
 				} else if checked < 10_000 {
-					t.Errorf("%s/%dch/%v/shared=%v: only %d examinations checked", name, channels, row, shared, checked)
+					t.Errorf("%s/%dch/%v/shared=%v: only %d examinations checked", sp.name, channels, row, shared, checked)
 				}
 			}
 		}
 	}
+	cfg := config(1, ClosedRow, false)
 	for plant, what := range map[int]string{plantAccept: "Accept", plantRemove: "removePending"} {
-		for _, name := range []string{"FR-FCFS", "FQ-VFTF"} {
-			cfg := config(1, ClosedRow, false)
-			if _, diff := selectionRun(t, cfg, policies[name](cfg.TotalBanks()), plant); diff == "" {
-				t.Errorf("%s: picks kept across %s went unnoticed", name, what)
+		for _, sp := range selectionPolicies {
+			if sp.name != "FR-FCFS" && sp.name != "FQ-VFTF" {
+				continue
+			}
+			if _, diff := selectionRun(t, cfg, sp.mk(shares, cfg.TotalBanks()), plant, 42, 30_000); diff == "" {
+				t.Errorf("%s: picks kept across %s went unnoticed", sp.name, what)
 			}
 		}
 	}
+	if _, diff := selectionRun(t, cfg, &fallingKeys{}, plantNone, 42, 30_000); diff == "" {
+		t.Error("a policy whose keys fall with arrival, declared to follow it, went unnoticed")
+	}
+}
+
+// FuzzBankSelection runs selectionRun's comparison on machines drawn from
+// the input: the traffic seed, one to four threads, the buffer depth,
+// one, two or four channels, the row policy, pooled buffers, the refresh
+// interval and any of the nine policies, for 8,000 cycles each.
+func FuzzBankSelection(f *testing.F) {
+	f.Add(uint64(42), uint8(2), uint8(15), uint8(0), false, false, uint16(2000), uint8(3))
+	f.Fuzz(func(t *testing.T, seed uint64, threads, entries, channels uint8, openRow, pooled bool, tref uint16, policy uint8) {
+		cfg := DefaultConfig(1 + int(threads%4))
+		cfg.Channels = []int{1, 2, 4}[channels%3]
+		cfg.ReadEntriesPerThread = 1 + int(entries%32)
+		cfg.WriteEntriesPerThread = 1 + int(entries%16)
+		if openRow {
+			cfg.RowPolicy = OpenRow
+		}
+		cfg.SharedBuffers = pooled
+		cfg.DRAM.Timing.TREF = 1_000 + int(tref%8_000)
+		sp := selectionPolicies[int(policy)%len(selectionPolicies)]
+		if _, diff := selectionRun(t, cfg, sp.mk(selectionShares(cfg.Threads), cfg.TotalBanks()), plantNone, seed, 8_000); diff != "" {
+			t.Fatalf("%s, %d threads, %d/%d entries, %d channels, %v row, pooled %v, tREF %d: %s",
+				sp.name, cfg.Threads, cfg.ReadEntriesPerThread, cfg.WriteEntriesPerThread, cfg.Channels, cfg.RowPolicy, pooled, cfg.DRAM.Timing.TREF, diff)
+		}
+	})
 }

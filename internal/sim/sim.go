@@ -629,15 +629,16 @@ func (s *System) Step(n int64) {
 		for i := range s.cores {
 			// Offer due requests to the controller (one read and one
 			// write acceptance attempt per core per cycle; NACKs retry).
-			if e, ok := s.fetchQ[i].peek(); ok && e.at <= now {
-				if s.ctrl.Accept(i, e.addr, false, now) {
-					s.fetchQ[i].pop()
-				}
+			// A full partition refuses until a full controller tick frees
+			// an entry, so a refused head costs the CanAccept compare, not
+			// an Accept call.
+			if e, ok := s.fetchQ[i].peek(); ok && e.at <= now && s.ctrl.CanAccept(i, false) &&
+				s.ctrl.Accept(i, e.addr, false, now) {
+				s.fetchQ[i].pop()
 			}
-			if e, ok := s.wbQ[i].peek(); ok && e.at <= now {
-				if s.ctrl.Accept(i, e.addr, true, now) {
-					s.wbQ[i].pop()
-				}
+			if e, ok := s.wbQ[i].peek(); ok && e.at <= now && s.ctrl.CanAccept(i, true) &&
+				s.ctrl.Accept(i, e.addr, true, now) {
+				s.wbQ[i].pop()
 			}
 		}
 

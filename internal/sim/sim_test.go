@@ -387,15 +387,20 @@ func TestSourcesLengthMismatch(t *testing.T) {
 // many pending requests it walked to do so, on 4×art under FQ-VFTF
 // (every bank backlogged; the benchmark's heavy-art4 and chan4-art4 at
 // test size). The bounds sit about a tenth above what the code measures
-// (5.89, 18.78 and 24.9 at one channel, 4.62, 4.87 and 5.7 at four).
+// (5.89, 2.95 and 24.9 at one channel, 4.62, 2.42 and 5.7 at four).
 // A command used to wake every bank of its channel and drop every
 // cached key on it, which on these runs measured 10.28 examinations and
 // 67.90 key evaluations per command at one channel, 9.33 and 16.13 at
-// four, and every examination used to walk its bank's whole queue,
-// 100.6 slots per command at one channel and 19.1 at four; so waking
-// banks that cannot have become ready, dropping keys the command cannot
-// have moved, or re-ranking threads whose keys did not move, fails here
-// as a count long before it shows in a timing.
+// four; every examination used to walk its bank's whole queue, 100.6
+// slots per command at one channel and 19.1 at four; and every request
+// of a re-ranked queue used to have its key evaluated, 18.78 and 4.87
+// per command, where under a policy whose keys follow arrival
+// (core.ArrivalMonotone) only the first unfrozen request of each
+// (class, read/write) group can rank first. So waking banks that cannot
+// have become ready, dropping keys the command cannot have moved,
+// re-ranking threads whose keys did not move, or FQ-VFTF losing its
+// arrival declaration, fails here as a count long before it shows in a
+// timing.
 //
 // The core side of the same runs is held the same way: every probe of
 // the data caches, served or refused, per line fetched from memory, and
@@ -418,8 +423,8 @@ func TestSchedulingEconomy(t *testing.T) {
 		maxProbes                   float64 // per L2 miss
 		maxTicks                    float64 // per stepped cycle
 	}{
-		{1, 6.5, 20.7, 27.5, 2.5, 0.6},
-		{4, 5.1, 5.4, 6.3, 2.5, 1.4},
+		{1, 6.5, 3.3, 27.5, 2.5, 0.6},
+		{4, 5.1, 2.7, 6.3, 2.5, 1.4},
 	} {
 		cfg := Config{Workload: []trace.Profile{art, art, art, art}, Policy: FQVFTF, Seed: 1}
 		cfg.Mem.Channels = tc.channels
