@@ -56,8 +56,8 @@ const (
 // c — the VTMS policies satisfy this because their registers are per
 // (thread, bank) and per (thread, channel) and Equations 8-9 update
 // only the issuing thread's, and the interval policies because OnIssue
-// only stages what Tick later applies — so the controller drops exactly
-// the issuing thread's cached keys on the issuing channel
+// only stages what Tick later applies — so the controller clears exactly
+// the issuing thread's picks on the issuing channel
 // (TestOnIssueMovesOnlyIssuingThreadKeys holds every shipped policy to
 // it). A future policy that couples threads or channels through shared
 // mutable state would need a controller-wide invalidation

@@ -9,10 +9,10 @@ import (
 	"repro/internal/dram"
 )
 
-// The memory controller stamps each cached key with the epoch of the
-// request's (channel, thread) and of its bank, and a command issue
-// bumps only the issuing thread's epoch on the issuing channel. That is
-// sound exactly when the Policy contract's locality rule holds: OnIssue
+// The memory controller caches each (bank, thread) queue's picks, and a
+// request command clears only the issuing thread's on the issuing
+// channel (an activate or precharge also its bank's). That is sound
+// exactly when the Policy contract's locality rule holds: OnIssue
 // for a request of thread t on channel c leaves Key unchanged for every
 // request of another thread or on another channel, under every
 // BankState. These tests hold every shipped policy to it.

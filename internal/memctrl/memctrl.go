@@ -275,13 +275,14 @@ type pick struct {
 	key  int64
 }
 
-// threadPicks caches one (bank, thread) queue's pick per class. Like a
-// cached key it is valid while stamp == thrEpoch[channel][thread] +
-// bankEpoch[bank], and while it is, every key it was ranked from is
-// cached under the same stamp; Accept and removePending drop it (stamp
-// 0, never a valid sum) because they change the queue it was built from.
+// threadPicks caches one (bank, thread) queue's pick per class. They
+// depend only on the queue, the thread's policy state on the channel and
+// the bank state (see the core.Policy contract), so each event that can
+// move them clears valid: Accept the queue's own, a request command the
+// thread's on every bank of the channel, an activate or precharge every
+// thread's on the bank, InvalidateScheduling and a restore all of them.
 type threadPicks struct {
-	stamp uint64
+	valid bool
 	best  [numClasses]pick
 }
 
@@ -317,21 +318,6 @@ type Controller struct {
 	// request's whole lifetime because the arena never grows.
 	arena     []core.Request
 	freeSlots []int32
-
-	// keys/keyEpoch cache each slot's policy key; a cached key is valid
-	// while keyEpoch[slot] == thrEpoch[channel][thread] + bankEpoch[bank]
-	// (both only ever grow, so the sum is unchanged exactly when both
-	// are). Key is pure in the request's immutable fields, policy state
-	// that OnIssue moves only for the issuing thread on the issuing
-	// channel (see the core.Policy contract), and the bank state, so
-	// issue bumps the issuing thread's epoch on its channel and, for an
-	// activate or precharge, the bank's; InvalidateScheduling bumps
-	// everything. keyEpoch[slot] = 0 marks "never computed"; thread
-	// epochs start at 1.
-	keys      []int64
-	keyEpoch  []uint64
-	thrEpoch  []uint64 // per (channel, thread): chIdx*Threads + thread
-	bankEpoch []uint64 // per flat bank
 
 	// pending is the paper's Figure 2 structure: one transaction queue
 	// per (flat bank, thread), index bank*Threads+thread, arena slots in
@@ -454,10 +440,6 @@ func New(cfg Config, policy core.Policy) (*Controller, error) {
 		banksPerChan:  cfg.DRAM.Banks(),
 		arena:         make([]core.Request, nslots),
 		freeSlots:     make([]int32, nslots),
-		keys:          make([]int64, nslots),
-		keyEpoch:      make([]uint64, nslots),
-		thrEpoch:      make([]uint64, nch*cfg.Threads),
-		bankEpoch:     make([]uint64, nch*cfg.DRAM.Banks()),
 		pending:       make([][]int32, nch*cfg.DRAM.Banks()*cfg.Threads),
 		picks:         make([]threadPicks, nch*cfg.DRAM.Banks()*cfg.Threads),
 		readOcc:       make([]int, cfg.Threads),
@@ -479,9 +461,6 @@ func New(cfg Config, policy core.Policy) (*Controller, error) {
 	}
 	for i := range c.freeSlots {
 		c.freeSlots[i] = int32(i)
-	}
-	for i := range c.thrEpoch {
-		c.thrEpoch[i] = 1
 	}
 	for i := range c.inflight {
 		c.inflight[i] = make([]inflightRead, 0, nslots)
@@ -557,17 +536,17 @@ func (c *Controller) Occupancy(thread int) (reads, writes int) {
 func (c *Controller) CommandCount(kind dram.Kind) int64 { return c.cmdCount[kind] }
 
 // SchedCounts is the scheduler's own work since New or a restore, the
-// numbers that say how precisely wakes and cached keys are invalidated:
-// per issued command, how many banks were examined, how many pending
-// requests those examinations walked, and how many of them needed
-// Policy.Key evaluated afresh. Like sim.StepCounts they count simulator
+// numbers that say how precisely wakes and picks are invalidated: per
+// issued command, how many banks were examined, how many pending
+// requests those examinations walked, and how many Policy.Key calls the
+// re-ranked queues made. Like sim.StepCounts they count simulator
 // work, not simulated state: they repeat exactly for a given Config and
 // stepping, restart at zero in a restored controller, and are kept out
 // of the checkpoint and the metrics registry.
 type SchedCounts struct {
 	BankExams    int64 // bankSchedule calls
 	SlotsVisited int64 // pending requests those calls walked
-	KeyEvals     int64 // Policy.Key evaluations (key-cache misses)
+	KeyEvals     int64 // Policy.Key calls (a frozen key is read, not evaluated)
 	CmdsIssued   int64 // SDRAM commands issued, refreshes excluded
 }
 
@@ -575,11 +554,10 @@ type SchedCounts struct {
 func (c *Controller) SchedCounts() SchedCounts { return c.sched }
 
 // dropDerived forgets what the scheduler derived rather than simulated —
-// cached keys and per-queue picks, which the next examination rebuilds
-// to the same values — and restarts its work counts. A restore calls it:
-// none of them is on the wire.
+// the per-queue picks, which the next examination rebuilds to the same
+// values — and restarts its work counts. A restore calls it: neither is
+// on the wire.
 func (c *Controller) dropDerived() {
-	clear(c.keyEpoch) // keyEpoch 0 is never a valid stamp
 	clear(c.picks)
 	c.sched = SchedCounts{}
 }
@@ -615,10 +593,8 @@ func (c *Controller) InvalidateScheduling() {
 	clear(c.bankQuiet)
 	c.nextEvent = 0
 	// Out-of-band changes (share reassignment) rewrite policy keys on
-	// every channel, so every cached key is stale too.
-	for i := range c.thrEpoch {
-		c.thrEpoch[i]++
-	}
+	// every channel, so every pick is stale too.
+	clear(c.picks)
 }
 
 // allocSlot pops a free arena slot. Occupancy admission in Accept
@@ -713,10 +689,9 @@ func (c *Controller) Accept(thread int, lineAddr uint64, isWrite bool, now int64
 		GlobalBank:  gb,
 		Slot:        slot,
 	}
-	c.keyEpoch[slot] = 0 // recycled slots carry a stale cached key
 	q := gb*c.cfg.Threads + thread
 	c.pending[q] = append(c.pending[q], slot)
-	c.picks[q].stamp = 0
+	c.picks[q].valid = false
 	c.pendingTotal++
 	// A new request can make its bank schedulable immediately. Wake the
 	// bank at now (not now+1): callers may Accept before Tick within the
@@ -889,9 +864,8 @@ func (c *Controller) TickBegin(now int64) bool {
 // schedulers for cycle now and records the outcome in the channel's
 // decision without applying it; it emits no event. It writes the
 // channel's decision, bank wake times, refresh-wanted flag and its
-// requests' cached keys and picks, and nothing another channel's
-// ranking reads, so the order channels are scheduled in within a cycle
-// does not matter. The policy's Key purity contract (core.Policy) is
+// queues' picks, and nothing another channel's ranking reads, so the
+// order channels are scheduled in within a cycle does not matter. The policy's Key purity contract (core.Policy) is
 // what makes the ranking sound: Key depends only on request-immutable
 // fields and same-channel policy state, both constant until TickEnd
 // applies the decisions.
@@ -1075,14 +1049,13 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (cand candidate, ok b
 	}
 	early := [numClasses]int64{-1, -1, -1}
 
-	// Re-rank the queues of the threads whose keys may have moved since
-	// their picks were built, and take each class's first request over
-	// all threads. The interference tracker must see every ready request
-	// on every examination, so with it attached every queue is walked;
-	// its charges are sums, so the visit order is free (DESIGN §15).
+	// Re-rank the queues whose picks were cleared since they were built,
+	// and take each class's first request over all threads. The
+	// interference tracker must see every ready request on every
+	// examination, so with it attached every queue is visited, but only
+	// the invalid ones are re-ranked; its charges are sums, so the visit
+	// order is free (DESIGN §15).
 	nt := c.cfg.Threads
-	thrEpoch := c.thrEpoch[chIdx*nt:]
-	bankEpoch := c.bankEpoch[b]
 	follow := c.keysFollowArrival
 	top := noPicks
 	var intfBase int // tracker's ready-staging mark for this bank
@@ -1094,9 +1067,11 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (cand candidate, ok b
 			continue
 		}
 		p := &c.picks[b*nt+t]
-		if epoch := thrEpoch[t] + bankEpoch; p.stamp != epoch || c.intf != nil {
+		if rank := !p.valid; rank || c.intf != nil {
 			c.sched.SlotsVisited += int64(len(q))
-			p.stamp, p.best = epoch, noPicks
+			if rank {
+				p.valid, p.best = true, noPicks
+			}
 			var heads uint8 // the groups whose first unfrozen request is ranked
 			for _, slot := range q {
 				r := &c.arena[slot]
@@ -1111,21 +1086,14 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (cand candidate, ok b
 				if r.IsWrite && cls == classMiss {
 					g = 1 << numClasses
 				}
-				if r.KeyFrozen || heads&g == 0 {
-					if !r.KeyFrozen && follow {
-						heads |= g
-					}
-					// Cached policy key: valid while neither epoch has moved
-					// (no command of this thread on the channel, no activate
-					// or precharge of this bank, no share reassignment),
-					// because Key is pure in exactly the state those events
-					// mutate.
-					if c.keyEpoch[slot] != epoch {
-						c.keys[slot] = core.KeyOf(c.policy, r, state)
-						c.keyEpoch[slot] = epoch
+				if rank && (r.KeyFrozen || heads&g == 0) {
+					if !r.KeyFrozen {
 						c.sched.KeyEvals++
+						if follow {
+							heads |= g
+						}
 					}
-					c.offer(&p.best[cls], pick{slot, c.keys[slot]})
+					c.offer(&p.best[cls], pick{slot, core.KeyOf(c.policy, r, state)})
 				}
 				if c.intf != nil {
 					if early[cls] < 0 {
@@ -1303,19 +1271,25 @@ func (c *Controller) issue(cand *candidate, now int64) {
 	// issuing thread's keys on the channel (see the core.Policy
 	// contract), so every bank wake on this channel is stale: the issued
 	// bank re-examines at once, every other bank no sooner than its
-	// quiet bound. nextEvent is not lowered here — TickEnd recomputes it
-	// from the wake lists after every decision.
+	// quiet bound. The same command clears the thread's picks on every
+	// bank of the channel, which also covers the queue its CAS leaves.
+	// nextEvent is not lowered here — TickEnd recomputes it from the
+	// wake lists after every decision.
 	c.bankQuiet[cand.bank] = 0
+	nt := c.cfg.Threads
 	lo := chIdx * c.banksPerChan
 	for b := lo; b < lo+c.banksPerChan; b++ {
 		if w := max(now, c.bankQuiet[b]); c.bankWake[b] > w {
 			c.bankWake[b] = w
 		}
+		if r != nil {
+			c.picks[b*nt+r.Thread].valid = false
+		}
 	}
 	// An activate or precharge changes the BankState every Key on the
 	// bank is evaluated under.
 	if cand.kind == dram.KindActivate || cand.kind == dram.KindPrecharge {
-		c.bankEpoch[cand.bank]++
+		clear(c.picks[cand.bank*nt : (cand.bank+1)*nt])
 	}
 	if r == nil {
 		// Device state only: no request, and no VTMS charge (no thread
@@ -1329,7 +1303,6 @@ func (c *Controller) issue(cand *candidate, now int64) {
 			r.Key, r.KeyFrozen = core.VTime(cand.key), true
 		}
 		c.policy.OnIssue(r, cand.kind)
-		c.thrEpoch[chIdx*c.cfg.Threads+r.Thread]++
 		r.Issued++
 		if cand.isCAS {
 			c.removePending(cand.bank, cand.slot)
@@ -1363,7 +1336,6 @@ func (c *Controller) removePending(bank int, slot int32) {
 		if x == slot {
 			copy(q[i:], q[i+1:])
 			c.pending[qi] = q[:len(q)-1]
-			c.picks[qi].stamp = 0
 			c.pendingTotal--
 			return
 		}

@@ -222,13 +222,13 @@ func (t *tracer) lifetime(name string, tid int, r *core.Request, done int64) {
 	t.vals[0] = int64(r.GlobalBank)
 	t.vals[1] = int64(r.Row)
 	t.vals[2] = done - r.ArrivalReal
-	keys, vals := traceLifeKeys, t.vals[:3]
+	names, vals := traceLifeKeys, t.vals[:3]
 	if intf := t.c.intf; intf != nil {
 		top, stolen := intf.topAggressor(r.Slot, r.Thread)
 		t.vals[3] = int64(top)
 		t.vals[4] = stolen
-		keys, vals = traceLifeIntfKeys, t.vals[:5]
+		names, vals = traceLifeIntfKeys, t.vals[:5]
 	}
 	t.tw.CompleteArgs(name, tracePidThread+r.Thread, tid, r.ArrivalReal, done-r.ArrivalReal,
-		keys, vals)
+		names, vals)
 }

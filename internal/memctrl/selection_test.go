@@ -11,8 +11,8 @@ import (
 )
 
 // This file holds the bank scheduler's selection to a deliberately plain
-// one: no key cache, no picks, no thread queues, no wake lists. It is
-// written from the rules, not from bankSchedule:
+// one: no picks, no thread queues, no wake lists. It is written from the
+// rules, not from bankSchedule:
 //
 //   - PAPER.md / paper §3.2: a bank scheduler offers the channel
 //     scheduler one command; ready commands come first, then CAS over
@@ -46,7 +46,7 @@ type queueMirror struct {
 	nopObserver
 	banks   [][]*core.Request
 	lastAcc *core.Request
-	lastCAS []*core.Request // requests whose CAS the current TickEnd issued
+	cmds    []audit.Cmd // the commands the current TickEnd issued
 }
 
 func (m *queueMirror) OnAccept(r *core.Request, _ int64) {
@@ -55,6 +55,7 @@ func (m *queueMirror) OnAccept(r *core.Request, _ int64) {
 }
 
 func (m *queueMirror) AfterIssue(cmd audit.Cmd, _ int64) {
+	m.cmds = append(m.cmds, cmd)
 	if cmd.Kind != dram.KindRead && cmd.Kind != dram.KindWrite {
 		return
 	}
@@ -62,7 +63,6 @@ func (m *queueMirror) AfterIssue(cmd audit.Cmd, _ int64) {
 	for i, r := range q {
 		if r == cmd.Req {
 			m.banks[cmd.FlatBank] = append(q[:i], q[i+1:]...)
-			m.lastCAS = append(m.lastCAS, r)
 			return
 		}
 	}
@@ -177,19 +177,21 @@ func naiveBank(c *Controller, waiting []*core.Request, chIdx, b int, now int64) 
 	return out
 }
 
-// Planted bugs for runSelection: the invalidation whose loss each one
-// simulates by re-stamping the pick set it dropped.
+// Planted bugs for selectionRun: the pick invalidation whose loss each
+// one simulates by marking valid again the picks it cleared.
 const (
-	plantNone = iota
-	plantAccept
-	plantRemove
+	plantNone   = iota
+	plantAccept // Accept's clear of its own queue
+	plantThread // a request command's clear of its thread on the channel
+	plantBank   // an activate's or precharge's clear of its bank
 )
 
 // selectionRun drives the controller for the given number of cycles
 // with TestStressInvariants' traffic, drawn from seed, and compares
-// every bank examination against naiveBank. It returns the number of
-// examinations checked and the first disagreement ("" if none), at
-// which it stops.
+// every bank examination against naiveBank (with cfg.Interference the
+// tracker's visit of every valid queue is on the path too). It returns
+// the number of examinations checked and the first disagreement ("" if
+// none), at which it stops.
 func selectionRun(t *testing.T, cfg Config, policy core.Policy, plant int, seed uint64, cycles int64) (checked int, diff string) {
 	t.Helper()
 	c, err := New(cfg, policy)
@@ -202,23 +204,20 @@ func selectionRun(t *testing.T, cfg Config, policy core.Policy, plant int, seed 
 	nt := cfg.Threads
 
 	// live reports, per (bank, thread) queue, whether its picks are
-	// stamped valid; restamp undoes a drop for the queues that were.
+	// valid; restore undoes a clear for a queue that was.
 	live := func() []bool {
 		if plant == plantNone {
 			return nil
 		}
 		out := make([]bool, len(c.picks))
 		for q := range c.picks {
-			b, th := q/nt, q%nt
-			out[q] = c.picks[q].stamp == c.thrEpoch[b/c.banksPerChan*nt+th]+c.bankEpoch[b]
+			out[q] = c.picks[q].valid
 		}
 		return out
 	}
-	restamp := func(was []bool, r *core.Request) {
-		q := r.GlobalBank*nt + r.Thread
-		if was[q] && c.picks[q].stamp == 0 {
-			c.picks[q].stamp = c.thrEpoch[r.Channel*nt+r.Thread] + c.bankEpoch[r.GlobalBank]
-		}
+	restore := func(was []bool, b, th int) {
+		q := b*nt + th
+		c.picks[q].valid = c.picks[q].valid || was[q]
 	}
 
 	next := func() uint64 {
@@ -230,7 +229,7 @@ func selectionRun(t *testing.T, cfg Config, policy core.Policy, plant int, seed 
 		if x := next(); x%3 != 0 {
 			was := live()
 			if c.Accept(int(x>>20%uint64(nt)), (x>>8)%500_000, x%5 == 0, now) && plant == plantAccept {
-				restamp(was, m.lastAcc)
+				restore(was, m.lastAcc.GlobalBank, m.lastAcc.Thread)
 			}
 		}
 		if ss, ok := policy.(core.ShareSetter); ok && now%10_000 == 7_000 {
@@ -268,11 +267,27 @@ func selectionRun(t *testing.T, cfg Config, policy core.Policy, plant int, seed 
 			}
 		}
 		was := live()
-		m.lastCAS = m.lastCAS[:0]
+		m.cmds = m.cmds[:0]
 		c.TickEnd(now)
-		if plant == plantRemove {
-			for _, r := range m.lastCAS {
-				restamp(was, r)
+		// A channel issues at most one command a cycle, so the queue of
+		// the issuing thread on an activated or precharged bank is the
+		// only one both clears cover; neither plant restores it.
+		for _, cmd := range m.cmds {
+			row := cmd.Kind == dram.KindActivate || cmd.Kind == dram.KindPrecharge
+			switch {
+			case plant == plantThread && cmd.Req != nil:
+				lo := cmd.FlatBank / c.banksPerChan * c.banksPerChan
+				for b := lo; b < lo+c.banksPerChan; b++ {
+					if !row || b != cmd.FlatBank {
+						restore(was, b, cmd.Req.Thread)
+					}
+				}
+			case plant == plantBank && row:
+				for th := 0; th < nt; th++ {
+					if cmd.Req == nil || th != cmd.Req.Thread {
+						restore(was, cmd.FlatBank, th)
+					}
+				}
 			}
 		}
 	}
@@ -319,16 +334,18 @@ func (*fallingKeys) Key(r *core.Request, _ core.BankState) int64 { return -r.Arr
 // TestBankSelectionMatchesFullWalk: on every bank examination of a
 // random run the controller's offer, wake and quiet bound equal the
 // naive model's, for every policy, both row policies, one and two
-// channels, frequent refresh, mid-run share changes and pooled buffers;
-// and the comparison notices when either pick invalidation is lost or a
-// policy falsely declares that its keys follow arrival.
+// channels, frequent refresh, mid-run share changes, pooled buffers and
+// interference attribution; and the comparison notices, with attribution
+// on or off, when the Accept, thread or bank clear of the picks is lost,
+// and when a policy falsely declares that its keys follow arrival.
 func TestBankSelectionMatchesFullWalk(t *testing.T) {
 	shares := selectionShares(3)
-	config := func(channels int, row RowPolicy, shared bool) Config {
+	config := func(channels int, row RowPolicy, shared, intf bool) Config {
 		cfg := DefaultConfig(3)
 		cfg.Channels = channels
 		cfg.RowPolicy = row
 		cfg.SharedBuffers = shared
+		cfg.Interference = intf
 		cfg.DRAM.Timing.TREF = 3000 // exercise refresh frequently
 		return cfg
 	}
@@ -336,29 +353,35 @@ func TestBankSelectionMatchesFullWalk(t *testing.T) {
 		for _, channels := range []int{1, 2} {
 			for _, row := range []RowPolicy{ClosedRow, OpenRow} {
 				// Pooled buffers on one row of the matrix: where a thread's
-				// queue on a bank can outgrow its own partition.
+				// queue on a bank can outgrow its own partition. Attribution
+				// on the two rows that cover both channel counts and both
+				// row policies: the tracker visits every queue, valid or not.
 				shared := channels == 1 && row == ClosedRow
-				cfg := config(channels, row, shared)
+				intf := (channels == 2) == (row == ClosedRow)
+				cfg := config(channels, row, shared, intf)
 				checked, diff := selectionRun(t, cfg, sp.mk(shares, cfg.TotalBanks()), plantNone, 42, 30_000)
 				if diff != "" {
-					t.Errorf("%s/%dch/%v/shared=%v: %s", sp.name, channels, row, shared, diff)
+					t.Errorf("%s/%dch/%v/shared=%v/intf=%v: %s", sp.name, channels, row, shared, intf, diff)
 				} else if checked < 10_000 {
-					t.Errorf("%s/%dch/%v/shared=%v: only %d examinations checked", sp.name, channels, row, shared, checked)
+					t.Errorf("%s/%dch/%v/shared=%v/intf=%v: only %d examinations checked", sp.name, channels, row, shared, intf, checked)
 				}
 			}
 		}
 	}
-	cfg := config(1, ClosedRow, false)
-	for plant, what := range map[int]string{plantAccept: "Accept", plantRemove: "removePending"} {
-		for _, sp := range selectionPolicies {
-			if sp.name != "FR-FCFS" && sp.name != "FQ-VFTF" {
-				continue
-			}
-			if _, diff := selectionRun(t, cfg, sp.mk(shares, cfg.TotalBanks()), plant, 42, 30_000); diff == "" {
-				t.Errorf("%s: picks kept across %s went unnoticed", sp.name, what)
+	for plant, what := range map[int]string{plantAccept: "Accept", plantThread: "a command of their thread", plantBank: "an activate or precharge of their bank"} {
+		for _, intf := range []bool{false, true} {
+			cfg := config(1, ClosedRow, false, intf)
+			for _, sp := range selectionPolicies {
+				if sp.name != "FR-FCFS" && sp.name != "FQ-VFTF" {
+					continue
+				}
+				if _, diff := selectionRun(t, cfg, sp.mk(shares, cfg.TotalBanks()), plant, 42, 30_000); diff == "" {
+					t.Errorf("%s/intf=%v: picks kept across %s went unnoticed", sp.name, intf, what)
+				}
 			}
 		}
 	}
+	cfg := config(1, ClosedRow, false, false)
 	if _, diff := selectionRun(t, cfg, &fallingKeys{}, plantNone, 42, 30_000); diff == "" {
 		t.Error("a policy whose keys fall with arrival, declared to follow it, went unnoticed")
 	}
@@ -367,10 +390,11 @@ func TestBankSelectionMatchesFullWalk(t *testing.T) {
 // FuzzBankSelection runs selectionRun's comparison on machines drawn from
 // the input: the traffic seed, one to four threads, the buffer depth,
 // one, two or four channels, the row policy, pooled buffers, the refresh
-// interval and any of the nine policies, for 8,000 cycles each.
+// interval, any of the nine policies and interference attribution, for
+// 8,000 cycles each.
 func FuzzBankSelection(f *testing.F) {
-	f.Add(uint64(42), uint8(2), uint8(15), uint8(0), false, false, uint16(2000), uint8(3))
-	f.Fuzz(func(t *testing.T, seed uint64, threads, entries, channels uint8, openRow, pooled bool, tref uint16, policy uint8) {
+	f.Add(uint64(42), uint8(2), uint8(15), uint8(0), false, false, uint16(2000), uint8(3), false)
+	f.Fuzz(func(t *testing.T, seed uint64, threads, entries, channels uint8, openRow, pooled bool, tref uint16, policy uint8, intf bool) {
 		cfg := DefaultConfig(1 + int(threads%4))
 		cfg.Channels = []int{1, 2, 4}[channels%3]
 		cfg.ReadEntriesPerThread = 1 + int(entries%32)
@@ -379,11 +403,12 @@ func FuzzBankSelection(f *testing.F) {
 			cfg.RowPolicy = OpenRow
 		}
 		cfg.SharedBuffers = pooled
+		cfg.Interference = intf
 		cfg.DRAM.Timing.TREF = 1_000 + int(tref%8_000)
 		sp := selectionPolicies[int(policy)%len(selectionPolicies)]
 		if _, diff := selectionRun(t, cfg, sp.mk(selectionShares(cfg.Threads), cfg.TotalBanks()), plantNone, seed, 8_000); diff != "" {
-			t.Fatalf("%s, %d threads, %d/%d entries, %d channels, %v row, pooled %v, tREF %d: %s",
-				sp.name, cfg.Threads, cfg.ReadEntriesPerThread, cfg.WriteEntriesPerThread, cfg.Channels, cfg.RowPolicy, pooled, cfg.DRAM.Timing.TREF, diff)
+			t.Fatalf("%s, %d threads, %d/%d entries, %d channels, %v row, pooled %v, tREF %d, attribution %v: %s",
+				sp.name, cfg.Threads, cfg.ReadEntriesPerThread, cfg.WriteEntriesPerThread, cfg.Channels, cfg.RowPolicy, pooled, cfg.DRAM.Timing.TREF, intf, diff)
 		}
 	})
 }

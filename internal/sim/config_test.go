@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/addrmap"
+	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/memctrl"
 	"repro/internal/metrics"
@@ -118,6 +120,16 @@ func TestHostileConfigValues(t *testing.T) {
 			c.Mem = memctrl.DefaultConfig(2)
 			c.Mem.DRAM.Timing.TCL, c.Mem.DRAM.Timing.TRAS = 10, c.Mem.DRAM.Timing.TRCD
 		}, "tRAS (5) < tRCD + tCL (5 + 10)"},
+		// A row cycle shorter than the row's active time, and a core or
+		// hierarchy with no room for one instruction, load or miss: each
+		// is its own package's error before anything is sized from it.
+		{"tRC below tRAS", func(c *Config) {
+			c.Mem = memctrl.DefaultConfig(2)
+			c.Mem.DRAM.Timing.TRC = c.Mem.DRAM.Timing.TRAS - 1
+		}, "tRC (17) < tRAS (18)"},
+		{"zero ROB", func(c *Config) { c.CPU = cpu.DefaultConfig(); c.CPU.ROB = 0 }, "cpu: invalid config {ROB:0 "},
+		{"zero load queue", func(c *Config) { c.CPU = cpu.DefaultConfig(); c.CPU.LoadQueue = 0 }, "LoadQueue:0 "},
+		{"zero MSHRs", func(c *Config) { c.Cache = cache.DefaultHierarchyConfig(); c.Cache.MSHRs = 0 }, "MSHRs must be >= 1, got 0"},
 		// Set on an otherwise default Mem (Threads zero): kept, not
 		// rebuilt from the defaults, so Validate sees them.
 		{"negative read entries", func(c *Config) { c.Mem.ReadEntriesPerThread = -4 }, "read entries per thread must be >= 1, got -4"},

@@ -237,7 +237,7 @@ func TestEquivalenceSetShareInsideRefresh(t *testing.T) {
 // share reassignment, the skip-ahead path must still reproduce the
 // strict oracle exactly — the approximation may cost wake-ups, never
 // correctness. All six arena policies run, so the quiet-bound wakes and
-// the per-thread key epochs are also held to the oracle across the
+// the per-thread pick clears are also held to the oracle across the
 // interval policies' Tick invalidations (for which the share
 // reassignment is a no-op). Both runs carry the invariant auditor.
 func TestEquivalenceMultiChannelBankWake(t *testing.T) {
