@@ -192,6 +192,11 @@ func (ch *Channel) LastActivate(bankIdx int) int64 {
 	return ch.banks[bankIdx].lastActivate
 }
 
+// ActivateThread returns the thread whose command set the bank's last
+// activate (-1 for none): while the bank is open, the thread that opened
+// its row. Observation-only, like BlockingCause.
+func (ch *Channel) ActivateThread(bankIdx int) int { return ch.banks[bankIdx].actThread }
+
 // BankTimestamps returns the bank's last command-issue cycles (large
 // negative values for commands never issued). The audit layer uses them
 // to cross-check its shadow bank state against the device.

@@ -14,49 +14,39 @@ import (
 // Interference attribution (DESIGN §15): every cycle a request spends
 // waiting in the controller is charged to exactly one exclusive cause
 // and at most one aggressor thread, folding into a per-thread-pair
-// matrix cycles[victim][aggressor] plus per-cause totals. The layer is
-// observation-only — it reads the same DDR2 state the scheduler reads
-// and never feeds back into a decision, so enabling it leaves every
-// simulated result bit-identical — and it is conservative by
-// construction: a request's attributed cycles always sum to exactly its
-// measured queueing delay (arrival to CAS issue), an invariant the
-// audit layer re-checks at every service start.
+// matrix cycles[victim][aggressor] plus per-cause totals. The tracker is
+// an ordinary Observer: it reads device state and never feeds a
+// decision, so enabling it leaves every simulated result bit-identical,
+// and it hears only the event stream, which is the same under the
+// per-cycle oracle and the event-driven path, so the cube is too. It is
+// conservative by construction: a request's attributed cycles sum to
+// exactly its queueing delay (arrival to CAS issue), which the audit
+// layer re-checks at every service start.
 //
-// The accounting protocol piggybacks on the bank scheduler's existing
-// per-request examination loop (zero allocations in steady state):
+// A channel's device state changes only at its commands and refreshes,
+// so at each of those events one EarliestIssue per (bank, command class)
+// is the first cycle since the channel's previous event that each
+// waiting request's next command was legal. That value splits the
+// request's uncharged span [from, now] exactly:
 //
-//   - attrFrom[slot] is the cycle up to which the request's wait has
-//     been attributed (exclusive). Accept sets it to the arrival cycle.
-//   - While a request's next command cannot legally issue, examinations
-//     do no accounting work at all: the wait accumulates silently. At
-//     the ready transition (the first examination with the command
-//     issuable) the whole span [attrFrom, now) is charged in one step —
-//     the blocked prefix to the binding DDR2 constraint
-//     (dram.BlockingCause names the resource that released last and the
-//     thread whose earlier command set it), any ready remainder to the
-//     scheduling policy — and attrFrom advances to now. Deferring to
-//     the transition keeps the hot path O(ready requests) per cycle
-//     instead of O(pending), and the charge is still well-defined after
-//     release because BlockingCause is a pure max over device
-//     timestamps, not a function of the probe cycle.
-//   - Requests that were ready at now but were not issued are charged
-//     one more cycle at tick end, to the thread whose command the
-//     channel issued instead (or to refresh, or — when the bank is
-//     holding for a not-yet-ready request under a strict key rule — to
-//     the thread the bank is held for). attrFrom advances to now+1.
-//   - The request that wins its CAS at cycle now was examined this very
-//     cycle, so attrFrom == now and the charges already cover
-//     [arrival, now) exactly: conservation is structural, not tuned.
+//   - cycles before it are blocked: charged, once the request is ready,
+//     to the binding DDR2 constraint (dram.BlockingCause names the
+//     resource and the thread whose command set it);
+//   - ready cycles before now, on which the channel issued nothing, go
+//     to a pending refresh, else to the thread whose activate opened the
+//     bank's row (a bank holding for one request by key), else to no
+//     thread;
+//   - the event's own cycle goes to the command's thread (the policy's
+//     beneficiary), except for the command's own request, whose cycle
+//     is service, not wait.
 //
-// Charges made during a tick are staged and folded into the matrix at
-// tick end; every charge is a sum, so the fold's order cannot matter.
-//
-// Half of the tracker (OnAccept, the service-start conservation check
-// in BeforeIssue) listens on the event stream like any Observer. Its
-// examination half (readyBase, exam, patchFallback, drain) is not an
-// event and stays a direct call: it runs inside ScheduleChannel, which
-// emits nothing, and the cube depends on which cycles banks are
-// examined on.
+// Two boundary rules follow the per-cycle oracle. A request whose
+// command becomes legal exactly at a refresh cycle is still blocked
+// (the cycle a refresh issues schedules no bank). A request accepted
+// after its cycle's tick missed that cycle's scheduling, so its arrival
+// cycle is charged at once: to refresh if the channel refreshes next
+// cycle, else to the policy with no aggressor if the command is already
+// legal; otherwise it is blocked.
 
 // Attribution causes. Exclusive: each waited cycle lands in exactly one.
 const (
@@ -64,7 +54,7 @@ const (
 	causeBankSelf         // bank busy on this request's own service
 	causeBus              // shared data bus occupied
 	causeTiming           // channel/rank spacing (tCCD, tWTR, tRRD)
-	causeRefresh          // refresh window or pre-refresh drain
+	causeRefresh          // refresh window or a pending refresh
 	causePolicy           // ready but scheduled behind someone else
 	numCauses
 )
@@ -95,27 +85,6 @@ type InterferenceSnapshot struct {
 	Cross int64 `json:"cross"`
 }
 
-// A tick's charges are staged in a copy of the cube plus the list of
-// touched cells, so its many one-cycle charges to the same (victim,
-// aggressor, cause) coalesce into one fold and one registry-counter
-// bump at tick end.
-
-// intfReady is a request that was ready at the current cycle; whether
-// and to whom its current cycle is charged depends on the channel's
-// decision, so the charge is resolved at tick end.
-type intfReady struct {
-	slot   int32
-	victim int32
-}
-
-// intfHold records that the ready entries staged at index base and
-// beyond belong to a bank the scheduler is holding for the given
-// thread; drain consults it only on ticks where no command issued.
-type intfHold struct {
-	base   int32
-	thread int32
-}
-
 // attrState packs a slot's two hot accounting fields on one cache
 // line: the cycle up to which its wait is attributed (exclusive) and
 // the cycles attributed so far.
@@ -124,11 +93,11 @@ type attrState struct {
 	total int64
 }
 
-// intfTracker is the per-controller attribution state. Nil when the
-// feature is off; every schedule-phase site guards on that single test.
+// intfTracker is the per-controller attribution state, nil when the
+// feature is off.
 type intfTracker struct {
 	nopObserver
-	aud *audit.Auditor // conservation is re-checked here when auditing
+	c *Controller
 
 	threads int
 	aggrs   int // threads + 1 ("none" bucket)
@@ -139,24 +108,13 @@ type intfTracker struct {
 	attr   []attrState
 	attrBy []int64 // nslots x aggrs
 
-	// cube[victim][aggressor][cause], flattened. Mutated only by the
-	// fold in drain; baseline is the copy taken when measurement begins,
-	// so windowed results exclude warmup.
+	// cube[victim][aggressor][cause], flattened; baseline is the copy
+	// taken when measurement begins, so windowed results exclude warmup.
 	cube     []int64
 	baseline []int64
 
-	// Staging: stage is cube-shaped and touched lists its nonzero cells.
-	// ready[ch] and holds[ch] are per channel because drain resolves
-	// them against that channel's decision. polCnt is drain's per-victim
-	// scratch.
-	stage   []int64
-	touched []int32
-	ready   [][]intfReady
-	holds   [][]intfHold
-	polCnt  []int64
-
-	// Registry mirrors (nil without a registry): real counters bumped
-	// at the TickEnd fold so the epoch sampler sees counter deltas.
+	// Registry mirrors (nil without a registry), bumped with the cube so
+	// the epoch sampler sees counter deltas.
 	pairCtr  []*metrics.Counter // threads x aggrs
 	causeCtr [numCauses]*metrics.Counter
 
@@ -172,26 +130,15 @@ func newIntfTracker(c *Controller, reg *metrics.Registry) *intfTracker {
 	threads := c.cfg.Threads
 	aggrs := threads + 1
 	nslots := len(c.arena)
-	nch := len(c.chans)
 	cells := threads * aggrs * numCauses
-	// Sized to the worst case so the steady state is allocation-free.
 	t := &intfTracker{
-		aud:      c.aud,
+		c:        c,
 		threads:  threads,
 		aggrs:    aggrs,
 		attr:     make([]attrState, nslots),
 		attrBy:   make([]int64, nslots*aggrs),
 		cube:     make([]int64, cells),
 		baseline: make([]int64, cells),
-		stage:    make([]int64, cells),
-		touched:  make([]int32, 0, cells),
-		ready:    make([][]intfReady, nch),
-		holds:    make([][]intfHold, nch),
-		polCnt:   make([]int64, threads),
-	}
-	for i := range t.ready {
-		t.ready[i] = make([]intfReady, 0, nslots+4)
-		t.holds[i] = make([]intfHold, 0, c.cfg.DRAM.Ranks*c.cfg.DRAM.BanksPerRank+1)
 	}
 	if reg != nil {
 		t.pairCtr = make([]*metrics.Counter, threads*aggrs)
@@ -215,11 +162,114 @@ func (t *intfTracker) cubeIdx(victim, aggr, cause int) int {
 	return (victim*t.aggrs+aggr)*numCauses + cause
 }
 
-// OnAccept initializes a slot's accounting at its arrival cycle.
+// OnAccept initializes a slot's accounting at its arrival cycle. A
+// request accepted after the tick of its cycle was not there when the
+// cycle was scheduled, and the device cannot change before the next
+// tick, so the arrival cycle's charge is known now (the second boundary
+// rule above).
 func (t *intfTracker) OnAccept(r *core.Request, now int64) {
-	slot := int(r.Slot)
+	slot := r.Slot
 	t.attr[slot] = attrState{from: now}
-	clear(t.attrBy[slot*t.aggrs : (slot+1)*t.aggrs])
+	clear(t.attrBy[int(slot)*t.aggrs : int(slot+1)*t.aggrs])
+	if t.c.tickedAt != now {
+		return
+	}
+	ch, lb := t.c.chanOf(r.GlobalBank)
+	openRow, open := ch.BankOpen(lb)
+	cls, _ := classOf(r, open, openRow)
+	switch {
+	case now+1 >= t.c.nextRefreshAt[r.Channel] && ch.EarliestIssue(dram.KindRefresh, 0) <= now+1:
+		// The channel refreshes next cycle: the request is first seen
+		// after the refresh, blocked by it since arrival.
+		t.charge(slot, r.Thread, t.threads, causeRefresh, 1)
+	case ch.EarliestIssue(classKind(cls, open), lb) <= now:
+		t.charge(slot, r.Thread, t.threads, causePolicy, 1)
+	default:
+		return
+	}
+	t.attr[slot].from = now + 1
+}
+
+// OnRefresh settles the channel's waits up to the refresh cycle.
+func (t *intfTracker) OnRefresh(chIdx int, now int64) {
+	t.settle(chIdx, now, true, noSlot, t.threads)
+}
+
+// BeforeIssue settles the channel's waits through the command's cycle
+// and, at a CAS, has the auditor re-check that the request's attributed
+// cycles cover [arrival, now) exactly.
+func (t *intfTracker) BeforeIssue(cmd audit.Cmd, now int64) {
+	slot, winner := noSlot, t.threads // "none": an idle-close precharge
+	if cmd.Req != nil {
+		slot, winner = cmd.Req.Slot, cmd.Req.Thread
+	}
+	t.settle(cmd.FlatBank/t.c.banksPerChan, now, false, slot, winner)
+	if aud := t.c.aud; aud != nil && cmd.Kind.IsCAS() {
+		aud.OnAttributed(cmd.Req, t.attr[slot].total, now)
+	}
+}
+
+// settle charges every waiting request of a channel whose next command
+// is legal at an event at cycle now, by the rule above: its blocked
+// span, its ready span (a pending refresh counts from the cycle the
+// refresh fell due), and, at a command, the event's cycle to winner
+// unless the request is the command's own (slot). At a refresh the
+// event's cycle is the refresh's, and a command legal only from it on
+// stays blocked.
+func (t *intfTracker) settle(chIdx int, now int64, refresh bool, slot int32, winner int) {
+	c := t.c
+	ch := c.chans[chIdx]
+	legal := now // a command is ready if its EarliestIssue is at most this
+	if refresh {
+		legal = now - 1
+	}
+	pendingFrom := min(c.nextRefreshAt[chIdx], now)
+	none, nt := t.threads, t.threads
+	lo := chIdx * c.banksPerChan
+	for b := lo; b < lo+c.banksPerChan; b++ {
+		qs := c.pending[b*nt : (b+1)*nt]
+		lb := b - lo
+		openRow, open := ch.BankOpen(lb)
+		holder := none
+		if th := ch.ActivateThread(lb); open && th >= 0 {
+			holder = th
+		}
+		var early [numClasses]int64
+		var asked uint8 // the classes early holds
+		for v, q := range qs {
+			for _, s := range q {
+				cls, _ := classOf(&c.arena[s], open, openRow)
+				if asked&(1<<cls) == 0 {
+					asked |= 1 << cls
+					early[cls] = ch.EarliestIssue(classKind(cls, open), lb)
+				}
+				e := early[cls]
+				if e > legal {
+					continue
+				}
+				f := t.attr[s].from
+				if f < e {
+					_, bc, th := ch.BlockingCause(classKind(cls, open), lb)
+					cause, aggr := t.classify(v, bc, th)
+					t.charge(s, v, aggr, cause, e-f)
+					f = e
+				}
+				if held := max(pendingFrom, f); held > f {
+					t.charge(s, v, holder, causePolicy, held-f)
+					f = held
+				}
+				if f < now {
+					t.charge(s, v, none, causeRefresh, now-f)
+				}
+				next := now
+				if !refresh && s != slot {
+					t.charge(s, v, winner, causePolicy, 1)
+					next++
+				}
+				t.attr[s].from = next
+			}
+		}
+	}
 }
 
 // classify maps a binding DDR2 constraint to an attribution cause and
@@ -248,150 +298,15 @@ func (t *intfTracker) classify(victim int, bc dram.BlockCause, th int) (cause, a
 	}
 }
 
-// charge attributes cycles to (victim, aggr, cause) for a slot: the
-// per-slot totals are updated immediately, the matrix contribution is
-// staged until the tick's fold.
+// charge attributes cycles to (victim, aggr, cause) for a slot.
 func (t *intfTracker) charge(slot int32, victim, aggr, cause int, cycles int64) {
 	t.attr[slot].total += cycles
 	t.attrBy[int(slot)*t.aggrs+aggr] += cycles
-	t.stageAdd((victim*t.aggrs+aggr)*numCauses+cause, cycles)
-}
-
-// stageAdd adds cycles to one staged-cube cell, tracking first touches.
-func (t *intfTracker) stageAdd(idx int, cycles int64) {
-	if t.stage[idx] == 0 {
-		t.touched = append(t.touched, int32(idx))
-	}
-	t.stage[idx] += cycles
-}
-
-// exam attributes a request's wait and stages the request for the
-// tick-end charge. bankSchedule calls it only for requests whose next
-// command is issuable (early <= now): still-blocked requests cost a
-// single comparison at the call site — their accumulating wait is
-// charged in one step at the ready transition (see the protocol
-// comment above).
-func (t *intfTracker) exam(ch *dram.Channel, chIdx int, slot int32, victim int, kind dram.Kind, lb int, early, now int64) {
-	f := t.attr[slot].from
-	if f < now {
-		blockedEnd := early
-		if blockedEnd < f {
-			blockedEnd = f
-		}
-		if blockedEnd > f {
-			_, bc, th := ch.BlockingCause(kind, lb)
-			cause, aggr := t.classify(victim, bc, th)
-			t.charge(slot, victim, aggr, cause, blockedEnd-f)
-		}
-		if now > blockedEnd {
-			// Ready cycles no examination charged (the span since the
-			// command became issuable, plus any invalidation gap).
-			// Structural conservation: charge them to the policy with no
-			// aggressor rather than lose them.
-			t.charge(slot, victim, t.threads, causePolicy, now-blockedEnd)
-		}
-		t.attr[slot].from = now
-	}
-	t.ready[chIdx] = append(t.ready[chIdx], intfReady{
-		slot: slot, victim: int32(victim),
-	})
-}
-
-// patchFallback records the hold-for thread of the ready entries a
-// bank appended this cycle, once the bank's key-selected request is
-// known (entries [base:] belong to the bank just scheduled).
-func (t *intfTracker) patchFallback(chIdx, base, thread int) {
-	if base < len(t.ready[chIdx]) {
-		t.holds[chIdx] = append(t.holds[chIdx], intfHold{
-			base: int32(base), thread: int32(thread),
-		})
-	}
-}
-
-// readyBase returns the staging mark patchFallback records against.
-func (t *intfTracker) readyBase(chIdx int) int { return len(t.ready[chIdx]) }
-
-// drain resolves the current-cycle charge for a channel's ready
-// requests against the channel's decision and folds everything staged
-// so far into the matrix and its registry mirrors, so once TickEnd has
-// drained the last channel nothing stays staged. Called from TickEnd for
-// each channel, after the decision is applied and before it is cleared.
-func (t *intfTracker) drain(c *Controller, chIdx int, d *decision, now int64) {
-	ready := t.ready[chIdx]
-	if len(ready) > 0 {
-		switch {
-		case d.kind == decCmd:
-			// Skipped cycles charged to the thread the channel served
-			// instead; the winner's own cycle is its service start (CAS)
-			// or progress (ACT/PRE), not a wait. One (victim, winner,
-			// policy) cell per victim: count, then fold once.
-			issued := d.cand.slot
-			winner := t.threads // "none": an idle-close precharge won
-			if issued != noSlot {
-				winner = c.arena[issued].Thread
-			}
-			for i := range ready {
-				e := &ready[i]
-				if e.slot == issued {
-					continue
-				}
-				a := &t.attr[e.slot]
-				a.total++
-				a.from = now + 1
-				t.attrBy[int(e.slot)*t.aggrs+winner]++
-				t.polCnt[e.victim]++
-			}
-			for v, n := range t.polCnt {
-				if n != 0 {
-					t.polCnt[v] = 0
-					t.stageAdd((v*t.aggrs+winner)*numCauses+causePolicy, n)
-				}
-			}
-		case d.kind == decRefresh || c.refreshWanted[chIdx]:
-			for i := range ready {
-				e := &ready[i]
-				t.charge(e.slot, int(e.victim), t.threads, causeRefresh, 1)
-				t.attr[e.slot].from = now + 1
-			}
-		default:
-			// No command issued: a strict key rule is holding every
-			// offering bank for a not-yet-ready request; charge the
-			// thread the victim's bank is held for (recorded per bank in
-			// the hold ranges).
-			holds := t.holds[chIdx]
-			aggr := t.threads
-			for i, h := 0, 0; i < len(ready); i++ {
-				for h < len(holds) && int(holds[h].base) <= i {
-					aggr = int(holds[h].thread)
-					h++
-				}
-				e := &ready[i]
-				t.charge(e.slot, int(e.victim), aggr, causePolicy, 1)
-				t.attr[e.slot].from = now + 1
-			}
-		}
-		t.ready[chIdx] = ready[:0]
-	}
-	t.holds[chIdx] = t.holds[chIdx][:0]
-
-	for _, idx := range t.touched {
-		cycles := t.stage[idx]
-		t.stage[idx] = 0
-		t.cube[idx] += cycles
-		if t.pairCtr != nil {
-			t.pairCtr[int(idx)/numCauses].Add(cycles)
-			t.causeCtr[int(idx)%numCauses].Add(cycles)
-		}
-	}
-	t.touched = t.touched[:0]
-}
-
-// BeforeIssue finalizes a request's attribution at its CAS issue: by
-// construction attrFrom == now and attrTotal covers [arrival, now)
-// exactly; the audit layer re-checks that conservation invariant.
-func (t *intfTracker) BeforeIssue(cmd audit.Cmd, now int64) {
-	if t.aud != nil && cmd.Kind.IsCAS() {
-		t.aud.OnAttributed(cmd.Req, t.attr[cmd.Req.Slot].total, now)
+	idx := t.cubeIdx(victim, aggr, cause)
+	t.cube[idx] += cycles
+	if t.pairCtr != nil {
+		t.pairCtr[idx/numCauses].Add(cycles)
+		t.causeCtr[cause].Add(cycles)
 	}
 }
 

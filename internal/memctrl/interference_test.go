@@ -98,9 +98,8 @@ func TestInterferenceTwoThreadExact(t *testing.T) {
 
 	// Cause-level consistency: thread 0's wait is all bank_self; thread
 	// 1's wait splits between bank busy, bus busy, and bank-ready
-	// cycles the channel spent serving thread 0 (the split depends on
-	// examination granularity, the sum does not) — never the
-	// no-aggressor timing or refresh buckets.
+	// cycles the channel spent serving thread 0 — never the no-aggressor
+	// timing or refresh buckets.
 	if got := snap.Cube[0][0][causeBankSelf]; got != wantSelf {
 		t.Errorf("Cube[0][0][bank_self] = %d, want %d", got, wantSelf)
 	}
@@ -122,6 +121,169 @@ func TestInterferenceTwoThreadExact(t *testing.T) {
 		t.Errorf("cause totals sum to %d, total is %d", causeSum, snap.Total)
 	}
 	c.FinishAudit(500)
+}
+
+// intfModes runs a scenario with the event-driven path and with the
+// per-cycle oracle; attribution hears only the event stream, so both
+// must report the same cube.
+func intfModes(t *testing.T, run func(t *testing.T, eventDriven bool)) {
+	for _, ed := range []bool{true, false} {
+		t.Run(map[bool]string{true: "fast", false: "strict"}[ed], func(t *testing.T) { run(t, ed) })
+	}
+}
+
+// TestInterferenceArrivalCycle: a request accepted after its cycle's
+// tick (as sim.Step accepts) missed that cycle's scheduling. Its arrival
+// cycle is charged to the policy with no aggressor when its command was
+// already legal, not to the thread whose row is open, and is an
+// ordinary blocked cycle when the command was not legal.
+func TestInterferenceArrivalCycle(t *testing.T) {
+	intfModes(t, func(t *testing.T, eventDriven bool) {
+		c := intfCtrl(t, 3, core.NewFRFCFS())
+		c.SetEventDriven(eventDriven)
+		tt := dram.DDR2800()
+		done := 0
+		c.OnReadDone = func(*core.Request, int64) { done++ }
+		// Thread 0 arrives after tick 0 at a closed bank: ACT at 1, RD at
+		// 1+tRCD. Thread 2 arrives after tick 2 under thread 0's new row:
+		// its precharge waits out thread 0's tRAS from its arrival on.
+		// Thread 1 arrives after tick 12 with a read of the open row that
+		// is legal at once, and issues at 13.
+		arrive := map[int64]func(){
+			0:  func() { c.Accept(0, addr(2, 5, 0), false, 0) },
+			2:  func() { c.Accept(2, addr(2, 6, 0), false, 2) },
+			12: func() { c.Accept(1, addr(2, 5, 1), false, 12) },
+		}
+		for now := int64(0); now < 500 && done < 3; now++ {
+			c.Tick(now)
+			if f := arrive[now]; f != nil {
+				f()
+			}
+		}
+		if done < 3 {
+			t.Fatal("reads never completed")
+		}
+		snap, _ := c.InterferenceSnapshot(false)
+		none := snap.Threads
+		checkCube(t, snap, map[[3]int]int64{
+			{0, none, causePolicy}: 1, // the arrival cycle, legal
+			{0, 0, causeBankSelf}:  int64(tt.TRCD),
+			{1, none, causePolicy}: 1,                      // the arrival cycle, legal
+			{2, 0, causeBankOther}: int64(1 + tt.TRAS - 2), // [2, 1+tRAS): arrival cycle blocked
+			{2, 2, causeBankSelf}:  int64(tt.TRP + tt.TRCD),
+		})
+		c.FinishAudit(500)
+	})
+}
+
+// refreshCtrl is intfCtrl with a refresh due every 600 cycles.
+func refreshCtrl(t *testing.T, threads int, eventDriven bool) *Controller {
+	t.Helper()
+	cfg := linearConfig(t, threads)
+	cfg.DisableRefresh = false
+	cfg.DRAM.Timing.TREF = 600
+	cfg.Interference, cfg.Audit = true, true
+	c, err := New(cfg, core.NewFRFCFS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetEventDriven(eventDriven)
+	return c
+}
+
+// TestInterferenceRefreshCycle: a command that becomes legal exactly at
+// the cycle a refresh issues is still blocked, because that cycle
+// schedules no bank. Thread 1's activate and the refresh both wait for
+// the precharge thread 1's conflict forced, so its wait from that
+// precharge to the refresh's end is the refresh's, tRP included. And a
+// request that arrives after the tick just before a refresh is first
+// scheduled after it, so its arrival cycle is the refresh's too.
+func TestInterferenceRefreshCycle(t *testing.T) {
+	t.Run("arrival-before-refresh", func(t *testing.T) { intfModes(t, arrivalBeforeRefresh) })
+	t.Run("legal-at-refresh", func(t *testing.T) { intfModes(t, legalAtRefresh) })
+}
+
+// arrivalBeforeRefresh: the request arrives after the tick before a
+// refresh that issues at once.
+func arrivalBeforeRefresh(t *testing.T, eventDriven bool) {
+	c := refreshCtrl(t, 1, eventDriven)
+	tt := c.cfg.DRAM.Timing
+	done := false
+	c.OnReadDone = func(*core.Request, int64) { done = true }
+	for now := int64(0); now < int64(tt.TREF); now++ {
+		c.Tick(now)
+	}
+	c.Accept(0, addr(2, 5, 0), false, int64(tt.TREF-1))
+	if runUntil(c, int64(tt.TREF), 2_000, func() bool { return done }) < 0 {
+		t.Fatal("read never completed")
+	}
+	snap, _ := c.InterferenceSnapshot(false)
+	checkCube(t, snap, map[[3]int]int64{
+		{0, snap.Threads, causeRefresh}: int64(1 + tt.TRFC),
+		{0, 0, causeBankSelf}:           int64(tt.TRCD),
+	})
+	c.FinishAudit(2_000)
+}
+
+// legalAtRefresh: thread 1's activate becomes legal at the refresh
+// cycle.
+func legalAtRefresh(t *testing.T, eventDriven bool) {
+	c := refreshCtrl(t, 2, eventDriven)
+	tt := c.cfg.DRAM.Timing
+	done := 0
+	c.OnReadDone = func(*core.Request, int64) { done++ }
+	var refreshAt int64 = -1
+	c.obs = append(c.obs, &refreshWatch{at: &refreshAt})
+	// Both arrive before tick 580; thread 0 activates at 580 and reads
+	// at 585, thread 1's precharge waits for tRAS (598), and its
+	// activate and the due refresh are both legal tRP later.
+	const arrive = 580
+	for now := int64(0); now < arrive; now++ {
+		c.Tick(now)
+	}
+	c.Accept(0, addr(2, 5, 0), false, arrive)
+	c.Accept(1, addr(2, 6, 0), false, arrive)
+	if runUntil(c, arrive, 2_000, func() bool { return done == 2 }) < 0 {
+		t.Fatal("reads never completed")
+	}
+	pre := int64(arrive + tt.TRAS)
+	if want := pre + int64(tt.TRP); refreshAt != want {
+		t.Fatalf("refresh issued at %d, want %d (the scenario assumes it)", refreshAt, want)
+	}
+	snap, _ := c.InterferenceSnapshot(false)
+	none := snap.Threads
+	want := map[[3]int]int64{
+		{0, 0, causeBankSelf}:   int64(tt.TRCD),
+		{1, 0, causePolicy}:     1, // thread 0's activate won cycle 580
+		{1, 0, causeBankOther}:  int64(tt.TRAS - 1),
+		{1, none, causeRefresh}: int64(tt.TRP + tt.TRFC),
+		{1, 1, causeBankSelf}:   int64(tt.TRCD),
+	}
+	checkCube(t, snap, want)
+	c.FinishAudit(2_000)
+}
+
+// refreshWatch records the cycle of the last refresh.
+type refreshWatch struct {
+	nopObserver
+	at *int64
+}
+
+func (w *refreshWatch) OnRefresh(_ int, now int64) { *w.at = now }
+
+// checkCube demands that the cube holds exactly the given cells, keyed
+// (victim, aggressor, cause), and zero elsewhere.
+func checkCube(t *testing.T, snap InterferenceSnapshot, want map[[3]int]int64) {
+	t.Helper()
+	for v, byAggr := range snap.Cube {
+		for a, byCause := range byAggr {
+			for cause, got := range byCause {
+				if w := want[[3]int{v, a, cause}]; got != w {
+					t.Errorf("cube[v%d][a%d][%s] = %d, want %d", v, a, causeNames[cause], got, w)
+				}
+			}
+		}
+	}
 }
 
 // TestInterferenceFQInversionPolicyCause: under FQ-VFTF with unequal

@@ -370,7 +370,8 @@ type Controller struct {
 	// bankQuiet[b] is what a command on another bank of the channel
 	// lowers bankWake[b] to: a cycle before which re-examining b finds
 	// no ready request whoever the policy now ranks first (see
-	// bankSchedule), 0 when the last examination could promise none.
+	// bankSchedule), 0 when an event since the last examination may have
+	// made a request ready at once.
 	eventDriven bool
 	bankWake    []int64
 	bankQuiet   []int64
@@ -396,11 +397,14 @@ type Controller struct {
 	obs []Observer
 
 	// aud and intf are the optional auditor and interference tracker
-	// (nil when off), both also on obs: aud for Auditor, FinishAudit and
-	// checkpoints, intf for the schedule phase, which examines requests
-	// through direct calls and emits no events (see interference.go).
+	// (nil when off), both also on obs, kept for their accessors and
+	// checkpoints.
 	aud  *audit.Auditor
 	intf *intfTracker
+
+	// tickedAt is the last cycle TickBegin ran for, fast path included:
+	// an Accept at that cycle missed the cycle's scheduling.
+	tickedAt int64
 }
 
 // Forever is the "no event scheduled" sentinel for wake times.
@@ -454,6 +458,7 @@ func New(cfg Config, policy core.Policy) (*Controller, error) {
 		eventDriven:   true,
 		bankWake:      make([]int64, nch*cfg.DRAM.Banks()),
 		bankQuiet:     make([]int64, nch*cfg.DRAM.Banks()),
+		tickedAt:      -1,
 	}
 	c.ticker, _ = policy.(core.PolicyTicker)
 	if am, ok := policy.(core.ArrivalMonotone); ok {
@@ -729,6 +734,20 @@ func classOf(r *core.Request, open bool, openRow int) (int, core.BankState) {
 	}
 }
 
+// classKind returns the command a class needs on a bank that is open
+// or closed.
+func classKind(cls int, open bool) dram.Kind {
+	switch {
+	case cls == classRead:
+		return dram.KindRead
+	case cls == classWrite:
+		return dram.KindWrite
+	case open:
+		return dram.KindPrecharge
+	}
+	return dram.KindActivate
+}
+
 // precedes reports whether pick a ranks before pick b: smaller policy
 // key, then earlier arrival, then smaller ID.
 func (c *Controller) precedes(a, b pick) bool {
@@ -790,6 +809,7 @@ func (c *Controller) Tick(now int64) {
 // reports whether the scheduling phases (ScheduleChannel + TickEnd)
 // must run; false means the tick is already complete.
 func (c *Controller) TickBegin(now int64) bool {
+	c.tickedAt = now
 	// Event-driven fast path: nothing can happen before nextEvent, so
 	// the whole tick reduces to the virtual-clock update.
 	if c.eventDriven && now < c.nextEvent {
@@ -930,8 +950,8 @@ func (c *Controller) ScheduleChannel(chIdx int, now int64) {
 }
 
 // TickEnd applies every channel's decision in channel order, emitting
-// OnRefresh or the command events as it goes, resolves the interference
-// tracker's charges for the cycle, and recomputes the next-event bound.
+// OnRefresh or the command events as it goes, and recomputes the
+// next-event bound.
 func (c *Controller) TickEnd(now int64) {
 	for chIdx, ch := range c.chans {
 		d := &c.dec[chIdx]
@@ -953,9 +973,6 @@ func (c *Controller) TickEnd(now int64) {
 			}
 		case decCmd:
 			c.issue(&d.cand, now)
-		}
-		if c.intf != nil {
-			c.intf.drain(c, chIdx, d, now)
 		}
 		d.kind = decNone
 	}
@@ -1027,51 +1044,27 @@ func (c *Controller) computeNextEvent(now int64) int64 {
 // the wake to in place of now. Such a command moves this bank's DDR2
 // constraint timestamps only later, so no pending request can become
 // ready before the smallest EarliestIssue among them, however the
-// command re-ranked them: while the bank selects first-ready, that
-// minimum is quiet, and the examinations skipped before it would have
-// offered nothing and shown the interference tracker nothing. Where
-// the bank holds for one request — a strict key rule, now or by the
-// time quiet comes, or activates held back for a pending refresh —
-// ready requests wait behind it and the tracker charges their wait by
-// the cycles it examines them on (DESIGN §15), which are the cycles
-// after each command; there quiet is 0 and every command wakes the
-// bank at once.
+// command re-ranked them, and the bank offers only a ready request,
+// whether it selects first-ready or by key.
 func (c *Controller) bankSchedule(chIdx, b int, now int64) (cand candidate, ok bool, wake, quiet int64) {
 	ch := c.chans[chIdx]
 	lb := b % c.banksPerChan
 	c.sched.BankExams++
-	// The command each class needs and, filled on first use (-1 = not
-	// yet), its EarliestIssue: both depend only on the bank.
 	openRow, open := ch.BankOpen(lb)
-	kinds := [numClasses]dram.Kind{dram.KindActivate, dram.KindRead, dram.KindWrite}
-	if open {
-		kinds[classMiss] = dram.KindPrecharge
-	}
-	early := [numClasses]int64{-1, -1, -1}
 
 	// Re-rank the queues whose picks were cleared since they were built,
-	// and take each class's first request over all threads. The
-	// interference tracker must see every ready request on every
-	// examination, so with it attached every queue is visited, but only
-	// the invalid ones are re-ranked; its charges are sums, so the visit
-	// order is free (DESIGN §15).
+	// and take each class's first request over all threads.
 	nt := c.cfg.Threads
 	follow := c.keysFollowArrival
 	top := noPicks
-	var intfBase int // tracker's ready-staging mark for this bank
-	if c.intf != nil {
-		intfBase = c.intf.readyBase(chIdx)
-	}
 	for t, q := range c.pending[b*nt : (b+1)*nt] {
 		if len(q) == 0 {
 			continue
 		}
 		p := &c.picks[b*nt+t]
-		if rank := !p.valid; rank || c.intf != nil {
+		if !p.valid {
 			c.sched.SlotsVisited += int64(len(q))
-			if rank {
-				p.valid, p.best = true, noPicks
-			}
+			p.valid, p.best = true, noPicks
 			var heads uint8 // the groups whose first unfrozen request is ranked
 			for _, slot := range q {
 				r := &c.arena[slot]
@@ -1086,7 +1079,7 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (cand candidate, ok b
 				if r.IsWrite && cls == classMiss {
 					g = 1 << numClasses
 				}
-				if rank && (r.KeyFrozen || heads&g == 0) {
+				if r.KeyFrozen || heads&g == 0 {
 					if !r.KeyFrozen {
 						c.sched.KeyEvals++
 						if follow {
@@ -1094,14 +1087,6 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (cand candidate, ok b
 						}
 					}
 					c.offer(&p.best[cls], pick{slot, core.KeyOf(c.policy, r, state)})
-				}
-				if c.intf != nil {
-					if early[cls] < 0 {
-						early[cls] = ch.EarliestIssue(kinds[cls], lb)
-					}
-					if early[cls] <= now {
-						c.intf.exam(ch, chIdx, slot, t, kinds[cls], lb, early[cls], now)
-					}
 				}
 			}
 		}
@@ -1111,18 +1096,16 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (cand candidate, ok b
 			}
 		}
 	}
-	// strictFrom is the first cycle the bank selects by key alone:
-	// always under RuleStrict, and under RuleFQ once the bank has been
-	// active for x cycles (first-ready while closed or freshly
-	// activated).
-	strictFrom := Forever
+	// The bank selects by key alone always under RuleStrict, and under
+	// RuleFQ once it has been active for x cycles (first-ready while
+	// closed or freshly activated).
+	strict := false
 	switch rule, x := c.policy.BankRule(); {
 	case rule == core.RuleStrict:
-		strictFrom = 0
+		strict = true
 	case rule == core.RuleFQ && open:
-		strictFrom = ch.LastActivate(lb) + x
+		strict = now >= ch.LastActivate(lb)+x
 	}
-	strict := now >= strictFrom
 
 	// Select among the classes' first requests: every request of a class
 	// is as ready and as much a CAS as its first, so the bank's choice,
@@ -1131,7 +1114,8 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (cand candidate, ok b
 	var (
 		best      = -1               // selected class
 		bestReady bool               // of the selected class; strict selection sets it below
-		minEarly  = Forever          // non-strict: min EarliestIssue over requests
+		early     [numClasses]int64  // EarliestIssue of each non-empty class
+		minEarly  = Forever          // min EarliestIssue over requests
 		minKey    = int64(1)<<62 - 1 // min key over all requests (metrics only)
 	)
 	for cls, s := range top {
@@ -1139,6 +1123,8 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (cand candidate, ok b
 			continue
 		}
 		minKey = min(minKey, s.key)
+		early[cls] = ch.EarliestIssue(classKind(cls, open), lb)
+		minEarly = min(minEarly, early[cls])
 		if strict {
 			// Select purely by key order; readiness is not a priority
 			// level. (The bank waits for the selected request.)
@@ -1147,10 +1133,6 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (cand candidate, ok b
 			}
 			continue
 		}
-		if early[cls] < 0 {
-			early[cls] = ch.EarliestIssue(kinds[cls], lb)
-		}
-		minEarly = min(minEarly, early[cls])
 		// (ready, CAS, key, arrival, id) ordering.
 		ready := early[cls] <= now
 		switch {
@@ -1189,36 +1171,28 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (cand candidate, ok b
 		// request arrives or a refresh falls due.
 		return candidate{}, false, Forever, Forever
 	}
-	bestSlot, bestKey, bestKind := top[best].slot, top[best].key, kinds[best]
+	bestSlot, bestKey, bestKind := top[best].slot, top[best].key, classKind(best, open)
 	bestReq := &c.arena[bestSlot]
 	bestCAS := best != classMiss
-	quiet = minEarly
+	wake = minEarly
 	if strict {
 		// The bank waits for the key-selected request alone, so its
 		// earliest legal issue is the bank's wake time. (The selection
 		// itself only changes on invalidation events: keys move on
 		// command issue or SetShare, the request set on accept, and the
 		// FQ strict/first-ready flip on this bank's own activates.)
-		minEarly = ch.EarliestIssue(bestKind, lb)
-		bestReady = minEarly <= now
-	}
-	if quiet >= strictFrom {
-		quiet = 0
-	}
-	if c.intf != nil {
-		// Ready requests not issued this cycle may be charged to the
-		// thread the bank scheduler is holding for (see drain).
-		c.intf.patchFallback(chIdx, intfBase, bestReq.Thread)
+		wake = early[best]
+		bestReady = wake <= now
 	}
 	// A refresh is pending: finish closing the bank but start nothing
 	// new. Activates are only selected when the bank is closed, in which
 	// case every pending request needs one, so the bank is dormant until
 	// the refresh completes (which resets the channel's wakes).
 	if c.refreshWanted[chIdx] && bestKind == dram.KindActivate {
-		return candidate{}, false, Forever, 0
+		return candidate{}, false, Forever, minEarly
 	}
 	if !bestReady {
-		return candidate{}, false, minEarly, quiet
+		return candidate{}, false, wake, minEarly
 	}
 	return candidate{
 		slot:     bestSlot,
@@ -1230,7 +1204,7 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (cand candidate, ok b
 		id:       bestReq.ID,
 		isCAS:    bestCAS,
 		inverted: bestCAS && minKey < bestKey,
-	}, true, now, quiet
+	}, true, now, minEarly
 }
 
 // issue applies the winning candidate to the DRAM and updates request

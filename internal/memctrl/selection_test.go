@@ -136,7 +136,9 @@ func naiveBank(c *Controller, waiting []*core.Request, chIdx, b int, now int64) 
 	case rule == core.RuleFQ && open:
 		keyOrderFrom = ch.LastActivate(lb) + x
 	}
-	var out bankOffer
+	// Nothing can become ready before the first request does, whichever
+	// request the bank selects or waits for.
+	out := bankOffer{quiet: firstEarly}
 	if now >= keyOrderFrom {
 		sort.Slice(es, func(i, j int) bool { return byKey(&es[i], &es[j]) })
 		out.wake = es[0].early // the bank waits for this one request
@@ -151,18 +153,13 @@ func naiveBank(c *Controller, waiting []*core.Request, chIdx, b int, now int64) 
 			}
 			return byKey(x, y)
 		})
-		// Nothing can become ready before the first request does, unless
-		// the bank will by then be holding for one request by key.
 		out.wake = firstEarly
-		if firstEarly < keyOrderFrom {
-			out.quiet = firstEarly
-		}
 	}
 	sel := &es[0]
 	if draining && sel.kind == dram.KindActivate {
 		// No row is opened ahead of a refresh; only the refresh's end
 		// revives the bank.
-		return bankOffer{wake: Forever}
+		return bankOffer{wake: Forever, quiet: firstEarly}
 	}
 	if sel.early > now {
 		return out
@@ -189,7 +186,7 @@ const (
 // selectionRun drives the controller for the given number of cycles
 // with TestStressInvariants' traffic, drawn from seed, and compares
 // every bank examination against naiveBank (with cfg.Interference the
-// tracker's visit of every valid queue is on the path too). It returns
+// tracker listens too, and must change nothing). It returns
 // the number of examinations checked and the first disagreement ("" if
 // none), at which it stops.
 func selectionRun(t *testing.T, cfg Config, policy core.Policy, plant int, seed uint64, cycles int64) (checked int, diff string) {
@@ -355,7 +352,7 @@ func TestBankSelectionMatchesFullWalk(t *testing.T) {
 				// Pooled buffers on one row of the matrix: where a thread's
 				// queue on a bank can outgrow its own partition. Attribution
 				// on the two rows that cover both channel counts and both
-				// row policies: the tracker visits every queue, valid or not.
+				// row policies: the tracker only listens.
 				shared := channels == 1 && row == ClosedRow
 				intf := (channels == 2) == (row == ClosedRow)
 				cfg := config(channels, row, shared, intf)

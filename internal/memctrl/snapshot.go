@@ -48,12 +48,10 @@ func (c *Controller) bankOrder(b int, buf []int32) []int32 {
 // key and pick caches, which the next examination rebuilds to the same
 // values, and restarts SchedCounts.
 //
-// The wake lists are the one derived state serialized, because which
-// cycles a bank is examined on is observable: the interference tracker
-// charges a wait behind a held bank by the cycles it examines the bank
-// on (DESIGN §15). Waking every bank at the restore cycle would be
-// results-safe but would move those charges, and refresh-raised wake
-// times would be lost.
+// The wake lists are the one derived state still serialized. Nothing
+// observable depends on them (the interference cube is a function of
+// the command stream, DESIGN §15), so waking every bank at the restore
+// cycle would do as well; dropping them changes the format.
 //
 // Loading rebuilds the arena from scratch: every decoded request gets a
 // fresh slot in decode order. Slot numbers are unobservable — queues

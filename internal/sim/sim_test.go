@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dram"
+	"repro/internal/memctrl"
 	"repro/internal/trace"
 )
 
@@ -387,26 +388,26 @@ func TestSourcesLengthMismatch(t *testing.T) {
 // is read, not evaluated) and how many pending requests it walked to do
 // so, on 4×art under FQ-VFTF (every bank backlogged; the benchmark's
 // heavy-art4 and chan4-art4 at test size). The bounds sit about a tenth
-// above what the code measures (5.89, 2.97 and 24.9 at one channel,
-// 4.62, 1.89 and 5.7 at four). With interference attribution every
-// queue of an examined bank is visited, 100.6 and 19.1 slots per
-// command, but only queues whose picks were cleared are re-ranked, so
-// the key count is the same as without; attribution used to re-rank
-// every queue it visited, which without a per-request key cache would
-// be 11.10 calls per command at one channel.
+// above what the code measures (5.70, 2.96 and 24.8 at one channel,
+// 4.12, 1.86 and 5.6 at four). Interference attribution listens to the
+// command stream and never enters the scheduler, so with it on every
+// count must be exactly the same as without.
 // A command used to wake every bank of its channel and drop every
 // cached key on it, which on these runs measured 10.28 examinations and
 // 67.90 key evaluations per command at one channel, 9.33 and 16.13 at
 // four; every examination used to walk its bank's whole queue, 100.6
-// slots per command at one channel and 19.1 at four; and every request
-// of a re-ranked queue used to have its key evaluated, 18.78 and 4.87
-// per command, where under a policy whose keys follow arrival
+// slots per command at one channel and 19.1 at four (and did so with
+// attribution on until it became an Observer); a bank holding for one
+// request by key, or for a pending refresh, used to be woken by every
+// command, 5.89 and 4.62 examinations; and every request of a re-ranked
+// queue used to have its key evaluated, 18.78 and 4.87 per command,
+// where under a policy whose keys follow arrival
 // (core.ArrivalMonotone) only the first unfrozen request of each
 // (class, read/write) group can rank first. So waking banks that cannot
 // have become ready, dropping keys the command cannot have moved,
-// re-ranking threads whose keys did not move (attribution included), or
-// FQ-VFTF losing its arrival declaration, fails here as a count long
-// before it shows in a timing.
+// re-ranking threads whose keys did not move, attribution doing any
+// scheduler work, or FQ-VFTF losing its arrival declaration, fails here
+// as a count long before it shows in a timing.
 //
 // The core side of the same runs is held the same way: every probe of
 // the data caches, served or refused, per line fetched from memory, and
@@ -425,41 +426,53 @@ func TestSchedulingEconomy(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		channels                    int
-		intf                        bool
 		maxExams, maxKeys, maxSlots float64 // per issued command
 		maxProbes                   float64 // per L2 miss
 		maxTicks                    float64 // per stepped cycle
 	}{
-		{1, false, 6.5, 3.3, 27.5, 2.5, 0.6},
-		{4, false, 5.1, 2.1, 6.3, 2.5, 1.4},
-		// Attribution: the whole-queue slot count, the keys above.
-		{1, true, 6.5, 3.3, 110.6, 2.5, 0.6},
-		{4, true, 5.1, 2.1, 21.0, 2.5, 1.4},
+		{1, 6.5, 3.3, 27.5, 2.5, 0.6},
+		{4, 4.6, 2.1, 6.3, 2.5, 1.4},
 	} {
-		cfg := Config{Workload: []trace.Profile{art, art, art, art}, Policy: FQVFTF, Seed: 1, Interference: tc.intf}
-		cfg.Mem.Channels = tc.channels
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
+		run := func(intf bool) (*System, memctrl.SchedCounts, StepCounts) {
+			cfg := Config{Workload: []trace.Profile{art, art, art, art}, Policy: FQVFTF, Seed: 1, Interference: intf}
+			cfg.Mem.Channels = tc.channels
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Step(50_000)
+			from, stepFrom := s.Controller().SchedCounts(), s.StepCounts()
+			s.Step(150_000)
+			to, stepTo := s.Controller().SchedCounts(), s.StepCounts()
+			return s, memctrl.SchedCounts{
+					BankExams:    to.BankExams - from.BankExams,
+					SlotsVisited: to.SlotsVisited - from.SlotsVisited,
+					KeyEvals:     to.KeyEvals - from.KeyEvals,
+					CmdsIssued:   to.CmdsIssued - from.CmdsIssued,
+				}, StepCounts{
+					Stepped:   stepTo.Stepped - stepFrom.Stepped,
+					CoreTicks: stepTo.CoreTicks - stepFrom.CoreTicks,
+				}
 		}
-		s.Step(50_000)
-		from, stepFrom := s.Controller().SchedCounts(), s.StepCounts()
-		s.Step(150_000)
-		to, stepTo := s.Controller().SchedCounts(), s.StepCounts()
-		cmds := float64(to.CmdsIssued - from.CmdsIssued)
-		exams := float64(to.BankExams-from.BankExams) / cmds
-		keys := float64(to.KeyEvals-from.KeyEvals) / cmds
-		slots := float64(to.SlotsVisited-from.SlotsVisited) / cmds
-		t.Logf("channels=%d attribution=%v: %.0f commands, %.2f bank examinations, %.1f slots and %.2f key evaluations per command",
-			tc.channels, tc.intf, cmds, exams, slots, keys)
+		s, sched, step := run(false)
+		if _, intfSched, intfStep := run(true); intfSched != sched || intfStep != step {
+			t.Errorf("channels=%d: attribution changed the scheduler's or the stepper's work: %+v %+v, without %+v %+v",
+				tc.channels, intfSched, intfStep, sched, step)
+		}
+		cmds := float64(sched.CmdsIssued)
+		exams := float64(sched.BankExams) / cmds
+		keys := float64(sched.KeyEvals) / cmds
+		slots := float64(sched.SlotsVisited) / cmds
+		t.Logf("channels=%d: %.0f commands, %.2f bank examinations, %.1f slots and %.2f key evaluations per command",
+			tc.channels, cmds, exams, slots, keys)
 		if exams > tc.maxExams {
-			t.Errorf("channels=%d attribution=%v: %.2f bank examinations per issued command, want at most %.2f", tc.channels, tc.intf, exams, tc.maxExams)
+			t.Errorf("channels=%d: %.2f bank examinations per issued command, want at most %.2f", tc.channels, exams, tc.maxExams)
 		}
 		if keys > tc.maxKeys {
-			t.Errorf("channels=%d attribution=%v: %.2f key evaluations per issued command, want at most %.2f", tc.channels, tc.intf, keys, tc.maxKeys)
+			t.Errorf("channels=%d: %.2f key evaluations per issued command, want at most %.2f", tc.channels, keys, tc.maxKeys)
 		}
 		if slots > tc.maxSlots {
-			t.Errorf("channels=%d attribution=%v: %.1f pending slots walked per issued command, want at most %.1f", tc.channels, tc.intf, slots, tc.maxSlots)
+			t.Errorf("channels=%d: %.1f pending slots walked per issued command, want at most %.1f", tc.channels, slots, tc.maxSlots)
 		}
 
 		var probes, misses int64 // cumulative, like the hierarchy's counters
@@ -469,15 +482,14 @@ func TestSchedulingEconomy(t *testing.T) {
 			misses += h.L2MissCount
 		}
 		perMiss := float64(probes) / float64(misses)
-		stepped := stepTo.Stepped - stepFrom.Stepped
-		ticks := float64(stepTo.CoreTicks-stepFrom.CoreTicks) / float64(stepped)
-		t.Logf("channels=%d attribution=%v: %.2f hierarchy probes per L2 miss, %d stepped cycles, %.2f core ticks per stepped cycle",
-			tc.channels, tc.intf, perMiss, stepped, ticks)
+		ticks := float64(step.CoreTicks) / float64(step.Stepped)
+		t.Logf("channels=%d: %.2f hierarchy probes per L2 miss, %d stepped cycles, %.2f core ticks per stepped cycle",
+			tc.channels, perMiss, step.Stepped, ticks)
 		if perMiss > tc.maxProbes {
-			t.Errorf("channels=%d attribution=%v: %.2f hierarchy probes per L2 miss, want at most %.2f", tc.channels, tc.intf, perMiss, tc.maxProbes)
+			t.Errorf("channels=%d: %.2f hierarchy probes per L2 miss, want at most %.2f", tc.channels, perMiss, tc.maxProbes)
 		}
 		if ticks > tc.maxTicks {
-			t.Errorf("channels=%d attribution=%v: %.2f core ticks per stepped cycle, want at most %.2f", tc.channels, tc.intf, ticks, tc.maxTicks)
+			t.Errorf("channels=%d: %.2f core ticks per stepped cycle, want at most %.2f", tc.channels, ticks, tc.maxTicks)
 		}
 	}
 
