@@ -21,7 +21,6 @@ const maxHistWhat = 64
 // either.
 func (a *Auditor) State(s *snapshot.Codec, reqByID map[uint64]*core.Request, pending [][]*core.Request) error {
 	s.Section("audit.Auditor")
-	snapshot.Verify(s, len(a.banks), "banks", s.Int)
 	for i := range a.banks {
 		b := &a.banks[i]
 		s.Bool(&b.open)
@@ -32,7 +31,6 @@ func (a *Auditor) State(s *snapshot.Codec, reqByID map[uint64]*core.Request, pen
 		s.I64(&b.lastPre)
 		s.I64(&b.writeEnd)
 	}
-	snapshot.Verify(s, len(a.chans), "channels", s.Int)
 	for i := range a.chans {
 		sc := &a.chans[i]
 		s.I64(&sc.lastCAS)
@@ -42,7 +40,6 @@ func (a *Auditor) State(s *snapshot.Codec, reqByID map[uint64]*core.Request, pen
 		s.I64(&sc.lastRefresh)
 		s.I64(&sc.lastCmd)
 		s.I64s(sc.rankLastAct)
-		snapshot.Verify(s, len(sc.rankActHist), "ranks", s.Int)
 		for j := range sc.rankActHist {
 			for k := range sc.rankActHist[j] {
 				s.I64(&sc.rankActHist[j][k])
@@ -88,7 +85,6 @@ func (a *Auditor) State(s *snapshot.Codec, reqByID map[uint64]*core.Request, pen
 	if s.Loading() {
 		a.fifo, a.head = live, 0
 	}
-	snapshot.Verify(s, len(a.acc), "threads", s.Int)
 	for i := range a.acc {
 		t := &a.acc[i]
 		s.I64(&t.readsAcc)

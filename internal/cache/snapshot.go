@@ -80,10 +80,17 @@ func (l *line) unpack(p []byte) byte {
 // entries and are rebuilt on load rather than written.
 func (h *Hierarchy) State(s *snapshot.Codec) error {
 	s.Section("cache.Hierarchy")
+	// Each level's section verifies its sets and ways, which with its
+	// line size fix its capacity.
+	snapshot.Verify(s, h.cfg, "configuration", func(g *HierarchyConfig) {
+		for _, v := range []*int{&g.L1I.LineBytes, &g.L1I.Latency, &g.L1D.LineBytes, &g.L1D.Latency,
+			&g.L2.LineBytes, &g.L2.Latency, &g.MSHRs, &g.WBQueueCap} {
+			s.Int(v)
+		}
+	})
 	h.l1i.State(s)
 	h.l1d.State(s)
 	h.l2.State(s)
-	snapshot.Verify(s, len(h.mshrs), "MSHRs", s.Int)
 	for i := range h.mshrs {
 		m := &h.mshrs[i]
 		s.U64(&m.lineAddr)

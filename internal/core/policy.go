@@ -60,13 +60,12 @@ const (
 // the issuing thread's picks on the issuing channel
 // (TestOnIssueMovesOnlyIssuingThreadKeys holds every shipped policy to
 // it). A future policy that couples threads or channels through shared
-// mutable state would need a controller-wide invalidation
-// (memctrl.Controller.InvalidateScheduling) after each such OnIssue
-// instead. Share reassignment already takes that path: sim.System.SetShare
-// invalidates all banks after SetThreadShare, and interval-based
-// policies (PolicyTicker) get the same treatment: the controller runs
-// their window-boundary work through Tick and invalidates everything
-// when it reports a Key-feeding change.
+// mutable state would need the controller's whole-scheduler reset after
+// each such OnIssue instead. Share reassignment already takes that path:
+// memctrl.Controller.SetShare resets every bank after SetThreadShare,
+// and interval-based policies (PolicyTicker) get the same treatment: the
+// controller runs their window-boundary work through Tick and resets
+// everything when it reports a Key-feeding change.
 //
 // # Keys that follow arrival
 //

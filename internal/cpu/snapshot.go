@@ -16,10 +16,16 @@ const (
 // token waiters, I-fetch latches, and retirement counters. It fails for
 // instruction sources other than the synthetic generator and the
 // trace-file reader — an arbitrary Source has no serializable cursor.
-// The core must have been constructed with the same configuration and
-// an instruction source of the same type over the same workload.
+// The configuration is verified; the source must be of the same type
+// over the same workload.
 func (c *Core) State(s *snapshot.Codec) error {
 	s.Section("cpu.Core")
+	snapshot.Verify(s, c.cfg, "configuration", func(g *Config) {
+		for _, v := range []*int{&g.ROB, &g.DispatchWidth, &g.RetireWidth, &g.LoadQueue,
+			&g.StoreBuffer, &g.LoadsPerCycle, &g.StoresPerCycle, &g.IFetchEvery} {
+			s.Int(v)
+		}
+	})
 	c.hier.State(s)
 	switch g := c.gen.(type) {
 	case *trace.Generator:
@@ -32,7 +38,6 @@ func (c *Core) State(s *snapshot.Codec) error {
 		s.Fail("unserializable instruction source %T", c.gen)
 	}
 	robN := len(c.rob)
-	snapshot.Verify(s, robN, "ROB entries", s.Int)
 	// robSlot visits a ROB index and rejects one a restored core would
 	// fault on; lo is -1 where nilIdx is a legal value.
 	robSlot := func(lo int32) func(*int32) {

@@ -4,11 +4,18 @@ import "repro/internal/snapshot"
 
 // State visits the channel's timing state: every bank's row status,
 // last-command timestamps, and command/busy counters, plus the
-// channel-global CAS/bus/refresh bookkeeping. Geometry is verified, not
-// loaded.
+// channel-global CAS/bus/refresh bookkeeping. Timing and geometry are
+// verified, not loaded.
 func (c *Channel) State(s *snapshot.Codec) error {
 	s.Section("dram.Channel")
-	snapshot.Verify(s, len(c.banks), "banks", s.Int)
+	snapshot.Verify(s, c.cfg, "timing and geometry", func(g *Config) {
+		t := &g.Timing
+		for _, v := range []*int{&t.TRCD, &t.TCL, &t.TWL, &t.TCCD, &t.TWTR, &t.TWR, &t.TRTP,
+			&t.TRP, &t.TRRD, &t.TRAS, &t.TRC, &t.BL2, &t.TRFC, &t.TREF,
+			&g.Ranks, &g.BanksPerRank, &g.RowsPerBank, &g.ColsPerRow} {
+			s.Int(v)
+		}
+	})
 	for i := range c.banks {
 		b := &c.banks[i]
 		s.Bool(&b.open)

@@ -280,7 +280,7 @@ type pick struct {
 // the bank state (see the core.Policy contract), so each event that can
 // move them clears valid: Accept the queue's own, a request command the
 // thread's on every bank of the channel, an activate or precharge every
-// thread's on the bank, InvalidateScheduling and a restore all of them.
+// thread's on the bank, invalidate all of them.
 type threadPicks struct {
 	valid bool
 	best  [numClasses]pick
@@ -364,8 +364,8 @@ type Controller struct {
 	// Tick degenerates to a vclock increment before it. Both are
 	// invalidated (lowered) only by readiness-changing events: a request
 	// acceptance, a command issue on the same channel, a refresh state
-	// change, or a policy share change. Strict mode clears eventDriven
-	// and restores the seed's exhaustive per-cycle scan as an oracle.
+	// change, or invalidate. Strict mode clears eventDriven and restores
+	// the seed's exhaustive per-cycle scan as an oracle.
 	//
 	// bankQuiet[b] is what a command on another bank of the channel
 	// lowers bankWake[b] to: a cycle before which re-examining b finds
@@ -443,7 +443,7 @@ func New(cfg Config, policy core.Policy) (*Controller, error) {
 		mapper:        mapper,
 		banksPerChan:  cfg.DRAM.Banks(),
 		arena:         make([]core.Request, nslots),
-		freeSlots:     make([]int32, nslots),
+		freeSlots:     make([]int32, 0, nslots),
 		pending:       make([][]int32, nch*cfg.DRAM.Banks()*cfg.Threads),
 		picks:         make([]threadPicks, nch*cfg.DRAM.Banks()*cfg.Threads),
 		readOcc:       make([]int, cfg.Threads),
@@ -464,9 +464,6 @@ func New(cfg Config, policy core.Policy) (*Controller, error) {
 	if am, ok := policy.(core.ArrivalMonotone); ok {
 		c.keysFollowArrival = am.KeysFollowArrival()
 	}
-	for i := range c.freeSlots {
-		c.freeSlots[i] = int32(i)
-	}
 	for i := range c.inflight {
 		c.inflight[i] = make([]inflightRead, 0, nslots)
 	}
@@ -480,6 +477,7 @@ func New(cfg Config, policy core.Policy) (*Controller, error) {
 	for i := range c.pending {
 		c.pending[i] = backing[i*per : i*per : (i+1)*per]
 	}
+	c.empty()
 	for i := range c.stats {
 		c.stats[i].LatHist = stats.NewHistogram(8, 512) // up to 4096 cycles
 	}
@@ -558,15 +556,6 @@ type SchedCounts struct {
 // SchedCounts returns the scheduler-economy counters.
 func (c *Controller) SchedCounts() SchedCounts { return c.sched }
 
-// dropDerived forgets what the scheduler derived rather than simulated —
-// the per-queue picks, which the next examination rebuilds to the same
-// values — and restarts its work counts. A restore calls it: neither is
-// on the wire.
-func (c *Controller) dropDerived() {
-	clear(c.picks)
-	c.sched = SchedCounts{}
-}
-
 // VClock returns the controller's virtual clock (real cycles excluding
 // refresh periods).
 func (c *Controller) VClock() int64 { return c.vclock }
@@ -579,7 +568,7 @@ func (c *Controller) PendingRequests() int { return c.pendingTotal }
 // cross-check oracle); simulated results are identical either way.
 func (c *Controller) SetEventDriven(on bool) {
 	c.eventDriven = on
-	c.InvalidateScheduling()
+	c.invalidate()
 }
 
 // NextEventAt returns a conservative lower bound on the next cycle at
@@ -588,18 +577,40 @@ func (c *Controller) SetEventDriven(on bool) {
 // virtual clock), which System.Step exploits to skip ahead.
 func (c *Controller) NextEventAt() int64 { return c.nextEvent }
 
-// InvalidateScheduling discards every cached wake time, forcing the
-// next Tick to re-examine all banks. Callers must invoke it after any
-// out-of-band change that can affect scheduling decisions, e.g. a
-// runtime share reassignment (core.ShareSetter), which rewrites policy
-// keys without a command issue.
-func (c *Controller) InvalidateScheduling() {
+// SetShare reassigns thread's bandwidth share at run time, reporting
+// whether the policy has shares (core.ShareSetter; FR-FCFS has none).
+func (c *Controller) SetShare(thread int, share core.Share) bool {
+	ss, ok := c.policy.(core.ShareSetter)
+	if ok {
+		ss.SetThreadShare(thread, share)
+		c.invalidate()
+	}
+	return ok
+}
+
+// invalidate is the one reset of what the scheduler derives (wakes, quiet
+// bounds, the next-event bound, picks) for what moves a ranking outside
+// the command stream: a share change, a Key-feeding Tick, a restore.
+func (c *Controller) invalidate() {
 	clear(c.bankWake)
 	clear(c.bankQuiet)
 	c.nextEvent = 0
-	// Out-of-band changes (share reassignment) rewrite policy keys on
-	// every channel, so every pick is stale too.
 	clear(c.picks)
+}
+
+// empty leaves the controller as New builds it and a restore decodes
+// into it: no request, nothing derived, nothing counted.
+func (c *Controller) empty() {
+	c.freeSlots = c.freeSlots[:0]
+	for i := len(c.arena) - 1; i >= 0; i-- {
+		c.freeSlots = append(c.freeSlots, int32(i))
+	}
+	for i := range c.pending {
+		c.pending[i] = c.pending[i][:0]
+	}
+	c.pendingTotal = 0
+	c.invalidate()
+	c.sched = SchedCounts{}
 }
 
 // allocSlot pops a free arena slot. Occupancy admission in Accept
@@ -870,7 +881,7 @@ func (c *Controller) TickBegin(now int64) bool {
 	// cached scheduling decision before this cycle's schedule phase.
 	if c.ticker != nil && now >= c.ticker.NextTickAt() {
 		if c.ticker.Tick(now) {
-			c.InvalidateScheduling()
+			c.invalidate()
 		}
 	}
 

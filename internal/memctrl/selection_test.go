@@ -229,9 +229,8 @@ func selectionRun(t *testing.T, cfg Config, policy core.Policy, plant int, seed 
 				restore(was, m.lastAcc.GlobalBank, m.lastAcc.Thread)
 			}
 		}
-		if ss, ok := policy.(core.ShareSetter); ok && now%10_000 == 7_000 {
-			ss.SetThreadShare(int(now/10_000)%nt, core.Share{Num: 1, Den: 3})
-			c.InvalidateScheduling()
+		if now%10_000 == 7_000 {
+			c.SetShare(int(now/10_000)%nt, core.Share{Num: 1, Den: 3})
 		}
 		if !c.TickBegin(now) {
 			continue

@@ -37,21 +37,16 @@ func (c *Controller) bankOrder(b int, buf []int32) []int32 {
 	return buf
 }
 
-// State visits the controller's machine state: DRAM channel timing,
-// each bank's transaction queues as one list in arrival order (with full
-// request state, including frozen policy keys), in-flight reads awaiting
-// data-burst completion, occupancy and refresh bookkeeping, per-thread
-// statistics, the policy's virtual-time registers when the policy
-// carries state, the event-driven wake and quiet-bound lists, and the
-// optional auditor and interference tracker. Nothing that counts or
-// caches the simulator's own work is on the wire: a restore drops the
-// key and pick caches, which the next examination rebuilds to the same
-// values, and restarts SchedCounts.
-//
-// The wake lists are the one derived state still serialized. Nothing
-// observable depends on them (the interference cube is a function of
-// the command stream, DESIGN §15), so waking every bank at the restore
-// cycle would do as well; dropping them changes the format.
+// State visits the controller's machine state: its configuration
+// (verified, not loaded), DRAM channel timing, each bank's transaction
+// queues as one list in arrival order (with full request state,
+// including frozen policy keys), in-flight reads awaiting data-burst
+// completion, occupancy and refresh bookkeeping, per-thread statistics,
+// the policy's virtual-time registers when the policy carries state, and
+// the optional auditor and interference tracker. Nothing the scheduler
+// derived or counted is on the wire: a restore starts from empty, so the
+// first tick examines every bank and rebuilds what the scheduler caches
+// to the values it held, and SchedCounts restarts.
 //
 // Loading rebuilds the arena from scratch: every decoded request gets a
 // fresh slot in decode order. Slot numbers are unobservable — queues
@@ -63,10 +58,16 @@ func (c *Controller) bankOrder(b int, buf []int32) []int32 {
 func (c *Controller) State(s *snapshot.Codec) error {
 	s.Section("memctrl.Controller")
 	snapshot.Verify(s, len(c.chans), "channels", s.Int)
+	snapshot.Verify(s, c.cfg.ReadEntriesPerThread, "read entries per thread", s.Int)
+	snapshot.Verify(s, c.cfg.WriteEntriesPerThread, "write entries per thread", s.Int)
+	snapshot.Verify(s, c.cfg.SharedBuffers, "shared buffers", s.Bool)
+	snapshot.Verify(s, uint8(c.cfg.RowPolicy), "row policy", s.U8)
+	snapshot.Verify(s, c.cfg.DisableRefresh, "refresh disabled", s.Bool)
+	snapshot.Verify(s, c.mapper.Name(), "address mapper", s.Name)
 	for _, ch := range c.chans {
 		ch.State(s)
 	}
-	snapshot.Verify(s, len(c.bankWake), "banks", s.Int)
+	nt, nbanks := c.cfg.Threads, len(c.pending)/c.cfg.Threads
 
 	// Load-side bookkeeping: every live request by ID (which doubles as
 	// the duplicate-ID check), and the per-bank pointers the auditor
@@ -74,16 +75,9 @@ func (c *Controller) State(s *snapshot.Codec) error {
 	var reqByID map[uint64]*core.Request
 	var audPending [][]*core.Request
 	if s.Loading() {
-		c.freeSlots = c.freeSlots[:0]
-		for i := len(c.arena) - 1; i >= 0; i-- {
-			c.freeSlots = append(c.freeSlots, int32(i))
-		}
-		c.dropDerived()
-		for i := range c.pending {
-			c.pending[i] = c.pending[i][:0]
-		}
+		c.empty()
 		reqByID = make(map[uint64]*core.Request)
-		audPending = make([][]*core.Request, len(c.bankWake))
+		audPending = make([][]*core.Request, nbanks)
 	}
 	// request visits the request in a queue entry's arena slot — the
 	// slot the queue holds when saving, a freshly allocated one when
@@ -114,9 +108,8 @@ func (c *Controller) State(s *snapshot.Codec) error {
 		}
 		return q
 	}
-	nt := c.cfg.Threads
 	var order []int32 // one bank's requests in arrival order, the wire form
-	for b := range c.bankWake {
+	for b := range nbanks {
 		order = c.bankOrder(b, order)
 		snapshot.Slice(s, &order, len(c.arena), func(slot *int32) {
 			q := request(slot)
@@ -131,11 +124,11 @@ func (c *Controller) State(s *snapshot.Codec) error {
 			}
 			audPending[b] = append(audPending[b], q)
 			c.pending[b*nt+q.Thread] = append(c.pending[b*nt+q.Thread], *slot)
+			c.pendingTotal++
 		})
 	}
 	s.Ints(c.readOcc)
 	s.Ints(c.writeOcc)
-	snapshot.Verify(s, len(c.inflight), "inflight channels", s.Int)
 	for ch := range c.inflight {
 		// Only the live (unconsumed) region, as for the cache queues.
 		live := c.inflight[ch][c.inflightHead[ch]:]
@@ -151,7 +144,6 @@ func (c *Controller) State(s *snapshot.Codec) error {
 	s.I64(&c.vclock)
 	s.Bools(c.refreshWanted)
 	s.I64s(c.nextRefreshAt)
-	snapshot.Verify(s, len(c.stats), "thread stats", s.Int)
 	for i := range c.stats {
 		st := &c.stats[i]
 		s.I64(&st.ReadsAccepted)
@@ -168,9 +160,6 @@ func (c *Controller) State(s *snapshot.Codec) error {
 	for i := range c.cmdCount {
 		s.I64(&c.cmdCount[i])
 	}
-	s.I64s(c.bankWake)
-	s.I64s(c.bankQuiet)
-	s.I64(&c.nextEvent)
 	ps, hasPolicy := c.policy.(core.PolicyState)
 	snapshot.Verify(s, hasPolicy, "policy-state flag", s.Bool)
 	if hasPolicy {
@@ -182,10 +171,7 @@ func (c *Controller) State(s *snapshot.Codec) error {
 		ps.State(s)
 	}
 	if s.Loading() {
-		c.pendingTotal, c.readOccTotal, c.writeOccTotal = 0, 0, 0
-		for _, q := range c.pending {
-			c.pendingTotal += len(q)
-		}
+		c.readOccTotal, c.writeOccTotal = 0, 0
 		for t := range c.readOcc {
 			c.readOccTotal += c.readOcc[t]
 			c.writeOccTotal += c.writeOcc[t]
@@ -205,10 +191,9 @@ func (c *Controller) State(s *snapshot.Codec) error {
 // State visits the fairness monitor: the previous-boundary cumulative
 // service the next epoch differences against, the running shortfall
 // aggregates, and the retained sample ring oldest-first. Interval and
-// capacity are construction state.
+// capacity are construction state (sim's fingerprint has the interval).
 func (m *FairnessMonitor) State(s *snapshot.Codec) error {
 	s.Section("memctrl.FairnessMonitor")
-	snapshot.Verify(s, m.interval, "interval", s.I64)
 	s.I64(&m.nextAt)
 	s.I64s(m.prevService)
 	s.F64s(m.cumShort)

@@ -131,30 +131,11 @@ func TestSnapshotArenaPolicyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRestoreHostileBankQuiet: the quiet-bound wake list is sized by
-// the bank count at construction, so a snapshot carrying one of any
-// other length is refused rather than left half-filled (a short list
-// would leave stale bounds that defer a bank past a ready request).
-func TestRestoreHostileBankQuiet(t *testing.T) {
-	mk := func() *Controller { return newCtrl(t, 2, core.NewFRFCFS()) }
-	if err := loadCtrl(t, mk(), saveCtrl(t, mk())); err != nil {
-		t.Fatalf("faithful snapshot refused: %v", err)
-	}
-	short := mk()
-	saveCtrl(t, short)
-	short.bankQuiet = short.bankQuiet[:len(short.bankQuiet)-1]
-	err := loadCtrl(t, mk(), encodeCtrl(t, short))
-	if err == nil || !strings.Contains(err.Error(), "slice length") {
-		t.Fatalf("snapshot with %d quiet bounds for %d banks: err = %v, want a slice-length refusal",
-			len(short.bankQuiet), len(short.bankWake), err)
-	}
-}
-
 // TestRestoreHostilePicks: v6 carried the scheduler's key and pick
-// caches and its work counts; v7 carries none of them, so a v6 stream is
-// refused by its version before anything is read. A faithful stream
-// restores into a controller whose caches are empty and whose
-// SchedCounts restart at zero.
+// caches and its work counts, v7 still its wake lists; v8 carries none of
+// them, so a v7 stream is refused by its version before anything is
+// read. A faithful stream restores into a controller whose caches are
+// empty and whose SchedCounts restart at zero.
 func TestRestoreHostilePicks(t *testing.T) {
 	// Two threads with a request each on one bank, examined at cycle 0 so
 	// both queues carry live picks and keys, neither yet issued.
@@ -176,9 +157,9 @@ func TestRestoreHostilePicks(t *testing.T) {
 		t.Errorf("restored controller's SchedCounts = %+v, want zero", got)
 	}
 
-	v6 := append([]byte(nil), faithful...)
-	v6[len(snapshot.Magic)] = 6
-	if err := loadCtrl(t, newCtrl(t, 2, core.NewFRFCFS()), v6); err == nil || !strings.Contains(err.Error(), "format version") {
-		t.Errorf("v6 stream: err = %v, want a format-version refusal", err)
+	v7 := append([]byte(nil), faithful...)
+	v7[len(snapshot.Magic)] = 7
+	if err := loadCtrl(t, newCtrl(t, 2, core.NewFRFCFS()), v7); err == nil || !strings.Contains(err.Error(), "format version") {
+		t.Errorf("v7 stream: err = %v, want a format-version refusal", err)
 	}
 }

@@ -79,10 +79,9 @@ func snapshotDocState(s *snapshot.Codec, d *Snapshot) {
 // logical oldest-first order), and the published latest snapshot.
 // Restoring all of it makes post-resume series artifacts byte-identical
 // to an uninterrupted run's. Interval and capacity are construction
-// state.
+// state (sim's fingerprint has the interval).
 func (sp *Sampler) State(s *snapshot.Codec) error {
 	s.Section("metrics.Sampler")
-	snapshot.Verify(s, sp.interval, "interval", s.I64)
 	s.I64(&sp.nextAt)
 	snapshot.Slice(s, &sp.prevCounter, maxMapEntries, s.I64)
 	snapshot.Slice(s, &sp.prevHist, maxMapEntries, func(p *histPrev) {

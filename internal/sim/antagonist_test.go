@@ -3,10 +3,8 @@ package sim
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"testing"
 
-	"repro/internal/dram"
 	"repro/internal/trace"
 )
 
@@ -39,7 +37,7 @@ func antagonistMixes(t *testing.T) [][]trace.Profile {
 
 // TestAntagonistEquivalence holds every antagonist mix, audited, to the
 // strict oracle: the event-driven fast path must reproduce the per-cycle
-// path's Result and controller fingerprint.
+// path's Result and final checkpoint bytes.
 func TestAntagonistEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence sweep is slow")
@@ -52,7 +50,7 @@ func TestAntagonistEquivalence(t *testing.T) {
 			mix, pol := mix, pol
 			t.Run(fmt.Sprintf("mix%d/%s", mi, pol.name), func(t *testing.T) {
 				t.Parallel()
-				run := func(strict bool) (Result, controllerFingerprint) {
+				run := func(strict bool) runState {
 					cfg := Config{
 						Workload: mix,
 						Policy:   pol.factory,
@@ -69,20 +67,9 @@ func TestAntagonistEquivalence(t *testing.T) {
 					s.BeginMeasurement()
 					s.Step(60_000)
 					s.FinishAudit()
-					fp := controllerFingerprint{VClock: s.Controller().VClock()}
-					for k := dram.KindActivate; k <= dram.KindRefresh; k++ {
-						fp.Commands[k] = s.Controller().CommandCount(k)
-					}
-					return s.Results(), fp
+					return captureRun(t, s)
 				}
-				fast, fastFP := run(false)
-				strict, strictFP := run(true)
-				if !reflect.DeepEqual(fast, strict) {
-					t.Errorf("fast/strict Result diverges:\n fast:   %+v\n strict: %+v", fast, strict)
-				}
-				if fastFP != strictFP {
-					t.Errorf("fast/strict controller state diverges:\n fast:   %+v\n strict: %+v", fastFP, strictFP)
-				}
+				compareRuns(t, fmt.Sprintf("antagonist-mix%d-%s", mi, pol.name), run(false), run(true))
 			})
 		}
 	}

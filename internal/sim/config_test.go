@@ -308,8 +308,8 @@ func TestWorkersFieldIsInert(t *testing.T) {
 // policy runs a 2-channel art+vpr mix with the invariant auditor and
 // epoch sampling enabled, through dozens of short refresh windows,
 // checkpointing once mid-refresh and once at the end, with Workers 0
-// and Workers 4: Results, controller fingerprints and both checkpoints'
-// raw bytes must match exactly.
+// and Workers 4: Results and both checkpoints' raw bytes must match
+// exactly.
 func TestParallelEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence sweep is slow")
@@ -321,7 +321,7 @@ func TestParallelEquivalence(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			run := func(workers int) (Result, controllerFingerprint, []byte, []byte) {
+			run := func(workers int) (runState, []byte) {
 				cfg := Config{
 					Workload:       []trace.Profile{profile(t, "art"), profile(t, "vpr")},
 					Policy:         factory,
@@ -358,34 +358,17 @@ func TestParallelEquivalence(t *testing.T) {
 				s.BeginMeasurement()
 				s.Step(80_000)
 				s.FinishAudit()
-				var end bytes.Buffer
-				if err := s.Checkpoint(&end); err != nil {
-					t.Fatal(err)
+				if n := s.Controller().CommandCount(dram.KindRefresh); n < 10 {
+					t.Errorf("run crossed only %d refresh windows, want many", n)
 				}
-				ctrl := s.Controller()
-				fp := controllerFingerprint{VClock: ctrl.VClock()}
-				for k := dram.KindActivate; k <= dram.KindRefresh; k++ {
-					fp.Commands[k] = ctrl.CommandCount(k)
-				}
-				return s.Results(), fp, mid.Bytes(), end.Bytes()
+				return captureRun(t, s), mid.Bytes()
 			}
-			serRes, serFP, serMid, serEnd := run(0)
-			wRes, wFP, wMid, wEnd := run(4)
-			if !reflect.DeepEqual(serRes, wRes) {
-				t.Errorf("Result diverges:\n Workers 0: %+v\n Workers 4: %+v", serRes, wRes)
-			}
-			if serFP != wFP {
-				t.Errorf("controller state diverges:\n Workers 0: %+v\n Workers 4: %+v", serFP, wFP)
-			}
+			ser, serMid := run(0)
+			w, wMid := run(4)
 			if !bytes.Equal(serMid, wMid) {
 				t.Errorf("mid-refresh checkpoint bytes diverge (%d vs %d bytes)", len(serMid), len(wMid))
 			}
-			if !bytes.Equal(serEnd, wEnd) {
-				t.Errorf("final checkpoint bytes diverge (%d vs %d bytes)", len(serEnd), len(wEnd))
-			}
-			if serFP.Commands[dram.KindRefresh] < 10 {
-				t.Errorf("run crossed only %d refresh windows, want many", serFP.Commands[dram.KindRefresh])
-			}
+			compareRuns(t, "workers-"+name, w, ser)
 		})
 	}
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -10,28 +9,15 @@ import (
 	"repro/internal/trace"
 )
 
-// controllerFingerprint captures every observable controller outcome
-// beyond the Result struct: the virtual clock and the per-kind SDRAM
-// command counts.
-type controllerFingerprint struct {
-	VClock   int64
-	Commands [6]int64
-}
-
-// cacheFingerprint is each core's hit and miss counts per cache level
-// (L1I, L1D, L2). They are checkpoint bytes rather than results, but
-// the fast path must still make exactly the strict path's probes: a
-// dormant core's skipped tick is one that would have probed nothing.
-type cacheFingerprint [2][6]int64
-
 // TestEventDrivenEquivalence is the tentpole's oracle: the event-driven
 // skip-ahead path must reproduce the strict per-cycle path bit for bit.
 // A 2-core art+vpr mix (one bandwidth hog, one latency-sensitive
 // thread) runs for over 200k cycles — through multiple refresh windows
 // (tREF = 280k with warmup plus window) — under every policy, including
 // the interval-based arena lineage whose tick boundaries the fast path
-// must never skip, and the Result structs, virtual clocks, and command
-// counts must match exactly.
+// must never skip, and the Result and the final checkpoint bytes (the
+// whole machine: virtual clock, command counts, cache hits and misses,
+// policy registers and queues) must match exactly.
 func TestEventDrivenEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence sweep is slow")
@@ -62,7 +48,7 @@ func TestEventDrivenEquivalence(t *testing.T) {
 		p := p
 		t.Run(p.name, func(t *testing.T) {
 			t.Parallel()
-			run := func(strict bool) (Result, controllerFingerprint, cacheFingerprint) {
+			run := func(strict bool) runState {
 				s, err := New(Config{
 					Workload: []trace.Profile{art, vpr},
 					Policy:   p.factory,
@@ -75,29 +61,9 @@ func TestEventDrivenEquivalence(t *testing.T) {
 				s.Step(warmup)
 				s.BeginMeasurement()
 				s.Step(window)
-				ctrl := s.Controller()
-				fp := controllerFingerprint{VClock: ctrl.VClock()}
-				for k := dram.KindActivate; k <= dram.KindRefresh; k++ {
-					fp.Commands[k] = ctrl.CommandCount(k)
-				}
-				var caches cacheFingerprint
-				for i := range caches {
-					h := s.Core(i).Hierarchy()
-					caches[i] = [6]int64{h.L1I().Hits, h.L1I().Misses, h.L1D().Hits, h.L1D().Misses, h.L2().Hits, h.L2().Misses}
-				}
-				return s.Results(), fp, caches
+				return captureRun(t, s)
 			}
-			fast, fastFP, fastCaches := run(false)
-			strict, strictFP, strictCaches := run(true)
-			if !reflect.DeepEqual(fast, strict) {
-				t.Errorf("Result diverges:\n fast:   %+v\n strict: %+v", fast, strict)
-			}
-			if fastFP != strictFP {
-				t.Errorf("controller state diverges:\n fast:   %+v\n strict: %+v", fastFP, strictFP)
-			}
-			if fastCaches != strictCaches {
-				t.Errorf("cache hit/miss counts diverge:\n fast:   %v\n strict: %v", fastCaches, strictCaches)
-			}
+			compareRuns(t, "equivalence-"+p.name, run(false), run(true))
 		})
 	}
 }
@@ -118,7 +84,7 @@ func TestEquivalenceWithSharesAndRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(strict bool, channels int) (Result, int64) {
+	run := func(strict bool, channels int) runState {
 		cfg := Config{
 			Workload: []trace.Profile{art, vpr},
 			Policy:   FQVFTF,
@@ -135,17 +101,10 @@ func TestEquivalenceWithSharesAndRefresh(t *testing.T) {
 		s.SetShare(1, core.Share{Num: 1, Den: 4})
 		s.BeginMeasurement()
 		s.Step(120_000)
-		return s.Results(), s.Controller().VClock()
+		return captureRun(t, s)
 	}
 	for _, channels := range []int{1, 2} {
-		fast, fastV := run(false, channels)
-		strict, strictV := run(true, channels)
-		if !reflect.DeepEqual(fast, strict) {
-			t.Errorf("channels=%d: Result diverges:\n fast:   %+v\n strict: %+v", channels, fast, strict)
-		}
-		if fastV != strictV {
-			t.Errorf("channels=%d: vclock diverges: fast %d strict %d", channels, fastV, strictV)
-		}
+		compareRuns(t, fmt.Sprintf("equivalence-shares-%dch", channels), run(false, channels), run(true, channels))
 	}
 }
 
@@ -170,7 +129,7 @@ func TestEquivalenceSetShareInsideRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(strict bool) (Result, controllerFingerprint, [2]int64) {
+	run := func(strict bool) (runState, [2]int64) {
 		cfg := Config{
 			Workload: []trace.Profile{art, vpr},
 			Policy:   FQVFTF,
@@ -206,27 +165,17 @@ func TestEquivalenceSetShareInsideRefresh(t *testing.T) {
 		s.SetShare(1, core.Share{Num: 3, Den: 4})
 		s.Step(40_000)
 		s.FinishAudit()
-		ctrl := s.Controller()
-		fp := controllerFingerprint{VClock: ctrl.VClock()}
-		for k := dram.KindActivate; k <= dram.KindRefresh; k++ {
-			fp.Commands[k] = ctrl.CommandCount(k)
+		if n := s.Controller().CommandCount(dram.KindRefresh); n < 10 {
+			t.Errorf("run crossed only %d refresh windows, want many", n)
 		}
-		return s.Results(), fp, shareAt
+		return captureRun(t, s), shareAt
 	}
-	fast, fastFP, fastAt := run(false)
-	strict, strictFP, strictAt := run(true)
+	fast, fastAt := run(false)
+	strict, strictAt := run(true)
 	if fastAt != strictAt {
 		t.Errorf("SetShare cycles diverge: fast %v strict %v", fastAt, strictAt)
 	}
-	if !reflect.DeepEqual(fast, strict) {
-		t.Errorf("Result diverges:\n fast:   %+v\n strict: %+v", fast, strict)
-	}
-	if fastFP != strictFP {
-		t.Errorf("controller state diverges:\n fast:   %+v\n strict: %+v", fastFP, strictFP)
-	}
-	if fastFP.Commands[dram.KindRefresh] < 10 {
-		t.Errorf("run crossed only %d refresh windows, want many", fastFP.Commands[dram.KindRefresh])
-	}
+	compareRuns(t, "equivalence-setshare-refresh", fast, strict)
 }
 
 // TestEquivalenceMultiChannelBankWake targets the event-driven path's
@@ -267,7 +216,7 @@ func TestEquivalenceMultiChannelBankWake(t *testing.T) {
 			p, channels := p, channels
 			t.Run(fmt.Sprintf("%s/channels=%d", p.name, channels), func(t *testing.T) {
 				t.Parallel()
-				run := func(strict bool) (Result, controllerFingerprint) {
+				run := func(strict bool) runState {
 					cfg := Config{
 						Workload: []trace.Profile{art, vpr},
 						Policy:   p.factory,
@@ -288,24 +237,12 @@ func TestEquivalenceMultiChannelBankWake(t *testing.T) {
 					s.BeginMeasurement()
 					s.Step(100_000)
 					s.FinishAudit()
-					ctrl := s.Controller()
-					fp := controllerFingerprint{VClock: ctrl.VClock()}
-					for k := dram.KindActivate; k <= dram.KindRefresh; k++ {
-						fp.Commands[k] = ctrl.CommandCount(k)
+					if s.Controller().CommandCount(dram.KindRefresh) == 0 {
+						t.Error("run crossed no refresh window")
 					}
-					return s.Results(), fp
+					return captureRun(t, s)
 				}
-				fast, fastFP := run(false)
-				strict, strictFP := run(true)
-				if !reflect.DeepEqual(fast, strict) {
-					t.Errorf("Result diverges:\n fast:   %+v\n strict: %+v", fast, strict)
-				}
-				if fastFP != strictFP {
-					t.Errorf("controller state diverges:\n fast:   %+v\n strict: %+v", fastFP, strictFP)
-				}
-				if fastFP.Commands[dram.KindRefresh] == 0 {
-					t.Error("run crossed no refresh window")
-				}
+				compareRuns(t, "equivalence-"+sanitize(t.Name()), run(false), run(true))
 			})
 		}
 	}

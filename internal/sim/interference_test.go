@@ -18,12 +18,12 @@ import (
 // enabling delay attribution must not change a single simulated
 // outcome, and the cube it reports must not depend on how the run was
 // stepped. For every scheduler, at the default refresh interval on two
-// channels and at tREF 7,000 on one, the Result and controller
-// fingerprint with attribution on must equal the run with it off bit for
-// bit, on the fast path and under the per-cycle oracle, and the two
-// cubes must be equal cell for cell. Every run carries the invariant
-// auditor, so the attribution conservation check (charged cycles ==
-// queueing delay, at every CAS issue) rides along for free.
+// channels and at tREF 7,000 on one, the Result with attribution on must
+// equal the run with it off, and the fast path must equal the per-cycle
+// oracle in the final checkpoint bytes with attribution off and on, the
+// cube among them. Every run carries the invariant auditor, so the
+// attribution conservation check (charged cycles == queueing delay, at
+// every CAS issue) rides along for free.
 func TestInterferenceObservationOnly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence sweep is slow")
@@ -64,7 +64,7 @@ func TestInterferenceObservationOnly(t *testing.T) {
 		t.Run(p.name, func(t *testing.T) {
 			t.Parallel()
 			for _, m := range machines {
-				run := func(strict, intf bool) (Result, controllerFingerprint, memctrl.InterferenceSnapshot) {
+				run := func(strict, intf bool) runState {
 					cfg := Config{
 						Workload:     []trace.Profile{art, vpr},
 						Policy:       p.factory,
@@ -86,33 +86,17 @@ func TestInterferenceObservationOnly(t *testing.T) {
 					s.BeginMeasurement()
 					s.Step(window)
 					s.FinishAudit()
-					ctrl := s.Controller()
-					fp := controllerFingerprint{VClock: ctrl.VClock()}
-					for k := dram.KindActivate; k <= dram.KindRefresh; k++ {
-						fp.Commands[k] = ctrl.CommandCount(k)
+					if cube, ok := s.Interference(); ok && cube.Total <= 0 {
+						t.Errorf("%s/strict=%v: a contended 2-thread run attributed no wait cycles", m.name, strict)
 					}
-					snap, _ := s.Interference()
-					return s.Results(), fp, snap
+					return captureRun(t, s)
 				}
-				cubes := make(map[bool]memctrl.InterferenceSnapshot)
-				for _, strict := range []bool{false, true} {
-					mode := map[bool]string{false: "fast", true: "strict"}[strict]
-					off, offFP, _ := run(strict, false)
-					on, onFP, cube := run(strict, true)
-					if !reflect.DeepEqual(off, on) {
-						t.Errorf("%s/%s: attribution changed the Result:\n off: %+v\n on:  %+v", m.name, mode, off, on)
-					}
-					if offFP != onFP {
-						t.Errorf("%s/%s: attribution changed the controller state:\n off: %+v\n on:  %+v", m.name, mode, offFP, onFP)
-					}
-					if cube.Total <= 0 {
-						t.Errorf("%s/%s: a contended 2-thread run attributed no wait cycles", m.name, mode)
-					}
-					cubes[strict] = cube
+				fastOff, fastOn := run(false, false), run(false, true)
+				if !reflect.DeepEqual(fastOff.Result, fastOn.Result) {
+					t.Errorf("%s: attribution changed the Result:\n off: %+v\n on:  %+v", m.name, fastOff.Result, fastOn.Result)
 				}
-				if !reflect.DeepEqual(cubes[false], cubes[true]) {
-					t.Errorf("%s: the cube depends on stepping:\n fast:   %v\n strict: %v", m.name, cubes[false].Cube, cubes[true].Cube)
-				}
+				compareRuns(t, "interference-off-"+sanitize(p.name+m.name), fastOff, run(true, false))
+				compareRuns(t, "interference-on-"+sanitize(p.name+m.name), fastOn, run(true, true))
 			}
 		})
 	}

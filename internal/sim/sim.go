@@ -576,19 +576,9 @@ func (s *System) FinishAudit() { s.ctrl.FinishAudit(s.cycle) }
 // Core returns core i.
 func (s *System) Core(i int) *cpu.Core { return s.cores[i] }
 
-// SetShare reassigns thread i's bandwidth share at run time. It reports
-// whether the active policy supports share reassignment (the VFTF
-// family does; FR-FCFS has no shares).
-func (s *System) SetShare(thread int, share core.Share) bool {
-	ss, ok := s.ctrl.Policy().(core.ShareSetter)
-	if ok {
-		ss.SetThreadShare(thread, share)
-		// Share reassignment rewrites policy keys without a command
-		// issue, so every cached scheduling decision is stale.
-		s.ctrl.InvalidateScheduling()
-	}
-	return ok
-}
+// SetShare reassigns thread i's bandwidth share at run time; see
+// memctrl.Controller.SetShare.
+func (s *System) SetShare(thread int, share core.Share) bool { return s.ctrl.SetShare(thread, share) }
 
 // Cycle returns the current cycle.
 func (s *System) Cycle() int64 { return s.cycle }

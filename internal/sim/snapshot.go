@@ -15,12 +15,12 @@ import (
 // capacity); the cap only guards hostile snapshots.
 const maxTransitQueue = 1 << 16
 
-// fingerprint visits the configuration identity a snapshot belongs to,
-// every field verify-only: Checkpoint writes it, and Restore checks it
-// against the freshly constructed system before reading any component
-// state, so a snapshot restored under the wrong policy, workload,
-// geometry, or mode fails with a clear error instead of a confusing
-// component mismatch deep in the stream.
+// fingerprint visits the run a snapshot belongs to, every field
+// verify-only, before any component state, so a snapshot restored under
+// the wrong policy, workload, shares, seed or observers fails with a
+// clear error. Each section verifies the part of the machine it owns
+// (controller, channel, core, cache hierarchy). How the simulator steps
+// is not recorded: fast and strict runs write the same bytes.
 func (s *System) fingerprint(c *snapshot.Codec) error {
 	c.Section("sim.Config")
 	snapshot.Verify(c, len(s.cores), "cores", c.Int)
@@ -33,15 +33,12 @@ func (s *System) fingerprint(c *snapshot.Codec) error {
 	}
 	snapshot.Verify(c, s.ctrl.Policy().Name(), "policy", c.Name)
 	snapshot.Verify(c, s.cfg.Seed, "seed", c.U64)
-	snapshot.Verify(c, s.cfg.Strict, "strict", c.Bool)
 	snapshot.Verify(c, s.cfg.Audit, "audit", c.Bool)
 	snapshot.Verify(c, s.cfg.Interference, "interference", c.Bool)
 	snapshot.Verify(c, s.cfg.SampleInterval, "sample interval", c.I64)
 	snapshot.Verify(c, s.cfg.SampleCapacity, "sample capacity", c.Int)
 	snapshot.Verify(c, s.cfg.ReqTransit, "request transit", c.Int)
 	snapshot.Verify(c, s.cfg.RespTransit, "response transit", c.Int)
-	snapshot.Verify(c, s.ctrl.Channels(), "channels", c.Int)
-	snapshot.Verify(c, s.cfg.Mem.TotalBanks(), "banks", c.Int)
 	return c.End()
 }
 
@@ -117,10 +114,11 @@ func (s *System) MeasurementStarted() bool { return s.snap.retired != nil }
 // Checkpoint serializes the complete simulator state to w: cycle
 // counters, every core (ROB, LSQ, MSHRs, caches, trace cursor), the
 // transit queues, the memory controller (queues, DRAM timing, policy
-// virtual clocks, wake lists, auditor), the metrics registry, and the
+// virtual clocks, auditor, attribution), the metrics registry, and the
 // epoch samplers. The format is versioned and self-describing; Restore
-// with the same Config resumes bit-identically — cycle-for-cycle and
-// byte-for-byte in every artifact — with an uninterrupted run.
+// with the same Config, in either stepping mode, resumes bit-identically
+// — cycle-for-cycle and byte-for-byte in every artifact — with an
+// uninterrupted run.
 //
 // Systems with a streaming trace sink (Config.Trace) refuse to
 // checkpoint: the events already written cannot be replayed into the

@@ -10,7 +10,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/addrmap"
+	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/memctrl"
 	"repro/internal/metrics"
@@ -18,29 +21,21 @@ import (
 )
 
 // runState is everything observable about a finished run: the Result,
-// the controller fingerprint, the epoch series, and the complete
-// process state (the final checkpoint bytes). Two runs are equivalent
-// exactly when their runStates are equal.
+// the epoch series, and the complete process state, the final checkpoint
+// bytes, which hold the virtual clock, command counts, cache hits and
+// misses, policy registers, queues, attribution cube and series. Two
+// runs, fast or strict, straight or restored, are equivalent exactly
+// when their runStates are equal.
 type runState struct {
-	Result  Result
-	Ctrl    controllerFingerprint
-	Epochs  []metrics.Sample
-	Fair    []memctrl.FairnessSample
-	ckpt    []byte // excluded from JSON artifacts
-	ckptLen int
+	Result Result
+	Epochs []metrics.Sample
+	Fair   []memctrl.FairnessSample
+	ckpt   []byte // excluded from JSON artifacts
 }
 
 func captureRun(t *testing.T, s *System) runState {
 	t.Helper()
-	st := runState{
-		Result: s.Results(),
-		Ctrl: controllerFingerprint{
-			VClock: s.Controller().VClock(),
-		},
-	}
-	for k := 0; k < 6; k++ {
-		st.Ctrl.Commands[k] = s.Controller().CommandCount(dram.Kind(k))
-	}
+	st := runState{Result: s.Results()}
 	if s.Sampler() != nil {
 		st.Epochs = s.Sampler().Samples(-1)
 		st.Fair = s.Fairness().Samples(-1)
@@ -50,7 +45,6 @@ func captureRun(t *testing.T, s *System) runState {
 		t.Fatalf("final checkpoint: %v", err)
 	}
 	st.ckpt = buf.Bytes()
-	st.ckptLen = buf.Len()
 	return st
 }
 
@@ -88,10 +82,6 @@ func compareRuns(t *testing.T, name string, got, want runState) {
 		t.Errorf("Result diverged\n got: %+v\nwant: %+v", got.Result, want.Result)
 		bad = true
 	}
-	if got.Ctrl != want.Ctrl {
-		t.Errorf("controller fingerprint diverged\n got: %+v\nwant: %+v", got.Ctrl, want.Ctrl)
-		bad = true
-	}
 	if !reflect.DeepEqual(got.Epochs, want.Epochs) {
 		t.Errorf("epoch sample series diverged (%d vs %d samples)", len(got.Epochs), len(want.Epochs))
 		bad = true
@@ -117,12 +107,13 @@ func compareRuns(t *testing.T, name string, got, want runState) {
 // TestCheckpointRestoreBitIdentical is the tentpole's contract: run
 // N+M cycles straight, versus run N, checkpoint, restore into a fresh
 // system (standing in for a fresh process), and run M — across the full
-// {policy} x {fast, strict} x {audit} x {sampler} matrix. Every
-// observable — Result, virtual clock, command counts, epoch and
-// fairness series, and the complete final process state — must be
-// bit-identical. The checkpoint lands at an odd cycle inside the
-// measurement window, so it cuts skip-ahead spans and a live
-// measurement baseline, not just quiescent boundaries.
+// {policy} x {fast, strict} x {audit} x {sampler} matrix, where a strict
+// cell checkpoints a strict run and finishes it fast, against a reference
+// that runs strict throughout (a checkpoint does not record the mode).
+// Every observable — Result, epoch and fairness series, and the complete
+// final process state — must be bit-identical. The checkpoint lands at
+// an odd cycle inside the measurement window, so it cuts skip-ahead
+// spans and a live measurement baseline, not just quiescent boundaries.
 func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	art, err := trace.ByName("art")
 	if err != nil {
@@ -163,7 +154,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 							Strict:         strict,
 							Audit:          auditOn,
 							SampleInterval: sample,
-						})
+						}, strict)
 					})
 				}
 			}
@@ -186,16 +177,17 @@ func TestCheckpointFRVFTFArrival(t *testing.T) {
 		Audit:          true,
 		Interference:   true,
 		SampleInterval: 1_000,
-	})
+	}, false)
 }
 
 // restoreMidWindow runs cfg straight through a measurement window and
 // again checkpointed at an odd cycle inside it, restored into a fresh
-// system (standing in for a fresh process) and finished there. The
-// restored system re-checkpoints to the same bytes and has done no
-// scheduler work yet (SchedCounts is simulator work, not state), and
-// the two runs must be equal in every observable.
-func restoreMidWindow(t *testing.T, name string, cfg Config) {
+// system (standing in for a fresh process), under the other stepping
+// mode when crossMode is set, and finished there. The restored system
+// re-checkpoints to the same bytes and has done no scheduler work yet
+// (SchedCounts is simulator work, not state), and the two runs must be
+// equal in every observable.
+func restoreMidWindow(t *testing.T, name string, cfg Config, crossMode bool) {
 	t.Helper()
 	const warmup, preCk, postCk = 2_000, 3_001, 4_999
 
@@ -225,7 +217,9 @@ func restoreMidWindow(t *testing.T, name string, cfg Config) {
 	}
 	saved := buf.Bytes()
 
-	resumed, err := Restore(cfg, bytes.NewReader(saved))
+	resumeCfg := cfg
+	resumeCfg.Strict = cfg.Strict != crossMode
+	resumed, err := Restore(resumeCfg, bytes.NewReader(saved))
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
@@ -271,11 +265,10 @@ func sanitize(s string) string {
 }
 
 // TestCheckpointInsideRefreshWindow checkpoints while channel 0 is mid
-// refresh — the one span where the virtual clock is paused and the
-// controller's wake state points at the refresh end — and requires the
-// resumed run to remain bit-identical through several more refresh
-// windows, audited and sampled. Every policy runs on two channels, and
-// FQ-VFTF on one as well.
+// refresh — the one span where the virtual clock is paused — and
+// requires the resumed run to remain bit-identical through several more
+// refresh windows, audited and sampled. Every policy runs on two
+// channels, and FQ-VFTF on one as well.
 func TestCheckpointInsideRefreshWindow(t *testing.T) {
 	type row struct {
 		name     string
@@ -327,8 +320,8 @@ func TestCheckpointInsideRefreshWindow(t *testing.T) {
 			ref.Step(tail)
 			ref.FinishAudit()
 			want := captureRun(t, ref)
-			if want.Ctrl.Commands[dram.KindRefresh] < 3*int64(r.channels) {
-				t.Errorf("run issued only %d refreshes", want.Ctrl.Commands[dram.KindRefresh])
+			if n := ref.Controller().CommandCount(dram.KindRefresh); n < 3*int64(r.channels) {
+				t.Errorf("run issued only %d refreshes", n)
 			}
 
 			first, err := New(cfg)
@@ -396,8 +389,10 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 }
 
 // TestRestoreConfigMismatch: a snapshot restored under any different
-// configuration must fail with an error, not silently resume a
-// different experiment.
+// configuration — run or machine — must fail with an error, not silently
+// resume a different experiment. The stepping mode is not part of it: a
+// fast checkpoint restores under Strict and finishes as the
+// uninterrupted run does.
 func TestRestoreConfigMismatch(t *testing.T) {
 	art, err := trace.ByName("art")
 	if err != nil {
@@ -427,7 +422,6 @@ func TestRestoreConfigMismatch(t *testing.T) {
 	mutations := map[string]func(*Config){
 		"policy":   func(c *Config) { c.Policy = FRFCFS },
 		"seed":     func(c *Config) { c.Seed = 12 },
-		"strict":   func(c *Config) { c.Strict = true },
 		"audit":    func(c *Config) { c.Audit = true },
 		"sampling": func(c *Config) { c.SampleInterval = 0 },
 		"interval": func(c *Config) { c.SampleInterval = 2_000 },
@@ -435,6 +429,39 @@ func TestRestoreConfigMismatch(t *testing.T) {
 		"cores":    func(c *Config) { c.Workload = []trace.Profile{art, vpr, art} },
 		"transit":  func(c *Config) { c.ReqTransit = 20 },
 		"geometry": func(c *Config) { c.Mem = memctrl.DefaultConfig(2); c.Mem.Channels = 2 },
+		"tREF": func(c *Config) {
+			c.Mem.DRAM = dram.DefaultConfig()
+			c.Mem.DRAM.Timing.TREF = 7_000
+		},
+		"tRCD-tRAS": func(c *Config) {
+			c.Mem.DRAM = dram.DefaultConfig()
+			c.Mem.DRAM.Timing.TRCD, c.Mem.DRAM.Timing.TRAS = 6, 19
+		},
+		"row policy":     func(c *Config) { c.Mem.RowPolicy = memctrl.OpenRow },
+		"shared buffers": func(c *Config) { c.Mem.SharedBuffers = true },
+		"refresh off":    func(c *Config) { c.Mem.DisableRefresh = true },
+		"linear mapper": func(c *Config) {
+			m, err := addrmap.NewLinear(addrmap.Table5())
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Mem.Mapper = m
+		},
+		"memory scale": func(c *Config) {
+			scaled, err := NamedConfig([]string{"art", "vpr"}, "FQ-VFTF", nil, 0, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Mem = scaled.Mem
+		},
+		"cpu width": func(c *Config) {
+			c.CPU = cpu.DefaultConfig()
+			c.CPU.DispatchWidth = 2
+		},
+		"L2 latency": func(c *Config) {
+			c.Cache = cache.DefaultHierarchyConfig()
+			c.Cache.L2.Latency = 14
+		},
 	}
 	for name, mutate := range mutations {
 		name, mutate := name, mutate
@@ -447,10 +474,22 @@ func TestRestoreConfigMismatch(t *testing.T) {
 		})
 	}
 
-	// The unmutated config still restores.
+	// The unmutated config still restores, and so does it under Strict,
+	// finishing as the uninterrupted fast run does.
 	if _, err := Restore(base, bytes.NewReader(snap)); err != nil {
 		t.Fatalf("restore under original config failed: %v", err)
 	}
+	t.Run("strict", func(t *testing.T) {
+		cfg := base
+		cfg.Strict = true
+		resumed, err := Restore(cfg, bytes.NewReader(snap))
+		if err != nil {
+			t.Fatalf("fast checkpoint refused under Strict: %v", err)
+		}
+		resumed.Step(4_000)
+		s.Step(4_000)
+		compareRuns(t, "snapshot-cross-mode", captureRun(t, resumed), captureRun(t, s))
+	})
 }
 
 // TestCheckpointRefusesTraceSink: a streaming trace sink cannot be

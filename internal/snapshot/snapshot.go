@@ -10,8 +10,9 @@
 // of silently decoding garbage. The stream is self-describing down to
 // the section level, but field layout within a section is fixed per
 // version: a snapshot restores only into the same simulator version
-// and an equivalent configuration (sim.Restore verifies a full
-// configuration fingerprint before touching any component state).
+// and an equivalent configuration (sim.Restore verifies the run's
+// fingerprint before touching any component state, and each component
+// verifies its own configuration).
 //
 // One Codec serves both directions. A component declares its
 // checkpointed state once, in a State(*Codec) method that visits every
@@ -70,8 +71,9 @@ const Magic = "FQMSSNAP"
 // removed what counts or caches the simulator's own work: the cached
 // keys, the "picks live" bits, the scheduler-economy counters and the
 // per-thread NACK counts (a checkpoint records the machine, not how it
-// was stepped).
-const Version = 7
+// was stepped). v8 removed the wake lists and the Strict bit, and each
+// section verifies the machine configuration it owns.
+const Version = 8
 
 // MaxSlice is the element cap for the few variable-length fields whose
 // bound depends on run history rather than on a configured capacity
