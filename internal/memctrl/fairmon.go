@@ -90,11 +90,30 @@ type FairnessSummary struct {
 	MaxAbsExcess []float64 `json:"max_abs_excess"`
 }
 
+// fairThread is one thread's columns of a FairnessSample.
+type fairThread struct {
+	service      int64
+	share, phi   float64
+	excess       float64
+	cumShortfall float64
+	stolen       int64
+	top          int
+	backlogged   bool
+}
+
+// fairRecord is one epoch as the ring keeps it: the per-thread columns
+// in one allocation, turned into a FairnessSample on read.
+type fairRecord struct {
+	epoch, cycle, total int64
+	th                  []fairThread
+}
+
 // FairnessMonitor tracks per-thread service share against phi over
 // epoch windows. Construct with NewFairnessMonitor, drive with Sample.
 type FairnessMonitor struct {
 	ctrl     *Controller
 	interval int64
+	capacity int
 	nextAt   int64
 
 	prevService []int64
@@ -116,9 +135,8 @@ type FairnessMonitor struct {
 	curMatrix  []int64
 
 	mu     sync.Mutex
-	ring   []FairnessSample
+	ring   []fairRecord // grows on demand up to capacity
 	start  int
-	count  int
 	epochs int64
 }
 
@@ -136,6 +154,7 @@ func NewFairnessMonitor(c *Controller, interval int64, capacity int) *FairnessMo
 	return &FairnessMonitor{
 		ctrl:         c,
 		interval:     interval,
+		capacity:     capacity,
 		nextAt:       interval,
 		prevService:  make([]int64, n),
 		cumShort:     make([]float64, n),
@@ -144,7 +163,6 @@ func NewFairnessMonitor(c *Controller, interval int64, capacity int) *FairnessMo
 		lastExcess:   make([]int64, n),
 		prevMatrix:   make([]int64, n*(n+1)),
 		curMatrix:    make([]int64, n*(n+1)),
-		ring:         make([]FairnessSample, 0, capacity),
 	}
 }
 
@@ -165,44 +183,41 @@ func (m *FairnessMonitor) phi(t int) float64 {
 }
 
 // Sample scores the epoch ending at cycle now. Call on the simulation
-// goroutine only.
+// goroutine only. Once the ring is full the evicted record's storage
+// is reused, so a steady run's epoch allocates nothing.
 func (m *FairnessMonitor) Sample(now int64) {
 	n := m.ctrl.Threads()
-	sm := FairnessSample{
-		Cycle:        now,
-		Service:      make([]int64, n),
-		Share:        make([]float64, n),
-		Phi:          make([]float64, n),
-		Excess:       make([]float64, n),
-		Backlogged:   make([]bool, n),
-		CumShortfall: make([]float64, n),
-		TopAggressor: make([]int, n),
-		StolenCycles: make([]int64, n),
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	r := fairRecord{cycle: now}
+	if len(m.ring) < m.capacity {
+		r.th = make([]fairThread, n)
+	} else {
+		r.th = m.ring[m.start].th
 	}
 	intf := m.ctrl.intf != nil
 	if intf {
 		m.ctrl.intf.pairTotals(m.curMatrix)
 	}
-	for t := 0; t < n; t++ {
+	for t := range r.th {
+		ft := &r.th[t]
 		svc := m.ctrl.Stats(t).DataBusCycles
-		sm.Service[t] = svc - m.prevService[t]
+		ft.service = svc - m.prevService[t]
 		m.prevService[t] = svc
-		sm.Total += sm.Service[t]
-		sm.Phi[t] = m.phi(t)
-		r, w := m.ctrl.Occupancy(t)
-		sm.Backlogged[t] = r+w > 0
-		sm.TopAggressor[t] = -1
+		r.total += ft.service
+		ft.phi = m.phi(t)
+		rd, wr := m.ctrl.Occupancy(t)
+		ft.backlogged = rd+wr > 0
+		ft.top, ft.stolen = -1, 0
 		if intf {
-			var best int64
 			for a := 0; a < n; a++ {
 				if a == t {
 					continue
 				}
-				if d := m.curMatrix[t*(n+1)+a] - m.prevMatrix[t*(n+1)+a]; d > best {
-					best, sm.TopAggressor[t] = d, a
+				if d := m.curMatrix[t*(n+1)+a] - m.prevMatrix[t*(n+1)+a]; d > ft.stolen {
+					ft.stolen, ft.top = d, a
 				}
 			}
-			sm.StolenCycles[t] = best
 		}
 	}
 	if intf {
@@ -212,16 +227,15 @@ func (m *FairnessMonitor) Sample(now int64) {
 		m.nextAt += m.interval
 	}
 
-	// Scoring mutates the running aggregates Summary reads, so it
-	// happens under the lock.
-	m.mu.Lock()
-	for t := 0; t < n; t++ {
-		if sm.Total > 0 {
-			sm.Share[t] = float64(sm.Service[t]) / float64(sm.Total)
+	for t := range r.th {
+		ft := &r.th[t]
+		ft.share = 0
+		if r.total > 0 {
+			ft.share = float64(ft.service) / float64(r.total)
 		}
-		sm.Excess[t] = float64(sm.Service[t]) - sm.Phi[t]*float64(sm.Total)
-		m.lastExcess[t] = int64(sm.Excess[t])
-		if ae := sm.Excess[t]; ae < 0 {
+		ft.excess = float64(ft.service) - ft.phi*float64(r.total)
+		m.lastExcess[t] = int64(ft.excess)
+		if ae := ft.excess; ae < 0 {
 			ae = -ae
 			if ae > m.maxAbsExcess[t] {
 				m.maxAbsExcess[t] = ae
@@ -229,38 +243,60 @@ func (m *FairnessMonitor) Sample(now int64) {
 		} else if ae > m.maxAbsExcess[t] {
 			m.maxAbsExcess[t] = ae
 		}
-		if sm.Backlogged[t] && sm.Excess[t] < 0 {
-			short := -sm.Excess[t]
+		if ft.backlogged && ft.excess < 0 {
+			short := -ft.excess
 			m.cumShort[t] += short
 			if short > m.maxEpochShrt[t] {
 				m.maxEpochShrt[t] = short
 			}
 		}
-		sm.CumShortfall[t] = m.cumShort[t]
+		ft.cumShortfall = m.cumShort[t]
 	}
-	sm.Epoch = m.epochs
+	r.epoch = m.epochs
 	m.epochs++
-	if len(m.ring) < cap(m.ring) {
-		m.ring = append(m.ring, sm)
+	if len(m.ring) < m.capacity {
+		m.ring = append(m.ring, r)
 	} else {
-		m.ring[m.start] = sm
+		m.ring[m.start] = r
 		m.start = (m.start + 1) % len(m.ring)
 	}
-	m.count = len(m.ring)
-	m.mu.Unlock()
+}
+
+// expand turns a record into its FairnessSample.
+func (r *fairRecord) expand() FairnessSample {
+	n := len(r.th)
+	sm := FairnessSample{
+		Epoch:        r.epoch,
+		Cycle:        r.cycle,
+		Total:        r.total,
+		Service:      make([]int64, n),
+		Share:        make([]float64, n),
+		Phi:          make([]float64, n),
+		Excess:       make([]float64, n),
+		Backlogged:   make([]bool, n),
+		CumShortfall: make([]float64, n),
+		TopAggressor: make([]int, n),
+		StolenCycles: make([]int64, n),
+	}
+	for t, ft := range r.th {
+		sm.Service[t], sm.Share[t], sm.Phi[t] = ft.service, ft.share, ft.phi
+		sm.Excess[t], sm.Backlogged[t], sm.CumShortfall[t] = ft.excess, ft.backlogged, ft.cumShortfall
+		sm.TopAggressor[t], sm.StolenCycles[t] = ft.top, ft.stolen
+	}
+	return sm
 }
 
 // Samples returns the retained epochs at boundary cycles strictly
 // greater than sinceCycle, oldest first (negative = all). The result
-// is a copy, safe to use while sampling continues.
+// is built on each call, safe to use while sampling continues.
 func (m *FairnessMonitor) Samples(sinceCycle int64) []FairnessSample {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]FairnessSample, 0, m.count)
-	for i := 0; i < m.count; i++ {
-		sm := m.ring[(m.start+i)%len(m.ring)]
-		if sm.Cycle > sinceCycle {
-			out = append(out, sm)
+	out := make([]FairnessSample, 0, len(m.ring))
+	for i := range m.ring {
+		r := &m.ring[(m.start+i)%len(m.ring)]
+		if r.cycle > sinceCycle {
+			out = append(out, r.expand())
 		}
 	}
 	return out

@@ -118,11 +118,11 @@ type intfTracker struct {
 	pairCtr  []*metrics.Counter // threads x aggrs
 	causeCtr [numCauses]*metrics.Counter
 
-	// published is the snapshot served to concurrent readers (the
-	// telemetry server); refreshed from the cube on the simulation
-	// goroutine via publish().
+	// published is the copy of the cube served to concurrent readers
+	// (the telemetry server); refreshed on the simulation goroutine by
+	// PublishInterference and expanded into a snapshot on read.
 	mu        sync.Mutex
-	published InterferenceSnapshot
+	published []int64
 	hasPub    bool
 }
 
@@ -324,10 +324,9 @@ func (t *intfTracker) topAggressor(slot int32, victim int) (int, int64) {
 	return top, best
 }
 
-// snapshotLocked builds a snapshot from the cube; sinceBaseline
-// subtracts the measurement-start baseline. Simulation goroutine only
-// (reads the live cube).
-func (t *intfTracker) buildSnapshot(sinceBaseline bool) InterferenceSnapshot {
+// buildSnapshot builds a snapshot from cube (the live cube or its
+// published copy), less the baseline when one is given.
+func (t *intfTracker) buildSnapshot(cube, baseline []int64) InterferenceSnapshot {
 	s := InterferenceSnapshot{
 		Threads:     t.threads,
 		Causes:      InterferenceCauses(),
@@ -342,9 +341,9 @@ func (t *intfTracker) buildSnapshot(sinceBaseline bool) InterferenceSnapshot {
 			cells := make([]int64, numCauses)
 			var sum int64
 			for cs := 0; cs < numCauses; cs++ {
-				d := t.cube[t.cubeIdx(v, a, cs)]
-				if sinceBaseline {
-					d -= t.baseline[t.cubeIdx(v, a, cs)]
+				d := cube[t.cubeIdx(v, a, cs)]
+				if baseline != nil {
+					d -= baseline[t.cubeIdx(v, a, cs)]
 				}
 				cells[cs] = d
 				sum += d
@@ -388,7 +387,11 @@ func (c *Controller) InterferenceSnapshot(sinceBaseline bool) (InterferenceSnaps
 	if c.intf == nil {
 		return InterferenceSnapshot{}, false
 	}
-	return c.intf.buildSnapshot(sinceBaseline), true
+	var baseline []int64
+	if sinceBaseline {
+		baseline = c.intf.baseline
+	}
+	return c.intf.buildSnapshot(c.intf.cube, baseline), true
 }
 
 // MarkInterferenceBaseline records the current matrix as the
@@ -400,30 +403,34 @@ func (c *Controller) MarkInterferenceBaseline() {
 	}
 }
 
-// PublishInterference refreshes the snapshot concurrent readers see.
-// Simulation goroutine only (the sampler calls it at epoch
-// boundaries).
+// PublishInterference refreshes the cube concurrent readers see, by
+// copying it into a buffer it reuses. Simulation goroutine only (the
+// sampler calls it at epoch boundaries).
 func (c *Controller) PublishInterference() {
-	if c.intf == nil {
+	t := c.intf
+	if t == nil {
 		return
 	}
-	s := c.intf.buildSnapshot(false)
-	c.intf.mu.Lock()
-	c.intf.published = s
-	c.intf.hasPub = true
-	c.intf.mu.Unlock()
+	t.mu.Lock()
+	t.published = append(t.published[:0], t.cube...)
+	t.hasPub = true
+	t.mu.Unlock()
 }
 
-// PublishedInterference returns the most recently published snapshot.
-// Safe from any goroutine; false before the first publish or when
-// attribution is off.
+// PublishedInterference returns the most recently published snapshot,
+// built on each call. Safe from any goroutine; false before the first
+// publish or when attribution is off.
 func (c *Controller) PublishedInterference() (InterferenceSnapshot, bool) {
-	if c.intf == nil {
+	t := c.intf
+	if t == nil {
 		return InterferenceSnapshot{}, false
 	}
-	c.intf.mu.Lock()
-	defer c.intf.mu.Unlock()
-	return c.intf.published, c.intf.hasPub
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.hasPub {
+		return InterferenceSnapshot{}, false
+	}
+	return t.buildSnapshot(t.published, nil), true
 }
 
 // state visits the tracker: the matrix, its baseline, and each live

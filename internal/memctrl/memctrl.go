@@ -1101,9 +1101,9 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (cand candidate, ok b
 				}
 			}
 		}
-		for cls, s := range p.best {
-			if s.slot != noSlot {
-				c.offer(&top[cls], s)
+		for cls := range p.best {
+			if s := &p.best[cls]; s.slot != noSlot {
+				c.offer(&top[cls], *s)
 			}
 		}
 	}

@@ -190,8 +190,10 @@ func (c *Controller) State(s *snapshot.Codec) error {
 
 // State visits the fairness monitor: the previous-boundary cumulative
 // service the next epoch differences against, the running shortfall
-// aggregates, and the retained sample ring oldest-first. Interval and
-// capacity are construction state (sim's fingerprint has the interval).
+// aggregates, and the retained sample ring oldest-first, each record
+// as its FairnessSample columns (the decoder demands one entry per
+// thread in every column). Interval and capacity are construction
+// state (sim's fingerprint has the interval).
 func (m *FairnessMonitor) State(s *snapshot.Codec) error {
 	s.Section("memctrl.FairnessMonitor")
 	s.I64(&m.nextAt)
@@ -204,7 +206,11 @@ func (m *FairnessMonitor) State(s *snapshot.Codec) error {
 	n := len(m.prevService)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	snapshot.Ring(s, &m.ring, &m.start, func(sm *FairnessSample) {
+	snapshot.Ring(s, &m.ring, m.capacity, &m.start, func(r *fairRecord) {
+		var sm FairnessSample
+		if !s.Loading() {
+			sm = r.expand()
+		}
 		s.I64(&sm.Epoch)
 		s.I64(&sm.Cycle)
 		snapshot.Slice(s, &sm.Service, n, s.I64)
@@ -216,10 +222,25 @@ func (m *FairnessMonitor) State(s *snapshot.Codec) error {
 		snapshot.Slice(s, &sm.CumShortfall, n, s.F64)
 		snapshot.Slice(s, &sm.TopAggressor, n, s.Int)
 		snapshot.Slice(s, &sm.StolenCycles, n, s.I64)
+		if !s.Loading() || s.Err() != nil {
+			return
+		}
+		for _, col := range []int{len(sm.Service), len(sm.Share), len(sm.Phi), len(sm.Excess),
+			len(sm.Backlogged), len(sm.CumShortfall), len(sm.TopAggressor), len(sm.StolenCycles)} {
+			if col != n {
+				s.Fail("epoch %d has a %d-entry column for %d threads", sm.Epoch, col, n)
+				return
+			}
+		}
+		*r = fairRecord{epoch: sm.Epoch, cycle: sm.Cycle, total: sm.Total, th: make([]fairThread, n)}
+		for t := range r.th {
+			r.th[t] = fairThread{
+				service: sm.Service[t], share: sm.Share[t], phi: sm.Phi[t], excess: sm.Excess[t],
+				cumShortfall: sm.CumShortfall[t], stolen: sm.StolenCycles[t],
+				top: sm.TopAggressor[t], backlogged: sm.Backlogged[t],
+			}
+		}
 	})
-	if s.Loading() {
-		m.count = len(m.ring)
-	}
 	s.I64(&m.epochs)
 	return s.End()
 }

@@ -230,16 +230,20 @@ func histStats(h *Histogram) HistogramStats {
 		P99:   h.Quantile(0.99),
 	}
 	for i, c := range h.counts {
-		if c == 0 {
-			continue
+		if c != 0 {
+			s.Buckets = append(s.Buckets, [2]int64{bucketEdge(i), c})
 		}
-		edge := int64(0)
-		if i > 0 {
-			edge = int64(1) << uint(i)
-		}
-		s.Buckets = append(s.Buckets, [2]int64{edge, c})
 	}
 	return s
+}
+
+// bucketEdge is histogram bucket b's right edge, the label its
+// exported [edge, count] pairs carry.
+func bucketEdge(b int) int64 {
+	if b == 0 {
+		return 0
+	}
+	return int64(1) << uint(b)
 }
 
 // Snapshot is a point-in-time export of every registered metric,

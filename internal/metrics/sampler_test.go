@@ -1,8 +1,12 @@
 package metrics
 
 import (
+	"bytes"
+	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/snapshot"
 )
 
 // TestSamplerDeltas drives a registry through three epochs and checks
@@ -110,7 +114,7 @@ func TestSamplerRingBounded(t *testing.T) {
 	c := reg.Counter("n")
 	s := NewSampler(reg, SamplerConfig{Interval: 10, Capacity: 4})
 	for i := int64(1); i <= 10; i++ {
-		c.Inc()
+		c.Add(i)
 		s.Sample(i * 10)
 	}
 	got := s.Samples(-1)
@@ -119,6 +123,13 @@ func TestSamplerRingBounded(t *testing.T) {
 	}
 	if got[0].Cycle != 70 || got[3].Cycle != 100 {
 		t.Errorf("ring cycles %d..%d, want 70..100", got[0].Cycle, got[3].Cycle)
+	}
+	// Evicted records' storage is reused; every epoch still holds its
+	// own delta.
+	for _, sm := range got {
+		if want := sm.Cycle / 10; sm.Counters["n"] != want {
+			t.Errorf("epoch %d delta = %d, want %d", sm.Epoch, sm.Counters["n"], want)
+		}
 	}
 	if s.Epochs() != 10 {
 		t.Errorf("Epochs = %d, want 10", s.Epochs())
@@ -166,4 +177,52 @@ func TestSamplerConcurrentReaders(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestSamplerRecordWire round-trips the sampler through its checkpoint
+// section: every record, including ones taken before a late
+// registration, decodes back to the same record, and the restored
+// sampler reads out the same series and latest snapshot.
+func TestSamplerRecordWire(t *testing.T) {
+	reg := New()
+	c := reg.Counter("b.count")
+	h := reg.Histogram("a.lat")
+	g := reg.Gauge("c.occ")
+	s := NewSampler(reg, SamplerConfig{Interval: 10, Capacity: 8})
+	s.Sample(0)
+	c.Add(3)
+	h.Observe(5)
+	h.Observe(700)
+	g.Set(-2)
+	s.Sample(10)
+	reg.Func("0.late", func() int64 { return 9 })
+	h.Observe(0)
+	s.Sample(20)
+
+	var buf bytes.Buffer
+	e := snapshot.NewEncoder(&buf)
+	if err := s.State(e); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := snapshot.NewDecoder(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := NewSampler(reg, SamplerConfig{Interval: 10, Capacity: 8})
+	if err := back.State(d); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.ring, s.ring) {
+		t.Errorf("records decode to %+v, want %+v", back.ring, s.ring)
+	}
+	if got, want := back.Samples(-1), s.Samples(-1); !reflect.DeepEqual(got, want) {
+		t.Errorf("restored series %+v, want %+v", got, want)
+	}
+	got, _ := back.Latest()
+	if want, _ := s.Latest(); !reflect.DeepEqual(got, want) {
+		t.Errorf("restored latest %+v, want %+v", got, want)
+	}
 }

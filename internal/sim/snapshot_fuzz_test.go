@@ -238,3 +238,195 @@ func TestRestoreHostileCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreHostileSeries rewrites the retained epochs of a
+// checkpoint's metric and fairness series. A sampler record is
+// positional over the registry and a fairness record over the threads,
+// so restore must refuse a record that names a metric the registry does
+// not hold, lacks one its entry count implies, files a metric under the
+// wrong kind, or leaves the newest epoch short of the cumulative
+// arrays; a latest snapshot that disagrees with the cumulative arrays;
+// and a fairness column without one entry per thread. Restore turns a
+// panic into a "corrupt snapshot" error, so each row demands its own
+// refusal.
+func TestRestoreHostileSeries(t *testing.T) {
+	cfg := fuzzConfig(t)
+	valid := validSnapshot(t)
+	if _, err := Restore(cfg, bytes.NewReader(valid)); err != nil {
+		t.Fatal(err)
+	}
+	w := parseSeries(t, valid, len(cfg.Workload))
+	first, newest := w.epochs[0], w.epochs[len(w.epochs)-1]
+	if len(w.epochs) < 2 || len(first[counterMap].es) < 2 {
+		t.Fatalf("%d retained epochs, the first with %d counters", len(w.epochs), len(first[counterMap].es))
+	}
+	if !bytes.Equal(encodeEntries(first[counterMap].es), valid[first[counterMap].at:first[counterMap].end]) {
+		t.Fatal("the counter map does not re-encode to its bytes")
+	}
+	counters, gauges := first[counterMap].es, first[gaugeMap].es
+	drop := 0 // a counter that is not the last registered item
+	if counters[0].name == w.last.name {
+		drop = 1
+	}
+	without := func(es []seriesEntry, name string) []seriesEntry {
+		var out []seriesEntry
+		for _, e := range es {
+			if e.name != name {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	// maps rewrites the counter and gauge maps of the first epoch.
+	maps := func(c, g []seriesEntry) []byte {
+		return splice(valid, first[counterMap].at, first[gaugeMap].end, append(encodeEntries(c), encodeEntries(g)...))
+	}
+	lastMap := newest[w.last.wireMap]
+	bumped := bytes.Clone(w.latestCounters.es[0].v)
+	bumped[0]++
+	latest := append([]seriesEntry{{w.latestCounters.es[0].name, bumped}}, w.latestCounters.es[1:]...)
+	short := splice(valid, w.fairColumn, w.fairColumn+4+8, binary.LittleEndian.AppendUint32(nil, uint32(len(cfg.Workload)-1)))
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"foreign name", maps(append([]seriesEntry{{"zz.not_registered", counters[0].v}}, counters[1:]...), gauges), "not among the record's counters"},
+		{"missing metric", maps(without(counters, counters[drop].name), gauges), "not among the record's counters"},
+		{"wrong kind", maps(without(counters, counters[0].name), append([]seriesEntry{counters[0]}, gauges...)), "not among the record's counters"},
+		{"newest epoch short", splice(valid, lastMap.at, lastMap.end, encodeEntries(without(lastMap.es, w.last.name))), "newest epoch covers"},
+		{"latest disagrees", splice(valid, w.latestCounters.at, w.latestCounters.end, encodeEntries(latest)), "latest snapshot disagrees"},
+		{"short fairness column", short, "-entry column for"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := Restore(cfg, bytes.NewReader(c.data))
+			if err == nil || s != nil {
+				t.Fatalf("Restore = %v, %v; want a refusal naming %q", s != nil, err, c.want)
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("error %q does not say %q", err, c.want)
+			}
+		})
+	}
+}
+
+// seriesEntry is one entry of an encoded sample map: a name and its
+// value's bytes.
+type seriesEntry struct {
+	name string
+	v    []byte
+}
+
+func encodeEntries(es []seriesEntry) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(es)))
+	for _, e := range es {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(e.name)))
+		b = append(append(b, e.name...), e.v...)
+	}
+	return b
+}
+
+// splice returns a copy of b with b[at:end] replaced by repl.
+func splice(b []byte, at, end int, repl []byte) []byte {
+	return append(append(append([]byte(nil), b[:at]...), repl...), b[end:]...)
+}
+
+// The sample maps of an encoded epoch, in wire order.
+const (
+	counterMap = iota
+	gaugeMap
+	histMap
+)
+
+// wireMap is an encoded sample map: its entries and the bytes they fill.
+type wireMap struct {
+	at, end int
+	es      []seriesEntry
+}
+
+// seriesWire locates, in a checkpoint, what TestRestoreHostileSeries
+// rewrites.
+type seriesWire struct {
+	last struct { // the last registered metric
+		name    string
+		wireMap int
+	}
+	epochs         [][3]wireMap // the sampler's retained epochs
+	latestCounters wireMap      // the sampler's latest snapshot's counters
+	fairColumn     int          // the first fairness epoch's Service column
+}
+
+func parseSeries(t *testing.T, b []byte, threads int) seriesWire {
+	t.Helper()
+	var w seriesWire
+	off := 0
+	section := func(name string) {
+		at := bytes.Index(b, append(binary.LittleEndian.AppendUint32(nil, uint32(len(name))), name...))
+		if at < 0 {
+			t.Fatalf("no %s section", name)
+		}
+		off = at + 4 + len(name)
+	}
+	u32 := func() int {
+		v := int(binary.LittleEndian.Uint32(b[off:]))
+		off += 4
+		return v
+	}
+	name := func() string {
+		n := u32()
+		off += n
+		return string(b[off-n : off])
+	}
+	// entries reads a map whose values are fixed bytes and then, when
+	// pairs is set, a slice of 16-byte pairs.
+	entries := func(fixed int, pairs bool) wireMap {
+		m := wireMap{at: off}
+		m.es = make([]seriesEntry, u32())
+		for i := range m.es {
+			m.es[i].name = name()
+			at := off
+			off += fixed
+			if pairs {
+				off += 16 * u32()
+			}
+			m.es[i].v = b[at:off]
+		}
+		m.end = off
+		return m
+	}
+
+	section("metrics.Registry")
+	items := int(binary.LittleEndian.Uint64(b[off:]))
+	off += 8
+	for range items {
+		w.last.name = name()
+		kind := b[off] // counter, gauge, histogram, func
+		off++
+		w.last.wireMap = [...]int{counterMap, gaugeMap, histMap, gaugeMap}[kind]
+		off += [...]int{8, 8, 8*65 + 24, 0}[kind]
+	}
+
+	section("metrics.Sampler")
+	off += 8                   // nextAt
+	off += 8 * u32()           // prevCounter
+	off += (8*65 + 16) * u32() // prevHist: bucket counts, n, sum
+	off += 8                   // ring capacity
+	w.epochs = make([][3]wireMap, u32())
+	for i := range w.epochs {
+		off += 16 // epoch, cycle
+		w.epochs[i] = [3]wireMap{entries(8, false), entries(8, false), entries(16, true)}
+	}
+	off += 8 + 1 // epochs, latest-snapshot flag
+	w.latestCounters = entries(8, false)
+
+	section("memctrl.FairnessMonitor")
+	off += 8                         // nextAt
+	off += 5 * (4 + 8*threads)       // per-thread arrays, each with its length
+	off += 4 + 8*threads*(threads+1) // prevMatrix
+	off += 8                         // ring capacity
+	if u32() == 0 {
+		t.Fatal("no retained fairness epoch")
+	}
+	w.fairColumn = off + 16 // past epoch, cycle
+	return w
+}

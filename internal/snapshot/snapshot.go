@@ -421,17 +421,21 @@ func Map[K cmp.Ordered, V any](s *Codec, m *map[K]V, max int, key func(*K), val 
 }
 
 // Ring visits a bounded ring buffer — *ring holds the retained
-// elements, cap(*ring) is the construction-time capacity, *start
-// indexes the oldest — as the capacity (verified), a count, and the
-// elements oldest-first, so the bytes do not depend on where the ring
-// has wrapped. Decoding rebuilds the ring with the oldest at index 0.
-func Ring[T any](s *Codec, ring *[]T, start *int, elem func(*T)) {
-	Verify(s, cap(*ring), "ring capacity", s.Int)
-	n := len(*ring)
-	s.length(&n, cap(*ring))
+// elements (it grows on demand, so its cap says nothing), capacity is
+// the construction-time bound, *start indexes the oldest — as the
+// capacity (verified), a count, and the elements oldest-first, so the
+// bytes do not depend on where the ring has wrapped. Decoding rebuilds
+// the ring with the oldest at index 0, growing it as elements arrive
+// (see Slice).
+func Ring[T any](s *Codec, ring *[]T, capacity int, start *int, elem func(*T)) {
+	Verify(s, capacity, "ring capacity", s.Int)
 	if s.r != nil {
-		*ring, *start = make([]T, n, cap(*ring)), 0
+		*start = 0
+		Slice(s, ring, capacity, elem)
+		return
 	}
+	n := len(*ring)
+	s.length(&n, capacity)
 	for i := 0; i < n && s.err == nil; i++ {
 		elem(&(*ring)[(*start+i)%n])
 	}

@@ -74,14 +74,13 @@ func (v *everything) state(s *Codec) error {
 	Map(s, &v.ByName, 8, s.Name, s.I64)
 	Map(s, &v.ByID, 8, s.U64, s.F64)
 	Map(s, &v.NoKeys, 8, s.Name, s.I64)
-	Ring(s, &v.Ring, &v.RingStart, s.I64)
+	Ring(s, &v.Ring, 5, &v.RingStart, s.I64)
 	s.length(&v.N, 8)
 	return s.End()
 }
 
 func sample() *everything {
-	ring := make([]int64, 3, 5)
-	copy(ring, []int64{30, 10, 20}) // oldest at index 1
+	ring := []int64{30, 10, 20} // oldest at index 1
 	return &everything{
 		U8: 0xab, U32: 0xdeadbeef, U64: 1 << 60, I64: -42, Int: -7, I32: -3,
 		T: true, Pi: math.Pi, NegInf: math.Inf(-1), Str: "hello", Name: "fq-vftf",
@@ -99,13 +98,11 @@ func sample() *everything {
 }
 
 // blank is a decode target "constructed with the same configuration":
-// fixed-length slices and the ring capacity are in place, contents are
-// not.
+// fixed-length slices are in place, contents are not.
 func blank() *everything {
 	return &everything{
 		I64s: make([]int64, 3), U64s: make([]uint64, 2), Ints: make([]int, 3),
 		Bools: make([]bool, 3), F64s: make([]float64, 2), Pairs: make([][2]int64, 2),
-		Ring: make([]int64, 0, 5),
 	}
 }
 
@@ -144,15 +141,12 @@ func TestRoundTrip(t *testing.T) {
 	}
 	// The ring comes back normalised, oldest first.
 	norm := sample()
-	norm.Ring, norm.RingStart = append(make([]int64, 0, 5), 10, 20, 30), 0
+	norm.Ring, norm.RingStart = []int64{10, 20, 30}, 0
 	if !reflect.DeepEqual(got, norm) {
 		t.Fatalf("round trip\n got: %+v\nwant: %+v", got, norm)
 	}
 	if got.NilVar != nil {
 		t.Error("empty variable-length slice decoded non-nil")
-	}
-	if cap(got.Ring) != 5 {
-		t.Errorf("ring capacity %d after decode, want 5", cap(got.Ring))
 	}
 	// Content-based: the decoded value re-encodes to the same bytes.
 	if again := encode(t, func(s *Codec) { got.state(s) }); !bytes.Equal(again, b) {
@@ -245,6 +239,22 @@ func TestCapsRefuseBeforeAllocating(t *testing.T) {
 	wantErr(t, s, "exceeds cap 16")
 	if m != nil {
 		t.Error("over-cap Map allocated")
+	}
+
+	// A ring as large as its capacity allows, with no elements behind
+	// the header: it grows with what arrives, not to the count.
+	ringHdr := encode(t, func(s *Codec) {
+		capacity := MaxSlice
+		s.Int(&capacity)
+		s.length(&huge, MaxSlice)
+	})
+	s = decoder(t, ringHdr)
+	var r []uint64
+	start := 0
+	Ring(s, &r, MaxSlice, &start, s.U64)
+	wantErr(t, s, "truncated")
+	if cap(r) > 1 {
+		t.Errorf("Ring allocated %d elements from a bare header", cap(r))
 	}
 }
 

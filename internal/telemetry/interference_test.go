@@ -94,7 +94,7 @@ func TestInterferenceEndpoint(t *testing.T) {
 // family — both for a nil Config.Interference and for a controller
 // whose attribution is off.
 func TestInterferenceEndpointDisabled(t *testing.T) {
-	s := startSim(t, 10_000) // attribution off
+	s := startSim(t, 10_000, false) // attribution off
 
 	for _, ctrl := range []*memctrl.Controller{nil, s.Controller()} {
 		srv, err := Start(Config{

@@ -20,7 +20,7 @@ import (
 // startSim builds a small instrumented two-thread system with epoch
 // sampling enabled and steps it through its warmup so the sampler and
 // fairness monitor hold real data.
-func startSim(t *testing.T, cycles int64) *sim.System {
+func startSim(t *testing.T, cycles int64, interference bool) *sim.System {
 	t.Helper()
 	art, err := trace.ByName("art")
 	if err != nil {
@@ -35,6 +35,7 @@ func startSim(t *testing.T, cycles int64) *sim.System {
 		Policy:         sim.FQVFTF,
 		Seed:           11,
 		SampleInterval: 5_000,
+		Interference:   interference,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +62,7 @@ func get(t *testing.T, client *http.Client, url string) (int, string) {
 // real simulation and checks each payload is well-formed and consistent
 // with the simulation's state.
 func TestServerEndpoints(t *testing.T) {
-	s := startSim(t, 30_000)
+	s := startSim(t, 30_000, false)
 	progress := NewProgress(3)
 	progress.Start("fig5")
 	progress.AddCycles(30_000)
@@ -166,12 +167,13 @@ func TestServerEndpoints(t *testing.T) {
 // mutex-guarded copies, never the live registry. Run with -race this
 // is the Func-gauge safety test the observability layer promises.
 func TestServerConcurrentScrape(t *testing.T) {
-	s := startSim(t, 10_000)
+	s := startSim(t, 10_000, true)
 	srv, err := Start(Config{
-		Addr:     "127.0.0.1:0",
-		Sampler:  s.Sampler(),
-		Fairness: s.Fairness(),
-		Progress: NewProgress(1),
+		Addr:         "127.0.0.1:0",
+		Sampler:      s.Sampler(),
+		Fairness:     s.Fairness(),
+		Interference: s.Controller(),
+		Progress:     NewProgress(1),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +202,7 @@ func TestServerConcurrentScrape(t *testing.T) {
 			defer scrapers.Done()
 			client := &http.Client{}
 			defer client.CloseIdleConnections()
-			paths := []string{"/metrics", "/series", "/fairness", "/progress"}
+			paths := []string{"/metrics", "/series", "/fairness", "/interference", "/progress"}
 			for n := 0; n < 25; n++ {
 				path := paths[(i+n)%len(paths)]
 				resp, err := client.Get(srv.URL() + path)
