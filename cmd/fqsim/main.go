@@ -176,7 +176,6 @@ func main() {
 		srv, err = telemetry.Start(telemetry.Config{
 			Addr:         *serveAddr,
 			Sampler:      s.Sampler(),
-			Fairness:     s.Fairness(),
 			Interference: s.Controller(),
 			Progress:     prog,
 			Checkpoint:   trig,

@@ -206,9 +206,10 @@ type ShareSetter interface {
 func (b *vftBase) ThreadShare(thread int) Share { return b.vtms[thread].Share() }
 
 // ShareGetter is implemented by policies that know each thread's
-// allocated share phi (the VFTF family). Observers — the fairness
-// monitor — read shares through it; shareless policies like FR-FCFS
-// fall back to the paper's static equal allocation 1/N.
+// allocated share phi (the VFTF family). The controller's
+// memctrl.threadN.share_num/share_den gauges, which the fairness series
+// scores against, read shares through it; shareless policies like
+// FR-FCFS fall back to the paper's static equal allocation 1/N.
 type ShareGetter interface {
 	ThreadShare(thread int) Share
 }

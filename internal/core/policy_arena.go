@@ -99,7 +99,7 @@ const arenaPenalty = int64(1) << 40
 // forever. Blacklisted threads' requests are deprioritized by a fixed
 // penalty; within a priority class ordering stays FR-FCFS. BLISS is
 // shareless: it implements neither ShareGetter nor ShareSetter, so the
-// fairness monitor falls back to phi = 1/N.
+// fairness series falls back to phi = 1/N.
 type BLISS struct {
 	ticker
 	streakCap  int64

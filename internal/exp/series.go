@@ -61,8 +61,7 @@ func seriesJSON(key string, s *sim.System) ([]byte, error) {
 	if key != "" {
 		doc.Policy = s.Controller().Policy().Name()
 	}
-	doc.Fairness.Summary = s.Fairness().Summary()
-	doc.Fairness.Samples = s.Fairness().Samples(-1)
+	doc.Fairness.Summary, doc.Fairness.Samples = memctrl.Fairness(doc.Interval, doc.Samples)
 
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -86,8 +85,9 @@ func WriteSeriesJSON(path string, s *sim.System) error {
 // concatenate into one plottable file.
 func fairnessCSV(s *sim.System) ([]byte, error) {
 	policy := s.Controller().Policy().Name()
+	_, series := memctrl.Fairness(s.Sampler().Interval(), s.Sampler().Samples(-1))
 	var rows [][]string
-	for _, fs := range s.Fairness().Samples(-1) {
+	for _, fs := range series {
 		for t := range fs.Service {
 			rows = append(rows, []string{
 				policy,

@@ -362,21 +362,6 @@ func (t *intfTracker) buildSnapshot(cube, baseline []int64) InterferenceSnapshot
 	return s
 }
 
-// pairTotals writes the cause-summed matrix (threads x aggrs,
-// flattened) into dst; the fairness monitor diffs successive calls to
-// find each epoch's top aggressor. Simulation goroutine only.
-func (t *intfTracker) pairTotals(dst []int64) {
-	for v := 0; v < t.threads; v++ {
-		for a := 0; a < t.aggrs; a++ {
-			var sum int64
-			for cs := 0; cs < numCauses; cs++ {
-				sum += t.cube[t.cubeIdx(v, a, cs)]
-			}
-			dst[v*t.aggrs+a] = sum
-		}
-	}
-}
-
 // InterferenceEnabled reports whether delay attribution is on.
 func (c *Controller) InterferenceEnabled() bool { return c.intf != nil }
 

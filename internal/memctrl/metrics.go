@@ -68,6 +68,12 @@ func newMemMetrics(reg *metrics.Registry, c *Controller) *memMetrics {
 		reg.Func(fmt.Sprintf("memctrl.thread%d.reads_done", t), func() int64 { return st.ReadsDone })
 		reg.Func(fmt.Sprintf("memctrl.thread%d.writes_done", t), func() int64 { return st.WritesDone })
 		reg.Func(fmt.Sprintf("memctrl.thread%d.data_bus_cycles", t), func() int64 { return st.DataBusCycles })
+		// Queue occupancy and phi as an exact fraction: with the service
+		// counter above, what the fairness reduction scores an epoch by.
+		reg.Func(fmt.Sprintf("memctrl.thread%d.pending_reads", t), func() int64 { return int64(c.readOcc[t]) })
+		reg.Func(fmt.Sprintf("memctrl.thread%d.pending_writes", t), func() int64 { return int64(c.writeOcc[t]) })
+		reg.Func(fmt.Sprintf("memctrl.thread%d.share_num", t), func() int64 { return int64(c.threadShare(t).Num) })
+		reg.Func(fmt.Sprintf("memctrl.thread%d.share_den", t), func() int64 { return int64(c.threadShare(t).Den) })
 	}
 	for k := dram.KindActivate; k <= dram.KindRefresh; k++ {
 		k := k
@@ -90,6 +96,16 @@ func newMemMetrics(reg *metrics.Registry, c *Controller) *memMetrics {
 		}
 	}
 	return m
+}
+
+// threadShare is thread t's allocated share phi: live from the policy
+// when it exposes shares (so a runtime SetShare shows), else the
+// paper's static equal allocation.
+func (c *Controller) threadShare(t int) core.Share {
+	if sg, ok := c.policy.(core.ShareGetter); ok {
+		return sg.ThreadShare(t)
+	}
+	return core.EqualShare(c.cfg.Threads)
 }
 
 func (m *memMetrics) OnAccept(r *core.Request, _ int64) {

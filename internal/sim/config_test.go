@@ -110,7 +110,6 @@ func TestHostileConfigValues(t *testing.T) {
 		{"negative request transit", func(c *Config) { c.ReqTransit = -1 }, "request -1, response 10"},
 		{"negative response transit", func(c *Config) { c.RespTransit = -5 }, "response -5"},
 		{"negative sample interval", func(c *Config) { c.SampleInterval = -1000 }, "interval -1000"},
-		{"negative sample capacity", func(c *Config) { c.SampleInterval = 1000; c.SampleCapacity = -1 }, "capacity -1 must not be negative"},
 		{"negative tRP", func(c *Config) { c.Mem = memctrl.DefaultConfig(2); c.Mem.DRAM.Timing.TRP = -5 }, "tRP (-5)"},
 		{"zero tCCD", func(c *Config) { c.Mem = memctrl.DefaultConfig(2); c.Mem.DRAM.Timing.TCCD = 0 }, "tCCD (0)"},
 		{"negative tWTR", func(c *Config) { c.Mem = memctrl.DefaultConfig(2); c.Mem.DRAM.Timing.TWTR = -1 }, "tWTR (-1)"},

@@ -1,13 +1,23 @@
 package sim
 
 import (
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/memctrl"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
+
+// fairness scores a sampled system's retained epochs.
+func fairness(s *System) (memctrl.FairnessSummary, []memctrl.FairnessSample) {
+	return memctrl.Fairness(s.Sampler().Interval(), s.Sampler().Samples(-1))
+}
 
 // TestFairnessSeriesBoundedVsDrift is the fairness-over-time acceptance
 // test: on the paper's headline co-run (vpr sharing the memory system
@@ -46,7 +56,7 @@ func TestFairnessSeriesBoundedVsDrift(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.Fairness().Summary(), s.Fairness().Samples(-1)
+		return fairness(s)
 	}
 	fqSum, fqSamples := run(FQVFTF)
 	frSum, frSamples := run(FRFCFS)
@@ -110,7 +120,7 @@ func TestFairnessSeriesBoundedVsDrift(t *testing.T) {
 	}
 }
 
-// TestFairnessPhiFallbackPerEpoch pins the monitor's phi sourcing: it
+// TestFairnessPhiFallbackPerEpoch pins the series' phi sourcing: it
 // must re-resolve the allocated share at every epoch boundary, not
 // cache it at construction. For a shareless policy (BLISS) that means
 // the 1/N fallback on every sample and SetShare reporting unsupported;
@@ -141,7 +151,7 @@ func TestFairnessPhiFallbackPerEpoch(t *testing.T) {
 		t.Fatal("SetShare on a shareless policy reported support")
 	}
 	s.Step(4 * interval)
-	samples := s.Fairness().Samples(-1)
+	_, samples := fairness(s)
 	if len(samples) == 0 {
 		t.Fatal("no fairness samples taken")
 	}
@@ -170,7 +180,8 @@ func TestFairnessPhiFallbackPerEpoch(t *testing.T) {
 		t.Fatal("SetShare on FQ-VFTF reported unsupported")
 	}
 	s.Step(3 * interval)
-	for _, sm := range s.Fairness().Samples(-1) {
+	_, samples = fairness(s)
+	for _, sm := range samples {
 		want := 0.5
 		if sm.Cycle > reassignedAt {
 			want = 0.75
@@ -178,5 +189,128 @@ func TestFairnessPhiFallbackPerEpoch(t *testing.T) {
 		if math.Abs(sm.Phi[0]-want) > 1e-12 {
 			t.Fatalf("epoch %d (cycle %d) thread 0 phi = %v, want %v", sm.Epoch, sm.Cycle, sm.Phi[0], want)
 		}
+	}
+}
+
+// fairnessGoldenRow is one run of testdata/fairness_golden.json: the
+// fairness summary and series art+vpr produced at seed 5 over the
+// QuickConfig window, sampled every 10k cycles.
+type fairnessGoldenRow struct {
+	Name         string                   `json:"name"`
+	Interference bool                     `json:"interference"`
+	Summary      memctrl.FairnessSummary  `json:"summary"`
+	Samples      []memctrl.FairnessSample `json:"samples"`
+}
+
+// TestFairnessReductionGolden holds the reduction to the series the
+// per-epoch fairness monitor it replaced recorded (the golden was taken
+// from that monitor): every scheduler with attribution off and on, and
+// FQ-VFTF with thread 0's share moved to 3/4 mid-run. Every float must
+// match exactly.
+func TestFairnessReductionGolden(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fairness_golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden []fairnessGoldenRow
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	art, err := trace.ByName("art")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vpr, err := trace.ByName("vpr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := func(p PolicyFactory, intf bool) Config {
+		return Config{Workload: []trace.Profile{art, vpr}, Policy: p, Seed: 5, SampleInterval: 10_000, Interference: intf}
+	}
+	var got []fairnessGoldenRow
+	for _, name := range PolicyNames() {
+		p, err := PolicyByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, intf := range []bool{false, true} {
+			s, _, err := RunSystem(cfg(p, intf), 20_000, 120_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum, samples := fairness(s)
+			got = append(got, fairnessGoldenRow{name, intf, sum, samples})
+		}
+	}
+	s, err := New(cfg(FQVFTF, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Step(70_000)
+	if !s.SetShare(0, core.Share{Num: 3, Den: 4}) {
+		t.Fatal("SetShare on FQ-VFTF reported unsupported")
+	}
+	s.Step(70_000)
+	sum, samples := fairness(s)
+	got = append(got, fairnessGoldenRow{"FQ-VFTF share 3/4", false, sum, samples})
+
+	if len(got) != len(golden) {
+		t.Fatalf("%d runs, golden has %d", len(got), len(golden))
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], golden[i]) {
+			t.Errorf("%s (interference %v): fairness differs from the golden\n got: %+v\nwant: %+v",
+				golden[i].Name, golden[i].Interference, got[i].Summary, golden[i].Summary)
+		}
+	}
+}
+
+// TestFairnessWrappedRing pins the reduction's window rule once the
+// sampler's ring has wrapped: the oldest retained record has no
+// predecessor and is not scored, the running shortfall starts at the
+// first scored epoch, and the summary counts scored epochs only.
+func TestFairnessWrappedRing(t *testing.T) {
+	art, err := trace.ByName("art")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vpr, err := trace.ByName("vpr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Workload: []trace.Profile{art, vpr}, Policy: FRFCFS, Seed: 5, SampleInterval: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Step(60_000)
+	retained := s.Sampler().Samples(-1)
+	if len(retained) != metrics.DefaultSampleCapacity || retained[0].Epoch == 0 {
+		t.Fatalf("%d epochs retained from epoch %d: the ring has not wrapped", len(retained), retained[0].Epoch)
+	}
+	sum, scored := memctrl.Fairness(s.Sampler().Interval(), retained)
+	if len(scored) != len(retained)-1 {
+		t.Fatalf("%d epochs scored of %d retained, want all but the oldest", len(scored), len(retained))
+	}
+	if scored[0].Epoch != retained[1].Epoch {
+		t.Errorf("first scored epoch %d, want %d", scored[0].Epoch, retained[1].Epoch)
+	}
+	first, short := scored[0], false
+	for th := range first.CumShortfall {
+		own := 0.0
+		if first.Backlogged[th] && first.Excess[th] < 0 {
+			own, short = -first.Excess[th], true
+		}
+		if first.CumShortfall[th] != own {
+			t.Errorf("thread %d: first scored cumulative shortfall %v, want its own epoch's %v", th, first.CumShortfall[th], own)
+		}
+	}
+	if !short {
+		t.Error("no thread fell short in the first scored epoch, so the window start is not exercised")
+	}
+	if sum.Epochs != int64(len(scored)) || sum.Epochs >= s.Sampler().Epochs() {
+		t.Errorf("summary counts %d epochs; %d scored, %d sampled", sum.Epochs, len(scored), s.Sampler().Epochs())
+	}
+	if last := scored[len(scored)-1].CumShortfall; !reflect.DeepEqual(last, sum.CumShortfall) {
+		t.Errorf("last scored cumulative shortfall %v, summary %v", last, sum.CumShortfall)
 	}
 }

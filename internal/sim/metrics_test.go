@@ -91,7 +91,9 @@ func TestMetricsEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(strictSys.Sampler().Samples(-1), sampledSys.Sampler().Samples(-1)) {
 		t.Error("strict and fast runs sampled different epoch series")
 	}
-	if !reflect.DeepEqual(strictSys.Fairness().Samples(-1), sampledSys.Fairness().Samples(-1)) {
+	_, strictFair := fairness(strictSys)
+	_, fair := fairness(sampledSys)
+	if !reflect.DeepEqual(strictFair, fair) {
 		t.Error("strict and fast runs sampled different fairness series")
 	}
 
@@ -129,9 +131,8 @@ func TestMetricsEquivalence(t *testing.T) {
 	// The fairness series rides the same epoch clock and conserves
 	// service: per-epoch service deltas sum to each thread's total
 	// data-bus cycles.
-	fair := sampledSys.Fairness().Samples(-1)
 	if len(fair) != wantSamples {
-		t.Fatalf("fairness monitor retained %d samples, want %d", len(fair), wantSamples)
+		t.Fatalf("fairness series retained %d samples, want %d", len(fair), wantSamples)
 	}
 	var svc [2]int64
 	for _, fs := range fair {

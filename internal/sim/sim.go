@@ -203,18 +203,15 @@ type Config struct {
 
 	// SampleInterval > 0 enables epoch telemetry: a metrics.Sampler
 	// snapshots the registry every SampleInterval cycles (per-epoch
-	// counter and histogram deltas in a bounded ring) and a
-	// memctrl.FairnessMonitor scores each thread's service share
-	// against its phi. Samples land on exact interval multiples: the
+	// counter and histogram deltas in a ring of the most recent
+	// metrics.DefaultSampleCapacity epochs), from which
+	// memctrl.Fairness scores each thread's service share against its
+	// phi. Samples land on exact interval multiples: the
 	// event-driven skip-ahead clamps to the next boundary instead of
 	// re-running per-cycle work. A registry is created automatically
 	// when Metrics is nil. Purely observational: results are
 	// bit-identical with sampling on or off.
 	SampleInterval int64
-
-	// SampleCapacity bounds the retained epochs per series (0 selects
-	// metrics.DefaultSampleCapacity).
-	SampleCapacity int
 
 	// Workers is ignored: a System always steps on the calling
 	// goroutine.
@@ -320,10 +317,10 @@ func (c Config) withDefaults() (Config, error) {
 		c.RespTransit = 10
 	}
 	// A negative transit would deliver a fill before its data burst ends;
-	// a negative interval or capacity sizes nothing.
-	if c.ReqTransit < 0 || c.RespTransit < 0 || c.SampleInterval < 0 || c.SampleCapacity < 0 {
-		return c, fmt.Errorf("sim: transits (request %d, response %d), sample interval %d and capacity %d must not be negative",
-			c.ReqTransit, c.RespTransit, c.SampleInterval, c.SampleCapacity)
+	// a negative interval samples nothing.
+	if c.ReqTransit < 0 || c.RespTransit < 0 || c.SampleInterval < 0 {
+		return c, fmt.Errorf("sim: transits (request %d, response %d) and sample interval %d must not be negative",
+			c.ReqTransit, c.RespTransit, c.SampleInterval)
 	}
 	if c.SampleInterval > 0 && c.Metrics == nil {
 		c.Metrics = metrics.New()
@@ -400,11 +397,10 @@ type System struct {
 	latHist []*metrics.Histogram
 
 	// Epoch telemetry (nil/noEpoch when Config.SampleInterval is 0):
-	// sampler and fair are sampled when the cycle counter crosses
-	// epochNext, and nextWake clamps skip-ahead jumps to that boundary
-	// so samples land on exact interval multiples.
+	// epochNext caches the sampler's NextSampleAt. The sampler samples
+	// when the cycle counter reaches it, and nextWake clamps skip-ahead
+	// jumps to it so samples land on exact interval multiples.
 	sampler   *metrics.Sampler
-	fair      *memctrl.FairnessMonitor
 	epochNext int64
 
 	snap baseline
@@ -481,18 +477,12 @@ func New(cfg Config) (*System, error) {
 	}
 	s.epochNext = noEpoch
 	if cfg.SampleInterval > 0 {
-		s.fair = memctrl.NewFairnessMonitor(ctrl, cfg.SampleInterval, cfg.SampleCapacity)
-		s.fair.RegisterMetrics(cfg.Metrics)
-		s.sampler = metrics.NewSampler(cfg.Metrics, metrics.SamplerConfig{
-			Interval: cfg.SampleInterval,
-			Capacity: cfg.SampleCapacity,
-		})
+		s.sampler = metrics.NewSampler(cfg.Metrics, metrics.SamplerConfig{Interval: cfg.SampleInterval})
 		// Baseline sample at cycle 0: a live scrape has a full
 		// exposition before the first boundary, and epoch deltas sum to
 		// the cumulative totals.
-		s.fair.Sample(0)
 		s.sampler.Sample(0)
-		s.epochNext = cfg.SampleInterval
+		s.epochNext = s.sampler.NextSampleAt()
 	}
 	ctrl.SetEventDriven(!cfg.Strict)
 	return s, nil
@@ -509,30 +499,14 @@ func (s *System) Close() {}
 // is set).
 func (s *System) Sampler() *metrics.Sampler { return s.sampler }
 
-// Fairness returns the fairness-over-time monitor (nil unless
-// Config.SampleInterval is set).
-func (s *System) Fairness() *memctrl.FairnessMonitor { return s.fair }
-
-// takeSamples drives every due epoch series at the current cycle and
-// recomputes the next boundary.
+// takeSamples samples the epoch ending at the current cycle and
+// caches the next boundary.
 func (s *System) takeSamples() {
-	now := s.cycle
-	// The fairness monitor samples first so the registry Funcs it
-	// mirrors (cumulative shortfall, last excess) are fresh when the
-	// sampler snapshots them.
-	if now >= s.fair.NextSampleAt() {
-		s.fair.Sample(now)
-	}
-	if now >= s.sampler.NextSampleAt() {
-		s.sampler.Sample(now)
-	}
+	s.sampler.Sample(s.cycle)
 	// Refresh the snapshot concurrent readers (the telemetry server's
 	// /interference endpoint) see; a no-op when attribution is off.
 	s.ctrl.PublishInterference()
-	s.epochNext = s.fair.NextSampleAt()
-	if next := s.sampler.NextSampleAt(); next < s.epochNext {
-		s.epochNext = next
-	}
+	s.epochNext = s.sampler.NextSampleAt()
 }
 
 // fixedReadLatency is the deterministic part of an end-to-end read: L1
@@ -947,7 +921,7 @@ func Run(cfg Config, warmup, window int64) (Result, error) {
 
 // RunSystem is Run returning the simulated System as well, for callers
 // that need post-run access to its telemetry (epoch samples, the
-// fairness monitor, the metrics registry).
+// metrics registry).
 func RunSystem(cfg Config, warmup, window int64) (*System, Result, error) {
 	s, err := New(cfg)
 	if err != nil {

@@ -36,7 +36,6 @@ func (s *System) fingerprint(c *snapshot.Codec) error {
 	snapshot.Verify(c, s.cfg.Audit, "audit", c.Bool)
 	snapshot.Verify(c, s.cfg.Interference, "interference", c.Bool)
 	snapshot.Verify(c, s.cfg.SampleInterval, "sample interval", c.I64)
-	snapshot.Verify(c, s.cfg.SampleCapacity, "sample capacity", c.Int)
 	snapshot.Verify(c, s.cfg.ReqTransit, "request transit", c.Int)
 	snapshot.Verify(c, s.cfg.RespTransit, "response transit", c.Int)
 	return c.End()
@@ -59,14 +58,13 @@ func timedQueueState(c *snapshot.Codec, q *timedQueue) {
 // state visits the complete simulator state: the configuration
 // fingerprint, cycle counters, the transit queues, the measurement
 // baseline, every core, the memory controller, the metrics registry,
-// and the epoch samplers.
+// and the epoch sampler.
 func (s *System) state(c *snapshot.Codec) error {
 	if err := s.fingerprint(c); err != nil {
 		return err
 	}
 	c.Section("sim.System")
 	c.I64(&s.cycle)
-	c.I64(&s.epochNext)
 	for i := range s.cores {
 		timedQueueState(c, &s.fetchQ[i])
 		timedQueueState(c, &s.wbQ[i])
@@ -101,7 +99,7 @@ func (s *System) state(c *snapshot.Codec) error {
 	snapshot.Verify(c, s.sampler != nil, "epoch sampling", c.Bool)
 	if s.sampler != nil {
 		s.sampler.State(c)
-		s.fair.State(c)
+		s.epochNext = s.sampler.NextSampleAt()
 	}
 	return c.End()
 }
@@ -115,7 +113,7 @@ func (s *System) MeasurementStarted() bool { return s.snap.retired != nil }
 // counters, every core (ROB, LSQ, MSHRs, caches, trace cursor), the
 // transit queues, the memory controller (queues, DRAM timing, policy
 // virtual clocks, auditor, attribution), the metrics registry, and the
-// epoch samplers. The format is versioned and self-describing; Restore
+// epoch sampler. The format is versioned and self-describing; Restore
 // with the same Config, in either stepping mode, resumes bit-identically
 // — cycle-for-cycle and byte-for-byte in every artifact — with an
 // uninterrupted run.

@@ -240,22 +240,20 @@ func TestRestoreHostileCounts(t *testing.T) {
 }
 
 // TestRestoreHostileSeries rewrites the retained epochs of a
-// checkpoint's metric and fairness series. A sampler record is
-// positional over the registry and a fairness record over the threads,
-// so restore must refuse a record that names a metric the registry does
-// not hold, lacks one its entry count implies, files a metric under the
-// wrong kind, or leaves the newest epoch short of the cumulative
-// arrays; a latest snapshot that disagrees with the cumulative arrays;
-// and a fairness column without one entry per thread. Restore turns a
-// panic into a "corrupt snapshot" error, so each row demands its own
-// refusal.
+// checkpoint's metric series. A sampler record is positional over the
+// registry, so restore must refuse a record that names a metric the
+// registry does not hold, lacks one its entry count implies, files a
+// metric under the wrong kind, or leaves the newest epoch short of the
+// cumulative arrays; and a latest snapshot that disagrees with the
+// cumulative arrays. Restore turns a panic into a "corrupt snapshot"
+// error, so each row demands its own refusal.
 func TestRestoreHostileSeries(t *testing.T) {
 	cfg := fuzzConfig(t)
 	valid := validSnapshot(t)
 	if _, err := Restore(cfg, bytes.NewReader(valid)); err != nil {
 		t.Fatal(err)
 	}
-	w := parseSeries(t, valid, len(cfg.Workload))
+	w := parseSeries(t, valid)
 	first, newest := w.epochs[0], w.epochs[len(w.epochs)-1]
 	if len(w.epochs) < 2 || len(first[counterMap].es) < 2 {
 		t.Fatalf("%d retained epochs, the first with %d counters", len(w.epochs), len(first[counterMap].es))
@@ -285,7 +283,6 @@ func TestRestoreHostileSeries(t *testing.T) {
 	bumped := bytes.Clone(w.latestCounters.es[0].v)
 	bumped[0]++
 	latest := append([]seriesEntry{{w.latestCounters.es[0].name, bumped}}, w.latestCounters.es[1:]...)
-	short := splice(valid, w.fairColumn, w.fairColumn+4+8, binary.LittleEndian.AppendUint32(nil, uint32(len(cfg.Workload)-1)))
 	for _, c := range []struct {
 		name string
 		data []byte
@@ -296,7 +293,6 @@ func TestRestoreHostileSeries(t *testing.T) {
 		{"wrong kind", maps(without(counters, counters[0].name), append([]seriesEntry{counters[0]}, gauges...)), "not among the record's counters"},
 		{"newest epoch short", splice(valid, lastMap.at, lastMap.end, encodeEntries(without(lastMap.es, w.last.name))), "newest epoch covers"},
 		{"latest disagrees", splice(valid, w.latestCounters.at, w.latestCounters.end, encodeEntries(latest)), "latest snapshot disagrees"},
-		{"short fairness column", short, "-entry column for"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s, err := Restore(cfg, bytes.NewReader(c.data))
@@ -353,10 +349,9 @@ type seriesWire struct {
 	}
 	epochs         [][3]wireMap // the sampler's retained epochs
 	latestCounters wireMap      // the sampler's latest snapshot's counters
-	fairColumn     int          // the first fairness epoch's Service column
 }
 
-func parseSeries(t *testing.T, b []byte, threads int) seriesWire {
+func parseSeries(t *testing.T, b []byte) seriesWire {
 	t.Helper()
 	var w seriesWire
 	off := 0
@@ -418,15 +413,5 @@ func parseSeries(t *testing.T, b []byte, threads int) seriesWire {
 	}
 	off += 8 + 1 // epochs, latest-snapshot flag
 	w.latestCounters = entries(8, false)
-
-	section("memctrl.FairnessMonitor")
-	off += 8                         // nextAt
-	off += 5 * (4 + 8*threads)       // per-thread arrays, each with its length
-	off += 4 + 8*threads*(threads+1) // prevMatrix
-	off += 8                         // ring capacity
-	if u32() == 0 {
-		t.Fatal("no retained fairness epoch")
-	}
-	w.fairColumn = off + 16 // past epoch, cycle
 	return w
 }

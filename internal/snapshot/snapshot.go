@@ -72,8 +72,11 @@ const Magic = "FQMSSNAP"
 // keys, the "picks live" bits, the scheduler-economy counters and the
 // per-thread NACK counts (a checkpoint records the machine, not how it
 // was stepped). v8 removed the wake lists and the Strict bit, and each
-// section verifies the machine configuration it owns.
-const Version = 8
+// section verifies the machine configuration it owns. v9 removed the
+// fairness monitor's section (fairness is computed from the epoch
+// sampler's ring, the one series on the wire), the cached next epoch
+// boundary and the sample capacity from the fingerprint.
+const Version = 9
 
 // MaxSlice is the element cap for the few variable-length fields whose
 // bound depends on run history rather than on a configured capacity

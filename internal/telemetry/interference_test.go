@@ -40,7 +40,6 @@ func TestInterferenceEndpoint(t *testing.T) {
 	srv, err := Start(Config{
 		Addr:         "127.0.0.1:0",
 		Sampler:      s.Sampler(),
-		Fairness:     s.Fairness(),
 		Interference: s.Controller(),
 	})
 	if err != nil {
@@ -100,7 +99,6 @@ func TestInterferenceEndpointDisabled(t *testing.T) {
 		srv, err := Start(Config{
 			Addr:         "127.0.0.1:0",
 			Sampler:      s.Sampler(),
-			Fairness:     s.Fairness(),
 			Interference: ctrl,
 		})
 		if err != nil {

@@ -1,10 +1,10 @@
 // Package telemetry serves a running simulation's observability
 // surfaces over HTTP: Prometheus text exposition of the live metrics
 // snapshot, JSON time series from the epoch sampler and the fairness
-// monitor, sweep progress, and net/http/pprof.
+// series scored from them, sweep progress, and net/http/pprof.
 //
 // The package never touches a live registry. Everything it reads —
-// sampler snapshots, fairness rings, progress counters — is published
+// sampler records, progress counters — is published
 // under a mutex by the producing goroutine, so scraping is safe while
 // the simulation runs flat out (see metrics.Sampler's concurrency
 // contract).

@@ -23,11 +23,10 @@ type Config struct {
 	Addr string
 
 	// Sampler feeds /metrics (latest cumulative snapshot, Prometheus
-	// text) and /series (per-epoch deltas, JSON).
+	// text), /series (per-epoch deltas, JSON) and /fairness (the
+	// per-thread service-share series memctrl.Fairness scores from
+	// them).
 	Sampler *metrics.Sampler
-
-	// Fairness feeds /fairness (per-thread service-share series).
-	Fairness *memctrl.FairnessMonitor
 
 	// Interference feeds /interference (the latest published
 	// who-delayed-whom attribution snapshot, JSON) and appends the
@@ -148,14 +147,23 @@ func newMux(cfg Config) *http.ServeMux {
 	})
 
 	mux.HandleFunc("/fairness", func(w http.ResponseWriter, r *http.Request) {
-		if cfg.Fairness == nil {
-			http.Error(w, "no fairness monitor attached", http.StatusNotFound)
+		if cfg.Sampler == nil {
+			http.Error(w, "no sampler attached", http.StatusNotFound)
 			return
+		}
+		// The summary covers every retained epoch; ?since= only trims
+		// the series.
+		sum, all := memctrl.Fairness(cfg.Sampler.Interval(), cfg.Sampler.Samples(-1))
+		since, samples := sinceParam(r), all[:0]
+		for _, fs := range all {
+			if fs.Cycle > since {
+				samples = append(samples, fs)
+			}
 		}
 		writeJSON(w, struct {
 			Summary memctrl.FairnessSummary  `json:"summary"`
 			Samples []memctrl.FairnessSample `json:"samples"`
-		}{cfg.Fairness.Summary(), cfg.Fairness.Samples(sinceParam(r))})
+		}{sum, samples})
 	})
 
 	mux.HandleFunc("/progress", func(w http.ResponseWriter, r *http.Request) {

@@ -18,8 +18,8 @@ import (
 )
 
 // startSim builds a small instrumented two-thread system with epoch
-// sampling enabled and steps it through its warmup so the sampler and
-// fairness monitor hold real data.
+// sampling enabled and steps it through its warmup so the sampler
+// holds real data.
 func startSim(t *testing.T, cycles int64, interference bool) *sim.System {
 	t.Helper()
 	art, err := trace.ByName("art")
@@ -70,7 +70,6 @@ func TestServerEndpoints(t *testing.T) {
 	srv, err := Start(Config{
 		Addr:     "127.0.0.1:0",
 		Sampler:  s.Sampler(),
-		Fairness: s.Fairness(),
 		Progress: progress,
 	})
 	if err != nil {
@@ -88,7 +87,7 @@ func TestServerEndpoints(t *testing.T) {
 		"fqms_sim_cycle 30000",
 		"# TYPE fqms_memctrl_cmd_ACT gauge",
 		"fqms_progress_sim_cycles 30000",
-		"fqms_fairness_thread0_cum_shortfall",
+		"fqms_memctrl_thread0_share_den",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -171,7 +170,6 @@ func TestServerConcurrentScrape(t *testing.T) {
 	srv, err := Start(Config{
 		Addr:         "127.0.0.1:0",
 		Sampler:      s.Sampler(),
-		Fairness:     s.Fairness(),
 		Interference: s.Controller(),
 		Progress:     NewProgress(1),
 	})
