@@ -92,11 +92,11 @@ func decodeWith(t *testing.T, b []byte, state func(*snapshot.Codec) error) error
 
 // TestCacheStateIsFormatV6 holds the per-set block visitor to the
 // per-field layout it replaced: equal bytes out, and each side decodes
-// what the other wrote. v7, v8 and v9 left a cache level's section alone,
+// what the other wrote. v7 to v10 left a cache level's section alone,
 // so its layout is still v6's.
 func TestCacheStateIsFormatV6(t *testing.T) {
-	if snapshot.Version != 9 {
-		t.Fatalf("snapshot.Version = %d: this test pins v6's cache layout as v9 carries it", snapshot.Version)
+	if snapshot.Version != 10 {
+		t.Fatalf("snapshot.Version = %d: this test pins v6's cache layout as v10 carries it", snapshot.Version)
 	}
 	h, fresh := populated(t), func() *Hierarchy {
 		h, _ := NewHierarchy(snapHierarchy)

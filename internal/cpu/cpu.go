@@ -121,8 +121,8 @@ type Core struct {
 	LoadsRetired, StoresRetired int64
 	// StallCycles counts cycles on which the ROB held instructions but
 	// none retired (the classic ROB-stall / commit-stall measure). The
-	// event-driven fast path credits skipped spans via CreditStall, so
-	// the count is identical in fast and strict modes.
+	// event-driven fast path credits a dormant core's cycles via
+	// CreditStall, so the count is identical in fast and strict modes.
 	StallCycles int64
 }
 
@@ -225,9 +225,11 @@ func (c *Core) Tick(now int64) {
 }
 
 // CreditStall accounts n skipped cycles as ROB stalls when the ROB is
-// non-empty. The event-driven system simulator calls it for the span it
-// skips past a core: a skipped cycle is by construction one on which
+// non-empty. sim.Step calls it with n = 1 for each cycle it leaves a
+// dormant core unticked: such a cycle is by construction one on which
 // Tick would have made no progress, so a non-empty ROB retires nothing.
+// Multi-cycle spans come only from the benchmark harness's replica loop
+// (bench/traced.go), which still jumps the clock.
 func (c *Core) CreditStall(n int64) {
 	if c.count > 0 {
 		c.StallCycles += n

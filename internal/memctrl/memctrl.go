@@ -383,8 +383,8 @@ type Controller struct {
 
 	// ticker is the policy's interval entry point (nil for policies
 	// without window-based state). TickBegin fires it on boundary
-	// cycles; computeNextEvent clamps to its next boundary so the
-	// event-driven path never skips one.
+	// cycles; computeNextEvent clamps to its next boundary so a
+	// boundary cycle is always a full tick.
 	ticker core.PolicyTicker
 
 	// keysFollowArrival is the policy's core.ArrivalMonotone declaration,
@@ -574,7 +574,11 @@ func (c *Controller) SetEventDriven(on bool) {
 // NextEventAt returns a conservative lower bound on the next cycle at
 // which the controller can complete a read, change refresh state, or
 // issue a command. Ticks strictly before it are no-ops (apart from the
-// virtual clock), which System.Step exploits to skip ahead.
+// virtual clock).
+//
+// Deprecated: sim.Step runs every cycle; the benchmark harness's replica
+// loop (bench/traced.go) is the only caller, and it goes with that loop
+// in the next change to the harness.
 func (c *Controller) NextEventAt() int64 { return c.nextEvent }
 
 // SetShare reassigns thread's bandwidth share at run time, reporting
@@ -634,10 +638,9 @@ func (c *Controller) freeSlot(s int32) {
 }
 
 // CanAccept reports whether Accept would succeed for the thread right
-// now (buffer occupancy only). Occupancy changes
-// only at controller event cycles — reads free their entry when the
-// data burst completes, writes when the write command issues — so a
-// false result stays false until NextEventAt.
+// now (buffer occupancy only). Occupancy changes only on full ticks —
+// reads free their entry when the data burst completes, writes when the
+// write command issues — so a false result stays false until one.
 func (c *Controller) CanAccept(thread int, isWrite bool) bool {
 	if isWrite {
 		if c.cfg.SharedBuffers {
@@ -656,6 +659,10 @@ func (c *Controller) CanAccept(thread int, isWrite bool) bool {
 // channel 0 is not refreshing. Callers guarantee the span contains no
 // controller event (to <= NextEventAt), so the refresh window active at
 // from is the only one overlapping the span.
+//
+// Deprecated: sim.Step runs every cycle; the benchmark harness's replica
+// loop (bench/traced.go) is the only caller, and it goes with that loop
+// in the next change to the harness.
 func (c *Controller) SkipTo(from, to int64) {
 	n := to - from
 	if ru := c.chans[0].RefreshEndsAt(); ru > from {
@@ -1032,7 +1039,7 @@ func (c *Controller) computeNextEvent(now int64) int64 {
 		}
 	}
 	// Interval-based policies must run their boundary work on a full
-	// tick: never skip past the policy's next window boundary.
+	// tick: never gate past the policy's next window boundary.
 	if c.ticker != nil {
 		if t := c.ticker.NextTickAt(); t < next {
 			next = t

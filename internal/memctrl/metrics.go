@@ -43,7 +43,7 @@ type memMetrics struct {
 // command counts, DRAM device counters) is exported through Func views
 // that read only at snapshot time; only genuinely new measurements get
 // hot-path handles. Counts of the simulator's own work (SchedCounts, a
-// refused Accept per stepped cycle) are not simulated state and stay
+// refused Accept per cycle) are not simulated state and stay
 // out, so a series does not depend on how the run was stepped.
 func newMemMetrics(reg *metrics.Registry, c *Controller) *memMetrics {
 	m := &memMetrics{

@@ -4,13 +4,13 @@ import "sync"
 
 // The epoch sampler turns the registry's cumulative metrics into a
 // bounded time series. The simulator calls Sample on epoch boundaries
-// (exact multiples of the configured cycle interval — sim.Step clamps
-// its event-driven skip-ahead to the next boundary, so no per-cycle
-// work is reintroduced); each call differences the registry against
-// the previous epoch and appends one positional record to a ring that
-// grows on demand up to its capacity. Names appear only on read:
-// Samples and Latest build their maps from the records and the
-// cumulative arrays, so an epoch costs one record and no map.
+// (exact multiples of the configured cycle interval: sim.Step compares
+// its cycle counter with NextSampleAt); each call differences the
+// registry against the previous epoch and appends one positional record
+// to a ring that grows on demand up to its capacity. Names appear only
+// on read: Samples and Latest build their maps from the records and the
+// cumulative arrays, so an epoch costs one record and no map, and the
+// checkpoint carries the records as they are.
 //
 // Concurrency contract: Sample and NextSampleAt are called only from
 // the simulation goroutine, which is also the only mutator of the
@@ -70,8 +70,7 @@ type Sample struct {
 }
 
 // histPrev is the cumulative state of one histogram at the previous
-// epoch boundary. max is not checkpointed as such: it travels in the
-// checkpoint's latest snapshot (HistogramStats.Max).
+// epoch boundary.
 type histPrev struct {
 	counts      [histBuckets]int64
 	n, sum, max int64
@@ -130,8 +129,8 @@ func NewSampler(reg *Registry, cfg SamplerConfig) *Sampler {
 // Interval returns the epoch length in cycles.
 func (s *Sampler) Interval() int64 { return s.interval }
 
-// NextSampleAt returns the next epoch boundary. The simulation clamps
-// its skip-ahead to it so Sample is invoked at exactly that cycle.
+// NextSampleAt returns the next epoch boundary: the simulation calls
+// Sample when its cycle counter reaches it.
 func (s *Sampler) NextSampleAt() int64 { return s.nextAt }
 
 // Sample snapshots the registry at the given cycle and appends the
@@ -204,7 +203,8 @@ func (s *Sampler) Sample(cycle int64) {
 }
 
 // walk calls fn with each item the record covers: its registry
-// position and its values (one, or a histogram's 3 + 2·buckets).
+// position and its values (one, or a histogram's 3 + 2·buckets). A
+// decoded record has passed covers, which checks what walk trusts.
 func (r *record) walk(items []item, fn func(i int, v []int64)) {
 	v := r.vals
 	for i := 0; len(v) > 0; i++ {

@@ -15,6 +15,7 @@ func TestCalibrationReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration sweep is slow")
 	}
+	t.Parallel() // measures no allocation, so it may share the host
 	prev := 2.0
 	for _, p := range trace.Suite() {
 		res, err := Run(Config{

@@ -208,6 +208,7 @@ type fairnessGoldenRow struct {
 // FQ-VFTF with thread 0's share moved to 3/4 mid-run. Every float must
 // match exactly.
 func TestFairnessReductionGolden(t *testing.T) {
+	t.Parallel() // measures no allocation, so it may share the host
 	raw, err := os.ReadFile(filepath.Join("testdata", "fairness_golden.json"))
 	if err != nil {
 		t.Fatal(err)

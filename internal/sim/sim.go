@@ -206,11 +206,9 @@ type Config struct {
 	// counter and histogram deltas in a ring of the most recent
 	// metrics.DefaultSampleCapacity epochs), from which
 	// memctrl.Fairness scores each thread's service share against its
-	// phi. Samples land on exact interval multiples: the
-	// event-driven skip-ahead clamps to the next boundary instead of
-	// re-running per-cycle work. A registry is created automatically
-	// when Metrics is nil. Purely observational: results are
-	// bit-identical with sampling on or off.
+	// phi. Samples land on exact interval multiples. A registry is
+	// created automatically when Metrics is nil. Purely observational:
+	// results are bit-identical with sampling on or off.
 	SampleInterval int64
 
 	// Workers is ignored: a System always steps on the calling
@@ -386,20 +384,17 @@ type System struct {
 	// that cycle, or a fill due sooner, coreStep leaves the core dormant.
 	// Not serialized: zero after New and Restore, which only costs each
 	// core one tick it may not have needed. coreTicks counts the core
-	// ticks run and stepped the cycles simulated rather than skipped (see
-	// StepCounts).
+	// ticks run (see StepCounts).
 	coreWake  []int64
 	coreTicks int64
-	stepped   int64
 
 	// latHist holds the per-thread end-to-end read-latency histograms
 	// (nil when Config.Metrics is unset).
 	latHist []*metrics.Histogram
 
 	// Epoch telemetry (nil/noEpoch when Config.SampleInterval is 0):
-	// epochNext caches the sampler's NextSampleAt. The sampler samples
-	// when the cycle counter reaches it, and nextWake clamps skip-ahead
-	// jumps to it so samples land on exact interval multiples.
+	// epochNext caches the sampler's NextSampleAt, and Step samples when
+	// the cycle counter reaches it.
 	sampler   *metrics.Sampler
 	epochNext int64
 
@@ -558,34 +553,31 @@ func (s *System) SetShare(thread int, share core.Share) bool { return s.ctrl.Set
 func (s *System) Cycle() int64 { return s.cycle }
 
 // StepCounts are cumulative counts of the work Step did, deterministic
-// for a configuration and seed: how many cycles it simulated rather than
-// skipped, and how many core ticks it ran on them (a dormant core is not
-// ticked). They are host-side economy figures like
+// for a configuration and seed: how many core ticks it ran (a dormant
+// core is not ticked). They are host-side economy figures like
 // memctrl.Controller.SchedCounts, not simulated state: they restart at
 // zero in a restored system, so they are kept out of the checkpoint and
 // the metrics registry.
 type StepCounts struct {
-	Stepped, CoreTicks int64
+	CoreTicks int64
 }
 
 // StepCounts returns the counts so far.
 func (s *System) StepCounts() StepCounts {
-	return StepCounts{Stepped: s.stepped, CoreTicks: s.coreTicks}
+	return StepCounts{CoreTicks: s.coreTicks}
 }
 
-// Step advances the system by n cycles. Unless Config.Strict is set it
-// uses an event-driven fast path: after fully simulating a cycle, it
-// computes the earliest future cycle at which any component can act —
-// a transit-queue delivery, a core with issuable work (cpu.NextWork),
-// or a controller event (memctrl.NextEventAt) — and jumps the clock
-// there, batch-crediting the skipped cycles to the virtual clock. The
-// same bound applies per core on the cycles it does simulate (coreStep).
-// Simulated results are bit-identical to the strict per-cycle loop.
+// Step advances the system by n cycles, running every one of them
+// through the controller's Tick and each core's coreStep. Unless
+// Config.Strict is set both are event-driven inside the cycle: the
+// controller reduces a tick before its next event to the virtual-clock
+// update and examines only banks whose wake has come, and a core with
+// no work due is left dormant (coreStep). Simulated results are
+// bit-identical to the strict loop, which ticks everything.
 func (s *System) Step(n int64) {
 	end := s.cycle + n
 	for s.cycle < end {
 		now := s.cycle
-		s.stepped++
 		s.ctrl.Tick(now)
 		for i := range s.cores {
 			s.coreStep(i, now)
@@ -605,25 +597,6 @@ func (s *System) Step(n int64) {
 				s.wbQ[i].pop()
 			}
 		}
-
-		if !s.cfg.Strict {
-			if wake := s.nextWake(now, end); wake > now+1 {
-				// No component can act before wake: credit the virtual
-				// clock for the skipped span and jump. Skipped cycles
-				// retire nothing by construction, so they are ROB stalls
-				// for any core holding instructions (matching the strict
-				// per-cycle accounting).
-				s.ctrl.SkipTo(now+1, wake)
-				for _, c := range s.cores {
-					c.CreditStall(wake - now - 1)
-				}
-				s.cycle = wake
-				if s.cycle >= s.epochNext {
-					s.takeSamples()
-				}
-				continue
-			}
-		}
 		s.cycle++
 		if s.cycle >= s.epochNext {
 			s.takeSamples()
@@ -638,9 +611,8 @@ func (s *System) Step(n int64) {
 // controller, run after every core has stepped, in core order.
 //
 // Per-core dormancy: a core whose last tick left NextWork in the future
-// is not ticked again before that cycle unless a fill is due — the
-// skip-ahead argument applied to one core instead of all at once. Such
-// a tick would retire, drain, issue and dispatch nothing and leave both
+// is not ticked again before that cycle unless a fill is due. Such a
+// tick would retire, drain, issue and dispatch nothing and leave both
 // outgoing queues empty; all it changes is StallCycles, which
 // CreditStall(1) adds. Strict ticks every core on every cycle.
 func (s *System) coreStep(i int, now int64) {
@@ -686,65 +658,6 @@ func (s *System) coreStep(i int, now int64) {
 		s.wbQ[i].push(timedAddr{addr: addr, at: now + int64(s.cfg.ReqTransit)})
 	}
 	s.coreWake[i] = c.NextWork(now + 1)
-}
-
-// nextWake returns the earliest cycle in (now, end] at which any core or
-// the controller can make progress, given that cycle now has been fully
-// simulated. It is conservative: returning now+1 is always safe (no
-// skip), and any later value must be provably dormant in between.
-func (s *System) nextWake(now, end int64) int64 {
-	wake := end
-	for i := range s.cores {
-		// Pending fills: delivery times are monotone, so the head bounds
-		// the queue.
-		if e, ok := s.respQ[i].peek(); ok {
-			if e.at <= now+1 {
-				return now + 1
-			}
-			if e.at < wake {
-				wake = e.at
-			}
-		}
-		// Pending requests toward the controller. A due head that the
-		// controller would NACK is ignored here: buffer occupancy only
-		// changes at controller event cycles, which NextEventAt covers.
-		if e, ok := s.fetchQ[i].peek(); ok && s.ctrl.CanAccept(i, false) {
-			if e.at <= now+1 {
-				return now + 1
-			}
-			if e.at < wake {
-				wake = e.at
-			}
-		}
-		if e, ok := s.wbQ[i].peek(); ok && s.ctrl.CanAccept(i, true) {
-			if e.at <= now+1 {
-				return now + 1
-			}
-			if e.at < wake {
-				wake = e.at
-			}
-		}
-		// The core itself: retirement, load issue, store drain, dispatch
-		// (its NextWork bound, cached by coreStep).
-		if w := s.coreWake[i]; w <= now+1 {
-			return now + 1
-		} else if w < wake {
-			wake = w
-		}
-	}
-	if w := s.ctrl.NextEventAt(); w < wake {
-		wake = w
-	}
-	// Telemetry epoch boundary: stop the jump there so samples land on
-	// exact interval multiples. Waking early is always safe; sampling
-	// reads state without changing it.
-	if s.epochNext < wake {
-		wake = s.epochNext
-	}
-	if wake < now+1 {
-		return now + 1
-	}
-	return wake
 }
 
 // snapshot captures cumulative counters at the start of a measurement

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -241,12 +242,12 @@ func TestRestoreHostileCounts(t *testing.T) {
 
 // TestRestoreHostileSeries rewrites the retained epochs of a
 // checkpoint's metric series. A sampler record is positional over the
-// registry, so restore must refuse a record that names a metric the
-// registry does not hold, lacks one its entry count implies, files a
-// metric under the wrong kind, or leaves the newest epoch short of the
-// cumulative arrays; and a latest snapshot that disagrees with the
-// cumulative arrays. Restore turns a panic into a "corrupt snapshot"
-// error, so each row demands its own refusal.
+// registry, so restore must refuse a record that does not parse against
+// it (values past the last registered metric, a histogram's bucket
+// count above the cap or past the record's end) and a newest epoch
+// that covers fewer metrics than the cumulative arrays, whether it ends
+// early or lacks one in the middle. Restore turns a panic into a
+// "corrupt snapshot" error, so each row demands its own refusal.
 func TestRestoreHostileSeries(t *testing.T) {
 	cfg := fuzzConfig(t)
 	valid := validSnapshot(t)
@@ -254,45 +255,51 @@ func TestRestoreHostileSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := parseSeries(t, valid)
-	first, newest := w.epochs[0], w.epochs[len(w.epochs)-1]
-	if len(w.epochs) < 2 || len(first[counterMap].es) < 2 {
-		t.Fatalf("%d retained epochs, the first with %d counters", len(w.epochs), len(first[counterMap].es))
+	if len(w.records) < 2 {
+		t.Fatalf("%d retained epochs", len(w.records))
 	}
-	if !bytes.Equal(encodeEntries(first[counterMap].es), valid[first[counterMap].at:first[counterMap].end]) {
-		t.Fatal("the counter map does not re-encode to its bytes")
+	newest := w.records[len(w.records)-1]
+	if !bytes.Equal(encodeVals(newest.vals), valid[newest.at:newest.end]) {
+		t.Fatal("the newest record does not re-encode to its bytes")
 	}
-	counters, gauges := first[counterMap].es, first[gaugeMap].es
-	drop := 0 // a counter that is not the last registered item
-	if counters[0].name == w.last.name {
-		drop = 1
-	}
-	without := func(es []seriesEntry, name string) []seriesEntry {
-		var out []seriesEntry
-		for _, e := range es {
-			if e.name != name {
-				out = append(out, e)
-			}
+	// Positions in the newest record: each item's first value, and the
+	// last histogram with the single-value item after it.
+	var starts []int
+	lastHist := -1
+	for i, v := 0, 0; v < len(newest.vals); i++ {
+		starts = append(starts, v)
+		n := 1
+		if w.kinds[i] == histKind {
+			lastHist, n = i, 3+2*int(newest.vals[v+2])
 		}
-		return out
+		v += n
 	}
-	// maps rewrites the counter and gauge maps of the first epoch.
-	maps := func(c, g []seriesEntry) []byte {
-		return splice(valid, first[counterMap].at, first[gaugeMap].end, append(encodeEntries(c), encodeEntries(g)...))
+	if len(starts) != len(w.kinds) || lastHist < 0 || lastHist+2 >= len(starts) {
+		t.Fatalf("the newest record covers %d of %d metrics, last histogram %d", len(starts), len(w.kinds), lastHist)
 	}
-	lastMap := newest[w.last.wireMap]
-	bumped := bytes.Clone(w.latestCounters.es[0].v)
-	bumped[0]++
-	latest := append([]seriesEntry{{w.latestCounters.es[0].name, bumped}}, w.latestCounters.es[1:]...)
+	hist := starts[lastHist]
+	if tail := len(newest.vals) - hist; tail >= 3+2*histCap {
+		t.Fatalf("%d values from the last histogram on: a full bucket count would not run past the end", tail)
+	}
+	// with rewrites the newest record's values.
+	with := func(vals []int64) []byte { return splice(valid, newest.at, newest.end, encodeVals(vals)) }
+	without := func(at int) []int64 { return append(slices.Clone(newest.vals[:at]), newest.vals[at+1:]...) }
+	buckets := func(nb int64) []int64 {
+		v := slices.Clone(newest.vals)
+		v[hist+2] = nb
+		return v
+	}
 	for _, c := range []struct {
 		name string
 		data []byte
 		want string
 	}{
-		{"foreign name", maps(append([]seriesEntry{{"zz.not_registered", counters[0].v}}, counters[1:]...), gauges), "not among the record's counters"},
-		{"missing metric", maps(without(counters, counters[drop].name), gauges), "not among the record's counters"},
-		{"wrong kind", maps(without(counters, counters[0].name), append([]seriesEntry{counters[0]}, gauges...)), "not among the record's counters"},
-		{"newest epoch short", splice(valid, lastMap.at, lastMap.end, encodeEntries(without(lastMap.es, w.last.name))), "newest epoch covers"},
-		{"latest disagrees", splice(valid, w.latestCounters.at, w.latestCounters.end, encodeEntries(latest)), "latest snapshot disagrees"},
+		{"missing metric", with(without(starts[lastHist+1])), "newest epoch covers"},
+		{"newest epoch short", with(newest.vals[:starts[len(starts)-1]]), "newest epoch covers"},
+		{"values past the registry", with(append(slices.Clone(newest.vals), 7)), "values past the"},
+		{"bucket count above the cap", with(buckets(histCap + 1)), "buckets, want at most"},
+		{"negative bucket count", with(buckets(-1)), "buckets, want at most"},
+		{"buckets past the end", with(buckets(histCap)), "runs past the record's end"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s, err := Restore(cfg, bytes.NewReader(c.data))
@@ -306,18 +313,18 @@ func TestRestoreHostileSeries(t *testing.T) {
 	}
 }
 
-// seriesEntry is one entry of an encoded sample map: a name and its
-// value's bytes.
-type seriesEntry struct {
-	name string
-	v    []byte
-}
+// The registry's kind byte for a histogram, and its bucket count.
+const (
+	histKind = 2
+	histCap  = 65
+)
 
-func encodeEntries(es []seriesEntry) []byte {
-	b := binary.LittleEndian.AppendUint32(nil, uint32(len(es)))
-	for _, e := range es {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(e.name)))
-		b = append(append(b, e.name...), e.v...)
+// encodeVals encodes a record's values as the sampler writes them: a
+// count, then each value.
+func encodeVals(vals []int64) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(vals)))
+	for _, v := range vals {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
 	return b
 }
@@ -327,28 +334,18 @@ func splice(b []byte, at, end int, repl []byte) []byte {
 	return append(append(append([]byte(nil), b[:at]...), repl...), b[end:]...)
 }
 
-// The sample maps of an encoded epoch, in wire order.
-const (
-	counterMap = iota
-	gaugeMap
-	histMap
-)
-
-// wireMap is an encoded sample map: its entries and the bytes they fill.
-type wireMap struct {
+// recordWire is an encoded sampler record's values and the bytes they
+// fill, count header included.
+type recordWire struct {
 	at, end int
-	es      []seriesEntry
+	vals    []int64
 }
 
 // seriesWire locates, in a checkpoint, what TestRestoreHostileSeries
-// rewrites.
+// rewrites: the registry's item kinds and the sampler's retained records.
 type seriesWire struct {
-	last struct { // the last registered metric
-		name    string
-		wireMap int
-	}
-	epochs         [][3]wireMap // the sampler's retained epochs
-	latestCounters wireMap      // the sampler's latest snapshot's counters
+	kinds   []byte
+	records []recordWire
 }
 
 func parseSeries(t *testing.T, b []byte) seriesWire {
@@ -367,51 +364,33 @@ func parseSeries(t *testing.T, b []byte) seriesWire {
 		off += 4
 		return v
 	}
-	name := func() string {
-		n := u32()
-		off += n
-		return string(b[off-n : off])
-	}
-	// entries reads a map whose values are fixed bytes and then, when
-	// pairs is set, a slice of 16-byte pairs.
-	entries := func(fixed int, pairs bool) wireMap {
-		m := wireMap{at: off}
-		m.es = make([]seriesEntry, u32())
-		for i := range m.es {
-			m.es[i].name = name()
-			at := off
-			off += fixed
-			if pairs {
-				off += 16 * u32()
-			}
-			m.es[i].v = b[at:off]
-		}
-		m.end = off
-		return m
-	}
 
 	section("metrics.Registry")
-	items := int(binary.LittleEndian.Uint64(b[off:]))
+	w.kinds = make([]byte, binary.LittleEndian.Uint64(b[off:]))
 	off += 8
-	for range items {
-		w.last.name = name()
-		kind := b[off] // counter, gauge, histogram, func
+	for i := range w.kinds {
+		off += u32()        // name
+		w.kinds[i] = b[off] // counter, gauge, histogram, func
 		off++
-		w.last.wireMap = [...]int{counterMap, gaugeMap, histMap, gaugeMap}[kind]
-		off += [...]int{8, 8, 8*65 + 24, 0}[kind]
+		off += [...]int{8, 8, 8*histCap + 24, 0}[w.kinds[i]]
 	}
 
 	section("metrics.Sampler")
-	off += 8                   // nextAt
-	off += 8 * u32()           // prevCounter
-	off += (8*65 + 16) * u32() // prevHist: bucket counts, n, sum
-	off += 8                   // ring capacity
-	w.epochs = make([][3]wireMap, u32())
-	for i := range w.epochs {
+	off += 8                        // nextAt
+	off += 8 * u32()                // prevCounter
+	off += (8*histCap + 24) * u32() // prevHist: bucket counts, n, sum, max
+	off += 8                        // ring capacity
+	w.records = make([]recordWire, u32())
+	for i := range w.records {
 		off += 16 // epoch, cycle
-		w.epochs[i] = [3]wireMap{entries(8, false), entries(8, false), entries(16, true)}
+		r := recordWire{at: off}
+		r.vals = make([]int64, u32())
+		for j := range r.vals {
+			r.vals[j] = int64(binary.LittleEndian.Uint64(b[off:]))
+			off += 8
+		}
+		r.end = off
+		w.records[i] = r
 	}
-	off += 8 + 1 // epochs, latest-snapshot flag
-	w.latestCounters = entries(8, false)
 	return w
 }

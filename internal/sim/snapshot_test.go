@@ -520,7 +520,7 @@ func TestCheckpointRefusesTraceSink(t *testing.T) {
 //
 // The second run, FCFS over a 60k-cycle window sampled every 700 cycles,
 // is long enough that counts of the simulator's own work — refused
-// Accepts retried per stepped cycle, bank examinations — differ between
+// Accepts retried per cycle, bank examinations — differ between
 // chunkings: its series and final checkpoint hold only if neither
 // carries them.
 func TestRunToChunks(t *testing.T) {

@@ -75,8 +75,11 @@ const Magic = "FQMSSNAP"
 // section verifies the machine configuration it owns. v9 removed the
 // fairness monitor's section (fairness is computed from the epoch
 // sampler's ring, the one series on the wire), the cached next epoch
-// boundary and the sample capacity from the fingerprint.
-const Version = 9
+// boundary and the sample capacity from the fingerprint. v10 writes each
+// sampled epoch as its positional values instead of three name-to-value
+// maps, carries each histogram's max with its cumulative counts, and
+// drops the sampler's latest snapshot (Latest is rebuilt from both).
+const Version = 10
 
 // MaxSlice is the element cap for the few variable-length fields whose
 // bound depends on run history rather than on a configured capacity
@@ -94,11 +97,17 @@ const MaxString = 1 << 10
 // w and r is set.
 type Codec struct {
 	w        *bufio.Writer
-	r        *bufio.Reader
+	r        io.Reader
+	rb       []byte // decoding: rb[ro:] is read from r but not yet visited
+	ro       int
 	err      error
 	sections []string // open sections, innermost last; labels errors
 	buf      [8]byte
 }
+
+// readAhead is the decoder's read-ahead window; a visit reads its bytes
+// in place.
+const readAhead = 4 << 10
 
 // NewEncoder returns a Codec that writes to w and has already emitted
 // the stream header (magic and version).
@@ -111,7 +120,7 @@ func NewEncoder(w io.Writer) *Codec {
 // NewDecoder returns a Codec that reads from r, after verifying the
 // stream header. A magic or version mismatch is an immediate error.
 func NewDecoder(r io.Reader) (*Codec, error) {
-	s := &Codec{r: bufio.NewReader(r)}
+	s := &Codec{r: r}
 	s.header()
 	if s.err != nil {
 		return nil, s.err
@@ -175,26 +184,51 @@ func (s *Codec) End() error {
 	return s.err
 }
 
-// raw is the one primitive that touches the stream: encoders write p,
-// decoders fill it.
+// raw visits len(p) bytes: encoders write p, decoders fill it.
 func (s *Codec) raw(p []byte) {
-	if s.err != nil {
+	if s.r != nil {
+		if b, ok := s.take(len(p)); ok {
+			copy(p, b)
+		}
 		return
 	}
-	if s.r == nil {
+	if s.err == nil {
 		_, s.err = s.w.Write(p)
-		return
 	}
-	// Fast path: the bytes are already buffered (Peek fails near EOF and
-	// for reads wider than the buffer; ReadFull handles those).
-	if b, err := s.r.Peek(len(p)); err == nil {
-		copy(p, b)
-		s.r.Discard(len(p))
-		return
+}
+
+// take consumes a decoder's next n bytes and returns them in place
+// (valid until the next visit); ok is false once an error has stuck.
+// Every decoding visit reads the stream through it. n is construction
+// state or a capped length, never an unchecked header.
+func (s *Codec) take(n int) ([]byte, bool) {
+	if s.err != nil || n > len(s.rb)-s.ro && !s.fill(n) {
+		return nil, false
 	}
-	if _, err := io.ReadFull(s.r, p); err != nil {
+	s.ro += n
+	return s.rb[s.ro-n : s.ro], true
+}
+
+// fill moves the unvisited bytes to the front of the window and reads
+// until it holds at least n, widening the window for a longer visit.
+func (s *Codec) fill(n int) bool {
+	if s.err != nil {
+		return false
+	}
+	rest := len(s.rb) - s.ro
+	if cap(s.rb) < n {
+		s.rb = append(make([]byte, 0, max(n, readAhead)), s.rb[s.ro:]...)
+	} else {
+		s.rb = s.rb[:copy(s.rb, s.rb[s.ro:])]
+	}
+	s.ro = 0
+	got, err := io.ReadAtLeast(s.r, s.rb[rest:cap(s.rb)], n-rest)
+	s.rb = s.rb[:rest+got]
+	if err != nil {
 		s.Fail("truncated stream: %w", err)
+		return false
 	}
+	return true
 }
 
 // Block visits len(p) bytes whose layout the caller owns: encoders write
@@ -206,29 +240,38 @@ func (s *Codec) Block(p []byte) { s.raw(p) }
 
 // U8 visits one byte.
 func (s *Codec) U8(v *uint8) {
+	if s.r != nil {
+		if b, ok := s.take(1); ok {
+			*v = b[0]
+		}
+		return
+	}
 	s.buf[0] = *v
 	s.raw(s.buf[:1])
-	if s.r != nil && s.err == nil {
-		*v = s.buf[0]
-	}
 }
 
 // u32 visits a little-endian uint32 (the header and count fields).
 func (s *Codec) u32(v *uint32) {
+	if s.r != nil {
+		if b, ok := s.take(4); ok {
+			*v = binary.LittleEndian.Uint32(b)
+		}
+		return
+	}
 	binary.LittleEndian.PutUint32(s.buf[:4], *v)
 	s.raw(s.buf[:4])
-	if s.r != nil && s.err == nil {
-		*v = binary.LittleEndian.Uint32(s.buf[:4])
-	}
 }
 
 // U64 visits a little-endian uint64.
 func (s *Codec) U64(v *uint64) {
+	if s.r != nil {
+		if b, ok := s.take(8); ok {
+			*v = binary.LittleEndian.Uint64(b)
+		}
+		return
+	}
 	binary.LittleEndian.PutUint64(s.buf[:8], *v)
 	s.raw(s.buf[:8])
-	if s.r != nil && s.err == nil {
-		*v = binary.LittleEndian.Uint64(s.buf[:8])
-	}
 }
 
 // I64 visits an int64 (two's complement).
@@ -305,14 +348,7 @@ func (s *Codec) String(v *string, max int) {
 		_, s.err = s.w.WriteString(*v)
 		return
 	}
-	if b, err := s.r.Peek(n); err == nil { // buffered: one copy, not two
-		*v = string(b)
-		s.r.Discard(n)
-		return
-	}
-	b := make([]byte, n)
-	s.raw(b)
-	if s.err == nil {
+	if b, ok := s.take(n); ok {
 		*v = string(b)
 	}
 }

@@ -2,10 +2,12 @@ package snapshot
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // everything holds one field per visitor. state is its State method in
@@ -357,6 +359,45 @@ func TestBlock(t *testing.T) {
 	s.U8(&a2)
 	s.Block(got)
 	wantErr(t, s, "truncated stream")
+}
+
+// TestReadAheadWindow decodes through a reader that yields one byte per
+// Read, and across a Block wider than the decoder's window: every visit
+// refills the window, and the bytes still come back whole.
+func TestReadAheadWindow(t *testing.T) {
+	want := sample()
+	b := encode(t, func(s *Codec) { want.state(s) })
+	s, err := NewDecoder(iotest.OneByteReader(bytes.NewReader(b)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := blank()
+	if err := got.state(s); err != nil {
+		t.Fatal(err)
+	}
+	if again := encode(t, func(s *Codec) { got.state(s) }); !bytes.Equal(again, b) {
+		t.Error("a one-byte reader decoded a different value")
+	}
+
+	wide := make([]byte, 3*readAhead+5)
+	for i := range wide {
+		wide[i] = byte(i * 7)
+	}
+	u := uint64(1<<63 + 9)
+	b = encode(t, func(s *Codec) { s.U64(&u); s.Block(wide); s.U64(&u) })
+	for _, r := range []io.Reader{bytes.NewReader(b), iotest.OneByteReader(bytes.NewReader(b))} {
+		s, err := NewDecoder(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, u1, u2 := make([]byte, len(wide)), uint64(0), uint64(0)
+		s.U64(&u1)
+		s.Block(got)
+		s.U64(&u2)
+		if s.Err() != nil || !bytes.Equal(got, wide) || u1 != u || u2 != u {
+			t.Fatalf("decoded %#x, %#x and a block equal %v: %v", u1, u2, bytes.Equal(got, wide), s.Err())
+		}
+	}
 }
 
 func TestTruncation(t *testing.T) {
