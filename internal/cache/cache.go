@@ -34,23 +34,35 @@ func (c Config) Validate() error {
 		if s&(s-1) != 0 {
 			return fmt.Errorf("cache: set count %d is not a power of two", s)
 		}
+		if s < 4 {
+			// A line keeps its valid and dirty bits below its tag, in
+			// the two low bits the set index frees.
+			return fmt.Errorf("cache: %d sets; at least 4 are needed", s)
+		}
 	}
 	return nil
 }
 
+// A line is 16 bytes, so four ways share one 64-byte host cache line:
+// key is tag<<2 | dirty<<1 | valid, and an invalid line is the zero
+// line (nothing reads an invalid line's tag, dirty bit or lastUse, and
+// Fill overwrites all of them).
 type line struct {
-	tag     uint64
-	valid   bool
-	dirty   bool
+	key     uint64
 	lastUse int64
 }
+
+const (
+	lineValid = 1
+	lineDirty = 2
+)
 
 // Cache is one set-associative write-back cache level. Addresses are
 // line addresses (byte address / line size); the cache never sees byte
 // offsets.
 type Cache struct {
 	cfg      Config
-	sets     [][]line
+	lines    []line // set i is lines[i*Ways : (i+1)*Ways]
 	setMask  uint64
 	tagShift uint
 	useTick  int64
@@ -64,21 +76,25 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	n := cfg.Sets()
-	c := &Cache{cfg: cfg, setMask: uint64(n - 1), tagShift: uint(popshift(uint64(n - 1)))}
-	c.sets = make([][]line, n)
-	backing := make([]line, n*cfg.Ways)
-	for i := range c.sets {
-		c.sets[i], backing = backing[:cfg.Ways:cfg.Ways], backing[cfg.Ways:]
-	}
-	return c, nil
+	return &Cache{
+		cfg:      cfg,
+		lines:    make([]line, n*cfg.Ways),
+		setMask:  uint64(n - 1),
+		tagShift: uint(popshift(uint64(n - 1))),
+	}, nil
 }
 
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) set(lineAddr uint64) []line { return c.sets[lineAddr&c.setMask] }
+func (c *Cache) set(lineAddr uint64) []line {
+	i := int(lineAddr&c.setMask) * c.cfg.Ways
+	return c.lines[i : i+c.cfg.Ways]
+}
 
-func (c *Cache) tag(lineAddr uint64) uint64 { return lineAddr >> c.tagShift }
+// key is the valid, clean key of lineAddr's tag; a line holds lineAddr
+// when its key with the dirty bit cleared equals it.
+func (c *Cache) key(lineAddr uint64) uint64 { return lineAddr>>c.tagShift<<2 | lineValid }
 
 func popshift(mask uint64) int {
 	n := 0
@@ -91,10 +107,9 @@ func popshift(mask uint64) int {
 
 // Lookup probes the cache without modifying replacement state.
 func (c *Cache) Lookup(lineAddr uint64) bool {
-	tag := c.tag(lineAddr)
-	for i := range c.set(lineAddr) {
-		l := &c.set(lineAddr)[i]
-		if l.valid && l.tag == tag {
+	key := c.key(lineAddr)
+	for _, l := range c.set(lineAddr) {
+		if l.key&^lineDirty == key {
 			return true
 		}
 	}
@@ -105,14 +120,14 @@ func (c *Cache) Lookup(lineAddr uint64) bool {
 // a hit with write=true the line is marked dirty.
 func (c *Cache) Access(lineAddr uint64, write bool) bool {
 	c.useTick++
-	tag := c.tag(lineAddr)
+	key := c.key(lineAddr)
 	s := c.set(lineAddr)
 	for i := range s {
 		l := &s[i]
-		if l.valid && l.tag == tag {
+		if l.key&^lineDirty == key {
 			l.lastUse = c.useTick
 			if write {
-				l.dirty = true
+				l.key |= lineDirty
 			}
 			c.Hits++
 			return true
@@ -126,18 +141,21 @@ func (c *Cache) Access(lineAddr uint64, write bool) bool {
 // line's address and whether it was dirty (and valid).
 func (c *Cache) Fill(lineAddr uint64, dirty bool) (victim uint64, victimDirty, evicted bool) {
 	c.useTick++
-	tag := c.tag(lineAddr)
+	key := c.key(lineAddr)
+	if dirty {
+		key |= lineDirty
+	}
 	s := c.set(lineAddr)
 	vi := 0
 	for i := range s {
 		l := &s[i]
-		if l.valid && l.tag == tag {
+		if l.key&^lineDirty == key&^lineDirty {
 			// Already present (e.g. racing fill); just update.
 			l.lastUse = c.useTick
-			l.dirty = l.dirty || dirty
+			l.key |= key & lineDirty
 			return 0, false, false
 		}
-		if !l.valid {
+		if l.key&lineValid == 0 {
 			vi = i
 			break
 		}
@@ -146,24 +164,25 @@ func (c *Cache) Fill(lineAddr uint64, dirty bool) (victim uint64, victimDirty, e
 		}
 	}
 	v := &s[vi]
-	if v.valid {
-		victim = v.tag<<c.tagShift | (lineAddr & c.setMask)
-		victimDirty = v.dirty
+	if v.key&lineValid != 0 {
+		victim = v.key>>2<<c.tagShift | (lineAddr & c.setMask)
+		victimDirty = v.key&lineDirty != 0
 		evicted = true
 	}
-	*v = line{tag: tag, valid: true, dirty: dirty, lastUse: c.useTick}
+	*v = line{key: key, lastUse: c.useTick}
 	return victim, victimDirty, evicted
 }
 
 // Invalidate removes a line if present, returning whether it was dirty.
 func (c *Cache) Invalidate(lineAddr uint64) (wasDirty, wasPresent bool) {
-	tag := c.tag(lineAddr)
+	key := c.key(lineAddr)
 	s := c.set(lineAddr)
 	for i := range s {
 		l := &s[i]
-		if l.valid && l.tag == tag {
-			l.valid = false
-			return l.dirty, true
+		if l.key&^lineDirty == key {
+			wasDirty = l.key&lineDirty != 0
+			*l = line{}
+			return wasDirty, true
 		}
 	}
 	return false, false

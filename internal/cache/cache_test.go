@@ -29,6 +29,7 @@ func TestConfigSetsAndValidate(t *testing.T) {
 		{SizeKB: 32, Ways: 0, LineBytes: 64},
 		{SizeKB: 32, Ways: 4, LineBytes: 64, Latency: -1},
 		{SizeKB: 33, Ways: 4, LineBytes: 64}, // 132 sets, not a power of two
+		{SizeKB: 1, Ways: 8, LineBytes: 64},  // 2 sets leave no room for a line's flag bits
 	}
 	for i, b := range bad {
 		if err := b.Validate(); err == nil {

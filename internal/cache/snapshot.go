@@ -1,77 +1,78 @@
 package cache
 
-import (
-	"encoding/binary"
-
-	"repro/internal/snapshot"
-)
+import "repro/internal/snapshot"
 
 // State visits one cache level: the LRU clock, hit/miss counters, and
-// every line's tag/valid/dirty/lastUse. Geometry (sets, ways) comes
-// from the configuration the cache was constructed with and is only
-// verified.
+// each set's ways in order. Geometry (sets, ways) comes from the
+// configuration the cache was constructed with and is only verified.
+//
+// A way is one uvarint 0 when invalid; a valid line is the uvarint
+// (tag<<1 | dirty) + 1 and then its age, useTick − lastUse, as a
+// uvarint. An invalid line's fields are dead (see line), so a decoded
+// one is the zero line and a restored cache checkpoints to the bytes it
+// was read from. Nothing is sized from the stream: every varint is
+// bounded by the Codec and lands in a line the cache already has.
 func (c *Cache) State(s *snapshot.Codec) error {
 	s.Section("cache.Cache")
 	s.I64(&c.useTick)
 	s.I64(&c.Hits)
 	s.I64(&c.Misses)
-	snapshot.Verify(s, len(c.sets), "sets", s.Int)
+	snapshot.Verify(s, c.cfg.Sets(), "sets", s.Int)
 	snapshot.Verify(s, c.cfg.Ways, "ways", s.Int)
-	// One Codec call per set, not four per line: a checkpoint is mostly
-	// cache lines. The block is the per-line layout field for field —
-	// u64 tag, bool valid, bool dirty, i64 lastUse, little-endian — so
-	// the stream is the same bytes.
-	block := make([]byte, c.cfg.Ways*lineBytes)
-	for _, set := range c.sets {
-		if !s.Loading() {
-			for i := range set {
-				set[i].pack(block[i*lineBytes:])
-			}
+	if s.Loading() && s.Err() == nil && c.useTick < 0 {
+		s.Fail("LRU clock %d is negative", c.useTick)
+	}
+	for i := 0; i < len(c.lines) && s.Err() == nil; i += c.cfg.Ways {
+		set := c.lines[i : i+c.cfg.Ways]
+		for w := range set {
+			c.wayState(s, &set[w])
 		}
-		s.Block(block)
-		if s.Err() != nil {
-			break
-		}
-		if !s.Loading() {
-			continue
-		}
-		for i := range set {
-			if b := set[i].unpack(block[i*lineBytes:]); b > 1 {
-				s.Fail("invalid bool byte %#x", b)
-				break
-			}
+		if s.Loading() {
+			c.checkSet(s, set)
 		}
 	}
 	return s.End()
 }
 
-// lineBytes is one line's encoded size: tag, valid, dirty, lastUse.
-const lineBytes = 8 + 1 + 1 + 8
-
-func (l *line) pack(p []byte) {
-	binary.LittleEndian.PutUint64(p, l.tag)
-	p[8], p[9] = 0, 0
-	if l.valid {
-		p[8] = 1
+// wayState visits one way in the layout State describes.
+func (c *Cache) wayState(s *snapshot.Codec, l *line) {
+	var v, age uint64
+	if l.key&lineValid != 0 {
+		v, age = l.key>>1+1, uint64(c.useTick-l.lastUse)
 	}
-	if l.dirty {
-		p[9] = 1
+	s.Uvarint(&v)
+	if v != 0 {
+		s.Uvarint(&age)
 	}
-	binary.LittleEndian.PutUint64(p[10:], uint64(l.lastUse))
+	if !s.Loading() || s.Err() != nil {
+		return
+	}
+	switch tag := (v - 1) >> 1; {
+	case v == 0:
+		*l = line{}
+	case tag>>(64-c.tagShift) != 0:
+		s.Fail("tag %#x is wider than a line address", tag)
+	case age > uint64(c.useTick):
+		s.Fail("line age %d exceeds the LRU clock %d", age, c.useTick)
+	default:
+		*l = line{key: (v-1)<<1 | lineValid, lastUse: c.useTick - int64(age)}
+	}
 }
 
-// unpack loads the line from p unless one of its bool bytes is not 0 or
-// 1, in which case it returns that byte and leaves the line as it was.
-func (l *line) unpack(p []byte) byte {
-	for _, b := range p[8:10] {
-		if b > 1 {
-			return b
+// checkSet refuses a decoded set that holds one tag in two valid ways:
+// a lookup would find only the first.
+func (c *Cache) checkSet(s *snapshot.Codec, set []line) {
+	for i, a := range set {
+		if a.key&lineValid == 0 {
+			continue
+		}
+		for _, b := range set[:i] {
+			if b.key&^lineDirty == a.key&^lineDirty {
+				s.Fail("tag %#x is in two ways of one set", a.key>>2)
+				return
+			}
 		}
 	}
-	l.tag = binary.LittleEndian.Uint64(p)
-	l.valid, l.dirty = p[8] == 1, p[9] == 1
-	l.lastUse = int64(binary.LittleEndian.Uint64(p[10:]))
-	return 0
 }
 
 // State visits the hierarchy: all three levels, the MSHR file, the

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -9,28 +10,6 @@ import (
 
 	"repro/internal/snapshot"
 )
-
-// refCacheState is format v6's cache section as it was first written:
-// one Codec call per field, four per line. Cache.State packs a set per
-// call; the stream must not be able to tell.
-func refCacheState(c *Cache, s *snapshot.Codec) error {
-	s.Section("cache.Cache")
-	s.I64(&c.useTick)
-	s.I64(&c.Hits)
-	s.I64(&c.Misses)
-	snapshot.Verify(s, len(c.sets), "sets", s.Int)
-	snapshot.Verify(s, c.cfg.Ways, "ways", s.Int)
-	for _, set := range c.sets {
-		for i := range set {
-			l := &set[i]
-			s.U64(&l.tag)
-			s.Bool(&l.valid)
-			s.Bool(&l.dirty)
-			s.I64(&l.lastUse)
-		}
-	}
-	return s.End()
-}
 
 var snapHierarchy = HierarchyConfig{
 	L1I:        Config{SizeKB: 1, Ways: 2, LineBytes: 64, Latency: 1},
@@ -59,14 +38,23 @@ func populated(t *testing.T) *Hierarchy {
 	}
 	// That much traffic fills every level; empty some ways again.
 	for _, c := range h.levels() {
-		for i := 0; i < len(c.sets); i += 3 {
-			c.sets[i][i%c.cfg.Ways] = line{}
+		for i := 0; i < c.cfg.Sets(); i += 3 {
+			c.lines[i*c.cfg.Ways+i%c.cfg.Ways] = line{}
 		}
 	}
 	return h
 }
 
 func (h *Hierarchy) levels() []*Cache { return []*Cache{h.l1i, h.l1d, h.l2} }
+
+func freshHierarchy(t *testing.T) *Hierarchy {
+	t.Helper()
+	h, err := NewHierarchy(snapHierarchy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
 
 func encodeWith(t *testing.T, state func(*snapshot.Codec) error) []byte {
 	t.Helper()
@@ -90,83 +78,157 @@ func decodeWith(t *testing.T, b []byte, state func(*snapshot.Codec) error) error
 	return state(s)
 }
 
-// TestCacheStateIsFormatV6 holds the per-set block visitor to the
-// per-field layout it replaced: equal bytes out, and each side decodes
-// what the other wrote. v7 to v10 left a cache level's section alone,
-// so its layout is still v6's.
-func TestCacheStateIsFormatV6(t *testing.T) {
-	if snapshot.Version != 10 {
-		t.Fatalf("snapshot.Version = %d: this test pins v6's cache layout as v10 carries it", snapshot.Version)
-	}
-	h, fresh := populated(t), func() *Hierarchy {
-		h, _ := NewHierarchy(snapHierarchy)
-		return h
-	}
+// TestCacheStateRoundTrip: each level, and the whole hierarchy, decodes
+// and re-encodes to the bytes it was read from; and a restored level
+// answers 10k random Lookup, Access, Fill and Invalidate calls exactly
+// as the original does, although the original's invalid lines carry
+// junk tags, dirty bits and LRU stamps that the wire drops. That is the
+// claim that an invalid line's fields are dead.
+func TestCacheStateRoundTrip(t *testing.T) {
+	h := populated(t)
 	for i, c := range h.levels() {
 		var valid, dirty int
-		for _, set := range c.sets {
-			for _, l := range set {
-				if l.valid {
-					valid++
-				}
-				if l.dirty {
+		for _, l := range c.lines {
+			if l.key&lineValid != 0 {
+				valid++
+				if l.key&lineDirty != 0 {
 					dirty++
 				}
 			}
 		}
-		if lines := len(c.sets) * c.cfg.Ways; valid == 0 || valid == lines || (i > 0 && dirty == 0) {
-			t.Fatalf("level %d: %d valid, %d dirty of %d lines; the traffic should leave a mix", i, valid, dirty, lines)
+		if valid == 0 || valid == len(c.lines) || (i > 0 && dirty == 0) {
+			t.Fatalf("level %d: %d valid, %d dirty of %d lines; the traffic should leave a mix", i, valid, dirty, len(c.lines))
 		}
-		got := encodeWith(t, c.State)
-		want := encodeWith(t, func(s *snapshot.Codec) error { return refCacheState(c, s) })
-		if !bytes.Equal(got, want) {
-			t.Fatalf("level %d: block visitor wrote %d bytes, per-field reference %d, and they differ", i, len(got), len(want))
+		// Empty a quarter of the lines more, and give every invalid line
+		// a junk tag and dirty bit and a recent-looking LRU stamp: code
+		// that read them would pick different victims.
+		rng := rand.New(rand.NewSource(int64(i)))
+		for j := range c.lines {
+			if l := &c.lines[j]; l.key&lineValid == 0 || rng.Intn(4) == 0 {
+				*l = line{key: rng.Uint64() &^ lineValid, lastUse: c.useTick - rng.Int63n(4)}
+			}
 		}
-		a, b := fresh().levels()[i], fresh().levels()[i]
-		if err := decodeWith(t, want, a.State); err != nil {
-			t.Fatalf("level %d: block visitor reading the reference's bytes: %v", i, err)
+		b := encodeWith(t, c.State)
+		r := freshHierarchy(t).levels()[i]
+		if err := decodeWith(t, b, r.State); err != nil {
+			t.Fatalf("level %d: %v", i, err)
 		}
-		if err := decodeWith(t, got, func(s *snapshot.Codec) error { return refCacheState(b, s) }); err != nil {
-			t.Fatalf("level %d: reference reading the block visitor's bytes: %v", i, err)
+		if again := encodeWith(t, r.State); !bytes.Equal(again, b) {
+			t.Fatalf("level %d: restored cache encodes to %d bytes, read from %d, and they differ", i, len(again), len(b))
 		}
-		if !reflect.DeepEqual(a, c) || !reflect.DeepEqual(b, c) {
-			t.Fatalf("level %d: decoded cache differs from the one encoded", i)
+		span := 4 * len(c.lines) // four times the capacity, so fills evict
+		for op := 0; op < 10_000; op++ {
+			a := uint64(rng.Intn(span))
+			var got, want any
+			switch k := rng.Intn(4); k {
+			case 0:
+				got, want = r.Lookup(a), c.Lookup(a)
+			case 1:
+				w := rng.Intn(2) == 0
+				got, want = r.Access(a, w), c.Access(a, w)
+			case 2:
+				d := rng.Intn(2) == 0
+				v1, vd1, e1 := r.Fill(a, d)
+				v2, vd2, e2 := c.Fill(a, d)
+				got, want = [3]any{v1, vd1, e1}, [3]any{v2, vd2, e2}
+			case 3:
+				d1, p1 := r.Invalidate(a)
+				d2, p2 := c.Invalidate(a)
+				got, want = [2]bool{d1, p1}, [2]bool{d2, p2}
+			}
+			if got != want {
+				t.Fatalf("level %d, op %d on %#x: restored cache returned %v, original %v", i, op, a, got, want)
+			}
+		}
+		if r.Hits != c.Hits || r.Misses != c.Misses || r.useTick != c.useTick {
+			t.Fatalf("level %d: counters diverged", i)
+		}
+		if !bytes.Equal(encodeWith(t, r.State), encodeWith(t, c.State)) {
+			t.Fatalf("level %d: the two caches checkpoint differently after the same calls", i)
 		}
 	}
+	h = populated(t)
 	whole := encodeWith(t, h.State)
-	h2 := fresh()
+	h2 := freshHierarchy(t)
 	if err := decodeWith(t, whole, h2.State); err != nil {
 		t.Fatal(err)
 	}
 	if again := encodeWith(t, h2.State); !bytes.Equal(again, whole) {
 		t.Fatal("hierarchy does not re-encode to the bytes it was decoded from")
 	}
+	for i, c := range h2.levels() {
+		if !reflect.DeepEqual(c, h.levels()[i]) {
+			t.Fatalf("level %d: a cache whose invalid lines are zero does not decode to itself", i)
+		}
+	}
 }
 
-// TestCacheStateHostileBlock: a set arrives as one block, and what is in
-// it is still checked — a bool byte that is not 0 or 1, and a block cut
-// short, fail with the errors the per-field decoder gave.
+// TestCacheStateHostileBlock: each line is varints read from an
+// untrusted stream; a varint cut short or too long, an age older than
+// the LRU clock, a tag no line address has, one tag in two ways of a
+// set, and a stream that ends early all fail with a cache.Cache error.
 func TestCacheStateHostileBlock(t *testing.T) {
 	c := populated(t).l2
 	full := encodeWith(t, c.State)
-	// Header, section marker, three counters, sets, ways; then the lines.
-	lines := len(full) - len(c.sets)*c.cfg.Ways*lineBytes
+	// Every way of an empty cache is one zero byte, so the lines of
+	// full start where an empty cache's stop, less one byte per way.
+	empty, _ := New(c.cfg)
+	empty.useTick, empty.Hits, empty.Misses = c.useTick, c.Hits, c.Misses
+	lines := len(encodeWith(t, empty.State)) - len(c.lines)
+	// The first valid way whose age varint has more than one byte:
+	// [at, end) is that varint.
+	at, end := lines, 0
+	for end == 0 && at < len(full) {
+		v, n := binary.Uvarint(full[at:])
+		at += n
+		if v == 0 {
+			continue
+		}
+		if _, m := binary.Uvarint(full[at:]); m > 1 {
+			end = at + m
+		} else {
+			at += m
+		}
+	}
+	if end == 0 {
+		t.Fatal("no line has a multi-byte age")
+	}
+	splice := func(b []byte, from, to int, mid ...byte) []byte {
+		return append(append(append([]byte(nil), b[:from]...), mid...), b[to:]...)
+	}
 	decode := func(b []byte) error {
 		fresh, _ := New(c.cfg)
 		return decodeWith(t, b, fresh.State)
 	}
-	for _, at := range []int{8, 9} { // a line's valid byte, its dirty byte
-		bad := append([]byte(nil), full...)
-		bad[lines+(c.cfg.Ways+3)*lineBytes+at] = 2 // second set, fourth line
-		err := decode(bad)
-		if err == nil || !strings.Contains(err.Error(), "cache.Cache: invalid bool byte 0x2") {
-			t.Errorf("bool byte 2 at line offset %d: %v", at, err)
-		}
+	withLine := func(set, way int, l line) []byte {
+		bad, _ := New(c.cfg)
+		copy(bad.lines, c.lines)
+		bad.useTick, bad.Hits, bad.Misses = c.useTick, c.Hits, c.Misses
+		bad.lines[set*c.cfg.Ways+way] = l
+		return encodeWith(t, bad.State)
 	}
-	for _, cut := range []int{lines + 1, lines + c.cfg.Ways*lineBytes + 7, len(full) - 1} {
-		err := decode(full[:cut])
-		if err == nil || !strings.Contains(err.Error(), "cache.Cache: truncated stream") {
-			t.Errorf("stream cut at %d of %d: %v", cut, len(full), err)
+	first := c.lines[1] // set 0, way 1: a valid line (populated empties way 0)
+	if first.key&lineValid == 0 {
+		t.Fatal("set 0 way 1 should hold a line")
+	}
+	for _, row := range []struct {
+		name string
+		b    []byte
+		err  string
+	}{
+		{"varint cut short", full[:at+1], "truncated stream"},
+		{"varint of eleven bytes", splice(full, at, end, append(bytes.Repeat([]byte{0x80}, 10), 0)...), "varint overflows 64 bits"},
+		{"varint past 64 bits", splice(full, at, end, append(bytes.Repeat([]byte{0xff}, 9), 2)...), "varint overflows 64 bits"},
+		{"age above the LRU clock", withLine(0, 1, line{key: first.key, lastUse: -1}), "line age"},
+		{"tag wider than a line address", withLine(0, 1, line{key: 1<<63 | lineValid, lastUse: 1}), "wider than a line address"},
+		{"one tag in two ways", withLine(0, 2, line{key: first.key | lineDirty, lastUse: 1}), "in two ways of one set"},
+		{"stream ends in the first set", full[:lines+1], "truncated stream"},
+		{"stream ends before the last set", full[:len(full)-c.cfg.Ways], "truncated stream"},
+		{"stream ends inside the last line", full[:len(full)-1], "truncated stream"},
+	} {
+		err := decode(row.b)
+		if err == nil || !strings.Contains(err.Error(), "cache.Cache: ") || !strings.Contains(err.Error(), row.err) {
+			t.Errorf("%s: %v", row.name, err)
 		}
 	}
 }

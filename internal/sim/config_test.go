@@ -256,8 +256,10 @@ func TestObserverSwitchesAreSimConfigFields(t *testing.T) {
 
 // TestWorkersFieldIsInert holds the deprecated Config.Workers and
 // System.Close to doing nothing: a run with Workers set is the run
-// without it, to the last checkpoint byte, and neither New, Step nor
-// Close starts or stops a goroutine.
+// without it, to the last checkpoint byte, and no goroutine that this
+// module's code started is alive after New and Step or after Close. It
+// reads the goroutine dump rather than counting goroutines, so a
+// goroutine another test starts or ends meanwhile cannot fail it.
 func TestWorkersFieldIsInert(t *testing.T) {
 	base := Config{
 		Workload:       []trace.Profile{profile(t, "art"), profile(t, "vpr")},
@@ -270,7 +272,6 @@ func TestWorkersFieldIsInert(t *testing.T) {
 	run := func(workers int) (Result, []byte) {
 		cfg := base
 		cfg.Workers = workers
-		before := runtime.NumGoroutine()
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -279,16 +280,16 @@ func TestWorkersFieldIsInert(t *testing.T) {
 		s.BeginMeasurement()
 		s.Step(8_000)
 		s.FinishAudit()
-		if n := runtime.NumGoroutine(); n != before {
-			t.Errorf("Workers %d: %d goroutines after New and Step, %d before", workers, n, before)
+		if g := simGoroutines(); g != "" {
+			t.Errorf("Workers %d: after New and Step, a goroutine of this module is alive:\n%s", workers, g)
 		}
 		var ck bytes.Buffer
 		if err := s.Checkpoint(&ck); err != nil {
 			t.Fatal(err)
 		}
 		s.Close()
-		if n := runtime.NumGoroutine(); n != before {
-			t.Errorf("Workers %d: %d goroutines after Close, %d before New", workers, n, before)
+		if g := simGoroutines(); g != "" {
+			t.Errorf("Workers %d: after Close, a goroutine of this module is alive:\n%s", workers, g)
 		}
 		return s.Results(), ck.Bytes()
 	}
@@ -300,6 +301,27 @@ func TestWorkersFieldIsInert(t *testing.T) {
 	if !bytes.Equal(gotCk, wantCk) {
 		t.Errorf("Workers 4 changed the checkpoint (%d vs %d bytes)", len(gotCk), len(wantCk))
 	}
+}
+
+// simGoroutines returns the stack of every live goroutine that code in
+// this module created ("created by repro/..." in the dump), or "".
+func simGoroutines() string {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	var ours []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "\ncreated by repro/") {
+			ours = append(ours, g)
+		}
+	}
+	return strings.Join(ours, "\n\n")
 }
 
 // TestParallelEquivalence holds every policy to what the benchmark's

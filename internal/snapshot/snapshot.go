@@ -79,7 +79,10 @@ const Magic = "FQMSSNAP"
 // sampled epoch as its positional values instead of three name-to-value
 // maps, carries each histogram's max with its cumulative counts, and
 // drops the sampler's latest snapshot (Latest is rebuilt from both).
-const Version = 10
+// v11 writes a cache level's lines as varints, an invalid line as one
+// zero byte and a valid one as its tag and dirty bit and its age on the
+// level's LRU clock, in place of 18 fixed bytes per line.
+const Version = 11
 
 // MaxSlice is the element cap for the few variable-length fields whose
 // bound depends on run history rather than on a configured capacity
@@ -102,7 +105,7 @@ type Codec struct {
 	ro       int
 	err      error
 	sections []string // open sections, innermost last; labels errors
-	buf      [8]byte
+	buf      [binary.MaxVarintLen64]byte
 }
 
 // readAhead is the decoder's read-ahead window; a visit reads its bytes
@@ -231,13 +234,6 @@ func (s *Codec) fill(n int) bool {
 	return true
 }
 
-// Block visits len(p) bytes whose layout the caller owns: encoders write
-// p, decoders fill it. A component with many small fixed-size records
-// packs them into one block per visit instead of paying a Codec call
-// per field; the length is construction state and is not written, and
-// what the bytes mean (bool bytes included) is the caller's to check.
-func (s *Codec) Block(p []byte) { s.raw(p) }
-
 // U8 visits one byte.
 func (s *Codec) U8(v *uint8) {
 	if s.r != nil {
@@ -272,6 +268,46 @@ func (s *Codec) U64(v *uint64) {
 	}
 	binary.LittleEndian.PutUint64(s.buf[:8], *v)
 	s.raw(s.buf[:8])
+}
+
+// Uvarint visits a uint64 as encoding/binary's unsigned varint: one to
+// binary.MaxVarintLen64 bytes, seven bits each, low bits first, so a
+// small value costs one byte. Decoding reads at most that many bytes
+// and fails on a varint that runs longer or overflows 64 bits.
+func (s *Codec) Uvarint(v *uint64) {
+	if s.r == nil {
+		if s.err == nil {
+			_, s.err = s.w.Write(binary.AppendUvarint(s.buf[:0], *v))
+		}
+		return
+	}
+	if s.err == nil && len(s.rb)-s.ro >= binary.MaxVarintLen64 {
+		// The whole longest varint is in the window: decode in place.
+		x, n := binary.Uvarint(s.rb[s.ro:])
+		if n <= 0 {
+			s.Fail("varint overflows 64 bits")
+			return
+		}
+		s.ro += n
+		*v = x
+		return
+	}
+	var x uint64
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		b, ok := s.take(1)
+		if !ok {
+			return
+		}
+		if i == binary.MaxVarintLen64-1 && b[0] > 1 {
+			break
+		}
+		x |= uint64(b[0]&0x7f) << (7 * i)
+		if b[0] < 0x80 {
+			*v = x
+			return
+		}
+	}
+	s.Fail("varint overflows 64 bits")
 }
 
 // I64 visits an int64 (two's complement).

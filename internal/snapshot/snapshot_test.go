@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"reflect"
@@ -16,6 +17,7 @@ type everything struct {
 	U8     uint8
 	U32    uint32
 	U64    uint64
+	Var    uint64
 	I64    int64
 	Int    int
 	I32    int32
@@ -51,6 +53,7 @@ func (v *everything) state(s *Codec) error {
 	s.U8(&v.U8)
 	s.u32(&v.U32)
 	s.U64(&v.U64)
+	s.Uvarint(&v.Var)
 	s.I64(&v.I64)
 	s.Int(&v.Int)
 	s.I32(&v.I32)
@@ -84,7 +87,7 @@ func (v *everything) state(s *Codec) error {
 func sample() *everything {
 	ring := []int64{30, 10, 20} // oldest at index 1
 	return &everything{
-		U8: 0xab, U32: 0xdeadbeef, U64: 1 << 60, I64: -42, Int: -7, I32: -3,
+		U8: 0xab, U32: 0xdeadbeef, U64: 1 << 60, Var: 300, I64: -42, Int: -7, I32: -3,
 		T: true, Pi: math.Pi, NegInf: math.Inf(-1), Str: "hello", Name: "fq-vftf",
 		I64s: []int64{1, -2, 3}, U64s: []uint64{9, 8}, Ints: []int{-1, 0, 1},
 		Bools: []bool{true, false, true}, F64s: []float64{0.5, -0.25},
@@ -336,34 +339,53 @@ func TestInvalidBool(t *testing.T) {
 	}
 }
 
-// TestBlock: a block is its bytes and nothing else on the stream — no
-// length header — fills in place on decode, and a short stream is the
-// ordinary truncation error.
-func TestBlock(t *testing.T) {
-	want := []byte{1, 2, 3, 4, 5, 6, 7}
+// TestUvarint: a varint is encoding/binary's bytes and nothing else on
+// the stream, decodes in place, and a varint cut short, one longer than
+// ten bytes or one past 64 bits fails without touching its target.
+func TestUvarint(t *testing.T) {
 	a, z := uint8(0xaa), uint8(0x55)
-	b := encode(t, func(s *Codec) { s.U8(&a); s.Block(want); s.U8(&z) })
-	if header := len(Magic) + 4; !bytes.Equal(b[header:], append(append([]byte{a}, want...), z)) {
-		t.Fatalf("stream after the header = %x", b[header:])
+	for _, want := range []uint64{0, 1, 0x7f, 0x80, 1<<32 + 5, math.MaxUint64} {
+		v := want
+		b := encode(t, func(s *Codec) { s.U8(&a); s.Uvarint(&v); s.U8(&z) })
+		wire := append(append([]byte{a}, binary.AppendUvarint(nil, want)...), z)
+		if header := len(Magic) + 4; !bytes.Equal(b[header:], wire) {
+			t.Fatalf("%#x: stream after the header = %x, want %x", want, b[header:], wire)
+		}
+		s := decoder(t, b)
+		var a2, z2 uint8
+		got := ^want
+		s.U8(&a2)
+		s.Uvarint(&got)
+		s.U8(&z2)
+		if s.Err() != nil || got != want || a2 != a || z2 != z {
+			t.Fatalf("%#x: decoded %#x between %#x and %#x: %v", want, got, a2, z2, s.Err())
+		}
 	}
-	got := make([]byte, len(want))
-	s := decoder(t, b)
-	var a2, z2 uint8
-	s.U8(&a2)
-	s.Block(got)
-	s.U8(&z2)
-	if s.Err() != nil || !bytes.Equal(got, want) || a2 != a || z2 != z {
-		t.Fatalf("decoded %x between %#x and %#x: %v", got, a2, z2, s.Err())
+	long := bytes.Repeat([]byte{0x80}, binary.MaxVarintLen64+1)
+	wide := append(bytes.Repeat([]byte{0xff}, binary.MaxVarintLen64-1), 2)
+	for _, c := range []struct {
+		body []byte
+		err  string
+	}{
+		{[]byte{0x80}, "truncated stream"},
+		{[]byte{0xff, 0xff}, "truncated stream"},
+		{long, "varint overflows 64 bits"},
+		{wide, "varint overflows 64 bits"},
+	} {
+		b := append(encode(t, func(*Codec) {}), c.body...)
+		s := decoder(t, b)
+		v := uint64(7)
+		s.Uvarint(&v)
+		wantErr(t, s, c.err)
+		if v != 7 {
+			t.Errorf("%x: a refused varint overwrote the target with %#x", c.body, v)
+		}
 	}
-	s = decoder(t, b[:len(b)-3])
-	s.U8(&a2)
-	s.Block(got)
-	wantErr(t, s, "truncated stream")
 }
 
 // TestReadAheadWindow decodes through a reader that yields one byte per
-// Read, and across a Block wider than the decoder's window: every visit
-// refills the window, and the bytes still come back whole.
+// Read, and a run of varints longer than the decoder's window: every
+// visit refills the window, and the values still come back whole.
 func TestReadAheadWindow(t *testing.T) {
 	want := sample()
 	b := encode(t, func(s *Codec) { want.state(s) })
@@ -379,23 +401,30 @@ func TestReadAheadWindow(t *testing.T) {
 		t.Error("a one-byte reader decoded a different value")
 	}
 
-	wide := make([]byte, 3*readAhead+5)
-	for i := range wide {
-		wide[i] = byte(i * 7)
+	// Lengths of one to ten bytes, so varints straddle every window edge.
+	vars := make([]uint64, readAhead)
+	for i := range vars {
+		vars[i] = uint64(i) * 0x9e3779b97f4a7c15 >> (i % 64)
 	}
-	u := uint64(1<<63 + 9)
-	b = encode(t, func(s *Codec) { s.U64(&u); s.Block(wide); s.U64(&u) })
+	b = encode(t, func(s *Codec) {
+		for i := range vars {
+			s.Uvarint(&vars[i])
+		}
+	})
+	if len(b) < 3*readAhead {
+		t.Fatalf("%d varints are %d bytes, not several windows", len(vars), len(b))
+	}
 	for _, r := range []io.Reader{bytes.NewReader(b), iotest.OneByteReader(bytes.NewReader(b))} {
 		s, err := NewDecoder(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, u1, u2 := make([]byte, len(wide)), uint64(0), uint64(0)
-		s.U64(&u1)
-		s.Block(got)
-		s.U64(&u2)
-		if s.Err() != nil || !bytes.Equal(got, wide) || u1 != u || u2 != u {
-			t.Fatalf("decoded %#x, %#x and a block equal %v: %v", u1, u2, bytes.Equal(got, wide), s.Err())
+		for i, want := range vars {
+			var got uint64
+			s.Uvarint(&got)
+			if s.Err() != nil || got != want {
+				t.Fatalf("varint %d: decoded %#x, want %#x: %v", i, got, want, s.Err())
+			}
 		}
 	}
 }
