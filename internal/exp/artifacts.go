@@ -27,10 +27,10 @@ type Artifact struct {
 
 // finished is a completed run as the artifact kinds see it.
 type finished struct {
-	key  string
-	sys  *sim.System
-	res  sim.Result
-	intf *InterferenceDoc // nil unless the run attributed delays
+	key    string
+	res    sim.Result
+	series *seriesDoc       // nil unless the run sampled
+	intf   *InterferenceDoc // nil unless the run attributed delays
 }
 
 const (
@@ -49,9 +49,9 @@ var artifactKinds = []struct {
 }{
 	// The full epoch series (per-interval counter deltas, gauge values,
 	// histogram-bucket deltas) plus the fairness series and its summary.
-	{".series.json", sampling, func(f finished) ([]byte, error) { return seriesJSON(f.key, f.sys) }},
+	{".series.json", sampling, func(f finished) ([]byte, error) { return f.series.encode() }},
 	// The fairness series flattened to one row per (epoch, thread).
-	{".fairness.csv", sampling, func(f finished) ([]byte, error) { return fairnessCSV(f.sys) }},
+	{".fairness.csv", sampling, func(f finished) ([]byte, error) { return f.series.fairnessCSV() }},
 	// The who-delayed-whom matrix over the measurement window.
 	{interferenceKind, attributing, func(f finished) ([]byte, error) {
 		b, err := json.MarshalIndent(f.intf, "", "  ")

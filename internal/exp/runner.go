@@ -213,11 +213,14 @@ func (r *Runner) simulate(key string, cfg sim.Config) (sim.Result, *Interference
 	if err != nil {
 		return sim.Result{}, nil, err
 	}
-	fin := finished{key: key, sys: sys, res: sys.Results()}
+	fin := finished{key: key, res: sys.Results()}
 	if snap, ok := sys.Interference(); ok {
 		fin.intf = &InterferenceDoc{Key: key, Policy: fin.res.PolicyName, Interference: snap}
 	}
 	if r.cfg.Dir != "" {
+		if sys.Sampler() != nil {
+			fin.series = newSeriesDoc(key, sys)
+		}
 		set, err := r.cfg.renderArtifacts(fin)
 		if err != nil {
 			return sim.Result{}, nil, err

@@ -15,18 +15,29 @@ import (
 // run's artifact set (artifacts.go) gains the two encodings below.
 
 // seriesDoc is the schema of a run's series artifact and of fqsim's
-// -series-out file (which names no key or policy).
+// -series-out file (which names no key or policy): one copy of the
+// sampler's records, and the fairness series scored from it once.
 type seriesDoc struct {
-	Key      string           `json:"key,omitempty"`
-	Policy   string           `json:"policy,omitempty"`
-	Interval int64            `json:"interval"`
-	Epochs   int64            `json:"epochs"`
-	Samples  []metrics.Sample `json:"samples"`
+	Key    string `json:"key,omitempty"`
+	Policy string `json:"policy,omitempty"`
+	metrics.Series
 
 	Fairness struct {
 		Summary memctrl.FairnessSummary  `json:"summary"`
 		Samples []memctrl.FairnessSample `json:"samples"`
 	} `json:"fairness"`
+}
+
+// newSeriesDoc copies a sampled run's epoch series and scores it. key
+// names the run within a sweep (and the document then names its
+// policy); a standalone run passes "".
+func newSeriesDoc(key string, s *sim.System) *seriesDoc {
+	doc := &seriesDoc{Key: key, Series: s.Sampler().Series()}
+	if key != "" {
+		doc.Policy = s.Controller().Policy().Name()
+	}
+	doc.Fairness.Summary, doc.Fairness.Samples = memctrl.Fairness(doc.Series)
+	return doc
 }
 
 // sanitizeKey maps a memo key like "co/art+vpr/FQ-VFTF" to the filename
@@ -47,45 +58,28 @@ func sanitizeKey(key string) string {
 	return string(out)
 }
 
-// seriesJSON encodes a sampled run's epoch time series — the
-// per-interval metric deltas plus the fairness series and its summary —
-// as one self-describing JSON document. key names the run within a
-// sweep; a standalone run passes "".
-func seriesJSON(key string, s *sim.System) ([]byte, error) {
-	doc := seriesDoc{
-		Key:      key,
-		Interval: s.Sampler().Interval(),
-		Epochs:   s.Sampler().Epochs(),
-		Samples:  s.Sampler().Samples(-1),
-	}
-	if key != "" {
-		doc.Policy = s.Controller().Policy().Name()
-	}
-	doc.Fairness.Summary, doc.Fairness.Samples = memctrl.Fairness(doc.Interval, doc.Samples)
-
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	err := enc.Encode(doc)
-	return buf.Bytes(), err
+// encode renders the document as one indented JSON file: the
+// per-interval metric deltas plus the fairness series and its summary.
+func (d *seriesDoc) encode() ([]byte, error) {
+	b, err := json.MarshalIndent(d, "", "  ")
+	return append(b, '\n'), err
 }
 
-// WriteSeriesJSON writes a standalone run's seriesJSON document to path.
+// WriteSeriesJSON writes a standalone run's series document to path.
 func WriteSeriesJSON(path string, s *sim.System) error {
-	b, err := seriesJSON("", s)
+	b, err := newSeriesDoc("", s).encode()
 	if err != nil {
 		return err
 	}
 	return writeFileAtomic(path, b)
 }
 
-// fairnessCSV flattens a sampled run's fairness series to one row per
+// fairnessCSV flattens a sweep run's fairness series to one row per
 // (epoch, thread). Every row leads with the run's policy name so
 // fairness series from different schedulers (e.g. an arena sweep)
 // concatenate into one plottable file.
-func fairnessCSV(s *sim.System) ([]byte, error) {
-	policy := s.Controller().Policy().Name()
-	_, series := memctrl.Fairness(s.Sampler().Interval(), s.Sampler().Samples(-1))
+func (d *seriesDoc) fairnessCSV() ([]byte, error) {
+	policy, series := d.Policy, d.Fairness.Samples
 	var rows [][]string
 	for _, fs := range series {
 		for t := range fs.Service {

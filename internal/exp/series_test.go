@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/memctrl"
 )
 
 // TestSeriesExport runs one co-run through a sampling runner with a
@@ -39,7 +41,15 @@ func TestSeriesExport(t *testing.T) {
 	if err != nil {
 		t.Fatalf("series artifact missing: %v", err)
 	}
-	var doc seriesDoc
+	var doc struct {
+		Key, Policy string
+		Interval    int64
+		Samples     []json.RawMessage
+		Fairness    struct {
+			Summary memctrl.FairnessSummary
+			Samples []memctrl.FairnessSample
+		}
+	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatalf("series JSON invalid: %v", err)
 	}

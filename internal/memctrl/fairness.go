@@ -93,51 +93,55 @@ type FairnessSummary struct {
 	MaxAbsExcess []float64 `json:"max_abs_excess"`
 }
 
-// fairNames are one thread's registry names the reduction reads.
-type fairNames struct {
-	service, reads, writes, num, den string
-	pair                             []string // by aggressor thread
+// fairCols are one thread's registry positions the reduction reads; a
+// pair counter not registered (attribution off) is -1.
+type fairCols struct {
+	service, reads, writes, num, den int
+	pair                             []int // by aggressor thread
 }
 
-// Fairness scores consecutive epoch samples of a controller's registry
-// (metrics.Sampler.Samples, oldest first) at the given interval. The
-// thread count is the number of threads whose share gauges the first
-// sample carries.
-func Fairness(interval int64, samples []metrics.Sample) (FairnessSummary, []FairnessSample) {
-	var names []fairNames
-	for t := 0; len(samples) > 0; t++ {
+// Fairness scores a sampler's retained epochs (metrics.Sampler.Series).
+// The threads are those whose five memctrl.threadN metrics are
+// registered; the columns resolve to positions once, and each epoch is
+// then one walk of its record.
+func Fairness(s metrics.Series) (FairnessSummary, []FairnessSample) {
+	recs := s.Samples
+	var cols []fairCols
+	for t := 0; recs.Len() > 0; t++ {
 		p := fmt.Sprintf("memctrl.thread%d.", t)
-		if _, ok := samples[0].Gauges[p+"share_den"]; !ok {
+		c := fairCols{service: recs.Index(p + "data_bus_cycles"), reads: recs.Index(p + "pending_reads"),
+			writes: recs.Index(p + "pending_writes"), num: recs.Index(p + "share_num"), den: recs.Index(p + "share_den")}
+		if min(c.service, c.reads, c.writes, c.num, c.den) < 0 {
 			break
 		}
-		names = append(names, fairNames{service: p + "data_bus_cycles", reads: p + "pending_reads",
-			writes: p + "pending_writes", num: p + "share_num", den: p + "share_den"})
+		cols = append(cols, c)
 	}
-	n := len(names)
-	for v := range names {
+	n := len(cols)
+	for v := range cols {
 		for a := 0; a < n; a++ {
-			names[v].pair = append(names[v].pair, fmt.Sprintf("interference.pair.v%d.a%d", v, a))
+			cols[v].pair = append(cols[v].pair, recs.Index(fmt.Sprintf("interference.pair.v%d.a%d", v, a)))
 		}
 	}
 	sum := FairnessSummary{
-		Interval:          interval,
+		Interval:          s.Interval,
 		Threads:           n,
 		CumShortfall:      make([]float64, n),
 		MaxEpochShortfall: make([]float64, n),
 		MaxAbsExcess:      make([]float64, n),
 	}
-	out := make([]FairnessSample, 0, len(samples))
-	for i := range samples {
-		cur := &samples[i]
-		var prev map[string]int64 // nil: the cycle-0 baseline scores against zero
-		if i > 0 {
-			prev = samples[i-1].Gauges
-		} else if cur.Epoch != 0 {
+	out := make([]FairnessSample, 0, recs.Len())
+	var cur, prev []int64
+	for i := range recs.Len() {
+		if prev, cur = cur, recs.Row(i, prev); prev == nil {
+			prev = make([]int64, len(cur)) // the cycle-0 baseline scores against zero
+		}
+		epoch, cycle := recs.At(i)
+		if i == 0 && epoch != 0 {
 			continue // a wrapped ring's oldest record has no predecessor
 		}
 		fs := FairnessSample{
-			Epoch:        cur.Epoch,
-			Cycle:        cur.Cycle,
+			Epoch:        epoch,
+			Cycle:        cycle,
 			Service:      make([]int64, n),
 			Share:        make([]float64, n),
 			Phi:          make([]float64, n),
@@ -147,19 +151,19 @@ func Fairness(interval int64, samples []metrics.Sample) (FairnessSummary, []Fair
 			TopAggressor: make([]int, n),
 			StolenCycles: make([]int64, n),
 		}
-		for t, nm := range names {
-			fs.Service[t] = cur.Gauges[nm.service] - prev[nm.service]
+		for t, c := range cols {
+			fs.Service[t] = cur[c.service] - prev[c.service]
 			fs.Total += fs.Service[t]
-			fs.Phi[t] = float64(cur.Gauges[nm.num]) / float64(cur.Gauges[nm.den])
-			fs.Backlogged[t] = cur.Gauges[nm.reads]+cur.Gauges[nm.writes] > 0
+			fs.Phi[t] = float64(cur[c.num]) / float64(cur[c.den])
+			fs.Backlogged[t] = cur[c.reads]+cur[c.writes] > 0
 			fs.TopAggressor[t] = -1
-			for a, pn := range nm.pair {
-				if d := cur.Counters[pn]; a != t && d > fs.StolenCycles[t] {
-					fs.StolenCycles[t], fs.TopAggressor[t] = d, a
+			for a, pos := range c.pair {
+				if pos >= 0 && a != t && cur[pos] > fs.StolenCycles[t] {
+					fs.StolenCycles[t], fs.TopAggressor[t] = cur[pos], a
 				}
 			}
 		}
-		for t := range names {
+		for t := range cols {
 			if fs.Total > 0 {
 				fs.Share[t] = float64(fs.Service[t]) / float64(fs.Total)
 			}

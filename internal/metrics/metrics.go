@@ -254,14 +254,19 @@ type Snapshot struct {
 	Histograms map[string]HistogramStats `json:"histograms,omitempty"`
 }
 
+// newSnapshot returns an empty snapshot with room for n metrics.
+func newSnapshot(n int) Snapshot {
+	return Snapshot{
+		Counters:   make(map[string]int64, n),
+		Gauges:     make(map[string]int64, n),
+		Histograms: make(map[string]HistogramStats),
+	}
+}
+
 // Snapshot exports the current value of every metric. Func metrics are
 // read here (and only here).
 func (r *Registry) Snapshot() Snapshot {
-	s := Snapshot{
-		Counters:   make(map[string]int64),
-		Gauges:     make(map[string]int64),
-		Histograms: make(map[string]HistogramStats),
-	}
+	s := newSnapshot(len(r.items))
 	for _, it := range r.items {
 		switch it.kind {
 		case kindCounter:

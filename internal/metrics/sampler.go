@@ -1,16 +1,23 @@
 package metrics
 
-import "sync"
+import (
+	"encoding/json"
+	"fmt"
+	"slices"
+	"sort"
+	"strconv"
+	"sync"
+)
 
 // The epoch sampler turns the registry's cumulative metrics into a
 // bounded time series. The simulator calls Sample on epoch boundaries
 // (exact multiples of the configured cycle interval: sim.Step compares
 // its cycle counter with NextSampleAt); each call differences the
 // registry against the previous epoch and appends one positional record
-// to a ring that grows on demand up to its capacity. Names appear only
-// on read: Samples and Latest build their maps from the records and the
-// cumulative arrays, so an epoch costs one record and no map, and the
-// checkpoint carries the records as they are.
+// to a ring that grows on demand up to its capacity. An epoch has one
+// form from Sample through the checkpoint to every reader: Series
+// copies the records out, and its readers resolve names to positions
+// once and walk them. Only Latest builds maps, one set per call.
 //
 // Concurrency contract: Sample and NextSampleAt are called only from
 // the simulation goroutine, which is also the only mutator of the
@@ -18,8 +25,9 @@ import "sync"
 // that owns the state they read. Everything a concurrent reader (the
 // telemetry HTTP server) can touch — the ring, the cumulative arrays,
 // the epoch count, and the registry's item list as the last Sample saw
-// it — is guarded by a mutex. A scrape never reads the live registry,
-// so a late registration cannot race a scrape.
+// it — is guarded by a mutex, which a reader holds only to copy. A
+// scrape never reads the live registry, so a late registration cannot
+// race a scrape.
 
 // DefaultSampleInterval is the default epoch length in cycles. At
 // simulator throughputs of tens of Msimcycles/s this is thousands of
@@ -39,34 +47,6 @@ type SamplerConfig struct {
 	// Capacity bounds the retained samples; the ring keeps the most
 	// recent Capacity epochs (<= 0 selects DefaultSampleCapacity).
 	Capacity int
-}
-
-// HistogramDelta is one histogram's per-epoch activity: the
-// observations recorded during the epoch, as count/sum plus the
-// non-empty log2 buckets ([right-edge, count] pairs, like
-// HistogramStats.Buckets but covering only this epoch).
-type HistogramDelta struct {
-	Count   int64      `json:"count"`
-	Sum     int64      `json:"sum"`
-	Buckets [][2]int64 `json:"buckets,omitempty"`
-}
-
-// Sample is one epoch of registry activity. Counters hold per-epoch
-// deltas (rates once divided by the interval); Gauges hold
-// point-in-time values at the boundary (Func metrics included);
-// Histograms hold per-epoch observation deltas.
-type Sample struct {
-	// Epoch is the 0-based sample index (epoch 0 is the baseline
-	// sample at cycle 0 when the caller takes one).
-	Epoch int64 `json:"epoch"`
-
-	// Cycle is the boundary this sample was taken at: the sample
-	// covers activity in (prevCycle, Cycle].
-	Cycle int64 `json:"cycle"`
-
-	Counters   map[string]int64          `json:"counters,omitempty"`
-	Gauges     map[string]int64          `json:"gauges,omitempty"`
-	Histograms map[string]HistogramDelta `json:"histograms,omitempty"`
 }
 
 // histPrev is the cumulative state of one histogram at the previous
@@ -125,9 +105,6 @@ func NewSampler(reg *Registry, cfg SamplerConfig) *Sampler {
 		nextAt:   cfg.Interval,
 	}
 }
-
-// Interval returns the epoch length in cycles.
-func (s *Sampler) Interval() int64 { return s.interval }
 
 // NextSampleAt returns the next epoch boundary: the simulation calls
 // Sample when its cycle counter reaches it.
@@ -202,64 +179,49 @@ func (s *Sampler) Sample(cycle int64) {
 	s.start = (s.start + 1) % len(s.ring)
 }
 
-// walk calls fn with each item the record covers: its registry
-// position and its values (one, or a histogram's 3 + 2·buckets). A
-// decoded record has passed covers, which checks what walk trusts.
-func (r *record) walk(items []item, fn func(i int, v []int64)) {
-	v := r.vals
-	for i := 0; len(v) > 0; i++ {
-		n := 1
-		if items[i].kind == kindHistogram {
-			n = 3 + 2*int(v[2])
+// walk calls fn (when not nil) with each item the record covers: its
+// registry position and its values (one, or a histogram's 3 + 2·buckets).
+// It returns how many items that is, or why the record does not parse
+// against items; only a hostile checkpoint holds such a record, and the
+// decoder refuses it.
+func (r *record) walk(items []item, fn func(i int, v []int64)) (int, error) {
+	v, i := r.vals, 0
+	for ; len(v) > 0; i++ {
+		if i == len(items) {
+			return 0, fmt.Errorf("values past the %d registered metrics", len(items))
 		}
-		fn(i, v[:n])
+		n := 1
+		if it := &items[i]; it.kind == kindHistogram {
+			if n = 3; len(v) >= n {
+				if nb := v[2]; nb < 0 || nb > histBuckets {
+					return 0, fmt.Errorf("histogram %q has %d buckets, want at most %d", it.name, nb, histBuckets)
+				}
+				n += 2 * int(v[2])
+			}
+			if n > len(v) {
+				return 0, fmt.Errorf("histogram %q runs past the record's end", it.name)
+			}
+		}
+		if fn != nil {
+			fn(i, v[:n])
+		}
 		v = v[n:]
 	}
+	return i, nil
 }
 
-// expand fills sm with a record's Sample maps, reusing any maps sm
-// already has: the checkpoint encoder expands every record into one
-// Sample, where building three maps per record would triple its cost.
-// Caller holds mu.
-func (s *Sampler) expand(r *record, sm *Sample) {
-	if sm.Counters == nil {
-		sm.Counters = make(map[string]int64)
-		sm.Gauges = make(map[string]int64)
-		sm.Histograms = make(map[string]HistogramDelta)
-	}
-	clear(sm.Counters)
-	clear(sm.Gauges)
-	clear(sm.Histograms)
-	sm.Epoch, sm.Cycle = r.epoch, r.cycle
-	r.walk(s.items, func(i int, v []int64) {
-		it := &s.items[i]
-		switch it.kind {
-		case kindCounter:
-			sm.Counters[it.name] = v[0]
-		case kindGauge, kindFunc:
-			sm.Gauges[it.name] = v[0]
-		case kindHistogram:
-			d := HistogramDelta{Count: v[0], Sum: v[1]}
-			for b := 3; b < len(v); b += 2 {
-				d.Buckets = append(d.Buckets, [2]int64{v[b], v[b+1]})
-			}
-			sm.Histograms[it.name] = d
-		}
-	})
-}
-
-// latest builds the cumulative snapshot as of the newest record: the
+// Latest returns the cumulative snapshot as of the newest record: the
 // counters' and histograms' boundary values and the newest record's
-// gauges. Caller holds mu; the ring is not empty, and its newest record
-// covers the items the cumulative arrays do.
-func (s *Sampler) latest() Snapshot {
-	snap := Snapshot{
-		Counters:   make(map[string]int64, len(s.prevCounter)),
-		Gauges:     make(map[string]int64, len(s.prevCounter)),
-		Histograms: make(map[string]HistogramStats),
+// gauges, built on each call from state the last Sample published (safe
+// while the simulation runs). ok is false until the first sample.
+func (s *Sampler) Latest() (snap Snapshot, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.ring) == 0 {
+		return Snapshot{}, false
 	}
-	newest := &s.ring[(s.start+len(s.ring)-1)%len(s.ring)]
-	newest.walk(s.items, func(i int, v []int64) {
+	snap = newSnapshot(len(s.prevCounter))
+	s.ring[(s.start+len(s.ring)-1)%len(s.ring)].walk(s.items, func(i int, v []int64) {
 		it := &s.items[i]
 		switch it.kind {
 		case kindCounter:
@@ -271,44 +233,121 @@ func (s *Sampler) latest() Snapshot {
 			snap.Histograms[it.name] = histStats(&Histogram{counts: p.counts, n: p.n, sum: p.sum, max: p.max})
 		}
 	})
-	return snap
+	return snap, true
 }
 
-// Epochs returns how many samples have been taken ever (including any
-// that have since been evicted from the ring).
-func (s *Sampler) Epochs() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epochs
+// Series is one consistent copy of what a sampler retains. It shares
+// no storage the sampler goes on to write, so a reader may keep it
+// while the simulation runs.
+type Series struct {
+	Interval int64   `json:"interval"` // epoch length in cycles
+	Epochs   int64   `json:"epochs"`   // samples taken ever, evicted ones included
+	Samples  Records `json:"samples"`  // the retained epochs
 }
 
-// Latest returns the most recent cumulative snapshot, built on each
-// call from state the last Sample published (safe to call while the
-// simulation runs). ok is false until the first sample is taken.
-func (s *Sampler) Latest() (snap Snapshot, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.ring) == 0 {
-		return Snapshot{}, false
-	}
-	return s.latest(), true
+// Records is a run of epoch records, oldest first, with the item table
+// they are positional over (read for names and kinds only).
+type Records struct {
+	items []item
+	recs  []record
 }
 
-// Samples returns the retained samples at boundary cycles strictly
-// greater than sinceCycle, oldest first (pass a negative value for
-// all). The result is built on each call and safe to use concurrently
-// with sampling.
-func (s *Sampler) Samples(sinceCycle int64) []Sample {
+// Series copies what the sampler retains under one lock acquisition:
+// two allocations whatever the ring's length, the records in one array.
+func (s *Sampler) Series() Series {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Sample, 0, len(s.ring))
+	n := 0
 	for i := range s.ring {
-		r := &s.ring[(s.start+i)%len(s.ring)]
-		if r.cycle > sinceCycle {
-			var sm Sample
-			s.expand(r, &sm)
-			out = append(out, sm)
-		}
+		n += len(s.ring[i].vals)
 	}
-	return out
+	vals, recs := make([]int64, 0, n), make([]record, len(s.ring))
+	for i := range recs {
+		r := &s.ring[(s.start+i)%len(s.ring)]
+		vals = append(vals, r.vals...)
+		recs[i] = record{r.epoch, r.cycle, vals[len(vals)-len(r.vals):]}
+	}
+	return Series{Interval: s.interval, Epochs: s.epochs, Samples: Records{s.items, recs}}
+}
+
+// Len returns the number of records.
+func (r Records) Len() int { return len(r.recs) }
+
+// At returns record i's sample index (0 is the cycle-0 baseline) and
+// the boundary it was taken at: it covers (the previous one, cycle].
+func (r Records) At(i int) (epoch, cycle int64) { return r.recs[i].epoch, r.recs[i].cycle }
+
+// Since returns the records at boundaries after cycle: a suffix, since
+// boundaries only grow.
+func (r Records) Since(cycle int64) Records {
+	i := sort.Search(len(r.recs), func(i int) bool { return r.recs[i].cycle > cycle })
+	return Records{r.items, r.recs[i:]}
+}
+
+// Index returns the position of the counter, gauge or Func called name,
+// or -1 when there is none (a histogram has no one value).
+func (r Records) Index(name string) int {
+	return slices.IndexFunc(r.items, func(it item) bool { return it.name == name && it.kind != kindHistogram })
+}
+
+// Row fills row (reusing its storage) with record i's value at each
+// position: a counter's delta, a gauge's or Func's value, a histogram's
+// count delta, 0 for an item registered after the record was taken.
+func (r Records) Row(i int, row []int64) []int64 {
+	row = slices.Grow(row[:0], len(r.items))[:len(r.items)]
+	clear(row)
+	r.recs[i].walk(r.items, func(pos int, v []int64) { row[pos] = v[0] })
+	return row
+}
+
+// kindGroup is the JSON object each kind is listed under.
+var kindGroup = [...]string{kindCounter: "counters", kindGauge: "gauges", kindFunc: "gauges", kindHistogram: "histograms"}
+
+// MarshalJSON encodes each record as {epoch, cycle, counters, gauges,
+// histograms}: per group the names the record covers in sorted order,
+// a histogram as {count, sum, buckets} with buckets its non-empty
+// [right edge, count] pairs. An empty group or bucket list is left out.
+func (r Records) MarshalJSON() ([]byte, error) {
+	order := make([]int, len(r.items)) // positions in name order
+	names, vals := make([][]byte, len(r.items)), make([][]int64, len(r.items))
+	for i := range order {
+		order[i] = i
+		names[i], _ = json.Marshal(r.items[i].name)
+	}
+	sort.Slice(order, func(a, b int) bool { return r.items[order[a]].name < r.items[order[b]].name })
+	b, lead := []byte{'['}, ""
+	for _, rec := range r.recs {
+		clear(vals)
+		rec.walk(r.items, func(pos int, v []int64) { vals[pos] = v })
+		b = fmt.Appendf(b, `%s{"epoch":%d,"cycle":%d`, lead, rec.epoch, rec.cycle)
+		lead = ","
+		for _, group := range [...]string{"counters", "gauges", "histograms"} {
+			sep := `,"` + group + `":{`
+			for _, pos := range order {
+				it, v := &r.items[pos], vals[pos]
+				if v == nil || kindGroup[it.kind] != group {
+					continue
+				}
+				b = append(append(append(b, sep...), names[pos]...), ':')
+				if sep = ","; it.kind != kindHistogram {
+					b = strconv.AppendInt(b, v[0], 10)
+					continue
+				}
+				b = fmt.Appendf(b, `{"count":%d,"sum":%d`, v[0], v[1])
+				if len(v) > 3 {
+					b = append(b, `,"buckets":[`...)
+					for k := 3; k < len(v); k += 2 {
+						b = fmt.Appendf(b, "[%d,%d],", v[k], v[k+1])
+					}
+					b[len(b)-1] = ']'
+				}
+				b = append(b, '}')
+			}
+			if sep == "," {
+				b = append(b, '}')
+			}
+		}
+		b = append(b, '}')
+	}
+	return append(b, ']'), nil
 }

@@ -2,12 +2,39 @@ package metrics
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/snapshot"
 )
+
+// sample is one epoch in the map form of its JSON encoding, for
+// assertions by name.
+type sample struct {
+	Epoch, Cycle     int64
+	Counters, Gauges map[string]int64
+	Histograms       map[string]struct {
+		Count, Sum int64
+		Buckets    [][2]int64
+	}
+}
+
+// samples decodes the sampler's retained epochs at boundary cycles
+// above since (-1 for all).
+func samples(t *testing.T, s *Sampler, since int64) []sample {
+	t.Helper()
+	b, err := json.Marshal(s.Series().Samples.Since(since))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []sample
+	if err := json.Unmarshal(b, &out); err != nil {
+		t.Fatalf("%v: %s", err, b)
+	}
+	return out
+}
 
 // TestSamplerDeltas drives a registry through three epochs and checks
 // that counter deltas, gauge point values, Func evaluation, and
@@ -42,7 +69,7 @@ func TestSamplerDeltas(t *testing.T) {
 	fnVal = 200
 	s.Sample(200)
 
-	got := s.Samples(-1)
+	got := samples(t, s, -1)
 	if len(got) != 3 {
 		t.Fatalf("got %d samples, want 3", len(got))
 	}
@@ -117,7 +144,7 @@ func TestSamplerRingBounded(t *testing.T) {
 		c.Add(i)
 		s.Sample(i * 10)
 	}
-	got := s.Samples(-1)
+	got := samples(t, s, -1)
 	if len(got) != 4 {
 		t.Fatalf("ring holds %d samples, want 4", len(got))
 	}
@@ -131,11 +158,11 @@ func TestSamplerRingBounded(t *testing.T) {
 			t.Errorf("epoch %d delta = %d, want %d", sm.Epoch, sm.Counters["n"], want)
 		}
 	}
-	if s.Epochs() != 10 {
-		t.Errorf("Epochs = %d, want 10", s.Epochs())
+	if e := s.Series().Epochs; e != 10 {
+		t.Errorf("Epochs = %d, want 10", e)
 	}
 	// since filter
-	if got := s.Samples(85); len(got) != 2 || got[0].Cycle != 90 {
+	if got := samples(t, s, 85); len(got) != 2 || got[0].Cycle != 90 {
 		t.Errorf("Samples(85) = %+v, want cycles 90,100", got)
 	}
 }
@@ -163,9 +190,10 @@ func TestSamplerConcurrentReaders(t *testing.T) {
 					return
 				default:
 				}
-				s.Samples(-1)
+				if _, err := json.Marshal(s.Series()); err != nil {
+					t.Error(err)
+				}
 				s.Latest()
-				s.Epochs()
 			}
 		}()
 	}
@@ -218,7 +246,7 @@ func TestSamplerRecordWire(t *testing.T) {
 	if !reflect.DeepEqual(back.ring, s.ring) {
 		t.Errorf("records decode to %+v, want %+v", back.ring, s.ring)
 	}
-	if got, want := back.Samples(-1), s.Samples(-1); !reflect.DeepEqual(got, want) {
+	if got, want := samples(t, back, -1), samples(t, s, -1); !reflect.DeepEqual(got, want) {
 		t.Errorf("restored series %+v, want %+v", got, want)
 	}
 	got, _ := back.Latest()

@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-
-	"repro/internal/snapshot"
-)
+import "repro/internal/snapshot"
 
 // State visits every registered metric's current value, in
 // registration order. Registration order is deterministic (components
@@ -75,7 +71,7 @@ func (sp *Sampler) State(s *snapshot.Codec) error {
 		snapshot.Slice(s, &r.vals, n*(3+2*histBuckets), s.I64)
 		if s.Loading() && s.Err() == nil {
 			var err error
-			if newest, err = r.covers(sp.items); err != nil {
+			if newest, err = r.walk(sp.items, nil); err != nil {
 				s.Fail("epoch %d: %v", r.epoch, err)
 			}
 		}
@@ -85,31 +81,4 @@ func (sp *Sampler) State(s *snapshot.Codec) error {
 		s.Fail("newest epoch covers %d metrics, the cumulative arrays %d", newest, len(sp.prevCounter))
 	}
 	return s.End()
-}
-
-// covers parses a decoded record against the registry and returns how
-// many items it covers (see walk, which trusts what this checks).
-func (r *record) covers(items []item) (int, error) {
-	v := r.vals
-	i := 0
-	for ; len(v) > 0; i++ {
-		if i == len(items) {
-			return 0, fmt.Errorf("values past the %d registered metrics", len(items))
-		}
-		n := 1
-		if items[i].kind == kindHistogram {
-			n = 3
-			if len(v) >= n {
-				if nb := v[2]; nb < 0 || nb > histBuckets {
-					return 0, fmt.Errorf("histogram %q has %d buckets, want at most %d", items[i].name, nb, histBuckets)
-				}
-				n += 2 * int(v[2])
-			}
-			if n > len(v) {
-				return 0, fmt.Errorf("histogram %q runs past the record's end", items[i].name)
-			}
-		}
-		v = v[n:]
-	}
-	return i, nil
 }

@@ -264,7 +264,7 @@ func TestDiurnalSamplerEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Step(600_000)
-	samples := s.Sampler().Samples(-1)
+	samples := epochs(t, s)
 	if len(samples) < 30 {
 		t.Fatalf("only %d epochs sampled", len(samples))
 	}

@@ -16,7 +16,7 @@ import (
 
 // fairness scores a sampled system's retained epochs.
 func fairness(s *System) (memctrl.FairnessSummary, []memctrl.FairnessSample) {
-	return memctrl.Fairness(s.Sampler().Interval(), s.Sampler().Samples(-1))
+	return memctrl.Fairness(s.Sampler().Series())
 }
 
 // TestFairnessSeriesBoundedVsDrift is the fairness-over-time acceptance
@@ -284,11 +284,15 @@ func TestFairnessWrappedRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Step(60_000)
-	retained := s.Sampler().Samples(-1)
+	ser := s.Sampler().Series()
+	retained := make([]struct{ Epoch int64 }, ser.Samples.Len())
+	for i := range retained {
+		retained[i].Epoch, _ = ser.Samples.At(i)
+	}
 	if len(retained) != metrics.DefaultSampleCapacity || retained[0].Epoch == 0 {
 		t.Fatalf("%d epochs retained from epoch %d: the ring has not wrapped", len(retained), retained[0].Epoch)
 	}
-	sum, scored := memctrl.Fairness(s.Sampler().Interval(), retained)
+	sum, scored := memctrl.Fairness(ser)
 	if len(scored) != len(retained)-1 {
 		t.Fatalf("%d epochs scored of %d retained, want all but the oldest", len(scored), len(retained))
 	}
@@ -308,8 +312,8 @@ func TestFairnessWrappedRing(t *testing.T) {
 	if !short {
 		t.Error("no thread fell short in the first scored epoch, so the window start is not exercised")
 	}
-	if sum.Epochs != int64(len(scored)) || sum.Epochs >= s.Sampler().Epochs() {
-		t.Errorf("summary counts %d epochs; %d scored, %d sampled", sum.Epochs, len(scored), s.Sampler().Epochs())
+	if sum.Epochs != int64(len(scored)) || sum.Epochs >= ser.Epochs {
+		t.Errorf("summary counts %d epochs; %d scored, %d sampled", sum.Epochs, len(scored), ser.Epochs)
 	}
 	if last := scored[len(scored)-1].CumShortfall; !reflect.DeepEqual(last, sum.CumShortfall) {
 		t.Errorf("last scored cumulative shortfall %v, summary %v", last, sum.CumShortfall)

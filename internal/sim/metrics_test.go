@@ -11,6 +11,34 @@ import (
 	"repro/internal/trace"
 )
 
+// epoch is one sampled epoch in the map form of its JSON encoding, for
+// assertions by name.
+type epoch struct {
+	Epoch      int64            `json:"epoch"`
+	Cycle      int64            `json:"cycle"`
+	Counters   map[string]int64 `json:"counters,omitempty"`
+	Gauges     map[string]int64 `json:"gauges,omitempty"`
+	Histograms map[string]struct {
+		Count   int64      `json:"count"`
+		Sum     int64      `json:"sum"`
+		Buckets [][2]int64 `json:"buckets,omitempty"`
+	} `json:"histograms,omitempty"`
+}
+
+// epochs decodes a sampled system's retained epochs.
+func epochs(t testing.TB, s *System) []epoch {
+	t.Helper()
+	b, err := json.Marshal(s.Sampler().Series().Samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []epoch
+	if err := json.Unmarshal(b, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestMetricsEquivalence is the observability layer's acceptance test:
 // enabling the metrics registry and the Chrome trace writer must leave
 // the simulation's Result bit-identical in both the event-driven and
@@ -88,7 +116,7 @@ func TestMetricsEquivalence(t *testing.T) {
 	// The series record the machine, not how it was stepped: the strict
 	// run examines every bank on every cycle and retries every refused
 	// Accept per cycle, and none of that may show in an epoch.
-	if !reflect.DeepEqual(strictSys.Sampler().Samples(-1), sampledSys.Sampler().Samples(-1)) {
+	if !reflect.DeepEqual(epochs(t, strictSys), epochs(t, sampledSys)) {
 		t.Error("strict and fast runs sampled different epoch series")
 	}
 	_, strictFair := fairness(strictSys)
@@ -101,7 +129,7 @@ func TestMetricsEquivalence(t *testing.T) {
 	// every sample on an exact epoch boundary, one sample per boundary
 	// plus the cycle-0 baseline, and counter deltas summing to the
 	// cumulative totals.
-	samples := sampledSys.Sampler().Samples(-1)
+	samples := epochs(t, sampledSys)
 	wantSamples := int((warmup+window)/sampleInterval) + 1
 	if len(samples) != wantSamples {
 		t.Fatalf("sampler retained %d samples, want %d", len(samples), wantSamples)

@@ -28,7 +28,7 @@ import (
 // when their runStates are equal.
 type runState struct {
 	Result Result
-	Epochs []metrics.Sample
+	Epochs []epoch
 	ckpt   []byte // excluded from JSON artifacts
 }
 
@@ -36,7 +36,7 @@ func captureRun(t *testing.T, s *System) runState {
 	t.Helper()
 	st := runState{Result: s.Results()}
 	if s.Sampler() != nil {
-		st.Epochs = s.Sampler().Samples(-1)
+		st.Epochs = epochs(t, s)
 	}
 	var buf bytes.Buffer
 	if err := s.Checkpoint(&buf); err != nil {

@@ -51,41 +51,34 @@ func PromName(name string) string {
 // _count. Families are emitted in sorted name order so the output is
 // deterministic and diffable.
 func WritePrometheus(w io.Writer, snap metrics.Snapshot) error {
-	names := make([]string, 0, len(snap.Counters))
-	for name := range snap.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(snap.Counters) {
 		pn := PromName(name) + "_total"
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", pn, pn, snap.Counters[name]); err != nil {
 			return err
 		}
 	}
-
-	names = names[:0]
-	for name := range snap.Gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(snap.Gauges) {
 		pn := PromName(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", pn, pn, snap.Gauges[name]); err != nil {
 			return err
 		}
 	}
-
-	names = names[:0]
-	for name := range snap.Histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(snap.Histograms) {
 		if err := writeHistogram(w, PromName(name), snap.Histograms[name]); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// sortedKeys returns a snapshot family's names in sorted order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // writeHistogram emits one histogram family. The snapshot's buckets are

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 
 	"repro/internal/memctrl"
@@ -135,35 +136,23 @@ func newMux(cfg Config) *http.ServeMux {
 	})
 
 	mux.HandleFunc("/series", func(w http.ResponseWriter, r *http.Request) {
-		if cfg.Sampler == nil {
-			http.Error(w, "no sampler attached", http.StatusNotFound)
-			return
+		if since, ok := sinceParam(w, r, cfg.Sampler); ok {
+			ser := cfg.Sampler.Series()
+			ser.Samples = ser.Samples.Since(since)
+			writeJSON(w, ser)
 		}
-		writeJSON(w, struct {
-			Interval int64            `json:"interval"`
-			Epochs   int64            `json:"epochs"`
-			Samples  []metrics.Sample `json:"samples"`
-		}{cfg.Sampler.Interval(), cfg.Sampler.Epochs(), cfg.Sampler.Samples(sinceParam(r))})
 	})
 
 	mux.HandleFunc("/fairness", func(w http.ResponseWriter, r *http.Request) {
-		if cfg.Sampler == nil {
-			http.Error(w, "no sampler attached", http.StatusNotFound)
-			return
-		}
 		// The summary covers every retained epoch; ?since= only trims
 		// the series.
-		sum, all := memctrl.Fairness(cfg.Sampler.Interval(), cfg.Sampler.Samples(-1))
-		since, samples := sinceParam(r), all[:0]
-		for _, fs := range all {
-			if fs.Cycle > since {
-				samples = append(samples, fs)
-			}
+		if since, ok := sinceParam(w, r, cfg.Sampler); ok {
+			sum, samples := memctrl.Fairness(cfg.Sampler.Series())
+			writeJSON(w, struct {
+				Summary memctrl.FairnessSummary  `json:"summary"`
+				Samples []memctrl.FairnessSample `json:"samples"`
+			}{sum, slices.DeleteFunc(samples, func(fs memctrl.FairnessSample) bool { return fs.Cycle <= since })})
 		}
-		writeJSON(w, struct {
-			Summary memctrl.FairnessSummary  `json:"summary"`
-			Samples []memctrl.FairnessSample `json:"samples"`
-		}{sum, samples})
 	})
 
 	mux.HandleFunc("/progress", func(w http.ResponseWriter, r *http.Request) {
@@ -187,17 +176,23 @@ func newMux(cfg Config) *http.ServeMux {
 	return mux
 }
 
-// sinceParam parses ?since=<cycle>; absent or malformed means all.
-func sinceParam(r *http.Request) int64 {
+// sinceParam answers a series request that cannot be served: 404
+// without a sampler, 400 when ?since=<cycle> is not a decimal integer.
+// Otherwise it returns the cycle, or -1 (all) when since is absent.
+func sinceParam(w http.ResponseWriter, r *http.Request, sp *metrics.Sampler) (int64, bool) {
+	if sp == nil {
+		http.Error(w, "no sampler attached", http.StatusNotFound)
+		return 0, false
+	}
 	v := r.URL.Query().Get("since")
 	if v == "" {
-		return -1
+		return -1, true
 	}
 	n, err := strconv.ParseInt(v, 10, 64)
 	if err != nil {
-		return -1
+		http.Error(w, fmt.Sprintf("since=%q is not a cycle", v), http.StatusBadRequest)
 	}
-	return n
+	return n, err == nil
 }
 
 // writeInterferenceCounters appends the who-delayed-whom matrix to a

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/memctrl"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -99,9 +98,12 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatalf("/series: status %d", code)
 	}
 	var series struct {
-		Interval int64            `json:"interval"`
-		Epochs   int64            `json:"epochs"`
-		Samples  []metrics.Sample `json:"samples"`
+		Interval int64 `json:"interval"`
+		Epochs   int64 `json:"epochs"`
+		Samples  []struct {
+			Cycle    int64            `json:"cycle"`
+			Counters map[string]int64 `json:"counters"`
+		} `json:"samples"`
 	}
 	if err := json.Unmarshal([]byte(body), &series); err != nil {
 		t.Fatalf("/series: invalid JSON: %v", err)
@@ -120,6 +122,12 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if len(series.Samples) != 2 {
 		t.Errorf("/series?since=20000 returned %d samples, want 2", len(series.Samples))
+	}
+	// A since that is not a cycle is refused, not read as "all".
+	for _, path := range []string{"/series?since=abc", "/series?since=1e6", "/fairness?since=abc", "/fairness?since=1e6"} {
+		if code, body = get(t, client, srv.URL()+path); code != http.StatusBadRequest || strings.Count(body, "\n") != 1 {
+			t.Errorf("%s: status %d body %q, want 400 and one line", path, code, body)
+		}
 	}
 
 	code, body = get(t, client, srv.URL()+"/fairness")
@@ -241,6 +249,11 @@ func TestServerShutdown(t *testing.T) {
 	client := &http.Client{Timeout: 2 * time.Second}
 	if code, body := get(t, client, url+"/metrics"); code != http.StatusOK || !strings.Contains(body, "fqms_progress_done") {
 		t.Fatalf("pre-shutdown scrape failed: status %d body %q", code, body)
+	}
+	for _, path := range []string{"/series", "/fairness?since=abc"} {
+		if code, _ := get(t, client, url+path); code != http.StatusNotFound {
+			t.Errorf("%s without a sampler: status %d, want 404", path, code)
+		}
 	}
 	client.CloseIdleConnections()
 
