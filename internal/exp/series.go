@@ -32,11 +32,11 @@ type seriesDoc struct {
 // names the run within a sweep (and the document then names its
 // policy); a standalone run passes "".
 func newSeriesDoc(key string, s *sim.System) *seriesDoc {
-	doc := &seriesDoc{Key: key, Series: s.Sampler().Series()}
+	doc := &seriesDoc{Key: key, Series: s.Sampler().Series(-1)}
 	if key != "" {
 		doc.Policy = s.Controller().Policy().Name()
 	}
-	doc.Fairness.Summary, doc.Fairness.Samples = memctrl.Fairness(doc.Series)
+	doc.Fairness.Summary, doc.Fairness.Samples = memctrl.Fairness(doc.Series, -1)
 	return doc
 }
 

@@ -100,11 +100,14 @@ type fairCols struct {
 	pair                             []int // by aggressor thread
 }
 
-// Fairness scores a sampler's retained epochs (metrics.Sampler.Series).
-// The threads are those whose five memctrl.threadN metrics are
-// registered; the columns resolve to positions once, and each epoch is
-// then one walk of its record.
-func Fairness(s metrics.Series) (FairnessSummary, []FairnessSample) {
+// Fairness scores a sampler's retained epochs (metrics.Sampler.Series)
+// and returns the summary of them all and the samples of the epochs at
+// boundaries after cycle since (-1 for all). The threads are those
+// whose five memctrl.threadN metrics are registered; the columns
+// resolve to positions once, and each epoch is then one walk of its
+// record. An epoch at or before since is scored in one reused sample,
+// so what Fairness allocates grows with the samples it returns.
+func Fairness(s metrics.Series, since int64) (FairnessSummary, []FairnessSample) {
 	recs := s.Samples
 	var cols []fairCols
 	for t := 0; recs.Len() > 0; t++ {
@@ -129,17 +132,8 @@ func Fairness(s metrics.Series) (FairnessSummary, []FairnessSample) {
 		MaxEpochShortfall: make([]float64, n),
 		MaxAbsExcess:      make([]float64, n),
 	}
-	out := make([]FairnessSample, 0, recs.Len())
-	var cur, prev []int64
-	for i := range recs.Len() {
-		if prev, cur = cur, recs.Row(i, prev); prev == nil {
-			prev = make([]int64, len(cur)) // the cycle-0 baseline scores against zero
-		}
-		epoch, cycle := recs.At(i)
-		if i == 0 && epoch != 0 {
-			continue // a wrapped ring's oldest record has no predecessor
-		}
-		fs := FairnessSample{
+	newSample := func(epoch, cycle int64) FairnessSample {
+		return FairnessSample{
 			Epoch:        epoch,
 			Cycle:        cycle,
 			Service:      make([]int64, n),
@@ -151,12 +145,40 @@ func Fairness(s metrics.Series) (FairnessSummary, []FairnessSample) {
 			TopAggressor: make([]int, n),
 			StolenCycles: make([]int64, n),
 		}
+	}
+	keep := 0
+	for i := recs.Len() - 1; i >= 0; i-- {
+		if _, cycle := recs.At(i); cycle <= since {
+			break
+		}
+		keep++
+	}
+	out := make([]FairnessSample, 0, keep)
+	var skipped FairnessSample // scores each epoch at or before since
+	var cur, prev []int64
+	for i := range recs.Len() {
+		if prev, cur = cur, recs.Row(i, prev); prev == nil {
+			prev = make([]int64, len(cur)) // the cycle-0 baseline scores against zero
+		}
+		epoch, cycle := recs.At(i)
+		if i == 0 && epoch != 0 {
+			continue // a wrapped ring's oldest record has no predecessor
+		}
+		sum.Epochs++
+		fs := &skipped
+		if cycle > since {
+			out = append(out, newSample(epoch, cycle))
+			fs = &out[len(out)-1]
+		} else if skipped.Service == nil {
+			skipped = newSample(epoch, cycle)
+		}
+		fs.Total = 0
 		for t, c := range cols {
 			fs.Service[t] = cur[c.service] - prev[c.service]
 			fs.Total += fs.Service[t]
 			fs.Phi[t] = float64(cur[c.num]) / float64(cur[c.den])
 			fs.Backlogged[t] = cur[c.reads]+cur[c.writes] > 0
-			fs.TopAggressor[t] = -1
+			fs.TopAggressor[t], fs.StolenCycles[t] = -1, 0
 			for a, pos := range c.pair {
 				if pos >= 0 && a != t && cur[pos] > fs.StolenCycles[t] {
 					fs.StolenCycles[t], fs.TopAggressor[t] = cur[pos], a
@@ -164,6 +186,7 @@ func Fairness(s metrics.Series) (FairnessSummary, []FairnessSample) {
 			}
 		}
 		for t := range cols {
+			fs.Share[t] = 0
 			if fs.Total > 0 {
 				fs.Share[t] = float64(fs.Service[t]) / float64(fs.Total)
 			}
@@ -175,8 +198,6 @@ func Fairness(s metrics.Series) (FairnessSummary, []FairnessSample) {
 			}
 			fs.CumShortfall[t] = sum.CumShortfall[t]
 		}
-		out = append(out, fs)
 	}
-	sum.Epochs = int64(len(out))
 	return sum, out
 }

@@ -53,26 +53,39 @@ func fullRing(epochs int) *metrics.Sampler {
 // TestFullRingScrapeAllocs gates a full-ring scrape by counts, not
 // times. The copy allocates a constant number of times however many
 // epochs the ring holds, and copy plus Fairness allocate the eight
-// slices each scored FairnessSample holds plus a constant. Before the
-// records were read in place, Sampler.Samples(-1) plus Fairness built
-// three maps per epoch: 152,041 allocations (47 MB) on a full art+vpr
-// ring of 108 metrics.
+// slices each returned FairnessSample holds plus a constant: a scrape
+// with ?since= near the ring's end scores every retained epoch but pays
+// only for the few it returns. Before the records were read in place,
+// Sampler.Samples(-1) plus Fairness built three maps per epoch: 152,041
+// allocations (47 MB) on a full art+vpr ring of 108 metrics.
 func TestFullRingScrapeAllocs(t *testing.T) {
-	for _, epochs := range []int{10, metrics.DefaultSampleCapacity + 100} {
-		s := fullRing(epochs)
-		if got := testing.AllocsPerRun(5, func() { s.Series() }); got > 4 {
-			t.Errorf("%d epochs: the copy allocates %v times, want at most 4", epochs, got)
+	full := metrics.DefaultSampleCapacity + 100
+	for _, tc := range []struct {
+		epochs int
+		since  int64
+		want   int // samples returned
+	}{
+		{10, -1, 10},
+		// A wrapped ring's oldest record is not scored.
+		{full, -1, metrics.DefaultSampleCapacity - 1},
+		// The last five boundaries, at cycles (full-5)*100 ... (full-1)*100.
+		{full, int64(full-6) * 100, 5},
+	} {
+		s := fullRing(tc.epochs)
+		if got := testing.AllocsPerRun(5, func() { s.Series(tc.since) }); got > 4 {
+			t.Errorf("%d epochs since %d: the copy allocates %v times, want at most 4", tc.epochs, tc.since, got)
 		}
-		want := epochs // a wrapped ring's oldest record is not scored
-		if epochs > metrics.DefaultSampleCapacity {
-			want = metrics.DefaultSampleCapacity - 1
+		if n := s.Series(tc.since).Samples.Len(); tc.since >= 0 && n != tc.want {
+			t.Errorf("%d epochs since %d: the copy holds %d records, want %d", tc.epochs, tc.since, n, tc.want)
 		}
-		if sum, scored := Fairness(s.Series()); len(scored) != want || sum.Threads != 2 {
-			t.Fatalf("%d epochs: %d scored over %d threads, want %d over 2", epochs, len(scored), sum.Threads, want)
+		sum, scored := Fairness(s.Series(-1), tc.since)
+		if len(scored) != tc.want || sum.Threads != 2 || sum.Epochs != int64(min(tc.epochs, metrics.DefaultSampleCapacity-1)) {
+			t.Fatalf("%d epochs since %d: %d returned of %d scored over %d threads, want %d over 2",
+				tc.epochs, tc.since, len(scored), sum.Epochs, sum.Threads, tc.want)
 		}
-		limit := float64(8*want + 64)
-		if got := testing.AllocsPerRun(5, func() { Fairness(s.Series()) }); got > limit {
-			t.Errorf("%d epochs: copy plus Fairness allocate %v times, want at most %v", epochs, got, limit)
+		limit := float64(8*tc.want + 64)
+		if got := testing.AllocsPerRun(5, func() { Fairness(s.Series(-1), tc.since) }); got > limit {
+			t.Errorf("%d epochs since %d: copy plus Fairness allocate %v times, want at most %v", tc.epochs, tc.since, got, limit)
 		}
 	}
 }

@@ -252,18 +252,21 @@ type Records struct {
 	recs  []record
 }
 
-// Series copies what the sampler retains under one lock acquisition:
-// two allocations whatever the ring's length, the records in one array.
-func (s *Sampler) Series() Series {
+// Series copies the retained records at boundaries after cycle since
+// (-1 for all) under one lock acquisition: two allocations whatever the
+// ring's length, the copied records in one array.
+func (s *Sampler) Series(since int64) Series {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	at := func(i int) *record { return &s.ring[(s.start+i)%len(s.ring)] }
+	first := sort.Search(len(s.ring), func(i int) bool { return at(i).cycle > since })
 	n := 0
-	for i := range s.ring {
-		n += len(s.ring[i].vals)
+	for i := first; i < len(s.ring); i++ {
+		n += len(at(i).vals)
 	}
-	vals, recs := make([]int64, 0, n), make([]record, len(s.ring))
+	vals, recs := make([]int64, 0, n), make([]record, len(s.ring)-first)
 	for i := range recs {
-		r := &s.ring[(s.start+i)%len(s.ring)]
+		r := at(first + i)
 		vals = append(vals, r.vals...)
 		recs[i] = record{r.epoch, r.cycle, vals[len(vals)-len(r.vals):]}
 	}
@@ -276,13 +279,6 @@ func (r Records) Len() int { return len(r.recs) }
 // At returns record i's sample index (0 is the cycle-0 baseline) and
 // the boundary it was taken at: it covers (the previous one, cycle].
 func (r Records) At(i int) (epoch, cycle int64) { return r.recs[i].epoch, r.recs[i].cycle }
-
-// Since returns the records at boundaries after cycle: a suffix, since
-// boundaries only grow.
-func (r Records) Since(cycle int64) Records {
-	i := sort.Search(len(r.recs), func(i int) bool { return r.recs[i].cycle > cycle })
-	return Records{r.items, r.recs[i:]}
-}
 
 // Index returns the position of the counter, gauge or Func called name,
 // or -1 when there is none (a histogram has no one value).

@@ -25,7 +25,7 @@ type sample struct {
 // above since (-1 for all).
 func samples(t *testing.T, s *Sampler, since int64) []sample {
 	t.Helper()
-	b, err := json.Marshal(s.Series().Samples.Since(since))
+	b, err := json.Marshal(s.Series(since).Samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestSamplerRingBounded(t *testing.T) {
 			t.Errorf("epoch %d delta = %d, want %d", sm.Epoch, sm.Counters["n"], want)
 		}
 	}
-	if e := s.Series().Epochs; e != 10 {
+	if e := s.Series(-1).Epochs; e != 10 {
 		t.Errorf("Epochs = %d, want 10", e)
 	}
 	// since filter
@@ -190,7 +190,7 @@ func TestSamplerConcurrentReaders(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := json.Marshal(s.Series()); err != nil {
+				if _, err := json.Marshal(s.Series(-1)); err != nil {
 					t.Error(err)
 				}
 				s.Latest()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/metrics"
@@ -9,59 +10,66 @@ import (
 
 // TestStepZeroSteadyStateAllocs asserts the arena/ring contract: once
 // warmed past its peak occupancy, Step allocates nothing — request slots
-// recycle through the controller's free list and transit queues reuse
-// their backing arrays. A sampled epoch adds what it keeps: one sampler
-// record, one fairness record, and the amortized growth of their rings.
+// recycle through the controller's free list, transit queues reuse their
+// backing arrays, and attribution's per-slot accounting and the attack
+// agents' generators recycle theirs. A sampled epoch adds what it keeps:
+// one sampler record and the amortized growth of its ring. The rows are
+// measured in turn, never in parallel: a heap count cannot share the
+// process.
 func TestStepZeroSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement is slow")
 	}
-	art, err := trace.ByName("art")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vpr, err := trace.ByName("vpr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	art, vpr := profile(t, "art"), profile(t, "vpr")
 	quad := []trace.Profile{art, vpr, art, vpr}
-	for _, tc := range []struct {
+	agents := []trace.Profile{profile(t, "stream"), profile(t, "bushog"), profile(t, "rowthrash"), profile(t, "diurnal")}
+	rows := []struct {
 		name     string
 		policy   PolicyFactory
 		workload []trace.Profile
-		sampled  bool    // registry, 10k-cycle epochs and attribution on
+		seed     uint64
+		intf     bool    // attribution on
+		sampled  bool    // registry and 10k-cycle epochs on
 		step     int64   // cycles per measured Step
 		max      float64 // allocations per Step
 	}{
-		{"fqvftf", FQVFTF, quad, false, 5_000, 0},
+		{"fqvftf", FQVFTF, quad, 37, false, false, 5_000, 0},
 		// The interval policies' Tick paths (blacklist promotion, boost
 		// retarget, budget refill) are held to the same zero-alloc bar.
-		{"bliss", BLISS, quad, false, 5_000, 0},
-		{"slowfair", SLOWFAIR, quad, false, 5_000, 0},
-		{"bankbw", BANKBW, quad, false, 5_000, 0},
-		{"fqvftf-sampled", FQVFTF, []trace.Profile{art, vpr}, true, 10_000, 3},
-	} {
+		{"bliss", BLISS, quad, 37, false, false, 5_000, 0},
+		{"slowfair", SLOWFAIR, quad, 37, false, false, 5_000, 0},
+		{"bankbw", BANKBW, quad, 37, false, false, 5_000, 0},
+		{"fqvftf-sampled", FQVFTF, []trace.Profile{art, vpr}, 37, true, true, 10_000, 3},
+		{"interference", FQVFTF, quad, 37, true, false, 5_000, 0},
+		// Every agent kind at once, the stream agent's deeper queues
+		// included.
+		{"antagonist", FQVFTF, agents, 41, false, false, 5_000, 0},
+	}
+	// Warm far past peak queue/arena occupancy so every buffer has
+	// reached its high-water capacity. The systems warm at once; only
+	// the measurements must run alone.
+	systems := make([]*System, len(rows))
+	var wg sync.WaitGroup
+	for i, tc := range rows {
+		cfg := Config{Workload: tc.workload, Policy: tc.policy, Seed: tc.seed, Interference: tc.intf}
+		cfg.Mem.Channels = 2
+		if tc.sampled {
+			cfg.Metrics = metrics.New()
+			cfg.SampleInterval = 10_000
+		}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems[i] = s
+		wg.Add(1)
+		go func() { defer wg.Done(); s.Step(200_000) }()
+	}
+	wg.Wait()
+	for i, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{
-				Workload: tc.workload,
-				Policy:   tc.policy,
-				Seed:     37,
-			}
-			cfg.Mem.Channels = 2
-			if tc.sampled {
-				cfg.Metrics = metrics.New()
-				cfg.SampleInterval = 10_000
-				cfg.Interference = true
-			}
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Warm far past peak queue/arena occupancy so every buffer
-			// has reached its high-water capacity.
-			s.Step(200_000)
 			avg := testing.AllocsPerRun(10, func() {
-				s.Step(tc.step)
+				systems[i].Step(tc.step)
 			})
 			if avg > tc.max {
 				t.Errorf("%s Step allocates %.1f objects per %d cycles in steady state, want at most %v",

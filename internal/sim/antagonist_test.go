@@ -1,185 +1,10 @@
 package sim
 
 import (
-	"bytes"
-	"fmt"
 	"testing"
 
 	"repro/internal/trace"
 )
-
-// The antagonist profiles join every systemwide determinism suite the
-// SPEC profiles are held to: fast/strict equivalence, checkpoint-resume
-// bit-identity, and the zero-alloc steady state. The attack-address
-// generators and the stream agent's
-// deep-queue core/cache configs all sit on the hot path, so each suite
-// would catch a nondeterministic or allocating regression there.
-
-func antagonistMixes(t *testing.T) [][]trace.Profile {
-	t.Helper()
-	mix := func(names ...string) []trace.Profile {
-		ps := make([]trace.Profile, len(names))
-		for i, n := range names {
-			p, err := trace.ByName(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ps[i] = p
-		}
-		return ps
-	}
-	return [][]trace.Profile{
-		mix("vpr", "bushog"),
-		mix("vpr", "rowthrash", "stream"),
-		mix("diurnal", "bankhammer"),
-	}
-}
-
-// TestAntagonistEquivalence holds every antagonist mix, audited, to the
-// strict oracle: the event-driven fast path must reproduce the per-cycle
-// path's Result and final checkpoint bytes.
-func TestAntagonistEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("equivalence sweep is slow")
-	}
-	for mi, mix := range antagonistMixes(t) {
-		for _, pol := range []struct {
-			name    string
-			factory PolicyFactory
-		}{{"FQ-VFTF", FQVFTF}, {"FR-FCFS", FRFCFS}} {
-			mix, pol := mix, pol
-			t.Run(fmt.Sprintf("mix%d/%s", mi, pol.name), func(t *testing.T) {
-				t.Parallel()
-				run := func(strict bool) runState {
-					cfg := Config{
-						Workload: mix,
-						Policy:   pol.factory,
-						Seed:     29,
-						Strict:   strict,
-						Audit:    true,
-					}
-					cfg.Mem.Channels = 2
-					s, err := New(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					s.Step(20_000)
-					s.BeginMeasurement()
-					s.Step(60_000)
-					s.FinishAudit()
-					return captureRun(t, s)
-				}
-				compareRuns(t, fmt.Sprintf("antagonist-mix%d-%s", mi, pol.name), run(false), run(true))
-			})
-		}
-	}
-}
-
-// TestAntagonistCheckpointResume interrupts antagonist mixes at an odd
-// cycle inside the measurement window — with the auditor and epoch
-// sampler live, so the diurnal generator's envelope phase and the
-// attack cursors are cut mid-flight — and requires the resumed run to
-// match the uninterrupted one on every observable, final process state
-// included.
-func TestAntagonistCheckpointResume(t *testing.T) {
-	cells := []struct {
-		names   []string
-		factory PolicyFactory
-		policy  string
-	}{
-		{[]string{"vpr", "diurnal"}, FQVFTF, "FQ-VFTF"},
-		{[]string{"stream", "bankhammer"}, FRFCFS, "FR-FCFS"},
-	}
-	const warmup, preCk, postCk = 2_000, 3_001, 4_999
-	for _, cell := range cells {
-		cell := cell
-		t.Run(fmt.Sprintf("%v/%s", cell.names, cell.policy), func(t *testing.T) {
-			t.Parallel()
-			ps := make([]trace.Profile, len(cell.names))
-			for i, n := range cell.names {
-				p, err := trace.ByName(n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ps[i] = p
-			}
-			cfg := Config{
-				Workload:       ps,
-				Policy:         cell.factory,
-				Seed:           31,
-				Audit:          true,
-				SampleInterval: 1_000,
-			}
-
-			ref, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref.Step(warmup)
-			ref.BeginMeasurement()
-			ref.Step(preCk + postCk)
-			ref.FinishAudit()
-			want := captureRun(t, ref)
-
-			first, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			first.Step(warmup)
-			first.BeginMeasurement()
-			first.Step(preCk)
-			var buf bytes.Buffer
-			if err := first.Checkpoint(&buf); err != nil {
-				t.Fatal(err)
-			}
-			resumed, err := Restore(cfg, bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatalf("restore: %v", err)
-			}
-			resumed.Step(postCk)
-			resumed.FinishAudit()
-			got := captureRun(t, resumed)
-			compareRuns(t, "antagonist-resume-"+cell.policy, got, want)
-		})
-	}
-}
-
-// TestAntagonistSteadyStateAllocs holds a mixed agent-kind, all-
-// antagonist system — stream agents with their deeper queues included —
-// to the same zero-allocation steady state as the SPEC mixes.
-func TestAntagonistSteadyStateAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("alloc measurement is slow")
-	}
-	names := []string{"stream", "bushog", "rowthrash", "diurnal"}
-	ps := make([]trace.Profile, len(names))
-	for i, n := range names {
-		p, err := trace.ByName(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ps[i] = p
-	}
-	t.Run("workers=0", func(t *testing.T) {
-		cfg := Config{
-			Workload: ps,
-			Policy:   FQVFTF,
-			Seed:     41,
-		}
-		cfg.Mem.Channels = 2
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Step(200_000)
-		avg := testing.AllocsPerRun(10, func() {
-			s.Step(5_000)
-		})
-		if avg != 0 {
-			t.Errorf("Step allocates %.1f objects per 5k cycles in steady state, want 0", avg)
-		}
-	})
-}
 
 // TestAntagonistCalibration pins each antagonist's solo signature under
 // FR-FCFS: the attacks must actually produce the memory behavior they
@@ -188,6 +13,7 @@ func TestAntagonistCalibration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration sweep is slow")
 	}
+	t.Parallel() // measures no allocation, so it may share the host
 	type band struct {
 		minUtil, maxUtil     float64
 		minRowHit, maxRowHit float64
@@ -250,6 +76,7 @@ func TestDiurnalSamplerEnvelope(t *testing.T) {
 	if testing.Short() {
 		t.Skip("envelope run is slow")
 	}
+	t.Parallel() // measures no allocation, so it may share the host
 	p, err := trace.ByName("diurnal")
 	if err != nil {
 		t.Fatal(err)

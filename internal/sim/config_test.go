@@ -324,76 +324,6 @@ func simGoroutines() string {
 	return strings.Join(ours, "\n\n")
 }
 
-// TestParallelEquivalence holds every policy to what the benchmark's
-// parallel layer checks when it sets Workers: serial's bytes. Each
-// policy runs a 2-channel art+vpr mix with the invariant auditor and
-// epoch sampling enabled, through dozens of short refresh windows,
-// checkpointing once mid-refresh and once at the end, with Workers 0
-// and Workers 4: Results and both checkpoints' raw bytes must match
-// exactly.
-func TestParallelEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("equivalence sweep is slow")
-	}
-	for _, name := range PolicyNames() {
-		factory, err := PolicyByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			run := func(workers int) (runState, []byte) {
-				cfg := Config{
-					Workload:       []trace.Profile{profile(t, "art"), profile(t, "vpr")},
-					Policy:         factory,
-					Seed:           23,
-					Audit:          true,
-					SampleInterval: 5_000,
-					Workers:        workers,
-				}
-				cfg.Mem.Channels = 2
-				cfg.Mem.DRAM = dram.DefaultConfig()
-				cfg.Mem.DRAM.Timing.TREF = 7_000
-				s, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s.Step(20_000)
-				// Hunt for a cycle with a refresh actually in progress so
-				// the mid-run checkpoint covers paused-vclock state.
-				inRefresh := false
-				for i := 0; i < 30_000; i++ {
-					s.Step(1)
-					if s.Controller().Channel().InRefresh(s.Cycle()) {
-						inRefresh = true
-						break
-					}
-				}
-				if !inRefresh {
-					t.Fatal("no refresh window reached")
-				}
-				var mid bytes.Buffer
-				if err := s.Checkpoint(&mid); err != nil {
-					t.Fatal(err)
-				}
-				s.BeginMeasurement()
-				s.Step(80_000)
-				s.FinishAudit()
-				if n := s.Controller().CommandCount(dram.KindRefresh); n < 10 {
-					t.Errorf("run crossed only %d refresh windows, want many", n)
-				}
-				return captureRun(t, s), mid.Bytes()
-			}
-			ser, serMid := run(0)
-			w, wMid := run(4)
-			if !bytes.Equal(serMid, wMid) {
-				t.Errorf("mid-refresh checkpoint bytes diverge (%d vs %d bytes)", len(serMid), len(wMid))
-			}
-			compareRuns(t, "workers-"+name, w, ser)
-		})
-	}
-}
-
 // FuzzNamedConfig holds the builder to its contract on arbitrary
 // descriptions: it returns an error or a Config that New accepts and
 // that steps — it never panics, and never spends memory on a

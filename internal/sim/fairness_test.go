@@ -16,7 +16,7 @@ import (
 
 // fairness scores a sampled system's retained epochs.
 func fairness(s *System) (memctrl.FairnessSummary, []memctrl.FairnessSample) {
-	return memctrl.Fairness(s.Sampler().Series())
+	return memctrl.Fairness(s.Sampler().Series(-1), -1)
 }
 
 // TestFairnessSeriesBoundedVsDrift is the fairness-over-time acceptance
@@ -32,6 +32,7 @@ func fairness(s *System) (memctrl.FairnessSummary, []memctrl.FairnessSample) {
 // ~26.0k under FQ-VFTF (1.51x), its worst single epoch 4190 vs 3028,
 // and its mean service share over the last five epochs 0.058 vs 0.158.
 func TestFairnessSeriesBoundedVsDrift(t *testing.T) {
+	t.Parallel() // measures no allocation, so it may share the host
 	vpr, err := trace.ByName("vpr")
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +285,7 @@ func TestFairnessWrappedRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Step(60_000)
-	ser := s.Sampler().Series()
+	ser := s.Sampler().Series(-1)
 	retained := make([]struct{ Epoch int64 }, ser.Samples.Len())
 	for i := range retained {
 		retained[i].Epoch, _ = ser.Samples.At(i)
@@ -292,7 +293,7 @@ func TestFairnessWrappedRing(t *testing.T) {
 	if len(retained) != metrics.DefaultSampleCapacity || retained[0].Epoch == 0 {
 		t.Fatalf("%d epochs retained from epoch %d: the ring has not wrapped", len(retained), retained[0].Epoch)
 	}
-	sum, scored := memctrl.Fairness(ser)
+	sum, scored := memctrl.Fairness(ser, -1)
 	if len(scored) != len(retained)-1 {
 		t.Fatalf("%d epochs scored of %d retained, want all but the oldest", len(scored), len(retained))
 	}

@@ -5,168 +5,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"reflect"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/memctrl"
 	"repro/internal/trace"
 )
-
-// TestInterferenceObservationOnly is the tentpole's safety contract:
-// enabling delay attribution must not change a single simulated
-// outcome, and the cube it reports must not depend on how the run was
-// stepped. For every scheduler, at the default refresh interval on two
-// channels and at tREF 7,000 on one, the Result with attribution on must
-// equal the run with it off, and the fast path must equal the per-cycle
-// oracle in the final checkpoint bytes with attribution off and on, the
-// cube among them. Every run carries the invariant auditor, so the
-// attribution conservation check (charged cycles == queueing delay, at
-// every CAS issue) rides along for free.
-func TestInterferenceObservationOnly(t *testing.T) {
-	if testing.Short() {
-		t.Skip("equivalence sweep is slow")
-	}
-	art, err := trace.ByName("art")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vpr, err := trace.ByName("vpr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	type policy struct {
-		name    string
-		factory PolicyFactory
-	}
-	var policies []policy
-	for _, name := range PolicyNames() {
-		f, err := PolicyByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		policies = append(policies, policy{name, f})
-	}
-	policies = append(policies, policy{"FR-VFTF-arrival", func(s []core.Share, n int, tt dram.Timing) core.Policy {
-		return core.NewFRVFTFArrival(s, n, tt)
-	}})
-	machines := []struct {
-		name           string
-		channels, tref int
-	}{
-		{"2ch", 2, 0},
-		{"1ch/tREF7000", 1, 7_000},
-	}
-	const warmup, window = 20_000, 80_000
-	for _, p := range policies {
-		p := p
-		t.Run(p.name, func(t *testing.T) {
-			t.Parallel()
-			for _, m := range machines {
-				run := func(strict, intf bool) runState {
-					cfg := Config{
-						Workload:     []trace.Profile{art, vpr},
-						Policy:       p.factory,
-						Seed:         13,
-						Strict:       strict,
-						Audit:        true,
-						Interference: intf,
-					}
-					cfg.Mem.Channels = m.channels
-					if m.tref > 0 {
-						cfg.Mem.DRAM = dram.DefaultConfig()
-						cfg.Mem.DRAM.Timing.TREF = m.tref
-					}
-					s, err := New(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					s.Step(warmup)
-					s.BeginMeasurement()
-					s.Step(window)
-					s.FinishAudit()
-					if cube, ok := s.Interference(); ok && cube.Total <= 0 {
-						t.Errorf("%s/strict=%v: a contended 2-thread run attributed no wait cycles", m.name, strict)
-					}
-					return captureRun(t, s)
-				}
-				fastOff, fastOn := run(false, false), run(false, true)
-				if !reflect.DeepEqual(fastOff.Result, fastOn.Result) {
-					t.Errorf("%s: attribution changed the Result:\n off: %+v\n on:  %+v", m.name, fastOff.Result, fastOn.Result)
-				}
-				compareRuns(t, "interference-off-"+sanitize(p.name+m.name), fastOff, run(true, false))
-				compareRuns(t, "interference-on-"+sanitize(p.name+m.name), fastOn, run(true, true))
-			}
-		})
-	}
-}
-
-// TestInterferenceCheckpointRestore runs the checkpoint/restore
-// contract with attribution on: an interrupted run must rejoin the
-// uninterrupted one on every observable, including the final
-// checkpoint bytes (which now carry the attribution section) and the
-// measurement-window attribution matrix itself.
-func TestInterferenceCheckpointRestore(t *testing.T) {
-	art, err := trace.ByName("art")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vpr, err := trace.ByName("vpr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Workload:       []trace.Profile{art, vpr},
-		Policy:         FQVFTF,
-		Seed:           29,
-		Audit:          true,
-		Interference:   true,
-		SampleInterval: 1_000,
-	}
-	const warmup, preCk, postCk = 2_000, 3_001, 4_999
-
-	ref, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.Step(warmup)
-	ref.BeginMeasurement()
-	ref.Step(preCk + postCk)
-	ref.FinishAudit()
-	want := captureRun(t, ref)
-	wantIntf, _ := ref.Interference()
-
-	first, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first.Step(warmup)
-	first.BeginMeasurement()
-	first.Step(preCk)
-	var buf bytes.Buffer
-	if err := first.Checkpoint(&buf); err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	resumed, err := Restore(cfg, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	resumed.Step(postCk)
-	resumed.FinishAudit()
-	got := captureRun(t, resumed)
-	gotIntf, ok := resumed.Interference()
-	if !ok {
-		t.Fatal("restored system lost its attribution state")
-	}
-	compareRuns(t, "interference-restore", got, want)
-	if !reflect.DeepEqual(gotIntf, wantIntf) {
-		t.Errorf("attribution matrix diverged after restore\n got: %+v\nwant: %+v", gotIntf, wantIntf)
-	}
-	if wantIntf.Cross <= 0 {
-		t.Error("measurement window recorded no cross-thread interference on a contended mix")
-	}
-}
 
 // TestInterferenceRestoreConfigMismatch: a checkpoint taken with
 // attribution on must refuse to restore into a config with it off —
@@ -196,43 +40,6 @@ func TestInterferenceRestoreConfigMismatch(t *testing.T) {
 	if _, err := Restore(off, bytes.NewReader(buf.Bytes())); err == nil {
 		t.Error("restore accepted a checkpoint whose interference setting mismatches the config")
 	}
-}
-
-// TestStepZeroSteadyStateAllocsInterference holds the attribution
-// layer to the controller's zero-alloc bar: the per-slot accounting
-// must recycle its buffers once warm.
-func TestStepZeroSteadyStateAllocsInterference(t *testing.T) {
-	if testing.Short() {
-		t.Skip("alloc measurement is slow")
-	}
-	art, err := trace.ByName("art")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vpr, err := trace.ByName("vpr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Run("serial", func(t *testing.T) {
-		cfg := Config{
-			Workload:     []trace.Profile{art, vpr, art, vpr},
-			Policy:       FQVFTF,
-			Seed:         37,
-			Interference: true,
-		}
-		cfg.Mem.Channels = 2
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Step(200_000)
-		avg := testing.AllocsPerRun(10, func() {
-			s.Step(5_000)
-		})
-		if avg != 0 {
-			t.Errorf("Step allocates %.1f objects per 5k cycles with attribution on, want 0", avg)
-		}
-	})
 }
 
 // cubeHash digests every cell of the windowed attribution cube, in

@@ -118,6 +118,7 @@ func TestIsolationBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("isolation sweep is slow")
 	}
+	t.Parallel() // measures no allocation, so it may share the host
 	for _, attacker := range trace.AntagonistNames() {
 		attacker := attacker
 		t.Run(attacker, func(t *testing.T) {
@@ -158,6 +159,7 @@ func TestIsolationAttribution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("isolation sweep is slow")
 	}
+	t.Parallel() // measures no allocation, so it may share the host
 	bankOther := causeIndex(t, "bank_other")
 	bus := causeIndex(t, "bus")
 	for _, attacker := range trace.AntagonistNames() {

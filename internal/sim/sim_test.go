@@ -11,7 +11,7 @@ import (
 	"repro/internal/trace"
 )
 
-func profile(t *testing.T, name string) trace.Profile {
+func profile(t testing.TB, name string) trace.Profile {
 	t.Helper()
 	p, err := trace.ByName(name)
 	if err != nil {
@@ -157,6 +157,7 @@ func TestSharesSteerBandwidth(t *testing.T) {
 // FR-FCFS an art background crushes vpr; under FQ-VFTF vpr stays near
 // its 1/2-share baseline.
 func TestQoSShape(t *testing.T) {
+	t.Parallel() // measures no allocation, so it may share the host
 	vpr, art := profile(t, "vpr"), profile(t, "art")
 	base := Config{Workload: []trace.Profile{vpr}}
 	base.Mem.DRAM = dram.DefaultConfig()
@@ -193,6 +194,7 @@ func TestQoSShape(t *testing.T) {
 }
 
 func TestRefreshRunsInLongSimulations(t *testing.T) {
+	t.Parallel() // measures no allocation, so it may share the host
 	cfg := Config{Workload: []trace.Profile{profile(t, "ammp")}}
 	s, err := New(cfg)
 	if err != nil {

@@ -111,6 +111,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 // TestRestoreHostileInputs runs the fuzz corpus shapes as a plain test
 // so the guarantees hold in ordinary `go test` runs too.
 func TestRestoreHostileInputs(t *testing.T) {
+	t.Parallel() // measures no allocation, so it may share the host
 	valid := validSnapshot(t)
 	cfg := fuzzConfig(t)
 	cases := [][]byte{

@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"slices"
 	"strconv"
 
 	"repro/internal/memctrl"
@@ -137,9 +136,7 @@ func newMux(cfg Config) *http.ServeMux {
 
 	mux.HandleFunc("/series", func(w http.ResponseWriter, r *http.Request) {
 		if since, ok := sinceParam(w, r, cfg.Sampler); ok {
-			ser := cfg.Sampler.Series()
-			ser.Samples = ser.Samples.Since(since)
-			writeJSON(w, ser)
+			writeJSON(w, cfg.Sampler.Series(since))
 		}
 	})
 
@@ -147,11 +144,11 @@ func newMux(cfg Config) *http.ServeMux {
 		// The summary covers every retained epoch; ?since= only trims
 		// the series.
 		if since, ok := sinceParam(w, r, cfg.Sampler); ok {
-			sum, samples := memctrl.Fairness(cfg.Sampler.Series())
+			sum, samples := memctrl.Fairness(cfg.Sampler.Series(-1), since)
 			writeJSON(w, struct {
 				Summary memctrl.FairnessSummary  `json:"summary"`
 				Samples []memctrl.FairnessSample `json:"samples"`
-			}{sum, slices.DeleteFunc(samples, func(fs memctrl.FairnessSample) bool { return fs.Cycle <= since })})
+			}{sum, samples})
 		}
 	})
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -143,6 +144,16 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if fair.Summary.Threads != 2 || len(fair.Samples) != 7 {
 		t.Errorf("/fairness: threads=%d samples=%d, want 2/7", fair.Summary.Threads, len(fair.Samples))
+	}
+	// ?since= trims the samples; the summary still covers every epoch.
+	all := fair
+	fair.Samples = nil
+	code, body = get(t, client, srv.URL()+"/fairness?since=20000")
+	if err := json.Unmarshal([]byte(body), &fair); code != http.StatusOK || err != nil {
+		t.Fatalf("/fairness?since: status %d, %v", code, err)
+	}
+	if !reflect.DeepEqual(fair.Summary, all.Summary) || !reflect.DeepEqual(fair.Samples, all.Samples[5:]) {
+		t.Errorf("/fairness?since=20000 = %+v, want the full summary and the last 2 of %+v", fair, all)
 	}
 
 	code, body = get(t, client, srv.URL()+"/progress")

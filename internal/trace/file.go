@@ -47,15 +47,6 @@ var (
 	_ Source = (*Reader)(nil)
 )
 
-// Writer records an instruction stream to a trace file.
-type Writer struct {
-	w     *bufio.Writer
-	count uint64
-	// countPos patching requires a seeker; instead the count is written
-	// on Close by buffering the header... simplest: caller states the
-	// count up front via NewWriter.
-}
-
 // WriteTrace records n instructions from the source to w.
 func WriteTrace(w io.Writer, src Source, n uint64) error {
 	bw := bufio.NewWriter(w)
