@@ -5,10 +5,9 @@
 //
 //  1. DDR2 timing: every Table 6 constraint (tRCD, tRAS, tRP, tRC, tRRD,
 //     tCCD, tWTR, tWR, tRTP, CAS-to-CAS data-bus occupancy, refresh
-//     windows, and optionally a four-activate window tFAW) is recomputed
-//     from the auditor's own shadow device state, never from the channel
-//     model's bookkeeping, and cross-checked against the device after
-//     every command.
+//     windows) is recomputed from the auditor's own shadow device state,
+//     never from the channel model's bookkeeping, and cross-checked
+//     against the device after every command.
 //  2. Request conservation: accepted = completed + in-flight per thread,
 //     occupancy never exceeds the buffer partitions, request IDs and
 //     arrival stamps are monotone, and no request is starved past a
@@ -47,41 +46,30 @@ import (
 // device model's sentinel.
 const minTime = math.MinInt64 / 4
 
-// Config holds the auditor's tunable thresholds. The zero value selects
-// the defaults; set a threshold negative to disable that check.
-type Config struct {
-	// History is the command-history ring size included in violation
-	// dumps (default 64).
-	History int
+const (
+	// history is the command-history ring size included in violation
+	// dumps.
+	history = 64
 
+	// refreshSlack is how far past the nominal tREF interval a refresh
+	// may be delayed by draining in-progress rows.
+	refreshSlack = 25_000
+)
+
+// Config holds the auditor's tunable threshold. The zero value selects
+// the default.
+type Config struct {
 	// MaxAge is the starvation bound: the oldest outstanding request may
 	// not exceed this age in real cycles (default 200000; negative
 	// disables). The default is far beyond any legitimate queueing delay
 	// of the Table 5 system (24 entries/thread, tRC = 22, tRFC = 510)
 	// but small enough to catch true starvation quickly.
 	MaxAge int64
-
-	// RefreshSlack is how far past the nominal tREF interval a refresh
-	// may be delayed by draining in-progress rows (default 25000;
-	// negative disables the refresh-deadline check).
-	RefreshSlack int64
-
-	// TFAW optionally enforces a four-activate window per rank, in
-	// cycles. The paper's Table 6 defines no tFAW, and the device model
-	// does not enforce one, so the default 0 disables the check; it
-	// exists for auditing experimental timing sets that include it.
-	TFAW int
 }
 
 func (c Config) withDefaults() Config {
-	if c.History == 0 {
-		c.History = 64
-	}
 	if c.MaxAge == 0 {
 		c.MaxAge = 200_000
-	}
-	if c.RefreshSlack == 0 {
-		c.RefreshSlack = 25_000
 	}
 	return c
 }
@@ -165,8 +153,6 @@ type shChan struct {
 	refreshUntil, lastRefresh        int64
 	lastCmd                          int64 // at most one command per channel per cycle
 	rankLastAct                      []int64
-	rankActHist                      [][4]int64 // recent activates per rank, for tFAW
-	rankActN                         []int
 }
 
 // outReq tracks one outstanding request for conservation and starvation.
@@ -276,7 +262,7 @@ func New(cfg Config, tgt Target) *Auditor {
 		out:          make(map[uint64]*outReq),
 		acc:          make([]threadAcc, tgt.Threads),
 		frozen:       make(map[uint64]int64),
-		hist:         make([]histEntry, cfg.History),
+		hist:         make([]histEntry, history),
 		lastArrival:  minTime,
 	}
 	for i := range a.banks {
@@ -288,11 +274,8 @@ func New(cfg Config, tgt Target) *Auditor {
 		sc.lastCAS, sc.lastWriteEnd, sc.busFreeAt = minTime, minTime, minTime
 		sc.refreshUntil, sc.lastRefresh, sc.lastCmd = minTime, minTime, minTime
 		sc.rankLastAct = make([]int64, tgt.Ranks)
-		sc.rankActHist = make([][4]int64, tgt.Ranks)
-		sc.rankActN = make([]int, tgt.Ranks)
 		for r := range sc.rankLastAct {
 			sc.rankLastAct[r] = minTime
-			sc.rankActHist[r] = [4]int64{minTime, minTime, minTime, minTime}
 		}
 	}
 	a.vtms, _ = tgt.Policy.(vtmsProvider)
@@ -507,7 +490,7 @@ func (a *Auditor) checkAge(now int64) {
 func (a *Auditor) OnTick(now int64) {
 	a.checkAge(now)
 	a.checkIntervalPolicy(now)
-	if a.tgt.RefreshDisabled || a.cfg.RefreshSlack < 0 {
+	if a.tgt.RefreshDisabled {
 		return
 	}
 	tref := int64(a.tgt.Timing.TREF)
@@ -516,9 +499,9 @@ func (a *Auditor) OnTick(now int64) {
 		if last == minTime {
 			last = 0 // the first interval is measured from cycle zero
 		}
-		if now-last > tref+a.cfg.RefreshSlack {
+		if now-last > tref+refreshSlack {
 			a.fail(now, "channel %d refresh overdue: %d cycles since last refresh (tREF %d + slack %d)",
-				i, now-last, tref, a.cfg.RefreshSlack)
+				i, now-last, tref, refreshSlack)
 		}
 	}
 }
@@ -591,9 +574,6 @@ func (a *Auditor) earliest(kind dram.Kind, flatBank int) int64 {
 		e = maxi(e, b.lastPre+int64(t.TRP))
 		e = maxi(e, b.lastAct+int64(t.TRC))
 		e = maxi(e, sc.rankLastAct[rank]+int64(t.TRRD))
-		if a.cfg.TFAW > 0 && sc.rankActN[rank] >= 4 {
-			e = maxi(e, sc.rankActHist[rank][sc.rankActN[rank]%4]+int64(a.cfg.TFAW))
-		}
 	case dram.KindRead:
 		e = maxi(e, b.lastAct+int64(t.TRCD))
 		e = maxi(e, sc.lastCAS+int64(t.TCCD))
@@ -677,8 +657,6 @@ func (a *Auditor) BeforeIssue(cmd Cmd, now int64) {
 		b.open, b.row, b.lastAct = true, cmd.Row, now
 		rank := lb / a.tgt.BanksPerRank
 		sc.rankLastAct[rank] = now
-		sc.rankActHist[rank][sc.rankActN[rank]%4] = now
-		sc.rankActN[rank]++
 	case dram.KindRead:
 		b.lastRead, sc.lastCAS = now, now
 		end := now + int64(t.TCL) + int64(t.BL2)
@@ -975,13 +953,13 @@ func (a *Auditor) OnRefresh(chIdx int, now int64) {
 	if e := a.earliest(dram.KindRefresh, lo); now < e {
 		a.fail(now, "refresh on channel %d at %d violates timing, shadow-earliest %d", chIdx, now, e)
 	}
-	if !a.tgt.RefreshDisabled && a.cfg.RefreshSlack >= 0 {
+	if !a.tgt.RefreshDisabled {
 		last := sc.lastRefresh
 		if last == minTime {
 			last = 0
 		}
-		if gap := now - last; gap > int64(a.tgt.Timing.TREF)+a.cfg.RefreshSlack {
-			a.fail(now, "channel %d refresh interval %d exceeds tREF %d + slack %d", chIdx, gap, a.tgt.Timing.TREF, a.cfg.RefreshSlack)
+		if gap := now - last; gap > int64(a.tgt.Timing.TREF)+refreshSlack {
+			a.fail(now, "channel %d refresh interval %d exceeds tREF %d + slack %d", chIdx, gap, a.tgt.Timing.TREF, refreshSlack)
 		}
 	}
 	sc.lastRefresh = now

@@ -40,12 +40,6 @@ func (a *Auditor) State(s *snapshot.Codec, reqByID map[uint64]*core.Request, pen
 		s.I64(&sc.lastRefresh)
 		s.I64(&sc.lastCmd)
 		s.I64s(sc.rankLastAct)
-		for j := range sc.rankActHist {
-			for k := range sc.rankActHist[j] {
-				s.I64(&sc.rankActHist[j][k])
-			}
-		}
-		s.Ints(sc.rankActN)
 	}
 	s.U64(&a.lastID)
 	s.I64(&a.lastArrival)
@@ -105,10 +99,7 @@ func (a *Auditor) State(s *snapshot.Codec, reqByID map[uint64]*core.Request, pen
 			s.Fail("history length %d exceeds capacity %d", a.histLen, len(a.hist))
 			return s.End()
 		}
-		a.histNext = 0
-		if len(a.hist) > 0 {
-			a.histNext = a.histLen % len(a.hist)
-		}
+		a.histNext = a.histLen % len(a.hist)
 	}
 	for i := 0; i < a.histLen && s.Err() == nil; i++ {
 		e := &a.hist[(a.histNext-a.histLen+i+2*len(a.hist))%len(a.hist)]

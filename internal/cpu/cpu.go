@@ -126,9 +126,8 @@ type Core struct {
 	StallCycles int64
 }
 
-// New returns a core running the given instruction source (a synthetic
-// generator or a replayed trace) against the given private cache
-// hierarchy.
+// New returns a core running the given instruction source against the
+// given private cache hierarchy.
 func New(id int, cfg Config, gen trace.Source, hier *cache.Hierarchy) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

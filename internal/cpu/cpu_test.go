@@ -714,3 +714,38 @@ func TestRestoreParkedLoads(t *testing.T) {
 		}
 	}
 }
+
+// TestStateRefusesForeignSource: the synthetic generator is the one
+// instruction source with a cursor on the wire. A core on any other
+// refuses to checkpoint, and to restore, with an error, not a panic.
+func TestStateRefusesForeignSource(t *testing.T) {
+	foreign := func() *Core {
+		c := newCoreOn(t, &collidingSource{rng: 0x9e3779b97f4a7c15})
+		for now := int64(0); now < 1_000; now++ {
+			c.Tick(now)
+		}
+		return c
+	}
+	const want = "unserializable instruction source *cpu.collidingSource"
+
+	var buf bytes.Buffer
+	if err := foreign().State(snapshot.NewEncoder(&buf)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("checkpoint error %v, want one containing %q", err, want)
+	}
+
+	buf.Reset()
+	enc := snapshot.NewEncoder(&buf)
+	if err := newCore(t, computeProfile()).State(enc); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := snapshot.NewDecoder(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := foreign().State(dec); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("restore error %v, want one containing %q", err, want)
+	}
+}

@@ -5,19 +5,12 @@ import (
 	"repro/internal/trace"
 )
 
-// Source type tags in the snapshot stream.
-const (
-	srcGenerator uint8 = 0
-	srcReader    uint8 = 1
-)
-
-// State visits the core: cache hierarchy, the instruction source's
+// State visits the core: cache hierarchy, the instruction generator's
 // cursor, ROB ring and wake lists, load issue queue, store buffer, MSHR
 // token waiters, I-fetch latches, and retirement counters. It fails for
-// instruction sources other than the synthetic generator and the
-// trace-file reader — an arbitrary Source has no serializable cursor.
-// The configuration is verified; the source must be of the same type
-// over the same workload.
+// any instruction source but the synthetic generator: another Source
+// has no serializable cursor. The configuration is verified; the
+// generator must run the same workload.
 func (c *Core) State(s *snapshot.Codec) error {
 	s.Section("cpu.Core")
 	snapshot.Verify(s, c.cfg, "configuration", func(g *Config) {
@@ -27,14 +20,9 @@ func (c *Core) State(s *snapshot.Codec) error {
 		}
 	})
 	c.hier.State(s)
-	switch g := c.gen.(type) {
-	case *trace.Generator:
-		snapshot.Verify(s, srcGenerator, "instruction source tag", s.U8)
+	if g, ok := c.gen.(*trace.Generator); ok {
 		g.State(s)
-	case *trace.Reader:
-		snapshot.Verify(s, srcReader, "instruction source tag", s.U8)
-		g.State(s)
-	default:
+	} else {
 		s.Fail("unserializable instruction source %T", c.gen)
 	}
 	robN := len(c.rob)

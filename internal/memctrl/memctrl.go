@@ -529,12 +529,6 @@ func (c *Controller) Stats(thread int) *ThreadStats { return &c.stats[thread] }
 // Threads returns the number of hardware threads sharing the controller.
 func (c *Controller) Threads() int { return c.cfg.Threads }
 
-// Occupancy returns a thread's current transaction- and write-buffer
-// occupancy (its backlog at the controller).
-func (c *Controller) Occupancy(thread int) (reads, writes int) {
-	return c.readOcc[thread], c.writeOcc[thread]
-}
-
 // CommandCount returns how many commands of the given kind were issued.
 func (c *Controller) CommandCount(kind dram.Kind) int64 { return c.cmdCount[kind] }
 

@@ -105,8 +105,6 @@ func TestHostileConfigValues(t *testing.T) {
 		mutate  func(*Config)
 		wantErr string
 	}{
-		{"nil source beside a workload", func(c *Config) { c.Sources = []trace.Source{nil, nil} }, "source 0 is nil"},
-		{"nil source", func(c *Config) { c.Sources = []trace.Source{nil, nil}; c.Workload = nil }, "source 0 is nil"},
 		{"negative request transit", func(c *Config) { c.ReqTransit = -1 }, "request -1, response 10"},
 		{"negative response transit", func(c *Config) { c.RespTransit = -5 }, "response -5"},
 		{"negative sample interval", func(c *Config) { c.SampleInterval = -1000 }, "interval -1000"},

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/memctrl"
@@ -295,10 +296,24 @@ func intoRefresh(t testing.TB, s *System, limit int) int64 {
 	return 0
 }
 
+// failOnViolation, deferred, turns an auditor's panic into a failure of
+// t alone, so one planted fault reports every row and cell it breaks.
+// Any other panic goes on.
+func failOnViolation(t testing.TB) {
+	switch p := recover().(type) {
+	case nil:
+	case *audit.Violation:
+		t.Fatalf("audit violation at cycle %d: %s", p.Cycle, p.Msg)
+	default:
+		panic(p)
+	}
+}
+
 // simulate runs r's schedule with w's switches, through the probe only
 // when toProbe, and returns the run and the system at its end.
 func (r row) simulate(t testing.TB, w switches, toProbe bool) (*straight, *System) {
 	t.Helper()
+	defer failOnViolation(t)
 	out := &straight{sw: w}
 	cfg := r.config(t, w)
 	if w.observed {
@@ -474,6 +489,7 @@ func (r row) audited(t *testing.T, s *System) {
 // steps, runs it to the probe or the end, and compares it with the
 // straight run there.
 func (r row) restore(t *testing.T, run *straight, mid bool) {
+	defer failOnViolation(t)
 	ck, at, n, want := run.ck1, run.at1, int64(toPr), run.probe
 	cfg := r.config(t, run.sw)
 	cfg.Strict = !cfg.Strict

@@ -138,10 +138,6 @@ type Config struct {
 	// Workload holds one benchmark profile per core.
 	Workload []trace.Profile
 
-	// Sources, when non-nil, overrides Workload with explicit
-	// instruction sources (e.g. replayed trace files); one per core.
-	Sources []trace.Source
-
 	// Shares holds each thread's allocated fraction of the memory
 	// system; nil means the paper's static equal allocation 1/N.
 	Shares []core.Share
@@ -222,24 +218,8 @@ type Config struct {
 
 // withDefaults fills zero-valued fields with Table 5 defaults.
 func (c Config) withDefaults() (Config, error) {
-	for i, s := range c.Sources {
-		if s == nil {
-			return c, fmt.Errorf("sim: source %d is nil", i)
-		}
-	}
-	if len(c.Sources) > 0 && len(c.Workload) == 0 {
-		// Replay mode: synthesize placeholder profiles so the rest of
-		// the configuration sees a consistent core count.
-		c.Workload = make([]trace.Profile, len(c.Sources))
-		for i, s := range c.Sources {
-			c.Workload[i] = trace.Profile{Name: s.Name()}
-		}
-	}
 	if len(c.Workload) == 0 {
 		return c, fmt.Errorf("sim: empty workload")
-	}
-	if len(c.Sources) > 0 && len(c.Sources) != len(c.Workload) {
-		return c, fmt.Errorf("sim: %d sources for %d cores", len(c.Sources), len(c.Workload))
 	}
 	n := len(c.Workload)
 	if c.Shares == nil {
@@ -446,18 +426,12 @@ func New(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		var src trace.Source
-		if cfg.Sources != nil {
-			src = cfg.Sources[i]
-		} else {
-			// Attack patterns aim through the controller's own mapper.
-			gen, err := trace.NewGeneratorOn(cfg.Workload[i], i, cfg.Seed+1, ctrl.Mapper())
-			if err != nil {
-				return nil, err
-			}
-			src = gen
+		// Attack patterns aim through the controller's own mapper.
+		gen, err := trace.NewGeneratorOn(cfg.Workload[i], i, cfg.Seed+1, ctrl.Mapper())
+		if err != nil {
+			return nil, err
 		}
-		c, err := cpu.New(i, cpuCfg, src, hier)
+		c, err := cpu.New(i, cpuCfg, gen, hier)
 		if err != nil {
 			return nil, err
 		}

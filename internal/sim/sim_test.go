@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -329,57 +328,6 @@ func TestDynamicShareReassignment(t *testing.T) {
 	s2, _ := New(Config{Workload: []trace.Profile{art}})
 	if s2.SetShare(0, core.Share{Num: 1, Den: 2}) {
 		t.Error("FR-FCFS accepted a share reassignment")
-	}
-}
-
-// TestReplaySources: a simulation driven by recorded traces must match
-// one driven by live generators with the same seed.
-func TestReplaySources(t *testing.T) {
-	p := profile(t, "ammp")
-	live, err := Run(Config{Workload: []trace.Profile{p}, Seed: 3}, 5_000, 40_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	g, err := trace.NewGenerator(p, 0, 3+1) // sim.New adds 1 to the seed
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := trace.WriteTrace(&buf, g, 400_000); err != nil {
-		t.Fatal(err)
-	}
-	r, err := trace.ReadTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay, err := Run(Config{Sources: []trace.Source{r}}, 5_000, 40_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replay.Threads[0].Benchmark != "ammp" {
-		t.Errorf("replay benchmark = %q", replay.Threads[0].Benchmark)
-	}
-	if live.Threads[0].Instructions != replay.Threads[0].Instructions {
-		t.Errorf("live retired %d, replay retired %d",
-			live.Threads[0].Instructions, replay.Threads[0].Instructions)
-	}
-	if live.Threads[0].ReadsDone != replay.Threads[0].ReadsDone {
-		t.Errorf("live reads %d, replay reads %d",
-			live.Threads[0].ReadsDone, replay.Threads[0].ReadsDone)
-	}
-}
-
-// TestSourcesLengthMismatch rejects inconsistent replay configuration.
-func TestSourcesLengthMismatch(t *testing.T) {
-	p := profile(t, "ammp")
-	g, _ := trace.NewGenerator(p, 0, 1)
-	_, err := New(Config{
-		Workload: []trace.Profile{p, p},
-		Sources:  []trace.Source{g},
-	})
-	if err == nil {
-		t.Fatal("accepted 1 source for 2 cores")
 	}
 }
 

@@ -32,12 +32,11 @@
 // header: fixed-length visitors demand the length the constructed
 // component already has, and every variable-length visitor takes an
 // explicit cap, fails when the header exceeds it, and grows its target
-// only as elements actually arrive (the same defense trace.ReadTrace
-// applies to its instruction-count header), so a bit-flipped count
-// costs memory proportional to the bytes supplied, not an OOM. The
-// Codec carries a sticky error: the first failure wins and every later
-// visit is a cheap no-op that leaves its target untouched, letting
-// State methods stay linear and check Err once.
+// only as elements actually arrive, so a bit-flipped count costs memory
+// proportional to the bytes supplied, not an OOM. The Codec carries a
+// sticky error: the first failure wins and every later visit is a cheap
+// no-op that leaves its target untouched, letting State methods stay
+// linear and check Err once.
 package snapshot
 
 import (
@@ -81,8 +80,11 @@ const Magic = "FQMSSNAP"
 // drops the sampler's latest snapshot (Latest is rebuilt from both).
 // v11 writes a cache level's lines as varints, an invalid line as one
 // zero byte and a valid one as its tag and dirty bit and its age on the
-// level's LRU clock, in place of 18 fixed bytes per line.
-const Version = 11
+// level's LRU clock, in place of 18 fixed bytes per line. v12 removed
+// the core's instruction-source tag (the synthetic generator is the one
+// source a checkpoint carries) and the auditor's per-rank four-activate
+// window.
+const Version = 12
 
 // MaxSlice is the element cap for the few variable-length fields whose
 // bound depends on run history rather than on a configured capacity

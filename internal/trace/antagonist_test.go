@@ -1,12 +1,10 @@
 package trace
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
 	"repro/internal/addrmap"
-	"repro/internal/snapshot"
 )
 
 // memAddrs generates instructions until n memory accesses have been
@@ -230,7 +228,8 @@ func TestDiurnalEnvelope(t *testing.T) {
 
 // TestAntagonistSnapshotMidStream checkpoints every antagonist
 // generator mid-stream — for the diurnal profile, inside the duty
-// burst — and demands the restored generator continue bit-identically.
+// burst — and demands the restored generator continue bit-identically
+// (checkResume).
 func TestAntagonistSnapshotMidStream(t *testing.T) {
 	for _, name := range AntagonistNames() {
 		t.Run(name, func(t *testing.T) {
@@ -238,42 +237,7 @@ func TestAntagonistSnapshotMidStream(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g, err := NewGenerator(p, 1, 9)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// An odd cutover instruction count, inside the diurnal
-			// profile's duty burst (10_007 < 24_000 of the 60_000
-			// period) so the restored envelope phase is exercised too.
-			var ins Instr
-			for i := 0; i < 10_007; i++ {
-				g.Next(&ins)
-			}
-			var buf bytes.Buffer
-			w := snapshot.NewEncoder(&buf)
-			g.State(w)
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			h, err := NewGenerator(p, 1, 9)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := snapshot.NewDecoder(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := h.State(r); err != nil {
-				t.Fatal(err)
-			}
-			var a, b Instr
-			for i := 0; i < 200_000; i++ {
-				g.Next(&a)
-				h.Next(&b)
-				if a != b {
-					t.Fatalf("restored stream diverged at instruction %d: %+v vs %+v", i, a, b)
-				}
-			}
+			checkResume(t, p)
 		})
 	}
 }

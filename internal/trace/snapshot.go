@@ -32,16 +32,3 @@ func (g *Generator) State(s *snapshot.Codec) error {
 	}
 	return s.End()
 }
-
-// State visits the replay reader's cursor (the records themselves live
-// in the trace file, not the snapshot).
-func (t *Reader) State(s *snapshot.Codec) error {
-	s.Section("trace.Reader")
-	s.Int(&t.pos)
-	s.U64(&t.codePos)
-	if s.Loading() && s.Err() == nil &&
-		(t.pos < 0 || (len(t.records) > 0 && t.pos >= len(t.records)) || (len(t.records) == 0 && t.pos != 0)) {
-		s.Fail("position %d outside %d records", t.pos, len(t.records))
-	}
-	return s.End()
-}

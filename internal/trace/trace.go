@@ -66,6 +66,20 @@ type Instr struct {
 	Lat int
 }
 
+// Source produces the instruction stream for one thread; the CPU model
+// consumes it. Generator is the implementation every run uses.
+type Source interface {
+	// Next fills in the next instruction.
+	Next(ins *Instr)
+	// CodeLine returns the current instruction-fetch line address; ok
+	// is false when I-fetch is not modeled.
+	CodeLine() (addr uint64, ok bool)
+	// Name identifies the workload.
+	Name() string
+}
+
+var _ Source = (*Generator)(nil)
+
 // Profile parameterizes one synthetic benchmark.
 type Profile struct {
 	Name string

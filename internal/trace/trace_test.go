@@ -292,3 +292,66 @@ func TestRNGUniformity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSuiteProfileShape holds every SPEC profile's generated stream to
+// the profile it was built from: the memory and store fractions, data
+// addresses inside the thread's working set, the compute and memory
+// dependence ranges, and an I-fetch footprint of exactly CodeKB.
+func TestSuiteProfileShape(t *testing.T) {
+	for _, p := range Suite() {
+		t.Run(p.Name, func(t *testing.T) {
+			const thread, n = 2, 200_000
+			g, err := NewGenerator(p, thread, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo := uint64(thread) * regionLines
+			hi := lo + uint64(p.WorkingSetKB*1024/lineBytes)
+			var ins Instr
+			loads, stores := 0, 0
+			for i := 0; i < n; i++ {
+				g.Next(&ins)
+				switch ins.Kind {
+				case KindLoad, KindStore:
+					if ins.Kind == KindLoad {
+						loads++
+					} else {
+						stores++
+					}
+					if ins.Addr < lo || ins.Addr >= hi {
+						t.Fatalf("instruction %d: address %d outside the working set [%d, %d)", i, ins.Addr, lo, hi)
+					}
+					if ins.Dep < 0 || ins.Dep >= 64 {
+						t.Fatalf("instruction %d: memory dependence %d", i, ins.Dep)
+					}
+				default:
+					if ins.Addr != 0 || ins.Dep < 0 || ins.Dep >= 16 {
+						t.Fatalf("instruction %d: compute instruction %+v", i, ins)
+					}
+				}
+			}
+			mem := loads + stores
+			if got := float64(mem) / n; got < p.MemFrac*0.85 || got > p.MemFrac*1.15 {
+				t.Errorf("memory fraction %.4f, want about %.4f", got, p.MemFrac)
+			}
+			if got := float64(stores) / float64(mem); got < p.StoreFrac-0.05 || got > p.StoreFrac+0.05 {
+				t.Errorf("store fraction %.3f, want about %.3f", got, p.StoreFrac)
+			}
+			want := p.CodeKB * 1024 / lineBytes
+			seen := map[uint64]bool{}
+			for i := 0; i < 2*want; i++ {
+				a, ok := g.CodeLine()
+				if !ok {
+					t.Fatalf("CodeKB %d but no I-fetch stream", p.CodeKB)
+				}
+				seen[a] = true
+			}
+			if _, ok := g.CodeLine(); ok != (want > 0) {
+				t.Errorf("CodeKB %d: I-fetch modeled = %v", p.CodeKB, ok)
+			}
+			if len(seen) != want {
+				t.Errorf("code footprint %d lines, want %d", len(seen), want)
+			}
+		})
+	}
+}
