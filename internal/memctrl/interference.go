@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/audit"
@@ -47,6 +48,9 @@ import (
 // cycle is charged at once: to refresh if the channel refreshes next
 // cycle, else to the policy with no aggressor if the command is already
 // legal; otherwise it is blocked.
+//
+// Requests are charged by (bank, thread, class) group, not one by one:
+// see settle.
 
 // Attribution causes. Exclusive: each waited cycle lands in exactly one.
 const (
@@ -87,11 +91,42 @@ type InterferenceSnapshot struct {
 
 // attrState packs a slot's two hot accounting fields on one cache
 // line: the cycle up to which its wait is attributed (exclusive) and
-// the cycles attributed so far.
+// the cycles attributed so far. While the slot is a joined member of a
+// group, from is the group's, and total and its attrBy row hold what
+// the slot had when it joined less the group's sums then (see join).
 type attrState struct {
 	from  int64
 	total int64
 }
+
+// attrGroup is one (bank, thread, class) group: its joined members'
+// shared accounting (their common from, and the cycles charged to the
+// group since it was founded, in total and by aggressor in its gRow
+// row), their count, the first of its loose members (waiting to join,
+// linked through intfTracker.link), whether its channel's live list
+// holds it, and its thread and flat bank.
+type attrGroup struct {
+	from   int64
+	total  int64
+	n      int32
+	loose  int32
+	listed bool
+	thread int32
+	bank   int32
+}
+
+// slotLink is a waiting slot's group (noGroup when it is in none) and,
+// for a loose member, the next loose member of that group (noSlot ends
+// the list); joined marks a joined member.
+type slotLink struct {
+	group int32
+	next  int32
+}
+
+const (
+	noGroup = int32(-1)
+	joined  = int32(-2)
+)
 
 // intfTracker is the per-controller attribution state, nil when the
 // feature is off.
@@ -107,6 +142,18 @@ type intfTracker struct {
 	// completed request's top aggressor.
 	attr   []attrState
 	attrBy []int64 // nslots x aggrs
+
+	// Group charging. A group is indexed (flat bank*threads + thread)*
+	// numClasses + class; link places each slot in one, and each
+	// channel ch lists its groups that have members, in index order (so
+	// by bank), in live[ch*perChan:], nlive[ch] of them.
+	groups  []attrGroup
+	gRow    []int64 // len(groups) x aggrs
+	link    []slotLink
+	live    []int32
+	nlive   []int32
+	perChan int
+	visits  int64 // groups and requests examined (AttributionVisits)
 
 	// cube[victim][aggressor][cause], flattened; baseline is the copy
 	// taken when measurement begins, so windowed results exclude warmup.
@@ -130,6 +177,7 @@ func newIntfTracker(c *Controller, reg *metrics.Registry) *intfTracker {
 	threads := c.cfg.Threads
 	aggrs := threads + 1
 	nslots := len(c.arena)
+	ngroups := len(c.pending) * numClasses
 	cells := threads * aggrs * numCauses
 	t := &intfTracker{
 		c:        c,
@@ -137,9 +185,16 @@ func newIntfTracker(c *Controller, reg *metrics.Registry) *intfTracker {
 		aggrs:    aggrs,
 		attr:     make([]attrState, nslots),
 		attrBy:   make([]int64, nslots*aggrs),
+		groups:   make([]attrGroup, ngroups),
+		gRow:     make([]int64, ngroups*aggrs),
+		link:     make([]slotLink, nslots),
+		live:     make([]int32, ngroups),
+		nlive:    make([]int32, len(c.chans)),
+		perChan:  c.banksPerChan * threads * numClasses,
 		cube:     make([]int64, cells),
 		baseline: make([]int64, cells),
 	}
+	t.reset()
 	if reg != nil {
 		t.pairCtr = make([]*metrics.Counter, threads*aggrs)
 		for v := 0; v < threads; v++ {
@@ -158,8 +213,122 @@ func newIntfTracker(c *Controller, reg *metrics.Registry) *intfTracker {
 	return t
 }
 
+// reset empties every group, as New builds the tracker and a restore
+// starts.
+func (t *intfTracker) reset() {
+	for gi := range t.groups {
+		t.groups[gi] = attrGroup{loose: noSlot, thread: int32(gi / numClasses % t.threads), bank: int32(gi / numClasses / t.threads)}
+	}
+	for i := range t.link {
+		t.link[i] = slotLink{group: noGroup}
+	}
+	clear(t.nlive)
+	t.visits = 0
+}
+
 func (t *intfTracker) cubeIdx(victim, aggr, cause int) int {
 	return (victim*t.aggrs+aggr)*numCauses + cause
+}
+
+// row returns a slot's per-aggressor accounting.
+func (t *intfTracker) row(slot int32) []int64 {
+	return t.attrBy[int(slot)*t.aggrs : (int(slot)+1)*t.aggrs]
+}
+
+// touch lists a group that is gaining a member on its channel.
+func (t *intfTracker) touch(gi int32) {
+	g := &t.groups[gi]
+	if g.listed {
+		return
+	}
+	g.listed = true
+	ch := int(gi) / t.perChan
+	live := t.live[ch*t.perChan : ch*t.perChan+int(t.nlive[ch])+1]
+	i := len(live) - 1
+	for ; i > 0 && live[i-1] > gi; i-- {
+		live[i] = live[i-1]
+	}
+	live[i] = gi
+	t.nlive[ch]++
+}
+
+// prune unlists a group left with no member of either kind.
+func (t *intfTracker) prune(gi int32) {
+	g := &t.groups[gi]
+	if g.n > 0 || g.loose != noSlot || !g.listed {
+		return
+	}
+	g.listed = false
+	ch := int(gi) / t.perChan
+	live := t.live[ch*t.perChan : ch*t.perChan+int(t.nlive[ch])]
+	i := slices.Index(live, gi)
+	copy(live[i:], live[i+1:])
+	t.nlive[ch]--
+}
+
+// join makes a slot in no group a joined member of group gi, founding
+// the group if it has no joined member; otherwise the slot's from must
+// be the group's. The slot keeps its accounting less the group's sums,
+// so adding them back (detach) restores its own values with every
+// charge the group took meanwhile.
+func (t *intfTracker) join(slot, gi int32) {
+	t.touch(gi)
+	g := &t.groups[gi]
+	gRow := t.gRow[int(gi)*t.aggrs : int(gi+1)*t.aggrs]
+	if g.n == 0 {
+		g.from, g.total = t.attr[slot].from, 0
+		clear(gRow)
+	}
+	g.n++
+	t.attr[slot].total -= g.total
+	row := t.row(slot)
+	for a, x := range gRow {
+		row[a] -= x
+	}
+	t.link[slot] = slotLink{group: gi, next: joined}
+}
+
+// place puts a slot in no group into the group of its class: joined if
+// its from is the group's (or the group has no joined member), else
+// loose.
+func (t *intfTracker) place(slot int32, cls int) {
+	r := &t.c.arena[slot]
+	gi := int32((r.GlobalBank*t.threads+r.Thread)*numClasses + cls)
+	if g := &t.groups[gi]; g.n == 0 || g.from == t.attr[slot].from {
+		t.join(slot, gi)
+		return
+	}
+	t.touch(gi)
+	g := &t.groups[gi]
+	t.link[slot] = slotLink{group: gi, next: g.loose}
+	g.loose = slot
+}
+
+// detach takes a slot out of its group, with its accounting made its
+// own again.
+func (t *intfTracker) detach(slot int32) {
+	l := t.link[slot]
+	if l.group == noGroup {
+		return
+	}
+	g := &t.groups[l.group]
+	if l.next == joined {
+		t.attr[slot].from = g.from
+		t.attr[slot].total += g.total
+		row := t.row(slot)
+		for a, x := range t.gRow[int(l.group)*t.aggrs : int(l.group+1)*t.aggrs] {
+			row[a] += x
+		}
+		g.n--
+	} else {
+		p := &g.loose
+		for *p != slot {
+			p = &t.link[*p].next
+		}
+		*p = l.next
+	}
+	t.link[slot] = slotLink{group: noGroup}
+	t.prune(l.group)
 }
 
 // OnAccept initializes a slot's accounting at its arrival cycle. A
@@ -170,24 +339,23 @@ func (t *intfTracker) cubeIdx(victim, aggr, cause int) int {
 func (t *intfTracker) OnAccept(r *core.Request, now int64) {
 	slot := r.Slot
 	t.attr[slot] = attrState{from: now}
-	clear(t.attrBy[int(slot)*t.aggrs : int(slot+1)*t.aggrs])
-	if t.c.tickedAt != now {
-		return
-	}
+	clear(t.row(slot))
 	ch, lb := t.c.chanOf(r.GlobalBank)
 	openRow, open := ch.BankOpen(lb)
 	cls, _ := classOf(r, open, openRow)
-	switch {
-	case now+1 >= t.c.nextRefreshAt[r.Channel] && ch.EarliestIssue(dram.KindRefresh, 0) <= now+1:
-		// The channel refreshes next cycle: the request is first seen
-		// after the refresh, blocked by it since arrival.
-		t.charge(slot, r.Thread, t.threads, causeRefresh, 1)
-	case ch.EarliestIssue(classKind(cls, open), lb) <= now:
-		t.charge(slot, r.Thread, t.threads, causePolicy, 1)
-	default:
-		return
+	if t.c.tickedAt == now {
+		switch {
+		case now+1 >= t.c.nextRefreshAt[r.Channel] && ch.EarliestIssue(dram.KindRefresh, 0) <= now+1:
+			// The channel refreshes next cycle: the request is first seen
+			// after the refresh, blocked by it since arrival.
+			t.charge(&t.attr[slot].total, t.row(slot), 1, r.Thread, t.threads, causeRefresh, 1)
+			t.attr[slot].from = now + 1
+		case ch.EarliestIssue(classKind(cls, open), lb) <= now:
+			t.charge(&t.attr[slot].total, t.row(slot), 1, r.Thread, t.threads, causePolicy, 1)
+			t.attr[slot].from = now + 1
+		}
 	}
-	t.attr[slot].from = now + 1
+	t.place(slot, cls)
 }
 
 // OnRefresh settles the channel's waits up to the refresh cycle.
@@ -197,85 +365,221 @@ func (t *intfTracker) OnRefresh(chIdx int, now int64) {
 
 // BeforeIssue settles the channel's waits through the command's cycle
 // and, at a CAS, has the auditor re-check that the request's attributed
-// cycles cover [arrival, now) exactly.
+// cycles cover [arrival, now) exactly. The command's own request is the
+// one waiting request whose charge differs from its group's: its event
+// cycle is service, not wait. The settle charges it with its group but
+// leaves that cycle out of the cube, so here it leaves its group and
+// gives the cycle back. It leaves its queue at a CAS, and AfterIssue
+// places it again after an activate or precharge.
 func (t *intfTracker) BeforeIssue(cmd audit.Cmd, now int64) {
-	slot, winner := noSlot, t.threads // "none": an idle-close precharge
-	if cmd.Req != nil {
-		slot, winner = cmd.Req.Slot, cmd.Req.Thread
+	chIdx := cmd.FlatBank / t.c.banksPerChan
+	r := cmd.Req
+	if r == nil { // an idle-close precharge
+		t.settle(chIdx, now, false, noSlot, t.threads)
+		return
 	}
-	t.settle(cmd.FlatBank/t.c.banksPerChan, now, false, slot, winner)
+	t.settle(chIdx, now, false, r.Slot, r.Thread)
+	t.detach(r.Slot)
+	a := &t.attr[r.Slot]
+	a.from, a.total = now, a.total-1
+	t.row(r.Slot)[r.Thread]--
 	if aud := t.c.aud; aud != nil && cmd.Kind.IsCAS() {
-		aud.OnAttributed(cmd.Req, t.attr[slot].total, now)
+		aud.OnAttributed(r, a.total, now)
+	}
+}
+
+// AfterIssue regroups the bank of an activate or precharge, whose
+// state change moved requests between classes: an activate the hits
+// of the row it opened out of the miss class, a precharge every read
+// and write into it. A joined member that moved leaves its group, and
+// the loose lists of the classes that lost members are rebuilt. The
+// command's own request is placed again.
+func (t *intfTracker) AfterIssue(cmd audit.Cmd, _ int64) {
+	if cmd.Kind != dram.KindActivate && cmd.Kind != dram.KindPrecharge {
+		return
+	}
+	c, b, nt := t.c, cmd.FlatBank, t.threads
+	ch, lb := c.chanOf(b)
+	openRow, open := ch.BankOpen(lb)
+	for v, q := range c.pending[b*nt : (b+1)*nt] {
+		base := int32((b*nt + v) * numClasses)
+		gs := t.groups[base : base+numClasses]
+		var lost uint8 // the classes that can have lost members
+		if open {
+			lost = 1 << classMiss
+		} else {
+			lost = 1<<classRead | 1<<classWrite
+		}
+		moving := false
+		for k := range gs {
+			if lost&(1<<k) != 0 && (gs[k].n > 0 || gs[k].loose != noSlot) {
+				moving = true
+			}
+		}
+		if !moving {
+			continue
+		}
+		// Rebuild the losing classes' loose lists from the walk.
+		for k := range gs {
+			if lost&(1<<k) != 0 {
+				gs[k].loose = noSlot
+			}
+		}
+		for _, s := range q {
+			l := &t.link[s]
+			if l.group == noGroup || lost&(1<<(l.group-base)) == 0 {
+				continue
+			}
+			t.visits++
+			cls, _ := classOf(&c.arena[s], open, openRow)
+			switch {
+			case l.next != joined:
+				*l = slotLink{group: noGroup}
+				t.place(s, cls)
+			case int(l.group-base) != cls:
+				t.detach(s)
+				t.place(s, cls)
+			}
+		}
+		for k := range gs {
+			t.prune(base + int32(k))
+		}
+	}
+	if r := cmd.Req; r != nil {
+		cls, _ := classOf(r, open, openRow)
+		t.place(r.Slot, cls)
 	}
 }
 
 // settle charges every waiting request of a channel whose next command
 // is legal at an event at cycle now, by the rule above: its blocked
 // span, its ready span (a pending refresh counts from the cycle the
-// refresh fell due), and, at a command, the event's cycle to winner
-// unless the request is the command's own (slot). At a refresh the
-// event's cycle is the refresh's, and a command legal only from it on
-// stays blocked.
-func (t *intfTracker) settle(chIdx int, now int64, refresh bool, slot int32, winner int) {
+// refresh fell due), and, at a command, the event's cycle to winner.
+// At a refresh the event's cycle is the refresh's, and a command legal
+// only from it on stays blocked. The command's own request (slot own)
+// is charged the event's cycle in its accounting but not in the cube
+// (BeforeIssue takes it back), and is left in no group.
+//
+// Every input of that rule but a request's from is a function of its
+// bank, class, thread or channel, so settle charges a group's joined
+// members once, together, and each loose member alone, after which it
+// shares the group's from and joins.
+func (t *intfTracker) settle(chIdx int, now int64, refresh bool, own int32, winner int) {
 	c := t.c
-	ch := c.chans[chIdx]
+	w := wait{ch: c.chans[chIdx], now: now, pendingFrom: min(c.nextRefreshAt[chIdx], now), winner: winner}
 	legal := now // a command is ready if its EarliestIssue is at most this
 	if refresh {
-		legal = now - 1
+		legal, w.winner = now-1, -1
 	}
-	pendingFrom := min(c.nextRefreshAt[chIdx], now)
-	none, nt := t.threads, t.threads
-	lo := chIdx * c.banksPerChan
-	for b := lo; b < lo+c.banksPerChan; b++ {
-		qs := c.pending[b*nt : (b+1)*nt]
-		lb := b - lo
-		openRow, open := ch.BankOpen(lb)
-		holder := none
-		if th := ch.ActivateThread(lb); open && th >= 0 {
-			holder = th
+	ownGroup, ownLoose := noGroup, noGroup // the group own is a joined or loose member of
+	if own != noSlot {
+		if l := t.link[own]; l.next == joined {
+			ownGroup = l.group
+		} else {
+			ownLoose = l.group
 		}
-		var early [numClasses]int64
-		var asked uint8 // the classes early holds
-		for v, q := range qs {
-			for _, s := range q {
-				cls, _ := classOf(&c.arena[s], open, openRow)
-				if asked&(1<<cls) == 0 {
-					asked |= 1 << cls
-					early[cls] = ch.EarliestIssue(classKind(cls, open), lb)
-				}
-				e := early[cls]
-				if e > legal {
-					continue
-				}
-				f := t.attr[s].from
-				if f < e {
-					_, bc, th := ch.BlockingCause(classKind(cls, open), lb)
-					cause, aggr := t.classify(v, bc, th)
-					t.charge(s, v, aggr, cause, e-f)
-					f = e
-				}
-				if held := max(pendingFrom, f); held > f {
-					t.charge(s, v, holder, causePolicy, held-f)
-					f = held
-				}
-				if f < now {
-					t.charge(s, v, none, causeRefresh, now-f)
-				}
-				next := now
-				if !refresh && s != slot {
-					t.charge(s, v, winner, causePolicy, 1)
-					next++
-				}
-				t.attr[s].from = next
+	}
+	bank := -1 // the flat bank w describes
+	var early [numClasses]int64
+	var asked uint8 // the classes early holds for bank
+	live := t.live[chIdx*t.perChan : chIdx*t.perChan+int(t.nlive[chIdx])]
+	t.visits += int64(len(live))
+	for _, gi := range live {
+		g := &t.groups[gi]
+		if b := int(g.bank); b != bank {
+			bank, asked = b, 0
+			w.lb = b - chIdx*c.banksPerChan
+			_, w.open = w.ch.BankOpen(w.lb)
+			w.holder = t.threads
+			if th := w.ch.ActivateThread(w.lb); w.open && th >= 0 {
+				w.holder = th
 			}
 		}
+		cls := int(gi) % numClasses
+		if asked&(1<<cls) == 0 {
+			asked |= 1 << cls
+			early[cls] = w.ch.EarliestIssue(classKind(cls, w.open), w.lb)
+		}
+		e := early[cls]
+		if e > legal {
+			continue
+		}
+		v := int(g.thread)
+		if g.n > 0 {
+			g.from = t.chargeWait(&w, &g.total, t.gRow[int(gi)*t.aggrs:int(gi+1)*t.aggrs], int64(g.n), gi == ownGroup, v, cls, g.from, e)
+		}
+		for s := g.loose; s != noSlot; {
+			t.visits++
+			next := t.link[s].next
+			t.attr[s].from = t.chargeWait(&w, &t.attr[s].total, t.row(s), 1, s == own, v, cls, t.attr[s].from, e)
+			if s == own {
+				t.link[s] = slotLink{group: noGroup}
+			} else {
+				t.join(s, gi)
+			}
+			s = next
+		}
+		g.loose = noSlot
+	}
+	if ownLoose != noGroup {
+		// Unlisted only now: pruning would shift the list walked above.
+		t.prune(ownLoose)
 	}
 }
 
+// wait is what settle's charges share on one bank at one event.
+type wait struct {
+	ch          *dram.Channel
+	lb          int
+	open        bool
+	now         int64
+	pendingFrom int64
+	holder      int // the thread whose activate opened the row, or none
+	winner      int // the event cycle's aggressor, -1 when not charged
+}
+
+// chargeWait charges the uncharged wait [from, now] of n requests of
+// thread v sharing the accounting total and row, whose class cls became
+// legal at e, and returns their new from. With own, one of them is the
+// command's request, whose event cycle the cube does not get.
+func (t *intfTracker) chargeWait(w *wait, total *int64, row []int64, n int64, own bool, v, cls int, from, e int64) int64 {
+	f := from
+	if f < e {
+		_, bc, th := w.ch.BlockingCause(classKind(cls, w.open), w.lb)
+		cause, aggr := classify(t.threads, v, bc, th)
+		t.charge(total, row, n, v, aggr, cause, e-f)
+		f = e
+	}
+	var held int64 // ready cycles to the row's holder
+	if p := max(w.pendingFrom, f); p > f {
+		held, f = p-f, p
+	}
+	if f < w.now {
+		t.charge(total, row, n, v, t.threads, causeRefresh, w.now-f)
+	}
+	if w.winner < 0 {
+		if held > 0 {
+			t.charge(total, row, n, v, w.holder, causePolicy, held)
+		}
+		return w.now
+	}
+	if w.winner == w.holder && !own {
+		t.charge(total, row, n, v, w.holder, causePolicy, held+1)
+		return w.now + 1
+	}
+	if held > 0 {
+		t.charge(total, row, n, v, w.holder, causePolicy, held)
+	}
+	if own {
+		n--
+	}
+	t.charge(total, row, n, v, w.winner, causePolicy, 1)
+	return w.now + 1
+}
+
 // classify maps a binding DDR2 constraint to an attribution cause and
-// aggressor column.
-func (t *intfTracker) classify(victim int, bc dram.BlockCause, th int) (cause, aggr int) {
-	none := t.threads
+// aggressor column, none being the "no aggressor" column.
+func classify(none, victim int, bc dram.BlockCause, th int) (cause, aggr int) {
 	switch bc {
 	case dram.BlockRefresh:
 		return causeRefresh, none
@@ -298,15 +602,17 @@ func (t *intfTracker) classify(victim int, bc dram.BlockCause, th int) (cause, a
 	}
 }
 
-// charge attributes cycles to (victim, aggr, cause) for a slot.
-func (t *intfTracker) charge(slot int32, victim, aggr, cause int, cycles int64) {
-	t.attr[slot].total += cycles
-	t.attrBy[int(slot)*t.aggrs+aggr] += cycles
+// charge attributes cycles to (victim, aggr, cause) for each of n
+// requests whose accounting is total and row: a slot's own (n is 1) or
+// a group's.
+func (t *intfTracker) charge(total *int64, row []int64, n int64, victim, aggr, cause int, cycles int64) {
+	*total += cycles
+	row[aggr] += cycles
 	idx := t.cubeIdx(victim, aggr, cause)
-	t.cube[idx] += cycles
+	t.cube[idx] += cycles * n
 	if t.pairCtr != nil {
-		t.pairCtr[idx/numCauses].Add(cycles)
-		t.causeCtr[cause].Add(cycles)
+		t.pairCtr[idx/numCauses].Add(cycles * n)
+		t.causeCtr[cause].Add(cycles * n)
 	}
 }
 
@@ -364,6 +670,18 @@ func (t *intfTracker) buildSnapshot(cube, baseline []int64) InterferenceSnapshot
 
 // InterferenceEnabled reports whether delay attribution is on.
 func (c *Controller) InterferenceEnabled() bool { return c.intf != nil }
+
+// AttributionVisits returns how many groups and requests the
+// interference tracker has examined since New or a restore (0 with
+// attribution off): a settle's groups and loose requests, a regroup's
+// members. It is the tracker's work as a count that repeats for a seed,
+// like SchedCounts neither in the registry nor in a checkpoint.
+func (c *Controller) AttributionVisits() int64 {
+	if c.intf == nil {
+		return 0
+	}
+	return c.intf.visits
+}
 
 // InterferenceSnapshot returns the attribution matrix, cumulative or
 // relative to the measurement baseline. Simulation goroutine only; the
@@ -424,20 +742,68 @@ func (c *Controller) PublishedInterference() (InterferenceSnapshot, bool) {
 // channel). Controller.State rebuilds the arena in that same order
 // before calling here when loading, so the one walk rejoins the
 // per-slot state to its request bit-identically in both directions.
+// Saving first takes every waiting slot out of its group, so the wire
+// carries each request's own values; both directions then place them
+// again, and a load refuses accounting no run can reach.
 func (t *intfTracker) state(s *snapshot.Codec, c *Controller) {
+	loading := s.Loading()
+	if loading {
+		t.reset()
+	} else {
+		for _, q := range c.pending {
+			for _, slot := range q {
+				t.detach(slot)
+			}
+		}
+	}
 	s.Section("memctrl.Interference")
 	s.I64s(t.cube)
 	s.I64s(t.baseline)
+	if loading {
+		for i, x := range t.cube {
+			if y := t.baseline[i]; x < 0 || y < 0 || y > x {
+				s.Fail("cube cell %d holds %d cycles and its baseline %d", i, x, y)
+				break
+			}
+		}
+	}
 	slotState := func(slot int32) {
-		s.I64(&t.attr[slot].from)
-		s.I64(&t.attr[slot].total)
-		s.I64s(t.attrBy[int(slot)*t.aggrs : (int(slot)+1)*t.aggrs])
+		a, row := &t.attr[slot], t.row(slot)
+		s.I64(&a.from)
+		s.I64(&a.total)
+		s.I64s(row)
+		if !loading || s.Err() != nil {
+			return
+		}
+		r := &c.arena[slot]
+		var sum int64
+		for _, x := range row {
+			if x < 0 {
+				s.Fail("request %d has %d cycles charged to one aggressor", r.ID, x)
+				return
+			}
+			sum += x
+		}
+		switch {
+		case a.total != a.from-r.ArrivalReal:
+			s.Fail("request %d attributed %d cycles of its wait from %d to %d", r.ID, a.total, r.ArrivalReal, a.from)
+		case sum != a.total:
+			s.Fail("request %d attributed %d cycles, its aggressors %d", r.ID, a.total, sum)
+		}
 	}
 	var order []int32
 	for b := range c.bankWake {
 		order = c.bankOrder(b, order)
 		for _, slot := range order {
 			slotState(slot)
+		}
+		if s.Err() == nil {
+			ch, lb := c.chanOf(b)
+			openRow, open := ch.BankOpen(lb)
+			for _, slot := range order {
+				cls, _ := classOf(&c.arena[slot], open, openRow)
+				t.place(slot, cls)
+			}
 		}
 	}
 	for ch := range c.inflight {
@@ -446,4 +812,30 @@ func (t *intfTracker) state(s *snapshot.Codec, c *Controller) {
 		}
 	}
 	s.End()
+}
+
+// VerifyRestoreCycle refuses, through s, restored attribution that
+// charges a live request's wait past cycle+1, where cycle is the one the
+// restored run resumes at: a checkpoint is taken between cycles, so no
+// wait can have been settled beyond it.
+func (c *Controller) VerifyRestoreCycle(s *snapshot.Codec, cycle int64) {
+	t := c.intf
+	if t == nil || s.Err() != nil {
+		return
+	}
+	check := func(slot int32) {
+		if from := t.attr[slot].from; from > cycle+1 {
+			s.Fail("request %d attributed through cycle %d, past the restored cycle %d", c.arena[slot].ID, from, cycle)
+		}
+	}
+	for _, q := range c.pending {
+		for _, slot := range q {
+			check(slot)
+		}
+	}
+	for ch := range c.inflight {
+		for _, f := range c.inflight[ch][c.inflightHead[ch]:] {
+			check(f.slot)
+		}
+	}
 }

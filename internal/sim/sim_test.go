@@ -341,7 +341,13 @@ func TestDynamicShareReassignment(t *testing.T) {
 // above what the code measures (5.70, 2.96 and 24.8 at one channel,
 // 4.12, 1.86 and 5.6 at four). Interference attribution listens to the
 // command stream and never enters the scheduler, so with it on every
-// count must be exactly the same as without.
+// count must be exactly the same as without. Its own work is counted
+// too (Controller.AttributionVisits: the groups and loose requests a
+// settle examines, the members a regroup walks), with bounds about a
+// tenth above the 11.12 and 7.14 visits per command measured at one
+// and four channels; the per-request walk it replaced visited every
+// waiting request of the channel at every command and refresh, 82.1
+// and 16.1 per settle.
 // A command used to wake every bank of its channel and drop every
 // cached key on it, which on these runs measured 10.28 examinations and
 // 67.90 key evaluations per command at one channel, 9.33 and 16.13 at
@@ -356,8 +362,9 @@ func TestDynamicShareReassignment(t *testing.T) {
 // (class, read/write) group can rank first. So waking banks that cannot
 // have become ready, dropping keys the command cannot have moved,
 // re-ranking threads whose keys did not move, attribution doing any
-// scheduler work, or FQ-VFTF losing its arrival declaration, fails here
-// as a count long before it shows in a timing.
+// scheduler work, attribution walking requests one by one again, or
+// FQ-VFTF losing its arrival declaration, fails here as a count long
+// before it shows in a timing.
 //
 // The core side of the same runs is held the same way: every probe of
 // the data caches, served or refused, per line fetched from memory, and
@@ -382,10 +389,12 @@ func TestSchedulingEconomy(t *testing.T) {
 		maxExams, maxKeys, maxSlots float64 // per issued command
 		maxProbes                   float64 // per L2 miss
 		maxTicks                    float64 // per cycle
+		maxVisits                   float64 // attribution, per issued command
 	}{
-		{1, 6.5, 3.3, 27.5, 2.5, 0.6},
-		{4, 4.6, 2.1, 6.3, 2.5, 1.4},
+		{1, 6.5, 3.3, 27.5, 2.5, 0.6, 12.3},
+		{4, 4.6, 2.1, 6.3, 2.5, 1.4, 7.9},
 	} {
+		var visits int64 // the attributed run's tracker visits over the window
 		run := func(intf bool) (*System, memctrl.SchedCounts, StepCounts) {
 			cfg := Config{Workload: []trace.Profile{art, art, art, art}, Policy: FQVFTF, Seed: 1, Interference: intf}
 			cfg.Mem.Channels = tc.channels
@@ -395,8 +404,12 @@ func TestSchedulingEconomy(t *testing.T) {
 			}
 			s.Step(50_000)
 			from, stepFrom := s.Controller().SchedCounts(), s.StepCounts()
+			visitsFrom := s.Controller().AttributionVisits()
 			s.Step(window)
 			to, stepTo := s.Controller().SchedCounts(), s.StepCounts()
+			if intf {
+				visits = s.Controller().AttributionVisits() - visitsFrom
+			}
 			return s, memctrl.SchedCounts{
 				BankExams:    to.BankExams - from.BankExams,
 				SlotsVisited: to.SlotsVisited - from.SlotsVisited,
@@ -423,6 +436,11 @@ func TestSchedulingEconomy(t *testing.T) {
 		}
 		if slots > tc.maxSlots {
 			t.Errorf("channels=%d: %.1f pending slots walked per issued command, want at most %.1f", tc.channels, slots, tc.maxSlots)
+		}
+		perCmd := float64(visits) / cmds
+		t.Logf("channels=%d: %.2f attribution visits per command", tc.channels, perCmd)
+		if perCmd > tc.maxVisits {
+			t.Errorf("channels=%d: %.2f attribution groups and requests visited per issued command, want at most %.2f", tc.channels, perCmd, tc.maxVisits)
 		}
 
 		var probes, misses int64 // cumulative, like the hierarchy's counters

@@ -92,6 +92,9 @@ func (s *System) state(c *snapshot.Codec) error {
 		cpu.State(c)
 	}
 	s.ctrl.State(c)
+	if c.Loading() {
+		s.ctrl.VerifyRestoreCycle(c, s.cycle)
+	}
 	snapshot.Verify(c, s.cfg.Metrics != nil, "metrics registry", c.Bool)
 	if s.cfg.Metrics != nil {
 		s.cfg.Metrics.State(c)

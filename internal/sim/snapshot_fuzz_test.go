@@ -241,6 +241,87 @@ func TestRestoreHostileCounts(t *testing.T) {
 	}
 }
 
+// TestRestoreHostileAttribution rewrites the interference tracker's
+// section of a checkpoint. Every live request's attributed cycles equal
+// its wait so far (total is from less its arrival), its aggressor row
+// sums to that total, and no cell of it, of the cube or of the cube's
+// baseline is negative or charges a cycle the run has not reached; a
+// restore must refuse a section that breaks any of these rather than
+// resume with charges silently wrong.
+func TestRestoreHostileAttribution(t *testing.T) {
+	cfg := fuzzConfig(t)
+	cfg.Interference = true
+	valid := snapshotOf(t, cfg)
+	s, err := Restore(cfg, bytes.NewReader(valid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Controller().PendingRequests() == 0 {
+		t.Fatal("the checkpoint holds no waiting request to rewrite")
+	}
+	const marker = "memctrl.Interference"
+	at := bytes.Index(valid, []byte(marker))
+	if at < 0 {
+		t.Fatal("no interference section")
+	}
+	threads := len(cfg.Workload)
+	aggrs := threads + 1
+	cells := threads * aggrs * 6 // causes
+	// The section is the cube and its baseline, each a length and its
+	// cells, then each live request's from, total, and a length and its
+	// aggressor row; every number is 8 bytes and every length 4.
+	base := at + len(marker)
+	cube, baseline := base+4, base+4+8*cells+4
+	from := baseline + 8*cells // the first live request
+	total, row := from+8, from+16+4
+	get := func(b []byte, off int) int64 { return int64(binary.LittleEndian.Uint64(b[off:])) }
+	set := func(b []byte, off int, v int64) { binary.LittleEndian.PutUint64(b[off:], uint64(v)) }
+	if n := binary.LittleEndian.Uint32(valid[row-4:]); int(n) != aggrs {
+		t.Fatalf("the first request's row has %d cells, want %d", n, aggrs)
+	}
+	cell := -1 // a cube cell with cycles in it
+	for i := range cells {
+		if get(valid, cube+8*i) > 0 {
+			cell = 8 * i
+			break
+		}
+	}
+	if cell < 0 {
+		t.Fatal("the checkpoint's cube is empty")
+	}
+	for _, tc := range []struct {
+		name, want string
+		edit       func(b []byte)
+	}{
+		{"negative wait", "attributed", func(b []byte) { set(b, from, -1000); set(b, total, -7) }},
+		{"total past the wait", "attributed", func(b []byte) { set(b, total, get(b, total)+1) }},
+		{"row past the total", "its aggressors", func(b []byte) { set(b, row, get(b, row)+1) }},
+		{"negative aggressor cell", "charged to one aggressor", func(b []byte) {
+			x := get(b, row)
+			set(b, row, -1)
+			set(b, row+8, get(b, row+8)+x+1)
+		}},
+		{"charged past the cycle", "past the restored cycle", func(b []byte) {
+			for _, off := range []int{from, total, row + 8*(aggrs-1)} {
+				set(b, off, get(b, off)+1_000)
+			}
+		}},
+		{"negative cube cell", "cube cell", func(b []byte) { set(b, cube+cell, -1) }},
+		{"negative baseline cell", "cube cell", func(b []byte) { set(b, baseline+cell, -1) }},
+		{"baseline above the cube", "cube cell", func(b []byte) { set(b, baseline+cell, get(b, cube+cell)+1) }},
+	} {
+		mut := append([]byte(nil), valid...)
+		tc.edit(mut)
+		s, err := Restore(cfg, bytes.NewReader(mut))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want a refusal naming %q", tc.name, err, tc.want)
+		}
+		if s != nil {
+			t.Errorf("%s: Restore returned a system", tc.name)
+		}
+	}
+}
+
 // TestRestoreHostileSeries rewrites the retained epochs of a
 // checkpoint's metric series. A sampler record is positional over the
 // registry, so restore must refuse a record that does not parse against
